@@ -100,6 +100,8 @@ clustersmoke:
 	diff baseline.cov cluster.cov; \
 	grep -Eq '"trips": [1-9]' cluster-report.json || { echo "kill was not observed: no breaker trip"; exit 1; }; \
 	grep -q '"timeline"' cluster-report.json || { echo "report has no run timeline"; exit 1; }; \
+	if grep -q '"fragmentFormat": "json"' cluster-report.json; then echo "a fragment travelled as JSON"; exit 1; fi; \
+	grep -q '"networkPushes": 3,' cluster-report.json || { echo "want one network push per worker that started empty"; exit 1; }; \
 	echo "cluster == single-node: exact (1 worker SIGKILLed mid-run; fleet /metrics lint-clean)"; \
 	rm -f baseline.out baseline.cov cluster.out cluster.cov cluster-report.json coord-metrics.txt w2.log
 

@@ -8,9 +8,10 @@
 //	yardstick-coord -nodes http://localhost:8081,http://localhost:8082,http://localhost:8083 \
 //	    -topology regional -suite default,internal,contract
 //
-// The coordinator pushes its network to every node, partitions the
-// suite into shards, dispatches them through the async /jobs API, and
-// merges the per-shard trace fragments (GET /jobs/{id}/trace) by exact
+// The coordinator pushes its network to every node that does not
+// already hold it, partitions the suite into shards, dispatches them
+// through the async /jobs API, and merges the per-shard trace fragments
+// (GET /jobs/{id}/trace, as checksummed arenas) as they arrive by exact
 // BDD union — so the cluster result is bit-identical to a single-node
 // sequential run, no matter how shards were scheduled, retried, or
 // duplicated. Failed nodes trip a circuit breaker and their work is
@@ -104,9 +105,12 @@ func loadNetwork(netFile, topology string, k int) (*yardstick.Network, []yardsti
 }
 
 // reportFile is the -report artifact: the run's per-shard and per-node
-// accounting as JSON, for CI to archive and humans to diff. Timeline is
-// the cross-node span tree — coordinator dispatch spans with each
-// shard's worker-side profile grafted in, all tagged with RunID.
+// accounting as JSON, for CI to archive and humans to diff. The embedded
+// Totals put the run's wire and merge figures (fragmentBytes, fetchMs,
+// decodeMs, mergeMs, networkPushes, networkPushSkipped) at the top
+// level; each shard row carries its own. Timeline is the cross-node span
+// tree — coordinator dispatch spans with each shard's worker-side
+// profile grafted in, all tagged with RunID.
 type reportFile struct {
 	RunID    string              `json:"runId"`
 	Suites   []string            `json:"suites"`
@@ -114,7 +118,8 @@ type reportFile struct {
 	Complete bool                `json:"complete"`
 	Shards   []coord.ShardStatus `json:"shards"`
 	Nodes    []coord.NodeReport  `json:"nodes"`
-	Timeline *obs.SpanProfile    `json:"timeline,omitempty"`
+	coord.Totals
+	Timeline *obs.SpanProfile `json:"timeline,omitempty"`
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, error) {
@@ -268,7 +273,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	if *reportPath != "" {
 		rep := reportFile{RunID: res.RunID, Suites: suites, Rounds: *rounds,
 			Complete: res.Complete, Shards: res.Shards, Nodes: res.Nodes,
-			Timeline: res.Timeline}
+			Totals: res.Totals, Timeline: res.Timeline}
 		buf, merr := json.MarshalIndent(rep, "", " ")
 		if merr != nil {
 			return 1, merr

@@ -84,6 +84,28 @@ func TestCoordCLI(t *testing.T) {
 	if !rep.Complete || len(rep.Shards) != 4 || len(rep.Nodes) != 3 {
 		t.Fatalf("report = %+v, want complete with 4 shards over 3 nodes", rep)
 	}
+	// The wire ledger: every shard names its fragment, the totals add up,
+	// and the field names CI's jq assertions read are the ones written.
+	var fragBytes int64
+	for _, sh := range rep.Shards {
+		if sh.FragmentFormat != "arena" || sh.FragmentBytes == 0 {
+			t.Errorf("shard %+v: want an arena fragment with its size", sh)
+		}
+		fragBytes += int64(sh.FragmentBytes)
+	}
+	if rep.FragmentBytes != fragBytes {
+		t.Errorf("report fragmentBytes = %d, shards sum to %d", rep.FragmentBytes, fragBytes)
+	}
+	// The workers started empty: every node that was given a shard was
+	// pushed the network once, none was skipped.
+	if rep.NetworkPushes < 1 || rep.NetworkPushes > 3 || rep.NetworkPushSkipped != 0 {
+		t.Errorf("report networkPushes = %d, networkPushSkipped = %d; want 1..3 and 0", rep.NetworkPushes, rep.NetworkPushSkipped)
+	}
+	for _, key := range []string{`"fragmentFormat": "arena"`, `"fragmentBytes"`, `"fetchMs"`, `"decodeMs"`, `"mergeMs"`, `"networkPushes"`, `"networkPushSkipped"`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Errorf("report JSON lacks %s", key)
+		}
+	}
 }
 
 func TestCoordCLIFlagErrors(t *testing.T) {

@@ -259,6 +259,16 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantC
 // for endpoints whose paging metadata (X-Total-Count, Link) rides on
 // headers rather than the body.
 func (c *Client) doHeader(ctx context.Context, method, path string, body []byte, wantCode int, out any) (http.Header, error) {
+	data, hdr, err := c.doRaw(ctx, method, path, body, wantCode)
+	if err != nil || out == nil {
+		return hdr, err
+	}
+	return hdr, json.Unmarshal(data, out)
+}
+
+// doRaw runs attempts under the retry policy and returns the final body
+// undecoded — for endpoints whose body is not JSON (a trace arena).
+func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, http.Header, error) {
 	var lastErr error
 	for n := 0; n < c.retry.MaxAttempts; n++ {
 		if n > 0 {
@@ -267,33 +277,37 @@ func (c *Client) doHeader(ctx context.Context, method, path string, body []byte,
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
+				return nil, nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 			}
 		}
 		data, hdr, err := c.attempt(ctx, method, path, body, wantCode)
 		if err == nil {
-			if out == nil {
-				return hdr, nil
-			}
-			return hdr, json.Unmarshal(data, out)
+			return data, hdr, nil
 		}
 		lastErr = err
 		if !retryable(err) || ctx.Err() != nil {
-			return hdr, err
+			return nil, hdr, err
 		}
 	}
-	return nil, fmt.Errorf("client: %s %s: giving up after %d attempts: %w", method, path, c.retry.MaxAttempts, lastErr)
+	return nil, nil, fmt.Errorf("client: %s %s: giving up after %d attempts: %w", method, path, c.retry.MaxAttempts, lastErr)
 }
 
 // LoadNetwork uploads a network (PUT /network), replacing the server's
 // network and resetting its trace.
 func (c *Client) LoadNetwork(ctx context.Context, net *netmodel.Network) (service.NetworkStats, error) {
 	var buf bytes.Buffer
-	var st service.NetworkStats
 	if err := net.EncodeJSON(&buf); err != nil {
-		return st, fmt.Errorf("client: encode network: %w", err)
+		return service.NetworkStats{}, fmt.Errorf("client: encode network: %w", err)
 	}
-	err := c.do(ctx, http.MethodPut, "/network", buf.Bytes(), http.StatusOK, &st)
+	return c.LoadNetworkJSON(ctx, buf.Bytes())
+}
+
+// LoadNetworkJSON is LoadNetwork for a network already in its JSON
+// encoding (netmodel.EncodeJSON) — a caller loading one network into
+// many servers encodes it once.
+func (c *Client) LoadNetworkJSON(ctx context.Context, netJSON []byte) (service.NetworkStats, error) {
+	var st service.NetworkStats
+	err := c.do(ctx, http.MethodPut, "/network", netJSON, http.StatusOK, &st)
 	return st, err
 }
 

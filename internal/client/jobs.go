@@ -113,23 +113,27 @@ func (c *Client) ListJobs(ctx context.Context, q JobsQuery) (JobPage, error) {
 	return page, nil
 }
 
-// JobTraceRaw downloads a done job's own coverage fragment as raw trace
-// JSON (GET /jobs/{id}/trace). The bytes are validated as JSON but not
-// decoded against a network — a coordinator collects fragments
-// concurrently and decodes them later, serialized on the canonical BDD
+// JobTraceRaw downloads a done job's own coverage fragment
+// (GET /jobs/{id}/trace) undecoded. It asks for the checksummed YSS1
+// arena, the compact machine-to-machine encoding; a server that predates
+// the negotiation answers trace JSON instead, so decode the bytes with a
+// sniffing entry point (core.DecodeFragment, core.DecodeTraceJSON), never
+// by what was asked for. A coordinator collects fragments concurrently
+// and hands them to the one goroutine that owns the canonical BDD
 // space. A 409 means the job is not done yet; a 410 means the fragment
 // is gone (artifact evicted or the node restarted) and the shard should
 // be re-run.
 func (c *Client) JobTraceRaw(ctx context.Context, id string) ([]byte, error) {
-	var raw json.RawMessage
-	err := c.do(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/trace", nil, http.StatusOK, &raw)
+	ctx = ContextWithHeader(ctx, "Accept", service.TraceArenaMediaType)
+	raw, _, err := c.doRaw(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/trace", nil, http.StatusOK)
 	return raw, err
 }
 
 // JobTrace downloads a done job's coverage fragment and decodes it
 // against net — which must be (a deterministic replica of) the network
-// the job ran against. Decoding writes net's BDD space; keep it
-// single-threaded with other symbolic work.
+// the job ran against; an arena fragment recorded against any other
+// network is core.ErrSnapshotMismatch. Decoding writes net's BDD space;
+// keep it single-threaded with other symbolic work.
 func (c *Client) JobTrace(ctx context.Context, id string, net *netmodel.Network) (*core.Trace, error) {
 	raw, err := c.JobTraceRaw(ctx, id)
 	if err != nil {

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"yardstick/internal/core"
 	"yardstick/internal/jobs"
 	"yardstick/internal/service"
 )
@@ -249,9 +251,10 @@ func TestListJobsPaging(t *testing.T) {
 	}
 }
 
-// TestJobTraceRoundTrip: a done job's fragment downloads as raw JSON and
-// decodes against a deterministic replica of the network — the replica
-// is what a coordinator holds, not the worker's own in-memory net.
+// TestJobTraceRoundTrip: a done job's fragment downloads as a YSS1 arena
+// and decodes against a deterministic replica of the network — the
+// replica is what a coordinator holds, not the worker's own in-memory
+// net.
 func TestJobTraceRoundTrip(t *testing.T) {
 	ts := newAsyncServer(t)
 	c := New(ts.URL, WithRetry(fastRetry(2)))
@@ -266,8 +269,8 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	}
 
 	raw, err := c.JobTraceRaw(ctx, j.ID)
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("JobTraceRaw = (%d bytes, %v)", len(raw), err)
+	if err != nil || !core.IsSnapshotArena(raw) {
+		t.Fatalf("JobTraceRaw = (%d bytes, %v), want a YSS1 arena", len(raw), err)
 	}
 	replica := buildNet(t)
 	tr, err := c.JobTrace(ctx, j.ID, replica.Net)
@@ -282,6 +285,35 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	var ae *APIError
 	if _, err := c.JobTraceRaw(ctx, "absent"); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("JobTraceRaw(absent) = %v, want 404", err)
+	}
+
+	// Mixed-version fleet: a worker that predates the negotiation ignores
+	// Accept and answers JSON. The bytes are decoded by what they are.
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		proxy, err := http.NewRequestWithContext(r.Context(), r.Method, ts.URL+r.URL.Path, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(proxy)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer old.Close()
+	oc := New(old.URL, WithRetry(fastRetry(2)))
+	if raw, err = oc.JobTraceRaw(ctx, j.ID); err != nil || core.IsSnapshotArena(raw) {
+		t.Fatalf("JobTraceRaw via an Accept-blind worker = (arena %v, %v), want JSON", core.IsSnapshotArena(raw), err)
+	}
+	fromJSON, err := oc.JobTrace(ctx, j.ID, replica.Net)
+	if err != nil || !fromJSON.Equal(tr) {
+		t.Fatalf("JobTrace via an Accept-blind worker = (equal %v, %v)", err == nil && fromJSON.Equal(tr), err)
 	}
 }
 

@@ -8,13 +8,20 @@
 //   - Partition: each built-in suite name becomes one shard (optionally
 //     repeated for -rounds; re-running a shard is free because coverage
 //     merges by BDD union).
-//   - Dispatch: shards are submitted through the async /jobs API of each
-//     worker and polled to completion; the per-shard fragment comes back
-//     via GET /jobs/{id}/trace as exact cube JSON.
-//   - Merge: fragments decode against the coordinator's own
-//     deterministic replica of the network — rule and location IDs are
-//     indices, identical across replicas, so only the symbolic sets are
-//     rebuilt — and fold into one trace by same-space union.
+//   - Dispatch: a node is pushed the network only when GET /network says
+//     it holds a different one (or none). Shards are submitted through
+//     the async /jobs API of each worker and polled to completion; the
+//     per-shard fragment comes back via GET /jobs/{id}/trace as a
+//     checksummed YSS1 arena (core.EncodeFragmentArena), negotiated on
+//     Accept.
+//   - Merge: one merger goroutine owns the coordinator's BDD space for
+//     the length of the run. It decodes each fragment as it lands —
+//     rule and location IDs are indices, identical across deterministic
+//     replicas, so only the symbolic sets are transferred — and folds it
+//     into one trace by same-space union while other shards still run.
+//     A fragment that fails its checksum, its format checks or the
+//     network fingerprint fails the attempt that fetched it, and the
+//     shard is dispatched again.
 //
 // Every robustness decision leans on one invariant: merging is an
 // idempotent, commutative union, so it is always safe to run a shard
@@ -50,7 +57,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand/v2"
-	"strings"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,11 +76,11 @@ type Config struct {
 	// Nodes are the worker base URLs (http://host:port). At least one.
 	Nodes []string
 
-	// Net is the coordinator's replica of the network under test. It is
-	// pushed to every node before its first shard (PUT /network) and is
-	// the space shard fragments decode into, so it must be built
-	// deterministically (same generator, same options) as any replica a
-	// node might already hold.
+	// Net is the coordinator's replica of the network under test. A node
+	// that does not already hold it (by fingerprint) is pushed it before
+	// its first shard (PUT /network), and it is the space shard fragments
+	// decode into. The run's merger goroutine owns its BDD space until
+	// Run returns; do not evaluate against it meanwhile.
 	Net *netmodel.Network
 
 	// NewClient builds the client for one node. nil means
@@ -193,15 +200,21 @@ type node struct {
 	base string
 	c    *client.Client
 
-	// loadMu serializes network pushes so concurrent shards do not race
-	// redundant PUT /network calls at the same node.
-	loadMu sync.Mutex
+	// loadSem (capacity 1) serializes network checks and pushes so
+	// concurrent shards do not race redundant GET and PUT /network calls
+	// at the same node. A channel rather than a mutex, so an attempt whose
+	// context ends stops waiting for it.
+	loadSem chan struct{}
+
+	// loaded: the node was seen holding the run's network — a matching
+	// GET /network fingerprint or an acknowledged push — and has not
+	// failed an attempt since. Cleared at the start of every run.
+	loaded atomic.Bool
 
 	mu       sync.Mutex
 	state    breakerState
 	fails    int // consecutive non-shed failures
 	openedAt time.Time
-	loaded   bool // network pushed and acknowledged
 	inflight int
 
 	// Counters for the end-of-run report.
@@ -266,8 +279,11 @@ func (n *node) onSuccess() {
 
 // onFailure records a non-shed failure: the streak grows, and crossing
 // the threshold — or failing the half-open probe — opens the breaker.
-// Reports whether this failure tripped it.
+// Reports whether this failure tripped it. Whatever went wrong, the
+// node may have restarted or been handed another network since it was
+// last checked, so its next attempt re-reads GET /network first.
 func (n *node) onFailure(now time.Time, threshold int) bool {
+	n.loaded.Store(false)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.failed++
@@ -306,12 +322,6 @@ func (n *node) onNeutral() {
 	}
 }
 
-func (n *node) markUnloaded() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.loaded = false
-}
-
 func (n *node) report() NodeReport {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -332,6 +342,31 @@ type ShardStatus struct {
 	Hedged   bool   `json:"hedged,omitempty"`
 	Done     bool   `json:"done"`
 	Error    string `json:"error,omitempty"`
+	Fragment        // of the winning attempt
+}
+
+// Fragment is one fetched fragment's accounting: its size and encoding
+// on the wire ("arena", or "json" from a worker that predates the
+// negotiation), and the time spent fetching it, decoding it into the
+// coordinator's space, and folding it into the merged trace.
+type Fragment struct {
+	FragmentBytes  int     `json:"fragmentBytes,omitempty"`
+	FragmentFormat string  `json:"fragmentFormat,omitempty"`
+	FetchMs        float64 `json:"fetchMs,omitempty"`
+	DecodeMs       float64 `json:"decodeMs,omitempty"`
+	MergeMs        float64 `json:"mergeMs,omitempty"`
+}
+
+// Totals is a run's wire and merge accounting: the per-shard fragment
+// figures summed over the shards that completed, plus how many nodes
+// were pushed the network and how many were found already holding it.
+type Totals struct {
+	FragmentBytes      int64   `json:"fragmentBytes"`
+	FetchMs            float64 `json:"fetchMs"`
+	DecodeMs           float64 `json:"decodeMs"`
+	MergeMs            float64 `json:"mergeMs"`
+	NetworkPushes      int     `json:"networkPushes"`
+	NetworkPushSkipped int     `json:"networkPushSkipped"`
 }
 
 // NodeReport is one node's health accounting in the Result.
@@ -356,6 +391,7 @@ type Result struct {
 	RunID    string
 	Shards   []ShardStatus
 	Nodes    []NodeReport
+	Totals   Totals
 	Complete bool
 	// Trace is the merged coverage in Config.Net's space.
 	Trace *core.Trace
@@ -363,10 +399,11 @@ type Result struct {
 	// that suite to finish — repeated rounds re-run identical tests).
 	Tests map[string][]service.RunResult
 	// Timeline is the cross-node span tree: the coordinator's own
-	// partition/dispatch/merge spans with each shard's span — and,
-	// beneath it, the worker-side job profile fetched from
-	// GET /jobs/{id}/profile — grafted in. Render with
-	// obs.WriteFlameProfile; worker subtrees carry node and run tags.
+	// dispatch span with each shard's span — its attempts, their
+	// codec.decode and transfer stages, and beneath it the worker-side
+	// job profile fetched from GET /jobs/{id}/profile — grafted in.
+	// Render with obs.WriteFlameProfile; worker subtrees carry node and
+	// run tags.
 	Timeline *obs.SpanProfile
 }
 
@@ -395,7 +432,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	registerCoordHelp(co.metrics)
 	for _, base := range cfg.Nodes {
-		co.nodes = append(co.nodes, &node{base: base, c: cfg.NewClient(base)})
+		co.nodes = append(co.nodes, &node{base: base, c: cfg.NewClient(base), loadSem: make(chan struct{}, 1)})
 	}
 	return co, nil
 }
@@ -411,13 +448,27 @@ func (co *Coordinator) NodeReports() []NodeReport {
 	return out
 }
 
-// shardRun is a ShardStatus plus the collected fragment bytes and the
-// shard's observability state: the coordinator-side span and the
-// worker-side profile fetched from the winning node.
+// run is the state one Run call shares across its shards.
+type run struct {
+	id string
+	// fingerprint identifies Config.Net: what a node's GET /network must
+	// answer for the push to be skipped, and what every arena fragment
+	// must carry to be merged.
+	fingerprint string
+	// netJSON encodes Config.Net for PUT /network — at most once per run,
+	// and only if some node turns out to need the push.
+	netJSON func() ([]byte, error)
+	// merges hands fetched fragments to the merger goroutine.
+	merges            chan mergeReq
+	pushes, pushSkips atomic.Int64
+}
+
+// shardRun is a ShardStatus plus the shard's observability state: the
+// coordinator-side span and the worker-side profile fetched from the
+// winning node.
 type shardRun struct {
 	ShardStatus
-	runID   string
-	raw     []byte
+	run     *run
 	results []service.RunResult
 	span    *obs.Span
 	// workerProfile is the winning job's span profile (nil when the
@@ -430,38 +481,66 @@ type shardRun struct {
 func (sh *shardRun) shardID() string { return fmt.Sprintf("s%d", sh.ID) }
 
 // Run partitions the suites into shards, dispatches them across the
-// fleet, and merges the fragments. The error return covers only setup
-// problems and context cancellation; fleet failures degrade into the
-// Result (Complete false, per-shard errors).
+// fleet, and merges the fragments as they arrive. The error return
+// covers only setup problems and context cancellation; fleet failures
+// degrade into the Result (Complete false, per-shard errors). A
+// cancelled run returns its error together with the partial Result —
+// whatever had merged, and the timeline saying where the time went.
 func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, error) {
 	if len(suites) == 0 {
 		return nil, errors.New("coord: no suites")
+	}
+	fp, err := core.Fingerprint(co.cfg.Net)
+	if err != nil {
+		return nil, fmt.Errorf("coord: %w", err)
 	}
 	// Every run gets a minted identity. The run ID rides on each
 	// dispatch as X-Run-Id (workers tag their span trees, logs, and
 	// pprof labels with it), and the root span anchors the coordinator's
 	// half of the cross-node timeline.
-	runID := newRunID()
+	r := &run{
+		id:          newRunID(),
+		fingerprint: fp,
+		netJSON: sync.OnceValues(func() ([]byte, error) {
+			var buf bytes.Buffer
+			err := co.cfg.Net.EncodeJSON(&buf)
+			return buf.Bytes(), err
+		}),
+		merges: make(chan mergeReq),
+	}
 	root := obs.NewRoot("coord.run", co.metrics)
-	root.SetTag("run", runID)
+	root.SetTag("run", r.id)
 	root.Set("suites", int64(len(suites)))
 	defer root.End()
-	co.cfg.Logger.Info("coord: run starting", "run", runID, "suites", suites, "rounds", co.cfg.Rounds)
+	co.cfg.Logger.Info("coord: run starting", "run", r.id, "suites", suites, "rounds", co.cfg.Rounds)
 
 	shards := make([]*shardRun, 0, len(suites)*co.cfg.Rounds)
 	for round := 0; round < co.cfg.Rounds; round++ {
 		for _, s := range suites {
 			shards = append(shards, &shardRun{
 				ShardStatus: ShardStatus{ID: len(shards), Suite: s, Round: round},
-				runID:       runID,
+				run:         r,
 			})
 		}
 	}
 	root.Set("shards", int64(len(shards)))
+	// What a node held at the end of the last run says nothing about now.
+	for _, n := range co.nodes {
+		n.loaded.Store(false)
+	}
 
-	// Dispatch: a fixed worker pool pulls shards off a channel. Workers
-	// never touch the coordinator's BDD space — fragments stay as bytes
-	// until the single-threaded merge below.
+	// The merger owns the coordinator's BDD space for the whole run;
+	// dispatch workers only move bytes. It stops after the last dispatch
+	// worker has — every attempt is joined before its shard returns, so
+	// nothing sends after the close.
+	merged := core.NewTrace()
+	mergerDone := make(chan struct{})
+	go func() {
+		defer close(mergerDone)
+		co.merger(r, merged)
+	}()
+
+	// Dispatch: a fixed worker pool pulls shards off a channel.
 	dsp := root.Child("coord.dispatch")
 	feed := make(chan *shardRun)
 	var wg sync.WaitGroup
@@ -479,26 +558,25 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 	}
 	close(feed)
 	wg.Wait()
+	close(r.merges)
+	<-mergerDone
 	dsp.End()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("coord: run cancelled: %w", err)
-	}
-
-	msp := root.Child("coord.merge")
-	res := co.mergeShards(shards)
-	msp.End()
 	root.End()
-	res.RunID = runID
+
+	res := co.collect(r, shards, merged)
 	res.Timeline = assembleTimeline(root, shards)
+	if err := ctx.Err(); err != nil {
+		res.Complete = false
+		return res, fmt.Errorf("coord: run cancelled: %w", err)
+	}
 	return res, nil
 }
 
 // assembleTimeline stitches the run's cross-node span tree: the run
-// root's own profile (dispatch and merge stages), with each shard's
-// span — carrying the worker-side job profile beneath it — grafted
-// under the dispatch stage. Assembly happens at the profile level
-// because the worker half arrives as an imported SpanProfile, not a
-// live span.
+// root's own profile, with each shard's span — carrying the worker-side
+// job profile beneath it — grafted under the dispatch stage. Assembly
+// happens at the profile level because the worker half arrives as an
+// imported SpanProfile, not a live span.
 func assembleTimeline(root *obs.Span, shards []*shardRun) *obs.SpanProfile {
 	tl := root.Profile()
 	var dispatch *obs.SpanProfile
@@ -518,43 +596,78 @@ func assembleTimeline(root *obs.Span, shards []*shardRun) *obs.SpanProfile {
 	return tl
 }
 
-// mergeShards decodes every collected fragment against the replica
-// network and folds them into one trace — sequentially, in shard order:
-// decode and union are BDD-manager work, and the manager is
-// single-threaded. Order does not affect the union (it is commutative),
-// only the manager's internal node numbering.
-func (co *Coordinator) mergeShards(shards []*shardRun) *Result {
-	res := &Result{Complete: true, Trace: core.NewTrace(), Tests: map[string][]service.RunResult{}}
-	for _, sh := range shards {
-		if sh.Done {
-			// Guarded: decode and union run on the replica's BDD manager,
-			// which a budget trip may have poisoned.
-			var derr error
-			gerr := bdd.Guard(func() {
-				var frag *core.Trace
-				if frag, derr = core.DecodeTraceJSON(co.cfg.Net, bytes.NewReader(sh.raw)); derr == nil {
-					res.Trace.Merge(frag)
-				}
-			})
-			if err := errors.Join(gerr, derr); err != nil {
-				// A fragment that does not decode is a failed shard: its
-				// coverage is unknown, so the run cannot claim it.
-				sh.Done = false
-				sh.Error = fmt.Sprintf("fragment decode: %v", err)
-			}
+// mergeReq is one fetched fragment on its way to the merger: the bytes
+// as they came off the wire, the attempt span its stage spans hang
+// under, and where the outcome goes.
+type mergeReq struct {
+	raw   []byte
+	span  *obs.Span
+	reply chan mergeReply
+}
+
+type mergeReply struct {
+	decode, merge time.Duration
+	err           error
+}
+
+// merge hands a fragment to the merger and waits for the verdict. No
+// context: the merger outlives every attempt and each merge is
+// milliseconds of work, so neither side can be left waiting.
+func (r *run) merge(raw []byte, span *obs.Span) mergeReply {
+	reply := make(chan mergeReply)
+	r.merges <- mergeReq{raw, span, reply}
+	return <-reply
+}
+
+// merger decodes and unions fragments one at a time until r.merges is
+// closed — both are BDD-manager work, and the manager is
+// single-threaded. Arrival order does not affect the union (it is
+// commutative), only the manager's internal node numbering. Each stage
+// is guarded on its own, so a budget trip on the coordinator's manager
+// fails the fragment, not the process, and its span still ends. The
+// arena's checksum, format and fingerprint checks run before any BDD
+// work: a damaged body never touches the manager.
+func (co *Coordinator) merger(r *run, into *core.Trace) {
+	for req := range r.merges {
+		var rep mergeReply
+		var frag *core.Trace
+		t0 := time.Now()
+		dsp := req.span.Child("codec.decode")
+		gerr := bdd.Guard(func() { frag, rep.err = core.DecodeFragment(req.raw, co.cfg.Net, r.fingerprint) })
+		dsp.End()
+		rep.decode = time.Since(t0)
+		if rep.err = errors.Join(gerr, rep.err); rep.err == nil {
+			t0 = time.Now()
+			tsp := req.span.Child("transfer")
+			rep.err = bdd.Guard(func() { into.Merge(frag) })
+			tsp.End()
+			rep.merge = time.Since(t0)
 		}
+		req.reply <- rep
+	}
+}
+
+// collect assembles the Result once every shard has settled and the
+// merger has stopped.
+func (co *Coordinator) collect(r *run, shards []*shardRun, merged *core.Trace) *Result {
+	res := &Result{RunID: r.id, Complete: true, Trace: merged, Tests: map[string][]service.RunResult{}}
+	for _, sh := range shards {
 		if sh.Done {
 			if _, ok := res.Tests[sh.Suite]; !ok && sh.results != nil {
 				res.Tests[sh.Suite] = sh.results
 			}
+			res.Totals.FragmentBytes += int64(sh.FragmentBytes)
+			res.Totals.FetchMs += sh.FetchMs
+			res.Totals.DecodeMs += sh.DecodeMs
+			res.Totals.MergeMs += sh.MergeMs
 		} else {
 			res.Complete = false
 		}
 		res.Shards = append(res.Shards, sh.ShardStatus)
 	}
-	for _, n := range co.nodes {
-		res.Nodes = append(res.Nodes, n.report())
-	}
+	res.Totals.NetworkPushes = int(r.pushes.Load())
+	res.Totals.NetworkPushSkipped = int(r.pushSkips.Load())
+	res.Nodes = co.NodeReports()
 	return res
 }
 
@@ -568,7 +681,7 @@ func (co *Coordinator) runShard(ctx context.Context, sh *shardRun) {
 	// suite-labelled histogram instead of exploding the shared stage
 	// histogram's name space.
 	sh.span = obs.NewRoot("coord.shard", co.metrics)
-	sh.span.SetTag("run", sh.runID)
+	sh.span.SetTag("run", sh.run.id)
 	sh.span.SetTag("shard", sh.shardID())
 	sh.span.SetTag("suite", sh.Suite)
 	start := time.Now()
@@ -585,7 +698,7 @@ func (co *Coordinator) runShard(ctx context.Context, sh *shardRun) {
 	}()
 	// Run context rides to the worker on headers, on every request of
 	// every attempt: submit, polls, artifact fetches.
-	ctx = client.ContextWithHeader(ctx, service.HeaderRunID, sh.runID)
+	ctx = client.ContextWithHeader(ctx, service.HeaderRunID, sh.run.id)
 	ctx = client.ContextWithHeader(ctx, service.HeaderShardID, sh.shardID())
 
 	var lastErr error
@@ -695,7 +808,10 @@ func (co *Coordinator) pickHedge(primary *node) *node {
 
 // dispatch runs one attempt of a shard on a claimed primary node,
 // hedging on a second node if the primary lingers past HedgeAfter.
-// The claim on every launched node is released here.
+// The claim on every launched node is released here, and every launched
+// attempt has returned by the time dispatch does — a hedge that lost is
+// cancelled and waited for, so no attempt outlives its shard (or the
+// run's merger).
 func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, primary *node) error {
 	actx, cancel := context.WithTimeout(ctx, co.cfg.ShardTimeout)
 	defer cancel()
@@ -711,7 +827,7 @@ func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, primary *node
 		go func() {
 			asp := sh.span.Child("coord.attempt")
 			asp.SetTag("node", n.base)
-			out, err := co.attemptOn(actx, sh.Suite, n)
+			out, err := co.attemptOn(actx, sh, n, asp)
 			verdict := ""
 			switch {
 			case err == nil:
@@ -756,10 +872,14 @@ func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, primary *node
 			outstanding--
 			if o.err == nil {
 				won.Store(true)
+				cancel()
+				for ; outstanding > 0; outstanding-- {
+					<-ch
+				}
 				sh.Node = o.n.base
-				sh.raw = o.out.raw
 				sh.results = o.out.results
 				sh.workerProfile = o.out.profile
+				sh.Fragment = o.out.Fragment
 				return nil
 			}
 			if firstErr == nil {
@@ -784,24 +904,41 @@ func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, primary *node
 
 // shardOut is one successful attempt's collected payload.
 type shardOut struct {
-	raw     []byte
+	Fragment
 	results []service.RunResult
 	// profile is the job's worker-side span profile (nil when
 	// unavailable — its fetch is best-effort).
 	profile *obs.SpanProfile
 }
 
+// fragmentFormat names a fetched fragment's encoding by what it is, not
+// by what was asked for.
+func fragmentFormat(raw []byte) string {
+	if core.IsSnapshotArena(raw) {
+		return "arena"
+	}
+	return "json"
+}
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 // attemptOn runs a shard once on one node: ensure the network is
-// loaded, submit, poll to terminal, download the fragment. A lost
-// response after the job actually ran leaves a duplicate execution
-// behind on retry — safe, merge is idempotent — so no cleanup pass is
-// needed.
-func (co *Coordinator) attemptOn(ctx context.Context, suite string, n *node) (shardOut, error) {
+// loaded, submit, poll to terminal, download the fragment, and see it
+// through the merger. A lost response after the job actually ran leaves
+// a duplicate execution behind on retry — safe, merge is idempotent — so
+// no cleanup pass is needed. A worker that restarted fails its jobs for
+// want of a network, and one handed a different network returns
+// fragments the merger rejects (core.ErrSnapshotMismatch); either way
+// the failure makes the node's next attempt re-read GET /network
+// (node.onFailure), which tells both apart from a healthy node without
+// parsing anyone's error text.
+func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp *obs.Span) (shardOut, error) {
 	var out shardOut
-	if err := co.ensureLoaded(ctx, n); err != nil {
+	r := sh.run
+	if err := co.ensureLoaded(ctx, r, n); err != nil {
 		return out, fmt.Errorf("load network: %w", err)
 	}
-	j, err := n.c.SubmitJob(ctx, co.cfg.Workers, suite)
+	j, err := n.c.SubmitJob(ctx, co.cfg.Workers, sh.Suite)
 	if err != nil {
 		return out, fmt.Errorf("submit: %w", err)
 	}
@@ -809,19 +946,25 @@ func (co *Coordinator) attemptOn(ctx context.Context, suite string, n *node) (sh
 		return out, fmt.Errorf("wait job %s: %w", j.ID, err)
 	}
 	if j.State != jobs.StateDone {
-		// A worker that restarted (or was never loaded) fails jobs with
-		// "no network loaded"; flag it so the next attempt re-pushes
-		// before submitting.
-		if strings.Contains(j.Error, "no network loaded") {
-			n.markUnloaded()
-		}
 		return out, fmt.Errorf("job %s %s: %s", j.ID, j.State, j.Error)
 	}
-	if out.raw, err = n.c.JobTraceRaw(ctx, j.ID); err != nil {
+	t0 := time.Now()
+	raw, err := n.c.JobTraceRaw(ctx, j.ID)
+	if err != nil {
 		// 410 Gone (artifact lost to a restart) lands here: the retry
 		// re-runs the shard, which regenerates the fragment.
 		return out, fmt.Errorf("fetch trace %s: %w", j.ID, err)
 	}
+	out.FetchMs = ms(time.Since(t0))
+	out.FragmentBytes, out.FragmentFormat = len(raw), fragmentFormat(raw)
+	co.metrics.Counter(MetricFragmentBytes, "format", out.FragmentFormat).Add(uint64(len(raw)))
+	// A fragment that does not decode and merge is a failed attempt: its
+	// coverage is unknown, so the shard cannot claim it.
+	rep := r.merge(raw, asp)
+	if rep.err != nil {
+		return out, fmt.Errorf("fragment of job %s: %w", j.ID, rep.err)
+	}
+	out.DecodeMs, out.MergeMs = ms(rep.decode), ms(rep.merge)
 	if len(j.Result) > 0 {
 		if uerr := json.Unmarshal(j.Result, &out.results); uerr != nil {
 			return out, fmt.Errorf("decode job %s result: %w", j.ID, uerr)
@@ -841,23 +984,42 @@ func (co *Coordinator) attemptOn(ctx context.Context, suite string, n *node) (sh
 	return out, nil
 }
 
-// ensureLoaded pushes the replica network to a node that has not
-// acknowledged one yet, serialized per node.
-func (co *Coordinator) ensureLoaded(ctx context.Context, n *node) error {
-	n.loadMu.Lock()
-	defer n.loadMu.Unlock()
-	n.mu.Lock()
-	loaded := n.loaded
-	n.mu.Unlock()
-	if loaded {
+// ensureLoaded makes sure a node holds the run's network before it is
+// given a shard, serialized per node: GET /network, and a PUT only when
+// the node answers a different fingerprint or 404 (nothing loaded).
+func (co *Coordinator) ensureLoaded(ctx context.Context, r *run, n *node) error {
+	select {
+	case n.loadSem <- struct{}{}:
+		defer func() { <-n.loadSem }()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	if n.loaded.Load() {
 		return nil
 	}
-	if _, err := n.c.LoadNetwork(ctx, co.cfg.Net); err != nil {
+	st, err := n.c.NetworkStats(ctx)
+	var ae *client.APIError
+	switch {
+	case err == nil && st.Fingerprint == r.fingerprint:
+		r.pushSkips.Add(1)
+		co.metrics.Counter(MetricNetworkPush, "outcome", "skipped").Inc()
+	case err == nil || errors.As(err, &ae) && ae.StatusCode == http.StatusNotFound:
+		netJSON, err := r.netJSON()
+		if err != nil {
+			return err
+		}
+		if st, err = n.c.LoadNetworkJSON(ctx, netJSON); err != nil {
+			return err
+		}
+		if st.Fingerprint != r.fingerprint {
+			return fmt.Errorf("node rebuilt the network as %.12s, coordinator holds %.12s", st.Fingerprint, r.fingerprint)
+		}
+		r.pushes.Add(1)
+		co.metrics.Counter(MetricNetworkPush, "outcome", "pushed").Inc()
+	default:
 		return err
 	}
-	n.mu.Lock()
-	n.loaded = true
-	n.mu.Unlock()
+	n.loaded.Store(true)
 	return nil
 }
 

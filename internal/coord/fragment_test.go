@@ -1,0 +1,613 @@
+package coord
+
+// Tests of the fleet's wire path: YSS1 fragments negotiated on Accept,
+// merge-as-they-land on the coordinator's one BDD space, and the
+// fingerprint-gated network push.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"log/slog"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/netip"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"yardstick/internal/bdd"
+	"yardstick/internal/client"
+	"yardstick/internal/core"
+	"yardstick/internal/netmodel"
+	"yardstick/internal/obs"
+	"yardstick/internal/report"
+	"yardstick/internal/service"
+	"yardstick/internal/topogen"
+)
+
+var fastRetry = client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+
+// aclReplica builds a two-pod regional Clos whose spines carry seeded
+// 5-tuple deny entries (source /24, protocol, destination-port range)
+// ahead of a permit-all: no test packet is dropped, but every match set
+// on a spine spans all five header fields — the shape that makes packet
+// sets structurally rich, where a codec that loses anything shows.
+func aclReplica(t *testing.T) *netmodel.Network {
+	t.Helper()
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 2, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frozen network accepts no rules: rebuild it rule by rule on a
+	// copy of its topology, then add the ACLs.
+	n := rg.Net.CloneTopology()
+	for _, r := range rg.Net.Rules {
+		n.AddFIBRule(r.Device, r.Match, r.Action, r.Origin)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, sp := range rg.Spines {
+		for j := 0; j < 6; j++ {
+			m := netmodel.MatchAll()
+			third := rng.Intn(512) // 198.18.0.0/15 holds 512 /24s
+			m.SrcPrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{198, byte(18 + third/256), byte(third % 256), 0}), 24)
+			m.Proto = []int32{6, 17}[rng.Intn(2)]
+			lo := uint16(1024 + rng.Intn(60000))
+			m.DstPortLo, m.DstPortHi = lo, lo+uint16(rng.Intn(2000))
+			n.AddACLRule(sp, m, true)
+		}
+		n.AddACLRule(sp, netmodel.MatchAll(), false)
+	}
+	n.ComputeMatchSets()
+	return n
+}
+
+// wireLog counts what crosses the wire: PUT /network requests, and the
+// content type of every fragment body that came back.
+type wireLog struct {
+	mu         sync.Mutex
+	puts       int
+	traceTypes map[string]int
+}
+
+func (w *wireLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if r.Method == http.MethodPut && r.URL.Path == "/network" {
+		w.puts++
+	}
+	if err == nil && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/trace") {
+		if w.traceTypes == nil {
+			w.traceTypes = map[string]int{}
+		}
+		w.traceTypes[resp.Header.Get("Content-Type")]++
+	}
+	return resp, err
+}
+
+func (w *wireLog) snapshot() (puts int, traceTypes map[string]int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := map[string]int{}
+	for k, v := range w.traceTypes {
+		out[k] = v
+	}
+	return w.puts, out
+}
+
+// loggedCfg is fastCfg over plain transports (one wireLog per node) with
+// the coordinator's log captured.
+func loggedCfg(nodes []string, rep *netmodel.Network, wrap func(base string, rt http.RoundTripper) http.RoundTripper) (Config, map[string]*wireLog, *syncBuffer) {
+	logs := map[string]*wireLog{}
+	for _, n := range nodes {
+		logs[n] = &wireLog{}
+	}
+	var out syncBuffer
+	cfg := fastCfg(nodes, nil, rep)
+	cfg.Logger = slog.New(slog.NewTextHandler(&out, nil))
+	cfg.NewClient = func(base string) *client.Client {
+		var rt http.RoundTripper = logs[base]
+		if wrap != nil {
+			rt = wrap(base, rt)
+		}
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: rt}), fastRetry)
+	}
+	return cfg, logs, &out
+}
+
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+func mustRun(t *testing.T, cfg Config, suites ...string) (*Coordinator, *Result) {
+	t.Helper()
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), suites...)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Complete {
+		t.Fatalf("run incomplete: %+v", res.Shards)
+	}
+	return co, res
+}
+
+func coverageTable(net *netmodel.Network, tr *core.Trace) string {
+	cov := core.NewCoverage(net, tr)
+	seen := map[netmodel.Role]bool{}
+	var roles []netmodel.Role
+	for _, d := range net.Devices {
+		if !seen[d.Role] {
+			seen[d.Role] = true
+			roles = append(roles, d.Role)
+		}
+	}
+	rows := append(report.ByRole(cov, roles), report.Total(cov, "TOTAL"))
+	var buf bytes.Buffer
+	report.RenderTable(&buf, rows)
+	return buf.String()
+}
+
+func counterSum(co *Coordinator, name string) float64 {
+	var sum float64
+	for _, m := range co.Metrics().Snapshot() {
+		if m.Name == name {
+			sum += m.Value
+		}
+	}
+	return sum
+}
+
+// stripAccept makes every worker look like one that predates the
+// fragment negotiation: it never sees an Accept header, so it answers
+// the JSON export.
+type stripAccept struct{ rt http.RoundTripper }
+
+func (s stripAccept) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Del("Accept")
+	return s.rt.RoundTrip(r)
+}
+
+// TestFragmentCodecsAgree is the differential: on a Clos whose spines
+// carry 5-tuple ACLs, a fleet run merged from arena fragments, the same
+// fleet run merged from cube-JSON fragments (workers that ignore Accept —
+// the mixed-version path through the sniffing decoder), and a
+// single-node sequential run are one trace and print one coverage table.
+func TestFragmentCodecsAgree(t *testing.T) {
+	rep := aclReplica(t)
+	nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
+	suites := []string{"default", "connected", "internal", "agg", "contract", "reach", "pingmesh", "host"}
+
+	cfg, _, _ := loggedCfg(nodes, rep, nil)
+	_, arena := mustRun(t, cfg, suites...)
+	cfg, _, _ = loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper { return stripAccept{rt} })
+	_, cubes := mustRun(t, cfg, suites...)
+
+	for _, sh := range arena.Shards {
+		if sh.FragmentFormat != "arena" || sh.FragmentBytes == 0 {
+			t.Fatalf("arena run shard = %+v, want an arena fragment", sh)
+		}
+	}
+	for _, sh := range cubes.Shards {
+		if sh.FragmentFormat != "json" {
+			t.Fatalf("Accept-blind run shard = %+v, want a JSON fragment", sh)
+		}
+	}
+	if arena.Totals.FragmentBytes >= cubes.Totals.FragmentBytes {
+		t.Errorf("arena fragments total %d bytes, cube JSON %d: the wire format should be the smaller",
+			arena.Totals.FragmentBytes, cubes.Totals.FragmentBytes)
+	}
+
+	single := baseline(t, rep, suites)
+	requireIdentical(t, arena.Trace, single)
+	requireIdentical(t, cubes.Trace, single)
+	if !arena.Trace.Equal(cubes.Trace) {
+		t.Fatal("arena-merged and JSON-merged traces differ")
+	}
+	want := coverageTable(rep, single)
+	if got := coverageTable(rep, arena.Trace); got != want {
+		t.Fatalf("arena-merged coverage table differs from single-node:\n%s\nwant:\n%s", got, want)
+	}
+	if got := coverageTable(rep, cubes.Trace); got != want {
+		t.Fatalf("JSON-merged coverage table differs from single-node:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWarmFleetWire: against workers that already hold the network, one
+// coordinator run puts no network body and no JSON trace body on the
+// wire — every node's push is skipped on its GET /network fingerprint
+// and every fragment travels as an arena.
+func TestWarmFleetWire(t *testing.T) {
+	rep := replica(t)
+	nodes := []string{startWorkerWith(t, replica(t)).URL, startWorkerWith(t, replica(t)).URL}
+	suites := []string{"default", "internal", "contract"}
+
+	cfg, logs, _ := loggedCfg(nodes, rep, nil)
+	cfg.Rounds = 2
+	co, res := mustRun(t, cfg, suites...)
+
+	fragments := 0
+	for base, wl := range logs {
+		puts, types := wl.snapshot()
+		if puts != 0 {
+			t.Errorf("%s: %d PUT /network against a warm worker, want 0", base, puts)
+		}
+		for ct, n := range types {
+			if ct != service.TraceArenaMediaType {
+				t.Errorf("%s: %d fragment bodies of type %q, want only %s", base, n, ct, service.TraceArenaMediaType)
+			}
+			fragments += n
+		}
+	}
+	if fragments < len(res.Shards) {
+		t.Errorf("saw %d fragment bodies for %d shards", fragments, len(res.Shards))
+	}
+	var bytesSum int64
+	for _, sh := range res.Shards {
+		if sh.FragmentFormat != "arena" || sh.FragmentBytes == 0 {
+			t.Errorf("shard %+v: want an arena fragment with its size", sh)
+		}
+		bytesSum += int64(sh.FragmentBytes)
+	}
+	if res.Totals.FragmentBytes != bytesSum {
+		t.Errorf("Totals.FragmentBytes = %d, shards sum to %d", res.Totals.FragmentBytes, bytesSum)
+	}
+	if res.Totals.NetworkPushes != 0 || res.Totals.NetworkPushSkipped != len(nodes) {
+		t.Errorf("totals = %+v, want 0 pushes and %d skipped", res.Totals, len(nodes))
+	}
+	if got := counterSum(co, MetricFragmentBytes); got < float64(bytesSum) {
+		t.Errorf("%s = %v, want at least the %d bytes the shards report", MetricFragmentBytes, got, bytesSum)
+	}
+	if got := counterSum(co, MetricNetworkPush); got != float64(len(nodes)) {
+		t.Errorf("%s = %v, want one (skipped) check per node", MetricNetworkPush, got)
+	}
+	requireIdentical(t, res.Trace, baseline(t, rep, suites))
+}
+
+// TestNetworkPushGating: a node is sent the network only when its
+// GET /network says it must be — never when it already holds the same
+// one, exactly once when it holds another or none.
+func TestNetworkPushGating(t *testing.T) {
+	other := replica(t)
+	other.AddDevice("stray", netmodel.Role("tor"), 65099)
+	for _, tc := range []struct {
+		name    string
+		preload func() *netmodel.Network
+		puts    int
+	}{
+		{"same network", func() *netmodel.Network { return replica(t) }, 0},
+		{"different network", func() *netmodel.Network { return other }, 1},
+		{"no network", func() *netmodel.Network { return nil }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := replica(t)
+			nodes := []string{startWorkerWith(t, tc.preload()).URL}
+			cfg, logs, _ := loggedCfg(nodes, rep, nil)
+			cfg.Rounds = 3
+			_, res := mustRun(t, cfg, "default", "internal")
+			if puts, _ := logs[nodes[0]].snapshot(); puts != tc.puts {
+				t.Errorf("PUT /network count = %d, want %d", puts, tc.puts)
+			}
+			if res.Totals.NetworkPushes != tc.puts || res.Totals.NetworkPushSkipped != 1-tc.puts {
+				t.Errorf("totals = %+v, want %d pushed, %d skipped", res.Totals, tc.puts, 1-tc.puts)
+			}
+			requireIdentical(t, res.Trace, baseline(t, rep, []string{"default", "internal"}))
+		})
+	}
+}
+
+// onNthSubmit runs hook just before the node's nth job submission is
+// forwarded.
+type onNthSubmit struct {
+	rt   http.RoundTripper
+	n    int32
+	seen atomic.Int32
+	hook func()
+}
+
+func (o *onNthSubmit) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/jobs" && o.seen.Add(1) == o.n {
+		o.hook()
+	}
+	return o.rt.RoundTrip(r)
+}
+
+// TestWorkerRestartReload: a worker that restarts mid-run (losing its
+// network and artifacts, keeping its address) fails the next job for
+// want of a network; the failed attempt makes the coordinator re-read
+// GET /network, which now answers 404, so it pushes again and the retry
+// succeeds — no operator intervention, and no error text parsed.
+func TestWorkerRestartReload(t *testing.T) {
+	rep := replica(t)
+
+	// One address, a replaceable process behind it.
+	var cur atomic.Value // http.Handler
+	boot := func() {
+		srv := service.New(quiet())
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { defer close(done); srv.RunJobs(ctx) }()
+		t.Cleanup(func() { cancel(); <-done })
+		cur.Store(srv.Handler())
+	}
+	boot()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	cfg, logs, _ := loggedCfg([]string{ts.URL}, rep, func(_ string, rt http.RoundTripper) http.RoundTripper {
+		return &onNthSubmit{rt: rt, n: 3, hook: boot}
+	})
+	cfg.Rounds = 3
+	cfg.Concurrency = 1
+	cfg.FailureThreshold = 3
+	co, res := mustRun(t, cfg, "default", "internal")
+
+	if puts, _ := logs[ts.URL].snapshot(); puts != 2 {
+		t.Errorf("PUT /network count = %d, want 2 (first load, re-push after the restart)", puts)
+	}
+	if res.Totals.NetworkPushes != 2 {
+		t.Errorf("Totals.NetworkPushes = %d, want 2", res.Totals.NetworkPushes)
+	}
+	if sh := res.Shards[2]; sh.Attempts != 2 {
+		t.Errorf("the shard that met the restart took %d attempts, want 2 (fail, re-push, succeed): %+v", sh.Attempts, sh)
+	}
+	if got := counterSum(co, MetricRedispatch); got != 1 {
+		t.Errorf("%s = %v, want 1", MetricRedispatch, got)
+	}
+	requireIdentical(t, res.Trace, baseline(t, rep, []string{"default", "internal"}))
+}
+
+// TestForeignNetworkFragmentRejected: a worker that is handed a
+// different network behind the coordinator's back keeps answering jobs,
+// but its fragments carry the other network's fingerprint. The merger
+// rejects them (core.ErrSnapshotMismatch) instead of merging rule IDs
+// that mean something else; the node is re-checked, re-pushed, and the
+// shard re-dispatched.
+func TestForeignNetworkFragmentRejected(t *testing.T) {
+	rep := replica(t)
+	ts := startWorkerWith(t, nil)
+	foreign := replica(t)
+	foreign.AddDevice("stray", netmodel.Role("tor"), 65099)
+	swap := func() {
+		if _, err := client.New(ts.URL).LoadNetwork(context.Background(), foreign); err != nil {
+			t.Errorf("swapping the worker's network: %v", err)
+		}
+	}
+	cfg, logs, out := loggedCfg([]string{ts.URL}, rep, func(_ string, rt http.RoundTripper) http.RoundTripper {
+		return &onNthSubmit{rt: rt, n: 3, hook: swap}
+	})
+	cfg.Rounds = 3
+	cfg.Concurrency = 1
+	cfg.FailureThreshold = 3
+	_, res := mustRun(t, cfg, "default", "internal")
+
+	if !strings.Contains(out.String(), core.ErrSnapshotMismatch.Error()) {
+		t.Errorf("no attempt failed on the fingerprint mismatch; coordinator log:\n%s", out.String())
+	}
+	if puts, _ := logs[ts.URL].snapshot(); puts != 2 {
+		t.Errorf("PUT /network count = %d, want 2 (first load, re-push over the foreign network)", puts)
+	}
+	if sh := res.Shards[2]; sh.Attempts != 2 {
+		t.Errorf("the shard run on the foreign network took %d attempts, want 2: %+v", sh.Attempts, sh)
+	}
+	requireIdentical(t, res.Trace, baseline(t, rep, []string{"default", "internal"}))
+}
+
+// fragmentDamage is the state the nodes' damageFirstFetch transports
+// share: which shards have had a fragment fetched, and how many bodies
+// were damaged.
+type fragmentDamage struct {
+	damage func([]byte) []byte
+
+	mu      sync.Mutex
+	seen    map[string]bool
+	damaged int
+}
+
+// damageFirstFetch damages the first fragment body fetched for every
+// even-numbered shard; retries and odd shards pass through.
+type damageFirstFetch struct {
+	rt http.RoundTripper
+	st *fragmentDamage
+}
+
+func (d damageFirstFetch) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := d.rt.RoundTrip(r)
+	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(r.URL.Path, "/trace") {
+		return resp, err
+	}
+	shard := r.Header.Get(service.HeaderShardID)
+	id, _ := strconv.Atoi(strings.TrimPrefix(shard, "s"))
+	d.st.mu.Lock()
+	hit := !d.st.seen[shard] && id%2 == 0
+	d.st.seen[shard] = true
+	if hit {
+		d.st.damaged++
+	}
+	d.st.mu.Unlock()
+	if !hit {
+		return resp, nil
+	}
+	body, rerr := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if rerr != nil {
+		return nil, rerr
+	}
+	body = d.st.damage(body)
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	resp.ContentLength = int64(len(body))
+	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+	return resp, nil
+}
+
+// TestDamagedFragmentsRedispatch: a fragment that arrives complete at
+// the HTTP layer but truncated or bit-flipped is rejected by the arena
+// checksum before it touches the coordinator's BDD manager; the attempt
+// fails, the shard is dispatched again, and the run still completes
+// bit-identical to the single-node baseline.
+func TestDamagedFragmentsRedispatch(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
+		"bit-flipped": func(b []byte) []byte { c := bytes.Clone(b); c[len(c)/2] ^= 0x10; return c },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rep := replica(t)
+			nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
+			suites := []string{"default", "internal", "contract"}
+			st := &fragmentDamage{damage: damage, seen: map[string]bool{}}
+			cfg, _, out := loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper {
+				return damageFirstFetch{rt: rt, st: st}
+			})
+			cfg.Rounds = 2
+			cfg.FailureThreshold = 100 // every other first attempt fails by design; keep breakers out of it
+			co, res := mustRun(t, cfg, suites...)
+
+			if st.damaged != 3 {
+				t.Fatalf("damaged %d fragments, want 3 (the even shards of 6)", st.damaged)
+			}
+			for _, sh := range res.Shards {
+				if want := 1 + (sh.ID+1)%2; sh.Attempts != want {
+					t.Errorf("shard %d took %d attempts, want %d", sh.ID, sh.Attempts, want)
+				}
+			}
+			if got := counterSum(co, MetricRedispatch); got != 3 {
+				t.Errorf("%s = %v, want 3", MetricRedispatch, got)
+			}
+			if !strings.Contains(out.String(), core.ErrSnapshotFormat.Error()) {
+				t.Errorf("damage was not reported as an arena format error; coordinator log:\n%s", out.String())
+			}
+			if err := rep.Space.Manager().BudgetErr(); err != nil {
+				t.Errorf("coordinator's manager poisoned by damaged input: %v", err)
+			}
+			requireIdentical(t, res.Trace, baseline(t, rep, suites))
+		})
+	}
+}
+
+func openSpans(tl *obs.SpanProfile) (open []string, stages map[string]int) {
+	stages = map[string]int{}
+	tl.Walk(func(_ int, sp *obs.SpanProfile) {
+		stages[sp.Name]++
+		if sp.Open {
+			open = append(open, sp.Name)
+		}
+	})
+	return open, stages
+}
+
+// TestSpansEndOnBudgetTrip: a budget on the coordinator's own manager
+// trips inside the merger goroutine. Every fragment fails, the run
+// degrades to incomplete — and every span the merger opened is closed.
+func TestSpansEndOnBudgetTrip(t *testing.T) {
+	rep := replica(t)
+	nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
+	cfg, _, _ := loggedCfg(nodes, rep, nil)
+	cfg.MaxAttempts = 2
+	cfg.FailureThreshold = 100
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Space.SetLimits(bdd.Limits{MaxOps: 1})
+	res, err := co.Run(context.Background(), "internal", "contract")
+	rep.Space.SetLimits(bdd.Limits{})
+	if err != nil {
+		t.Fatalf("a tripped merge budget must degrade the run, not error it: %v", err)
+	}
+	if res.Complete {
+		t.Fatal("run claims completeness though no fragment could be merged")
+	}
+	for _, sh := range res.Shards {
+		if sh.Done || !strings.Contains(sh.Error, bdd.ErrBudgetExceeded.Error()) {
+			t.Errorf("shard = %+v, want failed on the budget", sh)
+		}
+	}
+	open, stages := openSpans(res.Timeline)
+	if len(open) != 0 {
+		t.Errorf("open spans after a budget trip: %v", open)
+	}
+	if stages["codec.decode"] == 0 {
+		t.Errorf("timeline has no codec.decode stage: %v", stages)
+	}
+}
+
+// cancelOnFetch cancels the run when the nth fragment is fetched.
+type cancelOnFetch struct {
+	rt     http.RoundTripper
+	n      int32
+	seen   atomic.Int32
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnFetch) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/trace") && c.seen.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.rt.RoundTrip(r)
+}
+
+// TestSpansEndOnCancel: cancelling mid-run returns the error together
+// with the partial result, the merger goroutine has stopped by then, and
+// the timeline holds no open span — its codec.decode and transfer stages
+// from the fragments that did land included.
+func TestSpansEndOnCancel(t *testing.T) {
+	rep := replica(t)
+	nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg, _, _ := loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper {
+		return &cancelOnFetch{rt: rt, n: 3, cancel: cancel}
+	})
+	cfg.Rounds = 20
+	cfg.Concurrency = 2
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(ctx, "default", "internal")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if res == nil || res.Complete || res.Timeline == nil {
+		t.Fatalf("cancelled run result = %+v, want a partial result with its timeline", res)
+	}
+	open, stages := openSpans(res.Timeline)
+	if len(open) != 0 {
+		t.Errorf("open spans after cancellation: %v", open)
+	}
+	if stages["codec.decode"] == 0 || stages["transfer"] == 0 {
+		t.Errorf("timeline lost the merge stages of the fragments that landed: %v", stages)
+	}
+	// The space is free again: the merger has exited.
+	if got := coverageTable(rep, res.Trace); got == "" {
+		t.Error("no coverage table from the partial trace")
+	}
+}

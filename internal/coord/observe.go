@@ -6,6 +6,7 @@
 //
 //   - Native series (yardstick_coord_*): dispatch outcomes per node,
 //     re-dispatches, hedges, breaker states, per-suite shard latency,
+//     fragment bytes by encoding, network pushes made and skipped,
 //     federation health. These live in a normal obs.Registry.
 //
 //   - Federated series: each worker's full metric snapshot, scraped
@@ -53,6 +54,13 @@ const (
 	// MetricShardDuration is the completed-shard latency histogram, by
 	// suite: dispatch to collected fragment, queue and retries included.
 	MetricShardDuration = "yardstick_coord_shard_duration_seconds"
+	// MetricFragmentBytes counts shard-fragment bytes fetched off the
+	// wire, by encoding ("arena" or "json").
+	MetricFragmentBytes = "yardstick_coord_fragment_bytes_total"
+	// MetricNetworkPush counts per-node network checks by outcome:
+	// "pushed" (PUT /network was needed) or "skipped" (the node already
+	// held the run's network).
+	MetricNetworkPush = "yardstick_coord_network_push_total"
 	// MetricProfileFetchFailures counts worker span profiles that could
 	// not be fetched (best-effort; the shard still completes).
 	MetricProfileFetchFailures = "yardstick_coord_profile_fetch_failures_total"
@@ -76,6 +84,8 @@ func registerCoordHelp(r *obs.Registry) {
 	r.SetHelp(MetricHedges, "Hedged (racing duplicate) dispatches")
 	r.SetHelp(MetricBreakerState, "Per-node breaker state: 0 closed, 1 half-open, 2 open")
 	r.SetHelp(MetricShardDuration, "Completed shard latency, by suite")
+	r.SetHelp(MetricFragmentBytes, "Shard fragment bytes fetched from workers, by encoding")
+	r.SetHelp(MetricNetworkPush, "Per-node network checks before dispatch, by outcome (pushed or skipped)")
 	r.SetHelp(MetricProfileFetchFailures, "Worker span profiles that could not be fetched")
 	r.SetHelp(MetricProfileDecodeFailures, "Worker span profiles rejected as malformed")
 	r.SetHelp(MetricScrapes, "Federation scrapes, by node and outcome")

@@ -106,6 +106,12 @@ func TestTimelineUnderWorkerKill(t *testing.T) {
 			}
 		})
 		if job == nil {
+			// The profile fetch is best-effort and follows the fragment
+			// fetch: a shard the doomed node finished just before dying can
+			// be done without one.
+			if sh.Node == doomed {
+				continue
+			}
 			t.Fatalf("shard %s has no worker-side profile grafted in", id)
 		}
 		if job.Tag("run") != res.RunID || job.Tag("shard") != id {

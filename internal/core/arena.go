@@ -30,6 +30,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,7 +57,8 @@ const (
 var ErrSnapshotFormat = errors.New("core: invalid arena snapshot")
 
 // IsSnapshotArena reports whether data begins with the arena snapshot
-// magic — the sniff LoadSnapshot uses to pick a codec.
+// magic — the sniff LoadSnapshot, DecodeTraceJSON and DecodeFragment use
+// to pick a codec.
 func IsSnapshotArena(data []byte) bool {
 	return len(data) >= 4 && string(data[:4]) == snapMagic
 }
@@ -78,7 +80,15 @@ func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
 	if err != nil {
 		return err
 	}
+	return EncodeFragmentArena(w, net, fp, t)
+}
 
+// EncodeFragmentArena is EncodeSnapshotArena for a caller that already
+// holds net's fingerprint. Fingerprinting re-encodes the whole network —
+// tens of milliseconds on a datacenter-sized one, an order of magnitude
+// more than encoding a shard's trace — so a worker serving many job
+// fragments of one network computes it once and passes it in.
+func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace) error {
 	t.mu.Lock()
 	locs := make([]dataplane.Loc, 0, len(t.packets))
 	for loc := range t.packets {
@@ -138,6 +148,27 @@ func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
 // transferred into net's space, charging its budget and observing its
 // watched context like any other symbolic work.
 func DecodeSnapshotArena(data []byte, net *netmodel.Network) (*Trace, error) {
+	return decodeArena(data, net, func() (string, error) { return Fingerprint(net) })
+}
+
+// DecodeFragment decodes one trace fragment received from a peer, in
+// whichever codec the peer chose, for a caller that already holds net's
+// fingerprint (see EncodeFragmentArena for why that matters). The codec
+// is sniffed, never assumed: bytes starting with the arena magic are
+// checksum- and fingerprint-checked exactly as DecodeSnapshotArena does —
+// a fragment recorded against another network is ErrSnapshotMismatch —
+// and anything else is exact-cube trace JSON, which carries no
+// fingerprint and is validated against net's index ranges only.
+func DecodeFragment(data []byte, net *netmodel.Network, fingerprint string) (*Trace, error) {
+	if !IsSnapshotArena(data) {
+		return DecodeTraceJSON(net, bytes.NewReader(data))
+	}
+	return decodeArena(data, net, func() (string, error) { return fingerprint, nil })
+}
+
+// decodeArena is the arena decoder; want supplies net's fingerprint and
+// is asked only once the envelope (length, magic, version, CRC) holds.
+func decodeArena(data []byte, net *netmodel.Network, want func() (string, error)) (*Trace, error) {
 	// header through fingerprint length, plus the three trailing counts
 	// and the CRC.
 	if len(data) < 4+4+4+8+4+4+4 {
@@ -162,11 +193,11 @@ func DecodeSnapshotArena(data []byte, net *netmodel.Network) (*Trace, error) {
 	if rd.short {
 		return nil, fmt.Errorf("%w: truncated fingerprint", ErrSnapshotFormat)
 	}
-	want, err := Fingerprint(net)
+	wantFP, err := want()
 	if err != nil {
 		return nil, err
 	}
-	if fp != want {
+	if fp != wantFP {
 		return nil, ErrSnapshotMismatch
 	}
 

@@ -157,48 +157,59 @@ func TestSaveSnapshotArenaAndSniffingLoad(t *testing.T) {
 	cn.n.Space.SetLimits(bdd.Limits{})
 }
 
-// FuzzSnapshotArenaDecode mirrors FuzzArenaDecode one layer up: no
-// input may panic, and any accepted input must round-trip stably — the
-// re-encoding decodes to an equal trace and is itself a fixed point.
-// (Byte-identity to the *input* is not required: a hand-crafted but
-// valid snapshot may carry arena nodes the encoder would compact away.)
-func FuzzSnapshotArenaDecode(f *testing.F) {
-	cn, tr := snapFixture(f)
-	var buf bytes.Buffer
-	if err := EncodeSnapshotArena(&buf, cn.n, tr); err != nil {
-		f.Fatal(err)
+// TestTraceDecodeSniffsCodec: the decode entry points take bytes of
+// either codec and pick by magic — a peer that was asked for an arena and
+// answered JSON (or the reverse) is decoded by what it sent. Arena input
+// keeps its fingerprint check on every path; damage stays a format error.
+func TestTraceDecodeSniffsCodec(t *testing.T) {
+	cn, tr := snapFixture(t)
+	fp, err := Fingerprint(cn.n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	f.Add(good)
-	f.Add(good[:len(good)/2])
-	f.Add([]byte(snapMagic))
-	var empty bytes.Buffer
-	if err := EncodeSnapshotArena(&empty, cn.n, NewTrace()); err != nil {
-		f.Fatal(err)
+	var arena, cubes bytes.Buffer
+	if err := EncodeFragmentArena(&arena, cn.n, fp, tr); err != nil {
+		t.Fatal(err)
 	}
-	f.Add(empty.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeSnapshotArena(data, cn.n)
-		if err != nil {
-			return
+	if err := tr.EncodeJSON(&cubes); err != nil {
+		t.Fatal(err)
+	}
+	// With the fingerprint passed in, the encoding is the snapshot's.
+	var snap bytes.Buffer
+	if err := EncodeSnapshotArena(&snap, cn.n, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(arena.Bytes(), snap.Bytes()) {
+		t.Fatal("EncodeFragmentArena and EncodeSnapshotArena disagree")
+	}
+
+	for name, data := range map[string][]byte{"arena": arena.Bytes(), "json": cubes.Bytes()} {
+		got, err := DecodeTraceJSON(cn.n, bytes.NewReader(data))
+		if err != nil || !got.Equal(tr) {
+			t.Errorf("DecodeTraceJSON(%s) = (equal %v, %v)", name, err == nil && got.Equal(tr), err)
 		}
-		var e1 bytes.Buffer
-		if err := EncodeSnapshotArena(&e1, cn.n, got); err != nil {
-			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
+		got, err = DecodeFragment(data, cn.n, fp)
+		if err != nil || !got.Equal(tr) {
+			t.Errorf("DecodeFragment(%s) = (equal %v, %v)", name, err == nil && got.Equal(tr), err)
 		}
-		got2, err := DecodeSnapshotArena(e1.Bytes(), cn.n)
-		if err != nil {
-			t.Fatalf("decoder rejected its own encoder's output: %v", err)
-		}
-		if !got2.Equal(got) {
-			t.Fatal("trace changed across a re-encode cycle")
-		}
-		var e2 bytes.Buffer
-		if err := EncodeSnapshotArena(&e2, cn.n, got2); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(e1.Bytes(), e2.Bytes()) {
-			t.Fatal("re-encoding is not a fixed point")
-		}
-	})
+	}
+
+	// Another network: mismatch, by either entry.
+	other := buildChain(t)
+	other.n.AddDevice("extra", "leaf", 9)
+	if _, err := DecodeTraceJSON(other.n, bytes.NewReader(arena.Bytes())); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("DecodeTraceJSON against another network: %v, want ErrSnapshotMismatch", err)
+	}
+	if _, err := DecodeFragment(arena.Bytes(), cn.n, "not-"+fp); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Errorf("DecodeFragment with another fingerprint: %v, want ErrSnapshotMismatch", err)
+	}
+	// Damage is caught by the checksum before the fingerprint is looked at.
+	bad := append([]byte(nil), arena.Bytes()...)
+	bad[len(bad)/2] ^= 0x01
+	if _, err := DecodeFragment(bad, cn.n, fp); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("DecodeFragment(bit flip) = %v, want ErrSnapshotFormat", err)
+	}
+	if _, err := DecodeFragment(arena.Bytes()[:arena.Len()/2], cn.n, fp); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("DecodeFragment(truncated) = %v, want ErrSnapshotFormat", err)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -72,9 +73,24 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 // DecodeTraceJSON reads a trace recorded against the given network. The
 // network bounds validation: device, interface, and rule indices must be
 // in range.
+//
+// It is the single decode entry for trace bytes of unknown provenance,
+// so like LoadSnapshot it sniffs the codec: input that starts with the
+// arena magic goes to DecodeSnapshotArena (checksum and fingerprint
+// checked), anything else is the exact-cube JSON this file writes. A
+// peer that answers an arena request with JSON, or the reverse, is
+// therefore decoded by what it sent, never by what was asked for.
 func DecodeTraceJSON(net *netmodel.Network, r io.Reader) (*Trace, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(snapMagic)); IsSnapshotArena(head) {
+		data, err := io.ReadAll(br)
+		if err != nil {
+			return nil, fmt.Errorf("core: read arena trace: %w", err)
+		}
+		return DecodeSnapshotArena(data, net)
+	}
 	var tj traceJSON
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(br)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tj); err != nil {
 		return nil, fmt.Errorf("core: decode trace: %w", err)

@@ -114,7 +114,7 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 	// Retained job fragments were recorded against the old rule universe;
 	// decoding them now would mis-attribute marks. Drop them — the
 	// accumulated trace (already remapped) is the durable state.
-	s.jobTraces = map[string][]byte{}
+	s.jobTraces = map[string]*jobFragment{}
 	s.delta.applied++
 	s.delta.rulesAdded += int64(applied.Added)
 	s.delta.rulesRemoved += int64(applied.Removed)

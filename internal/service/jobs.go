@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/core"
@@ -34,9 +35,12 @@ import (
 //	                                     Link rel="next" header when more
 //	                                     rows remain)
 //	GET    /jobs/{id}                    poll one job; Result set once done
-//	GET    /jobs/{id}/trace              a done job's own coverage fragment
-//	                                     as trace JSON (409 until done, 410
-//	                                     once evicted or after a restart)
+//	GET    /jobs/{id}/trace              a done job's own coverage fragment:
+//	                                     trace JSON by default, the YSS1
+//	                                     arena when Accept names
+//	                                     TraceArenaMediaType (409 until
+//	                                     done, 410 once evicted or after a
+//	                                     restart)
 //	DELETE /jobs/{id}                    cancel a queued or running job
 //
 // Completed jobs are retained for the configured TTL and — when
@@ -132,9 +136,7 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	if err != nil {
 		return nil, fmt.Errorf("run aborted: %w", err)
 	}
-	if err := s.storeJobTraceLocked(jobID, frag); err != nil {
-		return nil, fmt.Errorf("encode job trace: %w", err)
-	}
+	s.storeJobTraceLocked(jobID, frag)
 	raw, err := json.Marshal(out)
 	if err != nil {
 		return nil, fmt.Errorf("encode results: %w", err)
@@ -142,25 +144,67 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	return raw, nil
 }
 
-// storeJobTraceLocked serializes a finished job's coverage fragment for
+// TraceArenaMediaType is the media type of the checksummed YSS1 trace
+// arena (core.EncodeFragmentArena). GET /jobs/{id}/trace answers with it
+// when the request's Accept header names it, and with trace JSON — the
+// human-readable export — otherwise.
+const TraceArenaMediaType = "application/vnd.yardstick.trace-arena"
+
+// jobFragment is a done job's coverage fragment: the canonical-space
+// trace the job recorded, plus each wire encoding, built on first fetch.
+// Encoding is deferred because most jobs' fragments are never read (only
+// a coordinator fetches them) and extraction is BDD-manager work under
+// s.mu; a fetch pays it once, for the one format it asked for.
+type jobFragment struct {
+	trace       *core.Trace
+	arena, json []byte
+}
+
+// storeJobTraceLocked retains a finished job's coverage fragment for
 // GET /jobs/{id}/trace and prunes artifacts whose jobs the queue no
 // longer retains, so the artifact map is bounded by job retention.
-// Cube extraction is BDD-manager work; callers hold s.mu.
-func (s *Server) storeJobTraceLocked(id string, frag *core.Trace) error {
+// Callers hold s.mu.
+func (s *Server) storeJobTraceLocked(id string, frag *core.Trace) {
 	if id == "" {
-		return nil // not running under the job queue (tests driving runJob directly)
-	}
-	var buf bytes.Buffer
-	if err := frag.EncodeJSON(&buf); err != nil {
-		return err
+		return // not running under the job queue (tests driving runJob directly)
 	}
 	for old := range s.jobTraces {
 		if _, ok := s.jobs.Get(old); !ok {
 			delete(s.jobTraces, old)
 		}
 	}
-	s.jobTraces[id] = buf.Bytes()
-	return nil
+	s.jobTraces[id] = &jobFragment{trace: frag}
+}
+
+// jobTraceLocked returns a retained fragment in the requested encoding,
+// building and caching it on first use; ok is false when the job has no
+// retained fragment. Set extraction is BDD-manager work: callers hold
+// s.mu, and it runs guarded so a poisoned manager fails the fetch, not
+// the daemon.
+func (s *Server) jobTraceLocked(id string, arena bool) (data []byte, ok bool, err error) {
+	f, ok := s.jobTraces[id]
+	if !ok {
+		return nil, false, nil
+	}
+	slot := &f.json
+	if arena {
+		slot = &f.arena
+	}
+	if *slot == nil {
+		var buf bytes.Buffer
+		gerr := bdd.Guard(func() {
+			if arena {
+				err = core.EncodeFragmentArena(&buf, s.net, s.fingerprintLocked(), f.trace)
+			} else {
+				err = f.trace.EncodeJSON(&buf)
+			}
+		})
+		if err = errors.Join(gerr, err); err != nil {
+			return nil, true, err
+		}
+		*slot = buf.Bytes()
+	}
+	return *slot, true, nil
 }
 
 // storeJobProfileLocked serializes a finished job's span profile for
@@ -214,7 +258,9 @@ func (s *Server) getJobProfile(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// getJobTrace serves a done job's own coverage fragment as trace JSON.
+// getJobTrace serves a done job's own coverage fragment, negotiating the
+// encoding on Accept: the YSS1 arena for a peer that asks for
+// TraceArenaMediaType, trace JSON for everyone else (browsers, curl).
 // The status codes draw the coordinator's re-dispatch map: 404 means
 // the job never existed here (or was swept — resubmit), 409 means poll
 // again (the job is not done), and 410 means the result is done but
@@ -237,14 +283,30 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "job %s ended %s; no trace", id, j.State)
 		return
 	}
+	// The arena media type is the only one this endpoint negotiates, and
+	// only a peer that wants it names it: its presence anywhere in Accept
+	// selects it, q-values ignored.
+	arena := strings.Contains(r.Header.Get("Accept"), TraceArenaMediaType)
 	s.mu.Lock()
-	data, ok := s.jobTraces[id]
+	data, ok, err := s.jobTraceLocked(id, arena)
 	s.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusGone, "job %s trace no longer available (evicted or daemon restarted); re-run the shard", id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode job %s trace: %v", id, err)
+		return
+	}
+	ct := "application/json"
+	if arena {
+		ct = TraceArenaMediaType
+	}
+	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Vary", "Accept")
+	// An explicit length lets the receiver tell a dropped connection from
+	// a complete body before it spends a checksum on it.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -224,6 +226,81 @@ func TestJobTraceExport(t *testing.T) {
 	// racy here, so use a failed job — bad networkless runs are covered
 	// elsewhere; a cancelled one is deterministic without workers).
 	doJSON(t, http.MethodGet, ts.URL+"/jobs/absent/trace", nil, http.StatusNotFound, nil)
+}
+
+// TestJobTraceNegotiation: the same path serves trace JSON by default
+// and the YSS1 arena to a request whose Accept names it; both decode to
+// the same trace; and neither is built until someone asks — a finished
+// job holds only the trace it recorded.
+func TestJobTraceNegotiation(t *testing.T) {
+	srv, ts := newJobServer(t)
+
+	var sub JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default,internal", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateDone {
+		t.Fatalf("job = %+v, want done", j)
+	}
+	encoded := func() (arena, cubes bool) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		f := srv.jobTraces[sub.ID]
+		if f == nil || f.trace == nil {
+			t.Fatal("finished job retained no fragment")
+		}
+		return f.arena != nil, f.json != nil
+	}
+	if a, j := encoded(); a || j {
+		t.Fatalf("fragment encoded before any fetch (arena %v, json %v)", a, j)
+	}
+
+	fetch := func(accept string) (string, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/jobs/"+sub.ID+"/trace", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET trace (Accept %q) = %d, %v", accept, resp.StatusCode, err)
+		}
+		return resp.Header.Get("Content-Type"), body
+	}
+
+	ct, arena := fetch("application/json;q=0.5, " + TraceArenaMediaType)
+	if ct != TraceArenaMediaType || !core.IsSnapshotArena(arena) {
+		t.Fatalf("arena request answered %q, %d bytes starting %q", ct, len(arena), arena[:min(len(arena), 4)])
+	}
+	if a, j := encoded(); !a || j {
+		t.Fatalf("after one arena fetch: arena cached %v, json built %v; want true, false", a, j)
+	}
+	if _, again := fetch(TraceArenaMediaType); !bytes.Equal(again, arena) {
+		t.Fatal("second arena fetch differs from the first")
+	}
+	for _, accept := range []string{"", "*/*", "application/json"} {
+		if ct, body := fetch(accept); ct != "application/json" || !json.Valid(body) {
+			t.Fatalf("Accept %q answered %q, valid JSON %v; want the JSON export", accept, ct, json.Valid(body))
+		}
+	}
+	_, cubes := fetch("")
+
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	fromArena, err := core.DecodeTraceJSON(srv.net, bytes.NewReader(arena))
+	if err != nil {
+		t.Fatalf("decode arena fragment: %v", err)
+	}
+	fromJSON, err := core.DecodeTraceJSON(srv.net, bytes.NewReader(cubes))
+	if err != nil {
+		t.Fatalf("decode JSON fragment: %v", err)
+	}
+	if !fromArena.Equal(fromJSON) || !fromArena.Equal(srv.trace) {
+		t.Fatal("arena fragment, JSON fragment and the server's accumulated trace are not one trace")
+	}
 }
 
 // TestJobTraceConflictAndGone: non-done jobs answer 409, and a restart

@@ -24,9 +24,11 @@
 //	GET    /jobs             list retained jobs and queue stats
 //	                         (?state= filter, ?offset=/?limit= paging with
 //	                         X-Total-Count and Link rel="next" headers)
-//	GET    /jobs/{id}/trace  a done job's own coverage fragment as trace
-//	                         JSON — the shard-collection feed of the
-//	                         distributed coordinator (internal/coord)
+//	GET    /jobs/{id}/trace  a done job's own coverage fragment — trace JSON,
+//	                         or the YSS1 arena when Accept names
+//	                         TraceArenaMediaType — the shard-collection
+//	                         feed of the distributed coordinator
+//	                         (internal/coord)
 //	GET    /coverage         headline metrics + per-role rows
 //	GET    /gaps             untested rules by origin and role
 //	GET    /healthz          liveness: 200 once the process serves traffic
@@ -129,13 +131,15 @@ type Server struct {
 	// so the /jobs API needs no "is it enabled" branch anywhere.
 	jobs     *jobs.Queue
 	jobsPath string // job-records snapshot, derived from snapPath
-	// jobTraces holds each done job's own coverage fragment as encoded
-	// trace JSON, keyed by job ID — the GET /jobs/{id}/trace export a
-	// distributed coordinator collects shard results through. Entries
-	// are pruned alongside the queue's retention (see storeJobTrace) and
-	// are memory-only: after a restart the endpoint answers 410 Gone and
-	// the coordinator re-dispatches the shard (merge is idempotent).
-	jobTraces map[string][]byte
+	// jobTraces holds each done job's own coverage fragment, keyed by job
+	// ID — the GET /jobs/{id}/trace export a distributed coordinator
+	// collects shard results through. A fragment is kept as the
+	// canonical-space trace the job recorded and encoded only when
+	// someone fetches it (see jobFragment). Entries are pruned alongside
+	// the queue's retention (see storeJobTraceLocked) and are memory-only:
+	// after a restart the endpoint answers 410 Gone and the coordinator
+	// re-dispatches the shard (merge is idempotent).
+	jobTraces map[string]*jobFragment
 	// jobProfiles holds each finished job's span profile as encoded
 	// JSON, keyed by job ID — the GET /jobs/{id}/profile export the
 	// coordinator stitches into a cross-node run timeline. Same
@@ -146,11 +150,11 @@ type Server struct {
 	// to assert OpenCount == 0 on all paths, panics included.
 	spanObserver func(*obs.Span)
 	queueDepth   int
-	jobTTL      time.Duration
-	maxInflight int
-	inflight    atomic.Int64
-	draining    atomic.Bool
-	shedTotals  shedTotals
+	jobTTL       time.Duration
+	maxInflight  int
+	inflight     atomic.Int64
+	draining     atomic.Bool
+	shedTotals   shedTotals
 
 	// engineBase is the last-flushed counter baseline of the canonical
 	// BDD manager. The canonical manager's movement is settled into the
@@ -241,7 +245,7 @@ func WithSpanObserver(fn func(*obs.Span)) Option {
 func New(opts ...Option) *Server {
 	s := &Server{
 		trace:        core.NewTrace(),
-		jobTraces:    map[string][]byte{},
+		jobTraces:    map[string]*jobFragment{},
 		jobProfiles:  map[string][]byte{},
 		logger:       slog.Default(),
 		metrics:      obs.NewRegistry(),
@@ -385,11 +389,11 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	s.net = net
 	s.netFP = fp
-	s.trace = core.NewTrace()         // a new network invalidates the old trace
-	s.engine = nil                    // and the old replica pool
-	s.jobTraces = map[string][]byte{} // job fragments decode against the old network
+	s.trace = core.NewTrace()               // a new network invalidates the old trace
+	s.engine = nil                          // and the old replica pool
+	s.jobTraces = map[string]*jobFragment{} // job fragments decode against the old network
 	s.jobProfiles = map[string][]byte{}
-	s.engineBase = bdd.Stats{}        // fresh manager, fresh counter baseline
+	s.engineBase = bdd.Stats{} // fresh manager, fresh counter baseline
 	writeJSON(w, http.StatusOK, statsBody(net, fp))
 }
 
