@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench profile loadproof clustersmoke churnsmoke ci
+.PHONY: all vet build test race bench profile loadproof clustersmoke churnsmoke fuzz-smoke ci
 
 all: ci
 
@@ -108,8 +108,9 @@ clustersmoke:
 # Prove incremental coverage stays exact under churn: replay a seeded
 # 50-event BGP flap schedule against a live daemon via PATCH /network
 # (lockstep with a local twin), then byte-diff the final coverage table
-# against a from-scratch rebuild and require the daemon trace to equal
-# the local one exactly (same recipe as the CI churn-smoke job).
+# against a from-scratch rebuild, require the daemon trace to equal the
+# local one exactly and the daemon's GET /gaps to byte-match the
+# rebuild's gap report (same recipe as the CI churn-smoke job).
 churnsmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/churn ./cmd/churn
@@ -117,5 +118,28 @@ churnsmoke:
 	trap "kill $$DPID 2>/dev/null || true" EXIT; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18084/healthz > /dev/null && break; sleep 0.2; done; \
 	/tmp/churn -addr http://127.0.0.1:18084 -events 50 -seed 1 -check
+
+# Fuzz every target that guards an invariant or a decoder for a fixed
+# FUZZTIME each (go test -fuzz takes one target and one package per
+# run): the coverage view against its from-scratch oracle, the append
+# network encoder against the struct-based reference, and the decoders
+# that read bytes from disk or a peer (BDD arena, trace snapshot arena,
+# trace JSON, network JSON, span profile). Same recipe as the CI
+# fuzz-smoke job.
+FUZZTIME ?= 20s
+FUZZ_TARGETS = \
+	./internal/delta:FuzzViewEquivalence \
+	./internal/netmodel:FuzzEncodeJSONNames \
+	./internal/netmodel:FuzzDecodeJSON \
+	./internal/bdd:FuzzArenaDecode \
+	./internal/core:FuzzSnapshotArenaDecode \
+	./internal/core:FuzzDecodeTraceJSON \
+	./internal/obs:FuzzSpanProfileDecode
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "== $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
+	done
 
 ci: vet build race

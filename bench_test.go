@@ -13,6 +13,7 @@ package yardstick_test
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 
@@ -146,6 +147,85 @@ func BenchmarkFigure9(b *testing.B) {
 					// A fresh Coverage per iteration so per-rule caches
 					// don't turn later iterations into no-ops.
 					m.f(core.NewCoverage(ft.Net, trace))
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkCoverageView is Figure 9's split for the service path: the
+// by-role table plus the total row (what GET /coverage computes) from a
+// new view, whose every device is dirty; from a view nothing has changed
+// under; and, after new packet marks at k devices, from the maintained
+// view and from a new one. The networks are the benchmark harness's: the
+// regional Clos at its regional-m size and the k=10 fat-tree, each with
+// all eight built-in suites in the trace.
+func BenchmarkCoverageView(b *testing.B) {
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{DCs: 2, PodsPerDC: 4, ToRsPerPod: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite, err := testkit.BuiltinSuite("default,connected,internal,agg,contract,reach,pingmesh,host")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, nw := range []struct {
+		name string
+		net  *netmodel.Network
+	}{{"regional-m", rg.Net}, {"fattree-k10", fatTree(b, 10).Net}} {
+		trace := core.NewTrace()
+		suite.Run(context.Background(), nw.net, trace)
+		var roles []netmodel.Role
+		seen := map[netmodel.Role]bool{}
+		for _, d := range nw.net.Devices {
+			if !seen[d.Role] {
+				seen[d.Role] = true
+				roles = append(roles, d.Role)
+			}
+		}
+		table := func(c *core.Coverage) {
+			yardstick.ReportByRole(c, roles)
+			yardstick.ReportTotal(c, "total")
+		}
+		b.Run(nw.name+"/from-scratch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table(core.NewCoverage(nw.net, trace))
+			}
+		})
+		view := core.NewCoverage(nw.net, trace)
+		table(view)
+		b.Run(nw.name+"/clean", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table(view)
+			}
+		})
+		// k devices get packets no test sent, new every iteration, so each
+		// mark really moves the set at its location and the intersections
+		// with it are new BDD work. The same marks are timed against the
+		// maintained view and against a new one.
+		marks := uint32(0)
+		dirty := func(k int) {
+			marks++
+			pkts := nw.net.Space.SrcIP(netip.AddrFrom4([4]byte{203, byte(marks >> 16), byte(marks >> 8), byte(marks)}))
+			for d := 0; d < k; d++ {
+				trace.MarkPacket(dataplane.Injected(netmodel.DeviceID(d*len(nw.net.Devices)/k)), pkts)
+			}
+		}
+		for _, k := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/dirty=%d/view", nw.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					dirty(k)
+					b.StartTimer()
+					table(view)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/dirty=%d/from-scratch", nw.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					dirty(k)
+					b.StartTimer()
+					table(core.NewCoverage(nw.net, trace))
 				}
 			})
 		}

@@ -2,8 +2,9 @@
 // live yardstickd through PATCH /network and proves the daemon's
 // incremental coverage stayed exact: after the full schedule, the
 // daemon-side trace must equal the locally maintained one bit for bit,
-// and the final coverage table must byte-match the table computed from
-// a from-scratch rebuild of the churned network.
+// the final coverage table must byte-match the table computed from a
+// from-scratch rebuild of the churned network, and so must the gap
+// report the daemon serves from its maintained coverage view.
 //
 //	yardstickd -listen :8080 &
 //	churn -addr http://127.0.0.1:8080 -events 50 -check
@@ -19,6 +20,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +35,7 @@ import (
 	"yardstick/internal/delta"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/report"
+	"yardstick/internal/service"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
 )
@@ -163,12 +166,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	rbTable := renderTables(rb, moved)
 	tableOK := bytes.Equal(incTable, rbTable)
 
+	// Proof part 3: what the daemon itself serves. GET /gaps reads the
+	// coverage view the daemon carried across every delta (its rule IDs
+	// compacted fifty times over); its body must byte-match the gap
+	// report of the rebuild.
+	remoteGaps, err := cli.Gaps(ctx)
+	if err != nil {
+		return err
+	}
+	rbGaps := []service.Gap{}
+	for _, g := range report.Gaps(core.NewCoverage(rb, moved)) {
+		rbGaps = append(rbGaps, service.Gap{Origin: string(g.Origin), Role: string(g.Role), Count: g.Count})
+	}
+	gotGaps, err := json.Marshal(remoteGaps)
+	if err != nil {
+		return err
+	}
+	wantGaps, err := json.Marshal(rbGaps)
+	if err != nil {
+		return err
+	}
+	gapsOK := bytes.Equal(gotGaps, wantGaps)
+
 	fmt.Fprintf(stdout, "\nfinal coverage (incremental, daemon trace):\n%s", incTable)
-	fmt.Fprintf(stdout, "\ntrace equal: %v\ncoverage table byte-identical to rebuild: %v\n", traceOK, tableOK)
+	fmt.Fprintf(stdout, "\ntrace equal: %v\ncoverage table byte-identical to rebuild: %v\ndaemon gap report byte-identical to rebuild: %v\n", traceOK, tableOK, gapsOK)
 	if !tableOK {
 		fmt.Fprintf(stdout, "\nrebuild table:\n%s", rbTable)
 	}
-	if *check && !(traceOK && tableOK) {
+	if !gapsOK {
+		fmt.Fprintf(stdout, "\ndaemon gaps:  %s\nrebuild gaps: %s\n", gotGaps, wantGaps)
+	}
+	if *check && !(traceOK && tableOK && gapsOK) {
 		return fmt.Errorf("incremental state diverged from rebuild")
 	}
 	return nil

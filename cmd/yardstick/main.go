@@ -33,7 +33,6 @@ func main() {
 	// output was produced still prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	_ = ctx
 
 	var (
 		topology = flag.String("topology", "regional", "network to generate: example, fattree, or regional")

@@ -8,68 +8,42 @@ import (
 	"yardstick/internal/netmodel"
 )
 
+// fold aggregates the view's cached component coverages and weights over
+// ids (every component when ids is nil), in the order given.
+func fold[ID ~int32](ids []ID, vals, weights []float64, kind AggKind) float64 {
+	acc := NewAccum(kind)
+	if ids == nil {
+		for i := range vals {
+			acc.Add(vals[i], weights[i])
+		}
+	}
+	for _, id := range ids {
+		acc.Add(vals[id], weights[id])
+	}
+	return acc.Value()
+}
+
 // RuleCoverage aggregates rule coverage across the given rules (all rules
 // in the network when rules is nil).
 func RuleCoverage(c *Coverage, rules []netmodel.RuleID, kind AggKind) float64 {
-	acc := NewAccum(kind)
-	add := func(rid netmodel.RuleID) {
-		ms := c.Net.Rule(rid).MatchSet()
-		v := c.Covered(rid).FractionOf(ms)
-		acc.Add(clamp01(v), ms.Fraction())
-	}
-	if rules == nil {
-		for _, r := range c.Net.Rules {
-			add(r.ID)
-		}
-	} else {
-		for _, rid := range rules {
-			add(rid)
-		}
-	}
-	return acc.Value()
+	c.Refresh()
+	return fold(rules, c.frac, c.weight, kind)
 }
 
-// DeviceCoverage aggregates device coverage across the given devices (all
-// devices when devs is nil). Each device's weight is the packet space its
-// rules handle.
+// DeviceCoverage aggregates device coverage (DeviceSpec per device)
+// across the given devices (all devices when devs is nil). Each device's
+// weight is the packet space its rules handle.
 func DeviceCoverage(c *Coverage, devs []netmodel.DeviceID, kind AggKind) float64 {
-	if devs == nil {
-		devs = make([]netmodel.DeviceID, len(c.Net.Devices))
-		for i := range devs {
-			devs[i] = netmodel.DeviceID(i)
-		}
-	}
-	acc := NewAccum(kind)
-	for _, dev := range devs {
-		s := DeviceSpec(c.Net, dev)
-		w := 0.0
-		for _, wi := range s.Weights {
-			w += wi
-		}
-		acc.Add(ComponentCoverage(c, s), w)
-	}
-	return acc.Value()
+	c.Refresh()
+	return fold(devs, c.dev, c.devWeight, kind)
 }
 
-// InterfaceCoverage aggregates outgoing-interface coverage across the
-// given interfaces (all interfaces when ifaces is nil).
+// InterfaceCoverage aggregates outgoing-interface coverage (OutIfaceSpec
+// per interface) across the given interfaces (all interfaces when ifaces
+// is nil).
 func InterfaceCoverage(c *Coverage, ifaces []netmodel.IfaceID, kind AggKind) float64 {
-	if ifaces == nil {
-		ifaces = make([]netmodel.IfaceID, len(c.Net.Ifaces))
-		for i := range ifaces {
-			ifaces[i] = netmodel.IfaceID(i)
-		}
-	}
-	acc := NewAccum(kind)
-	for _, ifid := range ifaces {
-		s := OutIfaceSpec(c.Net, ifid)
-		w := 0.0
-		for _, wi := range s.Weights {
-			w += wi
-		}
-		acc.Add(ComponentCoverage(c, s), w)
-	}
-	return acc.Value()
+	c.Refresh()
+	return fold(ifaces, c.ifc, c.ifcWeight, kind)
 }
 
 // InIfaceCoverage aggregates incoming-interface coverage — how well the
@@ -160,9 +134,16 @@ func IfacesOfDevices(net *netmodel.Network, devs []netmodel.DeviceID) []netmodel
 
 // RulesOfDevices returns every rule on the given devices.
 func RulesOfDevices(net *netmodel.Network, devs []netmodel.DeviceID) []netmodel.RuleID {
-	var out []netmodel.RuleID
+	n := 0
 	for _, dev := range devs {
-		out = append(out, net.DeviceRules(dev)...)
+		n += len(net.Devices[dev].ACL) + len(net.Devices[dev].FIB)
+	}
+	if n == 0 {
+		return nil // what appending nothing yields; the folds read nil as "every rule"
+	}
+	out := make([]netmodel.RuleID, 0, n)
+	for _, dev := range devs {
+		out = append(append(out, net.Devices[dev].ACL...), net.Devices[dev].FIB...)
 	}
 	return out
 }
@@ -171,6 +152,7 @@ func RulesOfDevices(net *netmodel.Network, devs []netmodel.DeviceID) []netmodel.
 // (all rules when nil) — the drill-down the case study used to find the
 // testing gaps (§7.2).
 func UncoveredRules(c *Coverage, rules []netmodel.RuleID) []netmodel.RuleID {
+	c.Refresh()
 	if rules == nil {
 		rules = make([]netmodel.RuleID, len(c.Net.Rules))
 		for i := range rules {
@@ -179,7 +161,7 @@ func UncoveredRules(c *Coverage, rules []netmodel.RuleID) []netmodel.RuleID {
 	}
 	var out []netmodel.RuleID
 	for _, rid := range rules {
-		if c.Covered(rid).IsEmpty() && !c.Net.Rule(rid).MatchSet().IsEmpty() {
+		if c.covered[rid].IsEmpty() && !c.Net.Rule(rid).MatchSet().IsEmpty() {
 			out = append(out, rid)
 		}
 	}

@@ -52,17 +52,35 @@ func (Nop) MarkRule(netmodel.RuleID) {}
 // Marking is guarded by a mutex so tests may report concurrently, but the
 // underlying BDD manager is single-threaded: concurrent markers must not
 // share a manager with other concurrent work.
+//
+// The trace also journals which marks really changed its state, so a
+// Coverage view (coverage.go) re-derives only the devices a mark
+// touched: re-reporting packets or rules the trace already holds moves
+// nothing.
 type Trace struct {
 	mu      sync.Mutex
 	packets map[dataplane.Loc]hdr.Set
 	rules   map[netmodel.RuleID]bool
+
+	// byDevice indexes the marked locations by device.
+	byDevice map[netmodel.DeviceID][]dataplane.Loc
+	// seq counts state changes. devSeq holds, per device, the seq of the
+	// last change to a packet set there; ruleLog lists the marked rules in
+	// marking order; remapSeq is the seq of the last RemapRules, which
+	// rewrites the rule marks wholesale.
+	seq      uint64
+	devSeq   map[netmodel.DeviceID]uint64
+	ruleLog  []netmodel.RuleID
+	remapSeq uint64
 }
 
 // NewTrace returns an empty coverage trace.
 func NewTrace() *Trace {
 	return &Trace{
-		packets: make(map[dataplane.Loc]hdr.Set),
-		rules:   make(map[netmodel.RuleID]bool),
+		packets:  make(map[dataplane.Loc]hdr.Set),
+		rules:    make(map[netmodel.RuleID]bool),
+		byDevice: make(map[netmodel.DeviceID][]dataplane.Loc),
+		devSeq:   make(map[netmodel.DeviceID]uint64),
 	}
 }
 
@@ -74,17 +92,28 @@ func (t *Trace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cur, ok := t.packets[loc]; ok {
-		t.packets[loc] = cur.Union(pkts)
+		pkts = cur.Union(pkts)
+		if pkts.Node() == cur.Node() {
+			return // already covered: the canonical node did not move
+		}
 	} else {
-		t.packets[loc] = pkts
+		t.byDevice[loc.Device] = append(t.byDevice[loc.Device], loc)
 	}
+	t.packets[loc] = pkts
+	t.seq++
+	t.devSeq[loc.Device] = t.seq
 }
 
 // MarkRule implements Tracker.
 func (t *Trace) MarkRule(r netmodel.RuleID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.rules[r] {
+		return
+	}
 	t.rules[r] = true
+	t.seq++
+	t.ruleLog = append(t.ruleLog, r)
 }
 
 // Merge folds another trace into t (used to combine traces of independent
@@ -131,17 +160,16 @@ func (t *Trace) TransferTo(dst *hdr.Space) *Trace {
 	out := NewTrace()
 	var tr *hdr.Transfer
 	for loc, s := range t.packets {
-		if s.Space() == dst {
-			out.packets[loc] = s
-			continue
+		if s.Space() != dst {
+			if tr == nil || tr.Src() != s.Space() {
+				tr = hdr.NewTransfer(s.Space(), dst)
+			}
+			s = tr.Move(s)
 		}
-		if tr == nil || tr.Src() != s.Space() {
-			tr = hdr.NewTransfer(s.Space(), dst)
-		}
-		out.packets[loc] = tr.Move(s)
+		out.MarkPacket(loc, s)
 	}
 	for r := range t.rules {
-		out.rules[r] = true
+		out.MarkRule(r)
 	}
 	return out
 }
@@ -157,14 +185,18 @@ func (t *Trace) RemapRules(remap []netmodel.RuleID) (dropped []netmodel.RuleID) 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rules := make(map[netmodel.RuleID]bool, len(t.rules))
-	for r := range t.rules {
+	log := t.ruleLog[:0]
+	for _, r := range t.ruleLog {
 		if int(r) >= 0 && int(r) < len(remap) && remap[r] != netmodel.NoRule {
 			rules[remap[r]] = true
+			log = append(log, remap[r])
 		} else {
 			dropped = append(dropped, r)
 		}
 	}
-	t.rules = rules
+	t.rules, t.ruleLog = rules, log
+	t.seq++
+	t.remapSeq = t.seq
 	sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
 	return dropped
 }
@@ -257,77 +289,4 @@ func (t *Trace) Stats() TraceStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return TraceStats{Locations: len(t.packets), MarkedRules: len(t.rules)}
-}
-
-// Coverage is the post-processing phase state: the network, the trace,
-// and the covered sets T[r] of Algorithm 1, computed lazily per rule and
-// cached. Coverage is not safe for concurrent use (it shares the
-// network's BDD manager).
-type Coverage struct {
-	Net   *netmodel.Network
-	Trace *Trace
-
-	// atDevice caches the union of trace packets per device.
-	atDevice map[netmodel.DeviceID]hdr.Set
-	// covered caches T[r] per rule.
-	covered map[netmodel.RuleID]hdr.Set
-}
-
-// NewCoverage prepares metric computation over a frozen network and a
-// trace. The trace should not be marked concurrently with computation.
-func NewCoverage(net *netmodel.Network, trace *Trace) *Coverage {
-	if !net.MatchSetsComputed() {
-		panic("core: network match sets not computed")
-	}
-	return &Coverage{
-		Net:      net,
-		Trace:    trace,
-		atDevice: make(map[netmodel.DeviceID]hdr.Set),
-		covered:  make(map[netmodel.RuleID]hdr.Set),
-	}
-}
-
-// packetsAtDevice returns the union of trace packets over every location
-// at the device.
-func (c *Coverage) packetsAtDevice(dev netmodel.DeviceID) hdr.Set {
-	if s, ok := c.atDevice[dev]; ok {
-		return s
-	}
-	s := c.Net.Space.Empty()
-	for _, loc := range c.Trace.Locations() {
-		if loc.Device == dev {
-			s = s.Union(c.Trace.PacketsAt(c.Net.Space, loc))
-		}
-	}
-	c.atDevice[dev] = s
-	return s
-}
-
-// Covered returns the covered set T[r] (Algorithm 1): the full match set
-// when the rule was inspected directly, otherwise the intersection of the
-// match set with the packets the trace saw at the rule's device.
-func (c *Coverage) Covered(r netmodel.RuleID) hdr.Set {
-	if s, ok := c.covered[r]; ok {
-		return s
-	}
-	rule := c.Net.Rule(r)
-	var s hdr.Set
-	if c.Trace.RuleMarked(r) {
-		s = rule.MatchSet()
-	} else {
-		s = c.packetsAtDevice(rule.Device).Intersect(rule.MatchSet())
-	}
-	c.covered[r] = s
-	return s
-}
-
-// CoveredAt is Covered restricted to packets that arrived at a specific
-// location — used by incoming-interface specifications, whose guards are
-// limited to packets on the interface (§4.3.2).
-func (c *Coverage) CoveredAt(r netmodel.RuleID, loc dataplane.Loc) hdr.Set {
-	rule := c.Net.Rule(r)
-	if c.Trace.RuleMarked(r) {
-		return rule.MatchSet()
-	}
-	return c.Trace.PacketsAt(c.Net.Space, loc).Intersect(rule.MatchSet())
 }

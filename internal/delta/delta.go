@@ -135,13 +135,16 @@ type Applied struct {
 	Remap []netmodel.RuleID `json:"-"`
 }
 
-// Engine owns the incremental state: one live network and the
-// accumulated trace recorded against it. Apply mutates both in place.
-// An Engine is not safe for concurrent use (it shares the network's
-// single-threaded BDD manager).
+// Engine owns the incremental state: one live network, the accumulated
+// trace recorded against it, and the coverage view maintained over the
+// two. Apply mutates all three in place, so View is current — and only
+// the touched devices were re-derived — after every delta. An Engine is
+// not safe for concurrent use (it shares the network's single-threaded
+// BDD manager).
 type Engine struct {
 	Net   *netmodel.Network
 	Trace *core.Trace
+	View  *core.Coverage
 	fp    string
 }
 
@@ -152,13 +155,13 @@ func NewEngine(net *netmodel.Network, trace *core.Trace) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{Net: net, Trace: trace, fp: fp}, nil
+	return ResumeEngine(core.NewCoverage(net, trace), fp), nil
 }
 
-// ResumeEngine wraps a network whose fingerprint the caller already
-// knows (a service that caches it), skipping the re-hash.
-func ResumeEngine(net *netmodel.Network, trace *core.Trace, fp string) *Engine {
-	return &Engine{Net: net, Trace: trace, fp: fp}
+// ResumeEngine wraps a coverage view its caller already maintains, with
+// the fingerprint of the view's network (a service caches both).
+func ResumeEngine(view *core.Coverage, fp string) *Engine {
+	return &Engine{Net: view.Net, Trace: view.Trace, View: view, fp: fp}
 }
 
 // Fingerprint returns the live network's fingerprint.
@@ -268,10 +271,12 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 			touchedSet[netmodel.DeviceID(op.Spec.Device)] = true
 		}
 	}
+	// Bringing the view up to date here is what lets Remap move it across
+	// the commit instead of starting over.
+	e.View.Refresh()
 	before := make(map[netmodel.DeviceID]float64, len(touchedSet))
-	covBefore := core.NewCoverage(e.Net, e.Trace)
 	for dev := range touchedSet {
-		before[dev] = core.RuleCoverage(covBefore, e.Net.DeviceRules(dev), core.Weighted)
+		before[dev] = core.RuleCoverage(e.View, e.Net.DeviceRules(dev), core.Weighted)
 	}
 
 	// The point of no return: all remaining symbolic work for the
@@ -292,6 +297,7 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 		}
 	}
 	droppedOld := e.Trace.RemapRules(markRemap)
+	e.View.Remap(res.Remap, res.Touched)
 
 	fp, err := core.Fingerprint(e.Net)
 	if err != nil {
@@ -328,17 +334,18 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	}
 
 	// After-side drift: coverage of the touched devices in the new
-	// universe. This is the only part that may fail with the delta
+	// universe, which re-derives exactly those devices in the view.
+	// This is the only part that may fail with the delta
 	// already applied, so it runs under its own Guard — a budget trip
 	// here must not masquerade as a failed delta.
 	derr := bdd.Guard(func() {
-		covAfter := core.NewCoverage(e.Net, e.Trace)
 		for _, dev := range res.Touched {
+			rules := e.Net.DeviceRules(dev)
 			ap.Drift = append(ap.Drift, DeviceDrift{
 				Device: e.Net.Device(dev).Name,
-				Rules:  len(e.Net.DeviceRules(dev)),
+				Rules:  len(rules),
 				Before: before[dev],
-				After:  core.RuleCoverage(covAfter, e.Net.DeviceRules(dev), core.Weighted),
+				After:  core.RuleCoverage(e.View, rules, core.Weighted),
 			})
 		}
 	})

@@ -238,23 +238,25 @@ func Figure9(ctx context.Context, ks []int, opts Figure9Opts) ([]Figure9Row, err
 				test.Run(ft.Net, trace)
 			}
 
-			cov := core.NewCoverage(ft.Net, trace)
-			d := timeIt(func() { core.DeviceCoverage(cov, nil, core.Fractional) })
+			// Every timed call gets a new view — every device dirty — so
+			// each repetition derives the metric from scratch, as the paper's
+			// on-demand post-processing does; a reused view would time the
+			// fold of cached values. Device, interface and rule coverage
+			// come out of one pass, so each of the three pays for that pass.
+			fresh := func() *core.Coverage { return core.NewCoverage(ft.Net, trace) }
+			d := timeIt(func() { core.DeviceCoverage(fresh(), nil, core.Fractional) })
 			out = append(out, Figure9Row{K: k, Routers: routers, Metric: "device", Duration: d, Complete: true})
 
-			cov = core.NewCoverage(ft.Net, trace)
-			d = timeIt(func() { core.InterfaceCoverage(cov, nil, core.Fractional) })
+			d = timeIt(func() { core.InterfaceCoverage(fresh(), nil, core.Fractional) })
 			out = append(out, Figure9Row{K: k, Routers: routers, Metric: "interface", Duration: d, Complete: true})
 
-			cov = core.NewCoverage(ft.Net, trace)
-			d = timeIt(func() { core.RuleCoverage(cov, nil, core.Fractional) })
+			d = timeIt(func() { core.RuleCoverage(fresh(), nil, core.Fractional) })
 			out = append(out, Figure9Row{K: k, Routers: routers, Metric: "rule", Duration: d, Complete: true})
 
 			if !opts.SkipPaths {
-				cov = core.NewCoverage(ft.Net, trace)
 				var res core.PathCoverageResult
 				d = timeIt(func() {
-					res = core.PathCoverage(ctx, cov, nil, dataplane.EnumOpts{MaxPaths: opts.PathBudget}, core.Fractional)
+					res = core.PathCoverage(ctx, fresh(), nil, dataplane.EnumOpts{MaxPaths: opts.PathBudget}, core.Fractional)
 				})
 				out = append(out, Figure9Row{
 					K: k, Routers: routers, Metric: "path", Duration: d,

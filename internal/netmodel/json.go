@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"strconv"
 
 	"yardstick/internal/hdr"
 )
@@ -263,36 +264,235 @@ func (n *Network) RuleSpecOf(id RuleID) RuleSpec {
 
 // EncodeJSON writes the network (topology and rules) as JSON. Match sets
 // are not serialized; they are recomputed on decode.
+//
+// The bytes are what encoding/json's Encoder with a one-space indent
+// produces for jsonNetwork — same field order, omitempty rules and string
+// escaping — written by a direct append encoder: the output is hashed
+// into the network's fingerprint on every PUT, PATCH and coordinator
+// push, where reflection plus the indent pass dominated. The test suite
+// holds the struct-based encoder as the reference and compares the two
+// byte for byte.
+//
+// The encoder hands w its output in jsonFlush-sized pieces instead of
+// building the document whole: a fingerprint (w is a hash) then costs one
+// small buffer, not two network-sized allocations per call.
 func (n *Network) EncodeJSON(w io.Writer) error {
-	jn := jsonNetwork{}
+	e := &jsonEnc{w: w, buf: make([]byte, 0, 2*jsonFlush)}
+	e.open('{')
 	if n.Family() == hdr.V6 {
-		jn.Family = "ipv6"
+		e.key("family").str("ipv6")
 	}
-	for _, d := range n.Devices {
-		jd := jsonDevice{Name: d.Name, Role: string(d.Role), ASN: d.ASN}
-		for _, p := range d.Loopbacks {
-			jd.Loopbacks = append(jd.Loopbacks, p.String())
+	e.array("devices", len(n.Devices), func(i int) {
+		d := n.Devices[i]
+		e.open('{')
+		e.key("name").str(d.Name)
+		e.key("role").str(string(d.Role))
+		if d.ASN != 0 {
+			e.key("asn").int(int64(d.ASN))
 		}
-		for _, p := range d.Subnets {
-			jd.Subnets = append(jd.Subnets, p.String())
+		e.prefixes("loopbacks", d.Loopbacks)
+		e.prefixes("subnets", d.Subnets)
+		e.close('}')
+	})
+	e.array("ifaces", len(n.Ifaces), func(i int) {
+		ifc := n.Ifaces[i]
+		e.open('{')
+		e.key("device").int(int64(ifc.Device))
+		e.key("name").str(ifc.Name)
+		if ifc.Addr.IsValid() {
+			e.key("addr").prefix(ifc.Addr)
 		}
-		jn.Devices = append(jn.Devices, jd)
+		e.key("peer").int(int64(ifc.Peer))
+		if ifc.External {
+			e.key("external").raw("true")
+		}
+		e.close('}')
+	})
+	e.array("rules", len(n.Rules), func(i int) { e.rule(n.Rules[i]) })
+	e.close('}')
+	e.buf = append(e.buf, '\n')
+	e.flush()
+	return e.err
+}
+
+// jsonFlush is the buffered size at which jsonEnc writes out.
+const jsonFlush = 32 << 10
+
+// jsonEnc appends indented JSON: one space per nesting level, every
+// member and element on its own line, empty containers closed in place.
+type jsonEnc struct {
+	w       io.Writer
+	err     error // first write error; later output is dropped
+	buf     []byte
+	members []int // per open container: members written so far
+}
+
+func (e *jsonEnc) flush() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
 	}
-	for _, ifc := range n.Ifaces {
-		jn.Ifaces = append(jn.Ifaces, jsonIface{
-			Device:   int32(ifc.Device),
-			Name:     ifc.Name,
-			Addr:     prefixString(ifc.Addr),
-			Peer:     int32(ifc.Peer),
-			External: ifc.External,
-		})
+	e.buf = e.buf[:0]
+}
+
+func (e *jsonEnc) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *jsonEnc) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
+
+func (e *jsonEnc) open(c byte) {
+	e.buf = append(e.buf, c)
+	e.members = append(e.members, 0)
+}
+
+func (e *jsonEnc) close(c byte) {
+	last := len(e.members) - 1
+	wrote := e.members[last] > 0
+	e.members = e.members[:last]
+	if wrote {
+		e.newline()
 	}
-	for _, r := range n.Rules {
-		jn.Rules = append(jn.Rules, ruleSpec(r))
+	e.buf = append(e.buf, c)
+}
+
+func (e *jsonEnc) newline() {
+	e.buf = append(e.buf, '\n')
+	for range e.members {
+		e.buf = append(e.buf, ' ')
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(jn)
+}
+
+// elem starts the next element of the open array.
+func (e *jsonEnc) elem() {
+	if len(e.buf) >= jsonFlush {
+		e.flush()
+	}
+	last := len(e.members) - 1
+	if e.members[last] > 0 {
+		e.buf = append(e.buf, ',')
+	}
+	e.members[last]++
+	e.newline()
+}
+
+// key starts the next member of the open object. Keys are the literal
+// field names above and need no escaping.
+func (e *jsonEnc) key(k string) *jsonEnc {
+	e.elem()
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, k...)
+	e.buf = append(e.buf, '"', ':', ' ')
+	return e
+}
+
+// str appends a JSON string. Anything beyond printable ASCII without
+// the characters encoding/json escapes goes through encoding/json
+// itself, so escaping is its escaping by construction.
+func (e *jsonEnc) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			e.buf = append(e.buf, q...)
+			return
+		}
+	}
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, '"')
+}
+
+// array writes member k as an array of n elements, each written by
+// elem; a nil slice (n == 0 here) encodes as null, as encoding/json does
+// for a field without omitempty.
+func (e *jsonEnc) array(k string, n int, elem func(i int)) {
+	e.key(k)
+	if n == 0 {
+		e.raw("null")
+		return
+	}
+	e.open('[')
+	for i := 0; i < n; i++ {
+		e.elem()
+		elem(i)
+	}
+	e.close(']')
+}
+
+// prefix appends a prefix as a JSON string; its text is digits, hex
+// letters and ".:/" only, so nothing needs escaping.
+func (e *jsonEnc) prefix(p netip.Prefix) {
+	e.buf = append(e.buf, '"')
+	e.buf = p.AppendTo(e.buf)
+	e.buf = append(e.buf, '"')
+}
+
+// prefixes writes an omitempty array of prefix strings.
+func (e *jsonEnc) prefixes(k string, ps []netip.Prefix) {
+	if len(ps) > 0 {
+		e.array(k, len(ps), func(i int) { e.prefix(ps[i]) })
+	}
+}
+
+// portRange writes an omitempty [lo, hi] pair.
+func (e *jsonEnc) portRange(k string, lo, hi uint16) {
+	if lo != 0 || hi != 65535 {
+		e.array(k, 2, func(i int) { e.int(int64([2]uint16{lo, hi}[i])) })
+	}
+}
+
+// rule writes one rule as ruleSpec would shape it.
+func (e *jsonEnc) rule(r *Rule) {
+	e.open('{')
+	e.key("device").int(int64(r.Device))
+	if r.Table == TableACL {
+		e.key("table").str("acl")
+	} else {
+		e.key("table").str("fib")
+	}
+	m := r.Match
+	e.key("match").open('{')
+	if m.DstPrefix.IsValid() {
+		e.key("dst").prefix(m.DstPrefix)
+	}
+	if m.SrcPrefix.IsValid() {
+		e.key("src").prefix(m.SrcPrefix)
+	}
+	if m.Proto >= 0 {
+		e.key("proto").int(int64(m.Proto))
+	}
+	e.portRange("dstPort", m.DstPortLo, m.DstPortHi)
+	e.portRange("srcPort", m.SrcPortLo, m.SrcPortHi)
+	e.close('}')
+	e.key("action")
+	switch r.Action.Kind {
+	case ActForward:
+		e.str("forward")
+		if outs := r.Action.OutIfaces; len(outs) > 0 {
+			e.array("out", len(outs), func(i int) { e.int(int64(outs[i])) })
+		}
+	case ActDrop:
+		e.str("drop")
+	case ActDeliver:
+		e.str("deliver")
+	default:
+		e.str("")
+	}
+	if tr := r.Action.Transform; tr != nil {
+		e.key("transform").open('{')
+		if tr.RewriteDst {
+			e.key("rewriteDst").raw("true")
+		}
+		if tr.RewriteSrc {
+			e.key("rewriteSrc").raw("true")
+		}
+		e.key("addr").str(tr.Addr.String())
+		e.close('}')
+	}
+	if r.Origin != "" {
+		e.key("origin").str(string(r.Origin))
+	}
+	if r.Deny {
+		e.key("deny").raw("true")
+	}
+	e.close('}')
 }
 
 // DecodeJSON reads a network from JSON, rebuilds it, and computes match

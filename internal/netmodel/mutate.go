@@ -199,14 +199,19 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	// Stage the new rule universe: survivors compact in ID order,
 	// additions append. Every staged rule is a fresh struct, so nothing
 	// below mutates the live network.
+	// The structs come from one slab: a commit replaces the whole
+	// universe, so it lives and dies together, and a batch that touches
+	// every device costs one allocation instead of one per rule.
 	remap := make([]RuleID, len(n.Rules))
-	newRules := make([]*Rule, 0, len(n.Rules)-len(m.removed)+len(m.added))
+	slab := make([]Rule, len(n.Rules)-len(m.removed)+len(m.added))
+	newRules := make([]*Rule, 0, len(slab))
 	for _, r := range n.Rules {
 		if m.removed[r.ID] {
 			remap[r.ID] = NoRule
 			continue
 		}
-		nr := *r
+		nr := &slab[len(newRules)]
+		*nr = *r
 		nr.ID = RuleID(len(newRules))
 		if def, ok := m.modified[r.ID]; ok {
 			nr.Match = def.Match
@@ -219,12 +224,13 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			nr.raw, nr.match = hdr.Set{}, hdr.Set{}
 		}
 		remap[r.ID] = nr.ID
-		newRules = append(newRules, &nr)
+		newRules = append(newRules, nr)
 	}
 	addedIDs := make([]RuleID, 0, len(m.added))
 	for _, def := range m.added {
 		id := RuleID(len(newRules))
-		newRules = append(newRules, &Rule{
+		nr := &slab[id]
+		*nr = Rule{
 			ID:     id,
 			Device: def.Device,
 			Table:  def.Table,
@@ -232,7 +238,8 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			Action: def.Action,
 			Origin: def.Origin,
 			Deny:   def.Deny,
-		})
+		}
+		newRules = append(newRules, nr)
 		addedIDs = append(addedIDs, id)
 	}
 
@@ -243,6 +250,8 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	newACL := make([][]RuleID, len(n.Devices))
 	newFIB := make([][]RuleID, len(n.Devices))
 	for di, d := range n.Devices {
+		newACL[di] = make([]RuleID, 0, len(d.ACL))
+		newFIB[di] = make([]RuleID, 0, len(d.FIB))
 		for _, id := range d.ACL {
 			if nid := remap[id]; nid != NoRule {
 				newACL[di] = append(newACL[di], nid)
@@ -286,21 +295,21 @@ func (m *Mutation) Commit() (MutationResult, error) {
 		n.computeTableStaged(newRules, newFIB[dev])
 	}
 
-	// Rebuild the FIB index over the new universe (pure map work).
-	newFibIndex := make(map[fibKey]RuleID, len(newRules))
-	for _, r := range newRules {
-		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
-			newFibIndex[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
-		}
-	}
-
-	// Publish: assignments only, no panic sources.
+	// Publish: assignments and map work only, no panic sources. The FIB
+	// index is refilled in place over the new universe; IDs compact, so
+	// every entry changes, but the map keeps its storage.
 	for di, d := range n.Devices {
 		d.ACL = newACL[di]
 		d.FIB = newFIB[di]
 	}
 	n.Rules = newRules
-	n.fibIndex = newFibIndex
+	clear(n.fibIndex)
+	for _, r := range newRules {
+		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
+			n.fibIndex[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
+		}
+	}
+	n.generation++
 
 	return MutationResult{Remap: remap, Added: addedIDs, Touched: touchedList}, nil
 }

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -69,6 +70,11 @@ func assertRebuildEquivalent(t *testing.T, live *Network) {
 		if !r.MatchSet().Equal(want) {
 			t.Fatalf("rule %d (dev %d): incremental match set differs from rebuild", r.ID, r.Device)
 		}
+	}
+	// Commit refills the FIB index in place; a stale or missing entry
+	// would send FIBRuleFor to the wrong rule.
+	if !maps.Equal(live.fibIndex, rb.fibIndex) {
+		t.Fatalf("FIB index differs from rebuild: live %d entries, rebuild %d", len(live.fibIndex), len(rb.fibIndex))
 	}
 }
 

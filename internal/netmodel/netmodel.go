@@ -209,6 +209,8 @@ type Network struct {
 	matchMemo map[Match]hdr.Set
 
 	matchSetsDone bool
+	// generation counts committed mutations (mutate.go).
+	generation uint64
 }
 
 type fibKey struct {
@@ -466,6 +468,11 @@ func (n *Network) matchSet(mt Match) hdr.Set {
 
 // MatchSetsComputed reports whether ComputeMatchSets has run.
 func (n *Network) MatchSetsComputed() bool { return n.matchSetsDone }
+
+// Generation counts the mutations committed on the network since it was
+// frozen. Rule IDs compact on every commit, so state indexed by RuleID is
+// valid for one generation only.
+func (n *Network) Generation() uint64 { return n.generation }
 
 // DeviceRules returns all rule IDs of a device (ACL then FIB).
 func (n *Network) DeviceRules(dev DeviceID) []RuleID {

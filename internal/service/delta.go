@@ -78,7 +78,7 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
 	defer s.net.Space.WatchContext(ctx)()
-	eng := delta.ResumeEngine(s.net, s.trace, s.fingerprintLocked())
+	eng := delta.ResumeEngine(s.view, s.fingerprintLocked())
 	var (
 		applied *delta.Applied
 		aerr    error

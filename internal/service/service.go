@@ -103,6 +103,12 @@ type Server struct {
 	mu    sync.Mutex
 	net   *netmodel.Network
 	trace *core.Trace
+	// view is the coverage view maintained over (net, trace): GET
+	// /coverage, GET /gaps and PATCH /network's drift report read it, and
+	// it re-derives only the devices whose marks or rules changed since
+	// the last read. It is tied to one network and one trace, so the three
+	// fields change together, through install only.
+	view *core.Coverage
 	// netFP caches the loaded network's fingerprint ("" until first
 	// needed; see fingerprintLocked). PUT uses it to detect a no-op
 	// re-upload, PATCH to validate a delta document's base and to avoid
@@ -182,8 +188,8 @@ func WithRunTimeout(d time.Duration) Option { return func(s *Server) { s.runTime
 
 // WithWorkers caps the per-request parallelism of POST /run: a request's
 // ?workers=n is clamped to this cap (default 1 — parallel runs disabled).
-// Parallelism replicates the loaded network once per worker via a
-// netmodel JSON round-trip, built lazily on the first parallel run and
+// Parallelism replicates the loaded network once per worker as an arena
+// clone of its BDD space, built lazily on the first parallel run and
 // reused until the network changes.
 func WithWorkers(n int) Option {
 	return func(s *Server) {
@@ -244,7 +250,6 @@ func WithSpanObserver(fn func(*obs.Span)) Option {
 // New returns a server with no network loaded.
 func New(opts ...Option) *Server {
 	s := &Server{
-		trace:        core.NewTrace(),
 		jobTraces:    map[string]*jobFragment{},
 		jobProfiles:  map[string][]byte{},
 		logger:       slog.Default(),
@@ -254,6 +259,7 @@ func New(opts ...Option) *Server {
 		maxWorkers:   1,
 		snapInterval: time.Minute,
 	}
+	s.install(nil, core.NewTrace())
 	for _, o := range opts {
 		o(s)
 	}
@@ -276,7 +282,20 @@ func New(opts ...Option) *Server {
 	s.metrics.SetHelp("yardstick_jobs_retained", "Jobs held in memory, finished ones included")
 	s.metrics.SetHelp(MetricNetworkResets, "Full network replacements that reset the trace and replica pool")
 	s.metrics.SetHelp(MetricDeltaApplied, "Rule-level delta documents applied via PATCH /network")
+	s.metrics.SetHelp(MetricCoverageReads, "Reads of the coverage view, by whether any device had to be re-derived")
+	s.metrics.SetHelp(MetricCoverageRefreshDevices, "Devices re-derived by coverage view refreshes")
 	return s
+}
+
+// install makes (net, trace) the server's state and starts a fresh
+// coverage view over the pair, so no view outlives the network or trace
+// it was derived from. Every assignment of s.net or s.trace goes through
+// here; callers hold s.mu (or own the server exclusively, as New does).
+func (s *Server) install(net *netmodel.Network, trace *core.Trace) {
+	s.net, s.trace, s.view = net, trace, nil
+	if net != nil {
+		s.view = core.NewCoverage(net, trace)
+	}
 }
 
 // Metrics exposes the server's metrics registry (what GET /metrics
@@ -286,7 +305,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // WithNetwork returns a server pre-loaded with a network.
 func WithNetwork(net *netmodel.Network, opts ...Option) *Server {
 	s := New(opts...)
-	s.net = net
+	s.install(net, s.trace)
 	return s
 }
 
@@ -387,9 +406,8 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 		s.delta.networkResets++
 		s.metrics.Counter(MetricNetworkResets).Inc()
 	}
-	s.net = net
+	s.install(net, core.NewTrace()) // a new network invalidates the old trace
 	s.netFP = fp
-	s.trace = core.NewTrace()               // a new network invalidates the old trace
 	s.engine = nil                          // and the old replica pool
 	s.jobTraces = map[string]*jobFragment{} // job fragments decode against the old network
 	s.jobProfiles = map[string][]byte{}
@@ -498,7 +516,7 @@ func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) deleteTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.trace = core.NewTrace()
+	s.install(s.net, core.NewTrace())
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -806,21 +824,81 @@ func toMetricsRow(m report.Metrics) MetricsRow {
 	}
 }
 
-func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// Registry metric names of the coverage view.
+const (
+	MetricCoverageReads          = "yardstick_coverage_reads_total"
+	MetricCoverageRefreshDevices = "yardstick_coverage_refresh_devices_total"
+)
+
+// readView is the shared front of the coverage view's two readers (GET
+// /coverage, GET /gaps): under the request's evaluation context and a
+// root span named span, it brings the view up to date — a
+// coverage.refresh child span records how many devices and rules that
+// took — and runs fold over it. It reports the time spent computing, or
+// answers the error itself (409 without a network, 503 on an aborted
+// evaluation) and returns ok false. An abort leaves the unfinished
+// devices dirty in the view; the next read recomputes them. Callers hold
+// s.mu.
+func (s *Server) readView(w http.ResponseWriter, r *http.Request, span, what string, fold func(*core.Coverage)) (compute time.Duration, ok bool) {
 	if s.net == nil {
 		httpError(w, http.StatusConflict, "no network loaded")
-		return
+		return 0, false
 	}
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
 	defer s.net.Space.WatchContext(ctx)()
 	start := time.Now()
-	var body CoverageReport
-	sp := obs.NewRoot("service.coverage", s.metrics)
+	sp := obs.NewRoot(span, s.metrics)
 	gerr := bdd.Guard(func() {
-		cov := core.NewCoverage(s.net, s.trace)
+		s.refreshView(sp)
+		fold(s.view)
+	})
+	s.endSpan(sp)
+	compute = time.Since(start)
+	if gerr == nil {
+		// The engine polls its watched context every 1024 ops; small
+		// computations can finish between polls, so backstop here.
+		gerr = ctx.Err()
+	}
+	if gerr != nil {
+		abortError(w, what, gerr)
+		return 0, false
+	}
+	return compute, true
+}
+
+// refreshView brings the coverage view up to date under a
+// coverage.refresh child of parent, tagged with the devices and rules it
+// re-derived, and counts the read as clean or refreshed.
+func (s *Server) refreshView(parent *obs.Span) {
+	sp := parent.Child("coverage.refresh")
+	defer sp.EndStage() // a budget trip unwinds through here
+	st := s.view.Refresh()
+	sp.Set("devices", int64(st.Devices))
+	sp.Set("rules", int64(st.Rules))
+	result := "clean"
+	if st.Devices > 0 {
+		result = "refreshed"
+	}
+	s.metrics.Counter(MetricCoverageReads, "result", result).Inc()
+	s.metrics.Counter(MetricCoverageRefreshDevices).Add(uint64(st.Devices))
+}
+
+// serverTiming sets the Server-Timing header (before writeJSON starts
+// the response): how the request's time since start split between the
+// coverage computation and the stats/serialization tail.
+func serverTiming(w http.ResponseWriter, start time.Time, compute time.Duration) {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	w.Header().Set("Server-Timing", fmt.Sprintf("compute;dur=%.2f, stats;dur=%.2f",
+		ms(compute), ms(time.Since(start))-ms(compute)))
+}
+
+func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	start := time.Now()
+	var body CoverageReport
+	compute, ok := s.readView(w, r, "service.coverage", "coverage", func(cov *core.Coverage) {
 		body.Total = toMetricsRow(report.Total(cov, "total"))
 		seen := map[netmodel.Role]bool{}
 		var roles []netmodel.Role
@@ -834,24 +912,11 @@ func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
 			body.ByRole = append(body.ByRole, toMetricsRow(row))
 		}
 	})
-	s.endSpan(sp)
-	compute := time.Since(start)
-	if gerr == nil {
-		// The engine polls its watched context every 1024 ops; small
-		// computations can finish between polls, so backstop here.
-		gerr = ctx.Err()
-	}
-	if gerr != nil {
-		abortError(w, "coverage", gerr)
+	if !ok {
 		return
 	}
 	body.Engine = s.engineStatsLocked()
-	// Server-Timing (set before writeJSON starts the response): how the
-	// request's time split between the coverage computation and the
-	// stats/serialization tail.
-	w.Header().Set("Server-Timing", fmt.Sprintf("compute;dur=%.2f, stats;dur=%.2f",
-		float64(compute.Microseconds())/1000,
-		float64(time.Since(start).Microseconds())/1000-float64(compute.Microseconds())/1000))
+	serverTiming(w, start, compute)
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -978,27 +1043,17 @@ type Gap struct {
 func (s *Server) getGaps(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.net == nil {
-		httpError(w, http.StatusConflict, "no network loaded")
-		return
-	}
-	ctx, cancel := s.evalContext(r)
-	defer cancel()
-	defer s.net.Space.WatchContext(ctx)()
+	start := time.Now()
 	out := []Gap{}
-	gerr := bdd.Guard(func() {
-		cov := core.NewCoverage(s.net, s.trace)
+	compute, ok := s.readView(w, r, "service.gaps", "gap report", func(cov *core.Coverage) {
 		for _, g := range report.Gaps(cov) {
 			out = append(out, Gap{Origin: string(g.Origin), Role: string(g.Role), Count: g.Count})
 		}
 	})
-	if gerr == nil {
-		gerr = ctx.Err()
-	}
-	if gerr != nil {
-		abortError(w, "gap report", gerr)
+	if !ok {
 		return
 	}
+	serverTiming(w, start, compute)
 	writeJSON(w, http.StatusOK, out)
 }
 
