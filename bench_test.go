@@ -402,8 +402,8 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // BenchmarkSnapshotClone measures the O(size) snapshot-clone primitives
 // the sharded engine builds its replicas from: the raw bdd.Manager copy,
 // the full netmodel.Network clone (manager copy plus topology tables,
-// match sets carried by index), and — for contrast — the JSON replica
-// rebuild the clone replaced. The manager is sized by a real workload
+// match sets carried by index), and — for contrast — the JSON rebuild
+// the clone replaced (now the test oracle clones are held to). The manager is sized by a real workload
 // first (the regional suite), so the copy moves production-shaped
 // tables, not an empty arena.
 func BenchmarkSnapshotClone(b *testing.B) {
@@ -432,9 +432,13 @@ func BenchmarkSnapshotClone(b *testing.B) {
 		}
 	})
 	b.Run("json-rebuild", func(b *testing.B) {
-		build := sharded.JSONReplicator(rg.Net)
+		var buf bytes.Buffer
+		if err := rg.Net.EncodeJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := build(); err != nil {
+			if _, err := netmodel.DecodeJSON(bytes.NewReader(buf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

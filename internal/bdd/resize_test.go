@@ -91,8 +91,9 @@ func TestResizeCanonicityAcrossCopyFrom(t *testing.T) {
 	}
 
 	moved := make([]Node, len(roots))
+	out := dst.BeginTransfer(src)
 	for i, r := range roots {
-		moved[i] = dst.CopyFrom(src, r)
+		moved[i] = out.Copy(r)
 	}
 	for i := range roots {
 		for j := i + 1; j < len(roots); j++ {
@@ -103,8 +104,9 @@ func TestResizeCanonicityAcrossCopyFrom(t *testing.T) {
 		}
 	}
 	// Round trip back into src: must be the identity.
+	in := src.BeginTransfer(dst)
 	for i, mv := range moved {
-		if back := src.CopyFrom(dst, mv); back != roots[i] {
+		if back := in.Copy(mv); back != roots[i] {
 			t.Fatalf("root %d: round trip %d -> %d -> %d, want identity", i, roots[i], mv, back)
 		}
 	}
@@ -142,7 +144,7 @@ func FuzzUniqueResizeCanonicity(f *testing.F) {
 		// Transfer the last root to a third manager and back.
 		last := r1[len(r1)-1]
 		m3 := New(nv)
-		if back := m1.CopyFrom(m3, m3.CopyFrom(m1, last)); back != last {
+		if back := copyFrom(m1, m3, copyFrom(m3, m1, last)); back != last {
 			t.Fatalf("transfer round trip changed node: %d -> %d", last, back)
 		}
 	})

@@ -113,19 +113,3 @@ func (t *Transfer) copyRec(n Node) Node {
 	t.memo[n-t.shared] = r
 	return r
 }
-
-// CopyFrom imports the boolean function rooted at n in src into m and
-// returns the equivalent node in m: a one-shot Transfer. Callers
-// copying several roots between the same pair of managers should hold a
-// Transfer session instead and amortize the memo.
-//
-// CopyFrom with src == m returns n unchanged.
-func (m *Manager) CopyFrom(src *Manager, n Node) Node {
-	if src == nil {
-		panic("bdd: CopyFrom from nil manager")
-	}
-	if src == m {
-		return n
-	}
-	return m.BeginTransfer(src).Copy(n)
-}

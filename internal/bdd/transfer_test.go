@@ -23,13 +23,17 @@ func enumerate(m *Manager, a Node) []bool {
 	return out
 }
 
+// copyFrom imports one root from src into dst through a session of its
+// own: the one-shot form of a Transfer.
+func copyFrom(dst, src *Manager, n Node) Node { return dst.BeginTransfer(src).Copy(n) }
+
 func TestCopyFromPreservesFunction(t *testing.T) {
 	src := New(8)
 	dst := New(8)
 	rng := rand.New(rand.NewSource(11))
 	f := func(seed int64) bool {
 		a := randomNode(src, rng, 8)
-		c := dst.CopyFrom(src, a)
+		c := copyFrom(dst, src, a)
 		want := enumerate(src, a)
 		got := enumerate(dst, c)
 		for i := range want {
@@ -53,7 +57,7 @@ func TestCopyFromCanonicalInDestination(t *testing.T) {
 		return m.Or(m.And(m.Var(0), m.Var(2)), m.Diff(m.Var(4), m.Var(1)))
 	}
 	native := build(dst)
-	copied := dst.CopyFrom(src, build(src))
+	copied := copyFrom(dst, src, build(src))
 	if native != copied {
 		t.Errorf("transferred node %d != natively built node %d", copied, native)
 	}
@@ -62,14 +66,14 @@ func TestCopyFromCanonicalInDestination(t *testing.T) {
 func TestCopyFromTerminalsAndSelf(t *testing.T) {
 	src := New(4)
 	dst := New(4)
-	if got := dst.CopyFrom(src, False); got != False {
-		t.Errorf("CopyFrom(False) = %d", got)
+	if got := copyFrom(dst, src, False); got != False {
+		t.Errorf("copyFrom(False) = %d", got)
 	}
-	if got := dst.CopyFrom(src, True); got != True {
-		t.Errorf("CopyFrom(True) = %d", got)
+	if got := copyFrom(dst, src, True); got != True {
+		t.Errorf("copyFrom(True) = %d", got)
 	}
 	a := src.And(src.Var(0), src.Var(1))
-	if got := src.CopyFrom(src, a); got != a {
+	if got := copyFrom(src, src, a); got != a {
 		t.Errorf("self-copy changed node: %d != %d", got, a)
 	}
 }
@@ -80,7 +84,7 @@ func TestCopyFromMismatchedUniversePanics(t *testing.T) {
 			t.Fatal("expected panic for mismatched variable counts")
 		}
 	}()
-	New(4).CopyFrom(New(5), True)
+	copyFrom(New(4), New(5), True)
 }
 
 func TestCopyFromChargesDestinationBudget(t *testing.T) {
@@ -92,7 +96,7 @@ func TestCopyFromChargesDestinationBudget(t *testing.T) {
 	}
 	dst := New(16)
 	dst.SetLimits(Limits{MaxNodes: 3})
-	err := Guard(func() { dst.CopyFrom(src, a) })
+	err := Guard(func() { copyFrom(dst, src, a) })
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -104,7 +108,7 @@ func TestCopyFromChargesDestinationBudget(t *testing.T) {
 	}
 	// A fresh budget clears the poison and the transfer completes.
 	dst.SetLimits(Limits{})
-	if err := Guard(func() { dst.CopyFrom(src, a) }); err != nil {
+	if err := Guard(func() { copyFrom(dst, src, a) }); err != nil {
 		t.Fatalf("transfer after reset: %v", err)
 	}
 	if dst.BudgetErr() != nil {

@@ -1,6 +1,6 @@
 // Binary trace snapshots over the BDD arena format.
 //
-// The JSON snapshot (snapshot.go) serializes packet sets as cube lists —
+// The legacy JSON snapshot (snapshot.go) serializes sets as cube lists —
 // exact, but cube extraction can blow up for sets with many disjoint
 // cubes, and decoding re-derives every set through full BDD apply
 // chains. The arena snapshot instead persists the sets *as a BDD*: the
@@ -53,7 +53,7 @@ const (
 // ErrSnapshotFormat marks a structurally invalid arena snapshot: wrong
 // magic, truncation, a failed checksum, or indices that do not resolve
 // against the network. (A valid snapshot of a *different* network is
-// ErrSnapshotMismatch, as with the JSON codec.)
+// ErrSnapshotMismatch, as with the legacy JSON snapshot.)
 var ErrSnapshotFormat = errors.New("core: invalid arena snapshot")
 
 // IsSnapshotArena reports whether data begins with the arena snapshot

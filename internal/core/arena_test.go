@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -117,41 +118,47 @@ func TestSaveSnapshotArenaAndSniffingLoad(t *testing.T) {
 	cn, tr := snapFixture(t)
 	dir := t.TempDir()
 
-	// Arena file loads through the same LoadSnapshot entry point.
+	fp := mustFingerprint(t, cn.n)
+
+	// Arena file loads through the same LoadSnapshot entry point. Saving
+	// twice overwrites atomically and leaves no temp file behind.
 	ap := filepath.Join(dir, "arena.snap")
-	if err := SaveSnapshotArena(ap, cn.n, tr); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := SaveSnapshotArena(ap, cn.n, fp, tr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, err := LoadSnapshot(ap, cn.n)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("snapshot directory holds %d entries (err %v), want arena.snap alone", len(entries), err)
+	}
+	got, legacy, err := LoadSnapshot(ap, cn.n, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(tr) {
-		t.Error("arena snapshot differs after LoadSnapshot")
+	if legacy || !got.Equal(tr) {
+		t.Errorf("arena snapshot after LoadSnapshot: legacy %v, equal %v", legacy, got.Equal(tr))
 	}
 
 	// JSON files still load (the codec is sniffed, not configured).
 	jp := filepath.Join(dir, "json.snap")
-	if err := SaveSnapshot(jp, cn.n, tr); err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := LoadSnapshot(jp, cn.n)
+	SaveSnapshot(t, jp, cn.n, tr)
+	gotJSON, legacy, err := LoadSnapshot(jp, cn.n, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotJSON.Equal(tr) {
-		t.Error("JSON snapshot differs after LoadSnapshot")
+	if !legacy || !gotJSON.Equal(tr) {
+		t.Errorf("JSON snapshot after LoadSnapshot: legacy %v, equal %v", legacy, gotJSON.Equal(tr))
 	}
 
 	// Missing files still surface fs.ErrNotExist for the restore path.
-	if _, err := LoadSnapshot(filepath.Join(dir, "nope"), cn.n); !errors.Is(err, fs.ErrNotExist) {
+	if _, _, err := LoadSnapshot(filepath.Join(dir, "nope"), cn.n, fp); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("missing file err = %v, want fs.ErrNotExist", err)
 	}
 
 	// Restore must charge the live manager's budget: a poisoned-tight
 	// budget degrades into an error, not a panic.
 	cn.n.Space.SetLimits(bdd.Limits{MaxOps: 1})
-	if _, err := LoadSnapshot(ap, cn.n); !errors.Is(err, bdd.ErrBudgetExceeded) {
+	if _, _, err := LoadSnapshot(ap, cn.n, fp); !errors.Is(err, bdd.ErrBudgetExceeded) {
 		t.Errorf("budgeted restore err = %v, want ErrBudgetExceeded", err)
 	}
 	cn.n.Space.SetLimits(bdd.Limits{})

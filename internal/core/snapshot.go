@@ -21,10 +21,10 @@ import (
 // matches, since rule and location IDs are meaningless against any
 // other network.
 
-// ErrSnapshotMismatch is returned by DecodeSnapshot and LoadSnapshot
-// when the snapshot was recorded against a different network than the
-// one provided. Callers should discard the snapshot and start from an
-// empty trace.
+// ErrSnapshotMismatch is returned by the snapshot decoders and
+// LoadSnapshot when the snapshot was recorded against a different
+// network than the one provided. Callers should discard the snapshot
+// and start from an empty trace.
 var ErrSnapshotMismatch = errors.New("core: snapshot network fingerprint mismatch")
 
 // Fingerprint returns a stable hex digest identifying a network's
@@ -43,63 +43,36 @@ type snapshotJSON struct {
 	Trace       json.RawMessage `json:"trace"`
 }
 
-// EncodeSnapshot writes the trace plus the network's fingerprint.
-func EncodeSnapshot(w io.Writer, net *netmodel.Network, t *Trace) error {
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return err
-	}
-	var trace bytes.Buffer
-	if err := t.EncodeJSON(&trace); err != nil {
-		return fmt.Errorf("core: encode snapshot trace: %w", err)
-	}
-	return json.NewEncoder(w).Encode(snapshotJSON{
-		Fingerprint: fp,
-		Trace:       json.RawMessage(trace.Bytes()),
-	})
-}
-
-// DecodeSnapshot reads a snapshot recorded against net. It returns
-// ErrSnapshotMismatch when the fingerprint does not match net's.
-func DecodeSnapshot(r io.Reader, net *netmodel.Network) (*Trace, error) {
+// DecodeSnapshot reads a legacy JSON snapshot — a fingerprint beside
+// the cube-JSON trace, what checkpoints were before the arena codec —
+// recorded against net, whose fingerprint the caller holds. It returns
+// ErrSnapshotMismatch when the snapshot names another fingerprint.
+// Nothing writes this format any more; the reader stays so a daemon
+// upgrades across a restart.
+func DecodeSnapshot(r io.Reader, net *netmodel.Network, fingerprint string) (*Trace, error) {
 	var sj snapshotJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sj); err != nil {
 		return nil, fmt.Errorf("core: decode snapshot: %w", err)
 	}
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return nil, err
-	}
-	if sj.Fingerprint != fp {
+	if sj.Fingerprint != fingerprint {
 		return nil, ErrSnapshotMismatch
 	}
 	return DecodeTraceJSON(net, bytes.NewReader(sj.Trace))
 }
 
-// SaveSnapshot atomically writes a JSON snapshot file: the snapshot is
-// written to a temporary file in the same directory and renamed into
-// place, so a crash mid-write never corrupts the previous snapshot.
-func SaveSnapshot(path string, net *netmodel.Network, t *Trace) error {
-	return saveAtomic(path, func(w io.Writer) error { return EncodeSnapshot(w, net, t) })
-}
-
-// SaveSnapshotArena is SaveSnapshot over the binary arena codec
-// (EncodeSnapshotArena): same atomic write, sets persisted as a BDD
-// arena instead of cube lists. LoadSnapshot reads either format.
-func SaveSnapshotArena(path string, net *netmodel.Network, t *Trace) error {
-	return saveAtomic(path, func(w io.Writer) error { return EncodeSnapshotArena(w, net, t) })
-}
-
-func saveAtomic(path string, encode func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// SaveSnapshotArena atomically writes the trace as an arena snapshot
+// (EncodeFragmentArena) stamped with fingerprint, net's: the bytes go
+// to a temporary file in the same directory that is renamed into place,
+// so a crash mid-write never corrupts the previous snapshot.
+func SaveSnapshotArena(path string, net *netmodel.Network, fingerprint string, t *Trace) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("core: save snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := encode(tmp); err != nil {
+	if err := EncodeFragmentArena(tmp, net, fingerprint, t); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -112,18 +85,21 @@ func saveAtomic(path string, encode func(io.Writer) error) error {
 	return nil
 }
 
-// LoadSnapshot reads a snapshot file recorded against net, sniffing the
-// codec by magic: arena snapshots (SaveSnapshotArena) decode through
-// DecodeSnapshotArena, anything else through the JSON codec. It returns
-// fs.ErrNotExist (wrapped) when no snapshot exists and
-// ErrSnapshotMismatch when the snapshot belongs to a different network.
-func LoadSnapshot(path string, net *netmodel.Network) (*Trace, error) {
+// LoadSnapshot reads a snapshot file recorded against net, whose
+// fingerprint the caller holds, sniffing the codec by magic: an arena
+// snapshot (SaveSnapshotArena) or, with legacy reported true, a JSON one
+// (DecodeSnapshot). It returns fs.ErrNotExist (wrapped) when no snapshot
+// exists and ErrSnapshotMismatch when the snapshot belongs to a
+// different network.
+func LoadSnapshot(path string, net *netmodel.Network, fingerprint string) (t *Trace, legacy bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if IsSnapshotArena(data) {
-		return DecodeSnapshotArena(data, net)
+	if legacy = !IsSnapshotArena(data); legacy {
+		t, err = DecodeSnapshot(bytes.NewReader(data), net, fingerprint)
+	} else {
+		t, err = DecodeFragment(data, net, fingerprint)
 	}
-	return DecodeSnapshot(bytes.NewReader(data), net)
+	return t, legacy, err
 }

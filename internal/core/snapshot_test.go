@@ -1,11 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"yardstick/internal/dataplane"
@@ -54,6 +55,38 @@ func buildVariantNet(t testing.TB) *netmodel.Network {
 	return n
 }
 
+// mustFingerprint is Fingerprint for a test that holds one network.
+func mustFingerprint(tb testing.TB, net *netmodel.Network) string {
+	tb.Helper()
+	fp, err := Fingerprint(net)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fp
+}
+
+// SaveSnapshot writes a legacy JSON snapshot file: the network's
+// fingerprint beside the cube-JSON trace. Production code only reads
+// this format (DecodeSnapshot); this writer is the fixture that keeps
+// the reader tested.
+func SaveSnapshot(tb testing.TB, path string, net *netmodel.Network, t *Trace) {
+	tb.Helper()
+	var trace bytes.Buffer
+	if err := t.EncodeJSON(&trace); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := json.Marshal(snapshotJSON{
+		Fingerprint: mustFingerprint(tb, net),
+		Trace:       json.RawMessage(trace.Bytes()),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	cn := buildChain(t)
 	tr := NewTrace()
@@ -61,13 +94,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	tr.MarkPacket(dataplane.Injected(cn.d1), cn.n.Space.DstPrefix(pfx(t, "10.0.0.0/16")))
 
 	path := filepath.Join(t.TempDir(), "trace.snap")
-	if err := SaveSnapshot(path, cn.n, tr); err != nil {
-		t.Fatal(err)
-	}
+	SaveSnapshot(t, path, cn.n, tr)
 
-	got, err := LoadSnapshot(path, cn.n)
+	got, legacy, err := LoadSnapshot(path, cn.n, mustFingerprint(t, cn.n))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !legacy {
+		t.Error("a JSON snapshot should load as legacy")
 	}
 	if !got.RuleMarked(cn.r1) {
 		t.Error("restored trace lost the marked rule")
@@ -76,20 +110,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !got.PacketsAt(cn.n.Space, dataplane.Injected(cn.d1)).Equal(want) {
 		t.Error("restored trace packets differ")
 	}
-
-	// Saving again overwrites atomically and leaves no temp files.
-	if err := SaveSnapshot(path, cn.n, tr); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Errorf("leftover temp file %s", e.Name())
-		}
-	}
 }
 
 func TestSnapshotFingerprintMismatch(t *testing.T) {
@@ -97,18 +117,17 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 	tr := NewTrace()
 	tr.MarkRule(cn.r1)
 	path := filepath.Join(t.TempDir(), "trace.snap")
-	if err := SaveSnapshot(path, cn.n, tr); err != nil {
-		t.Fatal(err)
-	}
+	SaveSnapshot(t, path, cn.n, tr)
 
-	if _, err := LoadSnapshot(path, buildVariantNet(t)); !errors.Is(err, ErrSnapshotMismatch) {
+	other := buildVariantNet(t)
+	if _, _, err := LoadSnapshot(path, other, mustFingerprint(t, other)); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Errorf("LoadSnapshot against a different network = %v, want ErrSnapshotMismatch", err)
 	}
 }
 
 func TestLoadSnapshotMissing(t *testing.T) {
 	cn := buildChain(t)
-	_, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), cn.n)
+	_, _, err := LoadSnapshot(filepath.Join(t.TempDir(), "absent.snap"), cn.n, mustFingerprint(t, cn.n))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("LoadSnapshot on missing file = %v, want fs.ErrNotExist", err)
 	}

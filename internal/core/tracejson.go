@@ -79,7 +79,9 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 // arena magic goes to DecodeSnapshotArena (checksum and fingerprint
 // checked), anything else is the exact-cube JSON this file writes. A
 // peer that answers an arena request with JSON, or the reverse, is
-// therefore decoded by what it sent, never by what was asked for.
+// therefore decoded by what it sent, never by what was asked for. The
+// arena branch fingerprints net on every call; a caller that already
+// holds the fingerprint uses DecodeFragment, the same sniff without it.
 func DecodeTraceJSON(net *netmodel.Network, r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(len(snapMagic)); IsSnapshotArena(head) {

@@ -37,9 +37,6 @@ func NewTransfer(src, dst *Space) *Transfer {
 // Src returns the session's source space.
 func (t *Transfer) Src() *Space { return t.src }
 
-// Dst returns the session's destination space.
-func (t *Transfer) Dst() *Space { return t.dst }
-
 // Move imports a set from the session's source space and returns the
 // equivalent set in the destination, canonical there (node-equal to the
 // same set built natively).
@@ -48,34 +45,4 @@ func (t *Transfer) Move(a Set) Set {
 		panic("hdr: Move of a set from outside the session's source space")
 	}
 	return Set{t.dst, t.tr.Copy(a.n)}
-}
-
-// TransferTo copies the set into dst's BDD space and returns the
-// equivalent set there. Spaces must be of the same family. The transfer
-// is an exact node-by-node DAG copy (bdd.Manager.CopyFrom) — no cube
-// round-trip — so it is linear in the set's representation size and the
-// result is canonical in dst: a transferred set is node-equal to the
-// same set built natively in dst.
-//
-// Callers moving several sets between the same pair of spaces should
-// hold a Transfer session instead and amortize the memo.
-//
-// The copy reads the source manager and writes dst's, so the caller must
-// hold both spaces single-threaded for the duration. Charged work counts
-// against dst's limits and watched context. Transferring to the set's own
-// space returns the set unchanged.
-func (a Set) TransferTo(dst *Space) Set {
-	if a.sp == nil {
-		panic("hdr: TransferTo of zero Set")
-	}
-	if dst == nil {
-		panic("hdr: TransferTo to nil space")
-	}
-	if a.sp == dst {
-		return a
-	}
-	if a.sp.family != dst.family {
-		panic(fmt.Sprintf("hdr: TransferTo across families (%v -> %v)", a.sp.family, dst.family))
-	}
-	return Set{dst, dst.m.CopyFrom(a.sp.m, a.n)}
 }

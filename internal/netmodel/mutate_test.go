@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"yardstick/internal/bdd"
+	"yardstick/internal/hdr"
 )
 
 // buildMutable builds a two-device network with overlapping FIBs and an
@@ -65,8 +66,9 @@ func assertRebuildEquivalent(t *testing.T, live *Network) {
 	if len(rb.Rules) != len(live.Rules) {
 		t.Fatalf("rebuild has %d rules, live %d", len(rb.Rules), len(live.Rules))
 	}
+	tr := hdr.NewTransfer(rb.Space, live.Space)
 	for _, r := range live.Rules {
-		want := rb.Rule(r.ID).MatchSet().TransferTo(live.Space)
+		want := tr.Move(rb.Rule(r.ID).MatchSet())
 		if !r.MatchSet().Equal(want) {
 			t.Fatalf("rule %d (dev %d): incremental match set differs from rebuild", r.ID, r.Device)
 		}

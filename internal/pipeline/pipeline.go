@@ -105,11 +105,9 @@ type Config struct {
 	// across workers; see internal/sharded).
 	Limits bdd.Limits
 	// Workers is the suite parallelism per evaluated state: when > 1,
-	// the state's builder replicates the network once per worker and the
-	// suite partitions across them (internal/sharded); 0 or 1 evaluates
-	// sequentially. Results and metrics are identical either way — only
-	// wall-clock time changes. Builders must be deterministic, which
-	// Before/After already promise (both sides are *computed* states).
+	// the suite partitions across that many clones of the built network
+	// (internal/sharded); 0 or 1 evaluates sequentially. Results and
+	// metrics are identical either way — only wall-clock time changes.
 	Workers int
 	// Metrics, when set, turns on instrumentation: Run builds a span
 	// tree (Result.Profile) whose stage durations and BDD counter deltas
@@ -218,16 +216,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			truncated bool
 		)
 		if cfg.Workers > 1 {
-			// Parallel suite evaluation: replicate the state via its own
-			// builder, run shards, merge traces into this (canonical)
-			// space. Shard budget trips and cancellation surface here
-			// with the same error semantics as the sequential guard. The
-			// suite span rides the context so shard spans nest under it.
+			// Parallel suite evaluation: clone the state per worker, run
+			// shards, merge traces into this (canonical) space. Shard
+			// budget trips and cancellation surface here with the same
+			// error semantics as the sequential guard. The suite span
+			// rides the context so shard spans nest under it.
 			ssp := stage.Child("pipeline.suite")
 			sctx := obs.ContextWithSpan(ctx, ssp)
 			eng, err := sharded.New(sctx, net, sharded.Config{
 				Workers: cfg.Workers,
-				Build:   build,
 				Limits:  cfg.Limits,
 			})
 			if err != nil {

@@ -332,18 +332,28 @@ func (panicTest) Run(*netmodel.Network, core.Tracker) testkit.Result {
 
 func TestWorkersMatchesSequential(t *testing.T) {
 	// The parallel evaluation path must be invisible in the output:
-	// identical verdict, test results, and coverage metrics.
+	// identical verdict, test results, and coverage metrics. Workers
+	// evaluate clones of the built state, so each builder runs once
+	// whatever the parallelism.
 	opts := smallOpts()
 	run := func(workers int) *Result {
 		t.Helper()
+		builds := 0
+		counted := func() (*netmodel.Network, error) {
+			builds++
+			return regionalBuilder(opts)()
+		}
 		res, err := Run(context.Background(), Config{
-			Before:  regionalBuilder(opts),
-			After:   regionalBuilder(opts),
+			Before:  counted,
+			After:   counted,
 			Suite:   suite(),
 			Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if builds != 2 {
+			t.Errorf("workers=%d: %d builder calls, want one each for before and after", workers, builds)
 		}
 		return res
 	}

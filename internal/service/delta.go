@@ -7,7 +7,6 @@ import (
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/delta"
-	"yardstick/internal/netmodel"
 )
 
 // Registry metric names of the churn path.
@@ -53,7 +52,7 @@ func (d *deltaTotals) report() DeltaReport {
 // re-derived, the accumulated trace is remapped onto the new rule
 // universe (dropped rule marks become reported coverage decay), and the
 // response carries per-device coverage drift — all without resetting
-// the trace or the replica pool, which is the whole point versus PUT.
+// the trace, which is the whole point versus PUT.
 //
 // Preconditions map to statuses the way a conditional request should:
 // no network is 409, a stale base fingerprint is 409 with the current
@@ -95,10 +94,7 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 		var bm *delta.BaseMismatchError
 		switch {
 		case errors.As(aerr, &bm):
-			writeJSON(w, http.StatusConflict, map[string]string{
-				"error":   bm.Error(),
-				"current": bm.Current,
-			})
+			fingerprintConflict(w, bm, bm.Current)
 			return
 		case errors.Is(aerr, delta.ErrDriftIncomplete):
 			// Applied; only the report is degraded. Fall through as a
@@ -121,24 +117,9 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 	s.delta.rulesModified += int64(applied.Modified)
 	s.delta.marksDropped += int64(applied.Decay.DroppedMarks)
 	s.metrics.Counter(MetricDeltaApplied).Inc()
-	// Keep the replica pool aligned by replaying the same ops into each
-	// replica. A replica-side failure (its own budget, a divergence) must
-	// not fail the request — the canonical network is the truth — but the
-	// pool is torn, so discard it and let the next parallel run rebuild.
-	if s.engine != nil {
-		perr := bdd.Guard(func() {
-			aerr = s.engine.Patch(func(n *netmodel.Network) error {
-				return delta.ApplyOps(n, doc.Ops)
-			})
-		})
-		if perr == nil {
-			perr = aerr
-		}
-		if perr != nil {
-			s.logger.Warn("replica pool diverged on delta; discarding", "err", perr)
-			s.engine = nil
-		}
-	}
+	// The replicas are clones of the pre-delta network; the next parallel
+	// run clones the patched one.
+	s.engine = nil
 	if driftIncomplete {
 		applied.Drift = nil
 	}

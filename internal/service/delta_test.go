@@ -28,6 +28,23 @@ func marshal(t *testing.T, v any) []byte {
 	return b
 }
 
+// mixedOps is one batch against net's rule universe with an op of each
+// kind: drop rule 0, repoint rule 1, add a blackhole on rule 1's device.
+func mixedOps(net *netmodel.Network) []delta.Op {
+	mod := net.RuleSpecOf(1)
+	mod.Match.Dst = "10.99.0.0/16"
+	add := netmodel.RuleSpec{
+		Device: mod.Device, Table: "fib", Action: "drop",
+		Match:  netmodel.MatchSpec{Dst: "10.123.0.0/16"},
+		Origin: "static",
+	}
+	return []delta.Op{
+		{Op: delta.OpRemove, Rule: 0},
+		{Op: delta.OpModify, Rule: 1, Spec: &mod},
+		{Op: delta.OpAdd, Spec: &add},
+	}
+}
+
 func TestPatchNetwork(t *testing.T) {
 	ts, rg := newTestServer(t)
 
@@ -43,18 +60,7 @@ func TestPatchNetwork(t *testing.T) {
 		t.Fatal("GET /network carries no fingerprint")
 	}
 
-	mod := rg.Net.RuleSpecOf(1)
-	mod.Match.Dst = "10.99.0.0/16"
-	add := netmodel.RuleSpec{
-		Device: mod.Device, Table: "fib", Action: "drop",
-		Match:  netmodel.MatchSpec{Dst: "10.123.0.0/16"},
-		Origin: "static",
-	}
-	doc := delta.Document{Base: before.Fingerprint, Ops: []delta.Op{
-		{Op: delta.OpRemove, Rule: 0},
-		{Op: delta.OpModify, Rule: 1, Spec: &mod},
-		{Op: delta.OpAdd, Spec: &add},
-	}}
+	doc := delta.Document{Base: before.Fingerprint, Ops: mixedOps(rg.Net)}
 	var ap delta.Applied
 	doJSON(t, "PATCH", ts.URL+"/network", marshal(t, doc), http.StatusOK, &ap)
 	if ap.Removed != 1 || ap.Modified != 1 || ap.Added != 1 {
@@ -93,6 +99,55 @@ func TestPatchNetwork(t *testing.T) {
 	}
 	if st.Delta.NetworkResets != 0 {
 		t.Errorf("networkResets = %d on a delta-only history", st.Delta.NetworkResets)
+	}
+}
+
+// TestPatchInvalidatesPool: a PATCH drops the replica pool a parallel
+// run built, so the next parallel run clones the patched network. The
+// trace and coverage table it produces must be byte-identical to a fresh
+// server loaded with the patched network running the same suites
+// sequentially.
+func TestPatchInvalidatesPool(t *testing.T) {
+	const suites = "default,internal,reach,pingmesh"
+	opts := topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	}
+	rg, err := topogen.BuildRegional(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := mixedOps(rg.Net)
+
+	par := httptest.NewServer(WithNetwork(rg.Net, WithWorkers(2), WithLogger(discardLogger())).Handler())
+	defer par.Close()
+	doJSON(t, "POST", par.URL+"/run?workers=2&suite="+suites, nil, http.StatusOK, nil) // builds the pool
+	var ap delta.Applied
+	doJSON(t, "PATCH", par.URL+"/network", marshal(t, delta.Document{Ops: ops}), http.StatusOK, &ap)
+	doJSON(t, "DELETE", par.URL+"/trace", nil, http.StatusNoContent, nil)
+	doJSON(t, "POST", par.URL+"/run?workers=2&suite="+suites, nil, http.StatusOK, nil)
+
+	patched, err := topogen.BuildRegional(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := delta.ApplyOps(patched.Net, ops); err != nil {
+		t.Fatal(err)
+	}
+	seq := httptest.NewServer(WithNetwork(patched.Net, WithLogger(discardLogger())).Handler())
+	defer seq.Close()
+	if fp := netStats(t, seq.URL).Fingerprint; fp != ap.Fingerprint {
+		t.Fatalf("patched twin fingerprint %s, PATCH reported %s", fp, ap.Fingerprint)
+	}
+	doJSON(t, "POST", seq.URL+"/run?suite="+suites, nil, http.StatusOK, nil)
+
+	if a, b := getBody(t, par.URL+"/trace"), getBody(t, seq.URL+"/trace"); !bytes.Equal(a, b) {
+		t.Error("trace after PATCH + parallel run differs from a sequential run on the patched network")
+	}
+	parTotal, parByRole := covTable(t, par.URL)
+	seqTotal, seqByRole := covTable(t, seq.URL)
+	if !bytes.Equal(parTotal, seqTotal) || !bytes.Equal(parByRole, seqByRole) {
+		t.Errorf("coverage table differs:\n parallel   %s %s\n sequential %s %s", parTotal, parByRole, seqTotal, seqByRole)
 	}
 }
 

@@ -502,11 +502,7 @@ func (s *Server) checkpointJobsLocked() error {
 	if s.jobsPath == "" || s.net == nil {
 		return nil
 	}
-	fp, err := core.Fingerprint(s.net)
-	if err != nil {
-		return err
-	}
-	return jobs.Save(s.jobsPath, fp, s.jobs.Records())
+	return jobs.Save(s.jobsPath, s.fingerprintLocked(), s.jobs.Records())
 }
 
 // restoreJobsLocked recovers persisted job records. Missing files and
@@ -516,11 +512,7 @@ func (s *Server) restoreJobsLocked() (int, error) {
 	if s.jobsPath == "" || s.net == nil {
 		return 0, nil
 	}
-	fp, err := core.Fingerprint(s.net)
-	if err != nil {
-		return 0, err
-	}
-	recs, err := jobs.Load(s.jobsPath, fp)
+	recs, err := jobs.Load(s.jobsPath, s.fingerprintLocked())
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return 0, nil

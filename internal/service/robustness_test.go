@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,32 +283,6 @@ func TestRestartFromArenaCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The coverage table as served: raw JSON of the total and per-role
-	// rows, bytes untouched.
-	covTable := func(url string) (total, byRole json.RawMessage) {
-		t.Helper()
-		resp, err := http.Get(url + "/coverage")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /coverage = %d: %s", resp.StatusCode, body)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep struct {
-			Total  json.RawMessage `json:"total"`
-			ByRole json.RawMessage `json:"byRole"`
-		}
-		if err := json.Unmarshal(body, &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep.Total, rep.ByRole
-	}
-
 	srv1 := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
 	ts1 := httptest.NewServer(srv1.Handler())
 	local := core.NewTrace()
@@ -320,7 +296,7 @@ func TestRestartFromArenaCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	doJSON(t, "POST", ts1.URL+"/trace", frag.Bytes(), http.StatusOK, nil)
-	totalBefore, byRoleBefore := covTable(ts1.URL)
+	totalBefore, byRoleBefore := covTable(t, ts1.URL)
 
 	if err := srv1.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -356,12 +332,148 @@ func TestRestartFromArenaCheckpoint(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
-	totalAfter, byRoleAfter := covTable(ts2.URL)
+	totalAfter, byRoleAfter := covTable(t, ts2.URL)
 	if !bytes.Equal(totalBefore, totalAfter) {
 		t.Errorf("total row changed across restart:\n before %s\n after  %s", totalBefore, totalAfter)
 	}
 	if !bytes.Equal(byRoleBefore, byRoleAfter) {
 		t.Errorf("per-role rows changed across restart:\n before %s\n after  %s", byRoleBefore, byRoleAfter)
+	}
+}
+
+// TestRestartFromLegacyJSONCheckpoint: a checkpoint in the JSON format
+// daemons wrote before the arena codec still restores, with exactly one
+// deprecation warning, and the next Checkpoint rewrites it as an arena.
+func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "trace.snap")
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.NewTrace()
+	want.MarkPacket(dataplane.Injected(rg.ToRs[0]), rg.Net.Space.DstPrefix(rg.HostPrefix[rg.ToRs[1]]))
+	want.MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
+
+	// The legacy envelope: the network fingerprint beside the cube-JSON
+	// trace.
+	fp, err := core.Fingerprint(rg.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cubes bytes.Buffer
+	if err := want.EncodeJSON(&cubes); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(map[string]any{"fingerprint": fp, "trace": json.RawMessage(cubes.Bytes())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, legacy, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	srv := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	restored, err := srv.Restore()
+	if err != nil || !restored {
+		t.Fatalf("Restore from a JSON checkpoint = %v, %v", restored, err)
+	}
+	if !srv.trace.Equal(want) {
+		t.Error("restored trace differs from the checkpointed one")
+	}
+	if n := strings.Count(logs.String(), "deprecated"); n != 1 {
+		t.Errorf("%d deprecation warnings, want 1:\n%s", n, logs.String())
+	}
+
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.IsSnapshotArena(raw) {
+		t.Fatalf("checkpoint after a legacy restore is not an arena (starts %q)", raw[:min(8, len(raw))])
+	}
+	logs.Reset()
+	again := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
+	if restored, err := again.Restore(); err != nil || !restored || !again.trace.Equal(want) {
+		t.Fatalf("Restore from the rewritten checkpoint = %v, %v", restored, err)
+	}
+	if strings.Contains(logs.String(), "deprecated") {
+		t.Errorf("arena restore logged a deprecation warning:\n%s", logs.String())
+	}
+}
+
+// TestCheckpointReusesFingerprint keeps the persistence and trace-ingest
+// paths on the fingerprint the server already caches: Checkpoint, Restore
+// and POST /trace each run under s.mu, and hashing the network's JSON
+// there (64 KB of encoder buffer a call, tens of milliseconds on a
+// datacenter-sized network) stalls every reader for nothing. Each may
+// allocate what its codec call allocates plus well under one fingerprint.
+func TestCheckpointReusesFingerprint(t *testing.T) {
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "trace.snap")
+	srv := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
+	srv.trace.MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
+	fp := srv.fingerprintLocked()
+	var arena bytes.Buffer
+	if err := core.EncodeFragmentArena(&arena, rg.Net, fp, srv.trace); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+
+	// worst is the most f allocated over a few calls, after one to settle
+	// lazily built state.
+	worst := func(f func()) uint64 {
+		f()
+		var worst uint64
+		for i := 0; i < 4; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			worst = max(worst, after.TotalAlloc-before.TotalAlloc)
+		}
+		return worst
+	}
+	encode := worst(func() { core.EncodeFragmentArena(io.Discard, rg.Net, fp, srv.trace) })
+	decode := worst(func() { core.DecodeFragment(arena.Bytes(), rg.Net, fp) })
+	const slack = 32 << 10
+	for _, c := range []struct {
+		name  string
+		codec uint64
+		f     func()
+	}{
+		{"Checkpoint", encode, func() {
+			if err := srv.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"Restore", decode, func() {
+			if ok, err := srv.Restore(); err != nil || !ok {
+				t.Fatal(ok, err)
+			}
+		}},
+		{"POST /trace", decode, func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/trace", bytes.NewReader(arena.Bytes())))
+			if rec.Code != http.StatusOK {
+				t.Fatal(rec.Code, rec.Body.String())
+			}
+		}},
+	} {
+		got := worst(c.f)
+		t.Logf("%s: %d bytes, codec alone %d", c.name, got, c.codec)
+		if got > c.codec+slack {
+			t.Errorf("%s allocated %d bytes, %d more than its codec call: is it fingerprinting the network again?", c.name, got, got-c.codec)
+		}
 	}
 }
 
@@ -385,7 +497,7 @@ func TestCheckpointerFinalSave(t *testing.T) {
 	cancel()
 	<-done
 
-	got, err := core.LoadSnapshot(snap, rg.Net)
+	got, _, err := core.LoadSnapshot(snap, rg.Net, srv.fingerprintLocked())
 	if err != nil {
 		t.Fatalf("no snapshot after checkpointer shutdown: %v", err)
 	}

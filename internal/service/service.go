@@ -72,6 +72,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log/slog"
 	"net/http"
@@ -361,6 +362,13 @@ func decodeError(w http.ResponseWriter, what string, err error) {
 	httpError(w, http.StatusBadRequest, "parse %s: %v", what, err)
 }
 
+// fingerprintConflict answers 409 to a body that names another network
+// than the loaded one (a delta's base, a trace arena's fingerprint),
+// carrying the current fingerprint so the client can re-read and retry.
+func fingerprintConflict(w http.ResponseWriter, err error, current string) {
+	writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error(), "current": current})
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -485,8 +493,18 @@ func (s *Server) postTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "no network loaded")
 		return
 	}
-	frag, err := core.DecodeTraceJSON(s.net, r.Body)
+	data, err := io.ReadAll(r.Body)
 	if err != nil {
+		decodeError(w, "trace", err)
+		return
+	}
+	frag, err := core.DecodeFragment(data, s.net, s.fingerprintLocked())
+	switch {
+	case errors.Is(err, core.ErrSnapshotMismatch):
+		// A well-formed arena recorded against another network.
+		fingerprintConflict(w, err, s.fingerprintLocked())
+		return
+	case err != nil:
 		decodeError(w, "trace", err)
 		return
 	}
@@ -705,12 +723,7 @@ func (s *Server) requestWorkers(r *http.Request) (int, error) {
 // error describes the abort.
 func (s *Server) runSharded(ctx context.Context, suite testkit.Suite, n int, into *core.Trace) ([]testkit.Result, error) {
 	if s.engine == nil {
-		// Build nil selects clone-based replicas: each worker space is an
-		// O(size) arena snapshot of the canonical network, carrying its
-		// match sets by node index.
-		eng, err := sharded.New(ctx, s.net, sharded.Config{
-			Workers: s.maxWorkers,
-		})
+		eng, err := sharded.New(ctx, s.net, sharded.Config{Workers: s.maxWorkers})
 		if err != nil {
 			return nil, fmt.Errorf("building worker pool: %w", err)
 		}
@@ -1097,17 +1110,17 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 
 // Checkpoint writes the current trace and job records to their snapshot
 // files (atomic rename; see core.SaveSnapshotArena and jobs.Save). The
-// trace goes out in the binary arena codec — sets persisted as a BDD
-// dump, no cube extraction — and Restore reads either codec, so daemons
-// upgrade from JSON checkpoints transparently. It is a no-op without
-// WithSnapshot or before a network is loaded.
+// trace goes out as a YSS1 arena — sets persisted as a BDD dump, no cube
+// extraction — under the cached network fingerprint, so a checkpoint
+// never re-encodes the network. It is a no-op without WithSnapshot or
+// before a network is loaded.
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.snapPath == "" || s.net == nil {
 		return nil
 	}
-	if err := core.SaveSnapshotArena(s.snapPath, s.net, s.trace); err != nil {
+	if err := core.SaveSnapshotArena(s.snapPath, s.net, s.fingerprintLocked(), s.trace); err != nil {
 		return err
 	}
 	return s.checkpointJobsLocked()
@@ -1117,8 +1130,10 @@ func (s *Server) Checkpoint() error {
 // a snapshot was merged: a missing file or a fingerprint mismatch
 // (snapshot recorded against a different network) is not an error — the
 // stale snapshot is discarded and the server starts from the current
-// trace. It is a no-op without WithSnapshot or before a network is
-// loaded.
+// trace. A checkpoint in the JSON format daemons wrote before the arena
+// codec still loads, with a deprecation warning; the next Checkpoint
+// rewrites it as an arena. It is a no-op without WithSnapshot or before
+// a network is loaded.
 func (s *Server) Restore() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1131,7 +1146,7 @@ func (s *Server) Restore() (bool, error) {
 	if _, err := s.restoreJobsLocked(); err != nil {
 		return false, fmt.Errorf("restore job records: %w", err)
 	}
-	snap, err := core.LoadSnapshot(s.snapPath, s.net)
+	snap, legacy, err := core.LoadSnapshot(s.snapPath, s.net, s.fingerprintLocked())
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return false, nil
@@ -1140,6 +1155,9 @@ func (s *Server) Restore() (bool, error) {
 		return false, nil
 	case err != nil:
 		return false, err
+	}
+	if legacy {
+		s.logger.Warn("restored a JSON trace checkpoint; the format is deprecated and the next checkpoint rewrites it as an arena", "path", s.snapPath)
 	}
 	s.trace.Merge(snap)
 	return true, nil

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,6 +50,39 @@ func doJSON(t *testing.T, method, url string, body []byte, wantCode int, out any
 			t.Fatalf("decode response: %v", err)
 		}
 	}
+}
+
+// getBody is a GET that must answer 200; it returns the body bytes.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, body)
+	}
+	return body
+}
+
+// covTable is the coverage table as served: raw JSON of the total and
+// per-role rows, bytes untouched. Engine counters are live manager
+// diagnostics, not coverage state, so they are outside it.
+func covTable(t *testing.T, url string) (total, byRole json.RawMessage) {
+	t.Helper()
+	var rep struct {
+		Total  json.RawMessage `json:"total"`
+		ByRole json.RawMessage `json:"byRole"`
+	}
+	if err := json.Unmarshal(getBody(t, url+"/coverage"), &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep.Total, rep.ByRole
 }
 
 func TestNetworkStats(t *testing.T) {
@@ -152,6 +186,69 @@ func TestRemoteTraceReporting(t *testing.T) {
 	if cov3.Total.RuleFractional != 0 {
 		t.Error("trace reset did not clear coverage")
 	}
+}
+
+// TestPostTraceArenaEqualsJSON posts one fragment to two fresh servers,
+// once as cube JSON and once as a YSS1 arena (POST /trace sniffs the
+// codec): the accumulated trace and the coverage table must come out
+// byte-identical.
+func TestPostTraceArenaEqualsJSON(t *testing.T) {
+	tsJSON, rg := newTestServer(t)
+	tsArena, _ := newTestServer(t)
+
+	frag := core.NewTrace()
+	sp := rg.Net.Space
+	frag.MarkPacket(dataplane.Injected(rg.ToRs[0]), sp.DstPrefix(rg.HostPrefix[rg.ToRs[1]]))
+	frag.MarkPacket(dataplane.Injected(rg.ToRs[1]), sp.DstPrefix(rg.HostPrefix[rg.ToRs[0]]).Intersect(sp.Proto(6)))
+	for _, rid := range rg.Net.Device(rg.ToRs[0]).FIB {
+		frag.MarkRule(rid)
+	}
+	var cubes, arena bytes.Buffer
+	if err := frag.EncodeJSON(&cubes); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.EncodeFragmentArena(&arena, rg.Net, netStats(t, tsArena.URL).Fingerprint, frag); err != nil {
+		t.Fatal(err)
+	}
+	var stJSON, stArena TraceStats
+	doJSON(t, "POST", tsJSON.URL+"/trace", cubes.Bytes(), http.StatusOK, &stJSON)
+	doJSON(t, "POST", tsArena.URL+"/trace", arena.Bytes(), http.StatusOK, &stArena)
+	if stJSON != stArena || stArena.Locations != 2 {
+		t.Errorf("trace stats: JSON %+v, arena %+v", stJSON, stArena)
+	}
+	if a, b := getBody(t, tsJSON.URL+"/trace"), getBody(t, tsArena.URL+"/trace"); !bytes.Equal(a, b) {
+		t.Errorf("GET /trace differs:\n json  %s\n arena %s", a, b)
+	}
+	totalJSON, byRoleJSON := covTable(t, tsJSON.URL)
+	totalArena, byRoleArena := covTable(t, tsArena.URL)
+	if !bytes.Equal(totalJSON, totalArena) || !bytes.Equal(byRoleJSON, byRoleArena) {
+		t.Errorf("coverage table differs:\n json  %s %s\n arena %s %s", totalJSON, byRoleJSON, totalArena, byRoleArena)
+	}
+}
+
+// TestPostTraceForeignArena: a well-formed arena recorded against
+// another network is a conflict that names the loaded fingerprint, like
+// a PATCH with a stale base; a damaged arena is a bad request.
+func TestPostTraceForeignArena(t *testing.T) {
+	ts, rg := newTestServer(t)
+	current := netStats(t, ts.URL).Fingerprint
+	var foreign, own bytes.Buffer
+	if err := core.EncodeFragmentArena(&foreign, rg.Net, "deadbeef", core.NewTrace()); err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	doJSON(t, "POST", ts.URL+"/trace", foreign.Bytes(), http.StatusConflict, &body)
+	if body["current"] != current || body["error"] == "" {
+		t.Errorf("409 body = %v, want current fingerprint %q and an error", body, current)
+	}
+
+	if err := core.EncodeFragmentArena(&own, rg.Net, current, core.NewTrace()); err != nil {
+		t.Fatal(err)
+	}
+	damaged := own.Bytes()
+	damaged[len(damaged)/2] ^= 0x01
+	doJSON(t, "POST", ts.URL+"/trace", damaged, http.StatusBadRequest, nil)
+	doJSON(t, "POST", ts.URL+"/trace", damaged[:len(damaged)-3], http.StatusBadRequest, nil)
 }
 
 func TestPutNetwork(t *testing.T) {

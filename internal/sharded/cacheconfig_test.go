@@ -18,7 +18,7 @@ func TestReplicasInheritCacheConfig(t *testing.T) {
 	want := bdd.CacheConfig{MinSlots: 1 << 16, MaxSlots: 1 << 18}
 	canonical.Space.SetCacheConfig(want)
 
-	e, err := New(context.Background(), canonical, Config{Workers: 2, Build: fatTreeBuilder})
+	e, err := New(context.Background(), canonical, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

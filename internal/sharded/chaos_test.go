@@ -79,7 +79,7 @@ func TestPanicOnOneWorkerDoesNotPoisonSiblings(t *testing.T) {
 		markerTest{name: "m4", prefix: mustPrefix(t, "10.4.0.0/16")},
 		markerTest{name: "m5", prefix: mustPrefix(t, "10.5.0.0/16")},
 	}
-	res, err := Run(ctx, canonical, Config{Workers: 3, Build: fatTreeBuilder}, suite)
+	res, err := Run(ctx, canonical, Config{Workers: 3}, suite)
 	if err != nil {
 		t.Fatalf("a panicking test must not fail the run: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestCancellationReturnsPartialMergedTrace(t *testing.T) {
 	}()
 
 	start := time.Now()
-	res, err := Run(ctx, canonical, Config{Workers: 2, Build: fatTreeBuilder}, suite)
+	res, err := Run(ctx, canonical, Config{Workers: 2}, suite)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -190,7 +190,7 @@ func TestBudgetTripOnOneShardFailsRunDeterministically(t *testing.T) {
 		faults.BudgetTest{},
 		markerTest{name: "sibling", prefix: mustPrefix(t, "10.9.0.0/16")},
 	}
-	cfg := Config{Workers: 2, Build: fatTreeBuilder, Limits: bdd.Limits{MaxOps: 20000}}
+	cfg := Config{Workers: 2, Limits: bdd.Limits{MaxOps: 20000}}
 
 	eng, err := New(ctx, canonical, cfg)
 	if err != nil {
@@ -231,5 +231,5 @@ func TestBudgetTripOnOneShardFailsRunDeterministically(t *testing.T) {
 
 func eng2Run(t *testing.T, ctx context.Context, canonical *netmodel.Network, suite testkit.Suite) (*Result, error) {
 	t.Helper()
-	return Run(ctx, canonical, Config{Workers: 2, Build: fatTreeBuilder}, suite)
+	return Run(ctx, canonical, Config{Workers: 2}, suite)
 }

@@ -1,65 +1,151 @@
 package sharded
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
+	"net/netip"
 	"testing"
 
 	"yardstick/internal/core"
-	"yardstick/internal/delta"
 	"yardstick/internal/netmodel"
+	"yardstick/internal/topogen"
 )
 
-// TestCloneReplicaEquivalence is the clone-path acceptance bar: against
-// the SAME canonical network, a clone-based pool and a JSONReplicator
-// pool must produce byte-identical coverage tables — Trace.Equal, which
-// compares per-location BDD node identity in the canonical space, the
-// strongest equality the engine offers — along with identical test
-// results and metrics, and Workers=1 must equal Workers=N.
-func TestCloneReplicaEquivalence(t *testing.T) {
-	ctx := context.Background()
-	suite := fullSuite(t)
-	canonical := regionalNet(t)
-
-	seqTrace := core.NewTrace()
-	seqResults := suite.Run(ctx, canonical, seqTrace)
-	want := measure(canonical, seqTrace)
-
-	oracle, err := Run(ctx, canonical, Config{Workers: 3, Build: JSONReplicator(canonical)}, suite)
+// jsonRebuild replays net through its JSON encoding into a fresh space,
+// re-deriving every match set from configuration: the replica factory
+// clones replaced, kept as the oracle they are held to.
+func jsonRebuild(t testing.TB, net *netmodel.Network) *netmodel.Network {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := net.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := netmodel.DecodeJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rebuilt
+}
 
-	var traces []*core.Trace
-	for _, workers := range []int{1, 3} {
-		res, err := Run(ctx, canonical, Config{Workers: workers}, suite)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+// aclRegional is a regional Clos whose spines carry seeded 5-tuple deny
+// entries, so match sets and recorded packet sets constrain more than
+// the destination address.
+func aclRegional(t *testing.T) *netmodel.Network {
+	t.Helper()
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 2, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frozen network accepts no rules: rebuild it rule by rule on a
+	// copy of its topology, then add the ACLs.
+	n := rg.Net.CloneTopology()
+	for _, r := range rg.Net.Rules {
+		n.AddFIBRule(r.Device, r.Match, r.Action, r.Origin)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, sp := range rg.Spines {
+		for j := 0; j < 6; j++ {
+			m := netmodel.MatchAll()
+			third := rng.Intn(512) // 198.18.0.0/15 holds 512 /24s
+			m.SrcPrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{198, byte(18 + third/256), byte(third % 256), 0}), 24)
+			m.Proto = []int32{6, 17}[rng.Intn(2)]
+			lo := uint16(1024 + rng.Intn(60000))
+			m.DstPortLo, m.DstPortHi = lo, lo+uint16(rng.Intn(2000))
+			n.AddACLRule(sp, m, true)
 		}
-		if len(res.Results) != len(seqResults) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(res.Results), len(seqResults))
+		n.AddACLRule(sp, netmodel.MatchAll(), false)
+	}
+	n.ComputeMatchSets()
+	return n
+}
+
+// TestCloneReplicaEquivalence is the one replica oracle: on every
+// topogen family, a clone pool of 1, 2 and 3 workers must merge to the
+// trace a sequential run records on the network rebuilt from JSON —
+// Trace.Equal once that trace is transferred into the canonical space
+// (per-location node identity, the strongest equality the engine
+// offers), the same cube-JSON bytes, and the same per-test results. It
+// asserts clone ≡ JSON rebuild and Workers=1 ≡ N at once.
+func TestCloneReplicaEquivalence(t *testing.T) {
+	ctx := context.Background()
+	suite := fullSuite(t)
+	encode := func(tr *core.Trace) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := tr.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for i := range res.Results {
-			got, exp := res.Results[i], seqResults[i]
-			if got.Name != exp.Name || got.Status() != exp.Status() || got.Checks != exp.Checks {
-				t.Errorf("workers=%d: result %d = %s/%s (%d checks), want %s/%s (%d)",
-					workers, i, got.Name, got.Status(), got.Checks, exp.Name, exp.Status(), exp.Checks)
+		return buf.Bytes()
+	}
+	for _, fam := range []struct {
+		name  string
+		build func(*testing.T) *netmodel.Network
+	}{
+		{"example", func(t *testing.T) *netmodel.Network {
+			ex, err := topogen.BuildExample(topogen.ExampleOpts{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if got := measure(canonical, res.Trace); got != want {
-			t.Errorf("workers=%d: metrics %+v, want %+v", workers, got, want)
-		}
-		if !res.Trace.Equal(oracle.Trace) {
-			t.Errorf("workers=%d: clone-pool trace differs from JSONReplicator-pool trace", workers)
-		}
-		traces = append(traces, res.Trace)
-	}
-	if !traces[0].Equal(traces[1]) {
-		t.Error("clone pool: Workers=1 and Workers=3 traces differ")
-	}
-	// Both merged traces live in the canonical space, so Equal above is
-	// node-for-node: the coverage tables are byte-identical.
-	if !seqTrace.Equal(traces[0]) {
-		t.Error("clone-pool trace differs from the sequential trace")
+			return ex.Net
+		}},
+		{"fattree", func(t *testing.T) *netmodel.Network {
+			ft, err := topogen.BuildFatTree(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ft.Net
+		}},
+		{"regional", regionalNet},
+		{"regional-v6", func(t *testing.T) *netmodel.Network {
+			rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+				DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
+				SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4, IPv6: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rg.Net
+		}},
+		{"regional-acl", aclRegional},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			canonical := fam.build(t)
+			rebuilt := jsonRebuild(t, canonical)
+			seq := core.NewTrace()
+			seqResults := suite.Run(ctx, rebuilt, seq)
+			if st := seq.Stats(); st.Locations == 0 || st.MarkedRules == 0 {
+				t.Fatalf("the suite recorded nothing on this family: %+v", st)
+			}
+			wantJSON := encode(seq)
+			want := seq.TransferTo(canonical.Space)
+
+			for _, workers := range []int{1, 2, 3} {
+				res, err := Run(ctx, canonical, Config{Workers: workers}, suite)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if len(res.Results) != len(seqResults) {
+					t.Fatalf("workers=%d: %d results, want %d", workers, len(res.Results), len(seqResults))
+				}
+				for i := range res.Results {
+					got, exp := res.Results[i], seqResults[i]
+					if got.Name != exp.Name || got.Status() != exp.Status() || got.Checks != exp.Checks {
+						t.Errorf("workers=%d: result %d = %s/%s (%d checks), want %s/%s (%d)",
+							workers, i, got.Name, got.Status(), got.Checks, exp.Name, exp.Status(), exp.Checks)
+					}
+				}
+				if !res.Trace.Equal(want) {
+					t.Errorf("workers=%d: clone-pool trace differs from the sequential run on the JSON rebuild", workers)
+				}
+				if !bytes.Equal(encode(res.Trace), wantJSON) {
+					t.Errorf("workers=%d: cube JSON of the merged trace differs from the JSON rebuild's", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -98,74 +184,5 @@ func TestCloneReplicaIndependence(t *testing.T) {
 	if canonical.Stats() != statsBefore {
 		t.Fatalf("a clone-pool run mutated the canonical network: %+v -> %+v",
 			statsBefore, canonical.Stats())
-	}
-}
-
-// TestPatchRecloneParity is TestPatchParity for the clone path: a
-// clone-based pool realigned via Patch (re-clone of the patched
-// canonical) must match a pool rebuilt from scratch.
-func TestPatchRecloneParity(t *testing.T) {
-	ctx := context.Background()
-	canonical, err := regionalBuilder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(ctx, canonical, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mod := canonical.RuleSpecOf(1)
-	mod.Match.Dst = "10.99.0.0/16"
-	add := netmodel.RuleSpec{
-		Device: mod.Device, Table: "fib", Action: "drop",
-		Match:  netmodel.MatchSpec{Dst: "10.123.0.0/16"},
-		Origin: "static",
-	}
-	ops := []delta.Op{
-		{Op: delta.OpRemove, Rule: 0},
-		{Op: delta.OpModify, Rule: 1, Spec: &mod},
-		{Op: delta.OpAdd, Spec: &add},
-	}
-	if err := delta.ApplyOps(canonical, ops); err != nil {
-		t.Fatal(err)
-	}
-	// Clone pools ignore the apply function: the canonical network is
-	// already the post-delta truth, so Patch re-clones it.
-	if err := eng.Patch(func(n *netmodel.Network) error {
-		t.Error("clone-based Patch invoked the apply function")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := New(ctx, canonical, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite := fullSuite(t)
-	patched, err := eng.Run(ctx, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := fresh.Run(ctx, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(patched.Results) != len(rebuilt.Results) {
-		t.Fatalf("%d results vs %d", len(patched.Results), len(rebuilt.Results))
-	}
-	for i := range patched.Results {
-		p, r := patched.Results[i], rebuilt.Results[i]
-		if p.Name != r.Name || p.Status() != r.Status() || p.Checks != r.Checks {
-			t.Errorf("result %d = %s/%s (%d checks), rebuilt pool got %s/%s (%d)",
-				i, p.Name, p.Status(), p.Checks, r.Name, r.Status(), r.Checks)
-		}
-	}
-	if !patched.Trace.Equal(rebuilt.Trace) {
-		t.Error("re-cloned pool trace differs from rebuilt pool trace")
-	}
-	if got, want := measure(canonical, patched.Trace), measure(canonical, rebuilt.Trace); got != want {
-		t.Errorf("re-cloned-pool metrics %+v, rebuilt-pool metrics %+v", got, want)
 	}
 }

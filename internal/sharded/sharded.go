@@ -15,19 +15,18 @@
 // with the cross-space transfer kernel (core.Trace.TransferTo — a
 // node-by-node DAG copy, no cube round-trip).
 //
-// Replicas are arena clones by default: netmodel.Network.Clone snapshots
-// the canonical network's flat BDD arena in O(size), carrying every
+// Replicas are arena clones: netmodel.Network.Clone snapshots the
+// canonical network's flat BDD arena in O(size), carrying every
 // frozen match set into the replica by node index instead of re-deriving
 // it from configuration. A clone's node indices below the snapshot point
 // are identical to the canonical space's forever (managers are
 // append-only), so the merge recognizes the shared prefix and costs
-// O(nodes the workers created), not O(universe). Config.Build overrides
-// the factory for callers that need re-derivation — JSONReplicator, the
-// replica factory of last resort, replays the network through a JSON
-// round-trip and doubles as the validation oracle for the clone path.
+// O(nodes the workers created), not O(universe). There is no other kind
+// of replica; the package's tests hold the clones to a network rebuilt
+// from its JSON encoding. A pool is bound to the network as it was at
+// New: after the canonical network is mutated, build a new engine.
 //
-// Determinism: replicas are deterministic (clones are bit-identical,
-// and builders must replay device/iface/rule indices identically), the
+// Determinism: replicas are bit-identical to the canonical network, the
 // partition is a fixed round-robin of the suite order, results are
 // scattered back to suite order, and the merged trace is a union of
 // per-location sets — order-independent by construction. Workers=1 and
@@ -43,12 +42,12 @@
 package sharded
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/core"
@@ -66,42 +65,10 @@ const (
 	MetricBudgetTrips = "yardstick_sharded_budget_trips_total"
 )
 
-// Builder constructs one network replica. It must be deterministic —
-// every invocation yields a structurally identical network (same device,
-// interface, and rule indices) — and safe to call from multiple
-// goroutines concurrently (each call builds into a fresh space).
-// Deterministic topology generators and JSONReplicator both qualify.
-type Builder func() (*netmodel.Network, error)
-
-// JSONReplicator returns a Builder that replays net through a netmodel
-// JSON round-trip: the network is encoded once, and every call decodes a
-// fresh replica (match sets recomputed deterministically). It is the
-// replica factory of last resort — any network can be replicated this
-// way, at the cost of one encode plus one decode per worker, with every
-// replica re-deriving its match sets from scratch. Prefer the default
-// clone-based replication (Config.Build nil); JSONReplicator remains the
-// independent oracle clone equivalence is validated against.
-func JSONReplicator(net *netmodel.Network) Builder {
-	var buf bytes.Buffer
-	err := net.EncodeJSON(&buf)
-	data := buf.Bytes()
-	return func() (*netmodel.Network, error) {
-		if err != nil {
-			return nil, fmt.Errorf("sharded: encoding canonical network: %w", err)
-		}
-		return netmodel.DecodeJSON(bytes.NewReader(data))
-	}
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers is the pool size; 0 or negative means runtime.GOMAXPROCS(0).
 	Workers int
-	// Build constructs one replica per worker (see Builder). Nil selects
-	// the default: replicas are O(size) arena clones of the canonical
-	// network (netmodel.Network.Clone), carrying its frozen match sets by
-	// node index.
-	Build Builder
 	// Limits is the evaluation budget, installed per shard at the start
 	// of every Run: MaxOps is split evenly (ceiling division) across the
 	// workers that run, MaxNodes applies to each replica's manager as-is.
@@ -147,31 +114,19 @@ type Engine struct {
 	canonical *netmodel.Network
 	cfg       Config
 	replicas  []*netmodel.Network
-	// cloneBased is true for the default replica factory (arena clones of
-	// the canonical network). It changes Patch: clone pools realign by
-	// re-cloning the already-patched canonical instead of replaying ops.
-	cloneBased bool
 }
 
 // New builds an engine with cfg.Workers replicas of the canonical
-// network. Replicas are built concurrently (Builder must tolerate that;
-// the default clone factory does — cloning a quiescent network is a pure
-// read of it) and validated against the canonical network: same family
-// and same device/interface/rule counts, so trace indices mean the same
-// thing in every space.
+// network: O(size) arena clones (netmodel.Network.Clone) that carry its
+// frozen match sets and op-cache sizing by node index, so a replica
+// costs a flat copy, not a re-derivation. The clones are taken
+// concurrently — cloning a quiescent network is a pure read of it — so
+// the caller must not use the canonical space until New returns.
 func New(ctx context.Context, canonical *netmodel.Network, cfg Config) (*Engine, error) {
 	if canonical == nil {
 		return nil, errors.New("sharded: nil canonical network")
 	}
 	canonical.ComputeMatchSets()
-	cloneBased := cfg.Build == nil
-	build := cfg.Build
-	if cloneBased {
-		// Default factory: snapshot the (frozen, quiescent) canonical
-		// network. The clone carries every match set at its canonical node
-		// index, so replicas cost a flat copy, not a re-derivation.
-		build = func() (*netmodel.Network, error) { return canonical.Clone(), nil }
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -184,92 +139,21 @@ func New(ctx context.Context, canonical *netmodel.Network, cfg Config) (*Engine,
 	bsp.Set("workers", int64(cfg.Workers))
 	defer bsp.End()
 
-	type built struct {
-		i   int
-		net *netmodel.Network
-		err error
-	}
-	ch := make(chan built, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	replicas := make([]*netmodel.Network, cfg.Workers)
+	var wg sync.WaitGroup
+	for i := range replicas {
+		wg.Add(1)
 		go func(i int) {
-			n, err := build()
-			ch <- built{i: i, net: n, err: err}
+			defer wg.Done()
+			replicas[i] = canonical.Clone()
 		}(i)
 	}
-	replicas := make([]*netmodel.Network, cfg.Workers)
-	var firstErr error
-	for i := 0; i < cfg.Workers; i++ {
-		b := <-ch
-		if b.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sharded: building replica %d: %w", b.i, b.err)
-			}
-			continue
-		}
-		replicas[b.i] = b.net
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	want := canonical.Stats()
-	cc := canonical.Space.CacheConfig()
-	for i, r := range replicas {
-		// Replica managers inherit the canonical space's op-cache sizing,
-		// so per-worker kernels run with the same memoization capacity as
-		// a sequential run.
-		r.Space.SetCacheConfig(cc)
-		r.ComputeMatchSets()
-		if r.Family() != canonical.Family() || r.Stats() != want {
-			return nil, fmt.Errorf("sharded: replica %d does not match canonical network (family %v stats %+v, want %v %+v): builder is not deterministic",
-				i, r.Family(), r.Stats(), canonical.Family(), want)
-		}
-	}
-	return &Engine{canonical: canonical, cfg: cfg, replicas: replicas, cloneBased: cloneBased}, nil
+	wg.Wait()
+	return &Engine{canonical: canonical, cfg: cfg, replicas: replicas}, nil
 }
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.replicas) }
-
-// Patch realigns the pool with a canonical network the caller has
-// already mutated.
-//
-// A clone-based pool (Config.Build nil) realigns by re-cloning the
-// patched canonical — an O(size) flat copy per replica; apply is not
-// invoked, since the canonical network already embodies the delta, and
-// the old replicas (with whatever garbage their runs accreted) are
-// discarded. This reads the canonical space, so the caller must not use
-// it concurrently.
-//
-// A builder-based pool applies the rule-level mutation to every replica
-// in place instead (the engine never touches the canonical space). The
-// apply function must be deterministic — the same delta against
-// structurally identical replicas — so replica indices keep meaning the
-// same thing in every space; each patched replica is re-validated
-// against the canonical network's family and counts, exactly like New.
-//
-// On any error the pool must be considered torn (some replicas patched,
-// some not): discard the engine and rebuild. Patch charges each
-// replica's own budget; a trip surfaces as the apply function's error.
-func (e *Engine) Patch(apply func(*netmodel.Network) error) error {
-	want := e.canonical.Stats()
-	if e.cloneBased {
-		e.canonical.ComputeMatchSets()
-		for i := range e.replicas {
-			e.replicas[i] = e.canonical.Clone()
-		}
-		return nil
-	}
-	for i, r := range e.replicas {
-		if err := apply(r); err != nil {
-			return fmt.Errorf("sharded: patching replica %d: %w", i, err)
-		}
-		if r.Family() != e.canonical.Family() || r.Stats() != want {
-			return fmt.Errorf("sharded: replica %d diverged after patch (stats %+v, want %+v)",
-				i, r.Stats(), want)
-		}
-	}
-	return nil
-}
 
 // ReplicaStats returns the current BDD counters of every replica
 // manager, ordered by worker index. Replica managers are quiescent

@@ -2,6 +2,7 @@ package sharded
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(ctx, canonical, Config{Workers: workers, Build: regionalBuilder}, suite)
+		res, err := Run(ctx, canonical, Config{Workers: workers}, suite)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -112,43 +113,10 @@ func TestWorkersEquivalence(t *testing.T) {
 	}
 }
 
-func TestJSONReplicatorEquivalence(t *testing.T) {
-	// The builderless path: replicas via netmodel JSON round-trip must be
-	// just as exact.
-	ctx := context.Background()
-	suite := fullSuite(t)
-	canonical := regionalNet(t)
-
-	seqTrace := core.NewTrace()
-	seqResults := suite.Run(ctx, canonical, seqTrace)
-	want := measure(canonical, seqTrace)
-
-	res, err := Run(ctx, canonical, Config{Workers: 3, Build: JSONReplicator(canonical)}, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != len(seqResults) {
-		t.Fatalf("%d results, want %d", len(res.Results), len(seqResults))
-	}
-	for i := range res.Results {
-		if res.Results[i].Name != seqResults[i].Name || res.Results[i].Status() != seqResults[i].Status() {
-			t.Errorf("result %d = %s/%s, want %s/%s", i,
-				res.Results[i].Name, res.Results[i].Status(),
-				seqResults[i].Name, seqResults[i].Status())
-		}
-	}
-	// The sequential trace lives in the same canonical space here, so
-	// metrics equality degenerates to comparing against itself post-merge:
-	// measure from the merged trace instead.
-	if got := measure(canonical, res.Trace); got != want {
-		t.Errorf("metrics %+v, want %+v", got, want)
-	}
-}
-
 func TestEngineReuseAcrossRuns(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
-	eng, err := New(ctx, canonical, Config{Workers: 2, Build: JSONReplicator(canonical)})
+	eng, err := New(ctx, canonical, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +144,7 @@ func TestShardStatsAndOrdering(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
 	suite := fullSuite(t)
-	res, err := Run(ctx, canonical, Config{Workers: 3, Build: JSONReplicator(canonical)}, suite)
+	res, err := Run(ctx, canonical, Config{Workers: 3}, suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,30 +175,23 @@ func TestShardStatsAndOrdering(t *testing.T) {
 func TestNewRejectsBadConfig(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
-	if _, err := New(ctx, nil, Config{Build: JSONReplicator(canonical)}); err == nil {
+	if _, err := New(ctx, nil, Config{}); err == nil {
 		t.Error("nil canonical network should be rejected")
 	}
-	// A nil Build is not an error: it selects clone-based replication.
 	if eng, err := New(ctx, canonical, Config{Workers: 2}); err != nil || eng.Workers() != 2 {
-		t.Errorf("builderless config should clone canonical, got %v", err)
+		t.Errorf("a two-worker pool over a valid network: %v", err)
 	}
-	// A non-deterministic builder (wrong topology) must be caught.
-	other := func() (*netmodel.Network, error) {
-		ft, err := topogen.BuildFatTree(2)
-		if err != nil {
-			return nil, err
-		}
-		return ft.Net, nil
-	}
-	if _, err := New(ctx, canonical, Config{Workers: 2, Build: other}); err == nil {
-		t.Error("builder yielding a different network should be rejected")
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := New(cancelled, canonical, Config{Workers: 2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("New on a cancelled context = %v, want context.Canceled", err)
 	}
 }
 
 func TestEmptySuite(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
-	res, err := Run(ctx, canonical, Config{Workers: 2, Build: JSONReplicator(canonical)}, nil)
+	res, err := Run(ctx, canonical, Config{Workers: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -524,8 +524,8 @@ func EvaluateChange(ctx context.Context, cfg PipelineConfig) (*PipelineResult, e
 // Parallel suite evaluation (internal/sharded): per-worker BDD spaces
 // with an exact cross-space trace merge.
 type (
-	// ShardedConfig parameterizes a sharded engine (workers, replica
-	// builder, per-shard engine limits).
+	// ShardedConfig parameterizes a sharded engine (workers, per-shard
+	// engine limits).
 	ShardedConfig = sharded.Config
 	// ShardedEngine is a reusable worker pool bound to one canonical
 	// network.
@@ -533,10 +533,6 @@ type (
 	// ShardedResult is the outcome of one parallel run: results in suite
 	// order, the merged trace in the canonical space, per-shard stats.
 	ShardedResult = sharded.Result
-	// ShardedBuilder constructs one network replica per worker; it must
-	// be deterministic. Leave ShardedConfig.Build nil for the default:
-	// O(size) arena clones of the canonical network.
-	ShardedBuilder = sharded.Builder
 	// ShardStats describes one worker's share of a run.
 	ShardStats = sharded.ShardStats
 )
@@ -553,11 +549,6 @@ func NewShardedEngine(ctx context.Context, net *Network, cfg ShardedConfig) (*Sh
 func RunSharded(ctx context.Context, net *Network, cfg ShardedConfig, suite Suite) (*ShardedResult, error) {
 	return sharded.Run(ctx, net, cfg, suite)
 }
-
-// JSONReplicator returns a ShardedBuilder that replicates net via a
-// JSON round-trip — the fallback replica factory (and the oracle the
-// default clone-based replication is validated against).
-func JSONReplicator(net *Network) ShardedBuilder { return sharded.JSONReplicator(net) }
 
 // Reporting.
 type (
