@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench profile loadproof clustersmoke churnsmoke fuzz-smoke loc ci
+.PHONY: all vet build test race layering bench profile loadproof clustersmoke churnsmoke fuzz-smoke loc ci
 
 all: ci
 
@@ -22,6 +22,13 @@ test:
 # service tests exist to catch lock-discipline regressions.
 race:
 	$(GO) test -race ./...
+
+# The front ends (service, pipeline, coord, cmd/*) reach sharded runs,
+# guards, watched contexts, stats flushes and coverage views through
+# internal/engine only; this parses them and fails on a direct call. The
+# race run covers it too — named here so a failure says what broke.
+layering:
+	$(GO) test -run '^TestFrontEndsDriveTheEngine$$' ./internal/engine
 
 # Benchmark the evaluation engine and the BDD kernel, recording the
 # numbers (with allocation counts) as a committed JSON artifact.
@@ -154,4 +161,4 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-ci: vet build race
+ci: vet build layering race

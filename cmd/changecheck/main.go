@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"yardstick"
+	"yardstick/internal/topogen"
 )
 
 func main() {
@@ -37,7 +37,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	suite, err := parseSuite(*suiteArg)
+	suite, err := yardstick.BuiltinSuite(*suiteArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "changecheck:", err)
 		os.Exit(1)
@@ -104,18 +104,10 @@ func main() {
 
 func loader(path string) func() (*yardstick.Network, error) {
 	return func() (*yardstick.Network, error) {
-		f, err := os.Open(path)
+		built, err := topogen.Load(path, "", 0, false)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		if strings.HasSuffix(path, ".txt") {
-			return yardstick.ParseNetworkText(f)
-		}
-		return yardstick.DecodeNetworkJSON(f)
+		return built.Net, nil
 	}
-}
-
-func parseSuite(arg string) (yardstick.Suite, error) {
-	return yardstick.BuiltinSuite(arg)
 }

@@ -10,7 +10,7 @@
 //	churn -addr http://127.0.0.1:8080 -events 50 -check
 //
 // The driver keeps a local twin of the daemon's state: the same
-// network, the same suite-recorded trace, the same delta engine. Every
+// network and the same suite-recorded trace in the same engine. Every
 // flap event is re-converged by control-plane replay, diffed into a
 // delta document, and applied to both sides in lockstep with the base
 // fingerprint asserting neither drifted. With -check any divergence
@@ -31,8 +31,8 @@ import (
 
 	"yardstick/internal/bgp"
 	"yardstick/internal/client"
-	"yardstick/internal/core"
 	"yardstick/internal/delta"
+	"yardstick/internal/engine"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/report"
 	"yardstick/internal/service"
@@ -76,17 +76,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// The local twin: run the suite once, wrap network + trace in a
-	// delta engine.
-	trace := core.NewTrace()
-	for _, r := range suites.Run(ctx, rg.Net, trace) {
+	// The local twin: an engine over the same network, with the suite run
+	// once into its trace.
+	eng := engine.New(rg.Net, engine.Config{})
+	results, err := eng.Run(ctx, "", suites, 1, nil)
+	if err != nil {
+		return err
+	}
+	for _, r := range results {
 		if r.Errored() {
 			return fmt.Errorf("suite %s errored: %s", r.Name, r.Err)
 		}
-	}
-	eng, err := delta.NewEngine(rg.Net, trace)
-	if err != nil {
-		return err
 	}
 
 	cli := client.New(*addr)
@@ -100,7 +100,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if st.Fingerprint != eng.Fingerprint() {
 		return fmt.Errorf("daemon loaded fingerprint %s, local %s", st.Fingerprint, eng.Fingerprint())
 	}
-	if _, err := cli.ReportTrace(ctx, trace); err != nil {
+	if _, err := cli.ReportTrace(ctx, eng.Trace()); err != nil {
 		return err
 	}
 
@@ -121,7 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ops, err := delta.Diff(eng.Net, next)
+		ops, err := delta.Diff(eng.Net(), next)
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
-		local, err := eng.Apply(doc)
+		local, err := eng.Patch(ctx, doc)
 		if err != nil {
 			return fmt.Errorf("event %d locally: %w", i, err)
 		}
@@ -144,26 +144,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		len(flaps), opsTotal, time.Since(start).Round(time.Millisecond), eng.Fingerprint())
 
 	// Proof part 1: the daemon's accumulated trace equals the local twin's.
-	remoteTrace, err := cli.FetchTrace(ctx, eng.Net)
+	remoteTrace, err := cli.FetchTrace(ctx, eng.Net())
 	if err != nil {
 		return err
 	}
-	traceOK := remoteTrace.Equal(eng.Trace)
+	traceOK := remoteTrace.Equal(eng.Trace())
 
 	// Proof part 2: the incremental final coverage table byte-matches
 	// the table from a from-scratch rebuild of the churned network.
 	var buf bytes.Buffer
-	if err := eng.Net.EncodeJSON(&buf); err != nil {
+	if err := eng.Net().EncodeJSON(&buf); err != nil {
 		return err
 	}
 	rb, err := netmodel.DecodeJSON(&buf)
 	if err != nil {
 		return err
 	}
-	rb.ComputeMatchSets()
-	moved := eng.Trace.TransferTo(rb.Space)
-	incTable := renderTables(eng.Net, remoteTrace)
-	rbTable := renderTables(rb, moved)
+	rebuilt := engine.New(rb, engine.Config{})
+	if err := rebuilt.MergeTrace(ctx, eng.Trace().TransferTo(rb.Space)); err != nil {
+		return err
+	}
+	incremental := engine.New(eng.Net(), engine.Config{})
+	if err := incremental.MergeTrace(ctx, remoteTrace); err != nil {
+		return err
+	}
+	incTable, err := renderTables(ctx, incremental)
+	if err != nil {
+		return err
+	}
+	rbTable, err := renderTables(ctx, rebuilt)
+	if err != nil {
+		return err
+	}
 	tableOK := bytes.Equal(incTable, rbTable)
 
 	// Proof part 3: what the daemon itself serves. GET /gaps reads the
@@ -175,7 +187,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	rbGaps := []service.Gap{}
-	for _, g := range report.Gaps(core.NewCoverage(rb, moved)) {
+	for _, g := range report.Gaps(rebuilt.Coverage()) {
 		rbGaps = append(rbGaps, service.Gap{Origin: string(g.Origin), Role: string(g.Role), Count: g.Count})
 	}
 	gotGaps, err := json.Marshal(remoteGaps)
@@ -224,20 +236,13 @@ func waitReady(ctx context.Context, cli *client.Client, d time.Duration) error {
 
 // renderTables renders the by-role coverage table plus the config-line
 // coverage table — the byte-diff surface.
-func renderTables(net *netmodel.Network, tr *core.Trace) []byte {
-	cov := core.NewCoverage(net, tr)
-	seen := map[netmodel.Role]bool{}
-	var roles []netmodel.Role
-	for _, d := range net.Devices {
-		if !seen[d.Role] {
-			seen[d.Role] = true
-			roles = append(roles, d.Role)
-		}
+func renderTables(ctx context.Context, eng *engine.Engine) ([]byte, error) {
+	rows, err := eng.Table(ctx, "", eng.Net().Roles(), "TOTAL")
+	if err != nil {
+		return nil, err
 	}
-	rows := report.ByRole(cov, roles)
-	rows = append(rows, report.Total(cov, "TOTAL"))
 	var buf bytes.Buffer
 	report.RenderTable(&buf, rows)
-	report.RenderConfig(&buf, report.ConfigCoverage(cov))
-	return buf.Bytes()
+	report.RenderConfig(&buf, report.ConfigCoverage(eng.Coverage()))
+	return buf.Bytes(), nil
 }

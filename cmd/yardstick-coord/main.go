@@ -36,14 +36,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"yardstick"
 	"yardstick/internal/coord"
+	"yardstick/internal/engine"
 	"yardstick/internal/obs"
+	"yardstick/internal/topogen"
 )
 
 func main() {
@@ -57,51 +58,6 @@ func main() {
 		}
 	}
 	os.Exit(code)
-}
-
-// loadNetwork mirrors yardstickd's flag contract, minus the "start
-// empty" case: the coordinator owns the authoritative replica, so it
-// must have one. The returned role order matches the yardstick CLI's
-// per-topology ordering, so the two tools render comparable (diffable)
-// coverage tables.
-func loadNetwork(netFile, topology string, k int) (*yardstick.Network, []yardstick.Role, error) {
-	switch {
-	case netFile != "":
-		f, err := os.Open(netFile)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		var nw *yardstick.Network
-		if filepath.Ext(netFile) == ".txt" {
-			nw, err = yardstick.ParseNetworkText(f)
-		} else {
-			nw, err = yardstick.DecodeNetworkJSON(f)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return nw, rolesOf(nw), nil
-	case topology == "example":
-		ex, err := yardstick.BuildExample(yardstick.ExampleOpts{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return ex.Net, []yardstick.Role{yardstick.RoleLeaf, yardstick.RoleSpine, yardstick.RoleBorder}, nil
-	case topology == "fattree":
-		ft, err := yardstick.BuildFatTree(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ft.Net, []yardstick.Role{yardstick.RoleToR, yardstick.RoleAgg, yardstick.RoleCore}, nil
-	case topology == "regional":
-		rg, err := yardstick.BuildRegional(yardstick.RegionalOpts{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return rg.Net, []yardstick.Role{yardstick.RoleToR, yardstick.RoleAgg, yardstick.RoleSpine, yardstick.RoleHub}, nil
-	}
-	return nil, nil, fmt.Errorf("unknown topology %q (want example, fattree, or regional, or use -net)", topology)
 }
 
 // reportFile is the -report artifact: the run's per-shard and per-node
@@ -165,10 +121,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		suites[i] = strings.TrimSpace(suites[i])
 	}
 
-	nw, roles, err := loadNetwork(*netFile, *topology, *k)
+	// The coordinator owns the authoritative replica, so it must have a
+	// network; the role order matches the yardstick CLI's, so the two
+	// tools render diffable coverage tables.
+	built, err := topogen.Load(*netFile, *topology, *k, false)
 	if err != nil {
 		return 1, err
 	}
+	nw := built.Net
 
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	if *verbose {
@@ -259,9 +219,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		}
 	}
 
-	cov := yardstick.NewCoverage(nw, res.Trace)
-	rows := yardstick.ReportByRole(cov, roles)
-	rows = append(rows, yardstick.ReportTotal(cov, "TOTAL"))
+	eng := engine.New(nw, engine.Config{})
+	if err := eng.MergeTrace(ctx, res.Trace); err != nil {
+		return 1, err
+	}
+	rows, err := eng.Table(ctx, "", built.Roles, "TOTAL")
+	if err != nil {
+		return 1, err
+	}
 	fmt.Fprintln(stdout, "\ncoverage:")
 	yardstick.RenderTable(stdout, rows)
 
@@ -293,16 +258,4 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 4, nil
 	}
 	return 0, nil
-}
-
-func rolesOf(net *yardstick.Network) []yardstick.Role {
-	seen := map[yardstick.Role]bool{}
-	var out []yardstick.Role
-	for _, d := range net.Devices {
-		if !seen[d.Role] {
-			seen[d.Role] = true
-			out = append(out, d.Role)
-		}
-	}
-	return out
 }

@@ -14,6 +14,7 @@ import (
 
 	"yardstick"
 	"yardstick/internal/service"
+	"yardstick/internal/topogen"
 )
 
 func startWorker(t *testing.T) string {
@@ -54,10 +55,11 @@ func TestCoordCLI(t *testing.T) {
 	}
 
 	// The cluster coverage table must match a single-node run exactly.
-	nw, roles, err := loadNetwork("", "regional", 0)
+	built, err := topogen.Load("", "regional", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nw, roles := built.Net, built.Roles
 	suite, err := yardstick.BuiltinSuite("default,internal")
 	if err != nil {
 		t.Fatal(err)

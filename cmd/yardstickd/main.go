@@ -33,12 +33,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"yardstick"
 	"yardstick/internal/service"
+	"yardstick/internal/topogen"
 )
 
 func main() {
@@ -48,45 +48,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "yardstickd:", err)
 		os.Exit(1)
 	}
-}
-
-// loadNetwork resolves the -net / -topology flags to a network, or nil
-// when neither is set (the server starts empty and waits for
-// PUT /network).
-func loadNetwork(netFile, topology string, k int) (*yardstick.Network, error) {
-	switch {
-	case netFile != "":
-		f, err := os.Open(netFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if filepath.Ext(netFile) == ".txt" {
-			return yardstick.ParseNetworkText(f)
-		}
-		return yardstick.DecodeNetworkJSON(f)
-	case topology == "example":
-		ex, err := yardstick.BuildExample(yardstick.ExampleOpts{})
-		if err != nil {
-			return nil, err
-		}
-		return ex.Net, nil
-	case topology == "fattree":
-		ft, err := yardstick.BuildFatTree(k)
-		if err != nil {
-			return nil, err
-		}
-		return ft.Net, nil
-	case topology == "regional":
-		rg, err := yardstick.BuildRegional(yardstick.RegionalOpts{})
-		if err != nil {
-			return nil, err
-		}
-		return rg.Net, nil
-	case topology != "":
-		return nil, fmt.Errorf("unknown topology %q", topology)
-	}
-	return nil, nil
 }
 
 // run is the daemon body, factored out of main so tests can drive the
@@ -116,9 +77,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	}
 
 	logger := slog.New(slog.NewTextHandler(stderr, nil)).With("app", "yardstickd")
-	nw, err := loadNetwork(*netFile, *topology, *k)
-	if err != nil {
-		return err
+	// With neither flag the server starts empty and waits for PUT /network.
+	var nw *yardstick.Network
+	if *netFile != "" || *topology != "" {
+		built, err := topogen.Load(*netFile, *topology, *k, false)
+		if err != nil {
+			return err
+		}
+		nw = built.Net
 	}
 
 	opts := []service.Option{

@@ -7,13 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"yardstick"
 	"yardstick/internal/client"
 	"yardstick/internal/jobs"
 	"yardstick/internal/service"
@@ -252,56 +250,6 @@ func TestJobsSurviveRestart(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Error("no job was interrupted — the chaos scenario did not exercise recovery")
-	}
-}
-
-func TestLoadNetworkFromFile(t *testing.T) {
-	dir := t.TempDir()
-
-	// JSON file.
-	ex, err := yardstick.BuildExample(yardstick.ExampleOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ex.Net.EncodeJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	jsonPath := filepath.Join(dir, "net.json")
-	if err := os.WriteFile(jsonPath, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	nw, err := loadNetwork(jsonPath, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Stats().Devices != ex.Net.Stats().Devices {
-		t.Errorf("JSON load: %d devices, want %d", nw.Stats().Devices, ex.Net.Stats().Devices)
-	}
-
-	// Text file, detected by extension.
-	txtPath := filepath.Join(dir, "net.txt")
-	text := []byte("device a role=tor\ndevice b role=spine\nlink a b 10.128.0.0/31\nroute a 0.0.0.0/0 via b origin=default\n")
-	if err := os.WriteFile(txtPath, text, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	nw, err = loadNetwork(txtPath, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.Stats().Devices != 2 {
-		t.Errorf("text load: %d devices, want 2", nw.Stats().Devices)
-	}
-
-	// Generated topologies and error cases.
-	if nw, err := loadNetwork("", "example", 0); err != nil || nw == nil {
-		t.Errorf("topology example = (%v, %v)", nw, err)
-	}
-	if nw, err := loadNetwork("", "", 0); err != nil || nw != nil {
-		t.Errorf("no flags should mean no network, got (%v, %v)", nw, err)
-	}
-	if _, err := loadNetwork("", "bogus", 0); err == nil {
-		t.Error("unknown topology should error")
 	}
 }
 

@@ -62,9 +62,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/client"
 	"yardstick/internal/core"
+	"yardstick/internal/engine"
 	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
@@ -459,7 +459,7 @@ type run struct {
 	// and only if some node turns out to need the push.
 	netJSON func() ([]byte, error)
 	// merges hands fetched fragments to the merger goroutine.
-	merges            chan mergeReq
+	merges            chan func(*engine.Engine)
 	pushes, pushSkips atomic.Int64
 }
 
@@ -490,23 +490,22 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 	if len(suites) == 0 {
 		return nil, errors.New("coord: no suites")
 	}
-	fp, err := core.Fingerprint(co.cfg.Net)
-	if err != nil {
-		return nil, fmt.Errorf("coord: %w", err)
-	}
+	// The run's engine: Config.Net, its fingerprint, and the trace the
+	// fragments merge into.
+	eng := engine.New(co.cfg.Net, engine.Config{})
 	// Every run gets a minted identity. The run ID rides on each
 	// dispatch as X-Run-Id (workers tag their span trees, logs, and
 	// pprof labels with it), and the root span anchors the coordinator's
 	// half of the cross-node timeline.
 	r := &run{
 		id:          newRunID(),
-		fingerprint: fp,
+		fingerprint: eng.Fingerprint(),
 		netJSON: sync.OnceValues(func() ([]byte, error) {
 			var buf bytes.Buffer
 			err := co.cfg.Net.EncodeJSON(&buf)
 			return buf.Bytes(), err
 		}),
-		merges: make(chan mergeReq),
+		merges: make(chan func(*engine.Engine)),
 	}
 	root := obs.NewRoot("coord.run", co.metrics)
 	root.SetTag("run", r.id)
@@ -529,15 +528,19 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 		n.loaded.Store(false)
 	}
 
-	// The merger owns the coordinator's BDD space for the whole run;
-	// dispatch workers only move bytes. It stops after the last dispatch
-	// worker has — every attempt is joined before its shard returns, so
-	// nothing sends after the close.
-	merged := core.NewTrace()
+	// The merger owns the engine — and with it the coordinator's BDD
+	// space — for the whole run; dispatch workers only move bytes. It
+	// stops after the last dispatch worker has: every attempt is joined
+	// before its shard returns, so nothing sends after the close.
+	// Fragments are merged one at a time — decode and union are both
+	// work for the single-threaded manager — in arrival order, which does
+	// not affect the union (it is commutative), only node numbering.
 	mergerDone := make(chan struct{})
 	go func() {
 		defer close(mergerDone)
-		co.merger(r, merged)
+		for merge := range r.merges {
+			merge(eng)
+		}
 	}()
 
 	// Dispatch: a fixed worker pool pulls shards off a channel.
@@ -563,7 +566,7 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 	dsp.End()
 	root.End()
 
-	res := co.collect(r, shards, merged)
+	res := co.collect(r, shards, eng.Trace())
 	res.Timeline = assembleTimeline(root, shards)
 	if err := ctx.Err(); err != nil {
 		res.Complete = false
@@ -596,55 +599,21 @@ func assembleTimeline(root *obs.Span, shards []*shardRun) *obs.SpanProfile {
 	return tl
 }
 
-// mergeReq is one fetched fragment on its way to the merger: the bytes
-// as they came off the wire, the attempt span its stage spans hang
-// under, and where the outcome goes.
-type mergeReq struct {
-	raw   []byte
-	span  *obs.Span
-	reply chan mergeReply
-}
-
-type mergeReply struct {
-	decode, merge time.Duration
-	err           error
-}
-
-// merge hands a fragment to the merger and waits for the verdict. No
-// context: the merger outlives every attempt and each merge is
+// merge has the merger goroutine decode raw and fold it into the run's
+// trace, and waits for the verdict. The fragment is one guarded stage of
+// the engine, its codec.decode and transfer spans under span: a budget
+// trip on the coordinator's manager fails the fragment, not the process,
+// and a damaged body is rejected before it touches the manager. No
+// context is watched: the merger outlives every attempt and each merge is
 // milliseconds of work, so neither side can be left waiting.
-func (r *run) merge(raw []byte, span *obs.Span) mergeReply {
-	reply := make(chan mergeReply)
-	r.merges <- mergeReq{raw, span, reply}
-	return <-reply
-}
-
-// merger decodes and unions fragments one at a time until r.merges is
-// closed — both are BDD-manager work, and the manager is
-// single-threaded. Arrival order does not affect the union (it is
-// commutative), only the manager's internal node numbering. Each stage
-// is guarded on its own, so a budget trip on the coordinator's manager
-// fails the fragment, not the process, and its span still ends. The
-// arena's checksum, format and fingerprint checks run before any BDD
-// work: a damaged body never touches the manager.
-func (co *Coordinator) merger(r *run, into *core.Trace) {
-	for req := range r.merges {
-		var rep mergeReply
-		var frag *core.Trace
-		t0 := time.Now()
-		dsp := req.span.Child("codec.decode")
-		gerr := bdd.Guard(func() { frag, rep.err = core.DecodeFragment(req.raw, co.cfg.Net, r.fingerprint) })
-		dsp.End()
-		rep.decode = time.Since(t0)
-		if rep.err = errors.Join(gerr, rep.err); rep.err == nil {
-			t0 = time.Now()
-			tsp := req.span.Child("transfer")
-			rep.err = bdd.Guard(func() { into.Merge(frag) })
-			tsp.End()
-			rep.merge = time.Since(t0)
-		}
-		req.reply <- rep
+func (r *run) merge(raw []byte, span *obs.Span) (t engine.MergeTiming, err error) {
+	done := make(chan struct{})
+	r.merges <- func(eng *engine.Engine) {
+		defer close(done)
+		t, err = eng.Merge(obs.ContextWithSpan(context.Background(), span), raw)
 	}
+	<-done
+	return t, err
 }
 
 // collect assembles the Result once every shard has settled and the
@@ -960,11 +929,11 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 	co.metrics.Counter(MetricFragmentBytes, "format", out.FragmentFormat).Add(uint64(len(raw)))
 	// A fragment that does not decode and merge is a failed attempt: its
 	// coverage is unknown, so the shard cannot claim it.
-	rep := r.merge(raw, asp)
-	if rep.err != nil {
-		return out, fmt.Errorf("fragment of job %s: %w", j.ID, rep.err)
+	took, err := r.merge(raw, asp)
+	if err != nil {
+		return out, fmt.Errorf("fragment of job %s: %w", j.ID, err)
 	}
-	out.DecodeMs, out.MergeMs = ms(rep.decode), ms(rep.merge)
+	out.DecodeMs, out.MergeMs = ms(took.Decode), ms(took.Merge)
 	if len(j.Result) > 0 {
 		if uerr := json.Unmarshal(j.Result, &out.results); uerr != nil {
 			return out, fmt.Errorf("decode job %s result: %w", j.ID, uerr)

@@ -1,0 +1,511 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"yardstick/internal/bdd"
+	"yardstick/internal/core"
+	"yardstick/internal/delta"
+	"yardstick/internal/faults"
+	"yardstick/internal/netmodel"
+	"yardstick/internal/report"
+	"yardstick/internal/sharded"
+	"yardstick/internal/testkit"
+	"yardstick/internal/topogen"
+)
+
+var bg = context.Background()
+
+// roomy is a budget no stage of these tests reaches. Arming it is what a
+// stage does before it starts, so it also clears the poison a tripped
+// budget left on the manager.
+var roomy = bdd.Limits{MaxOps: 1 << 40}
+
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	return ctx
+}
+
+func regional(t testing.TB) *netmodel.Network {
+	t.Helper()
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 2, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rg.Net
+}
+
+func suiteOf(t testing.TB, names string) testkit.Suite {
+	t.Helper()
+	s, err := testkit.BuiltinSuite(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// jsonRebuild is the oracle network: net's JSON decoded into a fresh BDD
+// space, every match set derived again.
+func jsonRebuild(t testing.TB, net *netmodel.Network) *netmodel.Network {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := net.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := netmodel.DecodeJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rb
+}
+
+func tableOf(t testing.TB, e *Engine) string {
+	t.Helper()
+	rows, err := e.Table(bg, "", e.Net().Roles(), "TOTAL")
+	if err != nil {
+		t.Fatalf("table: %v", err)
+	}
+	var buf bytes.Buffer
+	report.RenderTable(&buf, rows)
+	report.RenderGaps(&buf, report.Gaps(e.Coverage()))
+	return buf.String()
+}
+
+// assertRebuildEquivalent holds e to the correctness bar: its table and
+// gap report byte-match those of an engine over the JSON rebuild of its
+// network with its trace transferred there, the transfer round-trips
+// exactly, and its cached fingerprint is the rebuild's.
+func assertRebuildEquivalent(t testing.TB, e *Engine) {
+	t.Helper()
+	rb := New(jsonRebuild(t, e.Net()), Config{})
+	moved := e.Trace().TransferTo(rb.Net().Space)
+	if err := rb.MergeTrace(bg, moved); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tableOf(t, e), tableOf(t, rb); got != want {
+		t.Errorf("table differs from the JSON rebuild's:\n%s\nwant:\n%s", got, want)
+	}
+	if !moved.TransferTo(e.Net().Space).Equal(e.Trace()) {
+		t.Error("trace does not survive the round trip through the rebuild's space")
+	}
+	if e.Fingerprint() != rb.Fingerprint() {
+		t.Errorf("cached fingerprint %.12s, the rebuild hashes to %.12s", e.Fingerprint(), rb.Fingerprint())
+	}
+}
+
+// subset reports whether every mark of a is also in b (same space).
+func subset(a, b *core.Trace) bool {
+	u := core.NewTrace()
+	u.Merge(b)
+	u.Merge(a)
+	return u.Equal(b)
+}
+
+func TestRunWorkersEquivalence(t *testing.T) {
+	suite := suiteOf(t, "default,connected,internal,agg,reach")
+	base := regional(t)
+
+	direct, err := sharded.Run(bg, base.Clone(), sharded.Config{Workers: 3}, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq *Engine
+	for _, workers := range []int{1, 2, 3} {
+		e := New(base.Clone(), Config{Workers: workers})
+		results, err := e.Run(bg, "", suite, workers, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if (e.pool != nil) != (workers > 1) {
+			t.Errorf("workers=%d: replica pool built = %v", workers, e.pool != nil)
+		}
+		if fmt.Sprint(results) != fmt.Sprint(direct.Results) {
+			t.Errorf("workers=%d: results differ from the sharded engine's:\n%v\nwant:\n%v", workers, results, direct.Results)
+		}
+		// Clones share node numbering up to the clone point, not beyond:
+		// compare in one space.
+		if !direct.Trace.TransferTo(e.Net().Space).Equal(e.Trace()) {
+			t.Errorf("workers=%d: trace differs from the sharded engine's", workers)
+		}
+		if seq == nil {
+			seq = e
+			assertRebuildEquivalent(t, e)
+		} else if got, want := tableOf(t, e), tableOf(t, seq); got != want {
+			t.Errorf("workers=%d: table differs from sequential:\n%s\nwant:\n%s", workers, got, want)
+		}
+	}
+
+	// A private destination trace gets the run's coverage and the
+	// accumulated trace none of it; asking for more workers than the
+	// engine was sized for runs with what it has.
+	e := New(base.Clone(), Config{Workers: 1})
+	frag := core.NewTrace()
+	if _, err := e.Run(bg, "", suite, 4, frag); err != nil {
+		t.Fatal(err)
+	}
+	if e.pool != nil {
+		t.Error("an engine sized for one worker built a replica pool")
+	}
+	if st := e.Trace().Stats(); st.Locations != 0 || st.MarkedRules != 0 {
+		t.Errorf("accumulated trace has %+v after a run into a private fragment", st)
+	}
+	if !frag.TransferTo(seq.Net().Space).Equal(seq.Trace()) {
+		t.Error("private fragment differs from the sequential run's trace")
+	}
+}
+
+func TestNoNetwork(t *testing.T) {
+	e := New(nil, Config{})
+	if _, err := e.Run(bg, "", testkit.Suite{testkit.DefaultRouteCheck{}}, 1, nil); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("Run: %v, want ErrNoNetwork", err)
+	}
+	if _, err := e.Merge(bg, []byte("{}")); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("Merge: %v, want ErrNoNetwork", err)
+	}
+	if err := e.View(bg, "", func(*core.Coverage) {}); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("View: %v, want ErrNoNetwork", err)
+	}
+	if _, err := e.Patch(bg, delta.Document{}); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("Patch: %v, want ErrNoNetwork", err)
+	}
+	if err := e.Snapshot(t.TempDir() + "/snap"); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("Snapshot: %v, want ErrNoNetwork", err)
+	}
+	if e.Fingerprint() != "" {
+		t.Errorf("fingerprint %q without a network", e.Fingerprint())
+	}
+	// The empty trace still encodes, as JSON only.
+	want, err := New(regional(t), Config{}).EncodeFragment(bg, core.NewTrace(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.EncodeFragment(bg, e.Trace(), false); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("EncodeFragment(json) = %q, %v; want %q", got, err, want)
+	}
+	if _, err := e.EncodeFragment(bg, e.Trace(), true); !errors.Is(err, ErrNoNetwork) {
+		t.Errorf("EncodeFragment(arena): %v, want ErrNoNetwork", err)
+	}
+}
+
+// patchDoc removes the first ToR's default route (a rule DefaultRouteCheck
+// marks, so the delta carries decay) and rewrites the origin of its next
+// FIB rule.
+func patchDoc(net *netmodel.Network) delta.Document {
+	tor := net.Devices[core.DevicesByRole(net, netmodel.RoleToR)[0]]
+	spec := net.RuleSpecOf(tor.FIB[1])
+	spec.Origin = string(netmodel.OriginStatic)
+	return delta.Document{Ops: []delta.Op{
+		{Op: delta.OpRemove, Rule: tor.FIB[len(tor.FIB)-1]},
+		{Op: delta.OpModify, Rule: tor.FIB[1], Spec: &spec},
+	}}
+}
+
+// TestDegradation is the degradation model, asserted once for every door
+// onto the engine. Each case injects one fault into one call on a fresh
+// engine (a clone of one base network, holding a recorded trace), checks
+// that the call reports it and leaves exactly what the package comment
+// and DESIGN.md §2.15 say, then repeats the call without the fault and
+// holds the final state to the JSON-rebuild oracle.
+func TestDegradation(t *testing.T) {
+	suite := suiteOf(t, "default,internal,agg")
+	more := suiteOf(t, "connected,reach")
+	base := regional(t)
+	seed := New(base, Config{})
+	if _, err := seed.Run(bg, "", suite, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A fragment in both wire codecs: what the second suite records.
+	other := New(base.Clone(), Config{})
+	if _, err := other.Run(bg, "", more, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	arena, err := other.EncodeFragment(bg, other.Trace(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cubes, err := other.EncodeFragment(bg, other.Trace(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// fresh is an engine over a clone of base holding seed's trace.
+	fresh := func(t *testing.T, workers int) *Engine {
+		t.Helper()
+		e := New(base.Clone(), Config{Workers: workers})
+		if err := e.MergeTrace(bg, seed.Trace().TransferTo(e.Net().Space)); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	// state is what a fault must not move unless the contract says so.
+	type state struct {
+		trace *core.Trace
+		fp    string
+		rules int
+		gen   uint64
+	}
+	snap := func(e *Engine) state {
+		tr := core.NewTrace()
+		tr.Merge(e.Trace())
+		return state{tr, e.Fingerprint(), len(e.Net().Rules), e.Net().Generation()}
+	}
+	// kept asserts the monotone-union outcome: nothing recorded before
+	// the call is lost, and the network is as it was.
+	kept := func(t *testing.T, e *Engine, before state) {
+		t.Helper()
+		if !subset(before.trace, e.Trace()) {
+			t.Error("marks recorded before the aborted call were lost")
+		}
+		if e.Fingerprint() != before.fp || e.Net().Generation() != before.gen {
+			t.Error("an aborted call changed the network")
+		}
+	}
+	// untouched asserts the nothing-changed outcome.
+	untouched := func(t *testing.T, e *Engine, before state) {
+		t.Helper()
+		if !e.Trace().Equal(before.trace) {
+			t.Error("the aborted call changed the trace")
+		}
+		if e.Fingerprint() != before.fp || e.Net().Generation() != before.gen || len(e.Net().Rules) != before.rules {
+			t.Error("the aborted call changed the network")
+		}
+	}
+
+	type call func(ctx context.Context, e *Engine) error
+	run := func(workers int, s testkit.Suite) call {
+		return func(ctx context.Context, e *Engine) error {
+			_, err := e.Run(ctx, "test.run", s, workers, nil)
+			return err
+		}
+	}
+	merge := func(data []byte) call {
+		return func(ctx context.Context, e *Engine) error { _, err := e.Merge(ctx, data); return err }
+	}
+	view := func(ctx context.Context, e *Engine) error {
+		return e.View(ctx, "test.view", func(c *core.Coverage) { report.Gaps(c) })
+	}
+	patch := func(ctx context.Context, e *Engine) error {
+		_, err := e.Patch(ctx, patchDoc(e.Net()))
+		return err
+	}
+
+	cases := []struct {
+		name    string
+		workers int
+		op      call
+		after   func(*testing.T, *Engine, state)
+	}{
+		{"run/sequential", 1, run(1, more), kept},
+		{"run/sharded", 2, run(2, more), kept},
+		{"merge/arena", 1, merge(arena), kept},
+		{"merge/json", 1, merge(cubes), kept},
+		{"patch", 2, patch, untouched},
+		{"view", 1, view, untouched},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name+"/budget", func(t *testing.T) {
+			e := fresh(t, tc.workers)
+			before := snap(e)
+			e.cfg.Limits = bdd.Limits{MaxOps: 50}
+			if err := tc.op(bg, e); !errors.Is(err, bdd.ErrBudgetExceeded) || !Aborted(err) {
+				t.Fatalf("err = %v, want a budget trip", err)
+			}
+			tc.after(t, e, before)
+			// Limits are fixed for an engine's life and its pool is built
+			// with them; a test that swaps them swaps the pool too.
+			e.cfg.Limits, e.pool = roomy, nil
+			if err := tc.op(bg, e); err != nil {
+				t.Fatalf("the same call after the trip: %v", err)
+			}
+			assertRebuildEquivalent(t, e)
+		})
+		t.Run(tc.name+"/cancelled", func(t *testing.T) {
+			e := fresh(t, tc.workers)
+			before := snap(e)
+			if err := tc.op(cancelled(), e); !errors.Is(err, context.Canceled) || !Aborted(err) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			tc.after(t, e, before)
+			if err := tc.op(bg, e); err != nil {
+				t.Fatalf("the same call under a live context: %v", err)
+			}
+			assertRebuildEquivalent(t, e)
+		})
+	}
+
+	// A panicking test is its own errored result: the run succeeds, the
+	// other tests' coverage is recorded, sequentially and sharded alike.
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("run/workers=%d/panic", workers), func(t *testing.T) {
+			e, clean := fresh(t, workers), fresh(t, workers)
+			hostile := append(testkit.Suite{faults.PanicTest{}}, more...)
+			results, err := e.Run(bg, "", hostile, workers, nil)
+			if err != nil {
+				t.Fatalf("a panicking test failed the run: %v", err)
+			}
+			if len(results) != len(hostile) || !results[0].Errored() {
+				t.Fatalf("results = %v, want the panic as one errored result of %d", results, len(hostile))
+			}
+			if _, err := clean.Run(bg, "", more, workers, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tableOf(t, e), tableOf(t, clean); got != want {
+				t.Errorf("table after a panicking test:\n%s\nwant:\n%s", got, want)
+			}
+			assertRebuildEquivalent(t, e)
+		})
+	}
+
+	// Patch, budget by budget: every budget around the one that first
+	// lets the commit through (op counts shift by a few between engines —
+	// the op cache is warmed in map order — so the boundary is scanned,
+	// not pinned). Short of the commit the call aborts with nothing
+	// changed; past it the delta is applied even when the drift report
+	// is cut short, which must not read as a failed delta.
+	t.Run("patch/commit-boundary", func(t *testing.T) {
+		try := func(maxOps int) (e *Engine, before state, applied *delta.Applied, err error) {
+			e = fresh(t, 2)
+			if _, err := e.Run(bg, "", more, 2, nil); err != nil { // builds the pool
+				t.Fatal(err)
+			}
+			before = snap(e)
+			e.cfg.Limits = bdd.Limits{MaxOps: maxOps}
+			applied, err = e.Patch(bg, patchDoc(e.Net()))
+			e.cfg.Limits = roomy
+			return e, before, applied, err
+		}
+		lo, hi := 1, 1<<22
+		for hi-lo > 1 {
+			mid := (lo + hi) / 2
+			if _, _, applied, _ := try(mid); applied != nil {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		var aborted, cutShort, whole int
+		var patched string
+		for budget := max(lo-48, 1); budget < lo+48 || whole == 0; budget++ {
+			if budget == lo+48 {
+				budget = 1 << 30
+			}
+			e, before, applied, err := try(budget)
+			if applied == nil {
+				aborted++
+				if !errors.Is(err, bdd.ErrBudgetExceeded) {
+					t.Fatalf("budget %d: err = %v, want a budget trip", budget, err)
+				}
+				untouched(t, e, before)
+				if e.pool == nil {
+					t.Errorf("budget %d: a pre-commit abort dropped the replica pool", budget)
+				}
+				continue
+			}
+			switch {
+			case err == nil && len(applied.Drift) > 0:
+				whole++
+			case errors.Is(err, delta.ErrDriftIncomplete) && applied.Drift == nil:
+				cutShort++
+			default:
+				t.Fatalf("budget %d: applied=%+v err=%v", budget, applied, err)
+			}
+			if e.Fingerprint() != applied.Fingerprint || e.Fingerprint() == before.fp || e.Net().Generation() == before.gen {
+				t.Errorf("budget %d: a committed delta did not advance the fingerprint and generation", budget)
+			}
+			if patched == "" {
+				patched = e.Fingerprint()
+			} else if e.Fingerprint() != patched {
+				t.Errorf("budget %d: the same delta produced another network", budget)
+			}
+			if e.pool != nil {
+				t.Errorf("budget %d: a committed delta kept replicas of the network as it was", budget)
+			}
+			if applied.Decay.DroppedMarks == 0 {
+				t.Errorf("budget %d: the removed rule was marked; its mark must be reported as decay", budget)
+			}
+			assertRebuildEquivalent(t, e)
+			if cutShort+whole == 1 {
+				// The next parallel run clones the patched network.
+				if _, err := e.Run(bg, "", suite, 2, nil); err != nil {
+					t.Fatal(err)
+				}
+				assertRebuildEquivalent(t, e)
+			}
+		}
+		if aborted == 0 || cutShort == 0 || whole == 0 {
+			t.Errorf("scan saw %d pre-commit aborts, %d cut-short reports, %d whole ones; want some of each", aborted, cutShort, whole)
+		}
+	})
+
+	// A stale base and an invalid document are the caller's fault, not
+	// aborts, and change nothing either.
+	t.Run("patch/rejected", func(t *testing.T) {
+		e := fresh(t, 1)
+		before := snap(e)
+		doc := patchDoc(e.Net())
+		doc.Base = "stale"
+		var bm *delta.BaseMismatchError
+		if applied, err := e.Patch(bg, doc); applied != nil || !errors.As(err, &bm) || bm.Current != before.fp || Aborted(err) {
+			t.Errorf("stale base: applied=%v err=%v", applied, err)
+		}
+		bad := delta.Document{Ops: []delta.Op{{Op: delta.OpRemove, Rule: netmodel.RuleID(len(e.Net().Rules))}}}
+		if applied, err := e.Patch(bg, bad); applied != nil || err == nil || Aborted(err) {
+			t.Errorf("invalid document: applied=%v err=%v", applied, err)
+		}
+		untouched(t, e, before)
+	})
+
+	// A fragment recorded against another network is refused before it
+	// touches the trace; a damaged one likewise.
+	t.Run("merge/rejected", func(t *testing.T) {
+		e := fresh(t, 1)
+		if _, err := e.Patch(bg, patchDoc(e.Net())); err != nil {
+			t.Fatal(err)
+		}
+		before := snap(e)
+		if _, err := e.Merge(bg, arena); !errors.Is(err, core.ErrSnapshotMismatch) {
+			t.Errorf("foreign arena: %v, want ErrSnapshotMismatch", err)
+		}
+		if _, err := e.Merge(bg, arena[:len(arena)/2]); err == nil || Aborted(err) {
+			t.Errorf("truncated arena: %v, want a decode error", err)
+		}
+		untouched(t, e, before)
+	})
+}
+
+func TestSnapshotRestore(t *testing.T) {
+	base := regional(t)
+	e := New(base, Config{})
+	if _, err := e.Run(bg, "", suiteOf(t, "default,internal"), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/trace.snap"
+	if err := e.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	again := New(base.Clone(), Config{})
+	if legacy, err := again.Restore(bg, path); err != nil || legacy {
+		t.Fatalf("Restore = legacy %v, %v", legacy, err)
+	}
+	if !e.Trace().TransferTo(again.Net().Space).Equal(again.Trace()) {
+		t.Error("restored trace differs from the one checkpointed")
+	}
+	if _, err := again.Patch(bg, patchDoc(again.Net())); err != nil {
+		t.Fatal(err)
+	}
+	before := again.Trace().Stats()
+	if _, err := again.Restore(bg, path); !errors.Is(err, core.ErrSnapshotMismatch) {
+		t.Errorf("restore after the network changed: %v, want ErrSnapshotMismatch", err)
+	}
+	if again.Trace().Stats() != before {
+		t.Error("a refused snapshot changed the trace")
+	}
+}

@@ -504,6 +504,21 @@ func (n *Network) RulesForwardingTo(ifid IfaceID) []RuleID {
 	return out
 }
 
+// Roles returns the distinct device roles in device order — the row
+// order of a by-role coverage table for a network that did not come from
+// a generator with a canonical order of its own.
+func (n *Network) Roles() []Role {
+	seen := map[Role]bool{}
+	var out []Role
+	for _, d := range n.Devices {
+		if !seen[d.Role] {
+			seen[d.Role] = true
+			out = append(out, d.Role)
+		}
+	}
+	return out
+}
+
 // Stats summarizes the network's size.
 type Stats struct {
 	Devices, Ifaces, Links, Rules int

@@ -23,10 +23,10 @@ import (
 	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/engine"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
 	"yardstick/internal/report"
-	"yardstick/internal/sharded"
 	"yardstick/internal/testkit"
 )
 
@@ -182,7 +182,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer sp.End()
 	res.Profile = sp
-	reg := sp.Registry()
 
 	evaluate := func(name string, build func() (*netmodel.Network, error)) ([]testkit.Result, *report.Snapshot, bool, error) {
 		stage := sp.Child(name)
@@ -193,82 +192,35 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			bsp.End()
 			return nil, nil, false, err
 		}
-		if !net.MatchSetsComputed() {
-			net.ComputeMatchSets()
-		}
+		net.ComputeMatchSets()
 		bsp.EndStage()
 		// Budgets and cancellation apply from here on: the network is
 		// built (its match sets are the baseline node population), and
-		// everything after this point is evaluation work. bdd.Guard is
-		// the hdr/core recovery boundary — a budget blown anywhere in
-		// the guarded phase unwinds to here as a typed error.
-		net.Space.SetLimits(cfg.Limits)
-		// Counter baseline after SetLimits (it resets the op counter);
-		// the deferred flush settles this state's BDD movement onto the
-		// stage span and the registry even when the guard trips.
-		base := net.Space.EngineStats()
-		defer func() { net.Space.FlushStats(stage, reg, base) }()
-		defer net.Space.WatchContext(ctx)()
+		// everything after this point is a guarded stage of the engine —
+		// a budget blown anywhere in one comes back as a typed error.
+		eng := engine.New(net, engine.Config{Workers: cfg.Workers, Limits: cfg.Limits})
+		// This state's BDD movement reaches the registry even when a
+		// stage aborts.
+		defer eng.SettleStats(sp.Registry())
+		ctx := obs.ContextWithSpan(ctx, stage)
+		results, err := eng.Run(ctx, "pipeline.suite", cfg.Suite, cfg.Workers, nil)
+		if err != nil {
+			return results, nil, false, err
+		}
 		var (
-			results   []testkit.Result
-			trace     *core.Trace
 			snap      *report.Snapshot
 			truncated bool
 		)
-		if cfg.Workers > 1 {
-			// Parallel suite evaluation: clone the state per worker, run
-			// shards, merge traces into this (canonical) space. Shard
-			// budget trips and cancellation surface here with the same
-			// error semantics as the sequential guard. The suite span
-			// rides the context so shard spans nest under it.
-			ssp := stage.Child("pipeline.suite")
-			sctx := obs.ContextWithSpan(ctx, ssp)
-			eng, err := sharded.New(sctx, net, sharded.Config{
-				Workers: cfg.Workers,
-				Limits:  cfg.Limits,
+		err = eng.View(ctx, "pipeline.coverage", func(cov *core.Coverage) { snap = report.TakeSnapshot(cov) })
+		if err == nil && !cfg.SkipPathUniverse {
+			err = eng.View(ctx, "pipeline.paths", func(*core.Coverage) {
+				n, complete := dataplane.EnumeratePaths(ctx, net, dataplane.EdgeStarts(net),
+					dataplane.EnumOpts{MaxPaths: cfg.PathBudget}, func(dataplane.Path) bool { return true })
+				snap.PathUniverse = n
+				truncated = !complete
 			})
-			if err != nil {
-				ssp.End()
-				return nil, nil, false, err
-			}
-			sres, err := eng.Run(sctx, cfg.Suite)
-			ssp.EndStage()
-			results = sres.Results
-			if err != nil {
-				return results, nil, false, err
-			}
-			trace = sres.Trace
 		}
-		gerr := bdd.Guard(func() {
-			if trace == nil {
-				func() {
-					ssp := stage.Child("pipeline.suite")
-					defer ssp.EndStage()
-					trace = core.NewTrace()
-					results = cfg.Suite.Run(obs.ContextWithSpan(ctx, ssp), net, trace)
-				}()
-			}
-			func() {
-				csp := stage.Child("pipeline.coverage")
-				defer csp.EndStage()
-				cov := core.NewCoverage(net, trace)
-				snap = report.TakeSnapshot(cov)
-			}()
-			if !cfg.SkipPathUniverse {
-				func() {
-					psp := stage.Child("pipeline.paths")
-					defer psp.EndStage()
-					n, complete := dataplane.EnumeratePaths(ctx, net, dataplane.EdgeStarts(net),
-						dataplane.EnumOpts{MaxPaths: cfg.PathBudget}, func(dataplane.Path) bool { return true })
-					snap.PathUniverse = n
-					truncated = !complete
-				}()
-			}
-		})
-		if gerr == nil {
-			gerr = ctx.Err()
-		}
-		return results, snap, truncated, gerr
+		return results, snap, truncated, err
 	}
 
 	_, beforeSnap, beforeTrunc, err := evaluate("before", cfg.Before)

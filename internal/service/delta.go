@@ -5,8 +5,8 @@ import (
 	"errors"
 	"net/http"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/delta"
+	"yardstick/internal/engine"
 )
 
 // Registry metric names of the churn path.
@@ -15,18 +15,9 @@ const (
 	MetricDeltaApplied  = "yardstick_delta_applied_total"
 )
 
-// deltaTotals counts churn-path activity; guarded by Server.mu and
-// mirrored into the metrics registry at increment time.
-type deltaTotals struct {
-	applied       int64
-	networkResets int64
-	rulesAdded    int64
-	rulesRemoved  int64
-	rulesModified int64
-	marksDropped  int64
-}
-
-// DeltaReport is the churn-path section of GET /stats.
+// DeltaReport is the churn-path section of GET /stats. The server's
+// copy is guarded by Server.mu and mirrored into the metrics registry at
+// increment time.
 type DeltaReport struct {
 	Applied       int64 `json:"applied"`
 	NetworkResets int64 `json:"networkResets"`
@@ -34,17 +25,6 @@ type DeltaReport struct {
 	RulesRemoved  int64 `json:"rulesRemoved"`
 	RulesModified int64 `json:"rulesModified"`
 	MarksDropped  int64 `json:"marksDropped"`
-}
-
-func (d *deltaTotals) report() DeltaReport {
-	return DeltaReport{
-		Applied:       d.applied,
-		NetworkResets: d.networkResets,
-		RulesAdded:    d.rulesAdded,
-		RulesRemoved:  d.rulesRemoved,
-		RulesModified: d.rulesModified,
-		MarksDropped:  d.marksDropped,
-	}
 }
 
 // patchNetwork applies a rule-level delta document (internal/delta) to
@@ -70,58 +50,40 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.net == nil {
-		httpError(w, http.StatusConflict, "no network loaded")
-		return
-	}
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
-	defer s.net.Space.WatchContext(ctx)()
-	eng := delta.ResumeEngine(s.view, s.fingerprintLocked())
-	var (
-		applied *delta.Applied
-		aerr    error
-	)
-	gerr := bdd.Guard(func() { applied, aerr = eng.Apply(doc) })
-	if gerr != nil {
+	applied, err := s.eng.Patch(ctx, doc)
+	var bm *delta.BaseMismatchError
+	switch {
+	case applied != nil && err != nil:
+		// Applied; only the report is degraded (delta.ErrDriftIncomplete).
+		// A success, with the incompleteness surfaced in the log.
+		s.logger.Warn("delta applied, drift report incomplete", "err", err)
+		applied.Drift = nil
+	case errors.Is(err, engine.ErrNoNetwork):
+		httpError(w, http.StatusConflict, "%v", err)
+		return
+	case errors.As(err, &bm):
+		fingerprintConflict(w, bm, bm.Current)
+		return
+	case engine.Aborted(err):
 		// Pre-commit abort: the mutation stages everything before
 		// publishing, so the network is untouched.
-		abortError(w, "delta", gerr)
+		abortError(w, "delta", err)
+		return
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	driftIncomplete := false
-	if aerr != nil {
-		var bm *delta.BaseMismatchError
-		switch {
-		case errors.As(aerr, &bm):
-			fingerprintConflict(w, bm, bm.Current)
-			return
-		case errors.Is(aerr, delta.ErrDriftIncomplete):
-			// Applied; only the report is degraded. Fall through as a
-			// success with the incompleteness surfaced in the log.
-			driftIncomplete = true
-			s.logger.Warn("delta applied, drift report incomplete", "err", aerr)
-		default:
-			httpError(w, http.StatusBadRequest, "%v", aerr)
-			return
-		}
-	}
-	s.netFP = applied.Fingerprint
 	// Retained job fragments were recorded against the old rule universe;
 	// decoding them now would mis-attribute marks. Drop them — the
 	// accumulated trace (already remapped) is the durable state.
 	s.jobTraces = map[string]*jobFragment{}
-	s.delta.applied++
-	s.delta.rulesAdded += int64(applied.Added)
-	s.delta.rulesRemoved += int64(applied.Removed)
-	s.delta.rulesModified += int64(applied.Modified)
-	s.delta.marksDropped += int64(applied.Decay.DroppedMarks)
+	s.delta.Applied++
+	s.delta.RulesAdded += int64(applied.Added)
+	s.delta.RulesRemoved += int64(applied.Removed)
+	s.delta.RulesModified += int64(applied.Modified)
+	s.delta.MarksDropped += int64(applied.Decay.DroppedMarks)
 	s.metrics.Counter(MetricDeltaApplied).Inc()
-	// The replicas are clones of the pre-delta network; the next parallel
-	// run clones the patched one.
-	s.engine = nil
-	if driftIncomplete {
-		applied.Drift = nil
-	}
 	writeJSON(w, http.StatusOK, applied)
 }

@@ -12,8 +12,8 @@ import (
 	"strconv"
 	"strings"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
+	"yardstick/internal/engine"
 	"yardstick/internal/jobs"
 	"yardstick/internal/obs"
 	"yardstick/internal/testkit"
@@ -98,10 +98,10 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.net == nil {
-		return nil, errors.New("no network loaded")
+	if s.eng.Net() == nil {
+		return nil, engine.ErrNoNetwork
 	}
-	workers := s.clampWorkers(spec.Workers)
+	workers := s.capWorkers(spec.Workers)
 	jobID := jobs.JobID(ctx)
 	sp := obs.NewRoot("service.job", s.metrics)
 	sp.SetTag("job", jobID)
@@ -127,10 +127,9 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	frag := core.NewTrace()
 	out, err := s.runSuiteLocked(ctx, suite, workers, frag)
 	// Whatever coverage the run managed to record is kept, even when the
-	// run aborted: the trace is a monotonic union. Guarded — folding is
-	// same-space BDD unions and the manager may have been poisoned by a
-	// budget trip during the run.
-	if merr := bdd.Guard(func() { s.trace.Merge(frag) }); err == nil {
+	// run aborted: the trace is a monotonic union, and folding the
+	// fragment into it is not something a cancelled job cancels.
+	if merr := s.eng.MergeTrace(context.WithoutCancel(ctx), frag); err == nil {
 		err = merr
 	}
 	if err != nil {
@@ -181,7 +180,7 @@ func (s *Server) storeJobTraceLocked(id string, frag *core.Trace) {
 // retained fragment. Set extraction is BDD-manager work: callers hold
 // s.mu, and it runs guarded so a poisoned manager fails the fetch, not
 // the daemon.
-func (s *Server) jobTraceLocked(id string, arena bool) (data []byte, ok bool, err error) {
+func (s *Server) jobTraceLocked(ctx context.Context, id string, arena bool) (data []byte, ok bool, err error) {
 	f, ok := s.jobTraces[id]
 	if !ok {
 		return nil, false, nil
@@ -191,18 +190,9 @@ func (s *Server) jobTraceLocked(id string, arena bool) (data []byte, ok bool, er
 		slot = &f.arena
 	}
 	if *slot == nil {
-		var buf bytes.Buffer
-		gerr := bdd.Guard(func() {
-			if arena {
-				err = core.EncodeFragmentArena(&buf, s.net, s.fingerprintLocked(), f.trace)
-			} else {
-				err = f.trace.EncodeJSON(&buf)
-			}
-		})
-		if err = errors.Join(gerr, err); err != nil {
+		if *slot, err = s.eng.EncodeFragment(ctx, f.trace, arena); err != nil {
 			return nil, true, err
 		}
-		*slot = buf.Bytes()
 	}
 	return *slot, true, nil
 }
@@ -288,7 +278,7 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 	// selects it, q-values ignored.
 	arena := strings.Contains(r.Header.Get("Accept"), TraceArenaMediaType)
 	s.mu.Lock()
-	data, ok, err := s.jobTraceLocked(id, arena)
+	data, ok, err := s.jobTraceLocked(r.Context(), id, arena)
 	s.mu.Unlock()
 	if !ok {
 		httpError(w, http.StatusGone, "job %s trace no longer available (evicted or daemon restarted); re-run the shard", id)
@@ -499,20 +489,20 @@ func (s *Server) flushJobGauges() {
 // checkpointJobsLocked persists the job records next to the trace
 // snapshot under the same network fingerprint. Callers hold s.mu.
 func (s *Server) checkpointJobsLocked() error {
-	if s.jobsPath == "" || s.net == nil {
+	if s.jobsPath == "" || s.eng.Net() == nil {
 		return nil
 	}
-	return jobs.Save(s.jobsPath, s.fingerprintLocked(), s.jobs.Records())
+	return jobs.Save(s.jobsPath, s.eng.Fingerprint(), s.jobs.Records())
 }
 
 // restoreJobsLocked recovers persisted job records. Missing files and
 // fingerprint mismatches are tolerated (stale records are discarded).
 // Callers hold s.mu.
 func (s *Server) restoreJobsLocked() (int, error) {
-	if s.jobsPath == "" || s.net == nil {
+	if s.jobsPath == "" || s.eng.Net() == nil {
 		return 0, nil
 	}
-	recs, err := jobs.Load(s.jobsPath, s.fingerprintLocked())
+	recs, err := jobs.Load(s.jobsPath, s.eng.Fingerprint())
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return 0, nil

@@ -212,12 +212,12 @@ func TestJobTraceExport(t *testing.T) {
 		t.Fatalf("GET /jobs/{id}/trace = %d, want 200", resp.StatusCode)
 	}
 	srv.mu.Lock()
-	frag, derr := core.DecodeTraceJSON(srv.net, resp.Body)
+	frag, derr := core.DecodeTraceJSON(srv.eng.Net(), resp.Body)
 	srv.mu.Unlock()
 	if derr != nil {
 		t.Fatalf("decode job trace: %v", derr)
 	}
-	fs, ss := frag.Stats(), srv.trace.Stats()
+	fs, ss := frag.Stats(), srv.eng.Trace().Stats()
 	if fs.Locations == 0 || fs != ss {
 		t.Fatalf("fragment stats %+v, server trace stats %+v — a single job's fragment should equal the whole accumulated trace", fs, ss)
 	}
@@ -290,15 +290,15 @@ func TestJobTraceNegotiation(t *testing.T) {
 
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	fromArena, err := core.DecodeTraceJSON(srv.net, bytes.NewReader(arena))
+	fromArena, err := core.DecodeTraceJSON(srv.eng.Net(), bytes.NewReader(arena))
 	if err != nil {
 		t.Fatalf("decode arena fragment: %v", err)
 	}
-	fromJSON, err := core.DecodeTraceJSON(srv.net, bytes.NewReader(cubes))
+	fromJSON, err := core.DecodeTraceJSON(srv.eng.Net(), bytes.NewReader(cubes))
 	if err != nil {
 		t.Fatalf("decode JSON fragment: %v", err)
 	}
-	if !fromArena.Equal(fromJSON) || !fromArena.Equal(srv.trace) {
+	if !fromArena.Equal(fromJSON) || !fromArena.Equal(srv.eng.Trace()) {
 		t.Fatal("arena fragment, JSON fragment and the server's accumulated trace are not one trace")
 	}
 }

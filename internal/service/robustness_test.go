@@ -261,7 +261,7 @@ func TestSnapshotPersistence(t *testing.T) {
 	if restored {
 		t.Error("stale snapshot (different network) must be discarded, not merged")
 	}
-	if st := srv3.trace.Stats(); st.Locations != 0 || st.MarkedRules != 0 {
+	if st := srv3.eng.Trace().Stats(); st.Locations != 0 || st.MarkedRules != 0 {
 		t.Errorf("trace after discarded restore = %+v, want empty", st)
 	}
 }
@@ -381,7 +381,7 @@ func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
 	if err != nil || !restored {
 		t.Fatalf("Restore from a JSON checkpoint = %v, %v", restored, err)
 	}
-	if !srv.trace.Equal(want) {
+	if !srv.eng.Trace().Equal(want) {
 		t.Error("restored trace differs from the checkpointed one")
 	}
 	if n := strings.Count(logs.String(), "deprecated"); n != 1 {
@@ -400,7 +400,7 @@ func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
 	}
 	logs.Reset()
 	again := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(slog.New(slog.NewTextHandler(&logs, nil))))
-	if restored, err := again.Restore(); err != nil || !restored || !again.trace.Equal(want) {
+	if restored, err := again.Restore(); err != nil || !restored || !again.eng.Trace().Equal(want) {
 		t.Fatalf("Restore from the rewritten checkpoint = %v, %v", restored, err)
 	}
 	if strings.Contains(logs.String(), "deprecated") {
@@ -421,10 +421,10 @@ func TestCheckpointReusesFingerprint(t *testing.T) {
 	}
 	snap := filepath.Join(t.TempDir(), "trace.snap")
 	srv := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
-	srv.trace.MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
-	fp := srv.fingerprintLocked()
+	srv.eng.Trace().MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
+	fp := srv.eng.Fingerprint()
 	var arena bytes.Buffer
-	if err := core.EncodeFragmentArena(&arena, rg.Net, fp, srv.trace); err != nil {
+	if err := core.EncodeFragmentArena(&arena, rg.Net, fp, srv.eng.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
@@ -443,7 +443,7 @@ func TestCheckpointReusesFingerprint(t *testing.T) {
 		}
 		return worst
 	}
-	encode := worst(func() { core.EncodeFragmentArena(io.Discard, rg.Net, fp, srv.trace) })
+	encode := worst(func() { core.EncodeFragmentArena(io.Discard, rg.Net, fp, srv.eng.Trace()) })
 	decode := worst(func() { core.DecodeFragment(arena.Bytes(), rg.Net, fp) })
 	const slack = 32 << 10
 	for _, c := range []struct {
@@ -489,7 +489,7 @@ func TestCheckpointerFinalSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
-	srv.trace.MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
+	srv.eng.Trace().MarkRule(rg.Net.Device(rg.ToRs[0]).FIB[0])
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -497,7 +497,7 @@ func TestCheckpointerFinalSave(t *testing.T) {
 	cancel()
 	<-done
 
-	got, _, err := core.LoadSnapshot(snap, rg.Net, srv.fingerprintLocked())
+	got, _, err := core.LoadSnapshot(snap, rg.Net, srv.eng.Fingerprint())
 	if err != nil {
 		t.Fatalf("no snapshot after checkpointer shutdown: %v", err)
 	}

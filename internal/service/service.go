@@ -12,7 +12,7 @@
 //
 //	PUT    /network          load a network (JSON body; ?format=text for the text format)
 //	GET    /network          current network stats
-//	POST   /trace            merge a trace fragment (trace JSON)
+//	POST   /trace            merge a trace fragment (trace JSON or YSS1 arena)
 //	GET    /trace            download the accumulated trace
 //	DELETE /trace            reset the trace
 //	POST   /run?suite=a,b    run built-in tests server-side, accumulate coverage
@@ -35,39 +35,29 @@
 //	GET    /readyz           readiness: 200 when ready; 503 with a reason
 //	                         body (no_network, draining, queue_saturated)
 //
-// The server serializes all requests: the underlying BDD manager is
-// single-threaded by design. With WithWorkers(n > 1), POST /run can
-// fan one request's suite out across per-worker network replicas
-// (internal/sharded) — requests are still serialized; the parallelism
-// is within a run.
+// The service is the edge of internal/engine: a handler decodes and
+// validates the request, takes the server lock (an Engine is not safe for
+// concurrent use, so requests are serialized; WithWorkers(n > 1)
+// parallelises within one run), makes one engine call under the
+// request's context — tightened by WithRunTimeout, so a disconnected
+// client or an expired deadline aborts the symbolic work — and maps the
+// outcome to a status: 409 without a network or against a stale
+// fingerprint, 400 for a malformed body, 503 + Retry-After for an aborted
+// evaluation. What an abort leaves behind is the engine's contract
+// (partial coverage is kept; a test that panics is an errored RunResult).
 //
-// The handler chain hardens the service for long-running deployment:
-// panics are recovered (500, logged stack, server survives), request
-// bodies are size-capped (413 past the limit), and requests are logged.
-// Compute-heavy endpoints additionally pass admission control
-// (admission.go): a per-route-class concurrency cap sheds with 429 +
-// Retry-After, a full job queue sheds with 503 + Retry-After, and a
+// Around that sits the hardening for long-running deployment: panics
+// are recovered (500, logged stack, server survives), request bodies are
+// size-capped (413), requests are logged, and compute-heavy endpoints
+// pass admission control (admission.go) — a concurrency cap sheds with
+// 429 + Retry-After, a full job queue with 503 + Retry-After, and a
 // draining server sheds everything while /readyz steers load balancers
-// away — under overload the service answers fast and explicitly rather
-// than queueing without bound.
-// With WithSnapshot, the accumulated trace is checkpointed to an
-// atomic-rename snapshot file — periodically and on shutdown — and
-// recovered on startup when the snapshot's network fingerprint matches
-// the loaded network, so accumulated coverage survives a restart.
-//
-// Evaluation endpoints (/run, /coverage, /gaps) run under each
-// request's context, optionally tightened by WithRunTimeout (the
-// daemon's -run-timeout flag): a disconnected client or an expired
-// deadline aborts the symbolic work through the BDD engine's watched
-// context and answers 503. A server-side test that panics or exhausts
-// a resource budget comes back as an errored RunResult while the rest
-// of the suite still runs; partial trace contributions from aborted
-// runs are kept (the trace is a monotonic union, so partial merges
-// never corrupt it).
+// away. With WithSnapshot the accumulated trace is checkpointed to an
+// atomic-rename file, periodically and on shutdown, and recovered on
+// startup when its network fingerprint matches the loaded network.
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -82,8 +72,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
+	"yardstick/internal/engine"
 	"yardstick/internal/hdr"
 	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
@@ -101,28 +91,16 @@ const DefaultMaxBody int64 = 64 << 20
 // Server is the HTTP coverage service. Create with New and mount via
 // Handler.
 type Server struct {
-	mu    sync.Mutex
-	net   *netmodel.Network
-	trace *core.Trace
-	// view is the coverage view maintained over (net, trace): GET
-	// /coverage, GET /gaps and PATCH /network's drift report read it, and
-	// it re-derives only the devices whose marks or rules changed since
-	// the last read. It is tied to one network and one trace, so the three
-	// fields change together, through install only.
-	view *core.Coverage
-	// netFP caches the loaded network's fingerprint ("" until first
-	// needed; see fingerprintLocked). PUT uses it to detect a no-op
-	// re-upload, PATCH to validate a delta document's base and to avoid
-	// re-hashing the network on every delta.
-	netFP string
-	// engine is the lazily built sharded evaluation pool for the current
-	// network (nil until the first parallel /run; reset when the network
-	// changes). Replicas are expensive to build, cheap to keep.
-	engine *sharded.Engine
+	mu sync.Mutex
+	// eng is everything the handlers evaluate against: the loaded network
+	// (none until the first PUT), the accumulated trace, the coverage view
+	// over the two, the fingerprint and the replica pool. s.mu serializes
+	// calls into it; a PUT of a different network replaces it whole.
+	eng *engine.Engine
 	// delta counts churn-path activity (PATCH /network applications and
 	// full network resets), mirrored into the metrics registry and
 	// reported raw in /stats.
-	delta deltaTotals
+	delta DeltaReport
 
 	logger       *slog.Logger
 	metrics      *obs.Registry
@@ -162,12 +140,6 @@ type Server struct {
 	inflight     atomic.Int64
 	draining     atomic.Bool
 	shedTotals   shedTotals
-
-	// engineBase is the last-flushed counter baseline of the canonical
-	// BDD manager. The canonical manager's movement is settled into the
-	// metrics registry through exactly one path — flushCanonical, under
-	// the server mutex — so scrapes and reports never double-count.
-	engineBase bdd.Stats
 }
 
 // Option configures a Server.
@@ -260,10 +232,10 @@ func New(opts ...Option) *Server {
 		maxWorkers:   1,
 		snapInterval: time.Minute,
 	}
-	s.install(nil, core.NewTrace())
 	for _, o := range opts {
 		o(s)
 	}
+	s.eng = s.newEngine(nil)
 	// The queue wraps the server's own runner, so it is built after the
 	// options settle sizing (workers, run-timeout, depth, TTL).
 	s.jobs = jobs.New(s.runJob, jobs.Config{
@@ -283,20 +255,15 @@ func New(opts ...Option) *Server {
 	s.metrics.SetHelp("yardstick_jobs_retained", "Jobs held in memory, finished ones included")
 	s.metrics.SetHelp(MetricNetworkResets, "Full network replacements that reset the trace and replica pool")
 	s.metrics.SetHelp(MetricDeltaApplied, "Rule-level delta documents applied via PATCH /network")
-	s.metrics.SetHelp(MetricCoverageReads, "Reads of the coverage view, by whether any device had to be re-derived")
-	s.metrics.SetHelp(MetricCoverageRefreshDevices, "Devices re-derived by coverage view refreshes")
+	s.metrics.SetHelp(engine.MetricCoverageReads, "Reads of the coverage view, by whether any device had to be re-derived")
+	s.metrics.SetHelp(engine.MetricCoverageRefreshDevices, "Devices re-derived by coverage view refreshes")
 	return s
 }
 
-// install makes (net, trace) the server's state and starts a fresh
-// coverage view over the pair, so no view outlives the network or trace
-// it was derived from. Every assignment of s.net or s.trace goes through
-// here; callers hold s.mu (or own the server exclusively, as New does).
-func (s *Server) install(net *netmodel.Network, trace *core.Trace) {
-	s.net, s.trace, s.view = net, trace, nil
-	if net != nil {
-		s.view = core.NewCoverage(net, trace)
-	}
+// newEngine returns the engine for net (nil: none loaded yet), its
+// replica pool sized by the WithWorkers cap.
+func (s *Server) newEngine(net *netmodel.Network) *engine.Engine {
+	return engine.New(net, engine.Config{Workers: s.maxWorkers})
 }
 
 // Metrics exposes the server's metrics registry (what GET /metrics
@@ -306,7 +273,7 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // WithNetwork returns a server pre-loaded with a network.
 func WithNetwork(net *netmodel.Network, opts ...Option) *Server {
 	s := New(opts...)
-	s.install(net, s.trace)
+	s.eng = s.newEngine(net)
 	return s
 }
 
@@ -393,53 +360,33 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 		decodeError(w, "network", err)
 		return
 	}
-	fp, err := core.Fingerprint(net)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "fingerprint network: %v", err)
-		return
-	}
+	// The new network's engine is built, and the network hashed, before
+	// the lock is taken: nothing else can see it yet.
+	next := s.newEngine(net)
+	fp := next.Fingerprint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Idempotent re-upload: loading a byte-identical network again is a
 	// no-op that keeps the accumulated trace, the replica pool, and the
 	// retained job fragments — deploy pipelines PUT unconditionally, and
 	// coverage must not evaporate when nothing changed.
-	if s.net != nil && fp == s.fingerprintLocked() {
-		body := statsBody(s.net, fp)
+	if s.eng.Net() != nil && fp == s.eng.Fingerprint() {
+		body := statsBody(s.eng)
 		body.Unchanged = true
 		writeJSON(w, http.StatusOK, body)
 		return
 	}
-	if s.net != nil {
-		s.delta.networkResets++
+	if s.eng.Net() != nil {
+		s.delta.NetworkResets++
 		s.metrics.Counter(MetricNetworkResets).Inc()
 	}
-	s.install(net, core.NewTrace()) // a new network invalidates the old trace
-	s.netFP = fp
-	s.engine = nil                          // and the old replica pool
-	s.jobTraces = map[string]*jobFragment{} // job fragments decode against the old network
+	// A new network invalidates the old trace, replica pool and counter
+	// baseline — all the old engine's — and the job fragments, which
+	// decode against the old network.
+	s.eng = next
+	s.jobTraces = map[string]*jobFragment{}
 	s.jobProfiles = map[string][]byte{}
-	s.engineBase = bdd.Stats{} // fresh manager, fresh counter baseline
-	writeJSON(w, http.StatusOK, statsBody(net, fp))
-}
-
-// fingerprintLocked returns the loaded network's fingerprint, computing
-// and caching it on first use ("" with no network or on an encode
-// failure — in which case a PUT/PATCH precondition can never match,
-// which fails safe). Callers hold s.mu.
-func (s *Server) fingerprintLocked() string {
-	if s.net == nil {
-		return ""
-	}
-	if s.netFP == "" {
-		fp, err := core.Fingerprint(s.net)
-		if err != nil {
-			s.logger.Error("fingerprinting loaded network", "err", err)
-			return ""
-		}
-		s.netFP = fp
-	}
-	return s.netFP
+	writeJSON(w, http.StatusOK, statsBody(next))
 }
 
 // NetworkStats is the GET /network (and PUT /network) response body.
@@ -457,26 +404,26 @@ type NetworkStats struct {
 	Unchanged bool `json:"unchanged,omitempty"`
 }
 
-func statsBody(net *netmodel.Network, fp string) NetworkStats {
-	st := net.Stats()
+func statsBody(eng *engine.Engine) NetworkStats {
+	st := eng.Net().Stats()
 	return NetworkStats{
-		Family:      net.Family().String(),
+		Family:      eng.Net().Family().String(),
 		Devices:     st.Devices,
 		Ifaces:      st.Ifaces,
 		Links:       st.Links,
 		Rules:       st.Rules,
-		Fingerprint: fp,
+		Fingerprint: eng.Fingerprint(),
 	}
 }
 
 func (s *Server) getNetwork(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.net == nil {
+	if s.eng.Net() == nil {
 		httpError(w, http.StatusNotFound, "no network loaded")
 		return
 	}
-	writeJSON(w, http.StatusOK, statsBody(s.net, s.fingerprintLocked()))
+	writeJSON(w, http.StatusOK, statsBody(s.eng))
 }
 
 // TraceStats is the POST /trace response body: the size of the
@@ -487,29 +434,29 @@ type TraceStats struct {
 }
 
 func (s *Server) postTrace(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.net == nil {
-		httpError(w, http.StatusConflict, "no network loaded")
-		return
-	}
+	// The body is read before the lock is taken, as PUT and PATCH do: a
+	// slow uploader must not stall every endpoint that needs s.mu.
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		decodeError(w, "trace", err)
 		return
 	}
-	frag, err := core.DecodeFragment(data, s.net, s.fingerprintLocked())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err = s.eng.Merge(r.Context(), data)
 	switch {
+	case errors.Is(err, engine.ErrNoNetwork):
+		httpError(w, http.StatusConflict, "%v", err)
+		return
 	case errors.Is(err, core.ErrSnapshotMismatch):
 		// A well-formed arena recorded against another network.
-		fingerprintConflict(w, err, s.fingerprintLocked())
+		fingerprintConflict(w, err, s.eng.Fingerprint())
 		return
 	case err != nil:
 		decodeError(w, "trace", err)
 		return
 	}
-	s.trace.Merge(frag)
-	st := s.trace.Stats()
+	st := s.eng.Trace().Stats()
 	writeJSON(w, http.StatusOK, TraceStats{
 		Locations:   st.Locations,
 		MarkedRules: st.MarkedRules,
@@ -521,20 +468,20 @@ func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	// Buffer the encoding so a failure can still produce a clean 500
 	// instead of corrupting an already-started 200 response.
-	var buf bytes.Buffer
-	if err := s.trace.EncodeJSON(&buf); err != nil {
+	data, err := s.eng.EncodeFragment(r.Context(), s.eng.Trace(), false)
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, "encode trace: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	w.Write(data)
 }
 
 func (s *Server) deleteTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.install(s.net, core.NewTrace())
+	s.eng.ResetTrace()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -587,16 +534,16 @@ func abortError(w http.ResponseWriter, what string, err error) {
 func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.net == nil {
+	if s.eng.Net() == nil {
 		httpError(w, http.StatusConflict, "no network loaded")
 		return
 	}
-	suite, err := builtinSuite(r.URL.Query().Get("suite"))
+	suite, err := testkit.BuiltinSuite(r.URL.Query().Get("suite"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	workers, err := s.requestWorkers(r)
+	workers, err := parseWorkers(r.URL.Query().Get("workers"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -609,7 +556,7 @@ func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 	sp := obs.NewRoot("service.run", s.metrics)
 	defer s.endSpan(sp)
 	ctx = obs.ContextWithSpan(ctx, sp)
-	out, rerr := s.runSuiteLocked(ctx, suite, workers, s.trace)
+	out, rerr := s.runSuiteLocked(ctx, suite, s.capWorkers(workers), nil)
 	if rerr != nil {
 		// Partial coverage already merged into the trace is kept: the
 		// trace is a monotonic union and every marked set was really
@@ -620,39 +567,18 @@ func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// runSuiteLocked evaluates suite (sequentially or sharded across
-// workers) against the loaded network, accumulating coverage into the
-// destination trace, and converts the results to their wire form. The
-// shared core of POST /run (into the server trace) and the async job
-// runner (into a per-job fragment that is then folded into the server
-// trace — see runJob). into must live in the canonical space. Callers
-// hold s.mu and have attached any span to ctx.
+// runSuiteLocked evaluates suite against the loaded network as the
+// service.evaluate stage — a worker-side span beneath the request root
+// even for a sequential run, which is what a coordinator's cross-node
+// timeline links to — recording coverage into into (nil: the accumulated
+// trace), and converts the results to their wire form. The shared core of
+// POST /run and the async job runner, which records into a per-job
+// fragment first (see runJob). Callers hold s.mu and have attached any
+// span to ctx.
 func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, workers int, into *core.Trace) ([]RunResult, error) {
-	// The evaluation stage gets its own child span so even a sequential
-	// run (workers=1, the common dispatch shape) exports a worker-side
-	// stage beneath the request root — what a coordinator's cross-node
-	// timeline links to. The sharded engine's build/shard children nest
-	// beneath it through the re-wrapped context.
-	eval := obs.SpanFromContext(ctx).Child("service.evaluate")
-	eval.Set("workers", int64(workers))
-	defer eval.EndStage()
-	ctx = obs.ContextWithSpan(ctx, eval)
-	var results []testkit.Result
-	if workers > 1 {
-		var err error
-		results, err = s.runSharded(ctx, suite, workers, into)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		defer s.net.Space.WatchContext(ctx)()
-		gerr := bdd.Guard(func() { results = suite.Run(ctx, s.net, into) })
-		if gerr == nil {
-			gerr = ctx.Err()
-		}
-		if gerr != nil {
-			return nil, gerr
-		}
+	results, err := s.eng.Run(ctx, "service.evaluate", suite, workers, into)
+	if err != nil {
+		return nil, err
 	}
 	var out []RunResult
 	for _, res := range results {
@@ -669,21 +595,16 @@ func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, worker
 				rr.Failures = append(rr.Failures, fmt.Sprintf("... %d more", len(res.Failures)-10))
 				break
 			}
-			rr.Failures = append(rr.Failures, fmt.Sprintf("%s: %s", s.net.Device(f.Device).Name, f.Detail))
+			rr.Failures = append(rr.Failures, fmt.Sprintf("%s: %s", s.eng.Net().Device(f.Device).Name, f.Detail))
 		}
 		out = append(out, rr)
 	}
 	return out, nil
 }
 
-// builtinSuite resolves the suite names the CLI tools also accept.
-func builtinSuite(arg string) (testkit.Suite, error) {
-	return testkit.BuiltinSuite(arg)
-}
-
 // parseWorkers resolves a ?workers query value: absent means
-// sequential (1); 0 asks for the server's cap (resolved by
-// clampWorkers); negatives and non-integers are rejected.
+// sequential (1); 0 asks for the server's cap (see capWorkers);
+// negatives and non-integers are rejected.
 func parseWorkers(q string) (int, error) {
 	if q == "" {
 		return 1, nil
@@ -695,49 +616,13 @@ func parseWorkers(q string) (int, error) {
 	return n, nil
 }
 
-// clampWorkers maps a requested worker count to the effective one:
-// 0 means the WithWorkers cap, everything else is clamped to [1, cap].
-func (s *Server) clampWorkers(n int) int {
-	if n == 0 || n > s.maxWorkers {
-		n = s.maxWorkers
-	}
-	if n < 1 {
-		n = 1
+// capWorkers resolves a requested worker count of 0 to the WithWorkers
+// cap; the engine holds anything above the cap to it.
+func (s *Server) capWorkers(n int) int {
+	if n == 0 {
+		return s.maxWorkers
 	}
 	return n
-}
-
-// requestWorkers resolves the ?workers query parameter against the
-// WithWorkers cap.
-func (s *Server) requestWorkers(r *http.Request) (int, error) {
-	n, err := parseWorkers(r.URL.Query().Get("workers"))
-	if err != nil {
-		return 0, err
-	}
-	return s.clampWorkers(n), nil
-}
-
-// runSharded evaluates suite across up to n workers of the lazily built
-// replica pool and merges the coverage into the destination trace. On
-// error the partial merged coverage is kept (monotonic union) and the
-// error describes the abort.
-func (s *Server) runSharded(ctx context.Context, suite testkit.Suite, n int, into *core.Trace) ([]testkit.Result, error) {
-	if s.engine == nil {
-		eng, err := sharded.New(ctx, s.net, sharded.Config{Workers: s.maxWorkers})
-		if err != nil {
-			return nil, fmt.Errorf("building worker pool: %w", err)
-		}
-		s.engine = eng
-	}
-	res, rerr := s.engine.RunWorkers(ctx, suite, n)
-	// res.Trace is already in the canonical space; folding it into the
-	// accumulated trace is same-space unions. Guard anyway: the canonical
-	// manager could have been poisoned by an earlier budgeted request.
-	merr := bdd.Guard(func() { into.Merge(res.Trace) })
-	if rerr != nil {
-		return res.Results, rerr
-	}
-	return res.Results, merr
 }
 
 // CoverageReport is the GET /coverage response body.
@@ -774,9 +659,12 @@ type EngineStats struct {
 	CacheResizes   uint64  `json:"cacheResizes"`
 }
 
-func toEngineStats(st bdd.Stats) EngineStats {
+// engineStats is the wire form of the engine's aggregated counters.
+// Callers hold s.mu.
+func (s *Server) engineStats() EngineStats {
+	st, managers := s.eng.Stats()
 	return EngineStats{
-		Workers:        1,
+		Workers:        managers,
 		Nodes:          st.Nodes,
 		PeakNodes:      st.PeakNodes,
 		UniqueSlots:    st.UniqueSlots,
@@ -790,30 +678,6 @@ func toEngineStats(st bdd.Stats) EngineStats {
 		UniqueResizes:  st.UniqueResizes,
 		CacheResizes:   st.CacheResizes,
 	}
-}
-
-// engineStatsLocked aggregates the canonical manager and, when the
-// sharded pool exists, every replica manager. Callers hold s.mu.
-func (s *Server) engineStatsLocked() EngineStats {
-	es := toEngineStats(s.net.Space.EngineStats())
-	if s.engine == nil {
-		return es
-	}
-	for _, st := range s.engine.ReplicaStats() {
-		es.Workers++
-		es.Nodes += st.Nodes
-		es.Ops += st.Ops
-		es.CacheHits += st.CacheHits
-		es.CacheMisses += st.CacheMisses
-		es.UniqueResizes += st.UniqueResizes
-		es.CacheResizes += st.CacheResizes
-		es.SatFracEntries += st.SatFracEntries
-		es.SatCntEntries += st.SatCntEntries
-		if st.PeakNodes > es.PeakNodes {
-			es.PeakNodes = st.PeakNodes
-		}
-	}
-	return es
 }
 
 // MetricsRow is one group's coverage metrics.
@@ -837,64 +701,30 @@ func toMetricsRow(m report.Metrics) MetricsRow {
 	}
 }
 
-// Registry metric names of the coverage view.
-const (
-	MetricCoverageReads          = "yardstick_coverage_reads_total"
-	MetricCoverageRefreshDevices = "yardstick_coverage_refresh_devices_total"
-)
-
 // readView is the shared front of the coverage view's two readers (GET
 // /coverage, GET /gaps): under the request's evaluation context and a
-// root span named span, it brings the view up to date — a
-// coverage.refresh child span records how many devices and rules that
-// took — and runs fold over it. It reports the time spent computing, or
-// answers the error itself (409 without a network, 503 on an aborted
-// evaluation) and returns ok false. An abort leaves the unfinished
-// devices dirty in the view; the next read recomputes them. Callers hold
-// s.mu.
+// root span named span, it runs fold over the up-to-date view as the
+// coverage.refresh stage, whose span records how many devices and rules
+// the refresh took. It reports the time spent computing, or answers the
+// error itself (409 without a network, 503 on an aborted evaluation) and
+// returns ok false. Callers hold s.mu.
 func (s *Server) readView(w http.ResponseWriter, r *http.Request, span, what string, fold func(*core.Coverage)) (compute time.Duration, ok bool) {
-	if s.net == nil {
+	if s.eng.Net() == nil {
 		httpError(w, http.StatusConflict, "no network loaded")
 		return 0, false
 	}
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
-	defer s.net.Space.WatchContext(ctx)()
 	start := time.Now()
 	sp := obs.NewRoot(span, s.metrics)
-	gerr := bdd.Guard(func() {
-		s.refreshView(sp)
-		fold(s.view)
-	})
+	err := s.eng.View(obs.ContextWithSpan(ctx, sp), "coverage.refresh", fold)
 	s.endSpan(sp)
 	compute = time.Since(start)
-	if gerr == nil {
-		// The engine polls its watched context every 1024 ops; small
-		// computations can finish between polls, so backstop here.
-		gerr = ctx.Err()
-	}
-	if gerr != nil {
-		abortError(w, what, gerr)
+	if err != nil {
+		abortError(w, what, err)
 		return 0, false
 	}
 	return compute, true
-}
-
-// refreshView brings the coverage view up to date under a
-// coverage.refresh child of parent, tagged with the devices and rules it
-// re-derived, and counts the read as clean or refreshed.
-func (s *Server) refreshView(parent *obs.Span) {
-	sp := parent.Child("coverage.refresh")
-	defer sp.EndStage() // a budget trip unwinds through here
-	st := s.view.Refresh()
-	sp.Set("devices", int64(st.Devices))
-	sp.Set("rules", int64(st.Rules))
-	result := "clean"
-	if st.Devices > 0 {
-		result = "refreshed"
-	}
-	s.metrics.Counter(MetricCoverageReads, "result", result).Inc()
-	s.metrics.Counter(MetricCoverageRefreshDevices).Add(uint64(st.Devices))
 }
 
 // serverTiming sets the Server-Timing header (before writeJSON starts
@@ -913,22 +743,14 @@ func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
 	var body CoverageReport
 	compute, ok := s.readView(w, r, "service.coverage", "coverage", func(cov *core.Coverage) {
 		body.Total = toMetricsRow(report.Total(cov, "total"))
-		seen := map[netmodel.Role]bool{}
-		var roles []netmodel.Role
-		for _, d := range s.net.Devices {
-			if !seen[d.Role] {
-				seen[d.Role] = true
-				roles = append(roles, d.Role)
-			}
-		}
-		for _, row := range report.ByRole(cov, roles) {
+		for _, row := range report.ByRole(cov, cov.Net.Roles()) {
 			body.ByRole = append(body.ByRole, toMetricsRow(row))
 		}
 	})
 	if !ok {
 		return
 	}
-	body.Engine = s.engineStatsLocked()
+	body.Engine = s.engineStats()
 	serverTiming(w, start, compute)
 	writeJSON(w, http.StatusOK, body)
 }
@@ -938,23 +760,11 @@ func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
 // always reflects completed work, whichever endpoint performed it.
 func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	s.flushCanonicalLocked()
-	reg := s.metrics
+	s.eng.SettleStats(s.metrics)
 	s.mu.Unlock()
 	s.flushJobGauges()
 	w.Header().Set("Content-Type", obs.ContentType)
-	reg.WritePrometheus(w)
-}
-
-// flushCanonicalLocked settles the canonical BDD manager's counter
-// movement since the last flush into the metrics registry. The single
-// flush path for the canonical manager; callers hold s.mu.
-func (s *Server) flushCanonicalLocked() {
-	if s.net == nil {
-		return
-	}
-	s.engineBase = s.net.Space.FlushStats(nil, s.metrics, s.engineBase)
-	s.metrics.Gauge("yardstick_engine_nodes").Set(float64(s.net.Space.EngineStats().Nodes))
+	s.metrics.WritePrometheus(w)
 }
 
 // StatsReport is the GET /stats response body: debug vars for humans
@@ -1025,21 +835,21 @@ func (s *Server) getStats(w http.ResponseWriter, r *http.Request) {
 	body := StatsReport{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
-		NetworkLoaded: s.net != nil,
+		NetworkLoaded: s.eng.Net() != nil,
 		Jobs:          s.jobs.Stats(),
 		InFlight:      s.inflight.Load(),
 		Draining:      s.draining.Load(),
 		Shed:          s.shedTotals.report(),
-		Delta:         s.delta.report(),
+		Delta:         s.delta,
 		Routes:        s.routeStats(),
 	}
-	ts := s.trace.Stats()
+	ts := s.eng.Trace().Stats()
 	body.TraceLocations = ts.Locations
 	body.MarkedRules = ts.MarkedRules
-	if s.net != nil {
-		body.Network = statsBody(s.net, s.fingerprintLocked())
-		body.Engine = s.engineStatsLocked()
-		s.flushCanonicalLocked()
+	if s.eng.Net() != nil {
+		body.Network = statsBody(s.eng)
+		body.Engine = s.engineStats()
+		s.eng.SettleStats(s.metrics)
 	}
 	body.Metrics = s.metrics.Snapshot()
 	s.mu.Unlock()
@@ -1091,7 +901,7 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		reason = "draining"
-	case func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.net == nil }():
+	case func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.eng.Net() == nil }():
 		reason = "no_network"
 	case s.jobs.Stats().Saturated():
 		reason = "queue_saturated"
@@ -1117,10 +927,10 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snapPath == "" || s.net == nil {
+	if s.snapPath == "" || s.eng.Net() == nil {
 		return nil
 	}
-	if err := core.SaveSnapshotArena(s.snapPath, s.net, s.fingerprintLocked(), s.trace); err != nil {
+	if err := s.eng.Snapshot(s.snapPath); err != nil {
 		return err
 	}
 	return s.checkpointJobsLocked()
@@ -1137,7 +947,7 @@ func (s *Server) Checkpoint() error {
 func (s *Server) Restore() (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snapPath == "" || s.net == nil {
+	if s.snapPath == "" || s.eng.Net() == nil {
 		return false, nil
 	}
 	// Job records recover independently of the trace: a missing or
@@ -1146,7 +956,8 @@ func (s *Server) Restore() (bool, error) {
 	if _, err := s.restoreJobsLocked(); err != nil {
 		return false, fmt.Errorf("restore job records: %w", err)
 	}
-	snap, legacy, err := core.LoadSnapshot(s.snapPath, s.net, s.fingerprintLocked())
+	// The kept signature supplies no context; startup is not cancellable.
+	legacy, err := s.eng.Restore(context.TODO(), s.snapPath)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return false, nil
@@ -1159,7 +970,6 @@ func (s *Server) Restore() (bool, error) {
 	if legacy {
 		s.logger.Warn("restored a JSON trace checkpoint; the format is deprecated and the next checkpoint rewrites it as an arena", "path", s.snapPath)
 	}
-	s.trace.Merge(snap)
 	return true, nil
 }
 

@@ -251,6 +251,57 @@ func TestPostTraceForeignArena(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/trace", damaged[:len(damaged)-3], http.StatusBadRequest, nil)
 }
 
+// TestPostTraceSlowUploadHoldsNoLock: POST /trace reads its body before
+// it takes the server lock, as PUT and PATCH do, so an uploader that
+// stalls mid-body stalls nobody else.
+func TestPostTraceSlowUploadHoldsNoLock(t *testing.T) {
+	ts, _ := newTestServer(t)
+	frag := getBody(t, ts.URL+"/trace")
+
+	pr, pw := io.Pipe()
+	posted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/trace", "application/json", pr)
+		if err != nil {
+			posted <- 0
+			return
+		}
+		resp.Body.Close()
+		posted <- resp.StatusCode
+	}()
+	// Once the first byte is accepted the handler is in its body read;
+	// the rest of the fragment is withheld.
+	if _, err := pw.Write(frag[:1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The handler may not have been entered yet when the write returns,
+	// so keep reading for a while: every read must be answered.
+	answered := make(chan struct{})
+	go func() {
+		defer close(answered)
+		for i := 0; i < 10; i++ {
+			if resp, err := http.Get(ts.URL + "/network"); err == nil {
+				resp.Body.Close()
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
+	select {
+	case <-answered:
+	case <-time.After(5 * time.Second):
+		t.Error("GET /network waited for a POST /trace whose body is still open")
+	}
+
+	if _, err := pw.Write(frag[1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	if code := <-posted; code != http.StatusOK {
+		t.Errorf("POST /trace = %d once the body completed, want 200", code)
+	}
+}
+
 func TestPutNetwork(t *testing.T) {
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,

@@ -68,7 +68,7 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 	// results or as an aborted run) must still end the request span and
 	// hand it to the observer with no open descendants.
 	srv.mu.Lock()
-	srv.net.Space.SetLimits(bdd.Limits{MaxOps: 1})
+	srv.eng.Net().Space.SetLimits(bdd.Limits{MaxOps: 1})
 	srv.mu.Unlock()
 	resp, err := http.Post(ts.URL+"/run?suite=connected", "", nil)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 	}
 	resp.Body.Close()
 	srv.mu.Lock()
-	srv.net.Space.SetLimits(bdd.Limits{})
+	srv.eng.Net().Space.SetLimits(bdd.Limits{})
 	srv.mu.Unlock()
 
 	tr.assertNoLeaks(t, 5)

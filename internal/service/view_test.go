@@ -14,6 +14,7 @@ import (
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
+	"yardstick/internal/engine"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
 	"yardstick/internal/report"
@@ -89,14 +90,14 @@ func assertServesRebuild(t *testing.T, srv *Server, url string) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	var buf bytes.Buffer
-	if err := srv.net.EncodeJSON(&buf); err != nil {
+	if err := srv.eng.Net().EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rb, err := netmodel.DecodeJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, byRole := tableRows(rb, srv.trace.TransferTo(rb.Space))
+	total, byRole := tableRows(rb, srv.eng.Trace().TransferTo(rb.Space))
 	if !sameRow(got.Total, total) {
 		t.Fatalf("served total %+v, rebuild %+v", got.Total, total)
 	}
@@ -116,7 +117,7 @@ func assertServesRebuild(t *testing.T, srv *Server, url string) {
 func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
-	devices := int64(len(srv.net.Devices))
+	devices := int64(len(srv.eng.Net().Devices))
 	runJob := func(suite string) {
 		t.Helper()
 		var sub JobStatus
@@ -160,9 +161,9 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 
 	// New coverage at one ToR: that device only.
 	srv.mu.Lock()
-	tor := core.DevicesByRole(srv.net, netmodel.RoleToR)[0]
+	tor := core.DevicesByRole(srv.eng.Net(), netmodel.RoleToR)[0]
 	frag := core.NewTrace()
-	frag.MarkPacket(dataplane.Injected(tor), srv.net.Space.Full())
+	frag.MarkPacket(dataplane.Injected(tor), srv.eng.Net().Space.Full())
 	var body bytes.Buffer
 	err := frag.EncodeJSON(&body)
 	srv.mu.Unlock()
@@ -193,13 +194,13 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 		t.Errorf("GET /gaps refreshed %d devices under %q, want 0 under service.gaps", n, root)
 	}
 
-	if got := srv.metrics.Counter(MetricCoverageRefreshDevices).Value(); got != uint64(devices+1) {
-		t.Errorf("%s = %d, want %d", MetricCoverageRefreshDevices, got, devices+1)
+	if got := srv.metrics.Counter(engine.MetricCoverageRefreshDevices).Value(); got != uint64(devices+1) {
+		t.Errorf("%s = %d, want %d", engine.MetricCoverageRefreshDevices, got, devices+1)
 	}
-	if clean := srv.metrics.Counter(MetricCoverageReads, "result", "clean").Value(); clean != 4 {
+	if clean := srv.metrics.Counter(engine.MetricCoverageReads, "result", "clean").Value(); clean != 4 {
 		t.Errorf("clean reads = %d, want 4", clean)
 	}
-	if refreshed := srv.metrics.Counter(MetricCoverageReads, "result", "refreshed").Value(); refreshed != 2 {
+	if refreshed := srv.metrics.Counter(engine.MetricCoverageReads, "result", "refreshed").Value(); refreshed != 2 {
 		t.Errorf("refreshed reads = %d, want 2", refreshed)
 	}
 
@@ -212,8 +213,8 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 	runJob("default")
 	assertServesRebuild(t, srv, ts.URL)
 	srv.mu.Lock()
-	other := srv.net.CloneTopology()
-	for _, r := range srv.net.Rules[:len(srv.net.Rules)/2] {
+	other := srv.eng.Net().CloneTopology()
+	for _, r := range srv.eng.Net().Rules[:len(srv.eng.Net().Rules)/2] {
 		if r.Table == netmodel.TableFIB {
 			other.AddFIBRule(r.Device, r.Match, r.Action, r.Origin)
 		}
@@ -243,8 +244,8 @@ func TestViewAfterPatch(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 	for i := 0; i < 3; i++ {
 		srv.mu.Lock()
-		victim := srv.net.Devices[i].FIB[0]
-		touched := srv.net.Devices[i].Name
+		victim := srv.eng.Net().Devices[i].FIB[0]
+		touched := srv.eng.Net().Devices[i].Name
 		srv.mu.Unlock()
 		doc := delta.Document{Base: netStats(t, ts.URL).Fingerprint, Ops: []delta.Op{{Op: delta.OpRemove, Rule: victim}}}
 		var ap delta.Applied
@@ -253,8 +254,8 @@ func TestViewAfterPatch(t *testing.T) {
 			t.Fatalf("drift = %+v, want one row for %s", ap.Drift, touched)
 		}
 		srv.mu.Lock()
-		dev, _ := srv.net.DeviceByName(touched)
-		want := core.RuleCoverage(core.NewCoverage(srv.net, srv.trace), srv.net.DeviceRules(dev.ID), core.Weighted)
+		dev, _ := srv.eng.Net().DeviceByName(touched)
+		want := core.RuleCoverage(core.NewCoverage(srv.eng.Net(), srv.eng.Trace()), srv.eng.Net().DeviceRules(dev.ID), core.Weighted)
 		srv.mu.Unlock()
 		if math.Float64bits(ap.Drift[0].After) != math.Float64bits(want) {
 			t.Fatalf("drift after = %v, fresh view %v", ap.Drift[0].After, want)
@@ -274,17 +275,17 @@ func TestViewAfterPatch(t *testing.T) {
 func TestViewSurvivesAbortedRefresh(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
-	devices := int64(len(srv.net.Devices))
+	devices := int64(len(srv.eng.Net().Devices))
 	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal,connected,contract,reach", nil, http.StatusOK, nil)
 
 	// Enough budget for the first devices, not for all of them.
 	srv.mu.Lock()
-	srv.net.Space.SetLimits(bdd.Limits{MaxOps: 40})
+	srv.eng.Net().Space.SetLimits(bdd.Limits{MaxOps: 40})
 	srv.mu.Unlock()
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusServiceUnavailable, nil)
 	doJSON(t, http.MethodGet, ts.URL+"/gaps", nil, http.StatusServiceUnavailable, nil)
 	srv.mu.Lock()
-	srv.net.Space.SetLimits(bdd.Limits{})
+	srv.eng.Net().Space.SetLimits(bdd.Limits{})
 	srv.mu.Unlock()
 
 	// A request whose client is already gone.
@@ -314,9 +315,9 @@ func TestViewSurvivesAbortedRefresh(t *testing.T) {
 func TestViewUnderConcurrentTraffic(t *testing.T) {
 	srv, ts := newJobServer(t)
 	srv.mu.Lock()
-	tor := core.DevicesByRole(srv.net, netmodel.RoleToR)[0]
+	tor := core.DevicesByRole(srv.eng.Net(), netmodel.RoleToR)[0]
 	frag := core.NewTrace()
-	frag.MarkPacket(dataplane.Injected(tor), srv.net.Space.Full())
+	frag.MarkPacket(dataplane.Injected(tor), srv.eng.Net().Space.Full())
 	var fragJSON bytes.Buffer
 	err := frag.EncodeJSON(&fragJSON)
 	srv.mu.Unlock()
@@ -373,8 +374,8 @@ func TestViewUnderConcurrentTraffic(t *testing.T) {
 	// One writer, so every document names the base it was built on.
 	spawn(4, func(i int) {
 		srv.mu.Lock()
-		victim := srv.net.Devices[i].FIB[0]
-		base := srv.fingerprintLocked()
+		victim := srv.eng.Net().Devices[i].FIB[0]
+		base := srv.eng.Fingerprint()
 		srv.mu.Unlock()
 		doc, err := json.Marshal(delta.Document{Base: base, Ops: []delta.Op{{Op: delta.OpRemove, Rule: victim}}})
 		if err != nil {
