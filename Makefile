@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race layering bench profile loadproof clustersmoke churnsmoke fuzz-smoke loc ci
+.PHONY: all vet build test race layering profile loadproof metricssmoke clustersmoke churnsmoke fuzz-smoke loc ci
 
 all: ci
 
@@ -30,21 +30,6 @@ race:
 layering:
 	$(GO) test -run '^TestFrontEndsDriveTheEngine$$' ./internal/engine
 
-# Benchmark the evaluation engine and the BDD kernel, recording the
-# numbers (with allocation counts) as a committed JSON artifact.
-# Separate steps so a failing benchmark run stops make instead of
-# feeding an error transcript into the parser; benchfmt stamps the host
-# core count into the artifact, which is what makes the workers=N
-# numbers interpretable (no speedup is expected on 1 core), and -delta
-# prints an advisory comparison against the previously committed
-# numbers before overwriting them.
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSuiteParallel|BenchmarkSnapshotClone|BenchmarkComputeMatchSets|BenchmarkChurn' -benchmem -count 3 -timeout 30m . > bench.out
-	$(GO) test -run '^$$' -bench BenchmarkBDD -benchmem -count 3 -timeout 15m ./internal/bdd >> bench.out
-	$(GO) run ./cmd/benchfmt -delta BENCH_eval.json -o BENCH_eval.json < bench.out
-	@rm -f bench.out
-	@cat BENCH_eval.json
-
 # Archive a span-tree profile of the regional-Clos suite (the flame
 # report -profile prints to stderr) so perf work has a committed-able
 # before/after stage breakdown to diff against.
@@ -57,32 +42,84 @@ profile:
 # 250 RPS of heavy 8-suite jobs for 10s — far past the drain rate — and
 # record the accepted/shed accounting plus latency quantiles. -check
 # fails the target if anything other than 2xx or Retry-After-carrying
-# sheds came back.
+# sheds came back; the jq line fails it when nothing was shed or nothing
+# was accepted (a faster host or engine that drains the load proves
+# nothing about admission); the shed counters and queue gauges must then
+# render as clean Prometheus exposition after the storm of label
+# updates. The CI load-smoke job runs this target.
 loadproof:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/loadgen ./cmd/loadgen
-	/tmp/yardstickd -listen 127.0.0.1:18080 -topology regional -queue-depth 8 -max-inflight 4 & \
-	DPID=$$!; \
+	$(GO) build -o /tmp/promlint ./cmd/promlint
+	set -e; \
+	/tmp/yardstickd -listen 127.0.0.1:18080 -topology regional -queue-depth 8 -max-inflight 4 & DPID=$$!; \
+	trap "kill $$DPID 2>/dev/null || true" EXIT; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18080/readyz > /dev/null && break; sleep 0.2; done; \
 	/tmp/loadgen -addr http://127.0.0.1:18080 -rps 250 -duration 10s \
 		-suites default,connected,internal,agg,contract,reach,pingmesh,host \
 		-check -out BENCH_service.json; \
-	rc=$$?; kill $$DPID; exit $$rc
+	jq -e '.totals.shed > 0 and .totals.accepted > 0' BENCH_service.json > /dev/null \
+		|| { echo "load proof is vacuous: want both sheds and accepted jobs"; exit 1; }; \
+	curl -sf http://127.0.0.1:18080/metrics | /tmp/promlint
 	@cat BENCH_service.json
 
-# Chaos-prove the distributed path locally: three workers, one killed
-# mid-run, coordinator must exit 0 with a coverage table byte-identical
-# to the single-node sequential baseline (same recipe as the CI
-# cluster-smoke job).
+# Live-scrape check: boot the daemon for real, run a suite on two
+# workers, pull /metrics, and fail if the exposition is malformed — the
+# golden test pins bytes, this pins the wire. Two reads of the coverage
+# view with nothing in between: the first re-derives every device, the
+# second must be clean. The CI metrics-smoke job runs this target.
+metricssmoke:
+	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
+	$(GO) build -o /tmp/promlint ./cmd/promlint
+	set -e; \
+	/tmp/yardstickd -listen 127.0.0.1:18085 -topology regional -workers 2 & DPID=$$!; \
+	trap "kill $$DPID 2>/dev/null || true" EXIT; \
+	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18085/readyz > /dev/null && break; sleep 0.2; done; \
+	curl -sf -X POST 'http://127.0.0.1:18085/run?suite=default,internal&workers=2' > /dev/null; \
+	curl -sf http://127.0.0.1:18085/coverage > /dev/null; \
+	curl -sf http://127.0.0.1:18085/gaps > /dev/null; \
+	curl -sf http://127.0.0.1:18085/metrics > /tmp/metrics.txt; \
+	/tmp/promlint < /tmp/metrics.txt; \
+	grep -q '^yardstick_coverage_reads_total{result="refreshed"} 1$$' /tmp/metrics.txt; \
+	grep -q '^yardstick_coverage_reads_total{result="clean"} 1$$' /tmp/metrics.txt; \
+	grep -q '^yardstick_coverage_refresh_devices_total [1-9]' /tmp/metrics.txt
+
+# Chaos-prove the distributed path: boot three empty workers, run the
+# coordinator with enough rounds to stretch the shard list (idempotent
+# merge, coverage unchanged), SIGKILL one worker midway, and require
+# exit 0 with a coverage table byte-identical to the single-node
+# sequential baseline — the distributed merge is an exact, idempotent
+# union, so node death plus re-dispatch must not change a single digit.
+# The CI cluster-smoke job runs this target and uploads
+# cluster-report.json, coord-metrics.txt and coord.log, which stay
+# behind pass or fail. In order, the recipe checks that:
+#  - the coordinator's federated /metrics, scraped mid-run once the
+#    first federation sweep has landed and the first shard has been
+#    dispatched, is promlint-clean, carries the native coord metrics and
+#    every worker's series under its node label;
+#  - the middle worker dies only after it has accepted real work (20 of
+#    the 360 shard submissions) — a deterministic mid-run kill, immune
+#    to host speed, not a timed sleep that can land after the run ended;
+#  - the kill was observed: some breaker tripped;
+#  - the wire ledger shows every completed shard's fragment travelled as
+#    a YSS1 arena (a "json" means a worker ignored the Accept
+#    negotiation) and the network was pushed exactly once to each worker
+#    that started empty — all three; the killed one got its push before
+#    it died and never came back, and a worker that restarted empty
+#    mid-run would add one push each time;
+#  - the report has a run ID and a timeline in which every completed
+#    shard appears as a coord.shard span whose shard tag matches — the
+#    cross-node trace is complete.
 clustersmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/yardstick ./cmd/yardstick
 	$(GO) build -o /tmp/yardstick-coord ./cmd/yardstick-coord
 	$(GO) build -o /tmp/promlint ./cmd/promlint
+	set -e; \
 	/tmp/yardstickd -listen 127.0.0.1:18081 & W1=$$!; \
 	/tmp/yardstickd -listen 127.0.0.1:18082 > w2.log 2>&1 & W2=$$!; \
 	/tmp/yardstickd -listen 127.0.0.1:18083 & W3=$$!; \
-	trap "kill $$W1 $$W3 2>/dev/null || true" EXIT; \
+	trap 'kill $$W1 $$W2 $$W3 $$CPID 2>/dev/null || true' EXIT; \
 	for p in 18081 18082 18083; do \
 		for i in $$(seq 1 50); do curl -sf http://127.0.0.1:$$p/healthz > /dev/null && break; sleep 0.2; done; \
 	done; \
@@ -92,39 +129,51 @@ clustersmoke:
 		-nodes http://127.0.0.1:18081,http://127.0.0.1:18082,http://127.0.0.1:18083 \
 		-suite default,internal,contract -rounds 120 -concurrency 3 -poll 25ms \
 		-fail-threshold 2 -cooldown 1s -hedge-after 2s \
-		-metrics-addr 127.0.0.1:19090 -scrape-interval 250ms \
-		-report cluster-report.json > cluster.out & CPID=$$!; \
+		-metrics-addr 127.0.0.1:19090 -scrape-interval 250ms -profile \
+		-report cluster-report.json -v > cluster.out 2> coord.log & CPID=$$!; \
 	for i in $$(seq 1 100); do \
 		curl -sf http://127.0.0.1:19090/metrics > coord-metrics.txt \
+			&& grep -q 'yardstick_coord_dispatch_total' coord-metrics.txt \
 			&& grep -q 'node="http://127.0.0.1:18082"' coord-metrics.txt && break; sleep 0.1; \
 	done; \
 	/tmp/promlint < coord-metrics.txt; \
 	grep -q 'yardstick_coord_dispatch_total' coord-metrics.txt || { echo "no native coord metrics"; exit 1; }; \
+	for p in 18081 18083; do \
+		grep -q "node=\"http://127.0.0.1:$$p\"" coord-metrics.txt || { echo "worker $$p missing from the federated scrape"; exit 1; }; \
+	done; \
 	for i in $$(seq 1 200); do \
 		n=$$(grep -c 'method=POST path=/jobs ' w2.log || true); \
 		[ "$$n" -ge 20 ] && break; sleep 0.05; \
 	done; \
 	kill -9 $$W2; \
 	rc=0; wait $$CPID || rc=$$?; \
+	sed '/^timeline:/q' cluster.out; \
 	test $$rc -eq 0 || { echo "coordinator exited $$rc"; exit $$rc; }; \
-	awk '/^coverage:/{f=1} /^wrote run report/{f=0} f' cluster.out | sed '/^$$/d' > cluster.cov; \
+	awk '/^coverage:/{f=1} /^timeline:|^wrote run report/{f=0} f' cluster.out | sed '/^$$/d' > cluster.cov; \
 	diff baseline.cov cluster.cov; \
+	report() { jq -e "$$1" cluster-report.json > /dev/null || { echo "$$2"; exit 1; }; }; \
 	grep -Eq '"trips": [1-9]' cluster-report.json || { echo "kill was not observed: no breaker trip"; exit 1; }; \
-	grep -q '"timeline"' cluster-report.json || { echo "report has no run timeline"; exit 1; }; \
-	if grep -q '"fragmentFormat": "json"' cluster-report.json; then echo "a fragment travelled as JSON"; exit 1; fi; \
-	grep -q '"networkPushes": 3,' cluster-report.json || { echo "want one network push per worker that started empty"; exit 1; }; \
+	report '[.shards[] | select(.done)] | length > 0 and all(.fragmentFormat == "arena")' "a fragment did not travel as an arena"; \
+	report '.networkPushes == 3' "want one network push per worker that started empty"; \
+	report '(.runId | length > 0) and .timeline != null' "report has no run ID or no run timeline"; \
+	report '[.timeline | recurse(.children[]?) | select(.name == "coord.shard") | .tags[]? | select(.name == "shard") | .value] as $$traced | [.shards[] | select(.done) | "s\(.id)"] | all(. as $$s | $$traced | index($$s) != null)' "a completed shard is missing from the timeline"; \
 	echo "cluster == single-node: exact (1 worker SIGKILLed mid-run; fleet /metrics lint-clean)"; \
-	rm -f baseline.out baseline.cov cluster.out cluster.cov cluster-report.json coord-metrics.txt w2.log
+	rm -f baseline.out baseline.cov cluster.out cluster.cov w2.log
 
-# Prove incremental coverage stays exact under churn: replay a seeded
-# 50-event BGP flap schedule against a live daemon via PATCH /network
-# (lockstep with a local twin), then byte-diff the final coverage table
-# against a from-scratch rebuild, require the daemon trace to equal the
-# local one exactly and the daemon's GET /gaps to byte-match the
-# rebuild's gap report (same recipe as the CI churn-smoke job).
+# Prove incremental coverage stays exact under churn: boot a daemon,
+# replay a seeded 50-event BGP flap schedule against it via PATCH
+# /network in lockstep with a local twin (the base-fingerprint
+# precondition catches divergence on the spot), then require the
+# daemon's accumulated trace to equal the local one exactly, the final
+# coverage table to byte-match a from-scratch rebuild of the churned
+# network, and the daemon's GET /gaps (read from its maintained coverage
+# view) to byte-match the rebuild's gap report — incremental evaluation
+# must never drift from ground truth. The CI churn-smoke job runs this
+# target.
 churnsmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/churn ./cmd/churn
+	set -e; \
 	/tmp/yardstickd -listen 127.0.0.1:18084 & DPID=$$!; \
 	trap "kill $$DPID 2>/dev/null || true" EXIT; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18084/healthz > /dev/null && break; sleep 0.2; done; \
@@ -135,8 +184,8 @@ churnsmoke:
 # run): the coverage view against its from-scratch oracle, the append
 # network encoder against the struct-based reference, and the decoders
 # that read bytes from disk or a peer (BDD arena, trace snapshot arena,
-# trace JSON, network JSON, span profile). Same recipe as the CI
-# fuzz-smoke job.
+# trace JSON, network JSON, span profile). The CI fuzz-smoke job runs
+# this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
 	./internal/delta:FuzzViewEquivalence \

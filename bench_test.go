@@ -1,13 +1,17 @@
-// Benchmarks regenerating the paper's evaluation artifacts. One benchmark
-// per figure, plus micro-benchmarks for the pieces whose cost the paper
-// discusses (tracking calls, covered-set computation, path enumeration).
+// Benchmarks regenerating the paper's evaluation artifacts: one per
+// figure (6–9), Figure 9's service-path split (CoverageView), and
+// micro-benchmarks for the pieces whose cost the paper discusses
+// (MarkPacket, CoveredSets, PathEnumeration, BGPConvergence,
+// ProbeGeneration, the v4/v6 AblationFamily).
 //
 //	go test -bench=. -benchmem
 //
 // Figure 8's tracked-vs-baseline comparison appears here as paired
 // sub-benchmarks (…/tracking=off vs …/tracking=on); Figure 9's metric
 // timings as one sub-benchmark per metric. Larger fat-trees than the
-// defaults can be driven through cmd/experiments.
+// defaults can be driven through cmd/experiments. Recorded performance
+// numbers (sharded runs, clones, match sets, deltas, trace codecs,
+// end-to-end workloads) come from the bench/ harness, not from here.
 package yardstick_test
 
 import (
@@ -17,16 +21,13 @@ import (
 	"sync"
 	"testing"
 
-	"bytes"
 	"yardstick"
 
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
-	"yardstick/internal/delta"
 	"yardstick/internal/experiments"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/probegen"
-	"yardstick/internal/sharded"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
 )
@@ -322,226 +323,11 @@ func BenchmarkAblationFamily(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceJSON measures trace persistence round trips.
-func BenchmarkTraceJSON(b *testing.B) {
-	ft := fatTree(b, 6)
-	trace := core.NewTrace()
-	testkit.ToRReachability{}.Run(ft.Net, trace)
-	var buf bytes.Buffer
-	if err := trace.EncodeJSON(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var w bytes.Buffer
-			if err := trace.EncodeJSON(&w); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.DecodeTraceJSON(ft.Net, bytes.NewReader(buf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkSuiteParallel measures the sharded evaluation engine on the
-// regional Clos network: the full built-in suite run sequentially and
-// through worker pools of 1, 2, and 4. Engine construction (replica
-// building) happens outside the timer — the steady-state cost of a
-// long-lived pool is what matters for the service deployment. Speedup
-// over sequential requires real cores; `make bench` records the host
-// core count next to each number so results are interpretable (on a
-// single-core host the workers=N variants only add merge overhead).
-func BenchmarkSuiteParallel(b *testing.B) {
-	ctx := context.Background()
-	suite, err := testkit.BuiltinSuite("default,connected,internal,agg,contract,reach,pingmesh,host")
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		suite.Run(ctx, rg.Net, core.NewTrace()) // warm BDD caches
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			suite.Run(ctx, rg.Net, core.NewTrace())
-		}
-	})
-
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Build nil → the default arena-clone replicator.
-			eng, err := sharded.New(ctx, rg.Net, sharded.Config{Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.Run(ctx, suite); err != nil { // warm replica caches
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(ctx, suite); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSnapshotClone measures the O(size) snapshot-clone primitives
-// the sharded engine builds its replicas from: the raw bdd.Manager copy,
-// the full netmodel.Network clone (manager copy plus topology tables,
-// match sets carried by index), and — for contrast — the JSON rebuild
-// the clone replaced (now the test oracle clones are held to). The manager is sized by a real workload
-// first (the regional suite), so the copy moves production-shaped
-// tables, not an empty arena.
-func BenchmarkSnapshotClone(b *testing.B) {
-	ctx := context.Background()
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	suite, err := testkit.BuiltinSuite("default,connected,internal,agg")
-	if err != nil {
-		b.Fatal(err)
-	}
-	suite.Run(ctx, rg.Net, core.NewTrace()) // grow the manager to working size
-	rg.Net.ComputeMatchSets()
-
-	b.Run("manager", func(b *testing.B) {
-		m := rg.Net.Space.Manager()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.Clone()
-		}
-	})
-	b.Run("network", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rg.Net.Clone()
-		}
-	})
-	b.Run("json-rebuild", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := rg.Net.EncodeJSON(&buf); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := netmodel.DecodeJSON(bytes.NewReader(buf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// cloneStructure rebuilds a network's devices and rules through the
-// public builder API without computing match sets — every topogen and
-// decode path computes them eagerly, and ComputeMatchSets is one-shot,
-// so benchmarks need a virgin copy per iteration.
-func cloneStructure(src *netmodel.Network) *netmodel.Network {
-	n := netmodel.NewFamily(src.Family())
-	for _, d := range src.Devices {
-		id := n.AddDevice(d.Name, d.Role, d.ASN)
-		for _, ifID := range d.Ifaces {
-			n.AddIface(id, src.Iface(ifID).Name)
-		}
-	}
-	for _, r := range src.Rules {
-		if r.Table == netmodel.TableACL {
-			n.AddACLRule(r.Device, r.Match, r.Deny)
-		} else {
-			n.AddFIBRule(r.Device, r.Match, r.Action, r.Origin)
-		}
-	}
-	return n
-}
-
-// BenchmarkComputeMatchSets measures the match-set derivation kernel on
-// a fat-tree: every rule's raw BDD plus the first-match-wins Diff chain.
-func BenchmarkComputeMatchSets(b *testing.B) {
-	ft := fatTree(b, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		net := cloneStructure(ft.Net)
-		b.StartTimer()
-		net.ComputeMatchSets()
-	}
-}
-
 // BenchmarkProbeGeneration measures the ATPG-style gap-closing pass.
 func BenchmarkProbeGeneration(b *testing.B) {
 	ft := fatTree(b, 4)
-	cov := core.NewCoverage(ft.Net, core.NewTrace())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		probegen.Generate(context.Background(), core.NewCoverage(ft.Net, core.NewTrace()), probegen.Options{})
 	}
-	_ = cov
-}
-
-// BenchmarkChurn is the incremental-evaluation headline: the cost of
-// absorbing a single-rule delta on the regional Clos through the delta
-// engine versus the full re-evaluation it replaces (decode the wire
-// bytes into a fresh BDD space and re-derive every match set). The
-// delta path re-derives one device's tables; the rebuild re-derives
-// ~2000 rules' worth.
-func BenchmarkChurn(b *testing.B) {
-	b.Run("delta-single-rule", func(b *testing.B) {
-		rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := delta.NewEngine(rg.Net, core.NewTrace())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Alternate one FIB route between two targets so every
-		// iteration commits a real modification.
-		spec := rg.Net.RuleSpecOf(1)
-		dsts := [2]string{"10.250.0.0/16", "10.251.0.0/16"}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			spec.Match.Dst = dsts[i%2]
-			if _, err := eng.Apply(delta.Document{Ops: []delta.Op{
-				{Op: delta.OpModify, Rule: 1, Spec: &spec},
-			}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("rebuild", func(b *testing.B) {
-		rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rg.Net.EncodeJSON(&buf); err != nil {
-			b.Fatal(err)
-		}
-		raw := buf.Bytes()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net, err := netmodel.DecodeJSON(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			net.ComputeMatchSets()
-		}
-	})
 }

@@ -64,8 +64,10 @@ func DecodeSnapshot(r io.Reader, net *netmodel.Network, fingerprint string) (*Tr
 
 // SaveSnapshotArena atomically writes the trace as an arena snapshot
 // (EncodeFragmentArena) stamped with fingerprint, net's: the bytes go
-// to a temporary file in the same directory that is renamed into place,
-// so a crash mid-write never corrupts the previous snapshot.
+// to a temporary file in the same directory that is synced and then
+// renamed into place, so after a process crash mid-write or a power
+// loss the path holds the previous snapshot or this one, never a short
+// one (the data is on disk before the rename can be).
 func SaveSnapshotArena(path string, net *netmodel.Network, fingerprint string, t *Trace) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -76,7 +78,7 @@ func SaveSnapshotArena(path string, net *netmodel.Network, fingerprint string, t
 		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
+	if err := errors.Join(tmp.Sync(), tmp.Close()); err != nil {
 		return fmt.Errorf("core: save snapshot: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {

@@ -1,10 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -307,6 +309,22 @@ func TestChaosRestartMidQueue(t *testing.T) {
 	// Fingerprint mismatch discards wholesale.
 	if _, err := Load(path, "other-network"); !errors.Is(err, ErrMismatch) {
 		t.Fatalf("mismatched load err = %v, want ErrMismatch", err)
+	}
+
+	// A save that fails (a result that is not JSON cannot be encoded)
+	// leaves the previous file byte-identical and no temp file beside it.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, "fp-1", []Job{{ID: "bad", Result: json.RawMessage("{")}}); err == nil {
+		t.Fatal("Save of an unencodable record succeeded")
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("failed Save changed the previous file (err %v)", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed Save (err %v), want jobs.snap alone", len(entries), err)
 	}
 
 	loaded, err := Load(path, "fp-1")

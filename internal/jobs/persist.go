@@ -33,8 +33,9 @@ type fileJSON struct {
 }
 
 // Save atomically writes the job records stamped with the network
-// fingerprint: temp file in the target directory, then rename, so a
-// crash mid-write never corrupts the previous file.
+// fingerprint: temp file in the target directory, synced, then renamed,
+// so after a process crash mid-write or a power loss the path holds the
+// previous file or this one, never a short one.
 func Save(path, fingerprint string, js []Job) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -47,7 +48,7 @@ func Save(path, fingerprint string, js []Job) error {
 		tmp.Close()
 		return fmt.Errorf("jobs: save: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
+	if err := errors.Join(tmp.Sync(), tmp.Close()); err != nil {
 		return fmt.Errorf("jobs: save: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
