@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: all vet build test race layering profile loadproof metricssmoke clustersmoke churnsmoke fuzz-smoke loc ci
+.PHONY: all vet build test race layering examples profile loadproof metricssmoke clustersmoke churnsmoke fuzz-smoke loc ci
 
 all: ci
 
 # bench/ is a nested module ./... never descends into, so it is vetted
 # by name: an internal symbol the harness imports cannot be deleted
-# without this failing.
+# without this failing. An unformatted file fails the target too.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -30,6 +31,16 @@ race:
 layering:
 	$(GO) test -run '^TestFrontEndsDriveTheEngine$$' ./internal/engine
 
+# Run every walkthrough under examples/: they are what keeps most of
+# the yardstick facade's names alive (TestFacadeNamesHaveCallers), so
+# they must run, not just compile. Output is discarded; a non-zero exit
+# fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
 # Archive a span-tree profile of the regional-Clos suite (the flame
 # report -profile prints to stderr) so perf work has a committed-able
 # before/after stage breakdown to diff against.
@@ -37,10 +48,12 @@ profile:
 	$(GO) run ./cmd/yardstick -topology regional -suite default,internal,reach,pingmesh -workers 4 -profile 2> profile.txt > /dev/null
 	@cat profile.txt
 
-# Regenerate the admission-layer load proof: boot the daemon with a
+# The admission-layer load proof: boot the daemon with a
 # deliberately tiny envelope (queue depth 8, 4 in-flight), drive it at
 # 250 RPS of heavy 8-suite jobs for 10s — far past the drain rate — and
-# record the accepted/shed accounting plus latency quantiles. -check
+# record the accepted/shed accounting plus latency quantiles in
+# loadproof-report.json (git-ignored; the committed BENCH_service.json is
+# a recorded run this smoke never rewrites). -check
 # fails the target if anything other than 2xx or Retry-After-carrying
 # sheds came back; the jq line fails it when nothing was shed or nothing
 # was accepted (a faster host or engine that drains the load proves
@@ -57,11 +70,11 @@ loadproof:
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18080/readyz > /dev/null && break; sleep 0.2; done; \
 	/tmp/loadgen -addr http://127.0.0.1:18080 -rps 250 -duration 10s \
 		-suites default,connected,internal,agg,contract,reach,pingmesh,host \
-		-check -out BENCH_service.json; \
-	jq -e '.totals.shed > 0 and .totals.accepted > 0' BENCH_service.json > /dev/null \
+		-check -out loadproof-report.json; \
+	jq -e '.totals.shed > 0 and .totals.accepted > 0' loadproof-report.json > /dev/null \
 		|| { echo "load proof is vacuous: want both sheds and accepted jobs"; exit 1; }; \
 	curl -sf http://127.0.0.1:18080/metrics | /tmp/promlint
-	@cat BENCH_service.json
+	@cat loadproof-report.json
 
 # Live-scrape check: boot the daemon for real, run a suite on two
 # workers, pull /metrics, and fail if the exposition is malformed — the
@@ -182,15 +195,18 @@ churnsmoke:
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
 # run): the coverage view against its from-scratch oracle, the append
-# network encoder against the struct-based reference, and the decoders
-# that read bytes from disk or a peer (BDD arena, trace snapshot arena,
-# trace JSON, network JSON, span profile). The CI fuzz-smoke job runs
-# this target.
+# network encoder against the struct-based reference, an accepted delta
+# document against a rebuild (and a rejected one against an untouched
+# network), and the decoders that read bytes from disk or a peer (BDD
+# arena, trace snapshot arena, trace JSON, network JSON, network text,
+# span profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
 	./internal/delta:FuzzViewEquivalence \
+	./internal/delta:FuzzDeltaEquivalence \
 	./internal/netmodel:FuzzEncodeJSONNames \
 	./internal/netmodel:FuzzDecodeJSON \
+	./internal/netmodel:FuzzParseText \
 	./internal/bdd:FuzzArenaDecode \
 	./internal/core:FuzzSnapshotArenaDecode \
 	./internal/core:FuzzDecodeTraceJSON \

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
 )
 
 // Node is a reference to a BDD node owned by a Manager. The zero Node is
@@ -427,31 +426,10 @@ func (m *Manager) cofactorAt(n Node, level uint32) (low, high Node) {
 	return nd.low, nd.high
 }
 
-// Exists existentially quantifies away every variable for which vars[v] is
-// true: the result is true on an assignment iff some setting of the
-// quantified variables makes a true.
-func (m *Manager) Exists(a Node, vars []bool) Node {
-	if len(vars) != m.numVars {
-		panic(fmt.Sprintf("bdd: Exists var mask length %d, want %d", len(vars), m.numVars))
-	}
-	// The cache key folds the identity of the mask via a cube node: build
-	// the conjunction of quantified variables once and use it as operand b.
-	cube := True
-	for v := m.numVars - 1; v >= 0; v-- {
-		if vars[v] {
-			cube = m.mk(uint32(v), False, cube)
-		}
-	}
-	return m.existsRec(a, cube)
-}
-
-// ExistsCube is like Exists but takes the variables as a positive cube
-// (a conjunction of variables, e.g. built with Cube).
+// ExistsCube existentially quantifies away the variables of a positive
+// cube (a conjunction of variables, e.g. built with Cube): the result is
+// true on an assignment iff some setting of those variables makes a true.
 func (m *Manager) ExistsCube(a, cube Node) Node {
-	return m.existsRec(a, cube)
-}
-
-func (m *Manager) existsRec(a, cube Node) Node {
 	if a == False || a == True || cube == True {
 		return a
 	}
@@ -470,12 +448,12 @@ func (m *Manager) existsRec(a, cube Node) Node {
 	var r Node
 	if nd.level == m.level(cube) {
 		// Quantify this variable: OR the branches.
-		low := m.existsRec(nd.low, m.nodes[cube].high)
-		high := m.existsRec(nd.high, m.nodes[cube].high)
+		low := m.ExistsCube(nd.low, m.nodes[cube].high)
+		high := m.ExistsCube(nd.high, m.nodes[cube].high)
 		r = m.Or(low, high)
 	} else {
-		low := m.existsRec(nd.low, cube)
-		high := m.existsRec(nd.high, cube)
+		low := m.ExistsCube(nd.low, cube)
+		high := m.ExistsCube(nd.high, cube)
 		r = m.mk(nd.level, low, high)
 	}
 	m.cacheStore(h, opExists, a, cube, 0, r)
@@ -493,32 +471,6 @@ func (m *Manager) Cube(vars []int) Node {
 		r = m.And(r, m.Var(v))
 	}
 	return r
-}
-
-// Restrict fixes variable v to the given value in a.
-func (m *Manager) Restrict(a Node, v int, value bool) Node {
-	if v < 0 || v >= m.numVars {
-		panic(fmt.Sprintf("bdd: variable %d out of range", v))
-	}
-	return m.restrictRec(a, uint32(v), value)
-}
-
-func (m *Manager) restrictRec(a Node, level uint32, value bool) Node {
-	nd := m.nodes[a]
-	if nd.level > level {
-		return a
-	}
-	if nd.level == level {
-		if value {
-			return nd.high
-		}
-		return nd.low
-	}
-	// No operation cache here: restriction is rare and shallow in our
-	// workloads (single-field rewrites).
-	low := m.restrictRec(nd.low, level, value)
-	high := m.restrictRec(nd.high, level, value)
-	return m.mk(nd.level, low, high)
 }
 
 // AnySat returns one satisfying assignment of a as a full-width assignment
@@ -575,44 +527,14 @@ func (m *Manager) allSatRec(a Node, cube []byte, fn func([]byte) bool) bool {
 	return true
 }
 
-// bitset is a node- or variable-indexed visited set for DAG walks,
-// matching the kernel's dense-array idiom.
+// bitset is a node-indexed visited set for DAG walks, matching the
+// kernel's dense-array idiom.
 type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// Support returns the set of variables a depends on, in increasing order.
-func (m *Manager) Support(a Node) []int {
-	seen := newBitset(len(m.nodes))
-	vars := newBitset(m.numVars + 1)
-	var walk func(Node)
-	walk = func(n Node) {
-		if n == False || n == True || seen.has(int(n)) {
-			return
-		}
-		seen.set(int(n))
-		nd := m.nodes[n]
-		vars.set(int(nd.level))
-		walk(nd.low)
-		walk(nd.high)
-	}
-	walk(a)
-	// Bitset iteration yields the variables already sorted.
-	var out []int
-	for w, word := range vars {
-		for word != 0 {
-			v := w*64 + bits.TrailingZeros64(word)
-			if v < m.numVars {
-				out = append(out, v)
-			}
-			word &= word - 1
-		}
-	}
-	return out
-}
 
 // Eval evaluates a under a full assignment.
 func (m *Manager) Eval(a Node, assign []bool) bool {

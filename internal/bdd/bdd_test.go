@@ -198,20 +198,15 @@ func TestExists(t *testing.T) {
 	m := New(4)
 	// f = x0 ∧ x1. ∃x0.f = x1.
 	f := m.And(m.Var(0), m.Var(1))
-	mask := make([]bool, 4)
-	mask[0] = true
-	if got := m.Exists(f, mask); got != m.Var(1) {
+	if got := m.ExistsCube(f, m.Cube([]int{0})); got != m.Var(1) {
 		t.Errorf("∃x0.(x0∧x1) = node %d, want x1 node %d", got, m.Var(1))
 	}
 	// ∃x0,x1.f = True.
-	mask[1] = true
-	if got := m.Exists(f, mask); got != True {
+	if got := m.ExistsCube(f, m.Cube([]int{0, 1})); got != True {
 		t.Errorf("∃x0x1.(x0∧x1) = %d, want True", got)
 	}
 	// Quantifying an unused variable is identity.
-	mask = make([]bool, 4)
-	mask[3] = true
-	if got := m.Exists(f, mask); got != f {
+	if got := m.ExistsCube(f, m.Cube([]int{3})); got != f {
 		t.Errorf("∃x3.(x0∧x1) changed the function")
 	}
 }
@@ -222,11 +217,13 @@ func TestPropertyExistsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 40; trial++ {
 		a := randomNode(m, rng, 6)
-		mask := make([]bool, nv)
-		for v := range mask {
-			mask[v] = rng.Intn(2) == 0
+		var qvars []int
+		for v := 0; v < nv; v++ {
+			if rng.Intn(2) == 0 {
+				qvars = append(qvars, v)
+			}
 		}
-		got := m.Exists(a, mask)
+		got := m.ExistsCube(a, m.Cube(qvars))
 		// Brute force: exists is true where some completion satisfies a.
 		assign := make([]bool, nv)
 		for bits := 0; bits < 1<<nv; bits++ {
@@ -235,12 +232,6 @@ func TestPropertyExistsBruteForce(t *testing.T) {
 			}
 			want := false
 			// Enumerate quantified variables.
-			qvars := []int{}
-			for v, q := range mask {
-				if q {
-					qvars = append(qvars, v)
-				}
-			}
 			sub := make([]bool, nv)
 			copy(sub, assign)
 			for qbits := 0; qbits < 1<<len(qvars); qbits++ {
@@ -253,20 +244,9 @@ func TestPropertyExistsBruteForce(t *testing.T) {
 				}
 			}
 			if m.Eval(got, assign) != want {
-				t.Fatalf("trial %d: Exists disagrees with brute force at %v", trial, assign)
+				t.Fatalf("trial %d: ExistsCube disagrees with brute force at %v", trial, assign)
 			}
 		}
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	m := New(4)
-	f := m.Or(m.And(m.Var(0), m.Var(1)), m.And(m.Not(m.Var(0)), m.Var(2)))
-	if got := m.Restrict(f, 0, true); got != m.Var(1) {
-		t.Errorf("Restrict(f, x0=1) wrong")
-	}
-	if got := m.Restrict(f, 0, false); got != m.Var(2) {
-		t.Errorf("Restrict(f, x0=0) wrong")
 	}
 }
 
@@ -334,24 +314,6 @@ func TestAllSatEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	m := New(8)
-	f := m.And(m.Var(2), m.Or(m.Var(5), m.Not(m.Var(7))))
-	got := m.Support(f)
-	want := []int{2, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("Support = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Support = %v, want %v", got, want)
-		}
-	}
-	if s := m.Support(True); len(s) != 0 {
-		t.Errorf("Support(True) = %v, want empty", s)
-	}
-}
-
 func TestCube(t *testing.T) {
 	m := New(4)
 	c := m.Cube([]int{0, 2})
@@ -361,25 +323,6 @@ func TestCube(t *testing.T) {
 	}
 	if m.Cube(nil) != True {
 		t.Error("Cube(nil) != True")
-	}
-}
-
-func TestExistsCubeMatchesExists(t *testing.T) {
-	m := New(6)
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		a := randomNode(m, rng, 6)
-		mask := make([]bool, 6)
-		var vars []int
-		for v := range mask {
-			if rng.Intn(2) == 0 {
-				mask[v] = true
-				vars = append(vars, v)
-			}
-		}
-		if m.Exists(a, mask) != m.ExistsCube(a, m.Cube(vars)) {
-			t.Fatalf("trial %d: Exists and ExistsCube disagree", trial)
-		}
 	}
 }
 
@@ -460,49 +403,5 @@ func TestStats(t *testing.T) {
 	}
 	if after.SatFracEntries == 0 || after.SatCntEntries == 0 {
 		t.Errorf("memo tables empty: %+v", after)
-	}
-}
-
-// TestPropertyRestrictExists: ∃x.f == f|x=0 ∨ f|x=1 (Shannon expansion).
-func TestPropertyRestrictExists(t *testing.T) {
-	m := New(7)
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 40; trial++ {
-		a := randomNode(m, rng, 8)
-		v := rng.Intn(7)
-		mask := make([]bool, 7)
-		mask[v] = true
-		lhs := m.Exists(a, mask)
-		rhs := m.Or(m.Restrict(a, v, false), m.Restrict(a, v, true))
-		if lhs != rhs {
-			t.Fatalf("trial %d: Shannon expansion violated for var %d", trial, v)
-		}
-		// And f == ite(x, f|x=1, f|x=0).
-		rebuilt := m.Ite(m.Var(v), m.Restrict(a, v, true), m.Restrict(a, v, false))
-		if rebuilt != a {
-			t.Fatalf("trial %d: Shannon decomposition does not rebuild", trial)
-		}
-	}
-}
-
-// TestPropertySupportRestrictIdentity: restricting a variable outside the
-// support is the identity.
-func TestPropertySupportRestrictIdentity(t *testing.T) {
-	m := New(10)
-	rng := rand.New(rand.NewSource(56))
-	for trial := 0; trial < 30; trial++ {
-		a := randomNode(m, rng, 5)
-		sup := map[int]bool{}
-		for _, v := range m.Support(a) {
-			sup[v] = true
-		}
-		for v := 0; v < 10; v++ {
-			if sup[v] {
-				continue
-			}
-			if m.Restrict(a, v, true) != a || m.Restrict(a, v, false) != a {
-				t.Fatalf("trial %d: restrict of non-support var %d changed function", trial, v)
-			}
-		}
 	}
 }

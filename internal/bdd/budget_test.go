@@ -28,7 +28,7 @@ func buildPressure(m *Manager, iters int) {
 func TestMaxNodesTripsErrBudgetExceeded(t *testing.T) {
 	m := New(32)
 	m.SetLimits(Limits{MaxNodes: 200})
-	err := Guard(func() { buildPressure(m, 1 << 16) })
+	err := Guard(func() { buildPressure(m, 1<<16) })
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -40,7 +40,7 @@ func TestMaxNodesTripsErrBudgetExceeded(t *testing.T) {
 func TestMaxOpsTripsErrBudgetExceeded(t *testing.T) {
 	m := New(32)
 	m.SetLimits(Limits{MaxOps: 50})
-	err := Guard(func() { buildPressure(m, 1 << 16) })
+	err := Guard(func() { buildPressure(m, 1<<16) })
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -49,7 +49,7 @@ func TestMaxOpsTripsErrBudgetExceeded(t *testing.T) {
 func TestTrippedBudgetPoisonsUntilReset(t *testing.T) {
 	m := New(32)
 	m.SetLimits(Limits{MaxNodes: 64})
-	if err := Guard(func() { buildPressure(m, 1 << 16) }); !errors.Is(err, ErrBudgetExceeded) {
+	if err := Guard(func() { buildPressure(m, 1<<16) }); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("first trip: err = %v", err)
 	}
 	// Any further charged work re-raises the same budget error.
@@ -69,7 +69,7 @@ func TestWatchContextCancelsWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	defer m.WatchContext(ctx)()
-	err := Guard(func() { buildPressure(m, 1 << 16) })
+	err := Guard(func() { buildPressure(m, 1<<16) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -60,10 +60,3 @@ func (m *Manager) Clone() *Manager {
 	}
 	return c
 }
-
-// ClonedFrom reports the manager this one was cloned from and the node
-// count at clone time, or (nil, 0). Nodes below that count are
-// index-identical in both managers forever (managers only append), which
-// is what lets a Transfer between a clone and its origin skip the shared
-// prefix entirely.
-func (m *Manager) ClonedFrom() (*Manager, int) { return m.origin, m.originN }

@@ -34,7 +34,9 @@ func buildNet(t *testing.T) *topogen.Regional {
 	return rg
 }
 
-func quiet() service.Option { return service.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))) }
+func quiet() service.Option {
+	return service.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+}
 
 // TestEndToEnd drives every typed method against a real service.
 func TestEndToEnd(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 
 	"yardstick/internal/core"
 	"yardstick/internal/netmodel"
-	"yardstick/internal/obs"
 	"yardstick/internal/service"
 )
 
@@ -150,16 +149,6 @@ func (c *Client) JobProfileRaw(ctx context.Context, id string) ([]byte, error) {
 	var raw json.RawMessage
 	err := c.do(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/profile", nil, http.StatusOK, &raw)
 	return raw, err
-}
-
-// JobProfile downloads and decodes a done job's span profile. Malformed
-// profile bytes surface as an error wrapping obs.ErrProfileFormat.
-func (c *Client) JobProfile(ctx context.Context, id string) (*obs.SpanProfile, error) {
-	raw, err := c.JobProfileRaw(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	return obs.DecodeSpanProfile(raw)
 }
 
 // CancelJob cancels a queued or running job (DELETE /jobs/{id}). A job

@@ -585,7 +585,7 @@ func TestDevicesByRoleAndFilters(t *testing.T) {
 	if got := DevicesByRole(n, netmodel.RoleBorder); len(got) != 2 {
 		t.Errorf("borders = %d", len(got))
 	}
-	leaves := FilterDevices(n, func(d *netmodel.Device) bool { return d.Role == netmodel.RoleLeaf })
+	leaves := DevicesByRole(n, netmodel.RoleLeaf)
 	if len(leaves) != 3 {
 		t.Errorf("leaves = %d", len(leaves))
 	}

@@ -301,17 +301,6 @@ func InIfaceSpec(net *netmodel.Network, ifid netmodel.IfaceID) Spec {
 	return s
 }
 
-// PathSpec builds the path-coverage spec for one path of the universe:
-// a single guarded string measured by Equation 3.
-func PathSpec(p dataplane.Path) Spec {
-	return Spec{
-		Name:    "path",
-		G:       []GuardedString{{Guard: p.Guard, Rules: p.Rules}},
-		Measure: PathMeasure,
-		Combine: CombineOnly,
-	}
-}
-
 // FlowSpec builds the flow-coverage spec (§4.3.2): the flow — a start
 // location and header space — is decomposed into its paths by processing
 // the forwarding state; each path becomes a guarded string weighted by
@@ -428,9 +417,6 @@ func (a *Accum) Add(v, w float64) {
 		}
 	}
 }
-
-// Count returns the number of components folded in.
-func (a *Accum) Count() int { return a.n }
 
 // Value returns the aggregate; 0 for an empty accumulator.
 func (a *Accum) Value() float64 {

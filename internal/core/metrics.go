@@ -111,18 +111,6 @@ func DevicesByRole(net *netmodel.Network, role netmodel.Role) []netmodel.DeviceI
 	return out
 }
 
-// FilterDevices returns the devices accepted by keep — the zoom-in hook
-// of §6.
-func FilterDevices(net *netmodel.Network, keep func(*netmodel.Device) bool) []netmodel.DeviceID {
-	var out []netmodel.DeviceID
-	for _, d := range net.Devices {
-		if keep(d) {
-			out = append(out, d.ID)
-		}
-	}
-	return out
-}
-
 // IfacesOfDevices returns every interface on the given devices.
 func IfacesOfDevices(net *netmodel.Network, devs []netmodel.DeviceID) []netmodel.IfaceID {
 	var out []netmodel.IfaceID

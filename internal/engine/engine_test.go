@@ -113,7 +113,11 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	suite := suiteOf(t, "default,connected,internal,agg,reach")
 	base := regional(t)
 
-	direct, err := sharded.Run(bg, base.Clone(), sharded.Config{Workers: 3}, suite)
+	pool, err := sharded.New(bg, base.Clone(), sharded.Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := pool.Run(bg, suite)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -529,14 +529,3 @@ func (a Set) RewriteSrcIP(addr netip.Addr) Set {
 	q := m.ExistsCube(a.n, a.sp.srcCube)
 	return Set{a.sp, m.And(q, a.sp.SrcIP(addr).n)}
 }
-
-// PreimageDstRewrite returns the set of packets that, after "dstIP :=
-// addr", land in the given output set: the whole input set when addr's
-// packets are in out, empty otherwise, restricted over the non-dst
-// fields of out.
-func (a Set) PreimageDstRewrite(addr netip.Addr, out Set) Set {
-	m := a.sp.m
-	slice := m.And(out.n, out.sp.DstIP(addr).n)
-	freed := m.ExistsCube(slice, a.sp.dstCube)
-	return Set{a.sp, m.And(a.n, freed)}
-}

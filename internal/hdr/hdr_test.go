@@ -230,24 +230,6 @@ func TestRewriteDstIP(t *testing.T) {
 	}
 }
 
-func TestPreimageDstRewrite(t *testing.T) {
-	s := NewSpace()
-	in := s.DstPrefix(mustPrefix(t, "10.0.0.0/8"))
-	target := netip.MustParseAddr("192.0.2.1")
-	// Output set constrains a non-dst field; preimage must reflect it.
-	out := s.DstIP(target).Intersect(s.Proto(6))
-	pre := in.PreimageDstRewrite(target, out)
-	want := in.Intersect(s.Proto(6))
-	if !pre.Equal(want) {
-		t.Error("preimage mismatch")
-	}
-	// If the output excludes the target address entirely, preimage is empty.
-	out2 := s.DstIP(netip.MustParseAddr("198.51.100.7"))
-	if !in.PreimageDstRewrite(target, out2).IsEmpty() {
-		t.Error("preimage should be empty when rewrite target not in output set")
-	}
-}
-
 func TestRewriteSrcIP(t *testing.T) {
 	s := NewSpace()
 	in := s.SrcPrefix(mustPrefix(t, "10.0.0.0/24")).Intersect(s.DstPort(80))

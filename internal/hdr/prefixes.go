@@ -88,13 +88,6 @@ func cubeToPrefixes(cube []byte, f Family) []netip.Prefix {
 	return []netip.Prefix{netip.PrefixFrom(addr, last+1)}
 }
 
-// DstProjection returns the set with all non-destination fields freed:
-// the set of destinations the packets can carry, extended over the full
-// header space.
-func (a Set) DstProjection() Set {
-	return Set{a.sp, a.sp.m.ExistsCube(a.n, a.sp.nonDstCube())}
-}
-
 // FromDstPrefixes builds the union of destination-prefix sets — the
 // inverse of DstPrefixes for destination-only sets.
 func (s *Space) FromDstPrefixes(prefixes []netip.Prefix) Set {

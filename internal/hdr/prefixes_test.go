@@ -111,12 +111,3 @@ func TestDstPrefixesRoundTripRandom(t *testing.T) {
 		}
 	}
 }
-
-func TestDstProjection(t *testing.T) {
-	s := NewSpace()
-	set := s.DstPrefix(netip.MustParsePrefix("10.0.0.0/8")).Intersect(s.Proto(6))
-	proj := set.DstProjection()
-	if !proj.Equal(s.DstPrefix(netip.MustParsePrefix("10.0.0.0/8"))) {
-		t.Error("projection should drop the proto constraint")
-	}
-}

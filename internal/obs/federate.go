@@ -82,17 +82,6 @@ func (f *Federation) Ingest(node string, ms []Metric, now time.Time) {
 	f.mu.Unlock()
 }
 
-// Drop removes a node's snapshot immediately (e.g. when the coordinator
-// decides the node left the fleet for good).
-func (f *Federation) Drop(node string) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	delete(f.nodes, node)
-	f.mu.Unlock()
-}
-
 // Nodes returns the node names with a fresh (non-stale at now) snapshot,
 // sorted.
 func (f *Federation) Nodes(now time.Time) []string {

@@ -218,21 +218,6 @@ func (s *Span) SetTag(name, value string) {
 	s.tags = append(s.tags, SpanTag{name, value})
 }
 
-// Tag returns the value of a named tag ("" when unset or s is nil).
-func (s *Span) Tag(name string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range s.tags {
-		if t.Name == name {
-			return t.Value
-		}
-	}
-	return ""
-}
-
 // Tags returns a copy of the span's tags in recording order.
 func (s *Span) Tags() []SpanTag {
 	if s == nil {

@@ -52,12 +52,12 @@ func Lint(r io.Reader) []Issue {
 		issues = append(issues, Issue{Line: line, Msg: fmt.Sprintf(format, args...)})
 	}
 
-	typeOf := map[string]string{}   // family -> declared type
-	typeLine := map[string]int{}    // family -> TYPE declaration line
-	helpSeen := map[string]bool{}   // family -> HELP seen
-	sampleSeen := map[string]int{}  // family -> first sample line
-	closed := map[string]bool{}     // family group ended (another family started)
-	seriesSeen := map[string]int{}  // name + canonical labels -> line (duplicates)
+	typeOf := map[string]string{}  // family -> declared type
+	typeLine := map[string]int{}   // family -> TYPE declaration line
+	helpSeen := map[string]bool{}  // family -> HELP seen
+	sampleSeen := map[string]int{} // family -> first sample line
+	closed := map[string]bool{}    // family group ended (another family started)
+	seriesSeen := map[string]int{} // name + canonical labels -> line (duplicates)
 	var samples []sample
 	lastFamily := ""
 

@@ -72,9 +72,6 @@ func (st *shedTotals) report() ShedReport {
 // in-flight work finishes. The daemon sets this when shutdown begins.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports whether the server is refusing new evaluation work.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // admit wraps a compute-heavy handler with admission control: draining
 // sheds everything, then the WithAdmission concurrency cap (0 = off)
 // sheds requests past the limit. The route label keys the shed metric.
@@ -108,6 +105,3 @@ func (s *Server) shed(w http.ResponseWriter, route, reason string, code, retryAf
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	httpError(w, code, format, args...)
 }
-
-// InFlight reports the current number of admitted heavy requests.
-func (s *Server) InFlight() int64 { return s.inflight.Load() }

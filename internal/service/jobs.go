@@ -472,10 +472,6 @@ func (s *Server) RunJobs(ctx context.Context) {
 	s.jobs.Wait()
 }
 
-// JobStats exposes the queue's health counters (also served inside
-// GET /stats).
-func (s *Server) JobStats() jobs.Stats { return s.jobs.Stats() }
-
 // flushJobGauges refreshes the queue-health gauges in the metrics
 // registry; called at scrape time so /metrics always reflects the
 // current queue shape.

@@ -266,10 +266,6 @@ func (s *Server) newEngine(net *netmodel.Network) *engine.Engine {
 	return engine.New(net, engine.Config{Workers: s.maxWorkers})
 }
 
-// Metrics exposes the server's metrics registry (what GET /metrics
-// serves) so an embedding daemon can add its own series.
-func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
 // WithNetwork returns a server pre-loaded with a network.
 func WithNetwork(net *netmodel.Network, opts ...Option) *Server {
 	s := New(opts...)

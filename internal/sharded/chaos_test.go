@@ -79,7 +79,11 @@ func TestPanicOnOneWorkerDoesNotPoisonSiblings(t *testing.T) {
 		markerTest{name: "m4", prefix: mustPrefix(t, "10.4.0.0/16")},
 		markerTest{name: "m5", prefix: mustPrefix(t, "10.5.0.0/16")},
 	}
-	res, err := Run(ctx, canonical, Config{Workers: 3}, suite)
+	eng, err := New(ctx, canonical, Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ctx, suite)
 	if err != nil {
 		t.Fatalf("a panicking test must not fail the run: %v", err)
 	}
@@ -138,7 +142,11 @@ func TestCancellationReturnsPartialMergedTrace(t *testing.T) {
 	}()
 
 	start := time.Now()
-	res, err := Run(ctx, canonical, Config{Workers: 2}, suite)
+	eng, err := New(ctx, canonical, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ctx, suite)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -231,5 +239,9 @@ func TestBudgetTripOnOneShardFailsRunDeterministically(t *testing.T) {
 
 func eng2Run(t *testing.T, ctx context.Context, canonical *netmodel.Network, suite testkit.Suite) (*Result, error) {
 	t.Helper()
-	return Run(ctx, canonical, Config{Workers: 2}, suite)
+	eng, err := New(ctx, canonical, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Run(ctx, suite)
 }

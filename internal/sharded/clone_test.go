@@ -124,7 +124,11 @@ func TestCloneReplicaEquivalence(t *testing.T) {
 			want := seq.TransferTo(canonical.Space)
 
 			for _, workers := range []int{1, 2, 3} {
-				res, err := Run(ctx, canonical, Config{Workers: workers}, suite)
+				eng, err := New(ctx, canonical, Config{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Run(ctx, suite)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -168,15 +168,6 @@ func (e *Engine) ReplicaStats() []bdd.Stats {
 	return out
 }
 
-// Run is a convenience: build an engine for one run and evaluate suite.
-func Run(ctx context.Context, canonical *netmodel.Network, cfg Config, suite testkit.Suite) (*Result, error) {
-	e, err := New(ctx, canonical, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(ctx, suite)
-}
-
 // Run evaluates suite across the pool and merges the results.
 //
 // Error semantics mirror the sequential degradation model: a budget trip

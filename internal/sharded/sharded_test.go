@@ -91,7 +91,11 @@ func TestWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(ctx, canonical, Config{Workers: workers}, suite)
+		eng, err := New(ctx, canonical, Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(ctx, suite)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -144,7 +148,11 @@ func TestShardStatsAndOrdering(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
 	suite := fullSuite(t)
-	res, err := Run(ctx, canonical, Config{Workers: 3}, suite)
+	eng, err := New(ctx, canonical, Config{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ctx, suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +199,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 func TestEmptySuite(t *testing.T) {
 	ctx := context.Background()
 	canonical := regionalNet(t)
-	res, err := Run(ctx, canonical, Config{Workers: 2}, nil)
+	eng, err := New(ctx, canonical, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,31 +62,3 @@ func RankCandidates(ctx context.Context, net *netmodel.Network, base *core.Trace
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Gain > out[j].Gain })
 	return out
 }
-
-// GreedySuite builds a test suite greedily: starting from the baseline
-// trace, it repeatedly adds the candidate with the highest marginal gain
-// until no candidate improves the metric by more than epsilon or all
-// candidates are used. It returns the chosen tests in order with their
-// realized gains.
-// It returns the chosen tests in order with their realized gains; a
-// done context stops the greedy loop, returning the suite built so far.
-func GreedySuite(ctx context.Context, net *netmodel.Network, base *core.Trace, candidates []Test, kind core.AggKind, epsilon float64) []RankedCandidate {
-	acc := core.NewTrace()
-	acc.Merge(base)
-	remaining := append([]Test(nil), candidates...)
-	var chosen []RankedCandidate
-	for len(remaining) > 0 && ctx.Err() == nil {
-		ranked := RankCandidates(ctx, net, acc, remaining, kind)
-		if len(ranked) == 0 {
-			break
-		}
-		best := ranked[0]
-		if best.Gain <= epsilon {
-			break
-		}
-		chosen = append(chosen, best)
-		runIsolated(ctx, best.Test, net, acc)
-		remaining = append(remaining[:best.Index], remaining[best.Index+1:]...)
-	}
-	return chosen
-}

@@ -57,38 +57,3 @@ func TestRankCandidates(t *testing.T) {
 		t.Error("baseline trace was mutated by ranking")
 	}
 }
-
-func TestGreedySuite(t *testing.T) {
-	rg := buildRegional(t)
-	base := core.NewTrace()
-	DefaultRouteCheck{}.Run(rg.Net, base)
-
-	candidates := []Test{
-		ConnectedRouteCheck{},
-		InternalRouteCheck{},
-		AggCanReachTorLoopback{},
-		DefaultRouteCheck{}, // redundant
-	}
-	chosen := GreedySuite(context.Background(), rg.Net, base, candidates, core.Fractional, 1e-9)
-	if len(chosen) == 0 {
-		t.Fatal("greedy suite chose nothing")
-	}
-	// First pick is the biggest single contributor.
-	if chosen[0].Test.Name() != "InternalRouteCheck" {
-		t.Errorf("first pick = %s", chosen[0].Test.Name())
-	}
-	// The redundant DefaultRouteCheck is never chosen.
-	for _, c := range chosen {
-		if c.Test.Name() == "DefaultRouteCheck" {
-			t.Error("redundant test chosen")
-		}
-		if c.Gain <= 0 {
-			t.Errorf("chosen test %s has non-positive gain", c.Test.Name())
-		}
-	}
-	// AggCanReachTorLoopback adds nothing once InternalRouteCheck ran
-	// (its loopback contracts are a subset), so at most 2 picks.
-	if len(chosen) > 2 {
-		t.Errorf("greedy chose %d tests, want <= 2", len(chosen))
-	}
-}

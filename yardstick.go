@@ -29,32 +29,32 @@
 // each hop) and Tracker.MarkRule for state-inspection tests — and coverage
 // computation happens off the testing path.
 //
-// The subsystems are exposed as type aliases so the whole system is usable
-// through this one import: the BDD-backed packet-set algebra (Space, Set),
-// the network model (Network, Device, Rule), the eBGP control-plane
-// simulator and topology generators (BuildExample, BuildFatTree,
-// BuildRegional), the dataplane semantics (Reach, Traceroute,
-// EnumeratePaths), the test kit spanning the paper's taxonomy, and the
-// coverage framework itself (GuardedString, Measure, Combinator, AggKind).
+// This package is the library API for that workflow and nothing else:
+// building or loading a network (NewNetwork, RunBGP, BuildExample,
+// BuildFatTree, BuildRegional, DecodeNetworkJSON), running tests (Suite,
+// BuiltinSuite, the generic and case-study tests), computing coverage
+// (NewCoverage, the metric functions, Spec and its measures and
+// combinators) and reporting it (ReportByRole, ReportGaps, RenderTable,
+// …). Every name is a re-export of an internal package and has a caller
+// under cmd/ or examples/ or a runnable Example; TestFacadeNamesHaveCallers
+// fails on one that does not. The daemon, its client, the coordinator, the
+// evaluation engine and the metrics registry are not part of it: the
+// commands under cmd/ import those internal packages directly.
 package yardstick
 
 import (
 	"context"
 	"io"
 
-	"yardstick/internal/bdd"
-
 	"yardstick/internal/bgp"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
-	"yardstick/internal/delta"
 	"yardstick/internal/faults"
 	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/pipeline"
 	"yardstick/internal/probegen"
 	"yardstick/internal/report"
-	"yardstick/internal/sharded"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
 )
@@ -64,18 +64,10 @@ type (
 	// Network is a network N = (V, I, E, S): devices, interfaces, links,
 	// and forwarding state.
 	Network = netmodel.Network
-	// Device is one router.
-	Device = netmodel.Device
-	// Interface is a device port.
-	Interface = netmodel.Interface
-	// Rule is one match-action rule.
-	Rule = netmodel.Rule
 	// Match holds a rule's match fields.
 	Match = netmodel.Match
 	// Action is what a rule does to matched packets.
 	Action = netmodel.Action
-	// Transform optionally rewrites header fields.
-	Transform = netmodel.Transform
 	// DeviceID identifies a device.
 	DeviceID = netmodel.DeviceID
 	// IfaceID identifies an interface.
@@ -84,24 +76,14 @@ type (
 	RuleID = netmodel.RuleID
 	// Role classifies devices (ToR, aggregation, spine, …).
 	Role = netmodel.Role
-	// RouteOrigin classifies rules (default, connected, internal, …).
-	RouteOrigin = netmodel.RouteOrigin
 )
 
 // NewNetwork returns an empty IPv4 network over a fresh header space.
 func NewNetwork() *Network { return netmodel.New() }
 
-// NewNetworkV6 returns an empty IPv6 network. The case-study network is
-// dual-stack; model each family as its own network.
-func NewNetworkV6() *Network { return netmodel.NewV6() }
-
 // DecodeNetworkJSON reads a network from its JSON representation (see
 // Network.EncodeJSON) and computes match sets.
 func DecodeNetworkJSON(r io.Reader) (*Network, error) { return netmodel.DecodeJSON(r) }
-
-// ParseNetworkText reads a network from the line-oriented text format
-// (see Network.EncodeText) — the router-dump-style ingestion path.
-func ParseNetworkText(r io.Reader) (*Network, error) { return netmodel.ParseText(r) }
 
 // Device roles.
 const (
@@ -111,58 +93,27 @@ const (
 	RoleHub    = netmodel.RoleHub
 	RoleBorder = netmodel.RoleBorder
 	RoleLeaf   = netmodel.RoleLeaf
-	RoleCore   = netmodel.RoleCore
 )
 
 // Route origins.
 const (
-	OriginDefault   = netmodel.OriginDefault
-	OriginConnected = netmodel.OriginConnected
-	OriginInternal  = netmodel.OriginInternal
-	OriginWideArea  = netmodel.OriginWideArea
-	OriginStatic    = netmodel.OriginStatic
-	OriginACL       = netmodel.OriginACL
+	OriginDefault  = netmodel.OriginDefault
+	OriginInternal = netmodel.OriginInternal
 )
 
-// Rule action kinds.
-const (
-	ActForward = netmodel.ActForward
-	ActDrop    = netmodel.ActDrop
-	ActDeliver = netmodel.ActDeliver
-)
-
-// NoIface marks packets injected directly at a device.
-const NoIface = netmodel.NoIface
+// ActForward is the action kind of a rule that forwards out interfaces.
+const ActForward = netmodel.ActForward
 
 // MatchAll returns a match covering every packet.
 func MatchAll() Match { return netmodel.MatchAll() }
 
 // Packet sets (Figure 5).
 type (
-	// Space owns the BDD universe of one analysis.
-	Space = hdr.Space
 	// Set is a set of packet headers.
 	Set = hdr.Set
 	// Packet is one concrete header.
 	Packet = hdr.Packet
-	// EngineLimits bounds the symbolic engine (Space.SetLimits): node
-	// table size and apply-loop work. The zero value is unlimited.
-	EngineLimits = bdd.Limits
 )
-
-// ErrBudgetExceeded is wrapped by every error produced by a tripped
-// EngineLimits budget; test with errors.Is.
-var ErrBudgetExceeded = bdd.ErrBudgetExceeded
-
-// GuardBudget runs fn, converting a tripped engine budget or a watched
-// context's cancellation into the error it carries (see bdd.Guard).
-func GuardBudget(fn func()) error { return bdd.Guard(fn) }
-
-// NewSpace returns a fresh IPv4 header space.
-func NewSpace() *Space { return hdr.NewSpace() }
-
-// NewSpaceV6 returns a fresh IPv6 header space.
-func NewSpaceV6() *Space { return hdr.NewSpaceV6() }
 
 // Dataplane semantics.
 type (
@@ -170,8 +121,6 @@ type (
 	Loc = dataplane.Loc
 	// Reachability is the result of a symbolic flood.
 	Reachability = dataplane.Reachability
-	// TraceHop is one hop of a concrete traceroute.
-	TraceHop = dataplane.TraceHop
 	// Path is one guarded string of the path universe.
 	Path = dataplane.Path
 	// EnumOpts bounds path enumeration.
@@ -183,15 +132,9 @@ type (
 // Injected returns the location of packets injected at a device.
 func Injected(dev DeviceID) Loc { return dataplane.Injected(dev) }
 
-// Traceroute outcomes.
-const (
-	TraceDelivered = dataplane.TraceDelivered
-	TraceEgressed  = dataplane.TraceEgressed
-	TraceDropped   = dataplane.TraceDropped
-	TraceDenied    = dataplane.TraceDenied
-	TraceNoRoute   = dataplane.TraceNoRoute
-	TraceLoop      = dataplane.TraceLoop
-)
+// TraceEgressed is the traceroute outcome of a packet that left the
+// network through an edge interface.
+const TraceEgressed = dataplane.TraceEgressed
 
 // Reach symbolically floods a packet set through the network.
 func Reach(net *Network, start Loc, pkts Set, opts ReachOpts) (*Reachability, error) {
@@ -239,13 +182,6 @@ type (
 
 // NewTrace returns an empty coverage trace.
 func NewTrace() *CoverageTrace { return core.NewTrace() }
-
-// DecodeTraceJSON loads a coverage trace recorded against the given
-// network (see CoverageTrace.EncodeJSON), enabling coverage to
-// accumulate across runs.
-func DecodeTraceJSON(net *Network, r io.Reader) (*CoverageTrace, error) {
-	return core.DecodeTraceJSON(net, r)
-}
 
 // NewCoverage prepares metric computation over a frozen network and a
 // trace.
@@ -326,9 +262,6 @@ var (
 var (
 	UncoveredRules    = core.UncoveredRules
 	UncoveredByOrigin = core.UncoveredByOrigin
-	DevicesByRole     = core.DevicesByRole
-	FilterDevices     = core.FilterDevices
-	IfacesOfDevices   = core.IfacesOfDevices
 	RulesOfDevices    = core.RulesOfDevices
 )
 
@@ -338,8 +271,6 @@ type (
 	Test = testkit.Test
 	// Suite is an ordered collection of tests.
 	Suite = testkit.Suite
-	// TestResult is a test's assertion outcome.
-	TestResult = testkit.Result
 	// DefaultRouteCheck verifies default routes point north.
 	DefaultRouteCheck = testkit.DefaultRouteCheck
 	// ConnectedRouteCheck verifies /31 connected routes on link ends.
@@ -350,12 +281,6 @@ type (
 	// AggCanReachTorLoopback verifies aggregation routers forward ToR
 	// loopbacks.
 	AggCanReachTorLoopback = testkit.AggCanReachTorLoopback
-	// ToRContract verifies per-device contracts for hosted prefixes.
-	ToRContract = testkit.ToRContract
-	// ToRReachability verifies all-pairs ToR reachability symbolically.
-	ToRReachability = testkit.ToRReachability
-	// ToRPingmesh verifies ToR pairs with sampled concrete packets.
-	ToRPingmesh = testkit.ToRPingmesh
 	// PingTest is a generic end-to-end concrete test.
 	PingTest = testkit.PingTest
 	// ReachabilityTest is a generic end-to-end symbolic test.
@@ -368,24 +293,15 @@ type (
 	// HostInterfaceCheck verifies host subnets exit their host-facing
 	// interfaces (the other §7.3 future-work test).
 	HostInterfaceCheck = testkit.HostInterfaceCheck
-	// RankedCandidate is one candidate test with its marginal coverage
-	// gain.
-	RankedCandidate = testkit.RankedCandidate
 )
 
 // BuiltinSuite resolves comma-separated built-in test names (default,
 // connected, internal, agg, contract, reach, pingmesh, host).
 func BuiltinSuite(names string) (Suite, error) { return testkit.BuiltinSuite(names) }
 
-// Test development helpers (§7.2's "most productive test development").
-var (
-	// RankCandidates orders candidate tests by marginal coverage gain
-	// over a baseline trace.
-	RankCandidates = testkit.RankCandidates
-	// GreedySuite builds a suite by repeatedly adding the
-	// highest-marginal-gain candidate.
-	GreedySuite = testkit.GreedySuite
-)
+// RankCandidates orders candidate tests by marginal coverage gain over a
+// baseline trace (§7.2's "most productive test development").
+var RankCandidates = testkit.RankCandidates
 
 // Topology generation and control plane.
 type (
@@ -423,62 +339,8 @@ func BuildRegional(opts RegionalOpts) (*RegionalNet, error) { return topogen.Bui
 // installs the resulting FIBs.
 func RunBGP(cfg BGPConfig) (*BGPResult, error) { return bgp.Run(cfg) }
 
-// Incremental evaluation under churn: rule-level deltas applied to a
-// live network and its accumulated trace, without a suite re-run.
-type (
-	// DeltaOp is one rule-level change (add/remove/modify).
-	DeltaOp = delta.Op
-	// DeltaOpKind identifies a delta operation.
-	DeltaOpKind = delta.OpKind
-	// DeltaDocument is an atomic batch of ops plus the fingerprint of
-	// the network they were computed against (the PATCH /network wire
-	// format).
-	DeltaDocument = delta.Document
-	// DeltaEngine owns one live network and the trace recorded against
-	// it; Apply mutates both in place.
-	DeltaEngine = delta.Engine
-	// DeltaApplied reports one delta application: coverage decay from
-	// dropped rule marks plus per-device coverage drift.
-	DeltaApplied = delta.Applied
-	// DeltaRuleSpec is the portable rule definition carried by add and
-	// modify ops.
-	DeltaRuleSpec = netmodel.RuleSpec
-	// FlapEvent toggles one BGP origination.
-	FlapEvent = bgp.FlapEvent
-	// FlapReplay re-converges forwarding state after each toggle — the
-	// churn workload generator.
-	FlapReplay = bgp.Replay
-)
-
-// Delta operations.
-const (
-	DeltaAdd    = delta.OpAdd
-	DeltaRemove = delta.OpRemove
-	DeltaModify = delta.OpModify
-)
-
-// NewDeltaEngine wraps a frozen network and its trace for incremental
-// evaluation, fingerprinting the network once.
-func NewDeltaEngine(net *Network, trace *CoverageTrace) (*DeltaEngine, error) {
-	return delta.NewEngine(net, trace)
-}
-
-// DiffNetworks computes the rule-level ops that turn old into next,
-// expressed against old's rule universe.
-func DiffNetworks(old, next *Network) ([]DeltaOp, error) { return delta.Diff(old, next) }
-
-// GenFlaps returns a deterministic withdraw/re-announce schedule over a
-// configuration's originations; the same seed always yields the same
-// schedule.
-func GenFlaps(seed int64, n, origins int) []FlapEvent { return bgp.GenFlaps(seed, n, origins) }
-
-// NewFlapReplay starts a flap replay with every origination announced.
-func NewFlapReplay(cfg BGPConfig) *FlapReplay { return bgp.NewReplay(cfg) }
-
 // Probe generation (the complementary ATPG direction).
 type (
-	// Probe is one generated, verified end-to-end concrete test.
-	Probe = probegen.Probe
 	// ProbeGenOptions bounds probe generation.
 	ProbeGenOptions = probegen.Options
 	// ProbeGenResult is a generation run's outcome.
@@ -498,19 +360,11 @@ type (
 	PipelineConfig = pipeline.Config
 	// PipelineResult is a change-evaluation report.
 	PipelineResult = pipeline.Result
-	// PipelineVerdict summarizes a change evaluation.
-	PipelineVerdict = pipeline.Verdict
 )
 
-// Pipeline verdicts.
-const (
-	VerdictSafe              = pipeline.Safe
-	VerdictTestsFailed       = pipeline.TestsFailed
-	VerdictTestsErrored      = pipeline.TestsErrored
-	VerdictCoverageRegressed = pipeline.CoverageRegressed
-	VerdictUniverseDrifted   = pipeline.UniverseDrifted
-	VerdictIncomplete        = pipeline.Incomplete
-)
+// VerdictSafe is the verdict of a change whose tests all pass, with no
+// coverage regression and a stable path universe.
+const VerdictSafe = pipeline.Safe
 
 // EvaluateChange runs the §7.1 pipeline: build before/after states, test
 // the after state, and compare coverage and path-universe size. The
@@ -521,60 +375,13 @@ func EvaluateChange(ctx context.Context, cfg PipelineConfig) (*PipelineResult, e
 	return pipeline.Run(ctx, cfg)
 }
 
-// Parallel suite evaluation (internal/sharded): per-worker BDD spaces
-// with an exact cross-space trace merge.
-type (
-	// ShardedConfig parameterizes a sharded engine (workers, per-shard
-	// engine limits).
-	ShardedConfig = sharded.Config
-	// ShardedEngine is a reusable worker pool bound to one canonical
-	// network.
-	ShardedEngine = sharded.Engine
-	// ShardedResult is the outcome of one parallel run: results in suite
-	// order, the merged trace in the canonical space, per-shard stats.
-	ShardedResult = sharded.Result
-	// ShardStats describes one worker's share of a run.
-	ShardStats = sharded.ShardStats
-)
-
-// NewShardedEngine builds a reusable pool of cfg.Workers network
-// replicas for parallel suite evaluation against net.
-func NewShardedEngine(ctx context.Context, net *Network, cfg ShardedConfig) (*ShardedEngine, error) {
-	return sharded.New(ctx, net, cfg)
-}
-
-// RunSharded builds a one-shot sharded engine and evaluates suite
-// across it. Workers=1 and Workers=N produce identical results and an
-// identical merged trace.
-func RunSharded(ctx context.Context, net *Network, cfg ShardedConfig, suite Suite) (*ShardedResult, error) {
-	return sharded.Run(ctx, net, cfg, suite)
-}
-
-// Reporting.
-type (
-	// Metrics is one row of a coverage report (the Figure 6 headline
-	// metrics).
-	Metrics = report.Metrics
-	// GapRow is one category of untested rules.
-	GapRow = report.GapRow
-	// RuleDetail is one partially-tested rule with its uncovered
-	// destination prefixes.
-	RuleDetail = report.RuleDetail
-	// Snapshot is a point-in-time coverage record for regression
-	// detection.
-	Snapshot = report.Snapshot
-	// Regression is one device whose coverage dropped between
-	// snapshots.
-	Regression = report.Regression
-	// ConfigRow is one device's config-line coverage (lines of
-	// rendered configuration attested by the trace).
-	ConfigRow = report.ConfigRow
-)
+// Metrics is one row of a coverage report (the Figure 6 headline
+// metrics).
+type Metrics = report.Metrics
 
 // Report helpers.
 var (
 	ReportByRole          = report.ByRole
-	ReportForDevices      = report.ForDevices
 	ReportTotal           = report.Total
 	RenderTable           = report.RenderTable
 	ReportGaps            = report.Gaps
@@ -582,39 +389,11 @@ var (
 	Improvement           = report.Improvement
 	UncoveredDetail       = report.UncoveredDetail
 	RenderUncoveredDetail = report.RenderUncoveredDetail
-	TakeSnapshot          = report.TakeSnapshot
-	CompareSnapshots      = report.CompareSnapshots
 	RenderRegressions     = report.RenderRegressions
-	PathUniverseDrift     = report.PathUniverseDrift
 	BuildHTMLReport       = report.BuildHTMLReport
-	ConfigCoverage        = report.ConfigCoverage
-	ConfigTotal           = report.ConfigTotal
-	RenderConfig          = report.RenderConfig
 )
 
-// HTMLReport is a renderable self-contained coverage page.
-type HTMLReport = report.HTMLReport
-
-// Fault injection (mutation testing of test suites).
-type (
-	// Fault is one injected forwarding bug, revertible via Revert.
-	Fault = faults.Fault
-	// FaultKind selects a fault operator.
-	FaultKind = faults.Kind
-	// FaultCampaign reports a mutation campaign.
-	FaultCampaign = faults.CampaignResult
-)
-
-// Fault operators.
-const (
-	FaultNullRoute    = faults.NullRoute
-	FaultWrongNextHop = faults.WrongNextHop
-	FaultECMPMember   = faults.ECMPMember
-)
-
-// Fault helpers.
-var (
-	InjectFault       = faults.Inject
-	InjectRandomFault = faults.InjectRandom
-	RunFaultCampaign  = faults.Run
-)
+// RunFaultCampaign injects n random forwarding bugs one at a time, runs
+// every detector against each and reverts it (mutation testing of test
+// suites).
+var RunFaultCampaign = faults.Run
