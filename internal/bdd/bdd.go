@@ -253,6 +253,28 @@ func (m *Manager) NVar(v int) Node {
 	return m.mk(uint32(v), True, False)
 }
 
+// Literals returns the conjunction that constrains variable first+i to
+// vals[i] for every i: a prefix, an exact field value, a whole packet.
+// The chain is built bottom-up straight into the unique table, one node
+// per level — no intermediate conjunction exists, so nothing goes
+// through the op cache. Each level is charged as one op, so MaxOps and a
+// watched context still see the work.
+func (m *Manager) Literals(first int, vals []bool) Node {
+	if first < 0 || first+len(vals) > m.numVars {
+		panic(fmt.Sprintf("bdd: variables [%d,%d) out of range [0,%d)", first, first+len(vals), m.numVars))
+	}
+	n := True
+	for i := len(vals) - 1; i >= 0; i-- {
+		m.chargeOp()
+		if vals[i] {
+			n = m.mk(uint32(first+i), False, n)
+		} else {
+			n = m.mk(uint32(first+i), n, False)
+		}
+	}
+	return n
+}
+
 // And returns the conjunction a ∧ b.
 func (m *Manager) And(a, b Node) Node {
 	switch {

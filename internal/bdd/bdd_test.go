@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand"
@@ -324,6 +325,50 @@ func TestCube(t *testing.T) {
 	if m.Cube(nil) != True {
 		t.Error("Cube(nil) != True")
 	}
+}
+
+// TestLiterals: the bottom-up chain is the node the And-chain of single
+// literals builds, over any range and polarity, and charges one op per
+// level so an op budget still bounds it.
+func TestLiterals(t *testing.T) {
+	m := New(12)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		first := rng.Intn(12)
+		vals := make([]bool, rng.Intn(12-first+1))
+		want := True
+		for i := range vals {
+			vals[i] = rng.Intn(2) == 0
+			lit := m.NVar(first + i)
+			if vals[i] {
+				lit = m.Var(first + i)
+			}
+			want = m.And(want, lit)
+		}
+		if got := m.Literals(first, vals); got != want {
+			t.Fatalf("Literals(%d, %v) != the conjunction of its literals", first, vals)
+		}
+	}
+	if m.Literals(5, nil) != True {
+		t.Error("Literals of no variables != True")
+	}
+
+	before := m.Stats().Ops
+	m.Literals(2, make([]bool, 9))
+	if got := m.Stats().Ops - before; got != 9 {
+		t.Errorf("a 9-level chain charged %d ops, want 9", got)
+	}
+	m.SetLimits(Limits{MaxOps: 5})
+	if err := Guard(func() { m.Literals(0, make([]bool, 12)) }); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("12-level chain under MaxOps 5: err = %v, want ErrBudgetExceeded", err)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Literals past the last variable did not panic")
+		}
+	}()
+	New(4).Literals(2, make([]bool, 3))
 }
 
 func TestNodeCount(t *testing.T) {

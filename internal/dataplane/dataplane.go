@@ -174,40 +174,111 @@ type ReachOpts struct {
 // Reach symbolically floods the packet set from the starting location and
 // returns everything that happened. Per-location arrival sets grow
 // monotonically, so the traversal terminates on stateless data planes.
+//
+// A flood records outcomes per location, not per rule, so each device is
+// applied by action class (netmodel.Forwarding): one Intersect per group
+// of FIB rules that forward alike, instead of ApplyDevice's one per
+// rule. The two agree set for set because match sets are disjoint:
+// p ∩ ⋃M[r] = ⋃(p ∩ M[r]).
 func Reach(net *netmodel.Network, start Loc, pkts hdr.Set, opts ReachOpts) (*Reachability, error) {
+	return reach(net, start, pkts, opts, applyClasses)
+}
+
+// flood is the state of one traversal: the result so far and the
+// worklist. The worklist coalesces pending packets per location: ECMP
+// fans the same location in along many paths, and merging the arrivals
+// before applying the device's tables saves one full table application
+// per extra path.
+type flood struct {
+	net     *netmodel.Network
+	res     *Reachability
+	pending map[Loc]hdr.Set
+	queue   []Loc
+}
+
+func (f *flood) enqueue(loc Loc, s hdr.Set) {
+	if cur, ok := f.pending[loc]; ok {
+		f.pending[loc] = cur.Union(s)
+		return
+	}
+	f.pending[loc] = s
+	f.queue = append(f.queue, loc)
+}
+
+// act records what an action does to the non-empty packet set hit at
+// dev: dropped, delivered, or sent out every out-interface (transformed
+// first), to the neighbour's worklist entry or out of the network.
+func (f *flood) act(dev netmodel.DeviceID, a netmodel.Action, hit hdr.Set) {
+	switch a.Kind {
+	case netmodel.ActDrop:
+		f.res.Dropped[dev] = unionInto(f.net, f.res.Dropped[dev], hit)
+	case netmodel.ActDeliver:
+		f.res.Delivered[dev] = unionInto(f.net, f.res.Delivered[dev], hit)
+	case netmodel.ActForward:
+		if tr := a.Transform; tr != nil {
+			hit = applyTransform(hit, tr)
+		}
+		for _, ifid := range a.OutIfaces {
+			ifc := f.net.Iface(ifid)
+			if ifc.Peer == netmodel.NoIface {
+				f.res.Egressed[ifid] = unionInto(f.net, f.res.Egressed[ifid], hit)
+			} else {
+				peer := f.net.Iface(ifc.Peer)
+				f.enqueue(Loc{Device: peer.Device, Iface: peer.ID}, hit)
+			}
+		}
+	}
+}
+
+// applyClasses pushes the newly arrived packets through a device by
+// action class.
+func applyClasses(f *flood, dev netmodel.DeviceID, fresh hdr.Set) {
+	fw := f.net.Forwarding(dev)
+	permitted := fresh
+	if fw.HasACL {
+		permitted = fresh.Intersect(fw.Permit)
+		if denied := fresh.Diff(permitted); !denied.IsEmpty() {
+			f.res.Dropped[dev] = unionInto(f.net, f.res.Dropped[dev], denied)
+		}
+	}
+	for i := range fw.Classes {
+		c := &fw.Classes[i]
+		if hit := permitted.Intersect(c.Match); !hit.IsEmpty() {
+			f.act(dev, c.Action, hit)
+		}
+	}
+	if noRoute := permitted.Diff(fw.Routed); !noRoute.IsEmpty() {
+		f.res.NoRoute[dev] = unionInto(f.net, f.res.NoRoute[dev], noRoute)
+	}
+}
+
+// reach is the worklist of Reach over a device-application step (the
+// test oracle substitutes ApplyDevice's rule-by-rule one).
+func reach(net *netmodel.Network, start Loc, pkts hdr.Set, opts ReachOpts, apply func(f *flood, dev netmodel.DeviceID, fresh hdr.Set)) (*Reachability, error) {
 	maxSteps := opts.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 200 * (len(net.Devices) + 1)
 	}
-	res := &Reachability{
-		Arrived:   make(map[Loc]hdr.Set),
-		Delivered: make(map[netmodel.DeviceID]hdr.Set),
-		Egressed:  make(map[netmodel.IfaceID]hdr.Set),
-		Dropped:   make(map[netmodel.DeviceID]hdr.Set),
-		NoRoute:   make(map[netmodel.DeviceID]hdr.Set),
-	}
-	// The worklist coalesces pending packets per location: ECMP fans the
-	// same location in along many paths, and merging the arrivals before
-	// applying the device's tables saves one full table application per
-	// extra path.
-	pending := map[Loc]hdr.Set{start: pkts}
-	queue := []Loc{start}
-	enqueue := func(loc Loc, s hdr.Set) {
-		if cur, ok := pending[loc]; ok {
-			pending[loc] = cur.Union(s)
-			return
-		}
-		pending[loc] = s
-		queue = append(queue, loc)
+	f := &flood{
+		net: net,
+		res: &Reachability{
+			Arrived:   make(map[Loc]hdr.Set),
+			Delivered: make(map[netmodel.DeviceID]hdr.Set),
+			Egressed:  make(map[netmodel.IfaceID]hdr.Set),
+			Dropped:   make(map[netmodel.DeviceID]hdr.Set),
+			NoRoute:   make(map[netmodel.DeviceID]hdr.Set),
+		},
+		pending: map[Loc]hdr.Set{start: pkts},
+		queue:   []Loc{start},
 	}
 	steps := 0
-	for len(queue) > 0 {
-		loc := queue[0]
-		queue = queue[1:]
-		in := pending[loc]
-		delete(pending, loc)
+	for len(f.queue) > 0 {
+		loc := f.queue[0]
+		f.queue = f.queue[1:]
+		in := f.pending[loc]
+		delete(f.pending, loc)
 
-		seen, ok := res.Arrived[loc]
+		seen, ok := f.res.Arrived[loc]
 		if !ok {
 			seen = net.Space.Empty()
 		}
@@ -218,36 +289,13 @@ func Reach(net *netmodel.Network, start Loc, pkts hdr.Set, opts ReachOpts) (*Rea
 		if steps++; steps > maxSteps {
 			return nil, fmt.Errorf("dataplane: traversal exceeded %d steps (transform loop?)", maxSteps)
 		}
-		res.Arrived[loc] = seen.Union(fresh)
+		f.res.Arrived[loc] = seen.Union(fresh)
 		if opts.OnHop != nil {
 			opts.OnHop(loc, fresh)
 		}
-
-		dr := ApplyDevice(net, loc.Device, fresh)
-		if !dr.NoRoute.IsEmpty() {
-			res.NoRoute[loc.Device] = unionInto(net, res.NoRoute[loc.Device], dr.NoRoute)
-		}
-		if !dr.ImplicitDeny.IsEmpty() {
-			res.Dropped[loc.Device] = unionInto(net, res.Dropped[loc.Device], dr.ImplicitDeny)
-		}
-		for _, hit := range dr.Hits {
-			switch hit.Rule.Action.Kind {
-			case netmodel.ActDrop:
-				res.Dropped[loc.Device] = unionInto(net, res.Dropped[loc.Device], hit.Pkts)
-			case netmodel.ActDeliver:
-				res.Delivered[loc.Device] = unionInto(net, res.Delivered[loc.Device], hit.Pkts)
-			case netmodel.ActForward:
-				for _, em := range hit.Out {
-					if em.External {
-						res.Egressed[em.OutIface] = unionInto(net, res.Egressed[em.OutIface], em.Pkts)
-					} else {
-						enqueue(em.Next, em.Pkts)
-					}
-				}
-			}
-		}
+		apply(f, loc.Device, fresh)
 	}
-	return res, nil
+	return f.res, nil
 }
 
 func unionInto(net *netmodel.Network, acc hdr.Set, s hdr.Set) hdr.Set {
@@ -307,7 +355,28 @@ type Trace struct {
 // Traceroute follows one concrete packet from start. ECMP choices are
 // resolved deterministically by hashing the 5-tuple, as a real switch
 // would. The hop limit is 255.
+//
+// The FIB stage is a longest-prefix lookup on every device whose FIB is
+// destination-only (netmodel.FIBLookup decides that from the table
+// itself); any other FIB, and every ACL, is walked first match wins.
 func Traceroute(net *netmodel.Network, start Loc, pkt hdr.Packet) Trace {
+	return traceroute(net, start, pkt, false)
+}
+
+// fibWalk is the first-match walk of dev's FIB: right for any table, and
+// the only way through one with a source match or a repeated prefix.
+func fibWalk(net *netmodel.Network, dev netmodel.DeviceID, assign []bool) *netmodel.Rule {
+	for _, rid := range net.Device(dev).FIB {
+		if r := net.Rule(rid); r.MatchSet().ContainsAssign(assign) {
+			return r
+		}
+	}
+	return nil
+}
+
+// traceroute is Traceroute; walkOnly forces the first-match walk on
+// every device (the test oracle for the lookup).
+func traceroute(net *netmodel.Network, start Loc, pkt hdr.Packet, walkOnly bool) Trace {
 	if !net.MatchSetsComputed() {
 		panic("dataplane: match sets not computed")
 	}
@@ -350,12 +419,12 @@ func Traceroute(net *netmodel.Network, start Loc, pkt hdr.Packet) Trace {
 
 		// FIB stage.
 		var rule *netmodel.Rule
-		for _, rid := range d.FIB {
-			r := net.Rule(rid)
-			if r.MatchSet().ContainsAssign(assign) {
-				rule = r
-				break
-			}
+		indexed := false
+		if !walkOnly {
+			rule, indexed = net.FIBLookup(loc.Device, pkt.Dst)
+		}
+		if !indexed {
+			rule = fibWalk(net, loc.Device, assign)
 		}
 		if rule == nil {
 			tr.End = TraceNoRoute

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/bgp"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
@@ -480,15 +481,30 @@ func FuzzViewEquivalence(f *testing.F) {
 func TestApplyAllocationBound(t *testing.T) {
 	w := newWorld(t, 5, false)
 	w.suite().Run(context.Background(), w.eng.Net, w.eng.Trace)
+	// A BDD hash table that doubles during a delta is one multi-megabyte
+	// allocation decided by where the node count stands, not by Apply, so
+	// the new table's bytes (20 per op-cache slot, 16 per unique-table
+	// slot) are taken off the delta that happened to cross the threshold.
+	tableBytes := func(s0, s1 bdd.Stats) (n uint64) {
+		if s1.CacheSlots != s0.CacheSlots {
+			n += 20 * uint64(s1.CacheSlots)
+		}
+		if s1.UniqueSlots != s0.UniqueSlots {
+			n += 16 * uint64(s1.UniqueSlots)
+		}
+		return n
+	}
+	m := w.eng.Net.Space.Manager()
 	apply := func() uint64 {
 		doc := delta.Document{Ops: w.ops()}
 		var before, after runtime.MemStats
+		s0 := m.Stats()
 		runtime.ReadMemStats(&before)
 		if _, err := w.eng.Apply(doc); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return after.TotalAlloc - before.TotalAlloc - tableBytes(s0, m.Stats())
 	}
 	apply() // the BDD tables settle on the first delta
 	var worst uint64

@@ -7,7 +7,9 @@
 //
 // All operators mutate rule *actions*, never match fields, so the
 // disjoint match sets computed at build time remain valid and faults can
-// be injected into (and reverted from) frozen networks.
+// be injected into (and reverted from) frozen networks. They write
+// through netmodel.Network.SetAction, which drops the device's action
+// classes so the next flood sees the fault.
 package faults
 
 import (
@@ -61,7 +63,7 @@ func (f *Fault) String() string {
 
 // Revert restores the rule's original action.
 func (f *Fault) Revert() {
-	f.net.Rule(f.Rule).Action = f.prev
+	f.net.SetAction(f.Rule, f.prev)
 }
 
 // eligible reports whether a rule can host the fault kind.
@@ -80,17 +82,6 @@ func eligible(r *netmodel.Rule, kind Kind) bool {
 	return false
 }
 
-// cloneAction deep-copies an action so Revert restores exactly.
-func cloneAction(a netmodel.Action) netmodel.Action {
-	out := a
-	out.OutIfaces = append([]netmodel.IfaceID(nil), a.OutIfaces...)
-	if a.Transform != nil {
-		tr := *a.Transform
-		out.Transform = &tr
-	}
-	return out
-}
-
 // Inject applies the fault kind to the given rule. It returns an error
 // when the rule cannot host the fault.
 func Inject(net *netmodel.Network, rid netmodel.RuleID, kind Kind, rng *rand.Rand) (*Fault, error) {
@@ -98,10 +89,10 @@ func Inject(net *netmodel.Network, rid netmodel.RuleID, kind Kind, rng *rand.Ran
 	if !eligible(r, kind) {
 		return nil, fmt.Errorf("faults: rule %d cannot host %v", rid, kind)
 	}
-	f := &Fault{Kind: kind, Rule: rid, Device: r.Device, prev: cloneAction(r.Action), net: net}
+	f := &Fault{Kind: kind, Rule: rid, Device: r.Device, prev: r.Action.Clone(), net: net}
 	switch kind {
 	case NullRoute:
-		r.Action = netmodel.Action{Kind: netmodel.ActDrop}
+		net.SetAction(rid, netmodel.Action{Kind: netmodel.ActDrop})
 	case WrongNextHop:
 		// Pick a different interface on the same device; fall back to a
 		// drop when the device has no alternative port.
@@ -119,15 +110,15 @@ func Inject(net *netmodel.Network, rid netmodel.RuleID, kind Kind, rng *rand.Ran
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("faults: device %s has no alternative interface", d.Name)
 		}
-		r.Action = netmodel.Action{
+		net.SetAction(rid, netmodel.Action{
 			Kind:      netmodel.ActForward,
 			OutIfaces: []netmodel.IfaceID{candidates[rng.Intn(len(candidates))]},
-		}
+		})
 	case ECMPMember:
 		outs := append([]netmodel.IfaceID(nil), r.Action.OutIfaces...)
 		i := rng.Intn(len(outs))
 		outs = append(outs[:i], outs[i+1:]...)
-		r.Action = netmodel.Action{Kind: netmodel.ActForward, OutIfaces: outs, Transform: r.Action.Transform}
+		net.SetAction(rid, netmodel.Action{Kind: netmodel.ActForward, OutIfaces: outs, Transform: r.Action.Transform})
 	}
 	return f, nil
 }

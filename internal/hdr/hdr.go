@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"net/netip"
 
 	"yardstick/internal/bdd"
@@ -189,6 +190,24 @@ func (a Set) Union(b Set) Set {
 	return Set{a.sp, a.sp.m.Or(a.n, b.n)}
 }
 
+// UnionAll returns the union of sets, folded pairwise in the given order
+// (neighbours first, then neighbouring pairs, …) rather than one by one
+// into a growing accumulator: every intermediate stays as small as its
+// operands, and two lists that begin alike repeat the same sub-unions,
+// which the op cache then answers.
+func (s *Space) UnionAll(sets []Set) Set {
+	switch len(sets) {
+	case 0:
+		return s.Empty()
+	case 1:
+		return sets[0]
+	}
+	// Split at the largest power of two below len(sets): the tree a
+	// bottom-up pairing would build, without scratch storage.
+	mid := 1 << (bits.Len(uint(len(sets)-1)) - 1)
+	return s.UnionAll(sets[:mid]).Union(s.UnionAll(sets[mid:]))
+}
+
 // Intersect returns a ∩ b.
 func (a Set) Intersect(b Set) Set {
 	a.sp.check(a, b)
@@ -258,79 +277,65 @@ func (s *Space) addrBits(a netip.Addr) []byte {
 	return b[:]
 }
 
-// bitsEqBytes constrains width variables at off to the bytes (MSB first).
-func (s *Space) bitsEqBytes(off int, bytes []byte) bdd.Node {
-	n := bdd.True
-	for i := len(bytes)*8 - 1; i >= 0; i-- {
-		bit := bytes[i/8]>>(7-i%8)&1 == 1
-		var v bdd.Node
-		if bit {
-			v = s.m.Var(off + i)
-		} else {
-			v = s.m.NVar(off + i)
-		}
-		n = s.m.And(n, v)
+// maxBits is the widest header any family has (IPv6).
+const maxBits = 2*128 + ProtoBits + DstPortBits + SrcPortBits
+
+// putBytes writes the top len(dst) bits of bytes into dst, most
+// significant bit first.
+func putBytes(dst []bool, bytes []byte) {
+	for i := range dst {
+		dst[i] = bytes[i/8]>>(7-i%8)&1 == 1
 	}
-	return n
 }
 
-// bitsEq constrains width variables starting at off to the low-order
-// width bits of value (most significant bit first).
-func (s *Space) bitsEq(off, width int, value uint64) bdd.Node {
-	n := bdd.True
-	for i := width - 1; i >= 0; i-- {
-		bit := value>>(width-1-i)&1 == 1
-		var v bdd.Node
-		if bit {
-			v = s.m.Var(off + i)
-		} else {
-			v = s.m.NVar(off + i)
-		}
-		n = s.m.And(n, v)
+// putValue writes the low len(dst) bits of v into dst, most significant
+// bit first.
+func putValue(dst []bool, v uint64) {
+	for i := range dst {
+		dst[i] = v>>(len(dst)-1-i)&1 == 1
 	}
-	return n
 }
 
-// bitsPrefixBytes constrains the top plen variables at off to the top
-// plen bits of the bytes.
-func (s *Space) bitsPrefixBytes(off, plen int, bytes []byte) bdd.Node {
-	n := bdd.True
-	for i := plen - 1; i >= 0; i-- {
-		bit := bytes[i/8]>>(7-i%8)&1 == 1
-		var v bdd.Node
-		if bit {
-			v = s.m.Var(off + i)
-		} else {
-			v = s.m.NVar(off + i)
-		}
-		n = s.m.And(n, v)
-	}
-	return n
+// bytesEq constrains the width variables at off to the top width bits of
+// bytes: an address (width = IPBits) or a prefix of one.
+func (s *Space) bytesEq(off, width int, bytes []byte) Set {
+	var buf [128]bool
+	vals := buf[:width]
+	putBytes(vals, bytes)
+	return Set{s, s.m.Literals(off, vals)}
+}
+
+// valueEq constrains the width-bit field at off to v.
+func (s *Space) valueEq(off, width int, v uint64) Set {
+	var buf [16]bool
+	vals := buf[:width]
+	putValue(vals, v)
+	return Set{s, s.m.Literals(off, vals)}
 }
 
 // DstPrefix returns the set of headers whose destination IP lies in p.
 func (s *Space) DstPrefix(p netip.Prefix) Set {
-	return Set{s, s.bitsPrefixBytes(s.dstOff, p.Bits(), s.addrBits(p.Masked().Addr()))}
+	return s.bytesEq(s.dstOff, p.Bits(), s.addrBits(p.Masked().Addr()))
 }
 
 // SrcPrefix returns the set of headers whose source IP lies in p.
 func (s *Space) SrcPrefix(p netip.Prefix) Set {
-	return Set{s, s.bitsPrefixBytes(s.srcOff, p.Bits(), s.addrBits(p.Masked().Addr()))}
+	return s.bytesEq(s.srcOff, p.Bits(), s.addrBits(p.Masked().Addr()))
 }
 
 // DstIP returns the set of headers destined exactly to a.
 func (s *Space) DstIP(a netip.Addr) Set {
-	return Set{s, s.bitsEqBytes(s.dstOff, s.addrBits(a))}
+	return s.bytesEq(s.dstOff, s.ipBits, s.addrBits(a))
 }
 
 // SrcIP returns the set of headers sourced exactly from a.
 func (s *Space) SrcIP(a netip.Addr) Set {
-	return Set{s, s.bitsEqBytes(s.srcOff, s.addrBits(a))}
+	return s.bytesEq(s.srcOff, s.ipBits, s.addrBits(a))
 }
 
 // Proto returns the set of headers with the given IP protocol.
 func (s *Space) Proto(p uint8) Set {
-	return Set{s, s.bitsEq(s.protoOff, ProtoBits, uint64(p))}
+	return s.valueEq(s.protoOff, ProtoBits, uint64(p))
 }
 
 // rangeSet builds the set lo <= field <= hi for a width-bit field at off.
@@ -385,12 +390,12 @@ func (s *Space) SrcPortRange(lo, hi uint16) Set {
 
 // DstPort returns the set of headers with the given destination port.
 func (s *Space) DstPort(p uint16) Set {
-	return Set{s, s.bitsEq(s.dstPortOff, DstPortBits, uint64(p))}
+	return s.valueEq(s.dstPortOff, DstPortBits, uint64(p))
 }
 
 // SrcPort returns the set of headers with the given source port.
 func (s *Space) SrcPort(p uint16) Set {
-	return Set{s, s.bitsEq(s.srcPortOff, SrcPortBits, uint64(p))}
+	return s.valueEq(s.srcPortOff, SrcPortBits, uint64(p))
 }
 
 // Packet is a single concrete packet header. Dst and Src must match the
@@ -408,12 +413,10 @@ func (p Packet) String() string {
 
 // Singleton returns the set containing exactly p.
 func (s *Space) Singleton(p Packet) Set {
-	n := s.bitsEqBytes(s.dstOff, s.addrBits(p.Dst))
-	n = s.m.And(n, s.bitsEqBytes(s.srcOff, s.addrBits(p.Src)))
-	n = s.m.And(n, s.bitsEq(s.protoOff, ProtoBits, uint64(p.Proto)))
-	n = s.m.And(n, s.bitsEq(s.dstPortOff, DstPortBits, uint64(p.DstPort)))
-	n = s.m.And(n, s.bitsEq(s.srcPortOff, SrcPortBits, uint64(p.SrcPort)))
-	return Set{s, n}
+	var buf [maxBits]bool
+	assign := buf[:s.numBits]
+	s.fillAssign(assign, p)
+	return Set{s, s.m.Literals(0, assign)}
 }
 
 // ContainsPacket reports whether the concrete packet p is in the set.
@@ -451,21 +454,11 @@ func (s *Space) packetAssign(p Packet) []bool {
 }
 
 func (s *Space) fillAssign(assign []bool, p Packet) {
-	putBytes := func(off int, bytes []byte) {
-		for i := 0; i < len(bytes)*8; i++ {
-			assign[off+i] = bytes[i/8]>>(7-i%8)&1 == 1
-		}
-	}
-	put := func(off, width int, v uint64) {
-		for i := 0; i < width; i++ {
-			assign[off+i] = v>>(width-1-i)&1 == 1
-		}
-	}
-	putBytes(s.dstOff, s.addrBits(p.Dst))
-	putBytes(s.srcOff, s.addrBits(p.Src))
-	put(s.protoOff, ProtoBits, uint64(p.Proto))
-	put(s.dstPortOff, DstPortBits, uint64(p.DstPort))
-	put(s.srcPortOff, SrcPortBits, uint64(p.SrcPort))
+	putBytes(assign[s.dstOff:s.dstOff+s.ipBits], s.addrBits(p.Dst))
+	putBytes(assign[s.srcOff:s.srcOff+s.ipBits], s.addrBits(p.Src))
+	putValue(assign[s.protoOff:s.protoOff+ProtoBits], uint64(p.Proto))
+	putValue(assign[s.dstPortOff:s.dstPortOff+DstPortBits], uint64(p.DstPort))
+	putValue(assign[s.srcPortOff:s.srcPortOff+SrcPortBits], uint64(p.SrcPort))
 }
 
 // Sample returns one packet from the set, or ok=false when it is empty.

@@ -191,6 +191,23 @@ func TestSingletonAndSample(t *testing.T) {
 	}
 }
 
+// TestUnionAll: the pairwise fold equals the one-by-one union for every
+// list length around the powers of two it splits at.
+func TestUnionAll(t *testing.T) {
+	s := NewSpace()
+	var sets []Set
+	want := s.Empty()
+	for i := 0; i <= 17; i++ {
+		if got := s.UnionAll(sets); !got.Equal(want) {
+			t.Fatalf("UnionAll of %d sets differs from their union", i)
+		}
+		next := s.DstPrefix(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i * 7), 0, 0}), 16)).
+			Intersect(s.DstPort(uint16(i)))
+		sets = append(sets, next)
+		want = want.Union(next)
+	}
+}
+
 func TestSampleIsMember(t *testing.T) {
 	s := NewSpace()
 	set := s.DstPrefix(mustPrefix(t, "10.0.0.0/8")).Intersect(s.Proto(17))

@@ -9,8 +9,9 @@ import (
 // Clone returns an O(size) deep copy of the network over a Clone of its
 // header space. Because the cloned space holds the same BDD nodes at the
 // same indices (hdr.Space.Clone), every derived set — each rule's raw
-// and disjoint match set, the match memo — is carried into the copy by
-// node index instead of being re-derived from configuration. A frozen
+// and disjoint match set, the match memo, the action classes built so
+// far — is carried into the copy by node index instead of being
+// re-derived from configuration. A frozen
 // network (ComputeMatchSets done) clones into a frozen network whose
 // match sets are bit-identical to the original's.
 //
@@ -58,11 +59,7 @@ func (n *Network) Clone() *Network {
 	}
 	for i, r := range n.Rules {
 		nr := *r
-		nr.Action.OutIfaces = append([]IfaceID(nil), r.Action.OutIfaces...)
-		if r.Action.Transform != nil {
-			tr := *r.Action.Transform
-			nr.Action.Transform = &tr
-		}
+		nr.Action = r.Action.Clone()
 		nr.raw = carry(r.raw)
 		nr.match = carry(r.match)
 		out.Rules[i] = &nr
@@ -71,6 +68,23 @@ func (n *Network) Clone() *Network {
 		out.fibIndex = make(map[fibKey]RuleID, len(n.fibIndex))
 		for k, v := range n.fibIndex {
 			out.fibIndex[k] = v
+		}
+	}
+	if n.index != nil {
+		// The table shapes are immutable values (Commit replaces, never
+		// edits them) and are shared; built action classes are carried
+		// by node index like the match sets.
+		out.index = make([]devIndex, len(n.index))
+		for i, ix := range n.index {
+			if f := ix.fwd; f != nil {
+				nf := &Forwarding{HasACL: f.HasACL, Permit: carry(f.Permit), Routed: carry(f.Routed),
+					Classes: make([]ActionClass, len(f.Classes))}
+				for c, cl := range f.Classes {
+					nf.Classes[c] = ActionClass{Action: cl.Action.Clone(), Match: carry(cl.Match)}
+				}
+				ix.fwd = nf
+			}
+			out.index[i] = ix
 		}
 	}
 	if n.matchMemo != nil {

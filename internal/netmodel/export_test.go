@@ -41,3 +41,28 @@ func (n *Network) EncodeJSONReference(w io.Writer) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(jn)
 }
+
+// OrderedFIBMatchSets derives the match sets of dev's FIB, in FIB order,
+// with the ordered claimed-union walk (computeTable) forced on copies of
+// its rules: the oracle for computeFIB's children-only derivation.
+func (n *Network) OrderedFIBMatchSets(dev DeviceID) []hdr.Set {
+	fib := n.Devices[dev].FIB
+	shadow := make([]*Rule, len(n.Rules))
+	for _, id := range fib {
+		r := *n.Rules[id]
+		shadow[id] = &r
+	}
+	n.computeTable(shadow, fib)
+	out := make([]hdr.Set, len(fib))
+	for i, id := range fib {
+		out[i] = shadow[id].match
+	}
+	return out
+}
+
+// DstOnly reports whether dev's FIB takes the longest-prefix lookup.
+func (n *Network) DstOnly(dev DeviceID) bool { return n.index[dev].dstOnly }
+
+// BuiltForwarding returns dev's action classes if a flood has built
+// them, nil otherwise; unlike Forwarding it never builds.
+func (n *Network) BuiltForwarding(dev DeviceID) *Forwarding { return n.index[dev].fwd }

@@ -23,8 +23,8 @@ import (
 //   - Only the tables of touched devices (those owning a removed,
 //     modified, or added rule) are re-derived. Untouched rules keep
 //     their existing raw and disjoint match sets verbatim — zero BDD
-//     work — which is sound because a table's claimed-union walk only
-//     ever reads rules of the same device, and the Match→set memo
+//     work — which is sound because a table's derivation only ever
+//     reads rules of the same device, and the Match→set memo
 //     (matchSet) is keyed by pure match values, never by rule identity.
 //
 //   - Commit is copy-on-write: it stages a complete new rule universe
@@ -218,10 +218,13 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			nr.Action = def.Action
 			nr.Origin = def.Origin
 			nr.Deny = def.Deny
+			nr.raw = hdr.Set{}
 		}
 		if touched[nr.Device] {
+			// The disjoint set is re-derived; the raw set is a function
+			// of the match fields alone and stays unless they changed.
 			nr.matchOK = false
-			nr.raw, nr.match = hdr.Set{}, hdr.Set{}
+			nr.match = hdr.Set{}
 		}
 		remap[r.ID] = nr.ID
 		newRules = append(newRules, nr)
@@ -270,29 +273,20 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			newFIB[def.Device] = append(newFIB[def.Device], addedIDs[i])
 		}
 	}
-	for dev := range touched {
-		fib := newFIB[dev]
-		sort.SliceStable(fib, func(i, j int) bool {
-			pi := newRules[fib[i]].Match.DstPrefix
-			pj := newRules[fib[j]].Match.DstPrefix
-			bi, bj := prefixLen(pi), prefixLen(pj)
-			if bi != bj {
-				return bi > bj
-			}
-			return fib[i] < fib[j]
-		})
-	}
-
-	// All BDD work happens here, against the staged copy. A panic
-	// unwinds with the live network untouched.
 	touchedList := make([]DeviceID, 0, len(touched))
 	for dev := range touched {
 		touchedList = append(touchedList, dev)
 	}
 	sort.Slice(touchedList, func(i, j int) bool { return touchedList[i] < touchedList[j] })
-	for _, dev := range touchedList {
-		n.computeTableStaged(newRules, newACL[dev])
-		n.computeTableStaged(newRules, newFIB[dev])
+
+	// All BDD work happens here, against the staged copy. A panic
+	// unwinds with the live network untouched.
+	fibs := fibDeriver{n: n}
+	newIndex := make([]devIndex, len(touchedList))
+	for i, dev := range touchedList {
+		sortFIB(newRules, newFIB[dev])
+		n.computeTable(newRules, newACL[dev])
+		newIndex[i] = fibs.derive(newRules, newFIB[dev])
 	}
 
 	// Publish: assignments and map work only, no panic sources. The FIB
@@ -304,32 +298,16 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	}
 	n.Rules = newRules
 	clear(n.fibIndex)
-	for _, r := range newRules {
-		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
-			n.fibIndex[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
-		}
+	fillFIBIndex(n.fibIndex, newRules)
+	// A touched device gets its new table shape and loses its action
+	// classes (the next flood rebuilds them); every other device keeps
+	// both — classes hold sets and actions, never rule IDs.
+	for i, dev := range touchedList {
+		n.index[dev] = newIndex[i]
 	}
 	n.generation++
 
 	return MutationResult{Remap: remap, Added: addedIDs, Touched: touchedList}, nil
-}
-
-// computeTableStaged is computeTable against a staged rule slice: same
-// claimed-union walk and the same Match→set memo, but reads and writes
-// only the staged copies.
-func (n *Network) computeTableStaged(rules []*Rule, order []RuleID) {
-	claimed := n.Space.Empty()
-	for i, id := range order {
-		r := rules[id]
-		r.raw = n.matchSet(r.Match)
-		if i == 0 {
-			r.match = r.raw
-		} else {
-			r.match = r.raw.Diff(claimed)
-		}
-		r.matchOK = true
-		claimed = claimed.Union(r.raw)
-	}
 }
 
 // CloneTopology returns an unfrozen copy of the network's topology —

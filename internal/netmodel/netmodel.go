@@ -13,7 +13,7 @@ package netmodel
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"yardstick/internal/hdr"
 )
@@ -143,7 +143,9 @@ const (
 )
 
 // Rule is one match-action rule (§4.1). MatchSet is valid only after
-// Network.ComputeMatchSets.
+// Network.ComputeMatchSets; from then on the rule changes through a
+// Mutation, or Network.SetAction for its action alone — the network keeps
+// state derived from both (forwarding.go).
 type Rule struct {
 	ID      RuleID
 	Device  DeviceID
@@ -202,8 +204,12 @@ type Network struct {
 	byName map[string]DeviceID
 	// fibIndex maps (device, exact destination prefix) to the FIB rule,
 	// built by ComputeMatchSets. Tests resolve expected routes through
-	// it in O(1).
+	// it in O(1), and it is the one structure behind every longest-prefix
+	// probe (forwarding.go).
 	fibIndex map[fibKey]RuleID
+	// index holds each device's forwarding index (forwarding.go), by
+	// DeviceID; allocated by ComputeMatchSets.
+	index []devIndex
 	// matchMemo caches Match → raw packet set during ComputeMatchSets,
 	// so identical matches across devices derive the BDD once.
 	matchMemo map[Match]hdr.Set
@@ -380,35 +386,45 @@ func (n *Network) addRule(dev DeviceID, table TableKind, match Match, action Act
 }
 
 // ComputeMatchSets derives the disjoint match set of every rule (§5.2
-// Step 1): per table, walk rules in evaluation order and give each rule the
-// packets its match fields cover minus everything already claimed. FIBs are
-// ordered longest prefix first; ACLs keep insertion order.
+// Step 1): the packets its match fields cover minus everything an
+// earlier rule of its table claims. FIBs are ordered longest prefix
+// first; ACLs keep insertion order.
 func (n *Network) ComputeMatchSets() {
 	if n.matchSetsDone {
 		return
 	}
-	for _, d := range n.Devices {
-		// Fix FIB order: longest prefix first; ties broken by rule ID for
-		// determinism (same-length FIB prefixes never overlap anyway).
-		sort.SliceStable(d.FIB, func(i, j int) bool {
-			pi := n.Rules[d.FIB[i]].Match.DstPrefix
-			pj := n.Rules[d.FIB[j]].Match.DstPrefix
-			bi, bj := prefixLen(pi), prefixLen(pj)
-			if bi != bj {
-				return bi > bj
-			}
-			return d.FIB[i] < d.FIB[j]
-		})
-		n.computeTable(d.ACL)
-		n.computeTable(d.FIB)
-	}
 	n.fibIndex = make(map[fibKey]RuleID, len(n.Rules))
-	for _, r := range n.Rules {
-		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
-			n.fibIndex[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
-		}
+	n.index = make([]devIndex, len(n.Devices))
+	fillFIBIndex(n.fibIndex, n.Rules)
+	fibs := fibDeriver{n: n}
+	for _, d := range n.Devices {
+		sortFIB(n.Rules, d.FIB)
+		n.computeTable(n.Rules, d.ACL)
+		n.index[d.ID] = fibs.derive(n.Rules, d.FIB)
 	}
 	n.matchSetsDone = true
+}
+
+// fillFIBIndex maps every FIB rule's (device, destination prefix) to its
+// ID; of rules that repeat a prefix on a device the highest ID stays.
+func fillFIBIndex(idx map[fibKey]RuleID, rules []*Rule) {
+	for _, r := range rules {
+		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
+			idx[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
+		}
+	}
+}
+
+// sortFIB fixes a FIB's evaluation order: longest prefix first; ties
+// broken by rule ID for determinism (distinct same-length prefixes never
+// overlap anyway).
+func sortFIB(rules []*Rule, fib []RuleID) {
+	slices.SortFunc(fib, func(a, b RuleID) int {
+		if c := prefixLen(rules[b].Match.DstPrefix) - prefixLen(rules[a].Match.DstPrefix); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
 }
 
 // FIBRuleFor returns the device's FIB rule whose match is exactly the
@@ -431,11 +447,16 @@ func prefixLen(p netip.Prefix) int {
 	return p.Bits()
 }
 
-func (n *Network) computeTable(order []RuleID) {
+// computeTable derives the disjoint match sets of one table by the
+// ordered walk: each rule gets what its match fields cover minus the
+// union of every earlier rule. It is right for any table — an ACL, a FIB
+// with a source match or a repeated prefix — and reads and writes only
+// rules (the live universe, or the one Commit stages).
+func (n *Network) computeTable(rules []*Rule, order []RuleID) {
 	claimed := n.Space.Empty()
 	for i, id := range order {
-		r := n.Rules[id]
-		r.raw = n.matchSet(r.Match)
+		r := rules[id]
+		n.deriveRaw(r)
 		if i == 0 {
 			// Nothing is claimed yet; the first rule's disjoint match is
 			// its raw match, no Diff needed.
@@ -445,6 +466,117 @@ func (n *Network) computeTable(order []RuleID) {
 		}
 		r.matchOK = true
 		claimed = claimed.Union(r.raw)
+	}
+}
+
+// fibDeriver derives the match sets of FIB after FIB for one
+// ComputeMatchSets or Commit; its scratch is reused from device to
+// device.
+type fibDeriver struct {
+	n     *Network
+	rules []*Rule        // the universe fib IDs index: live, or Commit's staged one
+	fib   []RuleID       // the table being derived, sorted
+	pfx   []netip.Prefix // masked destination prefix of each fib position
+	order []int32        // positions of fib in prefix order
+	kids  []hdr.Set      // stack of the raw sets of the children collected so far
+}
+
+// derive sets the disjoint match sets of a sorted FIB and reports the
+// table's shape. In a destination-only FIB — every rule a distinct, valid
+// destination prefix and no other field — the only earlier rules that
+// overlap a rule are the more-specific prefixes inside it, and those are
+// covered by the immediate ones, so M[r] = raw(r) − ⋃ raw(immediate
+// children): a rule without children — most of a FIB — costs no BDD work
+// at all, where the ordered walk pays a Diff and a Union against a set
+// that grows down the whole table. Any other FIB takes the ordered walk.
+func (d *fibDeriver) derive(rules []*Rule, fib []RuleID) devIndex {
+	d.rules, d.fib = rules, fib
+	lens, dstOnly := d.prefixOrder()
+	if !dstOnly {
+		d.n.computeTable(rules, fib)
+		return devIndex{}
+	}
+	for k := 0; k < len(d.order); {
+		k = d.subtree(k)
+	}
+	return devIndex{dstOnly: true, lens: lens}
+}
+
+// prefixOrder fills d.pfx and d.order for a destination-only FIB and
+// returns its prefix lengths, longest first; ok is false for any other
+// table. Prefix order is by address, shorter first, so a prefix comes
+// immediately before everything inside it and its immediate children
+// follow in destination order.
+func (d *fibDeriver) prefixOrder() (lens []int, ok bool) {
+	var present [129]bool
+	d.pfx, d.order = d.pfx[:0], d.order[:0]
+	for i, id := range d.fib {
+		m := d.rules[id].Match
+		if !m.DstPrefix.IsValid() || m != MatchDst(m.DstPrefix) {
+			return nil, false
+		}
+		present[m.DstPrefix.Bits()] = true
+		d.pfx = append(d.pfx, m.DstPrefix.Masked())
+		d.order = append(d.order, int32(i))
+	}
+	slices.SortFunc(d.order, func(a, b int32) int { return comparePrefixes(d.pfx[a], d.pfx[b]) })
+	for k := 1; k < len(d.order); k++ {
+		if d.pfx[d.order[k]] == d.pfx[d.order[k-1]] {
+			return nil, false // a repeated prefix
+		}
+	}
+	for l := len(present) - 1; l >= 0; l-- {
+		if present[l] {
+			lens = append(lens, l)
+		}
+	}
+	return lens, true
+}
+
+// comparePrefixes is destination-prefix order: by address, shorter first.
+// The match-set derivation and the class fold share it, so both meet a
+// device's routes in the same sequence.
+func comparePrefixes(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
+// subtree derives the rule at order[k] and every rule inside its prefix,
+// and returns the position after them. The children's raw sets pile up
+// on d.kids in destination order — so the pairwise fold meets the same
+// neighbours on every device that has these routes — and come off again
+// before it returns.
+func (d *fibDeriver) subtree(k int) int {
+	r := d.rules[d.fib[d.order[k]]]
+	p := d.pfx[d.order[k]]
+	d.n.deriveRaw(r)
+	base := len(d.kids)
+	next := k + 1
+	for next < len(d.order) {
+		if !p.Contains(d.pfx[d.order[next]].Addr()) {
+			break
+		}
+		child := d.rules[d.fib[d.order[next]]]
+		next = d.subtree(next)
+		d.kids = append(d.kids, child.raw)
+	}
+	r.match = r.raw
+	if len(d.kids) > base {
+		r.match = r.raw.Diff(d.n.Space.UnionAll(d.kids[base:]))
+		d.kids = d.kids[:base]
+	}
+	r.matchOK = true
+	return next
+}
+
+// deriveRaw sets r.raw, the packet set of the rule's match fields, unless
+// the rule already carries it (a rule Commit kept with its match
+// unchanged).
+func (n *Network) deriveRaw(r *Rule) {
+	if r.raw.Space() == nil {
+		r.raw = n.matchSet(r.Match)
 	}
 }
 

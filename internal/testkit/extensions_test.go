@@ -55,9 +55,9 @@ func TestWideAreaRouteCheckDetectsMissingRoute(t *testing.T) {
 		t.Fatal("no spine wide-area rule")
 	}
 	saved := victim.Action
-	victim.Action = netmodel.Action{Kind: netmodel.ActDrop}
+	rg.Net.SetAction(victim.ID, netmodel.Action{Kind: netmodel.ActDrop})
 	res := WideAreaRouteCheck{Prefixes: rg.WANPrefixes, WANDevices: rg.WANHubs}.Run(rg.Net, core.NewTrace())
-	victim.Action = saved
+	rg.Net.SetAction(victim.ID, saved)
 	if res.Pass() {
 		t.Fatal("null-routed wide-area route not detected")
 	}
@@ -99,10 +99,10 @@ func TestHostInterfaceCheckDetectsMisrouting(t *testing.T) {
 	}
 	saved := victim.Action
 	// Point the subnet at an uplink instead of the host port.
-	victim.Action = netmodel.Action{Kind: netmodel.ActForward,
-		OutIfaces: []netmodel.IfaceID{rg.Net.Device(tor).Ifaces[0]}}
+	rg.Net.SetAction(victim.ID, netmodel.Action{Kind: netmodel.ActForward,
+		OutIfaces: []netmodel.IfaceID{rg.Net.Device(tor).Ifaces[0]}})
 	res := HostInterfaceCheck{}.Run(rg.Net, core.NewTrace())
-	victim.Action = saved
+	rg.Net.SetAction(victim.ID, saved)
 	if res.Pass() {
 		t.Fatal("misrouted host subnet not detected")
 	}
@@ -182,8 +182,8 @@ func TestExtendedSuiteCatchesMoreFaultsSeed(t *testing.T) {
 		t.Fatal("no hub wide-area rule")
 	}
 	saved := victim.Action
-	victim.Action = netmodel.Action{Kind: netmodel.ActDrop}
-	defer func() { victim.Action = saved }()
+	rg.Net.SetAction(victim.ID, netmodel.Action{Kind: netmodel.ActDrop})
+	defer rg.Net.SetAction(victim.ID, saved)
 
 	final := Suite{DefaultRouteCheck{}, AggCanReachTorLoopback{}, InternalRouteCheck{}, ConnectedRouteCheck{}}
 	for _, res := range final.Run(context.Background(), rg.Net, core.Nop{}) {

@@ -333,20 +333,19 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 	origins []netmodel.DeviceID, prefixes func(d *netmodel.Device) []netip.Prefix,
 	eligible func(d *netmodel.Device) bool) {
 
-	// Batch coverage marking: union of prefix sets checked per device.
-	marked := make(map[netmodel.DeviceID]hdr.Set)
-	mark := func(dev netmodel.DeviceID, s hdr.Set) {
-		if cur, ok := marked[dev]; ok {
-			marked[dev] = cur.Union(s)
-		} else {
-			marked[dev] = s
-		}
-	}
+	// Batch coverage marking: the prefix sets checked at each device,
+	// folded into one markPacket per device at the end. An origin's
+	// prefix sets are derived once, not once per device that checks them.
+	marked := make([][]hdr.Set, len(net.Devices))
 
 	for _, origin := range origins {
 		prefs := prefixes(net.Device(origin))
 		if len(prefs) == 0 {
 			continue
+		}
+		sets := make([]hdr.Set, len(prefs))
+		for i, p := range prefs {
+			sets[i] = net.Space.DstPrefix(p)
 		}
 		dist := dataplane.BFSDistances(net, origin)
 		for _, d := range net.Devices {
@@ -363,9 +362,9 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 					want = append(want, nb)
 				}
 			}
+			marked[d.ID] = append(marked[d.ID], sets...)
 			for _, p := range prefs {
 				res.Checks++
-				mark(d.ID, net.Space.DstPrefix(p))
 				rule := findFIBRule(net, d.ID, p)
 				if rule == nil {
 					res.failf(d.ID, "no route for %v", p)
@@ -382,8 +381,10 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 			}
 		}
 	}
-	for dev, s := range marked {
-		tracker.MarkPacket(dataplane.Injected(dev), s)
+	for dev, sets := range marked {
+		if len(sets) > 0 {
+			tracker.MarkPacket(dataplane.Injected(netmodel.DeviceID(dev)), net.Space.UnionAll(sets))
+		}
 	}
 }
 

@@ -114,6 +114,46 @@ func TestInternalRouteCheckPasses(t *testing.T) {
 	}
 }
 
+// markCounter counts MarkPacket calls per location on the way to a trace.
+type markCounter struct {
+	*core.Trace
+	calls map[dataplane.Loc]int
+}
+
+func (m markCounter) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
+	m.calls[loc]++
+	m.Trace.MarkPacket(loc, pkts)
+}
+
+// TestContractCheckMarksOncePerDevice: the contract tests report one
+// markPacket per exercised device, carrying exactly the prefixes checked
+// there — every other device's subnets and loopbacks.
+func TestContractCheckMarksOncePerDevice(t *testing.T) {
+	rg := buildRegional(t)
+	m := markCounter{core.NewTrace(), map[dataplane.Loc]int{}}
+	if res := (InternalRouteCheck{}).Run(rg.Net, m); !res.Pass() {
+		t.Fatalf("failures: %+v", res.Failures)
+	}
+	for _, d := range rg.Net.Devices {
+		loc := dataplane.Injected(d.ID)
+		if m.calls[loc] != 1 {
+			t.Fatalf("%s: %d MarkPacket calls, want 1", d.Name, m.calls[loc])
+		}
+		want := rg.Net.Space.Empty()
+		for _, o := range rg.Net.Devices {
+			if o.ID == d.ID {
+				continue
+			}
+			for _, p := range append(append([]netip.Prefix(nil), o.Subnets...), o.Loopbacks...) {
+				want = want.Union(rg.Net.Space.DstPrefix(p))
+			}
+		}
+		if got := m.PacketsAt(rg.Net.Space, loc); !got.Equal(want) {
+			t.Fatalf("%s: marked set differs from the prefixes checked there", d.Name)
+		}
+	}
+}
+
 func TestInternalRouteCheckSkipsOriginDelivery(t *testing.T) {
 	// The origin's own rule must not be covered by the contract test:
 	// host-facing interfaces stay untested (the §7.3 residual gap).
