@@ -23,11 +23,7 @@ func flapConfig(t *testing.T) (Config, [3]netmodel.DeviceID) {
 
 func fingerprint(t *testing.T, n *netmodel.Network) string {
 	t.Helper()
-	fp, err := core.Fingerprint(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fp
+	return core.Fingerprint(n)
 }
 
 func TestGenFlapsDeterministic(t *testing.T) {

@@ -456,7 +456,9 @@ type run struct {
 	// must carry to be merged.
 	fingerprint string
 	// netJSON encodes Config.Net for PUT /network — at most once per run,
-	// and only if some node turns out to need the push.
+	// and only if some node turns out to need the push. The network is
+	// encoded once per run, by the fingerprint: a frozen network keeps
+	// its encoding, so these bytes are a copy of it.
 	netJSON func() ([]byte, error)
 	// merges hands fetched fragments to the merger goroutine.
 	merges            chan func(*engine.Engine)

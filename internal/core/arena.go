@@ -76,11 +76,7 @@ type snapLoc struct {
 // space; the charged transfer work lands on the private extraction
 // manager, so a budget installed on net never trips here.
 func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
-	fp, err := Fingerprint(net)
-	if err != nil {
-		return err
-	}
-	return EncodeFragmentArena(w, net, fp, t)
+	return EncodeFragmentArena(w, net, Fingerprint(net), t)
 }
 
 // EncodeFragmentArena is EncodeSnapshotArena for a caller that already
@@ -148,7 +144,7 @@ func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace
 // transferred into net's space, charging its budget and observing its
 // watched context like any other symbolic work.
 func DecodeSnapshotArena(data []byte, net *netmodel.Network) (*Trace, error) {
-	return decodeArena(data, net, func() (string, error) { return Fingerprint(net) })
+	return decodeArena(data, net, func() string { return Fingerprint(net) })
 }
 
 // DecodeFragment decodes one trace fragment received from a peer, in
@@ -163,12 +159,12 @@ func DecodeFragment(data []byte, net *netmodel.Network, fingerprint string) (*Tr
 	if !IsSnapshotArena(data) {
 		return DecodeTraceJSON(net, bytes.NewReader(data))
 	}
-	return decodeArena(data, net, func() (string, error) { return fingerprint, nil })
+	return decodeArena(data, net, func() string { return fingerprint })
 }
 
 // decodeArena is the arena decoder; want supplies net's fingerprint and
 // is asked only once the envelope (length, magic, version, CRC) holds.
-func decodeArena(data []byte, net *netmodel.Network, want func() (string, error)) (*Trace, error) {
+func decodeArena(data []byte, net *netmodel.Network, want func() string) (*Trace, error) {
 	// header through fingerprint length, plus the three trailing counts
 	// and the CRC.
 	if len(data) < 4+4+4+8+4+4+4 {
@@ -193,11 +189,7 @@ func decodeArena(data []byte, net *netmodel.Network, want func() (string, error)
 	if rd.short {
 		return nil, fmt.Errorf("%w: truncated fingerprint", ErrSnapshotFormat)
 	}
-	wantFP, err := want()
-	if err != nil {
-		return nil, err
-	}
-	if fp != wantFP {
+	if fp != want() {
 		return nil, ErrSnapshotMismatch
 	}
 

@@ -170,10 +170,7 @@ func TestSaveSnapshotArenaAndSniffingLoad(t *testing.T) {
 // keeps its fingerprint check on every path; damage stays a format error.
 func TestTraceDecodeSniffsCodec(t *testing.T) {
 	cn, tr := snapFixture(t)
-	fp, err := Fingerprint(cn.n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := Fingerprint(cn.n)
 	var arena, cubes bytes.Buffer
 	if err := EncodeFragmentArena(&arena, cn.n, fp, tr); err != nil {
 		t.Fatal(err)

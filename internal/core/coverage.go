@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
@@ -21,10 +22,14 @@ import (
 // not already set) or when Remap names it as touched by a mutation. A new
 // view has every device dirty, so a one-shot computation and a long-lived
 // server run the same code. Refreshing a device is one pass over its
-// rules in table order — one intersection and one fraction per rule — and
-// every sum is accumulated in the order the Spec framework
-// (framework.go) would, so each float equals the from-scratch value bit
-// for bit.
+// rules in table order. A rule's values are a function of three inputs —
+// its match set M[r], the union of the packets marked at its device and
+// its rule mark — and each rule remembers the inputs it was computed
+// from, so the pass pays an intersection and a fraction only for a rule
+// whose inputs moved: after a delta, the rules it changed, not every rule
+// of the devices it touched. Every sum is still accumulated in the order
+// the Spec framework (framework.go) would, so each float equals the
+// from-scratch value bit for bit.
 //
 // A symbolic-engine panic (budget trip, watched-context cancellation)
 // during a refresh leaves the device dirty: the next read recomputes it
@@ -34,10 +39,7 @@ type Coverage struct {
 	Net   *netmodel.Network
 	Trace *Trace
 
-	// Indexed by RuleID.
-	covered []hdr.Set
-	frac    []float64
-	weight  []float64
+	rules []ruleView // by RuleID
 	// Indexed by DeviceID and IfaceID: component coverage and weight.
 	dev, devWeight []float64
 	ifc, ifcWeight []float64
@@ -49,6 +51,17 @@ type Coverage struct {
 	synced uint64
 	logPos int
 	netGen uint64
+}
+
+// ruleView is what the view holds about one rule: the covered set T[r]
+// (its node in the network's space), the covered fraction and the weight
+// |M[r]|, and the inputs they were computed from.
+type ruleView struct {
+	frac, weight float64
+	covered      bdd.Node
+	match, at    bdd.Node // M[r] and the device's marked union
+	marked       bool     // the rule mark
+	ok           bool     // false: never computed
 }
 
 // NewCoverage prepares metric computation over a frozen network and a
@@ -75,10 +88,7 @@ func NewCoverage(net *netmodel.Network, trace *Trace) *Coverage {
 // resetLocked forgets every cached value and adopts the inputs' current
 // state as the baseline. The caller holds the trace lock.
 func (c *Coverage) resetLocked() {
-	n := len(c.Net.Rules)
-	c.covered = make([]hdr.Set, n)
-	c.frac = make([]float64, n)
-	c.weight = make([]float64, n)
+	c.rules = make([]ruleView, len(c.Net.Rules))
 	for i := range c.dirty {
 		c.dirty[i] = true
 	}
@@ -151,7 +161,7 @@ func ratio(num, den float64) float64 {
 }
 
 // refreshDevice re-derives everything the view holds about one device
-// and returns the number of rules visited.
+// and returns the number of rules whose values it recomputed.
 func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 	net, t := c.Net, c.Trace
 	d := net.Devices[dev]
@@ -171,22 +181,29 @@ func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 	}
 	var conn []netmodel.RuleID // connected routes, in FIB order
 	var num, den float64
+	recomputed := 0
 	for ti, table := range [2][]netmodel.RuleID{d.ACL, d.FIB} {
 		for _, rid := range table {
 			r := net.Rules[rid]
 			ms := r.MatchSet()
-			cov := ms
-			if !t.rules[rid] {
-				cov = at.Intersect(ms)
+			rv := &c.rules[rid]
+			marked := t.rules[rid]
+			if !rv.ok || rv.match != ms.Node() || rv.marked != marked || (!marked && rv.at != at.Node()) {
+				cov := ms
+				if !marked {
+					cov = at.Intersect(ms)
+				}
+				// |T[r]|/|M[r]| as Set.FractionOf computes it; T[r] ⊆
+				// M[r], so its intersection with M[r] is T[r] itself.
+				w := ms.Fraction()
+				v := 0.0
+				if w != 0 {
+					v = clamp01(cov.Fraction() / w)
+				}
+				*rv = ruleView{frac: v, weight: w, covered: cov.Node(), match: ms.Node(), at: at.Node(), marked: marked, ok: true}
+				recomputed++
 			}
-			// |T[r]|/|M[r]| as Set.FractionOf computes it; T[r] ⊆ M[r],
-			// so its intersection with M[r] is T[r] itself.
-			w := ms.Fraction()
-			v := 0.0
-			if w != 0 {
-				v = clamp01(cov.Fraction() / w)
-			}
-			c.covered[rid], c.frac[rid], c.weight[rid] = cov, v, w
+			v, w := rv.frac, rv.weight
 			num += v * w
 			den += w
 			if ti == 0 {
@@ -213,8 +230,8 @@ func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 			own := addr.Masked()
 			for _, rid := range conn {
 				if net.Rules[rid].Match.DstPrefix == own {
-					n += c.frac[rid] * c.weight[rid]
-					w += c.weight[rid]
+					n += c.rules[rid].frac * c.rules[rid].weight
+					w += c.rules[rid].weight
 				}
 			}
 		}
@@ -222,17 +239,19 @@ func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 	}
 	c.dev[dev], c.devWeight[dev] = ratio(num, den), den
 	c.dirty[dev] = false
-	return len(d.ACL) + len(d.FIB)
+	return recomputed
 }
 
 // Remap carries the view across a rule-level mutation of its network:
 // remap is the old→new rule ID correspondence (netmodel.NoRule for a
 // removed rule) and touched the devices whose tables were re-derived,
 // both as netmodel.Mutation.Commit reports them. Rule IDs compact on
-// removal, so every per-rule value moves to its new ID; rules of
-// untouched devices keep their match sets and the trace keeps its packet
-// marks, so their values stay valid, and the touched devices become
-// dirty.
+// removal, so every per-rule value moves to its new ID — in place: the
+// remap is monotone on survivors, so each value moves down or stays.
+// Rules of untouched devices keep their match sets and the trace keeps
+// its packet marks, so their values stay valid; the touched devices
+// become dirty, and their refresh recomputes only the rules whose inputs
+// the mutation moved (an added rule has none recorded).
 //
 // The caller refreshes the view, commits the mutation, calls
 // Trace.RemapRules and then Remap, with no other mark or mutation in
@@ -242,22 +261,21 @@ func (c *Coverage) Remap(remap []netmodel.RuleID, touched []netmodel.DeviceID) {
 	t := c.Trace
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	inStep := c.Net.Generation() == c.netGen+1 && len(remap) == len(c.frac) &&
+	inStep := c.Net.Generation() == c.netGen+1 && len(remap) == len(c.rules) &&
 		t.remapSeq == c.synced+1 && t.seq == t.remapSeq
 	if !inStep {
 		c.resetLocked()
 		return
 	}
-	covered, frac, weight := c.covered, c.frac, c.weight
-	n := len(c.Net.Rules)
-	c.covered = make([]hdr.Set, n)
-	c.frac = make([]float64, n)
-	c.weight = make([]float64, n)
+	kept := 0
 	for from, to := range remap {
 		if to != netmodel.NoRule {
-			c.covered[to], c.frac[to], c.weight[to] = covered[from], frac[from], weight[from]
+			c.rules[to] = c.rules[from]
+			kept++
 		}
 	}
+	c.rules = slices.Grow(c.rules[:kept], len(c.Net.Rules)-kept)[:len(c.Net.Rules)]
+	clear(c.rules[kept:])
 	for _, dev := range touched {
 		c.markDirty(dev)
 	}
@@ -273,7 +291,7 @@ func (c *Coverage) Covered(r netmodel.RuleID) hdr.Set {
 	if dev := c.Net.Rules[r].Device; c.dirty[dev] {
 		c.refreshDevice(dev)
 	}
-	return c.covered[r]
+	return c.Net.Space.FromNode(c.rules[r].covered)
 }
 
 // CoveredAt is Covered restricted to packets that arrived at a specific

@@ -3,22 +3,24 @@ package core
 import (
 	"context"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
 )
 
 // fold aggregates the view's cached component coverages and weights over
-// ids (every component when ids is nil), in the order given.
-func fold[ID ~int32](ids []ID, vals, weights []float64, kind AggKind) float64 {
+// ids (every one of the n components when ids is nil), in the order
+// given.
+func fold[ID ~int32](ids []ID, n int, val func(ID) (v, w float64), kind AggKind) float64 {
 	acc := NewAccum(kind)
 	if ids == nil {
-		for i := range vals {
-			acc.Add(vals[i], weights[i])
+		for i := range n {
+			acc.Add(val(ID(i)))
 		}
 	}
 	for _, id := range ids {
-		acc.Add(vals[id], weights[id])
+		acc.Add(val(id))
 	}
 	return acc.Value()
 }
@@ -27,7 +29,9 @@ func fold[ID ~int32](ids []ID, vals, weights []float64, kind AggKind) float64 {
 // in the network when rules is nil).
 func RuleCoverage(c *Coverage, rules []netmodel.RuleID, kind AggKind) float64 {
 	c.Refresh()
-	return fold(rules, c.frac, c.weight, kind)
+	return fold(rules, len(c.rules), func(r netmodel.RuleID) (float64, float64) {
+		return c.rules[r].frac, c.rules[r].weight
+	}, kind)
 }
 
 // DeviceCoverage aggregates device coverage (DeviceSpec per device)
@@ -35,7 +39,7 @@ func RuleCoverage(c *Coverage, rules []netmodel.RuleID, kind AggKind) float64 {
 // weight is the packet space its rules handle.
 func DeviceCoverage(c *Coverage, devs []netmodel.DeviceID, kind AggKind) float64 {
 	c.Refresh()
-	return fold(devs, c.dev, c.devWeight, kind)
+	return fold(devs, len(c.dev), func(d netmodel.DeviceID) (float64, float64) { return c.dev[d], c.devWeight[d] }, kind)
 }
 
 // InterfaceCoverage aggregates outgoing-interface coverage (OutIfaceSpec
@@ -43,7 +47,7 @@ func DeviceCoverage(c *Coverage, devs []netmodel.DeviceID, kind AggKind) float64
 // is nil).
 func InterfaceCoverage(c *Coverage, ifaces []netmodel.IfaceID, kind AggKind) float64 {
 	c.Refresh()
-	return fold(ifaces, c.ifc, c.ifcWeight, kind)
+	return fold(ifaces, len(c.ifc), func(i netmodel.IfaceID) (float64, float64) { return c.ifc[i], c.ifcWeight[i] }, kind)
 }
 
 // InIfaceCoverage aggregates incoming-interface coverage — how well the
@@ -149,7 +153,7 @@ func UncoveredRules(c *Coverage, rules []netmodel.RuleID) []netmodel.RuleID {
 	}
 	var out []netmodel.RuleID
 	for _, rid := range rules {
-		if c.covered[rid].IsEmpty() && !c.Net.Rule(rid).MatchSet().IsEmpty() {
+		if c.rules[rid].covered == bdd.False && !c.Net.Rule(rid).MatchSet().IsEmpty() {
 			out = append(out, rid)
 		}
 	}

@@ -29,13 +29,13 @@ var ErrSnapshotMismatch = errors.New("core: snapshot network fingerprint mismatc
 
 // Fingerprint returns a stable hex digest identifying a network's
 // topology and rules. It hashes the canonical JSON encoding, which is
-// deterministic (devices, interfaces, and rules serialize in ID order).
-func Fingerprint(net *netmodel.Network) (string, error) {
+// deterministic (devices, interfaces, and rules serialize in ID order);
+// a frozen network keeps that encoding, so a fingerprint after a
+// mutation hashes cached bytes.
+func Fingerprint(net *netmodel.Network) string {
 	h := sha256.New()
-	if err := net.EncodeJSON(h); err != nil {
-		return "", fmt.Errorf("core: fingerprint network: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	_ = net.EncodeJSON(h) // fails only when its writer does; a hash never does
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 type snapshotJSON struct {

@@ -15,14 +15,7 @@ import (
 
 func TestFingerprintStableAndDiscriminating(t *testing.T) {
 	cn := buildChain(t)
-	fp1, err := Fingerprint(cn.n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp2, err := Fingerprint(cn.n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp1, fp2 := Fingerprint(cn.n), Fingerprint(cn.n)
 	if fp1 != fp2 {
 		t.Errorf("fingerprint not stable: %s != %s", fp1, fp2)
 	}
@@ -30,11 +23,7 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 		t.Errorf("fingerprint length = %d, want 64 hex chars", len(fp1))
 	}
 
-	fpOther, err := Fingerprint(buildVariantNet(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fpOther == fp1 {
+	if fpOther := Fingerprint(buildVariantNet(t)); fpOther == fp1 {
 		t.Error("different networks should have different fingerprints")
 	}
 }
@@ -58,11 +47,7 @@ func buildVariantNet(t testing.TB) *netmodel.Network {
 // mustFingerprint is Fingerprint for a test that holds one network.
 func mustFingerprint(tb testing.TB, net *netmodel.Network) string {
 	tb.Helper()
-	fp, err := Fingerprint(net)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return fp
+	return Fingerprint(net)
 }
 
 // SaveSnapshot writes a legacy JSON snapshot file: the network's

@@ -149,13 +149,9 @@ type Engine struct {
 }
 
 // NewEngine wraps a frozen network and its trace, fingerprinting the
-// network once.
+// network once. The error is always nil: fingerprinting cannot fail.
 func NewEngine(net *netmodel.Network, trace *core.Trace) (*Engine, error) {
-	fp, err := core.Fingerprint(net)
-	if err != nil {
-		return nil, err
-	}
-	return ResumeEngine(core.NewCoverage(net, trace), fp), nil
+	return ResumeEngine(core.NewCoverage(net, trace), core.Fingerprint(net)), nil
 }
 
 // ResumeEngine wraps a coverage view its caller already maintains, with
@@ -287,9 +283,11 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	}
 
 	// The network has changed; everything from here on must not lose
-	// that fact. Trace remap and fingerprinting involve no symbolic
-	// work. Modified rules survive in the remap but their marks must
-	// not: drop them through a mark-only copy.
+	// that fact, and nothing before the drift report can fail: trace
+	// remap and fingerprinting involve no symbolic work, and the
+	// fingerprint hashes the network's kept encoding plus the rules the
+	// commit changed. Modified rules survive in the remap but their
+	// marks must not: drop them through a mark-only copy.
 	markRemap := slices.Clone(res.Remap)
 	for _, op := range doc.Ops {
 		if op.Op == OpModify {
@@ -299,17 +297,10 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	droppedOld := e.Trace.RemapRules(markRemap)
 	e.View.Remap(res.Remap, res.Touched)
 
-	fp, err := core.Fingerprint(e.Net)
-	if err != nil {
-		// The encode of a just-committed network cannot realistically
-		// fail, but if it does the cached fingerprint must not go stale.
-		e.fp = ""
-		return nil, fmt.Errorf("delta: fingerprinting applied network: %w", err)
-	}
-	e.fp = fp
+	e.fp = core.Fingerprint(e.Net)
 
 	ap := &Applied{
-		Fingerprint: fp,
+		Fingerprint: e.fp,
 		Added:       added,
 		Removed:     removed,
 		Modified:    modified,

@@ -3,6 +3,8 @@ package delta
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -68,13 +70,29 @@ func allRules(n *netmodel.Network) []netmodel.RuleID {
 	return out
 }
 
+// freshEncoding encodes the network without reading its encoding cache:
+// a clone carries none and encodes its rules from their fields.
+func freshEncoding(t testing.TB, n *netmodel.Network) []byte {
+	t.Helper()
+	return encodeNet(t, n.Clone())
+}
+
 // assertEngineEquivalent checks the correctness bar: the incremental
 // network and trace yield coverage bit-identical to a from-scratch
 // rebuild (same JSON, fresh space, full re-derivation) with the trace
-// transferred over.
+// transferred over. The rebuild, and the fingerprints, are held to an
+// encoding that reads no cached bytes, so a stale cache cannot pass.
 func assertEngineEquivalent(t testing.TB, e *Engine) {
 	t.Helper()
-	rb, err := netmodel.DecodeJSON(bytes.NewReader(encodeNet(t, e.Net)))
+	fresh := freshEncoding(t, e.Net)
+	if !bytes.Equal(encodeNet(t, e.Net), fresh) {
+		t.Fatal("cached encoding differs from a fresh one")
+	}
+	sum := sha256.Sum256(fresh)
+	if want := hex.EncodeToString(sum[:]); core.Fingerprint(e.Net) != want || e.Fingerprint() != want {
+		t.Fatalf("fingerprints %.12s (network), %.12s (engine); fresh encoding hashes to %.12s", core.Fingerprint(e.Net), e.Fingerprint(), want)
+	}
+	rb, err := netmodel.DecodeJSON(bytes.NewReader(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +111,6 @@ func assertEngineEquivalent(t testing.TB, e *Engine) {
 	// reproduce it node for node.
 	if !moved.TransferTo(e.Net.Space).Equal(e.Trace) {
 		t.Fatal("trace transfer round-trip not exact")
-	}
-	if fp, err := core.Fingerprint(e.Net); err != nil || fp != e.Fingerprint() {
-		t.Fatalf("cached fingerprint stale: %v (err %v)", fp, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package delta_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -415,6 +417,12 @@ func (w *world) step() string {
 		if err != nil {
 			w.t.Fatalf("apply: %v", err)
 		}
+		// The fingerprint is held to an encoding that reads no cached
+		// bytes: a clone carries none.
+		fresh := encode(w.t, e.Net.Clone())
+		if sum := sha256.Sum256(fresh); ap.Fingerprint != hex.EncodeToString(sum[:]) || !bytes.Equal(encode(w.t, e.Net), fresh) {
+			w.t.Fatalf("fingerprint %.12s or cached encoding stale against a fresh encoding", ap.Fingerprint)
+		}
 		after := newScratch(e.Net, e.Trace).deviceDrift()
 		if len(ap.Drift) != len(ap.Touched) {
 			w.t.Fatalf("drift has %d rows for %d touched devices", len(ap.Drift), len(ap.Touched))
@@ -471,6 +479,51 @@ func FuzzViewEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8, fatTree bool) {
 		runInterleaving(t, seed, int(steps%12), fatTree)
 	})
+}
+
+// TestRefreshRecomputesChangedRules: after a one-rule commit, refreshing
+// the view re-derives the touched device but recomputes only the rules
+// whose inputs moved — none for an action change, the removed rule's
+// parent for a removal — and still equals the from-scratch computation.
+func TestRefreshRecomputesChangedRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(n *netmodel.Network, mut *netmodel.Mutation, id netmodel.RuleID) error
+		max  int
+	}{
+		{"action", func(n *netmodel.Network, mut *netmodel.Mutation, id netmodel.RuleID) error {
+			r := n.Rule(id)
+			return mut.Modify(id, netmodel.RuleDef{Device: r.Device, Table: r.Table, Match: r.Match, Origin: r.Origin,
+				Action: netmodel.Action{Kind: netmodel.ActDrop}})
+		}, 0},
+		{"remove", func(_ *netmodel.Network, mut *netmodel.Mutation, id netmodel.RuleID) error {
+			return mut.Remove(id)
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 1, true)
+			e := w.eng
+			w.suite().Run(context.Background(), e.Net, e.Trace)
+			e.View.Refresh()
+			d := e.Net.Devices[0]
+			mut := e.Net.BeginMutation()
+			if err := tc.edit(e.Net, mut, d.FIB[0]); err != nil {
+				t.Fatal(err)
+			}
+			res, err := mut.Commit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Trace.RemapRules(res.Remap)
+			e.View.Remap(res.Remap, res.Touched)
+			st := e.View.Refresh()
+			if st.Devices != 1 || st.Rules > tc.max {
+				t.Errorf("refresh re-derived %d devices and recomputed %d rules; want 1 device and at most %d of its %d rules",
+					st.Devices, st.Rules, tc.max, len(e.Net.DeviceRules(d.ID)))
+			}
+			assertViewEqualsScratch(t, tc.name, e.View)
+		})
+	}
 }
 
 // TestApplyAllocationBound keeps Apply's garbage proportional to the one

@@ -105,12 +105,10 @@ func (e *Engine) Trace() *core.Trace { return e.trace }
 func (e *Engine) Coverage() *core.Coverage { return e.view }
 
 // Fingerprint returns the network's fingerprint, hashing the network on
-// first use only ("" without a network). core.Fingerprint fails only
-// when its writer does, and it writes to a hash; were that to change,
-// the empty fingerprint fails safe — no precondition matches it.
+// first use only ("" without a network).
 func (e *Engine) Fingerprint() string {
 	if e.fp == "" && e.net != nil {
-		e.fp, _ = core.Fingerprint(e.net)
+		e.fp = core.Fingerprint(e.net)
 	}
 	return e.fp
 }

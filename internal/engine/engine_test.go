@@ -57,7 +57,9 @@ func suiteOf(t testing.TB, names string) testkit.Suite {
 func jsonRebuild(t testing.TB, net *netmodel.Network) *netmodel.Network {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := net.EncodeJSON(&buf); err != nil {
+	// A clone carries no encoding cache: the rebuild, and so the
+	// fingerprint it is held to, comes from the rules' fields.
+	if err := net.Clone().EncodeJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rb, err := netmodel.DecodeJSON(&buf)
@@ -483,6 +485,80 @@ func TestDegradation(t *testing.T) {
 		}
 		untouched(t, e, before)
 	})
+}
+
+// TestPatchFingerprintFresh holds the engine's fingerprint to a fresh
+// core.Fingerprint of a cache-free copy after every Patch of a sequence,
+// and after patches whose drift report the budget cut short: once the
+// commit has published, the new fingerprint is always held.
+func TestPatchFingerprintFresh(t *testing.T) {
+	e := New(regional(t), Config{})
+	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,reach"), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		doc := patchDoc(e.Net())
+		doc.Base = e.Fingerprint()
+		applied, err := e.Patch(bg, doc)
+		if err != nil {
+			t.Fatalf("patch %d: %v", i, err)
+		}
+		assertFingerprintFresh(t, e, applied)
+	}
+
+	// A patch that touches every ToR, on copies of e under a budget: the
+	// budgets just past the commit leave too little for the drift, which
+	// derives each touched device's marked union again.
+	wide := func(n *netmodel.Network) delta.Document {
+		var doc delta.Document
+		for _, tor := range core.DevicesByRole(n, netmodel.RoleToR) {
+			fib := n.Devices[tor].FIB
+			doc.Ops = append(doc.Ops, delta.Op{Op: delta.OpRemove, Rule: fib[len(fib)-1]})
+		}
+		return doc
+	}
+	try := func(maxOps int) (*Engine, *delta.Applied, error) {
+		p := New(e.Net().Clone(), Config{})
+		if err := p.MergeTrace(bg, e.Trace().TransferTo(p.Net().Space)); err != nil {
+			t.Fatal(err)
+		}
+		p.cfg.Limits = bdd.Limits{MaxOps: maxOps}
+		applied, err := p.Patch(bg, wide(p.Net()))
+		return p, applied, err
+	}
+	lo, hi := 1, 1<<22
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if _, applied, _ := try(mid); applied != nil {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	cutShort := 0
+	for budget := max(hi-32, 1); budget < hi+64; budget++ {
+		p, applied, err := try(budget)
+		if applied == nil {
+			continue
+		}
+		if errors.Is(err, delta.ErrDriftIncomplete) {
+			cutShort++
+		}
+		assertFingerprintFresh(t, p, applied)
+	}
+	t.Logf("%d budgets cut the drift report short", cutShort)
+	if cutShort == 0 {
+		t.Error("no budget cut a drift report short")
+	}
+}
+
+func assertFingerprintFresh(t *testing.T, e *Engine, applied *delta.Applied) {
+	t.Helper()
+	fresh := core.Fingerprint(e.Net().Clone())
+	if e.Fingerprint() != fresh || applied.Fingerprint != fresh || core.Fingerprint(e.Net()) != fresh {
+		t.Fatalf("engine %.12s, applied %.12s, network %.12s; a fresh encoding hashes to %.12s",
+			e.Fingerprint(), applied.Fingerprint, core.Fingerprint(e.Net()), fresh)
+	}
 }
 
 func TestSnapshotRestore(t *testing.T) {

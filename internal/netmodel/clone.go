@@ -13,7 +13,9 @@ import (
 // far — is carried into the copy by node index instead of being
 // re-derived from configuration. A frozen
 // network (ComputeMatchSets done) clones into a frozen network whose
-// match sets are bit-identical to the original's.
+// match sets are bit-identical to the original's. The encoding cache
+// (json.go) is not carried: replicas evaluate, they do not encode, and a
+// clone whose fields are edited must not inherit stale bytes.
 //
 // The copy is independent afterwards: mutating either network's rules or
 // growing either space is invisible to the other. Budgets and watched
@@ -62,18 +64,13 @@ func (n *Network) Clone() *Network {
 		nr.Action = r.Action.Clone()
 		nr.raw = carry(r.raw)
 		nr.match = carry(r.match)
+		nr.enc = "" // a replica that encodes fills its own cache
 		out.Rules[i] = &nr
 	}
-	if n.fibIndex != nil {
-		out.fibIndex = make(map[fibKey]RuleID, len(n.fibIndex))
-		for k, v := range n.fibIndex {
-			out.fibIndex[k] = v
-		}
-	}
 	if n.index != nil {
-		// The table shapes are immutable values (Commit replaces, never
-		// edits them) and are shared; built action classes are carried
-		// by node index like the match sets.
+		// The table shapes and prefix orders are immutable values
+		// (Commit replaces, never edits them) and are shared; built
+		// action classes are carried by node index like the match sets.
 		out.index = make([]devIndex, len(n.index))
 		for i, ix := range n.index {
 			if f := ix.fwd; f != nil {

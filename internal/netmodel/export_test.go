@@ -122,3 +122,27 @@ func (n *Network) DstOnly(dev DeviceID) bool { return n.index[dev].dstOnly }
 // BuiltForwarding returns dev's action classes if a flood has built
 // them, nil otherwise; unlike Forwarding it never builds.
 func (n *Network) BuiltForwarding(dev DeviceID) *Forwarding { return n.index[dev].fwd }
+
+// Derived counts the disjoint match sets computed so far, by
+// ComputeMatchSets and every Commit.
+func (n *Network) Derived() int { return n.derived }
+
+// ScratchMatchSets derives every rule's disjoint match set from scratch
+// in n's own space — a new network with n's devices and rules, frozen by
+// ComputeMatchSets — and returns them by rule ID. BDDs are canonical, so
+// a set equal to the incremental one is the same node.
+func (n *Network) ScratchMatchSets() []hdr.Set {
+	s := &Network{Space: n.Space, byName: make(map[string]DeviceID)}
+	for _, d := range n.Devices {
+		s.AddDevice(d.Name, d.Role, d.ASN)
+	}
+	for _, r := range n.Rules {
+		s.addRule(r.Device, r.Table, r.Match, r.Action, r.Origin, r.Deny)
+	}
+	s.ComputeMatchSets()
+	out := make([]hdr.Set, len(s.Rules))
+	for i, r := range s.Rules {
+		out[i] = r.match
+	}
+	return out
+}

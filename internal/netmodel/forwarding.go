@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"net/netip"
 	"slices"
@@ -26,11 +27,14 @@ import (
 //
 // A traceroute asks which FIB rule handles one destination. On a device
 // whose FIB rules each match a distinct destination prefix and nothing
-// else, that is a longest-prefix probe of fibIndex at the prefix lengths
-// the device has; any other table keeps the first-match walk. The shape
-// is read off the table where its match sets are derived (fibDeriver),
-// at freeze time and again by Commit — no BDD work of its own, so it is
-// not lazy.
+// else, that is a longest-prefix probe — a binary search of the device's
+// prefix-ordered rules at each prefix length the device has; any other
+// table keeps the first-match walk. The shape and the prefix order are
+// read off the table where its match sets are derived (fibDeriver), at
+// freeze time and again by Commit — no BDD work of their own, so they are
+// not lazy. Commit rebuilds them for the devices it touched only: every
+// other device keeps its prefixes and shape and has its IDs compacted,
+// one integer store per rule.
 
 // ActionClass is the FIB rules of one device that do the same thing to a
 // packet: same Kind, same OutIfaces sequence, same Transform value.
@@ -54,15 +58,91 @@ type Forwarding struct {
 	Routed  hdr.Set
 }
 
-// devIndex is the forwarding index of one device.
+// devIndex is the forwarding index of one device. Its slices are
+// immutable values: Commit replaces them, never edits them, so clones
+// share them.
 type devIndex struct {
 	// dstOnly: every FIB rule matches a distinct, valid destination
 	// prefix and no other field. lens then lists the prefix lengths
-	// present, longest first.
+	// present (pfxKey lengths), longest first.
 	dstOnly bool
 	lens    []int
+	// byPrefix holds the FIB rules that match a destination prefix in
+	// prefix order (comparePrefixes; a repeated prefix's rules by ID),
+	// and pfx[i] is byPrefix[i]'s masked prefix. For a destination-only
+	// FIB that is every rule, and the order in which it derives.
+	byPrefix []RuleID
+	pfx      []pfxKey
 	// fwd is nil until the first flood through the device.
 	fwd *Forwarding
+}
+
+// pfxKey is a masked prefix as a plain value the index searches with
+// integer compares: the address as a 128-bit big-endian number (an IPv4
+// address in its IPv6-mapped form) and the length counted from the first
+// of those 128 bits (an IPv4 /24 has bits 120). Within one family its
+// order is comparePrefixes'.
+type pfxKey struct {
+	hi, lo uint64
+	bits   int
+}
+
+// keyOf returns the key of a valid, masked prefix.
+func keyOf(p netip.Prefix) pfxKey {
+	a := p.Addr().As16()
+	k := pfxKey{hi: binary.BigEndian.Uint64(a[:8]), lo: binary.BigEndian.Uint64(a[8:]), bits: p.Bits()}
+	if p.Addr().Is4() {
+		k.bits += 96
+	}
+	return k
+}
+
+func (a pfxKey) compare(b pfxKey) int {
+	switch {
+	case a.hi != b.hi:
+		return cmp.Compare(a.hi, b.hi)
+	case a.lo != b.lo:
+		return cmp.Compare(a.lo, b.lo)
+	}
+	return a.bits - b.bits
+}
+
+// truncate returns the key of the bits-long prefix that contains k.
+func (k pfxKey) truncate(bits int) pfxKey {
+	if bits <= 64 {
+		return pfxKey{hi: k.hi &^ (^uint64(0) >> bits), bits: bits}
+	}
+	return pfxKey{hi: k.hi, lo: k.lo &^ (^uint64(0) >> (bits - 64)), bits: bits}
+}
+
+// contains reports whether prefix c lies inside prefix k.
+func (k pfxKey) contains(c pfxKey) bool {
+	return c.bits >= k.bits && c.truncate(k.bits) == k
+}
+
+// less is compare(b) < 0, in a form the compiler inlines.
+func (a pfxKey) less(b pfxKey) bool {
+	return a.hi < b.hi || a.hi == b.hi && (a.lo < b.lo || a.lo == b.lo && a.bits < b.bits)
+}
+
+// find returns the position of prefix p in the index. It is the binary
+// search of every lookup, written out so the comparison inlines.
+func (ix *devIndex) find(p pfxKey) (int, bool) {
+	lo, hi := 0, len(ix.pfx)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.pfx[m].less(p) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(ix.pfx) && ix.pfx[lo] == p
+}
+
+// sameFamily reports whether an address belongs to the network's family.
+func (n *Network) sameFamily(a netip.Addr) bool {
+	return a.IsValid() && a.Is4() == (n.Family() == hdr.V4)
 }
 
 // FIBLookup resolves the FIB rule that handles destination dst on dev by
@@ -77,12 +157,13 @@ func (n *Network) FIBLookup(dev DeviceID, dst netip.Addr) (r *Rule, indexed bool
 	if !ix.dstOnly {
 		return nil, false
 	}
+	if !n.sameFamily(dst) {
+		return nil, true
+	}
+	host := keyOf(netip.PrefixFrom(dst, dst.BitLen()))
 	for _, l := range ix.lens {
-		// An address that has no l-bit prefix (zero, or of the other
-		// family) yields the zero Prefix, which is no key of fibIndex.
-		p, _ := dst.Prefix(l)
-		if id, ok := n.fibIndex[fibKey{dev, p}]; ok {
-			return n.Rules[id], true
+		if i, ok := ix.find(host.truncate(l)); ok {
+			return n.Rules[ix.byPrefix[i]], true
 		}
 	}
 	return nil, true
@@ -196,13 +277,16 @@ func (a Action) Clone() Action {
 
 // SetAction replaces the action of a rule on a frozen network. Match
 // fields are untouched, so every match set stays valid; the device's
-// action classes are dropped and rebuilt by the next flood. It is how
-// fault injection (internal/faults) rewires a rule and puts it back;
-// writing Rule.Action directly would leave the classes stale.
+// action classes are dropped and rebuilt by the next flood, and the
+// rule's encoding by the next EncodeJSON. It is how fault injection
+// (internal/faults) rewires a rule and puts it back; writing Rule.Action
+// directly would leave both stale.
 func (n *Network) SetAction(id RuleID, a Action) {
 	r := n.Rules[id]
 	r.Action = a
 	if n.matchSetsDone {
 		n.index[r.Device].fwd = nil
+		r.enc = ""
+		n.encFull.Store(false)
 	}
 }

@@ -285,11 +285,44 @@ func (n *Network) RuleSpecOf(id RuleID) RuleSpec {
 // holds the struct-based encoder as the reference and compares the two
 // byte for byte.
 //
+// A frozen network keeps what it encoded (fillEncoding): the document up
+// to the rules array, and each rule's element of it — which depends on
+// the rule's own fields only, never on its ID or position. A mutation
+// then costs the encoding of the rules it added or modified, and an
+// encode of an unchanged network copies bytes. An unfrozen network, whose
+// rules may still change in place, is encoded afresh every time.
+//
 // The encoder hands w its output in jsonFlush-sized pieces instead of
 // building the document whole: a fingerprint (w is a hash) then costs one
 // small buffer, not two network-sized allocations per call.
 func (n *Network) EncodeJSON(w io.Writer) error {
+	frozen := n.matchSetsDone
+	if frozen {
+		n.fillEncoding()
+	}
 	e := &jsonEnc{w: w, buf: make([]byte, 0, 2*jsonFlush)}
+	if frozen {
+		_, e.err = w.Write(n.encHead.buf)
+		e.members = append(e.members, n.encHead.members...)
+	} else {
+		n.encodeHead(e)
+	}
+	e.array("rules", len(n.Rules), func(i int) {
+		if frozen {
+			e.buf = append(e.buf, n.Rules[i].enc...)
+		} else {
+			e.rule(n.Rules[i])
+		}
+	})
+	e.close('}')
+	e.buf = append(e.buf, '\n')
+	e.flush()
+	return e.err
+}
+
+// encodeHead opens the document and writes every member before the
+// rules array: the family, the devices and the interfaces.
+func (n *Network) encodeHead(e *jsonEnc) {
 	e.open('{')
 	if n.Family() == hdr.V6 {
 		e.key("family").str("ipv6")
@@ -320,11 +353,86 @@ func (n *Network) EncodeJSON(w io.Writer) error {
 		}
 		e.close('}')
 	})
-	e.array("rules", len(n.Rules), func(i int) { e.rule(n.Rules[i]) })
-	e.close('}')
-	e.buf = append(e.buf, '\n')
-	e.flush()
-	return e.err
+}
+
+// fillEncoding completes the encoding cache of a frozen network: the
+// head on first use, then every rule without bytes — all of them the
+// first time; after that the rules a commit added or modified and the
+// ones SetAction rewired. Concurrent encodes of one network are safe:
+// the fill runs under encMu, and encFull publishes it.
+//
+// Rules hold their bytes as pieces of shared slabs (ruleSlabs), and a
+// slab lives while any rule of it survives later commits, so a long run
+// of commits could pin far more bytes than the rules still use. Once the
+// slabs allocated since the last repack pass one and a half times the
+// live bytes, every rule's bytes move into fresh slabs.
+func (n *Network) fillEncoding() {
+	if n.encFull.Load() {
+		return
+	}
+	n.encMu.Lock()
+	defer n.encMu.Unlock()
+	if n.encFull.Load() {
+		return
+	}
+	if n.encHead.buf == nil {
+		n.encodeHead(&n.encHead)
+	}
+	s := ruleSlabs{e: jsonEnc{members: make([]int, 2)}} // a rules element sits two containers deep
+	for _, r := range n.Rules {
+		if r.enc == "" {
+			s.e.rule(r)
+			s.done(r)
+		}
+	}
+	s.cut()
+	n.encSlabs += s.total
+	live := 0
+	for _, r := range n.Rules {
+		live += len(r.enc)
+	}
+	if 2*n.encSlabs > 3*live {
+		s.total = 0
+		for _, r := range n.Rules {
+			s.e.buf = append(s.e.buf, r.enc...)
+			s.done(r)
+		}
+		s.cut()
+		n.encSlabs = s.total
+	}
+	n.encFull.Store(true)
+}
+
+// ruleSlabs hands rules their encodings as pieces of shared strings: it
+// collects the bytes of a batch of rules in one buffer and cuts a string
+// from it every jsonFlush bytes or so, so a fill allocates what it keeps
+// plus that buffer.
+type ruleSlabs struct {
+	e     jsonEnc
+	batch []*Rule
+	ends  []int // where each batch rule's bytes end in e.buf
+	total int   // bytes cut into slabs
+}
+
+// done closes the bytes of r, the last rule written to s.e.buf.
+func (s *ruleSlabs) done(r *Rule) {
+	s.batch = append(s.batch, r)
+	s.ends = append(s.ends, len(s.e.buf))
+	if len(s.e.buf) >= jsonFlush {
+		s.cut()
+	}
+}
+
+// cut hands the batch its bytes.
+func (s *ruleSlabs) cut() {
+	slab := string(s.e.buf)
+	start := 0
+	for i, r := range s.batch {
+		r.enc = slab[start:s.ends[i]]
+		start = s.ends[i]
+	}
+	s.total += len(slab)
+	s.e.buf, s.batch, s.ends = s.e.buf[:0], s.batch[:0], s.ends[:0]
 }
 
 // jsonFlush is the buffered size at which jsonEnc writes out.
@@ -333,8 +441,8 @@ const jsonFlush = 32 << 10
 // jsonEnc appends indented JSON: one space per nesting level, every
 // member and element on its own line, empty containers closed in place.
 type jsonEnc struct {
-	w       io.Writer
-	err     error // first write error; later output is dropped
+	w       io.Writer // nil: everything stays in buf
+	err     error     // first write error; later output is dropped
 	buf     []byte
 	members []int // per open container: members written so far
 }
@@ -374,7 +482,7 @@ func (e *jsonEnc) newline() {
 
 // elem starts the next element of the open array.
 func (e *jsonEnc) elem() {
-	if len(e.buf) >= jsonFlush {
+	if e.w != nil && len(e.buf) >= jsonFlush {
 		e.flush()
 	}
 	last := len(e.members) - 1

@@ -3,7 +3,7 @@ package netmodel
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"yardstick/internal/hdr"
 )
@@ -20,12 +20,19 @@ import (
 //     fingerprints well-defined and replicas rebuildable at any time.
 //     Commit reports the old→new correspondence in MutationResult.Remap.
 //
-//   - Only the tables of touched devices (those owning a removed,
-//     modified, or added rule) are re-derived. Untouched rules keep
-//     their existing raw and disjoint match sets verbatim — zero BDD
-//     work — which is sound because a table's derivation only ever
-//     reads rules of the same device, and the Match→set memo
-//     (matchSet) is keyed by pure match values, never by rule identity.
+//   - Only the rules a change can reach are re-derived. A table's
+//     derivation only ever reads rules of the same device, so every
+//     other device keeps its raw and disjoint match sets verbatim — zero
+//     BDD work. Within a touched device a changed ACL takes the ordered
+//     walk again; a destination-only FIB re-derives its added and
+//     re-prefixed rules and the immediate parents of every prefix that
+//     entered or left it (fibDeriver.patch), and every other rule keeps
+//     its set. The Match→set memo (matchSet) is keyed by pure match
+//     values, never by rule identity.
+//
+//   - Survivors carry their encoding (json.go): an encode after a commit
+//     writes the bytes of the rules it added or modified, and copies the
+//     rest.
 //
 //   - Commit is copy-on-write: it stages a complete new rule universe
 //     (fresh Rule structs; untouched ones share their hdr.Set values)
@@ -53,7 +60,8 @@ type MutationResult struct {
 	Remap []RuleID
 	// Added holds the new IDs of added rules, in Add-call order.
 	Added []RuleID
-	// Touched lists the devices whose tables were re-derived, ascending.
+	// Touched lists the devices owning a removed, modified or added
+	// rule, ascending: the devices whose tables changed.
 	Touched []DeviceID
 }
 
@@ -184,16 +192,24 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	m.done = true
 	n := m.n
 
-	// Devices whose tables need re-deriving.
-	touched := make(map[DeviceID]bool)
+	// The tables that change, per device.
+	const aclChanged, fibChanged = 1, 2
+	touched := make([]uint8, len(n.Devices))
+	mark := func(dev DeviceID, t TableKind) {
+		if t == TableACL {
+			touched[dev] |= aclChanged
+		} else {
+			touched[dev] |= fibChanged
+		}
+	}
 	for id := range m.removed {
-		touched[n.Rules[id].Device] = true
+		mark(n.Rules[id].Device, n.Rules[id].Table)
 	}
 	for id := range m.modified {
-		touched[n.Rules[id].Device] = true
+		mark(n.Rules[id].Device, n.Rules[id].Table)
 	}
 	for _, def := range m.added {
-		touched[def.Device] = true
+		mark(def.Device, def.Table)
 	}
 
 	// Stage the new rule universe: survivors compact in ID order,
@@ -202,32 +218,40 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	// The structs come from one slab: a commit replaces the whole
 	// universe, so it lives and dies together, and a batch that touches
 	// every device costs one allocation instead of one per rule.
+	// A survivor keeps its sets and its encoding; a modified rule loses
+	// its encoding, and its sets too when its match fields changed —
+	// it then moves, leaving its place in the FIB order to be inserted
+	// again like an addition.
 	remap := make([]RuleID, len(n.Rules))
+	for id := range m.removed {
+		remap[id] = NoRule
+	}
 	slab := make([]Rule, len(n.Rules)-len(m.removed)+len(m.added))
 	newRules := make([]*Rule, 0, len(slab))
 	for _, r := range n.Rules {
-		if m.removed[r.ID] {
-			remap[r.ID] = NoRule
+		if remap[r.ID] == NoRule {
 			continue
 		}
 		nr := &slab[len(newRules)]
 		*nr = *r
 		nr.ID = RuleID(len(newRules))
-		if def, ok := m.modified[r.ID]; ok {
-			nr.Match = def.Match
-			nr.Action = def.Action
-			nr.Origin = def.Origin
-			nr.Deny = def.Deny
-			nr.raw = hdr.Set{}
-		}
-		if touched[nr.Device] {
-			// The disjoint set is re-derived; the raw set is a function
-			// of the match fields alone and stays unless they changed.
-			nr.matchOK = false
-			nr.match = hdr.Set{}
-		}
 		remap[r.ID] = nr.ID
 		newRules = append(newRules, nr)
+	}
+	var moved []RuleID // new IDs
+	for id, def := range m.modified {
+		nr := newRules[remap[id]]
+		nr.Match = def.Match
+		nr.Action = def.Action
+		nr.Origin = def.Origin
+		nr.Deny = def.Deny
+		nr.enc = ""
+		if def.Match != n.Rules[id].Match {
+			nr.raw, nr.match, nr.matchOK = hdr.Set{}, hdr.Set{}, false
+			if nr.Table == TableFIB {
+				moved = append(moved, nr.ID)
+			}
+		}
 	}
 	addedIDs := make([]RuleID, 0, len(m.added))
 	for _, def := range m.added {
@@ -246,68 +270,238 @@ func (m *Mutation) Commit() (MutationResult, error) {
 		addedIDs = append(addedIDs, id)
 	}
 
-	// Stage per-device table orders: surviving rules keep their relative
-	// order (compaction preserves it), additions go at the end, and
-	// touched FIBs re-sort with the ComputeMatchSets comparator. For
-	// untouched devices the remapped order is exactly the old one.
+	// Stage per-device table orders. Compaction preserves the relative
+	// order of survivors, so a table's remapped order is still sorted;
+	// additions go at the end of an ACL, and a FIB's insertions (moved
+	// and added rules) are sorted among themselves and merged in. For an
+	// untouched device the remapped order is exactly the old one.
 	newACL := make([][]RuleID, len(n.Devices))
 	newFIB := make([][]RuleID, len(n.Devices))
-	for di, d := range n.Devices {
-		newACL[di] = make([]RuleID, 0, len(d.ACL))
-		newFIB[di] = make([]RuleID, 0, len(d.FIB))
-		for _, id := range d.ACL {
-			if nid := remap[id]; nid != NoRule {
-				newACL[di] = append(newACL[di], nid)
-			}
-		}
-		for _, id := range d.FIB {
-			if nid := remap[id]; nid != NoRule {
-				newFIB[di] = append(newFIB[di], nid)
-			}
-		}
+	insert := make([][]RuleID, len(n.Devices))
+	for _, id := range moved {
+		dev := newRules[id].Device
+		insert[dev] = append(insert[dev], id)
 	}
 	for i, def := range m.added {
 		if def.Table == TableACL {
 			newACL[def.Device] = append(newACL[def.Device], addedIDs[i])
 		} else {
-			newFIB[def.Device] = append(newFIB[def.Device], addedIDs[i])
+			insert[def.Device] = append(insert[def.Device], addedIDs[i])
 		}
 	}
-	touchedList := make([]DeviceID, 0, len(touched))
-	for dev := range touched {
-		touchedList = append(touchedList, dev)
+	for di, d := range n.Devices {
+		acl := make([]RuleID, 0, len(d.ACL)+len(newACL[di]))
+		for _, id := range d.ACL {
+			if nid := remap[id]; nid != NoRule {
+				acl = append(acl, nid)
+			}
+		}
+		newACL[di] = append(acl, newACL[di]...)
+		newFIB[di] = mergeFIB(newRules, d.FIB, remap, insert[di])
 	}
-	sort.Slice(touchedList, func(i, j int) bool { return touchedList[i] < touchedList[j] })
 
 	// All BDD work happens here, against the staged copy. A panic
-	// unwinds with the live network untouched.
+	// unwinds with the live network untouched. A changed ACL takes the
+	// ordered walk again; a changed FIB re-derives the rules its change
+	// reaches; every other table keeps its index with its IDs compacted.
 	fibs := fibDeriver{n: n}
-	newIndex := make([]devIndex, len(touchedList))
-	for i, dev := range touchedList {
-		sortFIB(newRules, newFIB[dev])
-		n.computeTable(newRules, newACL[dev])
-		newIndex[i] = fibs.derive(newRules, newFIB[dev])
+	newIndex := make([]devIndex, len(n.Devices))
+	var touchedList []DeviceID
+	for di := range n.Devices {
+		old := &n.index[di]
+		if touched[di]&aclChanged != 0 {
+			n.computeTable(newRules, newACL[di])
+		}
+		if touched[di]&fibChanged != 0 {
+			newIndex[di] = fibs.update(newRules, newFIB[di], old, remap, insert[di])
+		} else {
+			newIndex[di] = devIndex{dstOnly: old.dstOnly, lens: old.lens, pfx: old.pfx, byPrefix: remapIDs(old.byPrefix, remap)}
+		}
+		if touched[di] == 0 {
+			// Classes hold sets and actions, never rule IDs.
+			newIndex[di].fwd = old.fwd
+		} else {
+			touchedList = append(touchedList, DeviceID(di))
+		}
 	}
 
-	// Publish: assignments and map work only, no panic sources. The FIB
-	// index is refilled in place over the new universe; IDs compact, so
-	// every entry changes, but the map keeps its storage.
+	// Publish: assignments only, no panic sources. A touched device gets
+	// its new index and loses its action classes (the next flood
+	// rebuilds them). The encoding cache stays full unless a rule came
+	// without bytes.
 	for di, d := range n.Devices {
 		d.ACL = newACL[di]
 		d.FIB = newFIB[di]
 	}
 	n.Rules = newRules
-	clear(n.fibIndex)
-	fillFIBIndex(n.fibIndex, newRules)
-	// A touched device gets its new table shape and loses its action
-	// classes (the next flood rebuilds them); every other device keeps
-	// both — classes hold sets and actions, never rule IDs.
-	for i, dev := range touchedList {
-		n.index[dev] = newIndex[i]
+	n.index = newIndex
+	if len(m.modified)+len(m.added) > 0 {
+		n.encFull.Store(false)
 	}
 	n.generation++
 
 	return MutationResult{Remap: remap, Added: addedIDs, Touched: touchedList}, nil
+}
+
+// remapIDs carries an ID list across a commit that removed none of its
+// rules.
+func remapIDs(ids []RuleID, remap []RuleID) []RuleID {
+	out := make([]RuleID, len(ids))
+	for i, id := range ids {
+		out[i] = remap[id]
+	}
+	return out
+}
+
+// mergeFIB stages a FIB's evaluation order: the surviving rules of old
+// that did not move, remapped, merged with the new IDs in insert (moved
+// and added rules). Both runs are sorted by fibOrder — the survivors
+// because compaction keeps their relative order — so the merge equals a
+// sort of the whole table.
+func mergeFIB(rules []*Rule, old, remap, insert []RuleID) []RuleID {
+	slices.SortFunc(insert, func(a, b RuleID) int { return fibOrder(rules, a, b) })
+	out := make([]RuleID, 0, len(old)+len(insert))
+	j := 0
+	for _, id := range old {
+		nid := remap[id]
+		if nid == NoRule || !rules[nid].matchOK {
+			continue // removed, or moved and so among insert
+		}
+		for j < len(insert) && fibOrder(rules, insert[j], nid) < 0 {
+			out = append(out, insert[j])
+			j++
+		}
+		out = append(out, nid)
+	}
+	return append(out, insert[j:]...)
+}
+
+// update re-derives a FIB that a commit changed: rules is the staged
+// universe, fib the staged order, old the table's index before the
+// commit and insert its moved and added rules. A table that was and
+// stays destination-only is patched (patch); any other is derived whole.
+func (d *fibDeriver) update(rules []*Rule, fib []RuleID, old *devIndex, remap, insert []RuleID) devIndex {
+	if old.dstOnly {
+		if ix, ok := d.patch(rules, old, remap, insert); ok {
+			return ix
+		}
+	}
+	return d.derive(rules, fib)
+}
+
+// patch re-derives a destination-only FIB after a commit, touching only
+// the rules whose disjoint match set can have changed. M[r] = raw(r) −
+// ⋃ raw(immediate children) (derive), so a rule's set changes only when
+// its own match does or when its immediate children do; and a prefix
+// that enters or leaves the table changes the children of exactly one
+// rule, its immediate parent. So the inserted rules and the parents of
+// every inserted and every departed prefix are re-derived, and nothing
+// else. The index is built first, with no BDD work: ok is false — and
+// nothing was derived — when an insertion breaks the table's shape (a
+// match on more than a destination, or a repeated prefix).
+func (d *fibDeriver) patch(rules []*Rule, old *devIndex, remap, insert []RuleID) (ix devIndex, ok bool) {
+	ins := make([]pfxKey, len(insert))
+	for i, id := range insert {
+		m := rules[id].Match
+		if !dstOnlyMatch(m) {
+			return devIndex{}, false
+		}
+		ins[i] = keyOf(m.DstPrefix.Masked())
+	}
+	// insert is in FIB order; the merge wants prefix order.
+	order := make([]int, len(insert))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return ins[a].compare(ins[b]) })
+
+	size := len(old.byPrefix) + len(insert)
+	ix = devIndex{dstOnly: true, byPrefix: make([]RuleID, 0, size), pfx: make([]pfxKey, 0, size)}
+	var at []int      // positions of the inserted rules
+	var gone []pfxKey // prefixes that left the table
+	push := func(id RuleID, p pfxKey) {
+		ix.byPrefix = append(ix.byPrefix, id)
+		ix.pfx = append(ix.pfx, p)
+	}
+	j := 0
+	for k, id := range old.byPrefix {
+		p := old.pfx[k]
+		nid := remap[id]
+		if nid == NoRule || !rules[nid].matchOK {
+			gone = append(gone, p)
+			continue
+		}
+		for ; j < len(order) && ins[order[j]].compare(p) <= 0; j++ {
+			at = append(at, len(ix.pfx))
+			push(insert[order[j]], ins[order[j]])
+		}
+		push(nid, p)
+	}
+	for ; j < len(order); j++ {
+		at = append(at, len(ix.pfx))
+		push(insert[order[j]], ins[order[j]])
+	}
+	for k := 1; k < len(ix.pfx); k++ {
+		if ix.pfx[k] == ix.pfx[k-1] {
+			return devIndex{}, false // a repeated prefix
+		}
+	}
+	ix.lens = prefixLens(ix.pfx)
+
+	redo := slices.Clone(at)
+	for _, k := range at {
+		if par := ix.parent(ix.pfx[k]); par >= 0 {
+			redo = append(redo, par)
+		}
+	}
+	for _, p := range gone {
+		if par := ix.parent(p); par >= 0 {
+			redo = append(redo, par)
+		}
+	}
+	slices.Sort(redo)
+	redo = slices.Compact(redo)
+
+	// BDD work: raw sets of the inserted rules first — a re-derived
+	// parent reads them — then the re-derived match sets, in prefix
+	// order.
+	for _, k := range at {
+		d.n.deriveRaw(rules[ix.byPrefix[k]])
+	}
+	for _, k := range redo {
+		kids := d.kids[:0]
+		for c, stop := k+1, ix.end(k); c < stop; c = ix.end(c) {
+			kids = append(kids, rules[ix.byPrefix[c]].raw)
+		}
+		d.n.setMatch(rules[ix.byPrefix[k]], kids)
+		d.kids = kids[:0]
+	}
+	return ix, true
+}
+
+// end returns the position after the subtree of the prefix at k: the
+// prefixes inside it follow it immediately in prefix order.
+func (ix *devIndex) end(k int) int {
+	p := ix.pfx[k]
+	k++
+	for k < len(ix.pfx) && p.contains(ix.pfx[k]) {
+		k++
+	}
+	return k
+}
+
+// parent returns the position of the longest prefix in the index that
+// strictly contains p, or -1.
+func (ix *devIndex) parent(p pfxKey) int {
+	for _, l := range ix.lens {
+		if l >= p.bits {
+			continue
+		}
+		if i, ok := ix.find(p.truncate(l)); ok {
+			return i
+		}
+	}
+	return -1
 }
 
 // CloneTopology returns an unfrozen copy of the network's topology —

@@ -2,9 +2,12 @@ package netmodel
 
 import (
 	"bytes"
-	"maps"
+	"crypto/sha256"
+	"io"
 	"math/rand"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 
 	"yardstick/internal/bdd"
@@ -41,12 +44,23 @@ func encodeNet(t *testing.T, n *Network) []byte {
 	return buf.Bytes()
 }
 
+// encodeReference encodes the network with the struct-based reference
+// encoder, which reads no cached bytes.
+func encodeReference(t *testing.T, n *Network) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := n.EncodeJSONReference(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // rebuildJSON rebuilds the network from scratch in a fresh space via its
-// own JSON encoding — the from-scratch baseline every mutation must be
-// equivalent to.
+// reference JSON encoding — the from-scratch baseline every mutation must
+// be equivalent to.
 func rebuildJSON(t *testing.T, n *Network) *Network {
 	t.Helper()
-	rb, err := DecodeJSON(bytes.NewReader(encodeNet(t, n)))
+	rb, err := DecodeJSON(bytes.NewReader(encodeReference(t, n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +70,12 @@ func rebuildJSON(t *testing.T, n *Network) *Network {
 
 // assertRebuildEquivalent checks the incremental network against its
 // from-scratch rebuild: identical JSON (IDs are a fixed point of the
-// encoding) and bit-identical per-rule match sets across spaces.
+// encoding), cached encoding equal to the reference encoder's,
+// bit-identical per-rule match sets across spaces and the same
+// per-device index.
 func assertRebuildEquivalent(t *testing.T, live *Network) {
 	t.Helper()
+	assertEncodingFresh(t, live)
 	rb := rebuildJSON(t, live)
 	if !bytes.Equal(encodeNet(t, live), encodeNet(t, rb)) {
 		t.Fatal("JSON round-trip of mutated network is not a fixed point")
@@ -73,10 +90,23 @@ func assertRebuildEquivalent(t *testing.T, live *Network) {
 			t.Fatalf("rule %d (dev %d): incremental match set differs from rebuild", r.ID, r.Device)
 		}
 	}
-	// Commit refills the FIB index in place; a stale or missing entry
-	// would send FIBRuleFor to the wrong rule.
-	if !maps.Equal(live.fibIndex, rb.fibIndex) {
-		t.Fatalf("FIB index differs from rebuild: live %d entries, rebuild %d", len(live.fibIndex), len(rb.fibIndex))
+	// Commit patches the index of touched devices and compacts the IDs
+	// of the others; a stale or missing entry would send FIBRuleFor or a
+	// lookup to the wrong rule.
+	for dev := range live.Devices {
+		l, r := &live.index[dev], &rb.index[dev]
+		if l.dstOnly != r.dstOnly || !slices.Equal(l.lens, r.lens) || !slices.Equal(l.byPrefix, r.byPrefix) || !slices.Equal(l.pfx, r.pfx) {
+			t.Fatalf("device %d: index differs from rebuild:\n live    %v %v %v\n rebuild %v %v %v",
+				dev, l.dstOnly, l.lens, l.byPrefix, r.dstOnly, r.lens, r.byPrefix)
+		}
+	}
+}
+
+// assertEncodingFresh holds the cached encoding to the reference encoder.
+func assertEncodingFresh(t *testing.T, n *Network) {
+	t.Helper()
+	if got, want := encodeNet(t, n), encodeReference(t, n); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeJSON differs from the reference encoder (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -387,6 +417,14 @@ func TestPropertyMutationEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertRebuildEquivalent(t, n)
+			if len(n.Rules) > 0 {
+				// A rewired action must reach the next encoding.
+				id := RuleID(rng.Intn(len(n.Rules)))
+				if r := n.Rule(id); r.Table == TableFIB {
+					n.SetAction(id, randomDefTable(rng, n, r.Device, TableFIB).Action)
+					assertEncodingFresh(t, n)
+				}
+			}
 		}
 	}
 }
@@ -472,4 +510,156 @@ func TestCloneTopology(t *testing.T) {
 	// The clone is unfrozen: rules can be installed and frozen anew.
 	clone.AddFIBRule(a, MatchAll(), Action{Kind: ActDrop}, OriginStatic)
 	clone.ComputeMatchSets()
+}
+
+// wideFIB builds one device whose FIB is destination-only: a default
+// route, 16 /16s under 10/8, and 143 /24s under the first nine /16s —
+// 160 rules.
+func wideFIB(t *testing.T) (*Network, DeviceID) {
+	t.Helper()
+	n := New()
+	d := n.AddDevice("r", RoleToR, 1)
+	out := n.AddIface(d, "up")
+	act := Action{Kind: ActForward, OutIfaces: []IfaceID{out}}
+	n.AddFIBRule(d, MatchDst(p(t, "0.0.0.0/0")), act, OriginDefault)
+	n.AddFIBRule(d, MatchDst(p(t, "10.0.0.0/8")), act, OriginInternal)
+	for i := 0; i < 16; i++ {
+		n.AddFIBRule(d, MatchDst(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)), act, OriginInternal)
+	}
+	for i := 0; len(n.Rules) < 160; i++ {
+		n.AddFIBRule(d, MatchDst(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i % 9), byte(i), 0}), 24)), act, OriginInternal)
+	}
+	n.ComputeMatchSets()
+	if !n.index[d].dstOnly {
+		t.Fatal("the fixture FIB is not destination-only")
+	}
+	return n, d
+}
+
+// TestCommitRederivesChangedRules counts the match sets a commit derives
+// on a 160-rule destination-only FIB: a re-prefixed rule under the same
+// parent costs that rule and its parent, an action change costs nothing,
+// a removal costs the parent, an addition itself and its parent — and
+// the result still equals the from-scratch rebuild.
+func TestCommitRederivesChangedRules(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(t *testing.T, n *Network, mut *Mutation)
+		max  int
+	}{
+		{"modify prefix", func(t *testing.T, n *Network, mut *Mutation) {
+			r := n.Rule(20) // 10.2.2.0/24 → 10.2.200.0/24, both under 10.2.0.0/16
+			def := RuleDef{Device: r.Device, Table: TableFIB, Match: MatchDst(p(t, "10.2.200.0/24")), Action: r.Action, Origin: r.Origin}
+			if err := mut.Modify(20, def); err != nil {
+				t.Fatal(err)
+			}
+		}, 2},
+		{"modify action", func(t *testing.T, n *Network, mut *Mutation) {
+			r := n.Rule(20)
+			def := RuleDef{Device: r.Device, Table: TableFIB, Match: r.Match, Action: Action{Kind: ActDrop}, Origin: r.Origin}
+			if err := mut.Modify(20, def); err != nil {
+				t.Fatal(err)
+			}
+		}, 0},
+		{"remove", func(t *testing.T, n *Network, mut *Mutation) {
+			if err := mut.Remove(2); err != nil { // a /16 with /24s inside
+				t.Fatal(err)
+			}
+		}, 1},
+		{"add", func(t *testing.T, n *Network, mut *Mutation) {
+			r := n.Rule(20)
+			def := RuleDef{Device: r.Device, Table: TableFIB, Match: MatchDst(p(t, "10.0.2.128/25")), Action: r.Action, Origin: OriginStatic}
+			if err := mut.Add(def); err != nil {
+				t.Fatal(err)
+			}
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, _ := wideFIB(t)
+			mut := n.BeginMutation()
+			tc.edit(t, n, mut)
+			before := n.Derived()
+			if _, err := mut.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.Derived() - before; got > tc.max {
+				t.Errorf("commit derived %d match sets, want at most %d", got, tc.max)
+			}
+			assertRebuildEquivalent(t, n)
+		})
+	}
+}
+
+// TestConcurrentEncode encodes and fingerprints one freshly frozen
+// network from several goroutines at once — the first encode fills the
+// cache while the others wait or read it (run under -race) — and after a
+// commit that leaves rules to encode again.
+func TestConcurrentEncode(t *testing.T) {
+	n, _ := wideFIB(t)
+	want := encodeReference(t, n)
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		got := make([][]byte, 8)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf bytes.Buffer
+				if i%2 == 0 {
+					n.EncodeJSON(&buf)
+				} else {
+					h := sha256.New()
+					n.EncodeJSON(io.MultiWriter(h, &buf))
+				}
+				got[i] = buf.Bytes()
+			}()
+		}
+		wg.Wait()
+		for i, b := range got {
+			if !bytes.Equal(b, want) {
+				t.Fatalf("round %d, encoder %d: bytes differ from the reference", round, i)
+			}
+		}
+		mut := n.BeginMutation()
+		r := n.Rule(30)
+		if err := mut.Modify(30, RuleDef{Device: r.Device, Table: TableFIB, Match: r.Match, Action: Action{Kind: ActDrop}, Origin: r.Origin}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mut.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want = encodeReference(t, n)
+	}
+}
+
+// TestEncodingSlabsRepack drives many small commits through the cache:
+// the slabs their rules pin are repacked, so they stay within twice the
+// live bytes, and the bytes stay right.
+func TestEncodingSlabsRepack(t *testing.T) {
+	n, _ := wideFIB(t)
+	encodeNet(t, n)
+	for i := 0; i < 200; i++ {
+		mut := n.BeginMutation()
+		id := RuleID(2 + i%150)
+		r := n.Rule(id)
+		act := Action{Kind: ActDrop}
+		if r.Action.Kind == ActDrop {
+			act = n.Rule(0).Action
+		}
+		if err := mut.Modify(id, RuleDef{Device: r.Device, Table: TableFIB, Match: r.Match, Action: act, Origin: r.Origin}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mut.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		encodeNet(t, n)
+		live := 0
+		for _, r := range n.Rules {
+			live += len(r.enc)
+		}
+		if n.encSlabs > 2*live {
+			t.Fatalf("commit %d: %d slab bytes pinned for %d live", i, n.encSlabs, live)
+		}
+	}
+	assertEncodingFresh(t, n)
 }

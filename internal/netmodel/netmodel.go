@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"yardstick/internal/hdr"
 )
@@ -145,7 +147,7 @@ const (
 // Rule is one match-action rule (§4.1). MatchSet is valid only after
 // Network.ComputeMatchSets; from then on the rule changes through a
 // Mutation, or Network.SetAction for its action alone — the network keeps
-// state derived from both (forwarding.go).
+// state derived from both (forwarding.go, and the encoding of json.go).
 type Rule struct {
 	ID      RuleID
 	Device  DeviceID
@@ -154,9 +156,12 @@ type Rule struct {
 	Action  Action
 	Origin  RouteOrigin
 	Deny    bool // ACL entries: true = drop, false = permit
-	raw     hdr.Set
 	matchOK bool
+	raw     hdr.Set
 	match   hdr.Set
+	// enc is the rule's element of EncodeJSON's rules array, "" until
+	// the frozen network is first encoded (json.go).
+	enc string
 }
 
 // MatchSet returns the disjoint match set M[r]. It panics if
@@ -202,13 +207,10 @@ type Network struct {
 	Rules   []*Rule
 
 	byName map[string]DeviceID
-	// fibIndex maps (device, exact destination prefix) to the FIB rule,
-	// built by ComputeMatchSets. Tests resolve expected routes through
-	// it in O(1), and it is the one structure behind every longest-prefix
-	// probe (forwarding.go).
-	fibIndex map[fibKey]RuleID
 	// index holds each device's forwarding index (forwarding.go), by
-	// DeviceID; allocated by ComputeMatchSets.
+	// DeviceID; allocated by ComputeMatchSets. Its prefix-ordered rule
+	// list is the one structure behind FIBRuleFor and every
+	// longest-prefix probe.
 	index []devIndex
 	// matchMemo caches Match → raw packet set during ComputeMatchSets,
 	// so identical matches across devices derive the BDD once.
@@ -217,11 +219,19 @@ type Network struct {
 	matchSetsDone bool
 	// generation counts committed mutations (mutate.go).
 	generation uint64
-}
+	// derived counts the disjoint match sets computed so far, by
+	// ComputeMatchSets and every Commit.
+	derived int
 
-type fibKey struct {
-	dev    DeviceID
-	prefix netip.Prefix
+	// The encoding cache of a frozen network (json.go): encHead holds
+	// the document up to the rules array and the state of its open
+	// object, and each rule carries its own element. encMu serializes
+	// the lazy fill; encFull says nothing is missing, so a reader that
+	// sees it set reads without the lock.
+	encMu    sync.Mutex
+	encFull  atomic.Bool
+	encHead  jsonEnc // w nil: the bytes stay in buf
+	encSlabs int     // bytes of rule-encoding slabs allocated since the last repack
 }
 
 // New returns an empty IPv4 network over a fresh header space.
@@ -393,9 +403,7 @@ func (n *Network) ComputeMatchSets() {
 	if n.matchSetsDone {
 		return
 	}
-	n.fibIndex = make(map[fibKey]RuleID, len(n.Rules))
 	n.index = make([]devIndex, len(n.Devices))
-	fillFIBIndex(n.fibIndex, n.Rules)
 	fibs := fibDeriver{n: n}
 	for _, d := range n.Devices {
 		sortFIB(n.Rules, d.FIB)
@@ -405,39 +413,41 @@ func (n *Network) ComputeMatchSets() {
 	n.matchSetsDone = true
 }
 
-// fillFIBIndex maps every FIB rule's (device, destination prefix) to its
-// ID; of rules that repeat a prefix on a device the highest ID stays.
-func fillFIBIndex(idx map[fibKey]RuleID, rules []*Rule) {
-	for _, r := range rules {
-		if r.Table == TableFIB && r.Match.DstPrefix.IsValid() {
-			idx[fibKey{r.Device, r.Match.DstPrefix.Masked()}] = r.ID
-		}
-	}
+// sortFIB fixes a FIB's evaluation order (fibOrder).
+func sortFIB(rules []*Rule, fib []RuleID) {
+	slices.SortFunc(fib, func(a, b RuleID) int { return fibOrder(rules, a, b) })
 }
 
-// sortFIB fixes a FIB's evaluation order: longest prefix first; ties
+// fibOrder is a FIB's evaluation order: longest prefix first; ties
 // broken by rule ID for determinism (distinct same-length prefixes never
 // overlap anyway).
-func sortFIB(rules []*Rule, fib []RuleID) {
-	slices.SortFunc(fib, func(a, b RuleID) int {
-		if c := prefixLen(rules[b].Match.DstPrefix) - prefixLen(rules[a].Match.DstPrefix); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
+func fibOrder(rules []*Rule, a, b RuleID) int {
+	if c := prefixLen(rules[b].Match.DstPrefix) - prefixLen(rules[a].Match.DstPrefix); c != 0 {
+		return c
+	}
+	return int(a - b)
 }
 
 // FIBRuleFor returns the device's FIB rule whose match is exactly the
-// given destination prefix, if any. Only valid after ComputeMatchSets.
+// given destination prefix, if any; of rules that repeat a prefix, the
+// highest ID. Only valid after ComputeMatchSets.
 func (n *Network) FIBRuleFor(dev DeviceID, prefix netip.Prefix) (*Rule, bool) {
 	if !n.matchSetsDone {
 		panic("netmodel: FIBRuleFor before ComputeMatchSets")
 	}
-	id, ok := n.fibIndex[fibKey{dev, prefix.Masked()}]
+	if !n.sameFamily(prefix.Addr()) || !prefix.IsValid() {
+		return nil, false
+	}
+	ix := &n.index[dev]
+	p := keyOf(prefix.Masked())
+	i, ok := ix.find(p)
 	if !ok {
 		return nil, false
 	}
-	return n.Rules[id], true
+	for i+1 < len(ix.pfx) && ix.pfx[i+1] == p {
+		i++ // the run of a repeated prefix is in ID order
+	}
+	return n.Rules[ix.byPrefix[i]], true
 }
 
 func prefixLen(p netip.Prefix) int {
@@ -465,6 +475,7 @@ func (n *Network) computeTable(rules []*Rule, order []RuleID) {
 			r.match = r.raw.Diff(claimed)
 		}
 		r.matchOK = true
+		n.derived++
 		claimed = claimed.Union(r.raw)
 	}
 }
@@ -474,15 +485,15 @@ func (n *Network) computeTable(rules []*Rule, order []RuleID) {
 // device.
 type fibDeriver struct {
 	n     *Network
-	rules []*Rule        // the universe fib IDs index: live, or Commit's staged one
-	fib   []RuleID       // the table being derived, sorted
-	pfx   []netip.Prefix // masked destination prefix of each fib position
-	order []int32        // positions of fib in prefix order
-	kids  []hdr.Set      // stack of the raw sets of the children collected so far
+	rules []*Rule   // the universe fib IDs index: live, or Commit's staged one
+	fib   []RuleID  // the table being derived, sorted
+	pfx   []pfxKey  // masked destination prefix of each fib position
+	order []int32   // positions of fib in prefix order
+	kids  []hdr.Set // stack of the raw sets of the children collected so far
 }
 
-// derive sets the disjoint match sets of a sorted FIB and reports the
-// table's shape. In a destination-only FIB — every rule a distinct, valid
+// derive sets the disjoint match sets of a sorted FIB and returns the
+// table's index. In a destination-only FIB — every rule a distinct, valid
 // destination prefix and no other field — the only earlier rules that
 // overlap a rule are the more-specific prefixes inside it, and those are
 // covered by the immediate ones, so M[r] = raw(r) − ⋃ raw(immediate
@@ -491,46 +502,86 @@ type fibDeriver struct {
 // that grows down the whole table. Any other FIB takes the ordered walk.
 func (d *fibDeriver) derive(rules []*Rule, fib []RuleID) devIndex {
 	d.rules, d.fib = rules, fib
-	lens, dstOnly := d.prefixOrder()
-	if !dstOnly {
+	if !d.prefixOrder() {
 		d.n.computeTable(rules, fib)
-		return devIndex{}
+		return prefixIndex(rules, fib)
 	}
 	for k := 0; k < len(d.order); {
 		k = d.subtree(k)
 	}
-	return devIndex{dstOnly: true, lens: lens}
+	ix := devIndex{dstOnly: true, byPrefix: make([]RuleID, len(d.order)), pfx: make([]pfxKey, len(d.order))}
+	for k, i := range d.order {
+		ix.byPrefix[k], ix.pfx[k] = fib[i], d.pfx[i]
+	}
+	ix.lens = prefixLens(ix.pfx)
+	return ix
 }
 
-// prefixOrder fills d.pfx and d.order for a destination-only FIB and
-// returns its prefix lengths, longest first; ok is false for any other
-// table. Prefix order is by address, shorter first, so a prefix comes
-// immediately before everything inside it and its immediate children
-// follow in destination order.
-func (d *fibDeriver) prefixOrder() (lens []int, ok bool) {
-	var present [129]bool
+// prefixOrder fills d.pfx and d.order for a destination-only FIB; ok is
+// false for any other table. Prefix order is by address, shorter first,
+// so a prefix comes immediately before everything inside it and its
+// immediate children follow in destination order.
+func (d *fibDeriver) prefixOrder() (ok bool) {
 	d.pfx, d.order = d.pfx[:0], d.order[:0]
 	for i, id := range d.fib {
 		m := d.rules[id].Match
-		if !m.DstPrefix.IsValid() || m != MatchDst(m.DstPrefix) {
-			return nil, false
+		if !dstOnlyMatch(m) {
+			return false
 		}
-		present[m.DstPrefix.Bits()] = true
-		d.pfx = append(d.pfx, m.DstPrefix.Masked())
+		d.pfx = append(d.pfx, keyOf(m.DstPrefix.Masked()))
 		d.order = append(d.order, int32(i))
 	}
-	slices.SortFunc(d.order, func(a, b int32) int { return comparePrefixes(d.pfx[a], d.pfx[b]) })
+	slices.SortFunc(d.order, func(a, b int32) int { return d.pfx[a].compare(d.pfx[b]) })
 	for k := 1; k < len(d.order); k++ {
 		if d.pfx[d.order[k]] == d.pfx[d.order[k-1]] {
-			return nil, false // a repeated prefix
+			return false // a repeated prefix
 		}
 	}
+	return true
+}
+
+// dstOnlyMatch reports a match on a valid destination prefix and no
+// other field.
+func dstOnlyMatch(m Match) bool {
+	return m.DstPrefix.IsValid() && m == MatchDst(m.DstPrefix)
+}
+
+// prefixIndex is the index of a FIB that is not destination-only: the
+// rules that match a destination prefix, in prefix order and a repeated
+// prefix's rules by ID — enough for FIBRuleFor; lookups walk the table.
+func prefixIndex(rules []*Rule, fib []RuleID) devIndex {
+	var ix devIndex
+	for _, id := range fib {
+		if rules[id].Match.DstPrefix.IsValid() {
+			ix.byPrefix = append(ix.byPrefix, id)
+		}
+	}
+	slices.SortFunc(ix.byPrefix, func(a, b RuleID) int {
+		if c := comparePrefixes(rules[a].Match.DstPrefix.Masked(), rules[b].Match.DstPrefix.Masked()); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	ix.pfx = make([]pfxKey, len(ix.byPrefix))
+	for k, id := range ix.byPrefix {
+		ix.pfx[k] = keyOf(rules[id].Match.DstPrefix.Masked())
+	}
+	return ix
+}
+
+// prefixLens lists the prefix lengths present, longest first.
+func prefixLens(pfx []pfxKey) []int {
+	var present [129]bool
+	for _, p := range pfx {
+		present[p.bits] = true
+	}
+	var lens []int
 	for l := len(present) - 1; l >= 0; l-- {
 		if present[l] {
 			lens = append(lens, l)
 		}
 	}
-	return lens, true
+	return lens
 }
 
 // comparePrefixes is destination-prefix order: by address, shorter first.
@@ -555,20 +606,27 @@ func (d *fibDeriver) subtree(k int) int {
 	base := len(d.kids)
 	next := k + 1
 	for next < len(d.order) {
-		if !p.Contains(d.pfx[d.order[next]].Addr()) {
+		if !p.contains(d.pfx[d.order[next]]) {
 			break
 		}
 		child := d.rules[d.fib[d.order[next]]]
 		next = d.subtree(next)
 		d.kids = append(d.kids, child.raw)
 	}
+	d.n.setMatch(r, d.kids[base:])
+	d.kids = d.kids[:base]
+	return next
+}
+
+// setMatch sets a destination-only FIB rule's disjoint match set from
+// the raw sets of its immediate children.
+func (n *Network) setMatch(r *Rule, kids []hdr.Set) {
 	r.match = r.raw
-	if len(d.kids) > base {
-		r.match = r.raw.Diff(d.n.Space.UnionAll(d.kids[base:]))
-		d.kids = d.kids[:base]
+	if len(kids) > 0 {
+		r.match = r.raw.Diff(n.Space.UnionAll(kids))
 	}
 	r.matchOK = true
-	return next
+	n.derived++
 }
 
 // deriveRaw sets r.raw, the packet set of the rule's match fields, unless

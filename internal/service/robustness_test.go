@@ -360,10 +360,7 @@ func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
 
 	// The legacy envelope: the network fingerprint beside the cube-JSON
 	// trace.
-	fp, err := core.Fingerprint(rg.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := core.Fingerprint(rg.Net)
 	var cubes bytes.Buffer
 	if err := want.EncodeJSON(&cubes); err != nil {
 		t.Fatal(err)
