@@ -194,12 +194,13 @@ churnsmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), ten in all: the coverage view against its from-scratch oracle,
+# run), eleven in all: the coverage view against its from-scratch oracle,
 # the append network encoder against the struct-based reference, an
 # accepted delta document against a rebuild (and a rejected one against
 # an untouched network), the forwarding index against the rule-by-rule
 # flood, the first-match traceroute and the ordered match-set walk on
-# seeded random tables, and the decoders that read bytes from disk or a
+# seeded random tables, the BDD restriction walk against the conjunction
+# with a literal chain, and the decoders that read bytes from disk or a
 # peer (BDD arena, trace snapshot arena, trace JSON, network JSON,
 # network text, span profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
@@ -210,6 +211,7 @@ FUZZ_TARGETS = \
 	./internal/netmodel:FuzzDecodeJSON \
 	./internal/netmodel:FuzzParseText \
 	./internal/dataplane:FuzzForwardingIndex \
+	./internal/bdd:FuzzRestrict \
 	./internal/bdd:FuzzArenaDecode \
 	./internal/core:FuzzSnapshotArenaDecode \
 	./internal/core:FuzzDecodeTraceJSON \

@@ -275,6 +275,39 @@ func (m *Manager) Literals(first int, vals []bool) Node {
 	return n
 }
 
+// Restrict returns the cofactor of a with variable first+i fixed to bit i
+// of bits for every i < width, bits read most significant first (bit 0 is
+// the top bit of bits[0]): the prefix Literals would build, applied as an
+// assignment instead of a conjunction. When a tests no variable above
+// first, that cofactor is a node a already reaches, so it is found by
+// following low/high edges: no node is created and the op cache is not
+// consulted. The call is charged as one op, so MaxOps and a watched
+// context still see it. A node of a testing a variable above first
+// panics.
+func (m *Manager) Restrict(a Node, first, width int, bits []byte) Node {
+	if first < 0 || width < 0 || first+width > m.numVars || width > 8*len(bits) {
+		panic(fmt.Sprintf("bdd: restriction of variables [%d,%d) by %d bytes out of range [0,%d)", first, first+width, len(bits), m.numVars))
+	}
+	m.chargeOp()
+	end := uint32(first + width)
+	for a > True {
+		nd := m.nodes[a]
+		if nd.level >= end {
+			break
+		}
+		i := int(nd.level) - first
+		if i < 0 {
+			panic(fmt.Sprintf("bdd: restriction from variable %d of a node testing variable %d", first, nd.level))
+		}
+		if bits[i>>3]>>(7-i&7)&1 == 1 {
+			a = nd.high
+		} else {
+			a = nd.low
+		}
+	}
+	return a
+}
+
 // And returns the conjunction a ∧ b.
 func (m *Manager) And(a, b Node) Node {
 	switch {

@@ -55,12 +55,17 @@ func TestCanonicity(t *testing.T) {
 // randomNode builds a random function over numVars variables with the given
 // number of combining operations.
 func randomNode(m *Manager, rng *rand.Rand, ops int) Node {
-	n := m.Var(rng.Intn(m.NumVars()))
+	return randomNodeFrom(m, rng, 0, ops)
+}
+
+// randomNodeFrom is randomNode over the variables from lo on.
+func randomNodeFrom(m *Manager, rng *rand.Rand, lo, ops int) Node {
+	n := m.Var(lo + rng.Intn(m.NumVars()-lo))
 	if rng.Intn(2) == 0 {
 		n = m.Not(n)
 	}
 	for i := 0; i < ops; i++ {
-		other := m.Var(rng.Intn(m.NumVars()))
+		other := m.Var(lo + rng.Intn(m.NumVars()-lo))
 		if rng.Intn(2) == 0 {
 			other = m.Not(other)
 		}
@@ -369,6 +374,123 @@ func TestLiterals(t *testing.T) {
 		}
 	}()
 	New(4).Literals(2, make([]bool, 3))
+}
+
+// TestRestrict: the walk is the cofactor. On every assignment, the
+// restriction of a random function over the variables from first on
+// evaluates as the function does with the restricted variables forced to
+// the given bits; the walk creates no node and charges one op.
+func TestRestrict(t *testing.T) {
+	const nv = 8
+	m := New(nv)
+	rng := rand.New(rand.NewSource(13))
+	assign, forced := make([]bool, nv), make([]bool, nv)
+	for trial := 0; trial < 300; trial++ {
+		first := rng.Intn(nv)
+		a := randomNodeFrom(m, rng, first, 6)
+		width := rng.Intn(nv - first + 1)
+		bits := []byte{byte(rng.Intn(256))}
+		nodes, ops := m.Size(), m.Stats().Ops
+		r := m.Restrict(a, first, width, bits)
+		if m.Size() != nodes || m.Stats().Ops != ops+1 {
+			t.Fatalf("trial %d: the walk made %d nodes and charged %d ops, want 0 and 1", trial, m.Size()-nodes, m.Stats().Ops-ops)
+		}
+		for x := 0; x < 1<<nv; x++ {
+			for v := range assign {
+				assign[v] = x>>v&1 == 1
+				forced[v] = assign[v]
+			}
+			for i := 0; i < width; i++ {
+				forced[first+i] = bits[0]>>(7-i)&1 == 1
+			}
+			if m.Eval(r, assign) != m.Eval(a, forced) {
+				t.Fatalf("trial %d: Restrict(%d, %d, %08b) disagrees with forced Eval at %v", trial, first, width, bits[0], assign)
+			}
+		}
+	}
+	if m.Restrict(m.Var(3), 0, 0, nil) != m.Var(3) {
+		t.Error("restricting no variable changed the function")
+	}
+
+	m.SetLimits(Limits{MaxOps: 1})
+	m.Restrict(True, 0, 8, []byte{0})
+	if err := Guard(func() { m.Restrict(m.Var(0), 0, 8, []byte{0}) }); !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("second walk under MaxOps 1: err = %v, want ErrBudgetExceeded", err)
+	}
+	m.SetLimits(Limits{})
+
+	for name, call := range map[string]func(){
+		"above first":    func() { m.Restrict(m.Var(0), 1, 2, []byte{0}) },
+		"past last":      func() { m.Restrict(True, 4, 5, []byte{0, 0}) },
+		"beyond bits":    func() { m.Restrict(True, 0, 9, []byte{0}) },
+		"negative width": func() { m.Restrict(True, 0, -1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Restrict did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzRestrict holds the walk to the conjunction it replaces: for a
+// function the fuzzed program builds over the variables from first on and
+// a fuzzed prefix of them, the restriction conjoined with the prefix's
+// Literals chain is the function conjoined with it, and the restriction
+// tests none of the fixed variables — the two facts that pin a cofactor
+// down.
+func FuzzRestrict(f *testing.F) {
+	f.Add([]byte{0x13, 0x47, 0x8a, 0xcd, 0x21}, uint8(0), uint8(5), uint16(0xa5c3))
+	f.Add([]byte{0xff, 0x00, 0x7e}, uint8(3), uint8(9), uint16(0x0f0f))
+	f.Add([]byte{}, uint8(11), uint8(1), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, prog []byte, first, width uint8, val uint16) {
+		const nv = 12
+		m := New(nv)
+		lo := int(first) % nv
+		w := int(width) % (nv - lo + 1)
+		// Each byte is one step: a literal over the variables from lo on
+		// (low bit: its polarity) combined by And, Or, Xor or Diff.
+		lit := func(b byte) Node {
+			v := lo + int(b>>3)%(nv-lo)
+			if b>>2&1 == 1 {
+				return m.NVar(v)
+			}
+			return m.Var(v)
+		}
+		a := True
+		for i, b := range prog {
+			if i == 0 {
+				a = lit(b)
+				continue
+			}
+			switch b & 3 {
+			case 0:
+				a = m.And(a, lit(b))
+			case 1:
+				a = m.Or(a, lit(b))
+			case 2:
+				a = m.Xor(a, lit(b))
+			case 3:
+				a = m.Diff(a, lit(b))
+			}
+		}
+		bits := []byte{byte(val >> 8), byte(val)}
+		vals := make([]bool, w)
+		for i := range vals {
+			vals[i] = bits[i>>3]>>(7-i&7)&1 == 1
+		}
+		chain := m.Literals(lo, vals)
+		r := m.Restrict(a, lo, w, bits)
+		if m.And(r, chain) != m.And(a, chain) {
+			t.Fatalf("Restrict(%d, %d, %016b) ∧ chain != a ∧ chain", lo, w, val)
+		}
+		if r != False && r != True && int(m.level(r)) < lo+w {
+			t.Fatalf("Restrict(%d, %d, %016b) still tests variable %d", lo, w, val, m.level(r))
+		}
+	})
 }
 
 func TestNodeCount(t *testing.T) {

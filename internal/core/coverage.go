@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net/netip"
 	"slices"
 
 	"yardstick/internal/bdd"
@@ -25,11 +26,12 @@ import (
 // rules in table order. A rule's values are a function of three inputs —
 // its match set M[r], the union of the packets marked at its device and
 // its rule mark — and each rule remembers the inputs it was computed
-// from, so the pass pays an intersection and a fraction only for a rule
-// whose inputs moved: after a delta, the rules it changed, not every rule
-// of the devices it touched. Every sum is still accumulated in the order
-// the Spec framework (framework.go) would, so each float equals the
-// from-scratch value bit for bit.
+// from, so the pass pays for a rule only when its inputs moved: after a
+// delta, the rules it changed, not every rule of the devices it touched.
+// Even then a rule whose destination prefix the marks miss or hold whole
+// is settled by a walk, not an intersection (unmarkedCovered). Every sum
+// is still accumulated in the order the Spec framework (framework.go)
+// would, so each float equals the from-scratch value bit for bit.
 //
 // A symbolic-engine panic (budget trip, watched-context cancellation)
 // during a refresh leaves the device dirty: the next read recomputes it
@@ -191,7 +193,7 @@ func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 			if !rv.ok || rv.match != ms.Node() || rv.marked != marked || (!marked && rv.at != at.Node()) {
 				cov := ms
 				if !marked {
-					cov = at.Intersect(ms)
+					cov = unmarkedCovered(at, ms, r.Match.DstPrefix)
 				}
 				// |T[r]|/|M[r]| as Set.FractionOf computes it; T[r] ⊆
 				// M[r], so its intersection with M[r] is T[r] itself.
@@ -240,6 +242,23 @@ func (c *Coverage) refreshDevice(dev netmodel.DeviceID) int {
 	c.dev[dev], c.devWeight[dev] = ratio(num, den), den
 	c.dirty[dev] = false
 	return recomputed
+}
+
+// unmarkedCovered is T[r] for a rule no test inspected: at ∩ M[r], with at
+// the union of the packets marked at the rule's device and p its
+// destination prefix. M[r] lies inside DstPrefix(p), so when at misses p
+// the answer is ∅ and when at holds all of p it is M[r]; a walk of at
+// along p's bits tells those two apart from the rest, and only a rule
+// whose prefix at covers in part pays an intersection. Every case returns
+// the node the intersection would.
+func unmarkedCovered(at, ms hdr.Set, p netip.Prefix) hdr.Set {
+	switch c := at.RestrictDstPrefix(p); {
+	case c.IsEmpty():
+		return at.Space().Empty()
+	case c.IsFull():
+		return ms
+	}
+	return at.Intersect(ms)
 }
 
 // Remap carries the view across a rule-level mutation of its network:

@@ -640,26 +640,3 @@ func EdgeStarts(net *netmodel.Network) []Start {
 	}
 	return out
 }
-
-// BFSDistances returns hop distances from the origin device over the
-// topology (ignoring forwarding state); unreachable devices get -1.
-// InternalRouteCheck uses this to derive shortest-path contracts (§7.3).
-func BFSDistances(net *netmodel.Network, origin netmodel.DeviceID) []int {
-	dist := make([]int, len(net.Devices))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[origin] = 0
-	queue := []netmodel.DeviceID{origin}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range net.Neighbors(u) {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}

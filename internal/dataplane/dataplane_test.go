@@ -397,32 +397,6 @@ func TestEdgeStarts(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	ex, err := topogen.BuildExample(topogen.ExampleOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := BFSDistances(ex.Net, ex.Leaves[0])
-	if d[ex.Leaves[0]] != 0 {
-		t.Error("origin distance != 0")
-	}
-	for _, s := range ex.Spines {
-		if d[s] != 1 {
-			t.Errorf("spine dist = %d, want 1", d[s])
-		}
-	}
-	for _, b := range ex.Borders {
-		if d[b] != 2 {
-			t.Errorf("border dist = %d, want 2", d[b])
-		}
-	}
-	for _, l := range ex.Leaves[1:] {
-		if d[l] != 2 {
-			t.Errorf("other leaf dist = %d, want 2", d[l])
-		}
-	}
-}
-
 func TestReachLoopGuard(t *testing.T) {
 	// Two devices defaulting to each other: symbolic reach terminates
 	// because arrival sets saturate.

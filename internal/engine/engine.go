@@ -119,11 +119,16 @@ func (e *Engine) Fingerprint() string {
 // bdd.Guard and the space's counter movement settled onto the span. It
 // returns an error when the budget tripped — also inside a test the suite
 // runner isolated, where the poisoned manager is the evidence — or the
-// context ended; the context is checked again afterwards because the
-// space polls it only every 1024 operations.
+// context ended. The space polls the context only every 1024 operations,
+// so a context that has already ended is refused before anything runs (a
+// short stage would finish under it unseen) and one that ends meanwhile
+// is checked again afterwards.
 func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Context, sp *obs.Span)) error {
 	if e.net == nil {
 		return ErrNoNetwork
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	sp := obs.SpanFromContext(ctx)
 	if name != "" {

@@ -9,6 +9,7 @@ import (
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/core"
+	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
 	"yardstick/internal/faults"
 	"yardstick/internal/netmodel"
@@ -587,5 +588,82 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	if again.Trace().Stats() != before {
 		t.Error("a refused snapshot changed the trace")
+	}
+}
+
+// TestCancelledContextRunsNothing: the space polls a watched context only
+// every 1024 charged ops, so on a network this small a stage would finish
+// unseen under a context that had already ended. Every door refuses it
+// before doing anything: the trace, the fingerprint and the generation
+// stay as they were, and View does not call its fold.
+func TestCancelledContextRunsNothing(t *testing.T) {
+	ex, err := topogen.BuildExample(topogen.ExampleOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := suiteOf(t, "default,internal")
+	other := New(ex.Net.Clone(), Config{})
+	if _, err := other.Run(bg, "", suite, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	frag, err := other.EncodeFragment(bg, other.Trace(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := ex.Net.Devices[ex.Leaves[0]]
+	doc := delta.Document{Ops: []delta.Op{{Op: delta.OpRemove, Rule: leaf.FIB[len(leaf.FIB)-1]}}}
+
+	e := New(ex.Net, Config{})
+	e.Trace().MarkPacket(dataplane.Injected(leaf.ID), e.Net().Space.Full())
+	before := core.NewTrace()
+	before.Merge(e.Trace())
+	fp, gen := e.Fingerprint(), e.Net().Generation()
+	folded := false
+	for name, call := range map[string]func(context.Context) error{
+		"run":   func(ctx context.Context) error { _, err := e.Run(ctx, "", suite, 1, nil); return err },
+		"merge": func(ctx context.Context) error { _, err := e.Merge(ctx, frag); return err },
+		"patch": func(ctx context.Context) error { _, err := e.Patch(ctx, doc); return err },
+		"view":  func(ctx context.Context) error { return e.View(ctx, "", func(*core.Coverage) { folded = true }) },
+	} {
+		if err := call(cancelled()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if !e.Trace().Equal(before) || e.Fingerprint() != fp || e.Net().Generation() != gen {
+			t.Errorf("%s under a cancelled context changed the trace or the network", name)
+		}
+	}
+	if folded {
+		t.Error("View ran its fold under a cancelled context")
+	}
+	// The same calls under a live context do their work.
+	if _, err := e.Merge(bg, frag); err != nil || e.Trace().Equal(before) {
+		t.Errorf("merge under a live context: err = %v, trace moved = %v", err, !e.Trace().Equal(before))
+	}
+	if _, err := e.Patch(bg, doc); err != nil || e.Net().Generation() == gen {
+		t.Errorf("patch under a live context: err = %v, generation %d → %d", err, gen, e.Net().Generation())
+	}
+}
+
+// TestCoverageStageOps pins the BDD work of a cold coverage read of the
+// k=6 fat-tree after the seven-suite run: the devices' marked unions,
+// then one walk per rule, and an intersection only for a rule whose
+// destination prefix the marks cover in part. Intersecting every rule
+// cost 60,620 ops here. The count repeats exactly for a sequential run.
+func TestCoverageStageOps(t *testing.T) {
+	ft, err := topogen.BuildFatTree(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(ft.Net, Config{})
+	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,contract,reach,pingmesh"), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	ops := e.Net().Space.EngineStats().Ops
+	if _, err := e.Table(bg, "coverage", e.Net().Roles(), "TOTAL"); err != nil {
+		t.Fatal(err)
+	}
+	const want = 4194
+	if got := e.Net().Space.EngineStats().Ops - ops; got != want {
+		t.Errorf("coverage stage charged %d ops, want %d", got, want)
 	}
 }

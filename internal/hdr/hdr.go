@@ -260,21 +260,22 @@ func (a Set) FractionOf(b Set) float64 {
 	return a.sp.m.SatFractionOf(a.n, b.n)
 }
 
-// addrBits converts an address of the space's family to its bits (MSB
-// first).
-func (s *Space) addrBits(a netip.Addr) []byte {
+// addrBytes converts an address of the space's family to its bits, most
+// significant first; an IPv4 address fills the first four bytes. The
+// array is a value, so a caller's slice of it stays on its stack.
+func (s *Space) addrBytes(a netip.Addr) (b [16]byte) {
 	if s.family == V4 {
 		if !a.Is4() {
 			panic(fmt.Sprintf("hdr: address %v is not IPv4 (space family %v)", a, s.family))
 		}
-		b := a.As4()
-		return b[:]
+		v4 := a.As4()
+		copy(b[:], v4[:])
+		return b
 	}
 	if !a.Is6() || a.Is4() {
 		panic(fmt.Sprintf("hdr: address %v is not IPv6 (space family %v)", a, s.family))
 	}
-	b := a.As16()
-	return b[:]
+	return a.As16()
 }
 
 // maxBits is the widest header any family has (IPv6).
@@ -315,22 +316,42 @@ func (s *Space) valueEq(off, width int, v uint64) Set {
 
 // DstPrefix returns the set of headers whose destination IP lies in p.
 func (s *Space) DstPrefix(p netip.Prefix) Set {
-	return s.bytesEq(s.dstOff, p.Bits(), s.addrBits(p.Masked().Addr()))
+	b := s.addrBytes(p.Masked().Addr())
+	return s.bytesEq(s.dstOff, p.Bits(), b[:])
 }
 
 // SrcPrefix returns the set of headers whose source IP lies in p.
 func (s *Space) SrcPrefix(p netip.Prefix) Set {
-	return s.bytesEq(s.srcOff, p.Bits(), s.addrBits(p.Masked().Addr()))
+	b := s.addrBytes(p.Masked().Addr())
+	return s.bytesEq(s.srcOff, p.Bits(), b[:])
 }
 
 // DstIP returns the set of headers destined exactly to a.
 func (s *Space) DstIP(a netip.Addr) Set {
-	return s.bytesEq(s.dstOff, s.ipBits, s.addrBits(a))
+	b := s.addrBytes(a)
+	return s.bytesEq(s.dstOff, s.ipBits, b[:])
 }
 
 // SrcIP returns the set of headers sourced exactly from a.
 func (s *Space) SrcIP(a netip.Addr) Set {
-	return s.bytesEq(s.srcOff, s.ipBits, s.addrBits(a))
+	b := s.addrBytes(a)
+	return s.bytesEq(s.srcOff, s.ipBits, b[:])
+}
+
+// RestrictDstPrefix returns a with the destination bits that p fixes set
+// to p's: the headers h for which h, its destination moved into p, lies
+// in a. It is empty exactly when a misses DstPrefix(p) and full exactly
+// when a contains it. The destination sits at the top of the variable
+// order, so the answer is a node a already reaches, found by a walk down
+// a's diagram from the address bytes: one charged op, no new node, no
+// op-cache traffic. A zero-length or invalid prefix returns a itself.
+func (a Set) RestrictDstPrefix(p netip.Prefix) Set {
+	if !p.IsValid() || p.Bits() == 0 {
+		return a
+	}
+	s := a.sp
+	b := s.addrBytes(p.Addr())
+	return Set{s, s.m.Restrict(a.n, s.dstOff, p.Bits(), b[:])}
 }
 
 // Proto returns the set of headers with the given IP protocol.
@@ -454,8 +475,9 @@ func (s *Space) packetAssign(p Packet) []bool {
 }
 
 func (s *Space) fillAssign(assign []bool, p Packet) {
-	putBytes(assign[s.dstOff:s.dstOff+s.ipBits], s.addrBits(p.Dst))
-	putBytes(assign[s.srcOff:s.srcOff+s.ipBits], s.addrBits(p.Src))
+	dst, src := s.addrBytes(p.Dst), s.addrBytes(p.Src)
+	putBytes(assign[s.dstOff:s.dstOff+s.ipBits], dst[:])
+	putBytes(assign[s.srcOff:s.srcOff+s.ipBits], src[:])
 	putValue(assign[s.protoOff:s.protoOff+ProtoBits], uint64(p.Proto))
 	putValue(assign[s.dstPortOff:s.dstPortOff+DstPortBits], uint64(p.DstPort))
 	putValue(assign[s.srcPortOff:s.srcPortOff+SrcPortBits], uint64(p.SrcPort))

@@ -325,3 +325,66 @@ func TestFromCubesErrors(t *testing.T) {
 		t.Error("invalid characters should error")
 	}
 }
+
+// TestRestrictDstPrefix: the walk along a destination prefix is full
+// exactly when the set contains the prefix and empty exactly when it misses
+// it, and agrees with the set inside the prefix, in both families, at /0,
+// at full length and for an invalid prefix (the set itself). One walk is
+// one charged op.
+func TestRestrictDstPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		space    *Space
+		pieces   []string // the sets are unions of these, some narrowed by port
+		prefixes []string
+	}{
+		{NewSpace(),
+			[]string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.3/32", "192.168.0.0/31", "0.0.0.0/1"},
+			[]string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.3.0/24", "10.1.2.3/32", "10.1.2.4/32", "192.168.0.1/32", "192.168.0.0/30", "128.0.0.0/1", "11.0.0.0/8"}},
+		{NewSpaceV6(),
+			[]string{"2001:db8::/32", "2001:db8:1::/48", "fd00::/8", "fd00::1/128", "::/1"},
+			[]string{"::/0", "2001:db8::/32", "2001:db8:1::/48", "2001:db8:2::/48", "fd00::1/128", "fd00::2/128", "fe80::/10", "8000::/1"}},
+	} {
+		s := tc.space
+		rng := rand.New(rand.NewSource(int64(s.Family()) + 21))
+		sets := []Set{s.Empty(), s.Full(), s.DstPort(80)}
+		for i := 0; i < 40; i++ {
+			a := s.Empty()
+			for _, p := range tc.pieces {
+				if rng.Intn(3) == 0 {
+					piece := s.DstPrefix(mustPrefix(t, p))
+					if rng.Intn(3) == 0 {
+						piece = piece.Intersect(s.DstPortRange(1000, 2000))
+					}
+					a = a.Union(piece)
+				}
+			}
+			sets = append(sets, a)
+		}
+		for _, a := range sets {
+			for _, ps := range tc.prefixes {
+				p := mustPrefix(t, ps)
+				in := s.DstPrefix(p)
+				ops := s.EngineStats().Ops
+				c := a.RestrictDstPrefix(p)
+				if got := s.EngineStats().Ops - ops; got != 1 && p.Bits() > 0 {
+					t.Errorf("%v: the walk charged %d ops, want 1", p, got)
+				}
+				if c.IsFull() != a.Contains(in) || c.IsEmpty() == a.Overlaps(in) {
+					t.Fatalf("%v in %v: full=%v empty=%v, but Contains=%v Overlaps=%v", p, s.Family(), c.IsFull(), c.IsEmpty(), a.Contains(in), a.Overlaps(in))
+				}
+				if !c.Intersect(in).Equal(a.Intersect(in)) {
+					t.Fatalf("%v in %v: the restriction disagrees with the set inside the prefix", p, s.Family())
+				}
+			}
+			if !a.RestrictDstPrefix(netip.Prefix{}).Equal(a) {
+				t.Error("an invalid prefix changed the set")
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an IPv6 prefix walked an IPv4 set")
+		}
+	}()
+	NewSpace().Full().RestrictDstPrefix(netip.MustParsePrefix("2001:db8::/32"))
+}

@@ -52,28 +52,9 @@ func (t WideAreaRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Res
 		}
 	}
 
-	// Multi-source BFS from the WAN-peering devices.
-	dist := make([]int, len(net.Devices))
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []netmodel.DeviceID
-	origin := make(map[netmodel.DeviceID]bool)
-	for _, d := range t.WANDevices {
-		dist[d] = 0
-		origin[d] = true
-		queue = append(queue, d)
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range net.Neighbors(u) {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
+	// Multi-source BFS from the WAN-peering devices (distance 0).
+	paths := newShortestPaths(net)
+	dist := paths.from(t.WANDevices...)
 
 	// The union of all WAN prefixes, marked per exercised device.
 	pkts := net.Space.Empty()
@@ -81,16 +62,12 @@ func (t WideAreaRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Res
 		pkts = pkts.Union(net.Space.DstPrefix(p))
 	}
 
+	var hops []netmodel.DeviceID
 	for _, d := range net.Devices {
-		if origin[d.ID] || dist[d.ID] <= 0 || !eligible(d) {
+		if dist[d.ID] <= 0 || !eligible(d) {
 			continue
 		}
-		var want []netmodel.DeviceID
-		for _, nb := range net.Neighbors(d.ID) {
-			if dist[nb] == dist[d.ID]-1 {
-				want = append(want, nb)
-			}
-		}
+		want := paths.closer(d.ID)
 		tracker.MarkPacket(dataplane.Injected(d.ID), pkts)
 		for _, p := range t.Prefixes {
 			res.Checks++
@@ -103,9 +80,9 @@ func (t WideAreaRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Res
 				res.failf(d.ID, "wide-area route %v does not forward", p)
 				continue
 			}
-			got := outDevices(net, rule.Action)
-			if !sameDeviceSet(got, want) {
-				res.failf(d.ID, "wide-area route %v uses next hops %s, want shortest paths toward the WAN", p, devSetString(got))
+			hops = nextHops(net, rule.Action, hops)
+			if !sameDevices(hops, want) {
+				res.failf(d.ID, "wide-area route %v uses next hops %v, want shortest paths toward the WAN", p, hops)
 			}
 		}
 	}

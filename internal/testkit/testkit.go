@@ -20,7 +20,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"yardstick/internal/core"
@@ -167,40 +167,93 @@ func findFIBRule(net *netmodel.Network, dev netmodel.DeviceID, p netip.Prefix) *
 	return r
 }
 
-// outDevices resolves a forward action's out-interfaces to the set of
-// neighbor devices (external interfaces map to -1).
-func outDevices(net *netmodel.Network, act netmodel.Action) map[netmodel.DeviceID]bool {
-	out := make(map[netmodel.DeviceID]bool)
+// nextHops resolves a forward action's out-interfaces to the neighbor
+// devices they lead to, -1 for an external interface, sorted and without
+// repeats, in buf's storage: the next-hop tests compare it against the
+// devices they expect and print it in a failure.
+func nextHops(net *netmodel.Network, act netmodel.Action, buf []netmodel.DeviceID) []netmodel.DeviceID {
+	buf = buf[:0]
 	for _, ifid := range act.OutIfaces {
-		ifc := net.Iface(ifid)
-		if ifc.Peer == netmodel.NoIface {
-			out[-1] = true
-		} else {
-			out[net.Iface(ifc.Peer).Device] = true
+		d := netmodel.DeviceID(-1)
+		if peer := net.Iface(ifid).Peer; peer != netmodel.NoIface {
+			d = net.Iface(peer).Device
 		}
+		buf = append(buf, d)
 	}
-	return out
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
-func sameDeviceSet(a map[netmodel.DeviceID]bool, b []netmodel.DeviceID) bool {
-	if len(a) != len(b) {
+// sameDevices reports whether hops (sorted, without repeats) are exactly
+// the devices of want.
+func sameDevices(hops, want []netmodel.DeviceID) bool {
+	if len(hops) != len(want) {
 		return false
 	}
-	for _, d := range b {
-		if !a[d] {
+	for _, d := range want {
+		if _, ok := slices.BinarySearch(hops, d); !ok {
 			return false
 		}
 	}
 	return true
 }
 
-func devSetString(m map[netmodel.DeviceID]bool) string {
-	ids := make([]int, 0, len(m))
-	for d := range m {
-		ids = append(ids, int(d))
+// shortestPaths answers the shortest-path contracts' topology questions
+// over the adjacency it derives once, in buffers a test run reuses for
+// every origin and device.
+type shortestPaths struct {
+	adj   [][]netmodel.DeviceID // Neighbors, by DeviceID
+	dist  []int
+	queue []netmodel.DeviceID
+	want  []netmodel.DeviceID
+}
+
+func newShortestPaths(net *netmodel.Network) *shortestPaths {
+	sp := &shortestPaths{adj: make([][]netmodel.DeviceID, len(net.Devices)), dist: make([]int, len(net.Devices))}
+	for i := range sp.adj {
+		sp.adj[i] = net.Neighbors(netmodel.DeviceID(i))
 	}
-	sort.Ints(ids)
-	return fmt.Sprint(ids)
+	return sp
+}
+
+// from returns every device's hop distance to the nearest origin over the
+// topology (ignoring forwarding state), -1 where none is reachable. The
+// slice is overwritten by the next call.
+func (sp *shortestPaths) from(origins ...netmodel.DeviceID) []int {
+	for i := range sp.dist {
+		sp.dist[i] = -1
+	}
+	q := sp.queue[:0]
+	for _, o := range origins {
+		if sp.dist[o] != 0 {
+			sp.dist[o] = 0
+			q = append(q, o)
+		}
+	}
+	for i := 0; i < len(q); i++ {
+		u := q[i]
+		for _, v := range sp.adj[u] {
+			if sp.dist[v] == -1 {
+				sp.dist[v] = sp.dist[u] + 1
+				q = append(q, v)
+			}
+		}
+	}
+	sp.queue = q
+	return sp.dist
+}
+
+// closer returns d's neighbors one hop nearer the origins of the last
+// from: the next hops of every shortest path, in adjacency order. The
+// slice is overwritten by the next call.
+func (sp *shortestPaths) closer(d netmodel.DeviceID) []netmodel.DeviceID {
+	sp.want = sp.want[:0]
+	for _, nb := range sp.adj[d] {
+		if sp.dist[nb] == sp.dist[d]-1 {
+			sp.want = append(sp.want, nb)
+		}
+	}
+	return sp.want
 }
 
 // defaultRoutePrefix returns the family's default route (0.0.0.0/0 or
@@ -238,13 +291,14 @@ func (DefaultRouteCheck) Kind() Kind { return StateInspection }
 // Run implements Test.
 func (t DefaultRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
+	var north, hops []netmodel.DeviceID
 	for _, d := range net.Devices {
 		if t.Exclude != nil && t.Exclude(d) {
 			continue
 		}
 		// Expected next hops: all strictly-northern neighbors; an
 		// external uplink (WAN edge) also qualifies.
-		var north []netmodel.DeviceID
+		north = north[:0]
 		hasUplink := false
 		for _, ifid := range d.Ifaces {
 			ifc := net.Iface(ifid)
@@ -274,13 +328,16 @@ func (t DefaultRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Resu
 			res.failf(d.ID, "default route does not forward (null-routed?)")
 			continue
 		}
-		got := outDevices(net, rule.Action)
-		if hasUplink && got[-1] && len(got) == 1 {
-			continue // forwards out the uplink: correct for a WAN device
+		hops = nextHops(net, rule.Action, hops)
+		got := hops
+		if len(got) > 0 && got[0] == -1 {
+			if hasUplink && len(got) == 1 {
+				continue // forwards out the uplink: correct for a WAN device
+			}
+			got = got[1:]
 		}
-		delete(got, -1)
-		if !sameDeviceSet(got, north) {
-			res.failf(d.ID, "default next hops %s != northbound neighbors", devSetString(got))
+		if !sameDevices(got, north) {
+			res.failf(d.ID, "default next hops %v != northbound neighbors", got)
 		}
 	}
 	return res
@@ -337,6 +394,8 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 	// folded into one markPacket per device at the end. An origin's
 	// prefix sets are derived once, not once per device that checks them.
 	marked := make([][]hdr.Set, len(net.Devices))
+	paths := newShortestPaths(net)
+	var hops []netmodel.DeviceID
 
 	for _, origin := range origins {
 		prefs := prefixes(net.Device(origin))
@@ -347,7 +406,7 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 		for i, p := range prefs {
 			sets[i] = net.Space.DstPrefix(p)
 		}
-		dist := dataplane.BFSDistances(net, origin)
+		dist := paths.from(origin)
 		for _, d := range net.Devices {
 			if d.ID == origin || dist[d.ID] <= 0 {
 				continue
@@ -356,12 +415,7 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 				continue
 			}
 			// Expected: ECMP across all neighbors one hop closer.
-			var want []netmodel.DeviceID
-			for _, nb := range net.Neighbors(d.ID) {
-				if dist[nb] == dist[d.ID]-1 {
-					want = append(want, nb)
-				}
-			}
+			want := paths.closer(d.ID)
 			marked[d.ID] = append(marked[d.ID], sets...)
 			for _, p := range prefs {
 				res.Checks++
@@ -374,9 +428,9 @@ func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
 					res.failf(d.ID, "route for %v does not forward", p)
 					continue
 				}
-				got := outDevices(net, rule.Action)
-				if !sameDeviceSet(got, want) {
-					res.failf(d.ID, "route for %v uses next hops %s, want full shortest-path set", p, devSetString(got))
+				hops = nextHops(net, rule.Action, hops)
+				if !sameDevices(hops, want) {
+					res.failf(d.ID, "route for %v uses next hops %v, want full shortest-path set", p, hops)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -459,5 +460,107 @@ func TestReachabilityTestFailurePaths(t *testing.T) {
 	}.Run(n, core.NewTrace())
 	if res.Pass() {
 		t.Error("wrong egress expectation should fail")
+	}
+}
+
+func TestShortestPaths(t *testing.T) {
+	ex, err := topogen.BuildExample(topogen.ExampleOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := newShortestPaths(ex.Net)
+	for round := 0; round < 2; round++ { // the buffers are reused
+		d := paths.from(ex.Leaves[0])
+		if d[ex.Leaves[0]] != 0 {
+			t.Error("origin distance != 0")
+		}
+		for _, s := range ex.Spines {
+			if d[s] != 1 {
+				t.Errorf("spine dist = %d, want 1", d[s])
+			}
+		}
+		for _, b := range ex.Borders {
+			if d[b] != 2 {
+				t.Errorf("border dist = %d, want 2", d[b])
+			}
+		}
+		for _, l := range ex.Leaves[1:] {
+			if d[l] != 2 {
+				t.Errorf("other leaf dist = %d, want 2", d[l])
+			}
+		}
+		if got := paths.closer(ex.Leaves[1]); fmt.Sprint(got) != fmt.Sprint(ex.Spines) {
+			t.Errorf("next hops of another leaf = %v, want the spines %v", got, ex.Spines)
+		}
+		// Two origins: every spine is one hop from the nearest leaf.
+		d = paths.from(ex.Leaves[0], ex.Borders[0])
+		for _, s := range ex.Spines {
+			if d[s] != 1 {
+				t.Errorf("spine dist from leaf and border = %d, want 1", d[s])
+			}
+		}
+	}
+}
+
+// TestNextHopFailureText pins what the next-hop tests print on a faulted
+// fat-tree: a removed route, a null-routed one and one forwarding out a
+// single wrong interface, for the shortest-path contracts and for
+// DefaultRouteCheck.
+func TestNextHopFailureText(t *testing.T) {
+	ft, err := topogen.BuildFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ft.Net
+	agg, tor := ft.Aggs[0], ft.ToRs[len(ft.ToRs)-1]
+	prefix := func(i int) netip.Prefix { return ft.HostPrefix[ft.ToRs[i]] }
+	rule := func(dev netmodel.DeviceID, p netip.Prefix) *netmodel.Rule {
+		t.Helper()
+		r, ok := net.FIBRuleFor(dev, p)
+		if !ok {
+			t.Fatalf("%s has no route for %v", net.Device(dev).Name, p)
+		}
+		return r
+	}
+	// An interface of dev toward a device of the given role.
+	ifaceTo := func(dev netmodel.DeviceID, role netmodel.Role) (netmodel.IfaceID, netmodel.DeviceID) {
+		for _, ifid := range net.Device(dev).Ifaces {
+			if peer := net.Iface(ifid).Peer; peer != netmodel.NoIface && net.Device(net.Iface(peer).Device).Role == role {
+				return ifid, net.Iface(peer).Device
+			}
+		}
+		t.Fatalf("%s has no %v neighbor", net.Device(dev).Name, role)
+		return 0, 0
+	}
+
+	mut := net.BeginMutation()
+	if err := mut.Remove(rule(agg, prefix(len(ft.ToRs)-1)).ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mut.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	net.SetAction(rule(agg, prefix(0)).ID, netmodel.Action{Kind: netmodel.ActDrop})
+	up, core0 := ifaceTo(agg, netmodel.RoleCore)
+	net.SetAction(rule(agg, prefix(1)).ID, netmodel.Action{Kind: netmodel.ActForward, OutIfaces: []netmodel.IfaceID{up}})
+	up, agg0 := ifaceTo(tor, netmodel.RoleAgg)
+	net.SetAction(rule(tor, defaultRoutePrefix(net)).ID, netmodel.Action{Kind: netmodel.ActForward, OutIfaces: []netmodel.IfaceID{up}})
+
+	want := []Failure{
+		{agg, fmt.Sprintf("route for %v does not forward", prefix(0))},
+		{agg, fmt.Sprintf("route for %v uses next hops [%d], want full shortest-path set", prefix(1), core0)},
+		{agg, fmt.Sprintf("no route for %v", prefix(len(ft.ToRs)-1))},
+	}
+	if got := (ToRContract{}).Run(net, core.Nop{}).Failures; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ToRContract failures:\n%v\nwant:\n%v", got, want)
+	}
+	want = []Failure{{tor, fmt.Sprintf("default next hops [%d] != northbound neighbors", agg0)}}
+	if got := (DefaultRouteCheck{}).Run(net, core.Nop{}).Failures; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("DefaultRouteCheck failures:\n%v\nwant:\n%v", got, want)
+	}
+	net.SetAction(rule(tor, defaultRoutePrefix(net)).ID, netmodel.Action{Kind: netmodel.ActDrop})
+	want = []Failure{{tor, "default route does not forward (null-routed?)"}}
+	if got := (DefaultRouteCheck{}).Run(net, core.Nop{}).Failures; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("DefaultRouteCheck failures:\n%v\nwant:\n%v", got, want)
 	}
 }
