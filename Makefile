@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race layering examples profile loadproof metricssmoke clustersmoke churnsmoke fuzz-smoke loc ci
+.PHONY: all vet build test race layering examples profile loadproof metricssmoke clustersmoke fuzz-smoke loc ci
 
 all: ci
 
@@ -173,31 +173,14 @@ clustersmoke:
 	echo "cluster == single-node: exact (1 worker SIGKILLed mid-run; fleet /metrics lint-clean)"; \
 	rm -f baseline.out baseline.cov cluster.out cluster.cov w2.log
 
-# Prove incremental coverage stays exact under churn: boot a daemon,
-# replay a seeded 50-event BGP flap schedule against it via PATCH
-# /network in lockstep with a local twin (the base-fingerprint
-# precondition catches divergence on the spot), then require the
-# daemon's accumulated trace to equal the local one exactly, the final
-# coverage table to byte-match a from-scratch rebuild of the churned
-# network, and the daemon's GET /gaps (read from its maintained coverage
-# view) to byte-match the rebuild's gap report — incremental evaluation
-# must never drift from ground truth. The CI churn-smoke job runs this
-# target.
-churnsmoke:
-	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
-	$(GO) build -o /tmp/churn ./cmd/churn
-	set -e; \
-	/tmp/yardstickd -listen 127.0.0.1:18084 & DPID=$$!; \
-	trap "kill $$DPID 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18084/healthz > /dev/null && break; sleep 0.2; done; \
-	/tmp/churn -addr http://127.0.0.1:18084 -events 50 -seed 1 -check
-
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), eleven in all: the coverage view against its from-scratch oracle,
-# the append network encoder against the struct-based reference, an
-# accepted delta document against a rebuild (and a rejected one against
-# an untouched network), the forwarding index against the rule-by-rule
+# run), twelve in all: the differential matrix's in-process engine
+# configurations against the sequential reference (internal/difftest),
+# the coverage view against its from-scratch oracle, the append network
+# encoder against the struct-based reference, an accepted delta document
+# against a rebuild (and a rejected one against an untouched network),
+# the forwarding index against the rule-by-rule
 # flood, the first-match traceroute and the ordered match-set walk on
 # seeded random tables, the BDD restriction walk against the conjunction
 # with a literal chain, and the decoders that read bytes from disk or a
@@ -205,6 +188,7 @@ churnsmoke:
 # network text, span profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
+	./internal/difftest:FuzzMatrix \
 	./internal/delta:FuzzViewEquivalence \
 	./internal/delta:FuzzDeltaEquivalence \
 	./internal/netmodel:FuzzEncodeJSONNames \
