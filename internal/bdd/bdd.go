@@ -275,6 +275,21 @@ func (m *Manager) Literals(first int, vals []bool) Node {
 	return n
 }
 
+// MakeNode returns the node that tests variable v and takes low when it
+// is 0 and high when it is 1. Both branches must test only variables
+// below v, so a walk that builds a diagram bottom-up calls it once per
+// node, straight into the unique table: no apply step runs and the op
+// cache is not consulted. Each call is charged as one op, so MaxOps and
+// a watched context still see the work. A branch testing v or a
+// variable above it panics.
+func (m *Manager) MakeNode(v int, low, high Node) Node {
+	if v < 0 || v >= m.numVars || m.level(low) <= uint32(v) || m.level(high) <= uint32(v) {
+		panic(fmt.Sprintf("bdd: node on variable %d over branches at levels %d and %d", v, m.level(low), m.level(high)))
+	}
+	m.chargeOp()
+	return m.mk(uint32(v), low, high)
+}
+
 // Restrict returns the cofactor of a with variable first+i fixed to bit i
 // of bits for every i < width, bits read most significant first (bit 0 is
 // the top bit of bits[0]): the prefix Literals would build, applied as an

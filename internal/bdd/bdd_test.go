@@ -376,6 +376,43 @@ func TestLiterals(t *testing.T) {
 	New(4).Literals(2, make([]bool, 3))
 }
 
+// TestMakeNode: a node built bottom-up is the Ite of its variable over
+// its branches, a redundant test collapses, every call charges one op,
+// and a branch that does not lie below the variable panics.
+func TestMakeNode(t *testing.T) {
+	m := New(8)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		v := rng.Intn(7)
+		low, high := randomNodeFrom(m, rng, v+1, 4), randomNodeFrom(m, rng, v+1, 4)
+		ops := m.Stats().Ops
+		got := m.MakeNode(v, low, high)
+		if m.Stats().Ops != ops+1 {
+			t.Fatalf("trial %d: MakeNode charged %d ops, want 1", trial, m.Stats().Ops-ops)
+		}
+		if want := m.Ite(m.Var(v), high, low); got != want {
+			t.Fatalf("trial %d: MakeNode(%d, …) != Ite(x%d, high, low)", trial, v, v)
+		}
+	}
+	x := m.Var(5)
+	if m.MakeNode(2, x, x) != x {
+		t.Error("a node with equal branches did not collapse")
+	}
+	for _, tc := range []struct {
+		v         int
+		low, high Node
+	}{{5, x, True}, {6, False, x}, {8, False, True}, {-1, False, True}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MakeNode(%d, %d, %d) did not panic", tc.v, tc.low, tc.high)
+				}
+			}()
+			m.MakeNode(tc.v, tc.low, tc.high)
+		}()
+	}
+}
+
 // TestRestrict: the walk is the cofactor. On every assignment, the
 // restriction of a random function over the variables from first on
 // evaluates as the function does with the restricted variables forced to

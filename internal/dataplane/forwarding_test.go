@@ -14,7 +14,8 @@ import (
 
 // The forwarding index against its oracles: match sets against the
 // ordered claimed-union walk (re-derived here from the match fields),
-// Reach against the rule-by-rule flood, Traceroute against the
+// action classes against the fold of their members' match sets, Reach
+// against the rule-by-rule flood, Traceroute against the
 // first-match walk — on every topogen family, the ACL'd regional, and
 // seeded random tables, then again after a Mutation.Commit and on a
 // Clone.
@@ -34,6 +35,42 @@ func checkMatchSets(t testing.TB, name string, net *netmodel.Network) {
 				}
 				claimed = claimed.Union(raw)
 			}
+		}
+	}
+}
+
+// checkClasses folds every device's FIB match sets by action and holds
+// the classes (the walk, on a destination-only FIB) and Routed to them.
+func checkClasses(t testing.TB, name string, net *netmodel.Network) {
+	t.Helper()
+	for _, d := range net.Devices {
+		var keys []string
+		fold := map[string]hdr.Set{}
+		routed := net.Space.Empty()
+		for _, id := range d.FIB {
+			r := net.Rule(id)
+			k := fmt.Sprint(r.Action.Kind, r.Action.OutIfaces)
+			if tr := r.Action.Transform; tr != nil {
+				k += fmt.Sprint(*tr)
+			}
+			if _, ok := fold[k]; !ok {
+				keys = append(keys, k)
+				fold[k] = net.Space.Empty()
+			}
+			fold[k] = fold[k].Union(r.MatchSet())
+			routed = routed.Union(r.MatchSet())
+		}
+		fw := net.Forwarding(d.ID)
+		if len(fw.Classes) != len(keys) {
+			t.Fatalf("%s: %s has %d classes, %d actions", name, d.Name, len(fw.Classes), len(keys))
+		}
+		for i, k := range keys {
+			if !fw.Classes[i].Match.Equal(fold[k]) {
+				t.Fatalf("%s: %s class %d (%s) differs from the fold of its members", name, d.Name, i, k)
+			}
+		}
+		if !fw.Routed.Equal(routed) {
+			t.Fatalf("%s: %s Routed differs from the fold of the FIB", name, d.Name)
 		}
 	}
 }
@@ -115,11 +152,12 @@ func lastAddr(p netip.Prefix) netip.Addr {
 	return a
 }
 
-// checkAll runs the three comparisons; floods start at every step-th
+// checkAll runs the comparisons; floods start at every step-th
 // device, with the full header space.
 func checkAll(t testing.TB, name string, net *netmodel.Network, seed int64, step int) {
 	t.Helper()
 	checkMatchSets(t, name, net)
+	checkClasses(t, name, net)
 	var starts []netmodel.DeviceID
 	for i := 0; i < len(net.Devices); i += step {
 		starts = append(starts, netmodel.DeviceID(i))

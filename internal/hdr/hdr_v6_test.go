@@ -87,6 +87,9 @@ func TestV6DstPrefixes(t *testing.T) {
 		netip.MustParsePrefix("2001:db8:9::/48"),
 	}
 	set := s.FromDstPrefixes(in)
+	if !set.Equal(fromDstPrefixesOr(s, in)) {
+		t.Fatal("FromDstPrefixes differs from the Or loop")
+	}
 	got, complete := set.DstPrefixes(0)
 	if !complete {
 		t.Fatal("incomplete")

@@ -2,6 +2,7 @@ package hdr
 
 import (
 	"net/netip"
+	"slices"
 
 	"yardstick/internal/bdd"
 )
@@ -89,11 +90,19 @@ func cubeToPrefixes(cube []byte, f Family) []netip.Prefix {
 }
 
 // FromDstPrefixes builds the union of destination-prefix sets — the
-// inverse of DstPrefixes for destination-only sets.
+// inverse of DstPrefixes for destination-only sets — by one LongestMatch
+// walk over the masked, sorted, distinct prefixes with every one flagged.
 func (s *Space) FromDstPrefixes(prefixes []netip.Prefix) Set {
-	n := bdd.False
-	for _, p := range prefixes {
-		n = s.m.Or(n, s.DstPrefix(p).n)
+	keys := make([]PrefixKey, len(prefixes))
+	for i, p := range prefixes {
+		s.addrBytes(p.Addr()) // panics on the other family
+		keys[i] = KeyOf(p.Masked())
 	}
-	return Set{s, n}
+	slices.SortFunc(keys, PrefixKey.Compare)
+	keys = slices.Compact(keys)
+	flag := make([]bool, len(keys))
+	for i := range flag {
+		flag[i] = true
+	}
+	return s.LongestMatch(keys, flag)
 }

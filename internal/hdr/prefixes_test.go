@@ -4,7 +4,19 @@ import (
 	"math/rand"
 	"net/netip"
 	"testing"
+
+	"yardstick/internal/bdd"
 )
+
+// fromDstPrefixesOr is FromDstPrefixes as it was before the
+// LongestMatch walk, an Or loop: its oracle.
+func fromDstPrefixesOr(s *Space, prefixes []netip.Prefix) Set {
+	n := bdd.False
+	for _, p := range prefixes {
+		n = s.m.Or(n, s.DstPrefix(p).n)
+	}
+	return Set{s, n}
+}
 
 func TestDstPrefixesSimple(t *testing.T) {
 	s := NewSpace()
@@ -102,6 +114,9 @@ func TestDstPrefixesRoundTripRandom(t *testing.T) {
 			in = append(in, netip.PrefixFrom(addr, bits).Masked())
 		}
 		set := s.FromDstPrefixes(in)
+		if !set.Equal(fromDstPrefixesOr(s, in)) {
+			t.Fatalf("trial %d: FromDstPrefixes(%v) differs from the Or loop", trial, in)
+		}
 		got, complete := set.DstPrefixes(0)
 		if !complete {
 			t.Fatalf("trial %d incomplete", trial)

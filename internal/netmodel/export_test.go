@@ -116,6 +116,18 @@ func (n *Network) OrderedFIBMatchSets(dev DeviceID) []hdr.Set {
 	return out
 }
 
+// FoldedForwarding builds dev's action classes the way a FIB that is
+// not destination-only does, by folding the members' match sets
+// (foldClasses), whatever the table's shape: the oracle for the class
+// walk. Nothing is published.
+func (n *Network) FoldedForwarding(dev DeviceID) *Forwarding {
+	d := n.Devices[dev]
+	f := &Forwarding{}
+	class, _ := n.groupByAction(f, d)
+	n.foldClasses(f, d, class)
+	return f
+}
+
 // DstOnly reports whether dev's FIB takes the longest-prefix lookup.
 func (n *Network) DstOnly(dev DeviceID) bool { return n.index[dev].dstOnly }
 

@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"cmp"
 	"encoding/binary"
 	"net/netip"
 	"slices"
@@ -19,8 +18,10 @@ import (
 // alike: its action classes. Match sets are disjoint, so intersecting
 // the arriving set with a class's union equals the union of the per-rule
 // intersections, and one Intersect per class stands where one per rule
-// stood. Class unions are BDD work, so a device's classes are built on
-// the first flood through it (inside whatever guarded stage is running),
+// stood. Class unions are BDD work — on a destination-only device one
+// walk of its sorted prefixes per class (buildForwarding) — so a
+// device's classes are built on the first flood through it (inside
+// whatever guarded stage is running),
 // published only when complete, dropped by Mutation.Commit for the
 // devices it touched and by SetAction for the rule's device, and carried
 // across Clone by node index.
@@ -64,74 +65,27 @@ type Forwarding struct {
 type devIndex struct {
 	// dstOnly: every FIB rule matches a distinct, valid destination
 	// prefix and no other field. lens then lists the prefix lengths
-	// present (pfxKey lengths), longest first.
+	// present (hdr.PrefixKey lengths), longest first.
 	dstOnly bool
 	lens    []int
 	// byPrefix holds the FIB rules that match a destination prefix in
 	// prefix order (comparePrefixes; a repeated prefix's rules by ID),
 	// and pfx[i] is byPrefix[i]'s masked prefix. For a destination-only
-	// FIB that is every rule, and the order in which it derives.
+	// FIB that is every rule, the order in which it derives, and the list
+	// its class walks read.
 	byPrefix []RuleID
-	pfx      []pfxKey
+	pfx      []hdr.PrefixKey
 	// fwd is nil until the first flood through the device.
 	fwd *Forwarding
 }
 
-// pfxKey is a masked prefix as a plain value the index searches with
-// integer compares: the address as a 128-bit big-endian number (an IPv4
-// address in its IPv6-mapped form) and the length counted from the first
-// of those 128 bits (an IPv4 /24 has bits 120). Within one family its
-// order is comparePrefixes'.
-type pfxKey struct {
-	hi, lo uint64
-	bits   int
-}
-
-// keyOf returns the key of a valid, masked prefix.
-func keyOf(p netip.Prefix) pfxKey {
-	a := p.Addr().As16()
-	k := pfxKey{hi: binary.BigEndian.Uint64(a[:8]), lo: binary.BigEndian.Uint64(a[8:]), bits: p.Bits()}
-	if p.Addr().Is4() {
-		k.bits += 96
-	}
-	return k
-}
-
-func (a pfxKey) compare(b pfxKey) int {
-	switch {
-	case a.hi != b.hi:
-		return cmp.Compare(a.hi, b.hi)
-	case a.lo != b.lo:
-		return cmp.Compare(a.lo, b.lo)
-	}
-	return a.bits - b.bits
-}
-
-// truncate returns the key of the bits-long prefix that contains k.
-func (k pfxKey) truncate(bits int) pfxKey {
-	if bits <= 64 {
-		return pfxKey{hi: k.hi &^ (^uint64(0) >> bits), bits: bits}
-	}
-	return pfxKey{hi: k.hi, lo: k.lo &^ (^uint64(0) >> (bits - 64)), bits: bits}
-}
-
-// contains reports whether prefix c lies inside prefix k.
-func (k pfxKey) contains(c pfxKey) bool {
-	return c.bits >= k.bits && c.truncate(k.bits) == k
-}
-
-// less is compare(b) < 0, in a form the compiler inlines.
-func (a pfxKey) less(b pfxKey) bool {
-	return a.hi < b.hi || a.hi == b.hi && (a.lo < b.lo || a.lo == b.lo && a.bits < b.bits)
-}
-
 // find returns the position of prefix p in the index. It is the binary
 // search of every lookup, written out so the comparison inlines.
-func (ix *devIndex) find(p pfxKey) (int, bool) {
+func (ix *devIndex) find(p hdr.PrefixKey) (int, bool) {
 	lo, hi := 0, len(ix.pfx)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if ix.pfx[m].less(p) {
+		if ix.pfx[m].Less(p) {
 			lo = m + 1
 		} else {
 			hi = m
@@ -160,9 +114,9 @@ func (n *Network) FIBLookup(dev DeviceID, dst netip.Addr) (r *Rule, indexed bool
 	if !n.sameFamily(dst) {
 		return nil, true
 	}
-	host := keyOf(netip.PrefixFrom(dst, dst.BitLen()))
+	host := hdr.KeyOf(netip.PrefixFrom(dst, dst.BitLen()))
 	for _, l := range ix.lens {
-		if i, ok := ix.find(host.truncate(l)); ok {
+		if i, ok := ix.find(host.Truncate(l)); ok {
 			return n.Rules[ix.byPrefix[i]], true
 		}
 	}
@@ -179,12 +133,19 @@ func (n *Network) Forwarding(dev DeviceID) *Forwarding {
 	}
 	ix := &n.index[dev]
 	if ix.fwd == nil {
-		ix.fwd = n.buildForwarding(n.Devices[dev])
+		ix.fwd = n.buildForwarding(n.Devices[dev], ix)
 	}
 	return ix.fwd
 }
 
-func (n *Network) buildForwarding(d *Device) *Forwarding {
+// buildForwarding builds a device's classes. The space is fresh here —
+// nothing has asked for these unions before — so a destination-only FIB
+// builds each class, and Routed, by one LongestMatch walk of the
+// device's sorted prefixes with the class's members flagged: a class is
+// exactly the destinations whose longest matching prefix is a member,
+// and the walk makes its diagram node by node with no apply step. Any
+// other FIB, and an ACL's Permit, fold the members' match sets.
+func (n *Network) buildForwarding(d *Device, ix *devIndex) *Forwarding {
 	f := &Forwarding{HasACL: len(d.ACL) > 0}
 	if f.HasACL {
 		var permit []hdr.Set
@@ -195,11 +156,39 @@ func (n *Network) buildForwarding(d *Device) *Forwarding {
 		}
 		f.Permit = n.Space.UnionAll(permit)
 	}
+	class, byAction := n.groupByAction(f, d)
+	if !ix.dstOnly {
+		n.foldClasses(f, d, class)
+		return f
+	}
 
-	// Classes in order of first appearance; class[i] is the class of
-	// d.FIB[i].
-	class := make([]int, len(d.FIB))
-	byAction := make(map[string]int)
+	at := make([]int, len(ix.byPrefix)) // the class of each prefix
+	var key []byte
+	for k, id := range ix.byPrefix {
+		key = n.Rules[id].Action.appendKey(key[:0])
+		at[k] = byAction[string(key)]
+	}
+	flag := make([]bool, len(at))
+	for c := range f.Classes {
+		for k := range flag {
+			flag[k] = at[k] == c
+		}
+		f.Classes[c].Match = n.Space.LongestMatch(ix.pfx, flag)
+	}
+	for k := range flag {
+		flag[k] = true
+	}
+	f.Routed = n.Space.LongestMatch(ix.pfx, flag)
+	return f
+}
+
+// groupByAction appends d's action classes to f in order of first
+// appearance in the FIB, with their Match unset; class[i] is the class
+// of d.FIB[i], and byAction maps an action's key (appendKey) to its
+// class.
+func (n *Network) groupByAction(f *Forwarding, d *Device) (class []int, byAction map[string]int) {
+	class = make([]int, len(d.FIB))
+	byAction = make(map[string]int)
 	var key []byte
 	for i, id := range d.FIB {
 		r := n.Rules[id]
@@ -212,12 +201,15 @@ func (n *Network) buildForwarding(d *Device) *Forwarding {
 		}
 		class[i] = c
 	}
+	return class, byAction
+}
 
-	// Members join their class in destination-prefix order and each
-	// class folds pairwise: neighbouring prefixes make small unions, and
-	// the same runs of prefixes recur from device to device (everything
-	// behind one uplink, one pod's subnets), so most folds are answered
-	// by the op cache.
+// foldClasses sets each class's Match, and Routed, by folding the
+// members' match sets pairwise (UnionAll), members in destination-prefix
+// order: neighbouring prefixes make small unions, and the same runs of
+// prefixes recur from device to device, so the op cache answers many of
+// the folds. It is right for any FIB.
+func (n *Network) foldClasses(f *Forwarding, d *Device, class []int) {
 	order := make([]int, len(d.FIB))
 	for i := range order {
 		order[i] = i
@@ -240,7 +232,6 @@ func (n *Network) buildForwarding(d *Device) *Forwarding {
 		routed[c] = f.Classes[c].Match
 	}
 	f.Routed = n.Space.UnionAll(routed)
-	return f
 }
 
 // appendKey appends a byte string that is equal for two actions exactly

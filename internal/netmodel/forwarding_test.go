@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -52,6 +53,42 @@ func TestMatchSetsFromChildrenEqualOrderedWalk(t *testing.T) {
 				if r := n.Rule(d.FIB[i]); !r.MatchSet().Equal(want) {
 					t.Fatalf("%s: %s rule %d (%v): match set differs from the ordered walk", name, d.Name, r.ID, r.Match.DstPrefix)
 				}
+			}
+		}
+	}
+}
+
+// TestActionClassesEqualFold holds every class, and Routed, that the
+// walk of a destination-only device's sorted prefixes builds to the
+// pairwise fold of the members' match sets, on every generated family.
+func TestActionClassesEqualFold(t *testing.T) {
+	ex, err := topogen.BuildExample(topogen.ExampleOpts{BugNullRoute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg6, err := topogen.BuildRegional(topogen.RegionalOpts{IPv6: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range map[string]*netmodel.Network{
+		"example": ex.Net, "fattree": fatTree(t, 6), "regional": rg.Net, "regional-acl": aclRegional(t), "regional-v6": rg6.Net,
+	} {
+		for _, d := range n.Devices {
+			got, want := n.Forwarding(d.ID), n.FoldedForwarding(d.ID)
+			if len(got.Classes) != len(want.Classes) {
+				t.Fatalf("%s: %s has %d classes, the fold %d", name, d.Name, len(got.Classes), len(want.Classes))
+			}
+			for i, c := range want.Classes {
+				if !got.Classes[i].Match.Equal(c.Match) {
+					t.Fatalf("%s: %s class %d differs from the fold", name, d.Name, i)
+				}
+			}
+			if !got.Routed.Equal(want.Routed) {
+				t.Fatalf("%s: %s Routed differs from the fold", name, d.Name)
 			}
 		}
 	}
@@ -306,43 +343,57 @@ func TestRuleActionIsWrittenThroughSetAction(t *testing.T) {
 	}
 }
 
-// TestForwardingBuildLeavesNothingBehind trips the op budget, and then a
-// watched context, in the middle of the first class build of a flood:
-// no device may keep a half-built index, and the next flood must equal
-// the flood of a twin that was never disturbed.
+// TestForwardingBuildLeavesNothingBehind trips the op budget in the
+// middle of the first class build of a flood, and then a watched
+// context in the middle of a class build: no device may keep a half-built
+// index — a device keeps nothing or all its classes — and the next flood
+// must equal the flood of a twin that was never disturbed.
 func TestForwardingBuildLeavesNothingBehind(t *testing.T) {
 	const start = netmodel.DeviceID(0)
 	for _, tc := range []struct {
 		name   string
-		arm    func(n *netmodel.Network, buildOps uint64) (disarm func())
+		arm    func(n *netmodel.Network, startOps uint64) (disarm func())
 		wantIs error
 	}{
-		{"MaxOps", func(n *netmodel.Network, buildOps uint64) func() {
-			n.Space.SetLimits(bdd.Limits{MaxOps: int(buildOps / 2)})
+		// The start device's build is the flood's first BDD work.
+		{"MaxOps", func(n *netmodel.Network, startOps uint64) func() {
+			n.Space.SetLimits(bdd.Limits{MaxOps: int(startOps / 2)})
 			return func() { n.Space.SetLimits(bdd.Limits{}) }
 		}, bdd.ErrBudgetExceeded},
+		// The context is polled every 1024 ops; it reports cancellation
+		// at the first poll that finds a class build on the stack.
 		{"cancelled context", func(n *netmodel.Network, _ uint64) func() {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			return n.Space.WatchContext(ctx)
+			return n.Space.WatchContext(&cancelInBuild{Context: context.Background()})
 		}, context.Canceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := fatTree(t, 10)
 			twin := n.Clone()
-			// What the start device's build costs, measured on the twin.
-			// The watched context is polled every 1024 ops, so the build
-			// must be at least that long for the poll to land inside it.
+			// What the class builds of the first flood cost, measured on
+			// a second twin: the context poll needs them long enough to
+			// land inside one.
+			probe := n.Clone()
+			floodAll(t, probe, len(n.Devices))
+			buildOps, startOps := uint64(0), uint64(0)
 			twin.Space.SetLimits(bdd.Limits{})
-			twin.Forwarding(start)
-			buildOps := twin.Space.EngineStats().Ops
+			for _, d := range twin.Devices {
+				if probe.BuiltForwarding(d.ID) != nil {
+					before := twin.Space.EngineStats().Ops
+					twin.Forwarding(d.ID)
+					cost := twin.Space.EngineStats().Ops - before
+					buildOps += cost
+					if d.ID == start {
+						startOps = cost
+					}
+				}
+			}
 			if buildOps < 2048 {
-				t.Fatalf("class build of %s costs %d ops: too short to interrupt", n.Device(start).Name, buildOps)
+				t.Fatalf("the class builds of the first flood cost %d ops: too short to interrupt", buildOps)
 			}
 			want := floodAll(t, twin, 16)
 
 			n.Space.SetLimits(bdd.Limits{})
-			disarm := tc.arm(n, buildOps)
+			disarm := tc.arm(n, startOps)
 			err := bdd.Guard(func() {
 				_, _ = dataplane.Reach(n, dataplane.Injected(start), n.Space.Full(), dataplane.ReachOpts{})
 			})
@@ -350,12 +401,50 @@ func TestForwardingBuildLeavesNothingBehind(t *testing.T) {
 			if !errors.Is(err, tc.wantIs) {
 				t.Fatalf("flood error = %v, want %v", err, tc.wantIs)
 			}
+			tr := hdr.NewTransfer(twin.Space, n.Space)
+			unbuilt := 0
 			for _, d := range n.Devices {
-				if n.BuiltForwarding(d.ID) != nil {
+				got, full := n.BuiltForwarding(d.ID), twin.BuiltForwarding(d.ID)
+				if got == nil {
+					unbuilt++
+					continue
+				}
+				if len(got.Classes) != len(full.Classes) || !got.Routed.Equal(tr.Move(full.Routed)) {
 					t.Fatalf("%s kept classes from an interrupted build", d.Name)
 				}
+				for i, c := range full.Classes {
+					if !got.Classes[i].Match.Equal(tr.Move(c.Match)) {
+						t.Fatalf("%s kept class %d from an interrupted build", d.Name, i)
+					}
+				}
+			}
+			if unbuilt == 0 {
+				t.Fatal("every device has classes: the trip did not interrupt a build")
 			}
 			sameFloods(t, "after the interrupted build", floodAll(t, n, 16), want, twin, n)
 		})
 	}
+}
+
+// cancelInBuild is a context that is cancelled from the first time Err
+// is called inside a class build (Network.buildForwarding on the stack).
+type cancelInBuild struct {
+	context.Context
+	fired bool
+}
+
+func (c *cancelInBuild) Err() error {
+	if !c.fired {
+		pc := make([]uintptr, 64)
+		frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+		for more := true; more && !c.fired; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			c.fired = strings.HasSuffix(f.Function, ".buildForwarding")
+		}
+	}
+	if c.fired {
+		return context.Canceled
+	}
+	return nil
 }

@@ -400,26 +400,26 @@ func (d *fibDeriver) update(rules []*Rule, fib []RuleID, old *devIndex, remap, i
 // nothing was derived — when an insertion breaks the table's shape (a
 // match on more than a destination, or a repeated prefix).
 func (d *fibDeriver) patch(rules []*Rule, old *devIndex, remap, insert []RuleID) (ix devIndex, ok bool) {
-	ins := make([]pfxKey, len(insert))
+	ins := make([]hdr.PrefixKey, len(insert))
 	for i, id := range insert {
 		m := rules[id].Match
 		if !dstOnlyMatch(m) {
 			return devIndex{}, false
 		}
-		ins[i] = keyOf(m.DstPrefix.Masked())
+		ins[i] = hdr.KeyOf(m.DstPrefix.Masked())
 	}
 	// insert is in FIB order; the merge wants prefix order.
 	order := make([]int, len(insert))
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int { return ins[a].compare(ins[b]) })
+	slices.SortFunc(order, func(a, b int) int { return ins[a].Compare(ins[b]) })
 
 	size := len(old.byPrefix) + len(insert)
-	ix = devIndex{dstOnly: true, byPrefix: make([]RuleID, 0, size), pfx: make([]pfxKey, 0, size)}
-	var at []int      // positions of the inserted rules
-	var gone []pfxKey // prefixes that left the table
-	push := func(id RuleID, p pfxKey) {
+	ix = devIndex{dstOnly: true, byPrefix: make([]RuleID, 0, size), pfx: make([]hdr.PrefixKey, 0, size)}
+	var at []int             // positions of the inserted rules
+	var gone []hdr.PrefixKey // prefixes that left the table
+	push := func(id RuleID, p hdr.PrefixKey) {
 		ix.byPrefix = append(ix.byPrefix, id)
 		ix.pfx = append(ix.pfx, p)
 	}
@@ -431,7 +431,7 @@ func (d *fibDeriver) patch(rules []*Rule, old *devIndex, remap, insert []RuleID)
 			gone = append(gone, p)
 			continue
 		}
-		for ; j < len(order) && ins[order[j]].compare(p) <= 0; j++ {
+		for ; j < len(order) && ins[order[j]].Compare(p) <= 0; j++ {
 			at = append(at, len(ix.pfx))
 			push(insert[order[j]], ins[order[j]])
 		}
@@ -474,9 +474,24 @@ func (d *fibDeriver) patch(rules []*Rule, old *devIndex, remap, insert []RuleID)
 			kids = append(kids, rules[ix.byPrefix[c]].raw)
 		}
 		d.n.setMatch(rules[ix.byPrefix[k]], kids)
-		d.kids = kids[:0]
+		d.kids = kids
 	}
 	return ix, true
+}
+
+// setMatch sets a destination-only FIB rule's disjoint match set by
+// folding the raw sets of its immediate children. patch folds where
+// derive walks (hdr.Space.LongestMatch): after a commit the op cache
+// still holds the unions this table's earlier derivation and floods
+// made, and a fold answered from it costs fewer ops than a walk that
+// rebuilds every node.
+func (n *Network) setMatch(r *Rule, kids []hdr.Set) {
+	r.match = r.raw
+	if len(kids) > 0 {
+		r.match = r.raw.Diff(n.Space.UnionAll(kids))
+	}
+	r.matchOK = true
+	n.derived++
 }
 
 // end returns the position after the subtree of the prefix at k: the
@@ -484,7 +499,7 @@ func (d *fibDeriver) patch(rules []*Rule, old *devIndex, remap, insert []RuleID)
 func (ix *devIndex) end(k int) int {
 	p := ix.pfx[k]
 	k++
-	for k < len(ix.pfx) && p.contains(ix.pfx[k]) {
+	for k < len(ix.pfx) && p.Contains(ix.pfx[k]) {
 		k++
 	}
 	return k
@@ -492,12 +507,12 @@ func (ix *devIndex) end(k int) int {
 
 // parent returns the position of the longest prefix in the index that
 // strictly contains p, or -1.
-func (ix *devIndex) parent(p pfxKey) int {
+func (ix *devIndex) parent(p hdr.PrefixKey) int {
 	for _, l := range ix.lens {
-		if l >= p.bits {
+		if l >= p.Bits() {
 			continue
 		}
-		if i, ok := ix.find(p.truncate(l)); ok {
+		if i, ok := ix.find(p.Truncate(l)); ok {
 			return i
 		}
 	}

@@ -439,7 +439,7 @@ func (n *Network) FIBRuleFor(dev DeviceID, prefix netip.Prefix) (*Rule, bool) {
 		return nil, false
 	}
 	ix := &n.index[dev]
-	p := keyOf(prefix.Masked())
+	p := hdr.KeyOf(prefix.Masked())
 	i, ok := ix.find(p)
 	if !ok {
 		return nil, false
@@ -485,11 +485,13 @@ func (n *Network) computeTable(rules []*Rule, order []RuleID) {
 // device.
 type fibDeriver struct {
 	n     *Network
-	rules []*Rule   // the universe fib IDs index: live, or Commit's staged one
-	fib   []RuleID  // the table being derived, sorted
-	pfx   []pfxKey  // masked destination prefix of each fib position
-	order []int32   // positions of fib in prefix order
-	kids  []hdr.Set // stack of the raw sets of the children collected so far
+	rules []*Rule         // the universe fib IDs index: live, or Commit's staged one
+	fib   []RuleID        // the table being derived, sorted
+	pfx   []hdr.PrefixKey // masked destination prefix of each fib position
+	order []int32         // positions of fib in prefix order
+	keys  []hdr.PrefixKey // a rule's prefix and its immediate children's
+	flag  []bool          // true, then false: flags the rule among keys
+	kids  []hdr.Set       // the raw sets of a rule's immediate children (patch)
 }
 
 // derive sets the disjoint match sets of a sorted FIB and returns the
@@ -497,23 +499,43 @@ type fibDeriver struct {
 // destination prefix and no other field — the only earlier rules that
 // overlap a rule are the more-specific prefixes inside it, and those are
 // covered by the immediate ones, so M[r] = raw(r) − ⋃ raw(immediate
-// children): a rule without children — most of a FIB — costs no BDD work
-// at all, where the ordered walk pays a Diff and a Union against a set
-// that grows down the whole table. Any other FIB takes the ordered walk.
+// children): a rule without children — most of a FIB — keeps its raw set
+// and costs no BDD work at all, where the ordered walk pays a Diff and a
+// Union against a set that grows down the whole table. A rule with
+// children is the destinations whose longest match among {r, its
+// immediate children} is r: one LongestMatch walk over those prefixes,
+// node by node with no apply step (at freeze time the space is fresh, so
+// a fold would find little in the op cache). Any other FIB takes the
+// ordered walk.
 func (d *fibDeriver) derive(rules []*Rule, fib []RuleID) devIndex {
 	d.rules, d.fib = rules, fib
 	if !d.prefixOrder() {
 		d.n.computeTable(rules, fib)
 		return prefixIndex(rules, fib)
 	}
-	for k := 0; k < len(d.order); {
-		k = d.subtree(k)
-	}
-	ix := devIndex{dstOnly: true, byPrefix: make([]RuleID, len(d.order)), pfx: make([]pfxKey, len(d.order))}
+	ix := devIndex{dstOnly: true, byPrefix: make([]RuleID, len(d.order)), pfx: make([]hdr.PrefixKey, len(d.order))}
 	for k, i := range d.order {
 		ix.byPrefix[k], ix.pfx[k] = fib[i], d.pfx[i]
 	}
 	ix.lens = prefixLens(ix.pfx)
+	for k, id := range ix.byPrefix {
+		r := rules[id]
+		d.n.deriveRaw(r)
+		r.match = r.raw
+		if stop := ix.end(k); stop > k+1 {
+			keys := append(d.keys[:0], ix.pfx[k])
+			for c := k + 1; c < stop; c = ix.end(c) {
+				keys = append(keys, ix.pfx[c])
+			}
+			for len(d.flag) < len(keys) {
+				d.flag = append(d.flag, len(d.flag) == 0)
+			}
+			r.match = d.n.Space.LongestMatch(keys, d.flag[:len(keys)])
+			d.keys = keys
+		}
+		r.matchOK = true
+		d.n.derived++
+	}
 	return ix
 }
 
@@ -528,10 +550,10 @@ func (d *fibDeriver) prefixOrder() (ok bool) {
 		if !dstOnlyMatch(m) {
 			return false
 		}
-		d.pfx = append(d.pfx, keyOf(m.DstPrefix.Masked()))
+		d.pfx = append(d.pfx, hdr.KeyOf(m.DstPrefix.Masked()))
 		d.order = append(d.order, int32(i))
 	}
-	slices.SortFunc(d.order, func(a, b int32) int { return d.pfx[a].compare(d.pfx[b]) })
+	slices.SortFunc(d.order, func(a, b int32) int { return d.pfx[a].Compare(d.pfx[b]) })
 	for k := 1; k < len(d.order); k++ {
 		if d.pfx[d.order[k]] == d.pfx[d.order[k-1]] {
 			return false // a repeated prefix
@@ -562,18 +584,18 @@ func prefixIndex(rules []*Rule, fib []RuleID) devIndex {
 		}
 		return int(a - b)
 	})
-	ix.pfx = make([]pfxKey, len(ix.byPrefix))
+	ix.pfx = make([]hdr.PrefixKey, len(ix.byPrefix))
 	for k, id := range ix.byPrefix {
-		ix.pfx[k] = keyOf(rules[id].Match.DstPrefix.Masked())
+		ix.pfx[k] = hdr.KeyOf(rules[id].Match.DstPrefix.Masked())
 	}
 	return ix
 }
 
 // prefixLens lists the prefix lengths present, longest first.
-func prefixLens(pfx []pfxKey) []int {
+func prefixLens(pfx []hdr.PrefixKey) []int {
 	var present [129]bool
 	for _, p := range pfx {
-		present[p.bits] = true
+		present[p.Bits()] = true
 	}
 	var lens []int
 	for l := len(present) - 1; l >= 0; l-- {
@@ -584,49 +606,14 @@ func prefixLens(pfx []pfxKey) []int {
 	return lens
 }
 
-// comparePrefixes is destination-prefix order: by address, shorter first.
-// The match-set derivation and the class fold share it, so both meet a
-// device's routes in the same sequence.
+// comparePrefixes is destination-prefix order: by address, shorter first
+// — hdr.PrefixKey's order within one family, on netip values. The index
+// of a FIB that is not destination-only and the class fold sort by it.
 func comparePrefixes(a, b netip.Prefix) int {
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c
 	}
 	return a.Bits() - b.Bits()
-}
-
-// subtree derives the rule at order[k] and every rule inside its prefix,
-// and returns the position after them. The children's raw sets pile up
-// on d.kids in destination order — so the pairwise fold meets the same
-// neighbours on every device that has these routes — and come off again
-// before it returns.
-func (d *fibDeriver) subtree(k int) int {
-	r := d.rules[d.fib[d.order[k]]]
-	p := d.pfx[d.order[k]]
-	d.n.deriveRaw(r)
-	base := len(d.kids)
-	next := k + 1
-	for next < len(d.order) {
-		if !p.contains(d.pfx[d.order[next]]) {
-			break
-		}
-		child := d.rules[d.fib[d.order[next]]]
-		next = d.subtree(next)
-		d.kids = append(d.kids, child.raw)
-	}
-	d.n.setMatch(r, d.kids[base:])
-	d.kids = d.kids[:base]
-	return next
-}
-
-// setMatch sets a destination-only FIB rule's disjoint match set from
-// the raw sets of its immediate children.
-func (n *Network) setMatch(r *Rule, kids []hdr.Set) {
-	r.match = r.raw
-	if len(kids) > 0 {
-		r.match = r.raw.Diff(n.Space.UnionAll(kids))
-	}
-	r.matchOK = true
-	n.derived++
 }
 
 // deriveRaw sets r.raw, the packet set of the rule's match fields, unless
