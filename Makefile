@@ -175,18 +175,20 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), thirteen in all: the differential matrix's in-process engine
+# run), fourteen in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
-# the coverage view against its from-scratch oracle, the append network
-# encoder against the struct-based reference, an accepted delta document
-# against a rebuild (and a rejected one against an untouched network),
-# the forwarding index against the rule-by-rule flood, the first-match
-# traceroute and the ordered match-set walk on seeded random tables, the
-# BDD restriction walk against the conjunction with a literal chain, the
-# longest-match prefix walk against the Or/Diff fold (and a budget trip
-# in its middle), and the decoders that read bytes from disk or a peer
-# (BDD arena, trace snapshot arena, trace JSON, network JSON, network
-# text, span profile). The CI fuzz-smoke job runs this target.
+# the coverage view against its from-scratch oracle, a concrete
+# packet's marking against the union of its singleton at every hop, the
+# append network encoder against the struct-based reference, an
+# accepted delta document against a rebuild (and a rejected one against
+# an untouched network), the forwarding index against the rule-by-rule
+# flood, the first-match traceroute and the ordered match-set walk on
+# seeded random tables, the BDD restriction walk against the
+# conjunction with a literal chain, the longest-match prefix walk
+# against the Or/Diff fold (and a budget trip in its middle), and the
+# decoders that read bytes from disk or a peer (BDD arena, trace
+# snapshot arena, trace JSON, network JSON, network text, span
+# profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
 	./internal/difftest:FuzzMatrix \
@@ -198,6 +200,7 @@ FUZZ_TARGETS = \
 	./internal/dataplane:FuzzForwardingIndex \
 	./internal/bdd:FuzzRestrict \
 	./internal/hdr:FuzzLongestMatch \
+	./internal/core:FuzzMarkConcrete \
 	./internal/bdd:FuzzArenaDecode \
 	./internal/core:FuzzSnapshotArenaDecode \
 	./internal/core:FuzzDecodeTraceJSON \

@@ -46,6 +46,15 @@ func (t *logTrace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 	t.marks = append(t.marks, logMark{loc, pkts})
 }
 
+// MarkConcrete logs the packet's singleton at every hop: until the log
+// is merged there is no set to test the packet against.
+func (t *logTrace) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
+	single := sp.Singleton(pkt)
+	for _, h := range hops {
+		t.MarkPacket(h.Loc, single)
+	}
+}
+
 func (t *logTrace) MarkRule(r netmodel.RuleID) { t.rules[r] = true }
 
 // toTrace merges the log into a canonical Trace (the deferred work).

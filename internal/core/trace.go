@@ -4,7 +4,8 @@
 // The primitive unit is the Atomic Testable Unit (ATU): one forwarding
 // rule exercised on one packet. Tests never report ATUs directly — during
 // the online phase they call the two tracking APIs of §5.1, MarkPacket for
-// behavioral tests (the located packets at each hop) and MarkRule for
+// behavioral tests (the located packets at each hop; MarkConcrete is its
+// form for one concrete packet along a traceroute) and MarkRule for
 // state-inspection tests. The tracker folds everything into the coverage
 // trace (P_T, R_T) on the fly, so equivalent test suites produce equal
 // traces and nothing is double counted.
@@ -30,6 +31,11 @@ type Tracker interface {
 	// MarkPacket reports that a behavioral test exercised the located
 	// packet set pkts (one call per hop for end-to-end tests).
 	MarkPacket(loc dataplane.Loc, pkts hdr.Set)
+	// MarkConcrete reports that a concrete test sent the packet pkt of
+	// space sp along a traceroute's hops. It marks exactly what
+	// MarkPacket(hop.Loc, sp.Singleton(pkt)) at every hop marks; a
+	// tracker may skip the BDD work for a hop that already holds pkt.
+	MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop)
 	// MarkRule reports that a state-inspection test inspected rule r.
 	MarkRule(r netmodel.RuleID)
 }
@@ -40,6 +46,9 @@ type Nop struct{}
 
 // MarkPacket implements Tracker.
 func (Nop) MarkPacket(dataplane.Loc, hdr.Set) {}
+
+// MarkConcrete implements Tracker; it builds no singleton.
+func (Nop) MarkConcrete(*hdr.Space, hdr.Packet, []dataplane.TraceHop) {}
 
 // MarkRule implements Tracker.
 func (Nop) MarkRule(netmodel.RuleID) {}
@@ -72,6 +81,9 @@ type Trace struct {
 	devSeq   map[netmodel.DeviceID]uint64
 	ruleLog  []netmodel.RuleID
 	remapSeq uint64
+
+	// assign is MarkConcrete's scratch packet assignment.
+	assign []bool
 }
 
 // NewTrace returns an empty coverage trace.
@@ -91,6 +103,40 @@ func (t *Trace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.mark(loc, pkts)
+}
+
+// MarkConcrete implements Tracker. A hop whose set already holds pkt is
+// settled by a walk of that set's diagram: no apply runs, the op cache
+// is not probed and no node is made. At the first hop that misses, the
+// singleton is built once and unioned into that hop and every later one
+// without walking again — the common miss is a fresh trace, where the
+// first hop misses and so would the rest. Either way each location ends
+// on the node MarkPacket with the singleton leaves there, and a hop that
+// held pkt already records no change. A set of another space counts as a
+// miss, so the union reports the mismatch as MarkPacket would.
+func (t *Trace) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
+	if len(hops) == 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.assign = sp.PacketAssign(pkt, t.assign)
+	for i, hop := range hops {
+		if cur, ok := t.packets[hop.Loc]; ok && cur.Space() == sp && cur.ContainsAssign(t.assign) {
+			continue
+		}
+		single := sp.AssignSingleton(t.assign)
+		for _, h := range hops[i:] {
+			t.mark(h.Loc, single)
+		}
+		return
+	}
+}
+
+// mark folds a non-empty pkts into loc's set, journaling the change when
+// the canonical node moves. The caller holds t.mu.
+func (t *Trace) mark(loc dataplane.Loc, pkts hdr.Set) {
 	if cur, ok := t.packets[loc]; ok {
 		pkts = cur.Union(pkts)
 		if pkts.Node() == cur.Node() {

@@ -635,9 +635,11 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 // destination prefix the marks cover in part. Intersecting every rule
 // cost 60,620 ops here. The count repeats exactly for a sequential run.
 // It was 4,194 while the action classes and match sets were folded
-// through the op cache; built by the prefix walk instead, they leave
-// other entries there, and a few of the read's operations recurse
-// further before they hit.
+// through the op cache; built by the prefix walk instead, they left
+// other entries there, and the count rose to 4,198. It is 4,194 again
+// since pingmesh settles a covered hop by a membership walk: its pings
+// no longer leave per-hop Or entries in the op cache, and the read's
+// count moves with what that cache holds.
 func TestCoverageStageOps(t *testing.T) {
 	ft, err := topogen.BuildFatTree(6)
 	if err != nil {
@@ -651,7 +653,7 @@ func TestCoverageStageOps(t *testing.T) {
 	if _, err := e.Table(bg, "coverage", e.Net().Roles(), "TOTAL"); err != nil {
 		t.Fatal(err)
 	}
-	const want = 4198
+	const want = 4194
 	if got := e.Net().Space.EngineStats().Ops - ops; got != want {
 		t.Errorf("coverage stage charged %d ops, want %d", got, want)
 	}

@@ -435,8 +435,13 @@ func (p Packet) String() string {
 // Singleton returns the set containing exactly p.
 func (s *Space) Singleton(p Packet) Set {
 	var buf [maxBits]bool
-	assign := buf[:s.numBits]
-	s.fillAssign(assign, p)
+	return s.AssignSingleton(s.PacketAssign(p, buf[:0]))
+}
+
+// AssignSingleton returns the set containing exactly the packet with
+// the given variable assignment (from PacketAssign), for a caller that
+// has derived the assignment already.
+func (s *Space) AssignSingleton(assign []bool) Set {
 	return Set{s, s.m.Literals(0, assign)}
 }
 

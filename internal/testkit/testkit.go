@@ -606,6 +606,14 @@ func (ToRPingmesh) Kind() Kind { return E2EConcrete }
 
 // Run implements Test.
 func (t ToRPingmesh) Run(net *netmodel.Network, tracker core.Tracker) Result {
+	return t.RunContext(context.Background(), net, tracker)
+}
+
+// RunContext implements ContextTest. A ping whose hops the trace already
+// covers charges no BDD work, so the space's watched context may never
+// be polled: the test checks ctx itself before each source's pings and
+// returns an errored Result once it is done.
+func (t ToRPingmesh) RunContext(ctx context.Context, net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
 	type hosted struct {
 		dev    netmodel.DeviceID
@@ -618,6 +626,10 @@ func (t ToRPingmesh) Run(net *netmodel.Network, tracker core.Tracker) Result {
 		}
 	}
 	for _, src := range all {
+		if err := ctx.Err(); err != nil {
+			res.Err = fmt.Sprintf("pingmesh aborted: %v", err)
+			return res
+		}
 		srcAddr := src.prefix.Addr().Next() // .1 of the hosted subnet
 		for _, dst := range all {
 			if dst.dev == src.dev {
@@ -632,10 +644,7 @@ func (t ToRPingmesh) Run(net *netmodel.Network, tracker core.Tracker) Result {
 				SrcPort: 0,
 			}
 			tr := dataplane.Traceroute(net, dataplane.Injected(src.dev), pkt)
-			single := net.Space.Singleton(pkt)
-			for _, hop := range tr.Hops {
-				tracker.MarkPacket(hop.Loc, single)
-			}
+			tracker.MarkConcrete(net.Space, pkt, tr.Hops)
 			if tr.End != dataplane.TraceEgressed || len(tr.Hops) == 0 ||
 				tr.Hops[len(tr.Hops)-1].Loc.Device != dst.dev {
 				res.failf(src.dev, "ping to %s ended %v", net.Device(dst.dev).Name, tr.End)
@@ -674,10 +683,7 @@ func (PingTest) Kind() Kind { return E2EConcrete }
 func (t PingTest) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind(), Checks: 1}
 	tr := dataplane.Traceroute(net, dataplane.Injected(t.From), t.Packet)
-	single := net.Space.Singleton(t.Packet)
-	for _, hop := range tr.Hops {
-		tracker.MarkPacket(hop.Loc, single)
-	}
+	tracker.MarkConcrete(net.Space, t.Packet, tr.Hops)
 	if tr.End != t.WantEnd {
 		res.failf(t.From, "trace ended %v, want %v", tr.End, t.WantEnd)
 		return res

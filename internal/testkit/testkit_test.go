@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"yardstick/internal/core"
@@ -237,6 +238,79 @@ func TestToRPingmeshFatTree(t *testing.T) {
 	nt := len(ft.ToRs)
 	if res.Checks != nt*(nt-1) {
 		t.Errorf("checks = %d, want %d", res.Checks, nt*(nt-1))
+	}
+}
+
+// cancelAfter records into a trace and cancels the run's context once
+// it has seen n concrete packets.
+type cancelAfter struct {
+	*core.Trace
+	n, calls int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelAfter) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
+	c.Trace.MarkConcrete(sp, pkt, hops)
+	c.calls++
+	if c.calls == c.n {
+		c.cancel()
+	}
+}
+
+// TestToRPingmeshCancelled: a pingmesh cancelled mid-run returns an
+// errored Result and leaves a trace inside the uncancelled one. Over a
+// trace that reachability already covers, its pings charge no BDD op, so
+// the space's watched context never sees the cancel: the test's own
+// check must. Over a fresh trace the pings build singletons, and either
+// check may end the run.
+func TestToRPingmeshCancelled(t *testing.T) {
+	ft, err := topogen.BuildFatTree(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ft.Net
+	pings := len(ft.ToRs) * (len(ft.ToRs) - 1)
+	for _, covered := range []bool{true, false} {
+		t.Run(fmt.Sprintf("covered=%v", covered), func(t *testing.T) {
+			seed := func() *core.Trace {
+				tr := core.NewTrace()
+				if covered {
+					ToRReachability{}.Run(net, tr)
+				}
+				return tr
+			}
+			full := seed()
+			if res := (ToRPingmesh{}).Run(net, full); !res.Pass() {
+				t.Fatalf("uncancelled: %+v", res)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			c := &cancelAfter{Trace: seed(), n: pings / 3, cancel: cancel}
+			ops := net.Space.EngineStats().Ops
+			restore := net.Space.WatchContext(ctx)
+			res := Suite{ToRPingmesh{}}.Run(ctx, net, c)
+			restore()
+			if len(res) != 1 || !res[0].Errored() {
+				t.Fatalf("cancelled pingmesh = %+v, want one errored result", res)
+			}
+			if c.calls >= pings {
+				t.Errorf("%d of %d pings ran after the cancel at %d", c.calls, pings, c.n)
+			}
+			if covered {
+				if got := net.Space.EngineStats().Ops - ops; got != 0 {
+					t.Errorf("covered pingmesh charged %d BDD ops, want 0", got)
+				}
+				if !strings.HasPrefix(res[0].Err, "pingmesh aborted") {
+					t.Errorf("Err = %q, want the test's own abort", res[0].Err)
+				}
+			}
+			for _, loc := range c.Locations() {
+				if !full.PacketsAt(net.Space, loc).Contains(c.PacketsAt(net.Space, loc)) {
+					t.Fatalf("%+v: cancelled run marked packets the full run did not", loc)
+				}
+			}
+		})
 	}
 }
 

@@ -27,7 +27,9 @@
 // Testing tools integrate by calling the two tracking APIs of the paper's
 // §5.1 — Tracker.MarkPacket for behavioral tests (the located packets at
 // each hop) and Tracker.MarkRule for state-inspection tests — and coverage
-// computation happens off the testing path.
+// computation happens off the testing path. A concrete test reports a
+// whole traceroute with Tracker.MarkConcrete, which marks the packet at
+// every hop and skips the symbolic work for a hop that already holds it.
 //
 // This package is the library API for that workflow and nothing else:
 // building or loading a network (NewNetwork, RunBGP, BuildExample,
