@@ -24,7 +24,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The front ends (service, pipeline, coord, cmd/*) reach sharded runs,
+# The front ends (service, coord, cmd/*) reach sharded runs,
 # guards, watched contexts, stats flushes and coverage views through
 # internal/engine only; this parses them and fails on a direct call. The
 # race run covers it too — named here so a failure says what broke.

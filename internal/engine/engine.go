@@ -1,9 +1,9 @@
 // Package engine is the one object every front end drives: the paper's
 // two phases — tests mark a trace, metrics are computed from (network,
 // trace) (§5) — over one pair of values, with no transport in it. The
-// daemon, the CLI, the change pipeline and the fleet coordinator are
-// doors onto an Engine; they differ in how a request arrives and how the
-// answer is encoded.
+// daemon, the CLI, the change check (EvaluateChange, one Engine per
+// state) and the fleet coordinator are doors onto an Engine; they differ
+// in how a request arrives and how the answer is encoded.
 //
 // An Engine owns the canonical network, the accumulated trace, the
 // coverage view maintained over the two, the cached fingerprint, the

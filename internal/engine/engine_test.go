@@ -13,6 +13,7 @@ import (
 	"yardstick/internal/delta"
 	"yardstick/internal/faults"
 	"yardstick/internal/netmodel"
+	"yardstick/internal/obs"
 	"yardstick/internal/report"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
@@ -126,11 +127,25 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3} {
 		e := New(base.Clone(), Config{Workers: workers})
-		if _, err := e.Run(bg, "", suite, workers, nil); err != nil {
+		root := obs.NewRoot("test", nil)
+		if _, err := e.Run(obs.ContextWithSpan(bg, root), "suite", suite, workers, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		root.End()
 		if (e.pool != nil) != (workers > 1) {
 			t.Errorf("workers=%d: replica pool built = %v", workers, e.pool != nil)
+		}
+		// A pooled run hangs the pool's build, every shard and the merge
+		// beneath its stage span, and closes them all.
+		if open := root.OpenCount(); open != 0 {
+			t.Errorf("workers=%d: %d open spans", workers, open)
+		}
+		names := map[string]bool{}
+		root.Walk(func(_ int, sp *obs.Span) { names[sp.Name()] = true })
+		for _, name := range []string{"sharded.build_replicas", "shard[0]", fmt.Sprintf("shard[%d]", workers-1), "sharded.merge"} {
+			if names[name] != (workers > 1) {
+				t.Errorf("workers=%d: span %q present = %v", workers, name, names[name])
+			}
 		}
 	}
 

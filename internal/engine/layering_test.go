@@ -14,10 +14,10 @@ import (
 // TestFrontEndsDriveTheEngine keeps the evaluation recipe — sharded or
 // sequential run, watched context, guard, stats flush, coverage view —
 // from growing back into the front ends: non-test code in the service,
-// the pipeline, the coordinator and the commands reaches those calls
-// through an Engine, never directly. It parses (no type information), so
-// the Space methods are matched by name on any receiver; nothing else in
-// the front ends may carry those names.
+// the coordinator and the commands reaches those calls through an
+// Engine, never directly. It parses (no type information), so the Space
+// methods are matched by name on any receiver; nothing else in the front
+// ends may carry those names.
 func TestFrontEndsDriveTheEngine(t *testing.T) {
 	// Package-level functions, by import path; the yardstick facade's
 	// re-exports of the same functions count too.
@@ -30,7 +30,7 @@ func TestFrontEndsDriveTheEngine(t *testing.T) {
 	bannedMethods := []string{"WatchContext", "FlushStats", "SetLimits"}
 
 	root := filepath.Join("..", "..")
-	dirs := []string{"internal/service", "internal/pipeline", "internal/coord"}
+	dirs := []string{"internal/service", "internal/coord"}
 	cmds, err := os.ReadDir(filepath.Join(root, "cmd"))
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 // the *network* to validate that coverage finds forwarding bugs, these
 // mutate the *test suite* to validate that the evaluation core survives
 // hostile tests — panics, hangs, and resource exhaustion — the way
-// testkit.Suite.Run and pipeline.Run promise: one errored Result, the
-// rest of the suite unharmed.
+// testkit.Suite.Run and engine.EvaluateChange promise: one errored
+// Result, the rest of the suite unharmed.
 
 // PanicTest is a test that panics partway through. Suite.Run's panic
 // isolation must convert it into a single errored Result (Err set,

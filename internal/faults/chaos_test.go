@@ -87,9 +87,9 @@ func TestBudgetTestTripsNodeLimit(t *testing.T) {
 	var results []testkit.Result
 	err := bdd.Guard(func() {
 		results = testkit.Suite{BudgetTest{}}.Run(context.Background(), net, core.Nop{})
-		// Post-suite symbolic work, as pipeline.Run's coverage phase
-		// does: the poisoned manager re-raises the trip here, where the
-		// Guard converts it to an error.
+		// Post-suite symbolic work, as engine.EvaluateChange's coverage
+		// phase does: the poisoned manager re-raises the trip here, where
+		// the Guard converts it to an error.
 		sp.DstPrefix(netip.MustParsePrefix("203.0.113.0/24"))
 	})
 	if !errors.Is(err, bdd.ErrBudgetExceeded) {

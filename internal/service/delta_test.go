@@ -102,55 +102,6 @@ func TestPatchNetwork(t *testing.T) {
 	}
 }
 
-// TestPatchInvalidatesPool: a PATCH drops the replica pool a parallel
-// run built, so the next parallel run clones the patched network. The
-// trace and coverage table it produces must be byte-identical to a fresh
-// server loaded with the patched network running the same suites
-// sequentially.
-func TestPatchInvalidatesPool(t *testing.T) {
-	const suites = "default,internal,reach,pingmesh"
-	opts := topogen.RegionalOpts{
-		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-	}
-	rg, err := topogen.BuildRegional(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := mixedOps(rg.Net)
-
-	par := httptest.NewServer(WithNetwork(rg.Net, WithWorkers(2), WithLogger(discardLogger())).Handler())
-	defer par.Close()
-	doJSON(t, "POST", par.URL+"/run?workers=2&suite="+suites, nil, http.StatusOK, nil) // builds the pool
-	var ap delta.Applied
-	doJSON(t, "PATCH", par.URL+"/network", marshal(t, delta.Document{Ops: ops}), http.StatusOK, &ap)
-	doJSON(t, "DELETE", par.URL+"/trace", nil, http.StatusNoContent, nil)
-	doJSON(t, "POST", par.URL+"/run?workers=2&suite="+suites, nil, http.StatusOK, nil)
-
-	patched, err := topogen.BuildRegional(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := delta.ApplyOps(patched.Net, ops); err != nil {
-		t.Fatal(err)
-	}
-	seq := httptest.NewServer(WithNetwork(patched.Net, WithLogger(discardLogger())).Handler())
-	defer seq.Close()
-	if fp := netStats(t, seq.URL).Fingerprint; fp != ap.Fingerprint {
-		t.Fatalf("patched twin fingerprint %s, PATCH reported %s", fp, ap.Fingerprint)
-	}
-	doJSON(t, "POST", seq.URL+"/run?suite="+suites, nil, http.StatusOK, nil)
-
-	if a, b := getBody(t, par.URL+"/trace"), getBody(t, seq.URL+"/trace"); !bytes.Equal(a, b) {
-		t.Error("trace after PATCH + parallel run differs from a sequential run on the patched network")
-	}
-	parTotal, parByRole := covTable(t, par.URL)
-	seqTotal, seqByRole := covTable(t, seq.URL)
-	if !bytes.Equal(parTotal, seqTotal) || !bytes.Equal(parByRole, seqByRole) {
-		t.Errorf("coverage table differs:\n parallel   %s %s\n sequential %s %s", parTotal, parByRole, seqTotal, seqByRole)
-	}
-}
-
 func TestPatchStaleBase(t *testing.T) {
 	ts, _ := newTestServer(t)
 	before := netStats(t, ts.URL)

@@ -188,44 +188,6 @@ func TestRemoteTraceReporting(t *testing.T) {
 	}
 }
 
-// TestPostTraceArenaEqualsJSON posts one fragment to two fresh servers,
-// once as cube JSON and once as a YSS1 arena (POST /trace sniffs the
-// codec): the accumulated trace and the coverage table must come out
-// byte-identical.
-func TestPostTraceArenaEqualsJSON(t *testing.T) {
-	tsJSON, rg := newTestServer(t)
-	tsArena, _ := newTestServer(t)
-
-	frag := core.NewTrace()
-	sp := rg.Net.Space
-	frag.MarkPacket(dataplane.Injected(rg.ToRs[0]), sp.DstPrefix(rg.HostPrefix[rg.ToRs[1]]))
-	frag.MarkPacket(dataplane.Injected(rg.ToRs[1]), sp.DstPrefix(rg.HostPrefix[rg.ToRs[0]]).Intersect(sp.Proto(6)))
-	for _, rid := range rg.Net.Device(rg.ToRs[0]).FIB {
-		frag.MarkRule(rid)
-	}
-	var cubes, arena bytes.Buffer
-	if err := frag.EncodeJSON(&cubes); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.EncodeFragmentArena(&arena, rg.Net, netStats(t, tsArena.URL).Fingerprint, frag); err != nil {
-		t.Fatal(err)
-	}
-	var stJSON, stArena TraceStats
-	doJSON(t, "POST", tsJSON.URL+"/trace", cubes.Bytes(), http.StatusOK, &stJSON)
-	doJSON(t, "POST", tsArena.URL+"/trace", arena.Bytes(), http.StatusOK, &stArena)
-	if stJSON != stArena || stArena.Locations != 2 {
-		t.Errorf("trace stats: JSON %+v, arena %+v", stJSON, stArena)
-	}
-	if a, b := getBody(t, tsJSON.URL+"/trace"), getBody(t, tsArena.URL+"/trace"); !bytes.Equal(a, b) {
-		t.Errorf("GET /trace differs:\n json  %s\n arena %s", a, b)
-	}
-	totalJSON, byRoleJSON := covTable(t, tsJSON.URL)
-	totalArena, byRoleArena := covTable(t, tsArena.URL)
-	if !bytes.Equal(totalJSON, totalArena) || !bytes.Equal(byRoleJSON, byRoleArena) {
-		t.Errorf("coverage table differs:\n json  %s %s\n arena %s %s", totalJSON, byRoleJSON, totalArena, byRoleArena)
-	}
-}
-
 // TestPostTraceForeignArena: a well-formed arena recorded against
 // another network is a conflict that names the loaded fingerprint, like
 // a PATCH with a stale base; a damaged arena is a bad request.
@@ -381,54 +343,6 @@ func TestBadRequests(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/trace", []byte("junk"), http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/run?suite=bogus", nil, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/run", nil, http.StatusBadRequest, nil)
-}
-
-func TestRunWorkersMatchesSequential(t *testing.T) {
-	// Two servers over the same topology: one runs the suite
-	// sequentially, one sharded across workers. The coverage reports
-	// must be identical — parallelism must be invisible in the output.
-	newServer := func(workers int) *httptest.Server {
-		rg, err := topogen.BuildRegional(topogen.RegionalOpts{
-			DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-			SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := []Option{WithLogger(discardLogger())}
-		if workers > 1 {
-			opts = append(opts, WithWorkers(workers))
-		}
-		ts := httptest.NewServer(WithNetwork(rg.Net, opts...).Handler())
-		t.Cleanup(ts.Close)
-		return ts
-	}
-
-	seq := newServer(1)
-	par := newServer(3)
-
-	var seqResults, parResults []RunResult
-	doJSON(t, "POST", seq.URL+"/run?suite=default,internal,reach,pingmesh", nil, http.StatusOK, &seqResults)
-	doJSON(t, "POST", par.URL+"/run?suite=default,internal,reach,pingmesh&workers=3", nil, http.StatusOK, &parResults)
-	if len(parResults) != len(seqResults) {
-		t.Fatalf("%d results, want %d", len(parResults), len(seqResults))
-	}
-	for i := range parResults {
-		if parResults[i].Name != seqResults[i].Name || parResults[i].Pass != seqResults[i].Pass ||
-			parResults[i].Checks != seqResults[i].Checks {
-			t.Errorf("result %d: %+v vs %+v", i, parResults[i], seqResults[i])
-		}
-	}
-
-	var seqCov, parCov CoverageReport
-	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &seqCov)
-	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &parCov)
-	if seqCov.Total != parCov.Total {
-		t.Errorf("coverage differs: %+v vs %+v", parCov.Total, seqCov.Total)
-	}
-
-	// A second parallel run reuses the pool and stays consistent.
-	doJSON(t, "POST", par.URL+"/run?suite=default&workers=2", nil, http.StatusOK, &parResults)
 }
 
 func TestRunWorkersParamValidation(t *testing.T) {

@@ -6,15 +6,14 @@ import (
 	"sync"
 	"testing"
 
-	"yardstick/internal/core"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
 )
 
-// regionalOnce caches the canonical regional Clos network and its
-// builder — BGP convergence plus match-set computation is the expensive
-// part of these tests, so every test shares one canonical instance.
+// regionalOnce caches the canonical regional Clos network — BGP
+// convergence plus match-set computation is the expensive part of these
+// tests, so every test shares one canonical instance.
 var regionalOnce = sync.OnceValues(func() (*netmodel.Network, error) {
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
 	if err != nil {
@@ -22,14 +21,6 @@ var regionalOnce = sync.OnceValues(func() (*netmodel.Network, error) {
 	}
 	return rg.Net, nil
 })
-
-func regionalBuilder() (*netmodel.Network, error) {
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return rg.Net, nil
-}
 
 func regionalNet(t *testing.T) *netmodel.Network {
 	t.Helper()
@@ -47,74 +38,6 @@ func fullSuite(t *testing.T) testkit.Suite {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// metrics summarizes a run for equality comparison. Coverage fractions
-// are compared with == on purpose: BDD canonicity means identical sets,
-// and identical sets yield bit-identical floats.
-type metrics struct {
-	rulesW, rulesF, devW, ifaceW float64
-	locs, marked                 int
-}
-
-func measure(net *netmodel.Network, tr *core.Trace) metrics {
-	c := core.NewCoverage(net, tr)
-	st := tr.Stats()
-	return metrics{
-		rulesW: core.RuleCoverage(c, nil, core.Weighted),
-		rulesF: core.RuleCoverage(c, nil, core.Fractional),
-		devW:   core.DeviceCoverage(c, nil, core.Weighted),
-		ifaceW: core.InterfaceCoverage(c, nil, core.Weighted),
-		locs:   st.Locations,
-		marked: st.MarkedRules,
-	}
-}
-
-// TestWorkersEquivalence is the acceptance criterion: on the regional
-// Clos suite, the sequential path, Workers=1, and Workers=4 all produce
-// identical test results and identical coverage metrics.
-func TestWorkersEquivalence(t *testing.T) {
-	ctx := context.Background()
-	suite := fullSuite(t)
-
-	// Sequential reference on its own canonical network.
-	seqNet, err := regionalBuilder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqTrace := core.NewTrace()
-	seqResults := suite.Run(ctx, seqNet, seqTrace)
-	want := measure(seqNet, seqTrace)
-
-	for _, workers := range []int{1, 4} {
-		canonical, err := regionalBuilder()
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := New(ctx, canonical, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.Run(ctx, suite)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(res.Results) != len(seqResults) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(res.Results), len(seqResults))
-		}
-		for i := range res.Results {
-			got, exp := res.Results[i], seqResults[i]
-			if got.Name != exp.Name || got.Status() != exp.Status() ||
-				got.Checks != exp.Checks || len(got.Failures) != len(exp.Failures) {
-				t.Errorf("workers=%d: result %d = %s/%s (%d checks, %d failures), want %s/%s (%d, %d)",
-					workers, i, got.Name, got.Status(), got.Checks, len(got.Failures),
-					exp.Name, exp.Status(), exp.Checks, len(exp.Failures))
-			}
-		}
-		if got := measure(canonical, res.Trace); got != want {
-			t.Errorf("workers=%d: metrics %+v, want %+v", workers, got, want)
-		}
-	}
 }
 
 func TestEngineReuseAcrossRuns(t *testing.T) {

@@ -51,10 +51,10 @@ import (
 	"yardstick/internal/bgp"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/engine"
 	"yardstick/internal/faults"
 	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
-	"yardstick/internal/pipeline"
 	"yardstick/internal/probegen"
 	"yardstick/internal/report"
 	"yardstick/internal/testkit"
@@ -359,22 +359,21 @@ func GenerateProbes(ctx context.Context, c *Coverage, opts ProbeGenOptions) *Pro
 // Change evaluation (§7.1's testing pipeline).
 type (
 	// PipelineConfig drives one change evaluation.
-	PipelineConfig = pipeline.Config
+	PipelineConfig = engine.ChangeConfig
 	// PipelineResult is a change-evaluation report.
-	PipelineResult = pipeline.Result
+	PipelineResult = engine.ChangeResult
 )
 
 // VerdictSafe is the verdict of a change whose tests all pass, with no
 // coverage regression and a stable path universe.
-const VerdictSafe = pipeline.Safe
+const VerdictSafe = engine.VerdictSafe
 
 // EvaluateChange runs the §7.1 pipeline: build before/after states, test
 // the after state, and compare coverage and path-universe size. The
 // context is honored between phases and inside symbolic work; on
-// cancellation or a tripped resource budget (PipelineConfig.Limits) the
-// partial result comes back with the error.
+// cancellation the partial result comes back with the error.
 func EvaluateChange(ctx context.Context, cfg PipelineConfig) (*PipelineResult, error) {
-	return pipeline.Run(ctx, cfg)
+	return engine.EvaluateChange(ctx, cfg)
 }
 
 // Metrics is one row of a coverage report (the Figure 6 headline
