@@ -220,4 +220,5 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-ci: vet build layering race
+# Every step of CI's test job (vet, build, the race run, the walkthroughs).
+ci: vet build layering race examples

@@ -105,11 +105,11 @@ func IsArena(data []byte) bool {
 // wrapping ErrArenaFormat, ErrArenaVersion, or ErrArenaChecksum; no
 // input panics, and no corrupt table is ever accepted.
 //
-// Options apply as in New (the op cache starts cold at the configured
-// minimum). The unique table is rebuilt through the same growth
-// schedule construction uses, so the loaded manager's geometry — and
-// every future resize point — matches the dumped one's exactly.
-func DecodeArena(data []byte, opts ...Option) (*Manager, error) {
+// The op cache starts cold, sized for the node count by the rule a
+// growing manager follows. The unique table is rebuilt through the same
+// growth schedule construction uses, so the loaded manager's geometry —
+// and every future resize point — matches the dumped one's exactly.
+func DecodeArena(data []byte) (*Manager, error) {
 	if len(data) < arenaHeaderSize+2*arenaNodeSize+arenaCRCSize {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal arena", ErrArenaFormat, len(data))
 	}
@@ -136,7 +136,7 @@ func DecodeArena(data []byte, opts ...Option) (*Manager, error) {
 		return nil, fmt.Errorf("%w: crc %08x, computed %08x", ErrArenaChecksum, got, sum)
 	}
 
-	m := New(int(numVars), opts...)
+	m := New(int(numVars))
 	m.nodes = make([]node, 0, count)
 	rec := data[arenaHeaderSize:]
 	for i := uint64(0); i < count; i++ {
@@ -188,15 +188,6 @@ func DecodeArena(data []byte, opts ...Option) (*Manager, error) {
 	m.peakNodes = len(m.nodes)
 	m.maybeGrowCache()
 	return m, nil
-}
-
-// ReadArena reads one full arena encoding from r and decodes it.
-func ReadArena(r io.Reader, opts ...Option) (*Manager, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("bdd: read arena: %w", err)
-	}
-	return DecodeArena(data, opts...)
 }
 
 // fileNode inserts an already-appended node into the unique table,

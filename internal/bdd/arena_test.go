@@ -34,7 +34,7 @@ func TestArenaRoundTrip(t *testing.T) {
 	if !IsArena(buf.Bytes()) {
 		t.Fatal("IsArena rejected a fresh arena")
 	}
-	got, err := ReadArena(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeArena(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@
 // The storage layout is flat: nodes live in one slice, the unique table is
 // an open-addressed power-of-two array (see table.go), counting memos are
 // node-indexed dense arrays (see satcount.go), and the operation cache is a
-// direct-mapped array sized by a CacheConfig. No hot-path structure is a Go
-// map, and the only per-operation allocations left are the big.Int results
-// of wide SatCounts.
+// direct-mapped array that grows with the node table. No hot-path structure
+// is a Go map, and the only per-operation allocations left are the big.Int
+// results of wide SatCounts.
 //
 // A Manager owns all nodes. Managers are not safe for concurrent use;
 // analyses that need parallelism should use one Manager per goroutine.
@@ -68,10 +68,9 @@ type Manager struct {
 	uniq     []uniqSlot
 	uniqUsed int
 
-	// Direct-mapped operation cache, sized by cacheCfg: doubles as the
-	// node table grows, up to the configured cap.
-	cache    []cacheEntry
-	cacheCfg CacheConfig
+	// Direct-mapped operation cache, sized by cacheSlotsFor (table.go):
+	// doubles as the node table grows, up to a fixed cap.
+	cache []cacheEntry
 
 	// Counting memos (see satcount.go): node-indexed dense arrays grown
 	// lazily to the node table, plus a sparse big.Int side table for
@@ -111,22 +110,13 @@ type Manager struct {
 	originN int
 }
 
-// Option configures a Manager at construction.
-type Option func(*Manager)
-
-// WithCacheConfig sets the operation-cache sizing policy (see
-// CacheConfig). The zero CacheConfig selects the defaults.
-func WithCacheConfig(c CacheConfig) Option {
-	return func(m *Manager) { m.cacheCfg = c.normalize() }
-}
-
 // New returns a Manager over numVars boolean variables, ordered by index:
 // variable 0 is tested first (top of the diagram).
-func New(numVars int, opts ...Option) *Manager {
+func New(numVars int) *Manager {
 	if numVars < 0 || numVars > 1<<20 {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", numVars))
 	}
-	m := &Manager{
+	return &Manager{
 		numVars: numVars,
 		// Terminal nodes occupy indices 0 and 1. Their level is one
 		// past the last variable so ordering invariants hold.
@@ -135,18 +125,13 @@ func New(numVars int, opts ...Option) *Manager {
 			{level: uint32(numVars)},
 		},
 		uniq:     make([]uniqSlot, initialUniqueSlots),
-		cacheCfg: CacheConfig{}.normalize(),
+		cache:    make([]cacheEntry, minCacheSlots),
 		satFrac:  []float64{0, 1},
 		satFracN: 2,
 		satState: []uint8{satNarrow, satNarrow},
 		satLo:    []uint64{0, 1},
 		satHi:    []uint64{0, 0},
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	m.cache = make([]cacheEntry, m.cacheCfg.MinSlots)
-	return m
 }
 
 // NumVars returns the number of variables in the manager's universe.
@@ -172,7 +157,7 @@ type Stats struct {
 	UniqueSlots int
 	UniqueLoad  float64
 	// CacheSlots is the op cache's current size (it grows with the node
-	// table up to the configured cap).
+	// table up to a fixed cap).
 	CacheSlots int
 	// PeakNodes is the high-water node count — with never-collected
 	// nodes it equals Nodes, but it survives intent: budget tuning reads

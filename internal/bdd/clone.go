@@ -41,7 +41,6 @@ func (m *Manager) Clone() *Manager {
 		uniq:       append([]uniqSlot(nil), m.uniq...),
 		uniqUsed:   m.uniqUsed,
 		cache:      append([]cacheEntry(nil), m.cache...),
-		cacheCfg:   m.cacheCfg,
 		satFrac:    append([]float64(nil), m.satFrac...),
 		satFracN:   m.satFracN,
 		satState:   append([]uint8(nil), m.satState...),

@@ -158,48 +158,6 @@ func TestBigFromU128(t *testing.T) {
 	}
 }
 
-// TestCacheConfig pins the sizing policy: fixed-size configs stay
-// fixed, the default grows with the node table, and SetCacheConfig
-// raises an undersized cache immediately.
-func TestCacheConfig(t *testing.T) {
-	fixed := New(16, WithCacheConfig(CacheConfig{MinSlots: 1 << 8, MaxSlots: 1 << 8}))
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 40; i++ {
-		randomNode(fixed, rng, 10)
-	}
-	if got := fixed.Stats().CacheSlots; got != 1<<8 {
-		t.Errorf("fixed cache grew to %d slots", got)
-	}
-
-	auto := New(16, WithCacheConfig(CacheConfig{MinSlots: 1 << 6, MaxSlots: 1 << 10}))
-	for auto.Size() < (1<<10)+10 {
-		randomNode(auto, rng, 10)
-	}
-	if got := auto.Stats().CacheSlots; got != 1<<10 {
-		t.Errorf("auto cache = %d slots, want max %d once nodes outgrew it", got, 1<<10)
-	}
-
-	auto.SetCacheConfig(CacheConfig{MinSlots: 1 << 12, MaxSlots: 1 << 12})
-	if got := auto.Stats().CacheSlots; got != 1<<12 {
-		t.Errorf("SetCacheConfig did not grow: %d slots", got)
-	}
-	if got := auto.CacheConfig().MaxSlots; got != 1<<12 {
-		t.Errorf("CacheConfig not updated: %+v", auto.CacheConfig())
-	}
-
-	// Growth preserves cached results (entries are re-placed, and fresh
-	// lookups on old operands still hit).
-	x := auto.And(auto.Var(1), auto.Var(2))
-	before := auto.Stats().CacheHits
-	auto.SetCacheConfig(CacheConfig{MinSlots: 1 << 13, MaxSlots: 1 << 13})
-	if y := auto.And(auto.Var(1), auto.Var(2)); y != x {
-		t.Errorf("result changed across cache resize")
-	}
-	if auto.Stats().CacheHits <= before {
-		t.Errorf("cache entries dropped on resize (no hit after growth)")
-	}
-}
-
 func BenchmarkBDDAnd(b *testing.B) {
 	m := New(104)
 	rng := rand.New(rand.NewSource(1))

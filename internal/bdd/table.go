@@ -19,11 +19,12 @@
 // so MaxNodes bounds the total table work and a budget trip can never
 // leave a half-rehashed table (chargeNode panics before any mutation).
 //
-// The op cache stays direct-mapped but is now sized by a CacheConfig:
-// it starts at MinSlots and doubles (re-placing live entries) whenever
-// the node table outgrows it, up to MaxSlots. A cache comparable to the
+// The op cache is direct-mapped and sized by one fixed rule: it starts
+// at minCacheSlots and doubles (re-placing live entries) whenever the
+// node table outgrows it, up to maxCacheSlots. A cache comparable to the
 // node count keeps the apply loops' memoization effective on large
-// managers without burning megabytes on small ones.
+// managers without burning megabytes on small ones. The sizing changes
+// hit rates only, never a result.
 package bdd
 
 // uniqSlot is one slot of the open-addressed unique table.
@@ -35,47 +36,22 @@ type uniqSlot struct {
 const (
 	// initialUniqueSlots is the unique-table capacity at New. Power of two.
 	initialUniqueSlots = 1 << 10
-	// defaultMinCacheSlots matches the previous fixed cache size, so small
-	// managers behave as before.
-	defaultMinCacheSlots = 1 << 16
-	// defaultMaxCacheSlots caps auto-growth (24 B/slot: 1<<20 ≈ 24 MiB),
-	// reached only once the node table itself is past a million nodes.
-	defaultMaxCacheSlots = 1 << 20
+	// minCacheSlots is the op cache's size at New and at DecodeArena.
+	minCacheSlots = 1 << 16
+	// maxCacheSlots caps growth (24 B/slot: 1<<20 ≈ 24 MiB), reached
+	// only once the node table itself is past a million nodes.
+	maxCacheSlots = 1 << 20
 )
 
-// CacheConfig sizes the direct-mapped operation cache. The zero value
-// selects the defaults. Slot counts are rounded up to powers of two.
-type CacheConfig struct {
-	// MinSlots is the initial cache size (default 1<<16).
-	MinSlots int
-	// MaxSlots caps growth (default 1<<20). The cache doubles whenever
-	// the node table reaches the current slot count, up to this cap; set
-	// MaxSlots == MinSlots for a fixed-size cache.
-	MaxSlots int
-}
-
-// normalize fills defaults and rounds to powers of two.
-func (c CacheConfig) normalize() CacheConfig {
-	if c.MinSlots <= 0 {
-		c.MinSlots = defaultMinCacheSlots
+// cacheSlotsFor is the op-cache sizing rule: start at minCacheSlots,
+// double while the node count has reached the slot count, stop at
+// maxCacheSlots.
+func cacheSlotsFor(nodes int) int {
+	n := minCacheSlots
+	for n < maxCacheSlots && nodes >= n {
+		n <<= 1
 	}
-	if c.MaxSlots <= 0 {
-		c.MaxSlots = defaultMaxCacheSlots
-	}
-	c.MinSlots = ceilPow2(c.MinSlots)
-	c.MaxSlots = ceilPow2(c.MaxSlots)
-	if c.MaxSlots < c.MinSlots {
-		c.MaxSlots = c.MinSlots
-	}
-	return c
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	return n
 }
 
 // mk returns the canonical node (level, low, high), applying the two
@@ -197,13 +173,16 @@ func (m *Manager) cacheStore(h uint64, op uint32, a, b, c, result Node) {
 	m.cache[h&uint64(len(m.cache)-1)] = cacheEntry{op: op, a: a, b: b, c: c, result: result}
 }
 
-// maybeGrowCache doubles the op cache while the node table has caught
-// up with it, up to the configured cap. Growth points are a
-// deterministic function of the node count, and live entries are
+// maybeGrowCache brings the op cache to the size cacheSlotsFor gives
+// for the node count, one counted doubling at a time. Growth points are
+// a deterministic function of the node count, and live entries are
 // re-placed (not dropped), so a resize mid-computation only moves the
 // memo — results and canonicity are unaffected.
 func (m *Manager) maybeGrowCache() {
-	for len(m.cache) < m.cacheCfg.MaxSlots && len(m.nodes) >= len(m.cache) {
+	if len(m.nodes) < len(m.cache) {
+		return
+	}
+	for want := cacheSlotsFor(len(m.nodes)); len(m.cache) < want; {
 		m.cacheResizes++
 		old := m.cache
 		m.cache = make([]cacheEntry, len(old)*2)
@@ -217,28 +196,3 @@ func (m *Manager) maybeGrowCache() {
 		}
 	}
 }
-
-// SetCacheConfig installs a new cache sizing policy. If the current
-// cache is smaller than the new minimum (or the growth rule already
-// calls for more), it grows immediately; an oversized cache is left in
-// place — shrinking would throw away a warm memo for no benefit.
-func (m *Manager) SetCacheConfig(c CacheConfig) {
-	m.cacheCfg = c.normalize()
-	if len(m.cache) < m.cacheCfg.MinSlots {
-		m.cacheResizes++
-		old := m.cache
-		m.cache = make([]cacheEntry, m.cacheCfg.MinSlots)
-		mask := uint64(len(m.cache) - 1)
-		for i := range old {
-			e := &old[i]
-			if e.op == 0 {
-				continue
-			}
-			m.cache[cacheHash(e.op, e.a, e.b, e.c)&mask] = *e
-		}
-	}
-	m.maybeGrowCache()
-}
-
-// CacheConfig returns the cache sizing policy in effect.
-func (m *Manager) CacheConfig() CacheConfig { return m.cacheCfg }

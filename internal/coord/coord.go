@@ -994,22 +994,28 @@ func (co *Coordinator) ensureLoaded(ctx context.Context, r *run, n *node) error 
 	return nil
 }
 
-// backoff sleeps between a shard's attempts: base doubled per attempt
-// with equal jitter, capped, and stretched to any server Retry-After
-// hint carried by the error.
+// backoff sleeps backoffDelay between a shard's attempts, or until ctx
+// is done.
 func (co *Coordinator) backoff(ctx context.Context, attempt int, err error) {
+	t := time.NewTimer(co.backoffDelay(attempt, err))
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+		t.Stop()
+	}
+}
+
+// backoffDelay is the wait after a shard's attempt: base doubled per
+// attempt with equal jitter, capped, and stretched to any server
+// Retry-After hint carried by the error.
+func (co *Coordinator) backoffDelay(attempt int, err error) time.Duration {
 	d := co.cfg.Backoff << (attempt - 1)
-	if max := 2 * time.Second; d > max {
+	if max := 2 * time.Second; d <= 0 || d > max { // <= 0 guards shift overflow
 		d = max
 	}
 	d = d/2 + rand.N(d/2+1)
 	if hint, shed := client.IsShed(err); shed && hint > d {
 		d = min(hint, 5*time.Second)
 	}
-	t := time.NewTimer(d)
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-		t.Stop()
-	}
+	return d
 }

@@ -408,3 +408,19 @@ func TestBreakerRecovery(t *testing.T) {
 	}
 	requireIdentical(t, res.Trace, baseline(t, rep, []string{"default"}))
 }
+
+// TestBackoffDelayLateAttempts: at the default 100 ms base, attempt 38
+// shifts past the int64 range and attempt 64 shifts to zero. Every
+// late attempt must wait the capped delay (with equal jitter), not
+// panic or skip the wait.
+func TestBackoffDelayLateAttempts(t *testing.T) {
+	co := &Coordinator{cfg: Config{}.withDefaults()}
+	const max = 2 * time.Second
+	for _, attempt := range []int{37, 38, 40, 64, 65} {
+		for i := 0; i < 20; i++ {
+			if d := co.backoffDelay(attempt, nil); d < max/2 || d > max {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, max/2, max)
+			}
+		}
+	}
+}

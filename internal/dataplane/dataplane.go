@@ -166,9 +166,6 @@ type ReachOpts struct {
 	// OnHop, when non-nil, is invoked once per (location, newly arriving
 	// packets) — exactly the per-hop markPacket feed of §5.1.
 	OnHop func(loc Loc, pkts hdr.Set)
-	// MaxSteps bounds worklist processing as a safety net against
-	// transform-induced livelock; 0 means a generous default.
-	MaxSteps int
 }
 
 // Reach symbolically floods the packet set from the starting location and
@@ -255,10 +252,9 @@ func applyClasses(f *flood, dev netmodel.DeviceID, fresh hdr.Set) {
 // reach is the worklist of Reach over a device-application step (the
 // test oracle substitutes ApplyDevice's rule-by-rule one).
 func reach(net *netmodel.Network, start Loc, pkts hdr.Set, opts ReachOpts, apply func(f *flood, dev netmodel.DeviceID, fresh hdr.Set)) (*Reachability, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 200 * (len(net.Devices) + 1)
-	}
+	// A safety net against transform-induced livelock: a stateless
+	// flood settles long before this many worklist steps.
+	maxSteps := 200 * (len(net.Devices) + 1)
 	f := &flood{
 		net: net,
 		res: &Reachability{
@@ -512,9 +508,8 @@ type Start struct {
 // EnumOpts bounds path enumeration.
 type EnumOpts struct {
 	// MaxPaths stops enumeration after this many paths (0 = unlimited).
+	// A single path is cut at the number of devices + 2 hops.
 	MaxPaths int
-	// MaxHops cuts individual paths (0 = number of devices + 2).
-	MaxHops int
 }
 
 // EnumeratePaths performs the depth-first symbolic exploration of §5.2
@@ -532,10 +527,7 @@ func EnumeratePaths(ctx context.Context, net *netmodel.Network, starts []Start, 
 	if !net.MatchSetsComputed() {
 		panic("dataplane: match sets not computed")
 	}
-	maxHops := opts.MaxHops
-	if maxHops == 0 {
-		maxHops = len(net.Devices) + 2
-	}
+	maxHops := len(net.Devices) + 2
 	emitted := 0
 	stopped := false
 

@@ -335,7 +335,7 @@ func TestProfileSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if open := root.OpenCount(); open != 0 {
+	if open := openSpans(root.Profile()); open != 0 {
 		t.Errorf("open spans = %d, want 0", open)
 	}
 	run := root.Children()[0]
@@ -346,9 +346,9 @@ func TestProfileSpanTree(t *testing.T) {
 	// run: only setup runs outside them.
 	var stages time.Duration
 	names := map[string]int{}
-	run.Walk(func(_ int, sp *obs.Span) {
-		names[sp.Name()]++
-		if sp.Name() == "before" || sp.Name() == "after" {
+	run.Profile().Walk(func(_ int, sp *obs.SpanProfile) {
+		names[sp.Name]++
+		if sp.Name == "before" || sp.Name == "after" {
 			stages += sp.Duration()
 		}
 	})
@@ -398,7 +398,7 @@ func TestProfileSpansClosedOnPanic(t *testing.T) {
 	if res.Verdict != VerdictTestsErrored {
 		t.Fatalf("verdict = %v, want tests-errored", res.Verdict)
 	}
-	if open := root.OpenCount(); open != 0 {
+	if open := openSpans(root.Profile()); open != 0 {
 		t.Errorf("open spans after panic = %d, want 0", open)
 	}
 }
@@ -416,7 +416,7 @@ func TestProfileSpansClosedOnCancel(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
-	if open := root.OpenCount(); open != 0 {
+	if open := openSpans(root.Profile()); open != 0 {
 		var sb strings.Builder
 		obs.WriteFlame(&sb, root)
 		t.Errorf("open spans after cancel = %d, want 0\n%s", open, sb.String())

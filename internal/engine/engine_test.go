@@ -112,6 +112,18 @@ func subset(a, b *core.Trace) bool {
 	return u.Equal(b)
 }
 
+// openSpans counts the never-ended spans in a profile: the span-leak
+// detector.
+func openSpans(p *obs.SpanProfile) int {
+	n := 0
+	p.Walk(func(_ int, sp *obs.SpanProfile) {
+		if sp.Open {
+			n++
+		}
+	})
+	return n
+}
+
 // TestRunWorkersEquivalence holds what the differential matrix cannot
 // see from outside: a replica pool is built exactly when a run asks for
 // more than one worker of an engine sized for them, and a run into a
@@ -137,11 +149,11 @@ func TestRunWorkersEquivalence(t *testing.T) {
 		}
 		// A pooled run hangs the pool's build, every shard and the merge
 		// beneath its stage span, and closes them all.
-		if open := root.OpenCount(); open != 0 {
+		if open := openSpans(root.Profile()); open != 0 {
 			t.Errorf("workers=%d: %d open spans", workers, open)
 		}
 		names := map[string]bool{}
-		root.Walk(func(_ int, sp *obs.Span) { names[sp.Name()] = true })
+		root.Profile().Walk(func(_ int, sp *obs.SpanProfile) { names[sp.Name] = true })
 		for _, name := range []string{"sharded.build_replicas", "shard[0]", fmt.Sprintf("shard[%d]", workers-1), "sharded.merge"} {
 			if names[name] != (workers > 1) {
 				t.Errorf("workers=%d: span %q present = %v", workers, name, names[name])

@@ -149,14 +149,6 @@ func (s *Space) WatchContext(ctx context.Context) (restore func()) {
 // tuning and degradation diagnosis.
 func (s *Space) EngineStats() bdd.Stats { return s.m.Stats() }
 
-// SetCacheConfig installs an op-cache sizing policy on the space's BDD
-// manager (see bdd.CacheConfig). Replicated spaces (internal/sharded)
-// inherit the canonical space's policy.
-func (s *Space) SetCacheConfig(c bdd.CacheConfig) { s.m.SetCacheConfig(c) }
-
-// CacheConfig returns the op-cache sizing policy in effect.
-func (s *Space) CacheConfig() bdd.CacheConfig { return s.m.CacheConfig() }
-
 // Set is a set of packet headers within a Space.
 type Set struct {
 	sp *Space

@@ -141,23 +141,6 @@ func (s *Span) Duration() time.Duration {
 	return time.Since(s.start)
 }
 
-// Self returns the span's own time: Duration minus the durations of its
-// children (clamped at zero — concurrent children can legitimately sum
-// past the parent's wall time).
-func (s *Span) Self() time.Duration {
-	if s == nil {
-		return 0
-	}
-	d := s.Duration()
-	for _, c := range s.Children() {
-		d -= c.Duration()
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // Children returns a copy of the child list in creation order.
 func (s *Span) Children() []*Span {
 	if s == nil {
@@ -240,40 +223,6 @@ func (s *Span) Metrics() []SpanMetric {
 	out := make([]SpanMetric, len(s.metrics))
 	copy(out, s.metrics)
 	return out
-}
-
-// OpenCount returns the number of spans in the subtree (including s)
-// that have not been ended — the span-leak detector the chaos tests
-// assert on: a panicking test or a cancelled context must still leave
-// every span closed by its deferred End.
-func (s *Span) OpenCount() int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	if !s.Ended() {
-		n++
-	}
-	for _, c := range s.Children() {
-		n += c.OpenCount()
-	}
-	return n
-}
-
-// Walk visits the subtree depth-first in creation order, passing each
-// span's depth (0 for s).
-func (s *Span) Walk(fn func(depth int, sp *Span)) {
-	if s == nil {
-		return
-	}
-	var rec func(int, *Span)
-	rec = func(d int, sp *Span) {
-		fn(d, sp)
-		for _, c := range sp.Children() {
-			rec(d+1, c)
-		}
-	}
-	rec(0, s)
 }
 
 // Context plumbing -----------------------------------------------------

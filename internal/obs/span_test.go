@@ -8,6 +8,18 @@ import (
 	"time"
 )
 
+// openSpans counts the never-ended spans in a profile: the span-leak
+// detector.
+func openSpans(p *SpanProfile) int {
+	n := 0
+	p.Walk(func(_ int, sp *SpanProfile) {
+		if sp.Open {
+			n++
+		}
+	})
+	return n
+}
+
 func TestSpanTree(t *testing.T) {
 	reg := NewRegistry()
 	root := NewRoot("run", reg)
@@ -22,8 +34,8 @@ func TestSpanTree(t *testing.T) {
 	b.EndStage()
 	root.End()
 
-	if root.OpenCount() != 0 {
-		t.Errorf("open spans = %d, want 0", root.OpenCount())
+	if n := openSpans(root.Profile()); n != 0 {
+		t.Errorf("open spans = %d, want 0", n)
 	}
 	if !root.Ended() || !a.Ended() || !b.Ended() {
 		t.Error("spans not ended")
@@ -31,8 +43,8 @@ func TestSpanTree(t *testing.T) {
 	if root.Duration() < a.Duration() {
 		t.Error("root shorter than child")
 	}
-	if self := root.Self(); self > root.Duration() {
-		t.Errorf("self %v exceeds total %v", self, root.Duration())
+	if p := root.Profile(); p.Self() > p.Duration() {
+		t.Errorf("self %v exceeds total %v", p.Self(), p.Duration())
 	}
 	kids := root.Children()
 	if len(kids) != 2 || kids[0].Name() != "load" || kids[1].Name() != "eval" {
@@ -65,8 +77,8 @@ func TestSpanNilSafety(t *testing.T) {
 	s.EndStage()
 	s.Set("a", 1)
 	s.Add("a", 1)
-	s.Walk(func(int, *Span) { t.Error("walk visited a nil span") })
-	if s.Ended() || s.Duration() != 0 || s.Self() != 0 || s.OpenCount() != 0 {
+	s.Profile().Walk(func(int, *SpanProfile) { t.Error("walk visited a nil span") })
+	if s.Ended() || s.Duration() != 0 || s.Profile().Self() != 0 || openSpans(s.Profile()) != 0 {
 		t.Error("nil span reported state")
 	}
 	if s.Name() != "" || s.Registry() != nil || s.Children() != nil || s.Metrics() != nil {
@@ -111,8 +123,8 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	if got := len(root.Children()); got != workers {
 		t.Errorf("children = %d, want %d", got, workers)
 	}
-	if root.OpenCount() != 0 {
-		t.Errorf("open spans = %d, want 0", root.OpenCount())
+	if n := openSpans(root.Profile()); n != 0 {
+		t.Errorf("open spans = %d, want 0", n)
 	}
 	want := int64(workers * (workers - 1) / 2)
 	if ms := root.Metrics(); len(ms) != 1 || ms[0].Value != want {

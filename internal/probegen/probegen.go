@@ -37,19 +37,18 @@ type Probe struct {
 	LastDevice netmodel.DeviceID
 }
 
-// Options bounds generation.
+// samplesPerPath bounds ECMP-hash retries per candidate path.
+const samplesPerPath = 8
+
+// Options bounds generation. Probes are injected at the edge
+// (dataplane.EdgeStarts).
 type Options struct {
-	// Starts are the injection points (EdgeStarts when nil).
-	Starts []dataplane.Start
 	// MaxProbes stops after this many probes (0 = unlimited).
 	MaxProbes int
 	// MaxPaths bounds the underlying path exploration (0 = unlimited).
 	MaxPaths int
 	// Rules restricts the targets (nil = every uncovered rule).
 	Rules []netmodel.RuleID
-	// SamplesPerPath bounds ECMP-hash retries per candidate path
-	// (default 8).
-	SamplesPerPath int
 }
 
 // Result is the outcome of a generation run.
@@ -57,7 +56,7 @@ type Result struct {
 	Probes []Probe
 	// Uncoverable lists target rules no verified probe reached after a
 	// *complete* exploration — rules only local tests (or state
-	// inspection) can exercise from the given injection points. Empty
+	// inspection) can exercise from the edge injection points. Empty
 	// when Complete is false (a budget cut generation short, so the
 	// remaining targets may still be reachable); see Remaining.
 	Uncoverable []netmodel.RuleID
@@ -73,9 +72,6 @@ type Result struct {
 // exploration; the partial result then reports Complete=false.
 func Generate(ctx context.Context, cov *core.Coverage, opts Options) *Result {
 	net := cov.Net
-	if opts.SamplesPerPath == 0 {
-		opts.SamplesPerPath = 8
-	}
 	targets := make(map[netmodel.RuleID]bool)
 	for _, rid := range core.UncoveredRules(cov, opts.Rules) {
 		targets[rid] = true
@@ -85,12 +81,8 @@ func Generate(ctx context.Context, cov *core.Coverage, opts Options) *Result {
 		return res
 	}
 
-	starts := opts.Starts
-	if starts == nil {
-		starts = dataplane.EdgeStarts(net)
-	}
 	sp := net.Space
-	_, complete := dataplane.EnumeratePaths(ctx, net, starts,
+	_, complete := dataplane.EnumeratePaths(ctx, net, dataplane.EdgeStarts(net),
 		dataplane.EnumOpts{MaxPaths: opts.MaxPaths},
 		func(p dataplane.Path) bool {
 			if p.Guard.IsEmpty() || p.End == dataplane.PathLoop {
@@ -109,7 +101,7 @@ func Generate(ctx context.Context, cov *core.Coverage, opts Options) *Result {
 			// Sample packets with varied flow hashes until the concrete
 			// trajectory exercises a target (ECMP may route a sample
 			// down a different branch than this path).
-			for attempt := 0; attempt < opts.SamplesPerPath; attempt++ {
+			for attempt := 0; attempt < samplesPerPath; attempt++ {
 				cand := p.Guard.Intersect(sp.SrcPort(uint16(1031 + 977*attempt)))
 				if cand.IsEmpty() {
 					cand = p.Guard

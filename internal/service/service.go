@@ -132,7 +132,7 @@ type Server struct {
 	jobProfiles map[string][]byte
 	// spanObserver, when set (WithSpanObserver), receives every request
 	// root span after it ends — the test hook the span-leak suite uses
-	// to assert OpenCount == 0 on all paths, panics included.
+	// to assert no span in its Profile is Open on all paths, panics included.
 	spanObserver func(*obs.Span)
 	queueDepth   int
 	jobTTL       time.Duration

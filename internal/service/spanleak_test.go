@@ -20,11 +20,22 @@ import (
 
 // spanTracker collects every finished request/job span via
 // WithSpanObserver, so tests can assert the no-leak invariant
-// (OpenCount == 0) after every path — success, abort, cancellation,
+// (no Open node in the span's Profile) after every path — success, abort, cancellation,
 // panic.
 type spanTracker struct {
 	mu    sync.Mutex
 	spans []*obs.Span
+}
+
+// openSpans counts the never-ended spans in a profile.
+func openSpans(p *obs.SpanProfile) int {
+	n := 0
+	p.Walk(func(_ int, sp *obs.SpanProfile) {
+		if sp.Open {
+			n++
+		}
+	})
+	return n
 }
 
 func (st *spanTracker) observe(sp *obs.Span) {
@@ -44,7 +55,7 @@ func (st *spanTracker) assertNoLeaks(t *testing.T, wantAtLeast int) {
 		if !sp.Ended() {
 			t.Errorf("span %q handed to the observer before End", sp.Name())
 		}
-		if n := sp.OpenCount(); n != 0 {
+		if n := openSpans(sp.Profile()); n != 0 {
 			t.Errorf("span %q leaked %d open descendants", sp.Name(), n)
 		}
 	}
@@ -114,7 +125,7 @@ func TestSpansEndOnPanic(t *testing.T) {
 		t.Fatalf("results = %+v, want one errored result", out)
 	}
 	root.End()
-	if n := root.OpenCount(); n != 0 {
+	if n := openSpans(root.Profile()); n != 0 {
 		t.Errorf("panicking run leaked %d open spans", n)
 	}
 }
