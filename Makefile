@@ -175,7 +175,7 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), fourteen in all: the differential matrix's in-process engine
+# run), sixteen in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
 # the coverage view against its from-scratch oracle, a concrete
 # packet's marking against the union of its singleton at every hop, the
@@ -184,11 +184,13 @@ clustersmoke:
 # an untouched network), the forwarding index against the rule-by-rule
 # flood, the first-match traceroute and the ordered match-set walk on
 # seeded random tables, the BDD restriction walk against the
-# conjunction with a literal chain, the longest-match prefix walk
-# against the Or/Diff fold (and a budget trip in its middle), and the
-# decoders that read bytes from disk or a peer (BDD arena, trace
-# snapshot arena, trace JSON, network JSON, network text, span
-# profile). The CI fuzz-smoke job runs this target.
+# conjunction with a literal chain, hash consing's canonicity across
+# unique-table resizes (a construction script replayed in two managers
+# lands on the same node indices), the longest-match prefix walk
+# against the Or/Diff fold (and a budget trip in its middle), the trace
+# JSON round trip, and the decoders that read bytes from disk or a peer
+# (BDD arena, trace snapshot arena, trace JSON, network JSON, network
+# text, span profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
 	./internal/difftest:FuzzMatrix \
@@ -199,10 +201,12 @@ FUZZ_TARGETS = \
 	./internal/netmodel:FuzzParseText \
 	./internal/dataplane:FuzzForwardingIndex \
 	./internal/bdd:FuzzRestrict \
+	./internal/bdd:FuzzUniqueResizeCanonicity \
 	./internal/hdr:FuzzLongestMatch \
 	./internal/core:FuzzMarkConcrete \
 	./internal/bdd:FuzzArenaDecode \
 	./internal/core:FuzzSnapshotArenaDecode \
+	./internal/core:FuzzTraceRoundTrip \
 	./internal/core:FuzzDecodeTraceJSON \
 	./internal/obs:FuzzSpanProfileDecode
 

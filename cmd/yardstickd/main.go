@@ -158,9 +158,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		srv.RunCheckpointer(ctx)
 	}()
 
-	// The job worker pool gets its own context, cancelled during
+	// The job queue's worker gets its own context, cancelled during
 	// shutdown AFTER the HTTP drain: in-flight pollers keep getting
-	// answers while the pool winds down, and queued work is never
+	// answers while the worker winds down, and queued work is never
 	// started on a dying daemon.
 	jobsCtx, jobsCancel := context.WithCancel(context.Background())
 	defer jobsCancel()
@@ -186,7 +186,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 
 	// Shutdown order matters: flip to draining FIRST so requests racing
 	// the drain get an orderly 503 + Retry-After instead of a severed
-	// connection, then drain in-flight HTTP, then stop the worker pool
+	// connection, then drain in-flight HTTP, then stop the queue's worker
 	// (running jobs are cancelled, queued jobs stay queued), and only
 	// after job states have settled take the final checkpoint — that is
 	// what makes finished results fetchable across the restart and
@@ -202,7 +202,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		err = nil
 	}
 	jobsCancel()
-	<-jobsDone         // worker pool exited; every job state is settled
+	<-jobsDone         // queue worker exited; every job state is settled
 	<-checkpointerDone // periodic checkpointer exited (ctx.Done)
 	if cerr := srv.Checkpoint(); cerr != nil {
 		logger.Error("final checkpoint", "err", cerr)

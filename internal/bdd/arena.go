@@ -2,7 +2,7 @@
 // little-endian dump.
 //
 // The node slice IS the manager — the unique table, op cache, and
-// counting memos are all derivable from it — so persistence is a bulk
+// SatFraction memo are all derivable from it — so persistence is a bulk
 // write of 12-byte records behind a fixed-width header, mmap-able or
 // plain-readable. Loading validates structure exhaustively (a corrupt
 // or adversarial file must produce a typed error, never a panic or a
@@ -181,11 +181,6 @@ func DecodeArena(data []byte) (*Manager, error) {
 			return nil, fmt.Errorf("%w: node %d duplicates node (%d,%d,%d)", ErrArenaFormat, i, nd.level, nd.low, nd.high)
 		}
 	}
-	m.ensureSatFrac()
-	m.ensureSatCnt()
-	m.satFracN = 2
-	m.satNarrowN = 2
-	m.peakNodes = len(m.nodes)
 	m.maybeGrowCache()
 	return m, nil
 }

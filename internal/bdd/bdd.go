@@ -9,11 +9,11 @@
 // pointer (index) equality, and set equality checks are O(1).
 //
 // The storage layout is flat: nodes live in one slice, the unique table is
-// an open-addressed power-of-two array (see table.go), counting memos are
-// node-indexed dense arrays (see satcount.go), and the operation cache is a
-// direct-mapped array that grows with the node table. No hot-path structure
-// is a Go map, and the only per-operation allocations left are the big.Int
-// results of wide SatCounts.
+// an open-addressed power-of-two array (see table.go), the SatFraction memo
+// is a node-indexed dense array (see satcount.go), and the operation cache
+// is a direct-mapped array that grows with the node table. No hot-path
+// structure is a Go map; SatCount, which is off the evaluation path,
+// allocates its big.Int values per call.
 //
 // A Manager owns all nodes. Managers are not safe for concurrent use;
 // analyses that need parallelism should use one Manager per goroutine.
@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 )
 
 // Node is a reference to a BDD node owned by a Manager. The zero Node is
@@ -47,15 +46,15 @@ type node struct {
 	high  Node
 }
 
-// opcodes for the operation cache.
+// opcodes for the operation cache. The op-cache hash mixes the opcode,
+// so renumbering them moves slot placement and with it the op and miss
+// counts a run reports (never a result).
 const (
-	opAnd = iota + 1
-	opOr
-	opXor
-	opDiff
-	opNot
-	opExists
-	opIte
+	opAnd    = 1
+	opOr     = 2
+	opDiff   = 4
+	opNot    = 5
+	opExists = 6
 )
 
 // Manager owns a universe of BDD nodes over a fixed number of variables.
@@ -72,16 +71,10 @@ type Manager struct {
 	// doubles as the node table grows, up to a fixed cap.
 	cache []cacheEntry
 
-	// Counting memos (see satcount.go): node-indexed dense arrays grown
-	// lazily to the node table, plus a sparse big.Int side table for
-	// counts wider than 128 bits.
-	satFrac    []float64 // -1 = unset
-	satFracN   int
-	satState   []uint8 // satUnset / satNarrow / satWide
-	satLo      []uint64
-	satHi      []uint64
-	satNarrowN int
-	satBig     map[Node]*big.Int
+	// SatFraction memo (see satcount.go): a node-indexed dense array
+	// grown lazily to the node table, and its count of filled entries.
+	satFrac  []float64 // -1 = unset
+	satFracN int
 
 	// Resource budgets and cancellation (see budget.go). limits bounds
 	// node-table growth and apply-loop work; budgetErr, once set, marks
@@ -92,14 +85,12 @@ type Manager struct {
 	ctx       context.Context
 
 	// Observability counters (see Stats): charged apply-loop steps,
-	// op-cache hits/misses, table-doubling events, and the high-water
-	// node count.
+	// op-cache hits/misses and table-doubling events.
 	ops          uint64
 	cacheHits    uint64
 	cacheMisses  uint64
 	uniqResizes  uint64
 	cacheResizes uint64
-	peakNodes    int
 
 	// Clone lineage (see clone.go): the manager this one was cloned
 	// from and the node count at clone time. Nodes below originN are
@@ -128,9 +119,6 @@ func New(numVars int) *Manager {
 		cache:    make([]cacheEntry, minCacheSlots),
 		satFrac:  []float64{0, 1},
 		satFracN: 2,
-		satState: []uint8{satNarrow, satNarrow},
-		satLo:    []uint64{0, 1},
-		satHi:    []uint64{0, 0},
 	}
 }
 
@@ -142,16 +130,14 @@ func (m *Manager) NumVars() int { return m.numVars }
 func (m *Manager) Size() int { return len(m.nodes) }
 
 // Stats reports manager health for observability: allocated nodes,
-// unique-table geometry, memoization-table sizes. Analyses that watch
+// unique-table geometry, the SatFraction memo's size. Analyses that watch
 // Nodes grow without bound should start a fresh Manager (nodes are never
-// garbage collected). The cache and op counters support budget tuning: a
-// low hit rate or an Ops count near Limits.MaxOps explains a degraded
-// (budget-limited) run.
+// garbage collected). The cache and op counters explain a slow or
+// degraded run: a low hit rate, or an Ops count near Limits.MaxOps.
 type Stats struct {
 	Nodes          int
 	UniqueEntries  int
 	SatFracEntries int
-	SatCntEntries  int
 	// UniqueSlots is the unique table's capacity; UniqueLoad is
 	// UniqueEntries/UniqueSlots, kept below 0.75 by resizing.
 	UniqueSlots int
@@ -159,9 +145,9 @@ type Stats struct {
 	// CacheSlots is the op cache's current size (it grows with the node
 	// table up to a fixed cap).
 	CacheSlots int
-	// PeakNodes is the high-water node count — with never-collected
-	// nodes it equals Nodes, but it survives intent: budget tuning reads
-	// the peak even if future managers compact.
+	// PeakNodes is the high-water node count. Nodes are never removed,
+	// so for one manager it equals Nodes; an aggregate over several
+	// managers (engine.Stats) takes its maximum where Nodes sums.
 	PeakNodes int
 	// Ops counts charged apply-loop steps since the last SetLimits.
 	Ops uint64
@@ -177,19 +163,14 @@ type Stats struct {
 
 // Stats returns current counters.
 func (m *Manager) Stats() Stats {
-	peak := m.peakNodes
-	if n := len(m.nodes); n > peak {
-		peak = n
-	}
 	return Stats{
 		Nodes:          len(m.nodes),
 		UniqueEntries:  m.uniqUsed,
 		SatFracEntries: m.satFracN,
-		SatCntEntries:  m.satNarrowN + len(m.satBig),
 		UniqueSlots:    len(m.uniq),
 		UniqueLoad:     float64(m.uniqUsed) / float64(len(m.uniq)),
 		CacheSlots:     len(m.cache),
-		PeakNodes:      peak,
+		PeakNodes:      len(m.nodes),
 		Ops:            m.ops,
 		CacheHits:      m.cacheHits,
 		CacheMisses:    m.cacheMisses,
@@ -358,33 +339,6 @@ func (m *Manager) Or(a, b Node) Node {
 	return r
 }
 
-// Xor returns the exclusive or a ⊕ b.
-func (m *Manager) Xor(a, b Node) Node {
-	switch {
-	case a == b:
-		return False
-	case a == False:
-		return b
-	case b == False:
-		return a
-	case a == True:
-		return m.Not(b)
-	case b == True:
-		return m.Not(a)
-	}
-	if a > b {
-		a, b = b, a
-	}
-	h := cacheHash(opXor, a, b, 0)
-	if r, ok := m.cacheLookup(h, opXor, a, b, 0); ok {
-		return r
-	}
-	al, ah, bl, bh, level := m.cofactors(a, b)
-	r := m.mk(level, m.Xor(al, bl), m.Xor(ah, bh))
-	m.cacheStore(h, opXor, a, b, 0, r)
-	return r
-}
-
 // Diff returns the difference a ∧ ¬b.
 func (m *Manager) Diff(a, b Node) Node {
 	switch {
@@ -422,39 +376,6 @@ func (m *Manager) Not(a Node) Node {
 	nd := m.nodes[a]
 	r := m.mk(nd.level, m.Not(nd.low), m.Not(nd.high))
 	m.cacheStore(h, opNot, a, 0, 0, r)
-	return r
-}
-
-// Ite returns if-then-else: (f ∧ g) ∨ (¬f ∧ h).
-func (m *Manager) Ite(f, g, h Node) Node {
-	switch {
-	case f == True:
-		return g
-	case f == False:
-		return h
-	case g == h:
-		return g
-	case g == True && h == False:
-		return f
-	case g == False && h == True:
-		return m.Not(f)
-	}
-	key := cacheHash(opIte, f, g, h)
-	if r, ok := m.cacheLookup(key, opIte, f, g, h); ok {
-		return r
-	}
-	level := m.level(f)
-	if l := m.level(g); l < level {
-		level = l
-	}
-	if l := m.level(h); l < level {
-		level = l
-	}
-	fl, fh := m.cofactorAt(f, level)
-	gl, gh := m.cofactorAt(g, level)
-	hl, hh := m.cofactorAt(h, level)
-	r := m.mk(level, m.Ite(fl, gl, hl), m.Ite(fh, gh, hh))
-	m.cacheStore(key, opIte, f, g, h, r)
 	return r
 }
 
@@ -582,15 +503,6 @@ func (m *Manager) allSatRec(a Node, cube []byte, fn func([]byte) bool) bool {
 	return true
 }
 
-// bitset is a node-indexed visited set for DAG walks, matching the
-// kernel's dense-array idiom.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-
 // Eval evaluates a under a full assignment.
 func (m *Manager) Eval(a Node, assign []bool) bool {
 	if len(assign) != m.numVars {
@@ -605,25 +517,6 @@ func (m *Manager) Eval(a Node, assign []bool) bool {
 		}
 	}
 	return a == True
-}
-
-// NodeCount returns the number of distinct nodes reachable from a,
-// excluding terminals — a measure of the representation size of one set.
-func (m *Manager) NodeCount(a Node) int {
-	seen := newBitset(len(m.nodes))
-	count := 0
-	var walk func(Node)
-	walk = func(n Node) {
-		if n == False || n == True || seen.has(int(n)) {
-			return
-		}
-		seen.set(int(n))
-		count++
-		walk(m.nodes[n].low)
-		walk(m.nodes[n].high)
-	}
-	walk(a)
-	return count
 }
 
 // SatFractionOf is a convenience returning the fraction of b's assignments

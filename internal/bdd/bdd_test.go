@@ -52,6 +52,11 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
+// xor is the exclusive or a ⊕ b, as (a∖b) ∨ (b∖a): the kernel keeps
+// only the operations evaluation uses, and the random generators need
+// the fourth combinator.
+func xor(m *Manager, a, b Node) Node { return m.Or(m.Diff(a, b), m.Diff(b, a)) }
+
 // randomNode builds a random function over numVars variables with the given
 // number of combining operations.
 func randomNode(m *Manager, rng *rand.Rand, ops int) Node {
@@ -75,7 +80,7 @@ func randomNodeFrom(m *Manager, rng *rand.Rand, lo, ops int) Node {
 		case 1:
 			n = m.Or(n, other)
 		case 2:
-			n = m.Xor(n, other)
+			n = xor(m, n, other)
 		case 3:
 			n = m.Diff(n, other)
 		}
@@ -142,31 +147,15 @@ func TestPropertyInclusionExclusion(t *testing.T) {
 	}
 }
 
+// TestPropertyDiffXor: Diff is the conjunction with the complement,
+// a ∖ b = a ∧ ¬b.
 func TestPropertyDiffXor(t *testing.T) {
 	m := New(8)
 	rng := rand.New(rand.NewSource(5))
 	f := func(seed int64) bool {
 		a := randomNode(m, rng, 5)
 		b := randomNode(m, rng, 5)
-		if m.Diff(a, b) != m.And(a, m.Not(b)) {
-			return false
-		}
-		// a ⊕ b = (a∖b) ∨ (b∖a)
-		return m.Xor(a, b) == m.Or(m.Diff(a, b), m.Diff(b, a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyIte(t *testing.T) {
-	m := New(8)
-	rng := rand.New(rand.NewSource(6))
-	f := func(seed int64) bool {
-		a := randomNode(m, rng, 4)
-		b := randomNode(m, rng, 4)
-		c := randomNode(m, rng, 4)
-		return m.Ite(a, b, c) == m.Or(m.And(a, b), m.And(m.Not(a), c))
+		return m.Diff(a, b) == m.And(a, m.Not(b))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -376,8 +365,8 @@ func TestLiterals(t *testing.T) {
 	New(4).Literals(2, make([]bool, 3))
 }
 
-// TestMakeNode: a node built bottom-up is the Ite of its variable over
-// its branches, a redundant test collapses, every call charges one op,
+// TestMakeNode: a node built bottom-up is its variable's choice between
+// its branches, (x ∧ high) ∨ (low ∖ x), a redundant test collapses, every call charges one op,
 // and a branch that does not lie below the variable panics.
 func TestMakeNode(t *testing.T) {
 	m := New(8)
@@ -390,8 +379,9 @@ func TestMakeNode(t *testing.T) {
 		if m.Stats().Ops != ops+1 {
 			t.Fatalf("trial %d: MakeNode charged %d ops, want 1", trial, m.Stats().Ops-ops)
 		}
-		if want := m.Ite(m.Var(v), high, low); got != want {
-			t.Fatalf("trial %d: MakeNode(%d, …) != Ite(x%d, high, low)", trial, v, v)
+		x := m.Var(v)
+		if want := m.Or(m.And(x, high), m.Diff(low, x)); got != want {
+			t.Fatalf("trial %d: MakeNode(%d, …) != (x%d ∧ high) ∨ (low ∖ x%d)", trial, v, v, v)
 		}
 	}
 	x := m.Var(5)
@@ -489,7 +479,7 @@ func FuzzRestrict(f *testing.F) {
 		lo := int(first) % nv
 		w := int(width) % (nv - lo + 1)
 		// Each byte is one step: a literal over the variables from lo on
-		// (low bit: its polarity) combined by And, Or, Xor or Diff.
+		// (low bit: its polarity) combined by And, Or, xor or Diff.
 		lit := func(b byte) Node {
 			v := lo + int(b>>3)%(nv-lo)
 			if b>>2&1 == 1 {
@@ -509,7 +499,7 @@ func FuzzRestrict(f *testing.F) {
 			case 1:
 				a = m.Or(a, lit(b))
 			case 2:
-				a = m.Xor(a, lit(b))
+				a = xor(m, a, lit(b))
 			case 3:
 				a = m.Diff(a, lit(b))
 			}
@@ -528,16 +518,6 @@ func FuzzRestrict(f *testing.F) {
 			t.Fatalf("Restrict(%d, %d, %016b) still tests variable %d", lo, w, val, m.level(r))
 		}
 	})
-}
-
-func TestNodeCount(t *testing.T) {
-	m := New(4)
-	if m.NodeCount(True) != 0 {
-		t.Error("NodeCount(True) != 0")
-	}
-	if m.NodeCount(m.Var(0)) != 1 {
-		t.Error("NodeCount(x0) != 1")
-	}
 }
 
 func TestSatFractionOf(t *testing.T) {
@@ -600,12 +580,11 @@ func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := randomNode(m, rng, 10)
 	m.SatFraction(a)
-	m.SatCount(a)
 	after := m.Stats()
 	if after.Nodes <= before.Nodes || after.UniqueEntries == 0 {
 		t.Errorf("stats did not grow: %+v", after)
 	}
-	if after.SatFracEntries == 0 || after.SatCntEntries == 0 {
-		t.Errorf("memo tables empty: %+v", after)
+	if after.SatFracEntries == 0 {
+		t.Errorf("SatFraction memo empty: %+v", after)
 	}
 }

@@ -56,9 +56,6 @@ func (m *Manager) SetLimits(l Limits) {
 	m.ops = 0
 }
 
-// Limits returns the currently installed limits.
-func (m *Manager) Limits() Limits { return m.limits }
-
 // BudgetErr reports whether the manager is poisoned by a tripped budget:
 // it returns the error (wrapping ErrBudgetExceeded) that tripped, or nil.
 // Callers that recover panics generically — a per-test isolation boundary,

@@ -3,9 +3,9 @@
 // The flat storage layout (bdd.go, table.go, satcount.go) makes a
 // Manager a handful of dense slices plus a few scalars, so a replica is
 // a memcpy, not a semantic rebuild: Clone copies the node array, the
-// unique table, the op cache, and the counting memos slice-for-slice in
-// O(size) with bit-identical semantics. Every node keeps its index, so
-// node references held outside the manager (hdr.Set values, trace
+// unique table, the op cache, and the SatFraction memo slice-for-slice
+// in O(size) with bit-identical semantics. Every node keeps its index,
+// so node references held outside the manager (hdr.Set values, trace
 // roots, cube nodes) remain valid in the clone, and the unique table's
 // deterministic resize points (a function of the node count) are
 // preserved exactly — a clone grows the same way the original would.
@@ -15,47 +15,28 @@
 // workers install their own Limits and WatchContext per run — and
 // cloning a poisoned manager yields a clean replica (the budget that
 // tripped belonged to the original's run, not the copy). Observability
-// counters restart at zero for the same reason; PeakNodes restarts at
-// the cloned size.
+// counters restart at zero for the same reason.
 package bdd
-
-import "math/big"
 
 // Clone returns an independent copy of the manager in O(size): same
 // nodes at the same indices, same unique-table and op-cache layout,
-// same counting memos. Mutating either manager afterwards never
+// same SatFraction memo. Mutating either manager afterwards never
 // affects the other — the clone is copy-on-write at the granularity of
 // whole tables, and both sides only ever append.
-//
-// The wide-count side table is shared structurally: satBig values are
-// immutable by contract (see bigCount), so the clone references the
-// same *big.Int values under its own map.
 //
 // Clone reads the manager without mutating it, so concurrent Clone
 // calls on a quiescent manager are safe (building a replica pool clones
 // the canonical space from several goroutines at once).
 func (m *Manager) Clone() *Manager {
-	c := &Manager{
-		numVars:    m.numVars,
-		nodes:      append([]node(nil), m.nodes...),
-		uniq:       append([]uniqSlot(nil), m.uniq...),
-		uniqUsed:   m.uniqUsed,
-		cache:      append([]cacheEntry(nil), m.cache...),
-		satFrac:    append([]float64(nil), m.satFrac...),
-		satFracN:   m.satFracN,
-		satState:   append([]uint8(nil), m.satState...),
-		satLo:      append([]uint64(nil), m.satLo...),
-		satHi:      append([]uint64(nil), m.satHi...),
-		satNarrowN: m.satNarrowN,
-		peakNodes:  len(m.nodes),
-		origin:     m,
-		originN:    len(m.nodes),
+	return &Manager{
+		numVars:  m.numVars,
+		nodes:    append([]node(nil), m.nodes...),
+		uniq:     append([]uniqSlot(nil), m.uniq...),
+		uniqUsed: m.uniqUsed,
+		cache:    append([]cacheEntry(nil), m.cache...),
+		satFrac:  append([]float64(nil), m.satFrac...),
+		satFracN: m.satFracN,
+		origin:   m,
+		originN:  len(m.nodes),
 	}
-	if m.satBig != nil {
-		c.satBig = make(map[Node]*big.Int, len(m.satBig))
-		for k, v := range m.satBig {
-			c.satBig[k] = v
-		}
-	}
-	return c
 }

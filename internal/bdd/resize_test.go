@@ -23,7 +23,7 @@ func buildScripted(m *Manager, ops []byte) []Node {
 		case 0:
 			cur = m.Or(cur, m.And(operand, m.Var((v+i)%m.NumVars())))
 		default:
-			cur = m.Xor(cur, operand)
+			cur = xor(m, cur, operand)
 		}
 		roots = append(roots, cur)
 	}

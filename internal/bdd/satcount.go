@@ -1,31 +1,16 @@
-// Model counting over node-indexed dense memo arrays.
+// Model counting.
 //
-// SatFraction and SatCount memoize per node. The memos used to be Go
-// maps; they are now flat arrays indexed by node, grown (lazily, at
-// each counting entry point) to match the node table — the counting
-// recursions never create nodes, so the arrays cannot go stale mid-walk.
+// SatFraction is what evaluation reads — every coverage ratio is a
+// quotient of fractions — so it keeps a node-indexed dense memo on the
+// manager, grown lazily to the node table at each call (the recursion
+// never creates nodes, so the array cannot go stale mid-walk).
 //
-// SatCount is hybrid: per-node counts are kept as unsigned 128-bit
-// integers in two parallel uint64 arrays, which is exact for every set
-// in a universe of up to 128 variables (the IPv4 5-tuple space is 104
-// bits) and allocates nothing per node. Only when a shift or add
-// overflows 128 bits — wide IPv6 sets, 296 bits — does the node fall
-// back to a big.Int kept in a sparse side map. The public SatCount
-// still returns *big.Int (a fresh value the caller may mutate), so the
-// fast path costs O(1) allocations per call instead of O(nodes).
+// SatCount is the exact count, kept for callers that want |set| itself
+// rather than a ratio. It is a plain big.Int recursion whose memo lives
+// only for the call, so counting leaves no state in the manager.
 package bdd
 
-import (
-	"math/big"
-	"math/bits"
-)
-
-// satCount memo states, per node.
-const (
-	satUnset  uint8 = iota
-	satNarrow       // count fits in 128 bits: satLo/satHi hold it
-	satWide         // count overflowed: satBig holds it
-)
+import "math/big"
 
 // ensureSatFrac grows the SatFraction memo to cover every node.
 // Unset entries are -1 (fractions live in [0,1]).
@@ -33,17 +18,6 @@ func (m *Manager) ensureSatFrac() {
 	for len(m.satFrac) < len(m.nodes) {
 		m.satFrac = append(m.satFrac, -1)
 	}
-}
-
-// ensureSatCnt grows the SatCount memo arrays to cover every node.
-func (m *Manager) ensureSatCnt() {
-	if len(m.satState) >= len(m.nodes) {
-		return
-	}
-	need := len(m.nodes) - len(m.satState)
-	m.satState = append(m.satState, make([]uint8, need)...)
-	m.satLo = append(m.satLo, make([]uint64, need)...)
-	m.satHi = append(m.satHi, make([]uint64, need)...)
 }
 
 // SatFraction returns the fraction of all 2^numVars assignments that
@@ -70,101 +44,26 @@ func (m *Manager) satFracRec(a Node) float64 {
 // the full variable universe. The returned value is fresh; callers may
 // mutate it.
 func (m *Manager) SatCount(a Node) *big.Int {
-	m.ensureSatCnt()
-	m.satCountRec(a)
-	// satCountRec counts assignments of variables at or below a's level;
-	// scale by the variables above it.
-	shift := uint(m.level(a))
-	if m.satState[a] == satNarrow {
-		if hi, lo, ok := shl128(m.satHi[a], m.satLo[a], shift); ok {
-			return bigFromU128(hi, lo)
+	memo := map[Node]*big.Int{}
+	// rec counts the assignments of the variables from n's level
+	// (inclusive) to numVars (exclusive).
+	var rec func(Node) *big.Int
+	rec = func(n Node) *big.Int {
+		switch n {
+		case False:
+			return big.NewInt(0)
+		case True:
+			return big.NewInt(1)
 		}
-	}
-	return new(big.Int).Lsh(m.bigCount(a), shift)
-}
-
-// satCountRec fills the memo for a: the number of satisfying
-// assignments of the variables from a's level (inclusive) to numVars
-// (exclusive).
-func (m *Manager) satCountRec(a Node) {
-	if m.satState[a] != satUnset {
-		return
-	}
-	nd := m.nodes[a]
-	m.satCountRec(nd.low)
-	m.satCountRec(nd.high)
-	sl := uint(m.level(nd.low) - nd.level - 1)
-	sh := uint(m.level(nd.high) - nd.level - 1)
-	if m.satState[nd.low] == satNarrow && m.satState[nd.high] == satNarrow {
-		lhi, llo, ok1 := shl128(m.satHi[nd.low], m.satLo[nd.low], sl)
-		hhi, hlo, ok2 := shl128(m.satHi[nd.high], m.satLo[nd.high], sh)
-		if ok1 && ok2 {
-			if hi, lo, ok := add128(lhi, llo, hhi, hlo); ok {
-				m.satHi[a], m.satLo[a] = hi, lo
-				m.satState[a] = satNarrow
-				m.satNarrowN++
-				return
-			}
+		if c, ok := memo[n]; ok {
+			return c
 		}
+		nd := m.nodes[n]
+		c := new(big.Int).Lsh(rec(nd.low), uint(m.level(nd.low)-nd.level-1))
+		c.Add(c, new(big.Int).Lsh(rec(nd.high), uint(m.level(nd.high)-nd.level-1)))
+		memo[n] = c
+		return c
 	}
-	// Wide path: assemble from the children's counts as big.Ints.
-	c := new(big.Int).Lsh(m.bigCount(nd.low), sl)
-	t := new(big.Int).Lsh(m.bigCount(nd.high), sh)
-	c.Add(c, t)
-	if m.satBig == nil {
-		m.satBig = make(map[Node]*big.Int)
-	}
-	m.satBig[a] = c
-	m.satState[a] = satWide
-}
-
-// bigCount returns a's memoized count as a big.Int (shared storage for
-// wide nodes — callers must not mutate it; use via Lsh/Add into a fresh
-// destination). The memo must already be filled.
-func (m *Manager) bigCount(a Node) *big.Int {
-	if m.satState[a] == satWide {
-		return m.satBig[a]
-	}
-	return bigFromU128(m.satHi[a], m.satLo[a])
-}
-
-// shl128 shifts the 128-bit value (hi, lo) left by s, reporting whether
-// the result is still exact (no bits lost).
-func shl128(hi, lo uint64, s uint) (rhi, rlo uint64, ok bool) {
-	switch {
-	case s == 0:
-		return hi, lo, true
-	case s >= 128:
-		return 0, 0, hi == 0 && lo == 0
-	case s >= 64:
-		if hi != 0 || lo>>(128-s) != 0 {
-			return 0, 0, false
-		}
-		return lo << (s - 64), 0, true
-	default:
-		if hi>>(64-s) != 0 {
-			return 0, 0, false
-		}
-		return hi<<s | lo>>(64-s), lo << s, true
-	}
-}
-
-// add128 adds two 128-bit values, reporting whether the sum fits.
-func add128(ahi, alo, bhi, blo uint64) (hi, lo uint64, ok bool) {
-	lo, carry := bits.Add64(alo, blo, 0)
-	hi, carry = bits.Add64(ahi, bhi, carry)
-	return hi, lo, carry == 0
-}
-
-// bigFromU128 builds a fresh big.Int from a 128-bit value.
-func bigFromU128(hi, lo uint64) *big.Int {
-	if hi == 0 {
-		return new(big.Int).SetUint64(lo)
-	}
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(hi >> (56 - 8*i))
-		buf[8+i] = byte(lo >> (56 - 8*i))
-	}
-	return new(big.Int).SetBytes(buf[:])
+	// Scale by the variables above a's level.
+	return new(big.Int).Lsh(rec(a), uint(m.level(a)))
 }

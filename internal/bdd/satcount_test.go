@@ -1,35 +1,11 @@
 package bdd
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 )
-
-// refSatCount is a straightforward all-big.Int model counter used as
-// the oracle for the hybrid implementation.
-func refSatCount(m *Manager, a Node) *big.Int {
-	memo := map[Node]*big.Int{}
-	var rec func(Node) *big.Int
-	rec = func(n Node) *big.Int {
-		if n == False {
-			return big.NewInt(0)
-		}
-		if n == True {
-			return big.NewInt(1)
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		nd := m.nodes[n]
-		c := new(big.Int).Lsh(rec(nd.low), uint(m.level(nd.low)-nd.level-1))
-		t := new(big.Int).Lsh(rec(nd.high), uint(m.level(nd.high)-nd.level-1))
-		c.Add(c, t)
-		memo[n] = c
-		return c
-	}
-	return new(big.Int).Lsh(rec(a), uint(m.level(a)))
-}
 
 // cubeOf returns the conjunction of the first k variables — a set of
 // exactly 2^(numVars-k) assignments.
@@ -41,10 +17,9 @@ func cubeOf(m *Manager, k int) Node {
 	return m.Cube(vars)
 }
 
-// TestSatCountCrossover exercises the uint64/128-bit fast path and the
-// big.Int fallback on either side of both overflow boundaries. In a
-// 200-variable universe, a k-variable cube counts 2^(200-k): k=136
-// lands exactly on 2^64, k=72 exactly on 2^128 (the first wide count).
+// TestSatCountCrossover counts on either side of the 64- and 128-bit
+// boundaries. In a 200-variable universe, a k-variable cube counts
+// 2^(200-k): k=136 lands exactly on 2^64, k=72 exactly on 2^128.
 func TestSatCountCrossover(t *testing.T) {
 	const nv = 200
 	m := New(nv)
@@ -54,107 +29,59 @@ func TestSatCountCrossover(t *testing.T) {
 		if got := m.SatCount(c); got.Cmp(want) != 0 {
 			t.Errorf("k=%d: SatCount = %v, want 2^%d", k, got, nv-k)
 		}
-		// The memo state must match the width: counts up to 2^127
-		// stay narrow; 2^128 itself no longer fits in 128 bits and
-		// goes to the big side table.
-		// (The root's own memo is level-adjusted: a cube's top node
-		// is at level 0, so its stored count equals the full count.)
-		if nv-k < 128 {
-			if m.satState[c] != satNarrow {
-				t.Errorf("k=%d: state = %d, want narrow", k, m.satState[c])
-			}
-		} else if m.satState[c] != satWide {
-			t.Errorf("k=%d: state = %d, want wide", k, m.satState[c])
-		}
-	}
-}
-
-// TestSatCountHybridMatchesReference compares the hybrid counter to an
-// all-big.Int oracle on random functions in a universe wide enough that
-// narrow and wide nodes coexist in one DAG.
-func TestSatCountHybridMatchesReference(t *testing.T) {
-	const nv = 160
-	m := New(nv)
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 60; trial++ {
-		a := randomNode(m, rng, 10)
-		got := m.SatCount(a)
-		want := refSatCount(m, a)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("trial %d: SatCount = %v, want %v", trial, got, want)
-		}
 	}
 }
 
 // TestSatCountReturnsFreshValue pins the API contract: the returned
-// big.Int is the caller's to mutate, so mutating it must not corrupt
-// the memo.
+// big.Int is the caller's to mutate, so mutating it must not change the
+// next count.
 func TestSatCountReturnsFreshValue(t *testing.T) {
 	m := New(300)
-	c := cubeOf(m, 10) // 2^290: wide path, memoized as big.Int
+	c := cubeOf(m, 10) // 2^290
 	first := m.SatCount(c)
 	first.SetInt64(-1)
 	if again := m.SatCount(c); again.Sign() <= 0 {
-		t.Fatalf("memo corrupted by caller mutation: %v", again)
+		t.Fatalf("2^290 count changed by caller mutation: %v", again)
 	}
 	n := New(100)
-	cn := cubeOf(n, 10) // narrow path
+	cn := cubeOf(n, 10) // 2^90
 	f := n.SatCount(cn)
 	f.SetInt64(-1)
 	if again := n.SatCount(cn); again.Sign() <= 0 {
-		t.Fatalf("narrow memo corrupted by caller mutation: %v", again)
+		t.Fatalf("2^90 count changed by caller mutation: %v", again)
 	}
 }
 
-// TestSatCountAllocsSteadyState: the V4-width fast path must not
-// allocate per node — only the O(1) big.Int wrap of the result.
-func TestSatCountAllocsSteadyState(t *testing.T) {
-	m := New(104) // IPv4 5-tuple width
-	rng := rand.New(rand.NewSource(31))
-	a := randomNode(m, rng, 40)
-	m.SatCount(a) // fill the memo
-	allocs := testing.AllocsPerRun(100, func() { m.SatCount(a) })
-	if allocs > 4 {
-		t.Errorf("SatCount steady state: %v allocs/op, want <= 4", allocs)
+// TestCountAgreesAcrossCloneAndArena: a replica counts as its original
+// does, whether made by Clone (which copies the warm SatFraction memo)
+// or by an arena round trip (which starts with none), for a set wider
+// than 128 bits and a narrow one.
+func TestCountAgreesAcrossCloneAndArena(t *testing.T) {
+	m := New(200)
+	type want struct {
+		count *big.Int
+		frac  float64
 	}
-}
-
-func TestShl128(t *testing.T) {
-	cases := []struct {
-		hi, lo uint64
-		s      uint
-		rhi    uint64
-		rlo    uint64
-		ok     bool
-	}{
-		{0, 1, 0, 0, 1, true},
-		{0, 1, 63, 0, 1 << 63, true},
-		{0, 1, 64, 1, 0, true},
-		{0, 1, 127, 1 << 63, 0, true},
-		{0, 1, 128, 0, 0, false},
-		{0, 0, 500, 0, 0, true},
-		{1, 0, 64, 0, 0, false},
-		{0, 3, 127, 0, 0, false},
-		{0, 1 << 63, 1, 1, 0, true},
-		{1, 1, 63, 1<<63 | (1 >> 1), 1 << 63, true},
+	sets := map[Node]want{
+		m.Var(0):       {new(big.Int).Lsh(big.NewInt(1), 199), 0.5},
+		cubeOf(m, 190): {big.NewInt(1 << 10), math.Ldexp(1, -190)},
 	}
-	for _, c := range cases {
-		rhi, rlo, ok := shl128(c.hi, c.lo, c.s)
-		if ok != c.ok || (ok && (rhi != c.rhi || rlo != c.rlo)) {
-			t.Errorf("shl128(%d,%d,%d) = %d,%d,%v want %d,%d,%v",
-				c.hi, c.lo, c.s, rhi, rlo, ok, c.rhi, c.rlo, c.ok)
+	for a := range sets {
+		m.SatFraction(a)
+	}
+	d, err := DecodeArena(m.AppendArena(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Manager{"original": m, "clone": m.Clone(), "arena": d} {
+		for a, w := range sets {
+			if got := r.SatCount(a); got.Cmp(w.count) != 0 {
+				t.Errorf("%s: SatCount(%d) = %v, want %v", name, a, got, w.count)
+			}
+			if got := r.SatFraction(a); got != w.frac {
+				t.Errorf("%s: SatFraction(%d) = %g, want %g", name, a, got, w.frac)
+			}
 		}
-	}
-}
-
-func TestBigFromU128(t *testing.T) {
-	want := new(big.Int).Lsh(big.NewInt(0x1234), 64)
-	want.Or(want, new(big.Int).SetUint64(0xfedcba9876543210))
-	if got := bigFromU128(0x1234, 0xfedcba9876543210); got.Cmp(want) != 0 {
-		t.Errorf("bigFromU128 = %v, want %v", got, want)
-	}
-	if got := bigFromU128(0, 7); got.Cmp(big.NewInt(7)) != 0 {
-		t.Errorf("bigFromU128(0,7) = %v", got)
 	}
 }
 
@@ -200,9 +127,8 @@ func BenchmarkBDDDiff(b *testing.B) {
 	}
 }
 
-// BenchmarkBDDSatCount measures the hybrid counter on the IPv4-width
-// fast path (steady state: memo warm, allocations are the O(1) result
-// wrap only).
+// BenchmarkBDDSatCount measures exact counting at the IPv4 5-tuple
+// width (104 variables). Each call walks the whole set.
 func BenchmarkBDDSatCount(b *testing.B) {
 	m := New(104)
 	rng := rand.New(rand.NewSource(4))
@@ -217,7 +143,7 @@ func BenchmarkBDDSatCount(b *testing.B) {
 	}
 }
 
-// BenchmarkBDDSatCountV6 is the wide-set fallback (296-bit universe).
+// BenchmarkBDDSatCountV6 is the same at the IPv6 width (296 variables).
 func BenchmarkBDDSatCountV6(b *testing.B) {
 	m := New(296)
 	rng := rand.New(rand.NewSource(5))

@@ -103,7 +103,7 @@ func TestStatsDelta(t *testing.T) {
 	m := New(16)
 	m.And(m.Var(0), m.Var(1))
 	before := m.Stats()
-	m.Xor(m.Var(2), m.Var(3))
+	m.Diff(m.Var(2), m.Var(3))
 	after := m.Stats()
 	d := after.Delta(before)
 	if d.Ops == 0 {

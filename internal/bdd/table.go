@@ -97,9 +97,6 @@ func (m *Manager) insert(slot, hash uint64, level uint32, low, high Node) Node {
 	}
 	n := Node(len(m.nodes))
 	m.nodes = append(m.nodes, node{level: level, low: low, high: high})
-	if len(m.nodes) > m.peakNodes {
-		m.peakNodes = len(m.nodes)
-	}
 	m.uniq[slot] = uniqSlot{hash: hash, node: n}
 	m.uniqUsed++
 	m.maybeGrowCache()

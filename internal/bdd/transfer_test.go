@@ -91,8 +91,9 @@ func TestCopyFromChargesDestinationBudget(t *testing.T) {
 	src := New(16)
 	rng := rand.New(rand.NewSource(7))
 	a := randomNode(src, rng, 40)
-	if src.NodeCount(a) < 4 {
-		t.Fatalf("fixture too small: %d nodes", src.NodeCount(a))
+	// The copy must need more than the one node MaxNodes 3 leaves room for.
+	if nd := src.nodes[a]; a <= True || nd.low <= True && nd.high <= True {
+		t.Fatalf("fixture too small: node %d reaches fewer than two decision nodes", a)
 	}
 	dst := New(16)
 	dst.SetLimits(Limits{MaxNodes: 3})

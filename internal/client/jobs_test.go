@@ -207,7 +207,7 @@ func TestJobHelpers(t *testing.T) {
 // API: Total reflects the filtered count, More drives the walk, and the
 // pages cover every job exactly once.
 func TestListJobsPaging(t *testing.T) {
-	// No worker pool: submitted jobs stay queued, so the list is stable.
+	// No worker: submitted jobs stay queued, so the list is stable.
 	rg := buildNet(t)
 	srv := service.WithNetwork(rg.Net, quiet(), service.WithJobQueue(16, time.Minute))
 	ts := httptest.NewServer(srv.Handler())

@@ -374,7 +374,6 @@ func (e *Engine) Stats() (st bdd.Stats, managers int) {
 		st.UniqueResizes += r.UniqueResizes
 		st.CacheResizes += r.CacheResizes
 		st.SatFracEntries += r.SatFracEntries
-		st.SatCntEntries += r.SatCntEntries
 		st.PeakNodes = max(st.PeakNodes, r.PeakNodes)
 	}
 	return st, managers

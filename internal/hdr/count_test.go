@@ -6,9 +6,7 @@ import (
 	"testing"
 )
 
-// expectCount asserts Count() == 2^(numBits - plen) for a single
-// destination prefix — the exact point where the hybrid counter's
-// narrow (128-bit) representation hands off to big.Int.
+// expectCount asserts Count() == 2^shift.
 func expectCount(t *testing.T, s *Space, set Set, shift int) {
 	t.Helper()
 	want := new(big.Int).Lsh(big.NewInt(1), uint(shift))
@@ -19,8 +17,7 @@ func expectCount(t *testing.T, s *Space, set Set, shift int) {
 
 // TestCountCrossoverV4 walks destination prefix lengths across the
 // 2^64 boundary in the 104-bit V4 space: /40 counts exactly 2^64,
-// /39 is the first count above uint64 (still narrow), /41 the last
-// below it.
+// /39 is the first count above uint64, /41 the last below it.
 func TestCountCrossoverV4(t *testing.T) {
 	s := NewSpace()
 	if s.NumBits() != 104 {
@@ -40,16 +37,16 @@ func TestCountCrossoverV4(t *testing.T) {
 	expectCount(t, s, fix40, 64)
 	fix48 := fix40.Intersect(s.SrcPrefix(netip.PrefixFrom(base, 8))) // 2^56
 	expectCount(t, s, fix48, 56)
-	// All three stay on the narrow path; Fraction must agree.
+	// Fraction must agree.
 	if f := fix40.Fraction(); f != 1.0/(1<<40) {
 		t.Errorf("fraction = %g, want 2^-40", f)
 	}
 }
 
 // TestCountCrossoverV6 crosses the 2^128 boundary in the 296-bit V6
-// space: a /168 of fixed bits leaves exactly 2^128 assignments — the
-// first count that no longer fits the narrow representation — while
-// /169 (2^127) is the last narrow one.
+// space: 168 fixed bits leave exactly 2^128 assignments, the first
+// count wider than 128 bits, while 169 (2^127) leave the last one that
+// fits.
 func TestCountCrossoverV6(t *testing.T) {
 	s := NewSpaceV6()
 	if s.NumBits() != 296 {
@@ -62,8 +59,8 @@ func TestCountCrossoverV6(t *testing.T) {
 	expectCount(t, s, dstFull, 168)
 	for _, srcLen := range []int{0, 39, 40, 41, 128} {
 		set := dstFull.Intersect(s.SrcPrefix(netip.PrefixFrom(base, srcLen)))
-		// 128+srcLen bits fixed: srcLen=40 leaves 2^128 (first wide
-		// after full dst), srcLen=41 leaves 2^127 (narrow).
+		// 128+srcLen bits fixed: srcLen=40 leaves 2^128, srcLen=41
+		// leaves 2^127.
 		expectCount(t, s, set, 168-srcLen)
 	}
 	// Mixed-width DAG: union of a wide set and a narrow set must count
@@ -82,17 +79,13 @@ func TestCountCrossoverV6(t *testing.T) {
 	}
 }
 
-// TestCountAllocsV4 pins the fast path: a warm Count on a V4 set must
-// not allocate per node, and Fraction must not allocate at all.
+// TestCountAllocsV4 pins the measure every coverage ratio reads: a warm
+// Fraction on a V4 set must not allocate at all.
 func TestCountAllocsV4(t *testing.T) {
 	s := NewSpace()
 	set := s.DstPrefix(netip.MustParsePrefix("10.0.0.0/9")).
 		Union(s.SrcPortRange(1000, 2000)).
 		Diff(s.Proto(6))
-	set.Count() // warm the memo
-	if allocs := testing.AllocsPerRun(100, func() { set.Count() }); allocs > 4 {
-		t.Errorf("warm Count: %v allocs/op, want <= 4", allocs)
-	}
 	set.Fraction()
 	if allocs := testing.AllocsPerRun(100, func() { set.Fraction() }); allocs != 0 {
 		t.Errorf("warm Fraction: %v allocs/op, want 0", allocs)

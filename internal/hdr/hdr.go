@@ -242,7 +242,8 @@ func (a Set) Overlaps(b Set) bool {
 // Fraction returns |a| / 2^NumBits as a float64.
 func (a Set) Fraction() float64 { return a.sp.m.SatFraction(a.n) }
 
-// Count returns the exact number of headers in the set.
+// Count returns the exact number of headers in the set. It walks the
+// whole set on every call; coverage ratios read Fraction instead.
 func (a Set) Count() *big.Int { return a.sp.m.SatCount(a.n) }
 
 // FractionOf returns |a ∩ b| / |b|, the share of b covered by a

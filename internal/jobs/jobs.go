@@ -1,6 +1,6 @@
 // Package jobs is the asynchronous admission layer behind the coverage
-// service's POST /jobs API: a bounded FIFO queue feeding a fixed worker
-// pool, so a long-running coverage run no longer ties an HTTP connection
+// service's POST /jobs API: a bounded FIFO queue feeding one worker, so
+// a long-running coverage run no longer ties an HTTP connection
 // up for its whole duration and a burst of submissions degrades into
 // explicit load-shedding (ErrQueueFull → 503 + Retry-After at the HTTP
 // layer) instead of an unbounded pile-up on the evaluation mutex.
@@ -101,9 +101,6 @@ type Config struct {
 	// returns ErrQueueFull past it — the admission signal the HTTP layer
 	// turns into 503 + Retry-After.
 	QueueDepth int
-	// Workers is the worker-pool size (default 1). The coverage service
-	// sizes this off its evaluation Workers cap.
-	Workers int
 	// RunTimeout bounds each job's execution context (0 = unbounded).
 	RunTimeout time.Duration
 	// TTL is how long terminal jobs are retained for polling before the
@@ -114,9 +111,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Workers <= 0 {
-		c.Workers = 1
 	}
 	if c.TTL <= 0 {
 		c.TTL = time.Hour
@@ -142,9 +136,11 @@ type job struct {
 	cancel context.CancelFunc // non-nil only while running
 }
 
-// Queue is a bounded FIFO job queue with a fixed worker pool. Create
-// with New, start workers with Start, and stop them by cancelling
-// Start's context (then Wait). All methods are safe for concurrent use;
+// Queue is a bounded FIFO job queue drained by one worker: the service
+// evaluates one run at a time under its own lock, so a second worker
+// would only wait on that lock while its job read as running and the
+// backlog read one short. Create with New, start the worker with Start,
+// and stop it by cancelling Start's context (then Wait). All methods are safe for concurrent use;
 // Submit/Get/Cancel work even before Start (jobs simply wait).
 type Queue struct {
 	run Runner
@@ -164,8 +160,8 @@ type Queue struct {
 	wg sync.WaitGroup
 }
 
-// New returns a queue executing jobs with run. Workers do not start
-// until Start.
+// New returns a queue executing jobs with run. The worker does not
+// start until Start.
 func New(run Runner, cfg Config) *Queue {
 	cfg = cfg.withDefaults()
 	return &Queue{
@@ -179,16 +175,13 @@ func New(run Runner, cfg Config) *Queue {
 // Config reports the queue's effective (defaulted) configuration.
 func (q *Queue) Config() Config { return q.cfg }
 
-// Start launches the worker pool and the TTL janitor. Workers exit when
-// ctx is cancelled; a job running at that moment has its own context
+// Start launches the worker and the TTL janitor. Both exit when ctx is
+// cancelled; a job running at that moment has its own context
 // cancelled and finishes as failed (context.Canceled) — the state
 // persistence then reports after a restart.
 func (q *Queue) Start(ctx context.Context) {
-	for i := 0; i < q.cfg.Workers; i++ {
-		q.wg.Add(1)
-		go q.worker(ctx)
-	}
-	q.wg.Add(1)
+	q.wg.Add(2)
+	go q.worker(ctx)
 	go q.janitor(ctx)
 }
 
@@ -272,7 +265,7 @@ func (q *Queue) Cancel(id string) (Job, error) {
 	}
 	switch j.State {
 	case StateQueued:
-		// The fifo slot is reclaimed when a worker dequeues the tombstone.
+		// The fifo slot is reclaimed when the worker dequeues the tombstone.
 		j.State = StateCancelled
 		j.Error = "cancelled before start"
 		j.Finished = time.Now()

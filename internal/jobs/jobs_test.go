@@ -76,7 +76,7 @@ func TestFIFOOrder(t *testing.T) {
 		done <- struct{}{}
 		return nil, nil
 	}
-	q := New(run, Config{QueueDepth: 16, Workers: 1})
+	q := New(run, Config{QueueDepth: 16})
 	var ids []string
 	for i := 0; i < 5; i++ {
 		j, err := q.Submit(Spec{Suites: fmt.Sprint(i)})
@@ -104,7 +104,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestQueueFullSheds(t *testing.T) {
-	q := New(echoRunner, Config{QueueDepth: 2}) // workers never started
+	q := New(echoRunner, Config{QueueDepth: 2}) // worker never started
 	if _, err := q.Submit(Spec{}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestQueueFullSheds(t *testing.T) {
 }
 
 func TestCancelQueued(t *testing.T) {
-	q := New(echoRunner, Config{QueueDepth: 2}) // no workers: stays queued
+	q := New(echoRunner, Config{QueueDepth: 2}) // no worker: stays queued
 	j, err := q.Submit(Spec{Suites: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestChaosRestartMidQueue(t *testing.T) {
 		}
 		return json.Marshal("result:" + spec.Suites)
 	}
-	q := New(run, Config{QueueDepth: 4, Workers: 1})
+	q := New(run, Config{QueueDepth: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	q.Start(ctx)
 
@@ -289,7 +289,7 @@ func TestChaosRestartMidQueue(t *testing.T) {
 	<-running // the slow job is mid-flight
 	jQueued, _ := q.Submit(Spec{Suites: "later"})
 
-	// Daemon shutdown: cancel workers, wait, then checkpoint. The
+	// Daemon shutdown: cancel the worker, wait, then checkpoint. The
 	// running job fails on its cancelled context; the queued one is
 	// persisted still queued.
 	cancel()

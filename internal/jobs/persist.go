@@ -80,7 +80,7 @@ func Load(path, fingerprint string) ([]Job, error) {
 
 // Records snapshots every retained job for persistence, oldest first.
 // Call after Wait so running states are settled — records taken while
-// workers are live may still say "running", which Restore converts to a
+// the worker is live may still say "running", which Restore converts to a
 // failure on the other side.
 func (q *Queue) Records() []Job { return q.Jobs() }
 

@@ -463,8 +463,8 @@ func (s *Server) deleteJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// RunJobs runs the job queue's worker pool until ctx is cancelled and
-// every worker has exited — the same blocking lifecycle shape as
+// RunJobs runs the job queue's worker until ctx is cancelled and the
+// worker has exited — the same blocking lifecycle shape as
 // RunCheckpointer. The daemon runs it in a goroutine and waits for it
 // before the final checkpoint, so persisted job states are settled.
 func (s *Server) RunJobs(ctx context.Context) {

@@ -18,8 +18,8 @@ import (
 )
 
 // newJobServer builds a server with the async layer live: a small
-// network, a running worker pool, and the given extra options. The
-// returned cancel stops the workers.
+// network, a running queue worker, and the given extra options. The
+// worker stops at test cleanup.
 func newJobServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	t.Helper()
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
@@ -104,6 +104,49 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobQueueRunsOneJobAtATime: every run holds the server lock, so the
+// queue runs one job at a time even under WithWorkers(2). While the lock
+// is held, the first job runs (waiting on the lock) and the second stays
+// queued, counted in Depth; both finish once the lock is free.
+func TestJobQueueRunsOneJobAtATime(t *testing.T) {
+	srv, ts := newJobServer(t, WithWorkers(2))
+	srv.mu.Lock()
+	held := true
+	defer func() {
+		if held {
+			srv.mu.Unlock()
+		}
+	}()
+	var first, second JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &first)
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &second)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if j, _ := srv.jobs.Get(first.ID); j.State == jobs.StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first job never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A second worker, were there one, would take the second job now.
+	time.Sleep(50 * time.Millisecond)
+	if st := srv.jobs.Stats(); st.Running != 1 || st.Depth != 1 {
+		t.Fatalf("with the lock held: running %d, depth %d; want 1 and 1", st.Running, st.Depth)
+	}
+	if j, _ := srv.jobs.Get(second.ID); j.State != jobs.StateQueued {
+		t.Fatalf("second job is %s, want queued", j.State)
+	}
+	srv.mu.Unlock()
+	held = false
+	for _, id := range []string{first.ID, second.ID} {
+		if j := pollJob(t, ts.URL, id); j.State != jobs.StateDone {
+			t.Fatalf("job %s = %+v, want done", id, j)
+		}
+	}
+}
+
 func TestJobValidation(t *testing.T) {
 	_, ts := newJobServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=nope", nil, http.StatusBadRequest, nil)
@@ -113,7 +156,7 @@ func TestJobValidation(t *testing.T) {
 }
 
 func TestJobCancelAndConflict(t *testing.T) {
-	// No worker pool: submissions stay queued, so cancellation is
+	// No worker: submissions stay queued, so cancellation is
 	// deterministic.
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
@@ -138,7 +181,7 @@ func TestJobCancelAndConflict(t *testing.T) {
 }
 
 func TestJobQueueFullShedsWithRetryAfter(t *testing.T) {
-	// Depth 2, no workers: the third submission sheds.
+	// Depth 2, no worker: the third submission sheds.
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
 		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
@@ -317,7 +360,7 @@ func TestJobTraceConflictAndGone(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// No worker pool: the job stays queued → trace answers 409 with a
+	// No worker: the job stays queued → trace answers 409 with a
 	// Retry-After hint; after cancellation (terminal but not done) it
 	// answers 409 without one.
 	srv1 := WithNetwork(rg.Net, WithLogger(discardLogger()), WithSnapshot(snap, time.Hour))

@@ -112,7 +112,7 @@ type Server struct {
 	snapInterval time.Duration
 
 	// Async admission layer (admission.go, jobs.go). The queue exists
-	// unconditionally — jobs simply wait until RunJobs starts workers —
+	// unconditionally — jobs simply wait until RunJobs starts its worker —
 	// so the /jobs API needs no "is it enabled" branch anywhere.
 	jobs     *jobs.Queue
 	jobsPath string // job-records snapshot, derived from snapPath
@@ -191,8 +191,9 @@ func WithSnapshot(path string, interval time.Duration) Option {
 // WithJobQueue sizes the async-run admission layer: depth bounds how
 // many submitted jobs may wait (a full queue sheds POST /jobs with
 // 503 + Retry-After; default 64) and ttl is how long finished jobs stay
-// pollable before they are swept (default 1h). The worker pool is sized
-// off WithWorkers.
+// pollable before they are swept (default 1h). One worker drains the
+// queue: runs hold the evaluation lock, so jobs evaluate one at a time
+// whatever WithWorkers says (that cap bounds each run's parallelism).
 func WithJobQueue(depth int, ttl time.Duration) Option {
 	return func(s *Server) {
 		s.queueDepth = depth
@@ -237,10 +238,9 @@ func New(opts ...Option) *Server {
 	}
 	s.eng = s.newEngine(nil)
 	// The queue wraps the server's own runner, so it is built after the
-	// options settle sizing (workers, run-timeout, depth, TTL).
+	// options settle sizing (run-timeout, depth, TTL).
 	s.jobs = jobs.New(s.runJob, jobs.Config{
 		QueueDepth: s.queueDepth,
-		Workers:    s.maxWorkers,
 		RunTimeout: s.runTimeout,
 		TTL:        s.jobTTL,
 	})
@@ -516,12 +516,13 @@ func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFu
 	return context.WithCancel(r.Context())
 }
 
-// abortError maps an aborted evaluation to a response. Cancellation and
-// deadline map to 503 (the work was valid, the server declined to finish
-// it); budget exhaustion too, with the budget spelled out so operators
-// can retune limits. The Retry-After hint keeps the 503 within the
-// backpressure contract: every refusal tells the client when to come
-// back.
+// abortError maps an aborted evaluation to a response. The daemon
+// installs no BDD budget (bdd.Limits): an evaluation is bounded only by
+// the client's cancellation and the WithRunTimeout deadline, and either
+// maps to 503 (the work was valid, the server declined to finish it),
+// with the context error in the body. The Retry-After hint keeps the 503
+// within the backpressure contract: every refusal tells the client when
+// to come back.
 func abortError(w http.ResponseWriter, what string, err error) {
 	w.Header().Set("Retry-After", strconv.Itoa(RetryAfterInflight))
 	httpError(w, http.StatusServiceUnavailable, "%s aborted: %v", what, err)
@@ -625,18 +626,19 @@ func (s *Server) capWorkers(n int) int {
 type CoverageReport struct {
 	Total  MetricsRow   `json:"total"`
 	ByRole []MetricsRow `json:"byRole"`
-	// Engine reports the symbolic engine's health counters, so budget
-	// tuning and degradation incidents are diagnosable from responses.
+	// Engine reports the symbolic engine's health counters (ops, cache
+	// hits and misses, node growth), so a slow run, or one the run
+	// timeout cut short, can be explained from responses.
 	Engine EngineStats `json:"engine"`
 }
 
 // EngineStats mirrors bdd.Stats for the wire: node counts, the
 // unique table's geometry (slots and load factor — a load pinned near
 // 0.75 right after a resize is normal; a table far larger than the node
-// count suggests a leaked manager), memo-array sizes, and op-cache
-// counters. When a sharded worker pool exists, additive counters
-// (nodes, ops, cache hits/misses, resizes, memo sizes) aggregate the
-// canonical manager plus every replica, PeakNodes is the maximum over
+// count suggests a leaked manager), the SatFraction memo's size, and
+// op-cache counters. When a sharded worker pool exists, additive
+// counters (nodes, ops, cache hits/misses, resizes, memo size) aggregate
+// the canonical manager plus every replica, PeakNodes is the maximum over
 // the managers, and table geometry stays the canonical manager's;
 // Workers says how many managers contributed.
 type EngineStats struct {
@@ -647,7 +649,6 @@ type EngineStats struct {
 	UniqueLoad     float64 `json:"uniqueLoad"`
 	CacheSlots     int     `json:"cacheSlots"`
 	SatFracEntries int     `json:"satFracEntries"`
-	SatCntEntries  int     `json:"satCntEntries"`
 	Ops            uint64  `json:"ops"`
 	CacheHits      uint64  `json:"cacheHits"`
 	CacheMisses    uint64  `json:"cacheMisses"`
@@ -667,7 +668,6 @@ func (s *Server) engineStats() EngineStats {
 		UniqueLoad:     st.UniqueLoad,
 		CacheSlots:     st.CacheSlots,
 		SatFracEntries: st.SatFracEntries,
-		SatCntEntries:  st.SatCntEntries,
 		Ops:            st.Ops,
 		CacheHits:      st.CacheHits,
 		CacheMisses:    st.CacheMisses,

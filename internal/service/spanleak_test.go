@@ -197,7 +197,7 @@ func TestJobProfileEndpoint(t *testing.T) {
 }
 
 func TestJobProfilePendingAndSanitized(t *testing.T) {
-	// No worker pool: a submitted job stays queued, so the profile
+	// No worker: a submitted job stays queued, so the profile
 	// endpoint's 409 arm is deterministic.
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
