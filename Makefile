@@ -175,7 +175,7 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), sixteen in all: the differential matrix's in-process engine
+# run), seventeen in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
 # the coverage view against its from-scratch oracle, a concrete
 # packet's marking against the union of its singleton at every hop, the
@@ -188,7 +188,8 @@ clustersmoke:
 # unique-table resizes (a construction script replayed in two managers
 # lands on the same node indices), the longest-match prefix walk
 # against the Or/Diff fold (and a budget trip in its middle), the trace
-# JSON round trip, and the decoders that read bytes from disk or a peer
+# JSON round trip, a worker's metric snapshot against the coordinator's
+# promlint-clean fleet exposition, and the decoders that read bytes from disk or a peer
 # (BDD arena, trace snapshot arena, trace JSON, network JSON, network
 # text, span profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
@@ -208,7 +209,8 @@ FUZZ_TARGETS = \
 	./internal/core:FuzzSnapshotArenaDecode \
 	./internal/core:FuzzTraceRoundTrip \
 	./internal/core:FuzzDecodeTraceJSON \
-	./internal/obs:FuzzSpanProfileDecode
+	./internal/obs:FuzzSpanProfileDecode \
+	./internal/obs:FuzzFederationIngest
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -88,7 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		netFile       = fs.String("net", "", "network from a JSON or text file instead of -topology")
 		k             = fs.Int("k", 8, "fat-tree arity")
 		rounds        = fs.Int("rounds", 1, "repeat the shard list this many times (coverage is unchanged — merge is idempotent — but the run stretches, useful for soak and chaos testing)")
-		workers       = fs.Int("workers", 0, "per-job worker hint sent to nodes (0 = node default)")
+		workers       = fs.Int("workers", 0, "per-job worker count sent to nodes, capped by each node's -workers (0 = each node runs its shard sequentially)")
 		concurrency   = fs.Int("concurrency", 0, "in-flight shard cap (0 = 2 per node)")
 		shardTimeout  = fs.Duration("shard-timeout", 60*time.Second, "per-attempt deadline: submit, poll, fetch fragment")
 		attempts      = fs.Int("attempts", 3, "dispatch attempts per shard")

@@ -7,9 +7,9 @@
 //	curl localhost:8080/coverage
 //	curl localhost:8080/gaps
 //
-// Remote testing tools report coverage with the internal/client
-// package, or by POSTing trace fragments (the JSON written by the
-// library's CoverageTrace.EncodeJSON) to /trace.
+// Remote testing tools report coverage by POSTing trace fragments (the
+// JSON written by yardstick -trace-out or the library's
+// CoverageTrace.EncodeJSON) to /trace.
 //
 // The daemon is hardened for long-running deployment: the HTTP server
 // carries read/write/idle timeouts, request bodies are size-capped,

@@ -52,6 +52,29 @@ func startDaemon(t *testing.T, args []string) (string, func() error) {
 	return "http://" + addr, stop
 }
 
+// call sends one request to the daemon and returns the response body,
+// failing the test unless the status is want.
+func call(t *testing.T, method, url string, body []byte, want int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s = %d (%s), want %d", method, url, resp.StatusCode, bytes.TrimSpace(data), want)
+	}
+	return data
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "example"})
 
@@ -112,16 +135,12 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 	args := []string{"-listen", "127.0.0.1:0", "-topology", "example", "-snapshot", snap}
 
 	base, stop := startDaemon(t, args)
-	c := client.New(base)
-	ctx := context.Background()
 
 	// Accumulate coverage server-side, then shut down: the final
 	// checkpoint must persist it.
-	if _, err := c.Run(ctx, "default"); err != nil {
-		t.Fatal(err)
-	}
-	cov, err := c.Coverage(ctx)
-	if err != nil {
+	call(t, http.MethodPost, base+"/run?suite=default", nil, http.StatusOK)
+	var cov, cov2 service.CoverageReport
+	if err := json.Unmarshal(call(t, http.MethodGet, base+"/coverage", nil, http.StatusOK), &cov); err != nil {
 		t.Fatal(err)
 	}
 	if cov.Total.RuleFractional <= 0 {
@@ -134,9 +153,7 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 	// Restart on the same snapshot: coverage is recovered.
 	base2, stop2 := startDaemon(t, args)
 	defer stop2()
-	c2 := client.New(base2)
-	cov2, err := c2.Coverage(ctx)
-	if err != nil {
+	if err := json.Unmarshal(call(t, http.MethodGet, base2+"/coverage", nil, http.StatusOK), &cov2); err != nil {
 		t.Fatal(err)
 	}
 	if cov2.Total.RuleFractional != cov.Total.RuleFractional {
@@ -150,19 +167,15 @@ func TestStaleSnapshotDiscarded(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "trace.snap")
 
 	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "example", "-snapshot", snap})
-	c := client.New(base)
-	ctx := context.Background()
-	if _, err := c.Run(ctx, "default"); err != nil {
-		t.Fatal(err)
-	}
+	call(t, http.MethodPost, base+"/run?suite=default", nil, http.StatusOK)
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
 
 	base2, stop2 := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "fattree", "-k", "4", "-snapshot", snap})
 	defer stop2()
-	cov, err := client.New(base2).Coverage(ctx)
-	if err != nil {
+	var cov service.CoverageReport
+	if err := json.Unmarshal(call(t, http.MethodGet, base2+"/coverage", nil, http.StatusOK), &cov); err != nil {
 		t.Fatal(err)
 	}
 	if cov.Total.RuleFractional != 0 {
@@ -211,11 +224,9 @@ func TestJobsSurviveRestart(t *testing.T) {
 	// Restart on the same snapshot: the finished job's result survives.
 	base2, stop2 := startDaemon(t, args)
 	defer stop2()
-	c2 := client.New(base2)
-
-	got, err := c2.Job(ctx, first.ID)
-	if err != nil {
-		t.Fatalf("recovered job: %v", err)
+	var got service.JobStatus
+	if err := json.Unmarshal(call(t, http.MethodGet, base2+"/jobs/"+first.ID, nil, http.StatusOK), &got); err != nil {
+		t.Fatal(err)
 	}
 	if got.State != jobs.StateDone || len(got.Result) == 0 {
 		t.Fatalf("recovered job = %+v, want done with result", got)
@@ -230,9 +241,9 @@ func TestJobsSurviveRestart(t *testing.T) {
 	// non-terminal.
 	failed := 0
 	for _, id := range ids {
-		j, err := c2.Job(ctx, id)
-		if err != nil {
-			t.Fatalf("job %s lost across restart: %v", id, err)
+		var j service.JobStatus
+		if err := json.Unmarshal(call(t, http.MethodGet, base2+"/jobs/"+id, nil, http.StatusOK), &j); err != nil {
+			t.Fatal(err)
 		}
 		switch j.State {
 		case jobs.StateDone:

@@ -1,7 +1,10 @@
-// Package client is the typed Go client for the Yardstick coverage
-// service (package service) — the library remote testing tools embed to
-// report coverage and read metrics, instead of hand-rolling "POST trace
-// JSON" calls.
+// Package client is the retrying Go client for the Yardstick coverage
+// service (package service) that the distributed coordinator
+// (internal/coord) uses to drive its workers: push a network, submit a
+// suite as a job, wait for it, and fetch the job's coverage fragment,
+// span profile and metric snapshot. It wraps only those calls; every
+// other endpoint is plain HTTP + JSON, which any tool can speak (a
+// testing tool reports coverage by POSTing a trace file to /trace).
 //
 // The client is built for flaky production networks: every call takes a
 // context, each HTTP attempt gets a per-request timeout, and transient
@@ -10,11 +13,10 @@
 // sheds load it attaches a Retry-After hint (seconds or HTTP-date); the
 // client honors the hint in place of its own backoff, capped at the
 // policy's MaxDelay. Other 4xx responses are never retried — they are
-// the caller's bug, not the network's. Retrying is safe for every
-// endpoint: trace-fragment merge is idempotent by BDD-union semantics,
-// so a fragment that was actually applied before the response was lost
-// merges to the same trace when resent, and a duplicate job submission
-// re-runs suites whose coverage merges to the same union.
+// the caller's bug, not the network's. Retrying is safe for every call
+// here: a repeated network push leaves the same network and an empty
+// trace, and a duplicate job submission re-runs suites whose coverage
+// merges to the same union.
 package client
 
 import (
@@ -26,14 +28,10 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
-	"yardstick/internal/core"
-	"yardstick/internal/delta"
-	"yardstick/internal/netmodel"
 	"yardstick/internal/service"
 )
 
@@ -80,8 +78,11 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff returns the jittered delay before attempt n (n >= 1).
-func (p RetryPolicy) backoff(n int) time.Duration {
+// Backoff returns the jittered delay before attempt n (n >= 1):
+// BaseDelay·2ⁿ⁻¹, capped at MaxDelay, half of it deterministic and half
+// uniformly random. Attempts late enough to shift past the int64 range
+// wait the cap.
+func (p RetryPolicy) Backoff(n int) time.Duration {
 	d := p.BaseDelay << (n - 1)
 	if d <= 0 || d > p.MaxDelay { // <= 0 guards shift overflow
 		d = p.MaxDelay
@@ -99,7 +100,7 @@ func (p RetryPolicy) retryDelay(n int, lastErr error) time.Duration {
 	if errors.As(lastErr, &ae) && ae.RetryAfter > 0 {
 		return min(ae.RetryAfter, p.MaxDelay)
 	}
-	return p.backoff(n)
+	return p.Backoff(n)
 }
 
 // parseRetryAfter decodes a Retry-After header value, which RFC 9110
@@ -124,8 +125,8 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return 0
 }
 
-// DefaultRetry is the retry policy used when WithRetry is not given.
-var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 3 * time.Second}
+// defaultRetry is the retry policy used when WithRetry is not given.
+var defaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 3 * time.Second}
 
 // headerCtxKey carries extra request headers on a context.
 type headerCtxKey struct{}
@@ -177,7 +178,7 @@ func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),
 		hc:      http.DefaultClient,
-		retry:   DefaultRetry,
+		retry:   defaultRetry,
 		timeout: 30 * time.Second,
 	}
 	for _, o := range opts {
@@ -186,10 +187,10 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// attempt runs one HTTP round trip. It returns the response body and
-// headers when the status matches wantCode, an *APIError for other
-// statuses, and the transport error otherwise.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, http.Header, error) {
+// attempt runs one HTTP round trip. It returns the response body when
+// the status matches wantCode, an *APIError for other statuses, and the
+// transport error otherwise.
+func (c *Client) attempt(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
 	if c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
@@ -201,7 +202,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -213,12 +214,12 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if resp.StatusCode != wantCode {
 		var e struct {
@@ -228,13 +229,13 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		if e.Error == "" {
 			e.Error = strings.TrimSpace(string(data))
 		}
-		return nil, resp.Header, &APIError{
+		return nil, &APIError{
 			StatusCode: resp.StatusCode,
 			Message:    e.Error,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
 		}
 	}
-	return data, resp.Header, nil
+	return data, nil
 }
 
 // retryable reports whether an attempt error is transient: connection
@@ -249,26 +250,18 @@ func retryable(err error) bool {
 }
 
 // do runs attempts under the retry policy and decodes the final body
-// into out (when non-nil).
+// into out.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, wantCode int, out any) error {
-	_, err := c.doHeader(ctx, method, path, body, wantCode, out)
-	return err
-}
-
-// doHeader is do, additionally returning the final response's headers —
-// for endpoints whose paging metadata (X-Total-Count, Link) rides on
-// headers rather than the body.
-func (c *Client) doHeader(ctx context.Context, method, path string, body []byte, wantCode int, out any) (http.Header, error) {
-	data, hdr, err := c.doRaw(ctx, method, path, body, wantCode)
-	if err != nil || out == nil {
-		return hdr, err
+	data, err := c.doRaw(ctx, method, path, body, wantCode)
+	if err != nil {
+		return err
 	}
-	return hdr, json.Unmarshal(data, out)
+	return json.Unmarshal(data, out)
 }
 
 // doRaw runs attempts under the retry policy and returns the final body
 // undecoded — for endpoints whose body is not JSON (a trace arena).
-func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, http.Header, error) {
+func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
 	var lastErr error
 	for n := 0; n < c.retry.MaxAttempts; n++ {
 		if n > 0 {
@@ -277,58 +270,29 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wa
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return nil, nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
+				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
 			}
 		}
-		data, hdr, err := c.attempt(ctx, method, path, body, wantCode)
+		data, err := c.attempt(ctx, method, path, body, wantCode)
 		if err == nil {
-			return data, hdr, nil
+			return data, nil
 		}
 		lastErr = err
 		if !retryable(err) || ctx.Err() != nil {
-			return nil, hdr, err
+			return nil, err
 		}
 	}
-	return nil, nil, fmt.Errorf("client: %s %s: giving up after %d attempts: %w", method, path, c.retry.MaxAttempts, lastErr)
+	return nil, fmt.Errorf("client: %s %s: giving up after %d attempts: %w", method, path, c.retry.MaxAttempts, lastErr)
 }
 
-// LoadNetwork uploads a network (PUT /network), replacing the server's
-// network and resetting its trace.
-func (c *Client) LoadNetwork(ctx context.Context, net *netmodel.Network) (service.NetworkStats, error) {
-	var buf bytes.Buffer
-	if err := net.EncodeJSON(&buf); err != nil {
-		return service.NetworkStats{}, fmt.Errorf("client: encode network: %w", err)
-	}
-	return c.LoadNetworkJSON(ctx, buf.Bytes())
-}
-
-// LoadNetworkJSON is LoadNetwork for a network already in its JSON
-// encoding (netmodel.EncodeJSON) — a caller loading one network into
+// LoadNetworkJSON uploads a network in its JSON encoding
+// (netmodel.EncodeJSON) with PUT /network, replacing the server's
+// network and resetting its trace. A caller loading one network into
 // many servers encodes it once.
 func (c *Client) LoadNetworkJSON(ctx context.Context, netJSON []byte) (service.NetworkStats, error) {
 	var st service.NetworkStats
 	err := c.do(ctx, http.MethodPut, "/network", netJSON, http.StatusOK, &st)
 	return st, err
-}
-
-// PatchNetwork applies a rule-level delta document to the loaded
-// network (PATCH /network) without resetting the server's trace. The
-// document should carry the base fingerprint the ops were diffed
-// against (NetworkStats.Fingerprint, or the previous Applied's); a
-// stale base answers 409, which is not retried — re-read, re-diff,
-// resend. Retrying a transient failure is safe: a delta that actually
-// applied before the response was lost changes the fingerprint, so the
-// resend fails the base precondition instead of double-applying.
-func (c *Client) PatchNetwork(ctx context.Context, doc delta.Document) (*delta.Applied, error) {
-	body, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("client: encode delta: %w", err)
-	}
-	var out delta.Applied
-	if err := c.do(ctx, http.MethodPatch, "/network", body, http.StatusOK, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // NetworkStats fetches the loaded network's stats (GET /network).
@@ -338,56 +302,6 @@ func (c *Client) NetworkStats(ctx context.Context) (service.NetworkStats, error)
 	return st, err
 }
 
-// ReportTrace merges a locally recorded trace fragment into the
-// server's accumulated trace (POST /trace). The merge is idempotent, so
-// retried reports never double count.
-func (c *Client) ReportTrace(ctx context.Context, t *core.Trace) (service.TraceStats, error) {
-	var buf bytes.Buffer
-	var st service.TraceStats
-	if err := t.EncodeJSON(&buf); err != nil {
-		return st, fmt.Errorf("client: encode trace: %w", err)
-	}
-	err := c.do(ctx, http.MethodPost, "/trace", buf.Bytes(), http.StatusOK, &st)
-	return st, err
-}
-
-// FetchTrace downloads the accumulated trace (GET /trace), decoded
-// against net — which must be the network the server holds.
-func (c *Client) FetchTrace(ctx context.Context, net *netmodel.Network) (*core.Trace, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/trace", nil, http.StatusOK, &raw); err != nil {
-		return nil, err
-	}
-	return core.DecodeTraceJSON(net, bytes.NewReader(raw))
-}
-
-// ResetTrace clears the server's accumulated trace (DELETE /trace).
-func (c *Client) ResetTrace(ctx context.Context) error {
-	return c.do(ctx, http.MethodDelete, "/trace", nil, http.StatusNoContent, nil)
-}
-
-// Run asks the server to run built-in suites (POST /run?suite=...),
-// accumulating their coverage into the server trace. A returned result
-// can be errored (Errored true, Error set) rather than pass/fail when
-// that test panicked or blew a resource budget server-side; the rest of
-// the suite still ran. A run the server aborted wholesale (client
-// disconnect or its -run-timeout) answers 503, which the retry policy
-// treats as transient — lower RetryPolicy.MaxAttempts if re-running a
-// deterministically slow suite is undesirable.
-func (c *Client) Run(ctx context.Context, suites ...string) ([]service.RunResult, error) {
-	var out []service.RunResult
-	path := "/run?suite=" + url.QueryEscape(strings.Join(suites, ","))
-	err := c.do(ctx, http.MethodPost, path, nil, http.StatusOK, &out)
-	return out, err
-}
-
-// Coverage fetches headline metrics and per-role rows (GET /coverage).
-func (c *Client) Coverage(ctx context.Context) (service.CoverageReport, error) {
-	var out service.CoverageReport
-	err := c.do(ctx, http.MethodGet, "/coverage", nil, http.StatusOK, &out)
-	return out, err
-}
-
 // Stats fetches the server's operational self-report (GET /stats):
 // queue depths, shed totals, route latencies, and the full metric
 // snapshot — the payload a coordinator federates under a node label.
@@ -395,30 +309,4 @@ func (c *Client) Stats(ctx context.Context) (service.StatsReport, error) {
 	var out service.StatsReport
 	err := c.do(ctx, http.MethodGet, "/stats", nil, http.StatusOK, &out)
 	return out, err
-}
-
-// Gaps fetches untested rules by origin and role (GET /gaps).
-func (c *Client) Gaps(ctx context.Context) ([]service.Gap, error) {
-	var out []service.Gap
-	err := c.do(ctx, http.MethodGet, "/gaps", nil, http.StatusOK, &out)
-	return out, err
-}
-
-// Healthz checks liveness (GET /healthz), with retries.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, http.StatusOK, nil)
-}
-
-// Ready checks readiness (GET /readyz) with a single attempt: "not
-// ready yet" is an expected state, not a transient failure to retry.
-func (c *Client) Ready(ctx context.Context) (bool, error) {
-	_, _, err := c.attempt(ctx, http.MethodGet, "/readyz", nil, http.StatusOK)
-	var ae *APIError
-	if errors.As(err, &ae) && ae.StatusCode == http.StatusServiceUnavailable {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
 }

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
@@ -13,7 +15,7 @@ import (
 	"time"
 
 	"yardstick/internal/core"
-	"yardstick/internal/dataplane"
+	"yardstick/internal/jobs"
 	"yardstick/internal/service"
 	"yardstick/internal/topogen"
 )
@@ -38,81 +40,61 @@ func quiet() service.Option {
 	return service.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 }
 
-// TestEndToEnd drives every typed method against a real service.
+// TestEndToEnd drives every method against a real, initially empty
+// service: push the network, read its stats, run a job to completion,
+// fetch both job artifacts, and read the service's own stats.
 func TestEndToEnd(t *testing.T) {
 	rg := buildNet(t)
-	ts := httptest.NewServer(service.New(quiet()).Handler())
-	defer ts.Close()
-	c := New(ts.URL, WithRetry(fastRetry(2)))
-	ctx := context.Background()
-
-	if err := c.Healthz(ctx); err != nil {
-		t.Fatalf("Healthz: %v", err)
-	}
-	if ready, err := c.Ready(ctx); err != nil || ready {
-		t.Fatalf("Ready before network = (%v, %v), want (false, nil)", ready, err)
-	}
-
-	st, err := c.LoadNetwork(ctx, rg.Net)
-	if err != nil {
-		t.Fatalf("LoadNetwork: %v", err)
-	}
-	if st.Devices != rg.Net.Stats().Devices {
-		t.Errorf("LoadNetwork stats = %+v", st)
-	}
-	if ready, err := c.Ready(ctx); err != nil || !ready {
-		t.Fatalf("Ready after network = (%v, %v), want (true, nil)", ready, err)
-	}
-	if st, err := c.NetworkStats(ctx); err != nil || st.Devices == 0 {
-		t.Fatalf("NetworkStats = (%+v, %v)", st, err)
-	}
-
-	// Report a locally recorded fragment; the server network is a
-	// decode of rg.Net, so IDs align.
-	local := core.NewTrace()
-	local.MarkPacket(dataplane.Injected(rg.ToRs[0]), rg.Net.Space.DstPrefix(rg.HostPrefix[rg.ToRs[1]]))
-	for _, rid := range rg.Net.Device(rg.ToRs[0]).FIB {
-		local.MarkRule(rid)
-	}
-	tst, err := c.ReportTrace(ctx, local)
-	if err != nil {
-		t.Fatalf("ReportTrace: %v", err)
-	}
-	if tst.Locations != 1 || tst.MarkedRules == 0 {
-		t.Errorf("ReportTrace stats = %+v", tst)
-	}
-
-	results, err := c.Run(ctx, "default", "internal")
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(results) != 2 {
-		t.Errorf("Run results = %d, want 2", len(results))
-	}
-
-	cov, err := c.Coverage(ctx)
-	if err != nil {
-		t.Fatalf("Coverage: %v", err)
-	}
-	if cov.Total.RuleFractional <= 0 {
-		t.Errorf("coverage = %v, want > 0", cov.Total.RuleFractional)
-	}
-	if _, err := c.Gaps(ctx); err != nil {
-		t.Fatalf("Gaps: %v", err)
-	}
-
-	if _, err := c.FetchTrace(ctx, rg.Net); err != nil {
-		t.Fatalf("FetchTrace: %v", err)
-	}
-	if err := c.ResetTrace(ctx); err != nil {
-		t.Fatalf("ResetTrace: %v", err)
-	}
-	cov, err = c.Coverage(ctx)
-	if err != nil {
+	var netJSON bytes.Buffer
+	if err := rg.Net.EncodeJSON(&netJSON); err != nil {
 		t.Fatal(err)
 	}
-	if cov.Total.RuleFractional != 0 {
-		t.Error("coverage after reset should be zero")
+	srv := service.New(quiet())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); srv.RunJobs(ctx) }()
+	defer func() { cancel(); <-done }()
+	c := New(ts.URL, WithRetry(fastRetry(2)))
+
+	var ae *APIError
+	if _, err := c.NetworkStats(ctx); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
+		t.Fatalf("NetworkStats before a network = %v, want 404", err)
+	}
+	st, err := c.LoadNetworkJSON(ctx, netJSON.Bytes())
+	if err != nil {
+		t.Fatalf("LoadNetworkJSON: %v", err)
+	}
+	if st.Devices != rg.Net.Stats().Devices || st.Fingerprint == "" {
+		t.Errorf("LoadNetworkJSON stats = %+v", st)
+	}
+	if got, err := c.NetworkStats(ctx); err != nil || got.Fingerprint != st.Fingerprint {
+		t.Fatalf("NetworkStats = (%+v, %v), want fingerprint %s", got, err, st.Fingerprint)
+	}
+
+	j, err := c.SubmitJob(ctx, 0, "default", "internal")
+	if err != nil {
+		t.Fatalf("SubmitJob: %v", err)
+	}
+	if j, err = c.WaitJob(ctx, j.ID, time.Millisecond); err != nil || j.State != jobs.StateDone {
+		t.Fatalf("WaitJob = (%+v, %v), want done", j, err)
+	}
+	if raw, err := c.JobTraceRaw(ctx, j.ID); err != nil || !core.IsSnapshotArena(raw) {
+		t.Fatalf("JobTraceRaw = (%d bytes, %v), want a YSS1 arena", len(raw), err)
+	}
+	prof, err := c.JobProfileRaw(ctx, j.ID)
+	if err != nil || !json.Valid(prof) || len(prof) < 3 {
+		t.Fatalf("JobProfileRaw = (%q, %v), want a JSON profile", prof, err)
+	}
+
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatalf("Stats: %v", err)
+	}
+	if len(stats.Metrics) == 0 {
+		t.Error("Stats carries no metric snapshot")
 	}
 }
 
@@ -125,13 +107,13 @@ func TestRetriesTransientFailures(t *testing.T) {
 			http.Error(w, "flaky", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(`{"status":"ok"}`))
+		w.Write([]byte(`{"devices":1}`))
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, WithRetry(fastRetry(5)))
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("Healthz through flaky server: %v", err)
+	if st, err := c.NetworkStats(context.Background()); err != nil || st.Devices != 1 {
+		t.Fatalf("NetworkStats through flaky server = (%+v, %v)", st, err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Errorf("server calls = %d, want 3 (two failures + success)", got)
@@ -148,7 +130,7 @@ func TestRetriesConnectionErrors(t *testing.T) {
 	ts.Close() // now nothing listens there
 
 	c := New(addr, WithRetry(fastRetry(3)))
-	err := c.Healthz(context.Background())
+	_, err := c.NetworkStats(context.Background())
 	if err == nil {
 		t.Fatal("expected error against closed port")
 	}
@@ -170,7 +152,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL, WithRetry(fastRetry(5)))
-	_, err := c.Run(context.Background(), "bogus")
+	_, err := c.SubmitJob(context.Background(), 0, "bogus")
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %v", err)
@@ -194,7 +176,10 @@ func TestContextCancellation(t *testing.T) {
 	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour}))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- c.Healthz(ctx) }()
+	go func() {
+		_, err := c.NetworkStats(ctx)
+		done <- err
+	}()
 	time.Sleep(20 * time.Millisecond) // let the first attempt fail and enter backoff
 	cancel()
 	select {
@@ -217,7 +202,7 @@ func TestPerRequestTimeout(t *testing.T) {
 
 	c := New(ts.URL, WithRetry(fastRetry(2)), WithRequestTimeout(50*time.Millisecond))
 	start := time.Now()
-	err := c.Healthz(context.Background())
+	_, err := c.NetworkStats(context.Background())
 	if err == nil {
 		t.Fatal("expected timeout error")
 	}

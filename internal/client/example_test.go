@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,16 +11,15 @@ import (
 
 	"yardstick/internal/client"
 	"yardstick/internal/core"
-	"yardstick/internal/dataplane"
 	"yardstick/internal/service"
 	"yardstick/internal/topogen"
 )
 
-// Example shows the remote-reporter workflow: a testing tool records
-// coverage locally while its tests run, then reports the fragment to
-// the always-on coverage service and reads back the aggregate.
+// Example drives one worker the way the distributed coordinator does:
+// push the network, run a suite as a job, wait for it, and decode the
+// job's coverage fragment against the coordinator's own copy of the
+// network.
 func Example() {
-	// Stand-in for the deployed yardstickd.
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
 		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
@@ -27,38 +27,43 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	ts := httptest.NewServer(service.WithNetwork(rg.Net,
-		service.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler())
-	defer ts.Close()
-
-	c := client.New(ts.URL,
-		client.WithRequestTimeout(10*time.Second),
-		client.WithRetry(client.RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond}),
-	)
-	ctx := context.Background()
-
-	if ready, err := c.Ready(ctx); err != nil || !ready {
-		panic(fmt.Sprint("service not ready: ", err))
-	}
-
-	// The testing tool's local trace: its tests call MarkPacket and
-	// MarkRule while they run.
-	local := core.NewTrace()
-	local.MarkPacket(dataplane.Injected(rg.ToRs[0]), rg.Net.Space.DstPrefix(rg.HostPrefix[rg.ToRs[1]]))
-	for _, rid := range rg.Net.Device(rg.ToRs[0]).FIB {
-		local.MarkRule(rid)
-	}
-
-	// Report the fragment (idempotent: safe to retry), then read the
-	// aggregate the service accumulated across all reporters.
-	if _, err := c.ReportTrace(ctx, local); err != nil {
+	var netJSON bytes.Buffer
+	if err := rg.Net.EncodeJSON(&netJSON); err != nil {
 		panic(err)
 	}
-	cov, err := c.Coverage(ctx)
+
+	// Stand-in for an empty yardstickd worker.
+	srv := service.New(service.WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.RunJobs(ctx)
+
+	c := client.New(ts.URL)
+	if _, err := c.LoadNetworkJSON(ctx, netJSON.Bytes()); err != nil {
+		panic(err)
+	}
+	j, err := c.SubmitJob(ctx, 0, "default", "internal")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("coverage above zero:", cov.Total.RuleFractional > 0)
+	if j, err = c.WaitJob(ctx, j.ID, 10*time.Millisecond); err != nil {
+		panic(err)
+	}
+	frag, err := c.JobTraceRaw(ctx, j.ID)
+	if err != nil {
+		panic(err)
+	}
+	tr, err := core.DecodeTraceJSON(rg.Net, bytes.NewReader(frag))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("job:", j.State)
+	fmt.Println("fragment is a YSS1 arena:", core.IsSnapshotArena(frag))
+	fmt.Println("fragment marks rules:", tr.Stats().MarkedRules > 0)
 	// Output:
-	// coverage above zero: true
+	// job: done
+	// fragment is a YSS1 arena: true
+	// fragment marks rules: true
 }

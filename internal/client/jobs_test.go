@@ -1,12 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,12 +55,27 @@ func TestRetryDelayHonorsHint(t *testing.T) {
 		t.Errorf("retryDelay with oversized hint = %v, want cap %v", got, p.MaxDelay)
 	}
 
-	// No hint falls back to jittered exponential backoff.
+	// No hint falls back to the jittered exponential backoff: attempt n
+	// waits within [d/2, d] for d = BaseDelay·2ⁿ⁻¹ capped at MaxDelay.
+	// From attempt 38 the shift passes the int64 range (and from 64 it
+	// wraps to zero) at the coordinator's 100ms base; the cap must hold.
 	plain := &APIError{StatusCode: 500}
-	for range 20 {
-		got := p.retryDelay(3, plain)
-		if got <= 0 || got > p.MaxDelay {
-			t.Fatalf("retryDelay fallback = %v, want in (0, %v]", got, p.MaxDelay)
+	for _, c := range []struct {
+		policy  RetryPolicy
+		attempt int
+		max     time.Duration
+	}{
+		{p, 1, time.Millisecond},
+		{p, 3, 4 * time.Millisecond},
+		{p, 7, p.MaxDelay},
+		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 38, 2 * time.Second},
+		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 64, 2 * time.Second},
+		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 65, 2 * time.Second},
+	} {
+		for range 20 {
+			if got := c.policy.retryDelay(c.attempt, plain); got < c.max/2 || got > c.max {
+				t.Fatalf("attempt %d: retryDelay = %v, want in [%v, %v]", c.attempt, got, c.max/2, c.max)
+			}
 		}
 	}
 }
@@ -80,14 +96,14 @@ func TestRetryAfterSecondsForm(t *testing.T) {
 			w.WriteHeader(http.StatusTooManyRequests)
 			return
 		}
-		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{}`))
 	}))
 	defer ts.Close()
 
 	// MaxDelay 2s > hint 1s, so the hint is used as-is.
 	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second}))
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("Healthz after shed: %v", err)
+	if _, err := c.NetworkStats(context.Background()); err != nil {
+		t.Fatalf("NetworkStats after shed: %v", err)
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("calls = %d, want 2", n)
@@ -108,13 +124,13 @@ func TestRetryAfterDateFormCapped(t *testing.T) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{}`))
 	}))
 	defer ts.Close()
 
 	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond}))
-	if err := c.Healthz(context.Background()); err != nil {
-		t.Fatalf("Healthz after dated shed: %v", err)
+	if _, err := c.NetworkStats(context.Background()); err != nil {
+		t.Fatalf("NetworkStats after dated shed: %v", err)
 	}
 	if n := calls.Load(); n != 2 {
 		t.Fatalf("calls = %d, want 2", n)
@@ -156,7 +172,7 @@ func newAsyncServer(t *testing.T, opts ...service.Option) *httptest.Server {
 	return ts
 }
 
-// TestJobHelpers drives submit/poll/wait/list against a real service.
+// TestJobHelpers drives submit and wait against a real service.
 func TestJobHelpers(t *testing.T) {
 	ts := newAsyncServer(t)
 	c := New(ts.URL, WithRetry(fastRetry(2)))
@@ -178,21 +194,9 @@ func TestJobHelpers(t *testing.T) {
 		t.Fatalf("waited job = %+v, want done with result", got)
 	}
 
-	list, err := c.Jobs(ctx)
-	if err != nil {
-		t.Fatalf("Jobs: %v", err)
-	}
-	if len(list.Jobs) != 1 || list.Stats.Done != 1 {
-		t.Fatalf("job list = %+v", list)
-	}
-
-	// RunAsync round-trips results like Run does.
-	results, err := c.RunAsync(ctx, 0, "default", "internal")
-	if err != nil {
-		t.Fatalf("RunAsync: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("RunAsync results = %d, want 2", len(results))
+	var results []service.RunResult
+	if err := json.Unmarshal(got.Result, &results); err != nil || len(results) != 2 {
+		t.Fatalf("job result = (%d tests, %v), want 2", len(results), err)
 	}
 
 	// A bad suite fails the submit with a non-retryable 400.
@@ -200,54 +204,6 @@ func TestJobHelpers(t *testing.T) {
 		t.Fatal("SubmitJob with bad suite should fail")
 	} else if ra, shed := IsShed(err); shed {
 		t.Fatalf("bad suite misclassified as shed (Retry-After %v)", ra)
-	}
-}
-
-// TestListJobsPaging walks a multi-page job list via the typed paging
-// API: Total reflects the filtered count, More drives the walk, and the
-// pages cover every job exactly once.
-func TestListJobsPaging(t *testing.T) {
-	// No worker: submitted jobs stay queued, so the list is stable.
-	rg := buildNet(t)
-	srv := service.WithNetwork(rg.Net, quiet(), service.WithJobQueue(16, time.Minute))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c := New(ts.URL, WithRetry(fastRetry(2)))
-	ctx := context.Background()
-
-	want := map[string]bool{}
-	for i := 0; i < 5; i++ {
-		j, err := c.SubmitJob(ctx, 0, "default")
-		if err != nil {
-			t.Fatalf("SubmitJob: %v", err)
-		}
-		want[j.ID] = false
-	}
-
-	got := 0
-	for q := (JobsQuery{State: "queued", Limit: 2}); ; {
-		page, err := c.ListJobs(ctx, q)
-		if err != nil {
-			t.Fatalf("ListJobs(%+v): %v", q, err)
-		}
-		if page.Total != 5 {
-			t.Fatalf("page.Total = %d, want 5", page.Total)
-		}
-		for _, j := range page.Jobs {
-			seen, ok := want[j.ID]
-			if !ok || seen {
-				t.Fatalf("page returned unexpected or duplicate job %s", j.ID)
-			}
-			want[j.ID] = true
-			got++
-		}
-		if !page.More {
-			break
-		}
-		q.Offset += len(page.Jobs)
-	}
-	if got != 5 {
-		t.Fatalf("paged walk covered %d jobs, want 5", got)
 	}
 }
 
@@ -273,9 +229,9 @@ func TestJobTraceRoundTrip(t *testing.T) {
 		t.Fatalf("JobTraceRaw = (%d bytes, %v), want a YSS1 arena", len(raw), err)
 	}
 	replica := buildNet(t)
-	tr, err := c.JobTrace(ctx, j.ID, replica.Net)
+	tr, err := core.DecodeTraceJSON(replica.Net, bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("JobTrace: %v", err)
+		t.Fatalf("decode the fragment against a replica: %v", err)
 	}
 	if st := tr.Stats(); st.Locations == 0 || st.MarkedRules == 0 {
 		t.Fatalf("decoded fragment is empty: %+v", st)
@@ -311,9 +267,9 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	if raw, err = oc.JobTraceRaw(ctx, j.ID); err != nil || core.IsSnapshotArena(raw) {
 		t.Fatalf("JobTraceRaw via an Accept-blind worker = (arena %v, %v), want JSON", core.IsSnapshotArena(raw), err)
 	}
-	fromJSON, err := oc.JobTrace(ctx, j.ID, replica.Net)
+	fromJSON, err := core.DecodeTraceJSON(replica.Net, bytes.NewReader(raw))
 	if err != nil || !fromJSON.Equal(tr) {
-		t.Fatalf("JobTrace via an Accept-blind worker = (equal %v, %v)", err == nil && fromJSON.Equal(tr), err)
+		t.Fatalf("fragment via an Accept-blind worker = (equal %v, %v)", err == nil && fromJSON.Equal(tr), err)
 	}
 }
 
@@ -354,29 +310,5 @@ func TestWaitJobShedTolerant(t *testing.T) {
 	var ae *APIError
 	if _, err := c.WaitJob(context.Background(), "gone", time.Millisecond); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("WaitJob on missing job = %v, want immediate 404", err)
-	}
-}
-
-// TestCancelJobConflict: cancelling a finished job surfaces the 409.
-func TestCancelJobConflict(t *testing.T) {
-	ts := newAsyncServer(t)
-	c := New(ts.URL, WithRetry(fastRetry(2)))
-	ctx := context.Background()
-
-	results, err := c.RunAsync(ctx, 0, "default")
-	if err != nil || len(results) == 0 {
-		t.Fatalf("RunAsync = (%v, %v)", results, err)
-	}
-	list, err := c.Jobs(ctx)
-	if err != nil || len(list.Jobs) == 0 {
-		t.Fatalf("Jobs = (%+v, %v)", list, err)
-	}
-	_, err = c.CancelJob(ctx, list.Jobs[0].ID)
-	var ae *APIError
-	if !errors.As(err, &ae) || ae.StatusCode != http.StatusConflict {
-		t.Fatalf("CancelJob on finished job = %v, want 409", err)
-	}
-	if !strings.Contains(ae.Message, "already") {
-		t.Fatalf("409 message = %q", ae.Message)
 	}
 }

@@ -56,7 +56,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -88,8 +87,10 @@ type Config struct {
 	// chaos faults.
 	NewClient func(base string) *client.Client
 
-	// Workers is the per-job worker-count hint sent to nodes (<= 0
-	// leaves it to the node).
+	// Workers is the per-job worker count sent to nodes as ?workers,
+	// which each node caps at its own -workers. <= 0 sends none, and a
+	// submit without ?workers runs on one worker: each node runs the
+	// shard sequentially, whatever its -workers cap.
 	Workers int
 
 	// Rounds repeats the shard list this many times (<= 0 means 1).
@@ -119,7 +120,7 @@ type Config struct {
 	// another node after this long; first success wins (0 disables).
 	HedgeAfter time.Duration
 
-	// Poll is the job poll interval (<= 0 means client.DefaultJobPoll).
+	// Poll is the job poll interval (<= 0 means the client's 250ms).
 	Poll time.Duration
 
 	// FailureThreshold is the consecutive-failure count that trips a
@@ -1005,15 +1006,11 @@ func (co *Coordinator) backoff(ctx context.Context, attempt int, err error) {
 	}
 }
 
-// backoffDelay is the wait after a shard's attempt: base doubled per
-// attempt with equal jitter, capped, and stretched to any server
-// Retry-After hint carried by the error.
+// backoffDelay is the wait after a shard's attempt: the client's
+// equal-jitter backoff from Config.Backoff, capped at 2s, and stretched
+// to any server Retry-After hint carried by the error (up to 5s).
 func (co *Coordinator) backoffDelay(attempt int, err error) time.Duration {
-	d := co.cfg.Backoff << (attempt - 1)
-	if max := 2 * time.Second; d <= 0 || d > max { // <= 0 guards shift overflow
-		d = max
-	}
-	d = d/2 + rand.N(d/2+1)
+	d := client.RetryPolicy{BaseDelay: co.cfg.Backoff, MaxDelay: 2 * time.Second}.Backoff(attempt)
 	if hint, shed := client.IsShed(err); shed && hint > d {
 		d = min(hint, 5*time.Second)
 	}

@@ -396,8 +396,12 @@ func TestForeignNetworkFragmentRejected(t *testing.T) {
 	ts := startWorkerWith(t, nil)
 	foreign := replica(t)
 	foreign.AddDevice("stray", netmodel.Role("tor"), 65099)
+	var foreignJSON bytes.Buffer
+	if err := foreign.EncodeJSON(&foreignJSON); err != nil {
+		t.Fatal(err)
+	}
 	swap := func() {
-		if _, err := client.New(ts.URL).LoadNetwork(context.Background(), foreign); err != nil {
+		if _, err := client.New(ts.URL).LoadNetworkJSON(context.Background(), foreignJSON.Bytes()); err != nil {
 			t.Errorf("swapping the worker's network: %v", err)
 		}
 	}

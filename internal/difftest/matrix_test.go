@@ -8,12 +8,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 
-	"yardstick/internal/client"
 	"yardstick/internal/core"
 	"yardstick/internal/engine"
+	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/service"
 )
@@ -151,58 +153,68 @@ func fragmentRow(t *testing.T, ref *Reference) {
 	}
 }
 
-// daemonRow is daemon ≡ local twin under PATCH, through the client: PUT
+// daemonRow is daemon ≡ local twin under PATCH, over the wire: PUT
 // /network, the suite as a two-worker job, every delta as a PATCH, then
 // DELETE /trace and the suite again as a job (on a pool the PATCHes
 // dropped). After each, GET /trace, /coverage, /gaps and /network must
-// match the reference. After the first job the trace is also reset and
-// POSTed again in two halves, one as a YSS1 arena and one as cube JSON:
-// both codecs must merge, and a POST that replaced the trace instead
-// would keep one half.
+// match the reference, and so must the PATCH body and the job's results.
+// After the first job the trace is also reset and POSTed again in two
+// halves, one as a YSS1 arena and one as cube JSON: both codecs must
+// merge, and a POST that replaced the trace instead would keep one half.
 func daemonRow(t *testing.T, ref *Reference) {
-	srv := startServer(t, service.WithWorkers(2))
-	cli := client.New(srv.URL)
-	if _, err := cli.LoadNetwork(bg, ref.start); err != nil {
+	base := startServer(t, service.WithWorkers(2)).URL
+	var netJSON bytes.Buffer
+	if err := ref.start.EncodeJSON(&netJSON); err != nil {
 		t.Fatal(err)
 	}
+	call(t, http.MethodPut, base+"/network", netJSON.Bytes(), http.StatusOK)
 	for i, st := range ref.Steps {
 		if st.Doc != nil {
-			applied, err := cli.PatchNetwork(bg, *st.Doc)
-			if err != nil {
-				t.Fatalf("step %d: %v", i, err)
-			}
-			got := served(t, cli, ref, i)
-			got.applied = marshal(t, applied)
+			applied := call(t, http.MethodPatch, base+"/network", marshal(t, st.Doc), http.StatusOK)
+			got := served(t, base, ref, i)
+			got.applied = bytes.TrimSpace(applied)
 			ref.check(t, "daemon", i, got)
 			continue
 		}
 		if i > 0 {
-			if err := cli.ResetTrace(bg); err != nil {
-				t.Fatal(err)
-			}
+			call(t, http.MethodDelete, base+"/trace", nil, http.StatusNoContent)
 		}
-		results, err := cli.RunAsync(bg, 2, ref.Suites...)
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		got := served(t, cli, ref, i)
+		results := runJob(t, base, ref.Suites)
+		got := served(t, base, ref, i)
 		got.results = summarizeWire(results)
 		ref.check(t, "daemon", i, got)
 		if i == 0 {
-			postHalves(t, srv.URL, cli, ref)
-			ref.check(t, "daemon/trace", 0, served(t, cli, ref, 0))
+			postHalves(t, base, ref)
+			ref.check(t, "daemon/trace", 0, served(t, base, ref, 0))
 		}
 	}
 }
 
+// runJob submits the suites as a two-worker job, polls it to a terminal
+// state and returns its results.
+func runJob(t *testing.T, base string, suites []string) []service.RunResult {
+	t.Helper()
+	var j service.JobStatus
+	path := "/jobs?workers=2&suite=" + url.QueryEscape(strings.Join(suites, ","))
+	unmarshal(t, call(t, http.MethodPost, base+path, nil, http.StatusAccepted), &j)
+	for !j.State.Terminal() {
+		time.Sleep(time.Millisecond)
+		unmarshal(t, call(t, http.MethodGet, base+"/jobs/"+j.ID, nil, http.StatusOK), &j)
+	}
+	if j.State != jobs.StateDone {
+		t.Fatalf("job %s %s: %s", j.ID, j.State, j.Error)
+	}
+	var results []service.RunResult
+	unmarshal(t, j.Result, &results)
+	return results
+}
+
 // postHalves resets the daemon's trace and POSTs the reference's first
 // trace back in two halves, alternating locations and rules: the first
-// as a YSS1 arena, the second as cube JSON through the client.
-func postHalves(t *testing.T, url string, cli *client.Client, ref *Reference) {
+// as a YSS1 arena, the second as cube JSON.
+func postHalves(t *testing.T, base string, ref *Reference) {
 	t.Helper()
-	if err := cli.ResetTrace(bg); err != nil {
-		t.Fatal(err)
-	}
+	call(t, http.MethodDelete, base+"/trace", nil, http.StatusNoContent)
 	tr := ref.Steps[0].want.trace
 	h := [2]*core.Trace{core.NewTrace(), core.NewTrace()}
 	for i, loc := range tr.Locations() {
@@ -218,45 +230,58 @@ func postHalves(t *testing.T, url string, cli *client.Client, ref *Reference) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/trace", service.TraceArenaMediaType, bytes.NewReader(arena))
-	if err != nil {
+	call(t, http.MethodPost, base+"/trace", arena, http.StatusOK)
+	var cubes bytes.Buffer
+	if err := h[1].EncodeJSON(&cubes); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /trace with an arena = %d", resp.StatusCode)
-	}
-	if _, err := cli.ReportTrace(bg, h[1]); err != nil {
-		t.Fatal(err)
-	}
+	call(t, http.MethodPost, base+"/trace", cubes.Bytes(), http.StatusOK)
 }
 
 // served is what the daemon serves at step i. Its trace is decoded
 // against the network of that step and moved into the reference's space.
-func served(t *testing.T, cli *client.Client, ref *Reference, i int) observation {
+func served(t *testing.T, base string, ref *Reference, i int) observation {
 	t.Helper()
-	tr, err := cli.FetchTrace(bg, decode(t, ref.Steps[i].netJSON))
+	tr, err := core.DecodeTraceJSON(decode(t, ref.Steps[i].netJSON),
+		bytes.NewReader(call(t, http.MethodGet, base+"/trace", nil, http.StatusOK)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov, err := cli.Coverage(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gaps, err := cli.Gaps(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cli.NetworkStats(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var cov service.CoverageReport
+	unmarshal(t, call(t, http.MethodGet, base+"/coverage", nil, http.StatusOK), &cov)
+	var gaps []service.Gap
+	unmarshal(t, call(t, http.MethodGet, base+"/gaps", nil, http.StatusOK), &gaps)
+	var st service.NetworkStats
+	unmarshal(t, call(t, http.MethodGet, base+"/network", nil, http.StatusOK), &st)
 	return observation{
 		trace: tr.TransferTo(ref.space),
 		rows:  marshal(t, coverageBody{Total: cov.Total, ByRole: cov.ByRole}),
 		gaps:  marshal(t, gaps),
 		fp:    st.Fingerprint,
 	}
+}
+
+// call sends one request to the daemon and returns the response body,
+// failing the test unless the status is want.
+func call(t *testing.T, method, target string, body []byte, want int) []byte {
+	t.Helper()
+	req, err := http.NewRequest(method, target, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != want {
+		t.Fatalf("%s %s = %d (%s), want %d", method, target, resp.StatusCode, bytes.TrimSpace(data), want)
+	}
+	return data
 }
 
 // startServer boots an empty daemon with a live job pool.

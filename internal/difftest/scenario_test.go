@@ -472,3 +472,10 @@ func marshal(t testing.TB, v any) []byte {
 	}
 	return b
 }
+
+func unmarshal(t testing.TB, data []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatal(err)
+	}
+}

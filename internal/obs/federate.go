@@ -23,6 +23,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -58,18 +59,24 @@ func NewFederation(maxAge time.Duration) *Federation {
 
 // Ingest replaces node's snapshot with ms, stamping each series with a
 // node="..." label (overriding any node label the worker itself set)
-// and recording now as the scrape time. The input slice is not
-// retained.
+// and recording now as the scrape time. A series that would not render
+// as valid exposition (see renderable) is dropped: Prometheus rejects a
+// whole scrape for one bad line, so one worker's corrupt series must not
+// take the fleet view down. The input slice is not retained.
 func (f *Federation) Ingest(node string, ms []Metric, now time.Time) {
 	if f == nil {
 		return
 	}
-	tagged := make([]Metric, len(ms))
-	for i, m := range ms {
-		m.Labels = InjectLabel(m.Labels, "node", node)
+	tagged := make([]Metric, 0, len(ms))
+	for _, m := range ms {
+		sig, err := InjectLabel(m.Labels, "node", node)
+		if err != nil || !renderable(m) {
+			continue
+		}
+		m.Labels = sig
 		// Buckets alias the caller's slice but snapshots are value-built per
 		// scrape and never mutated after ingest.
-		tagged[i] = m
+		tagged = append(tagged, m)
 	}
 	sort.Slice(tagged, func(i, j int) bool {
 		if tagged[i].Name != tagged[j].Name {
@@ -80,6 +87,56 @@ func (f *Federation) Ingest(node string, ms []Metric, now time.Time) {
 	f.mu.Lock()
 	f.nodes[node] = &nodeSnapshot{metrics: tagged, at: now}
 	f.mu.Unlock()
+}
+
+// renderable reports whether a series with parseable labels writes as
+// valid exposition: a metric name Prometheus accepts, one of the types a
+// Registry exports, and for a histogram ascending bucket edges ending at
+// +Inf, cumulative counts, a _count equal to the +Inf bucket and no `le`
+// label of its own (the bucket lines add it).
+func renderable(m Metric) bool {
+	if !validName(m.Name, true) {
+		return false
+	}
+	switch m.Type {
+	case "counter", "gauge":
+		return true
+	case "histogram":
+	default:
+		return false
+	}
+	bs := m.Buckets
+	if len(bs) == 0 || !math.IsInf(bs[len(bs)-1].LE, 1) || bs[len(bs)-1].Count != m.Count {
+		return false
+	}
+	for i := 1; i < len(bs); i++ {
+		if !(bs[i-1].LE < bs[i].LE) || bs[i].Count < bs[i-1].Count {
+			return false
+		}
+	}
+	pairs, _ := ParseLabelSig(m.Labels)
+	for _, p := range pairs {
+		if p[0] == "le" {
+			return false
+		}
+	}
+	return true
+}
+
+// validName reports whether s is a Prometheus metric name
+// ([a-zA-Z_:][a-zA-Z0-9_:]*) or, with metric false, a label name
+// ([a-zA-Z_][a-zA-Z0-9_]*).
+func validName(s string, metric bool) bool {
+	for i, c := range []byte(s) {
+		switch {
+		case c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z':
+		case c == ':' && metric:
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
 }
 
 // Nodes returns the node names with a fresh (non-stale at now) snapshot,
@@ -131,8 +188,11 @@ func (f *Federation) Snapshot(now time.Time) []Metric {
 // pairs and splice in place.
 
 // ParseLabelSig splits a rendered signature into its raw (still
-// escaped) key/value pairs. Returns an error on any malformed input so
-// a corrupt scrape can be rejected rather than silently mangled.
+// escaped) key/value pairs. Returns an error on any input that would not
+// render as a valid label block — a malformed pair, an invalid or
+// repeated label name, an escape other than \\, \" and \n, or a raw
+// newline — so a corrupt scrape can be rejected rather than silently
+// mangled.
 func ParseLabelSig(sig string) ([][2]string, error) {
 	if sig == "" {
 		return nil, nil
@@ -145,16 +205,24 @@ func ParseLabelSig(sig string) ([][2]string, error) {
 			return nil, fmt.Errorf("obs: malformed label signature %q", sig)
 		}
 		key := sig[i : i+eq]
-		if key == "" {
-			return nil, fmt.Errorf("obs: empty label name in %q", sig)
+		if !validName(key, false) {
+			return nil, fmt.Errorf("obs: invalid label name %q in %q", key, sig)
+		}
+		for _, p := range pairs {
+			if p[0] == key {
+				return nil, fmt.Errorf("obs: duplicate label %q in %q", key, sig)
+			}
 		}
 		j := i + eq + 2 // first byte of the value
 		v := j
 		for {
-			if v >= len(sig) {
+			if v >= len(sig) || sig[v] == '\n' {
 				return nil, fmt.Errorf("obs: unterminated label value in %q", sig)
 			}
 			if sig[v] == '\\' {
+				if v+1 >= len(sig) || !strings.ContainsRune(`\"n`, rune(sig[v+1])) {
+					return nil, fmt.Errorf("obs: invalid escape in label value of %q", sig)
+				}
 				v += 2
 				continue
 			}
@@ -194,13 +262,11 @@ func renderRawSig(pairs [][2]string) string {
 
 // InjectLabel returns sig with key set to value (escaped), replacing an
 // existing key of the same name and keeping the signature canonically
-// sorted. A signature that fails to parse is replaced outright by the
-// single injected pair — the node label must win even over corrupt
-// input, or two nodes' broken series could collide.
-func InjectLabel(sig, key, value string) string {
+// sorted. A signature ParseLabelSig rejects is an error.
+func InjectLabel(sig, key, value string) (string, error) {
 	pairs, err := ParseLabelSig(sig)
 	if err != nil {
-		pairs = nil
+		return "", err
 	}
 	esc := escapeLabel(value)
 	replaced := false
@@ -213,16 +279,18 @@ func InjectLabel(sig, key, value string) string {
 	if !replaced {
 		pairs = append(pairs, [2]string{key, esc})
 	}
-	return renderRawSig(pairs)
+	return renderRawSig(pairs), nil
 }
 
 // MergeMetrics merges several sorted-or-not metric snapshots into one
 // list sorted by name then label signature. Conflicts are dropped, not
 // guessed at: if two sources disagree on a family's type, the later
 // source's series for that family are dropped; if two sources export
-// the identical (name, labels) series, the later duplicate is dropped.
-// The second return value counts dropped series so the caller can
-// surface the conflict as a metric instead of double-reporting.
+// the identical (name, labels) series, the later duplicate is dropped;
+// and a series named like a histogram's own sample lines (h_bucket,
+// h_sum, h_count for a histogram h) is dropped. The second return value
+// counts dropped series so the caller can surface the conflict as a
+// metric instead of double-reporting.
 func MergeMetrics(snaps ...[]Metric) ([]Metric, int) {
 	types := map[string]string{}
 	seen := map[string]bool{}
@@ -244,6 +312,15 @@ func MergeMetrics(snaps ...[]Metric) ([]Metric, int) {
 			out = append(out, m)
 		}
 	}
+	kept := out[:0]
+	for _, m := range out {
+		if shadowsHistogram(m.Name, types) {
+			dropped++
+			continue
+		}
+		kept = append(kept, m)
+	}
+	out = kept
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
@@ -251,4 +328,15 @@ func MergeMetrics(snaps ...[]Metric) ([]Metric, int) {
 		return out[i].Labels < out[j].Labels
 	})
 	return out, dropped
+}
+
+// shadowsHistogram reports whether name is one of the sample names of a
+// histogram family in types.
+func shadowsHistogram(name string, types map[string]string) bool {
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, suffix); ok && types[base] == "histogram" {
+			return true
+		}
+	}
+	return false
 }

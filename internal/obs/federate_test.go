@@ -2,9 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"yardstick/internal/promlint"
 )
 
 func workerSnapshot(reqs float64) []Metric {
@@ -117,7 +121,10 @@ func TestParseLabelSig(t *testing.T) {
 		t.Errorf("re-rendered %q != original %q", got, sig)
 	}
 
-	for _, bad := range []string{`x`, `="v"`, `k="unterminated`, `k="v"x="y"`} {
+	for _, bad := range []string{
+		`x`, `="v"`, `k="unterminated`, `k="v"x="y"`,
+		`a b="x"`, `0k="v"`, `k:x="v"`, `k="v",k="w"`, `k="a\q"`, `k="a\`, "k=\"a\nb\"",
+	} {
 		if _, err := ParseLabelSig(bad); err == nil {
 			t.Errorf("ParseLabelSig(%q) accepted malformed input", bad)
 		}
@@ -130,15 +137,18 @@ func TestInjectLabel(t *testing.T) {
 		{`route="/run"`, `node="n1",route="/run"`},
 		{`node="old",route="/run"`, `node="n1",route="/run"`}, // override wins
 		{`zzz="1"`, `node="n1",zzz="1"`},                      // sorted splice
-		{`corrupt`, `node="n1"`},                              // corrupt sig replaced outright
 	}
 	for _, c := range cases {
-		if got := InjectLabel(c.sig, "node", "n1"); got != c.want {
-			t.Errorf("InjectLabel(%q) = %q, want %q", c.sig, got, c.want)
+		if got, err := InjectLabel(c.sig, "node", "n1"); err != nil || got != c.want {
+			t.Errorf("InjectLabel(%q) = (%q, %v), want %q", c.sig, got, err, c.want)
 		}
 	}
+	// A corrupt signature is an error: the caller drops the series.
+	if got, err := InjectLabel("corrupt", "node", "n1"); err == nil {
+		t.Errorf("InjectLabel(corrupt) = %q, want an error", got)
+	}
 	// Values needing escapes must come out in canonical escaped form.
-	if got := InjectLabel("", "node", `a"b`); got != `node="a\"b"` {
+	if got, _ := InjectLabel("", "node", `a"b`); got != `node="a\"b"` {
 		t.Errorf("escaped inject = %q", got)
 	}
 }
@@ -152,21 +162,25 @@ func TestMergeMetrics(t *testing.T) {
 		{Name: "m", Type: "counter", Labels: `node="b"`, Value: 2},
 		{Name: "m", Type: "counter", Labels: `node="a"`, Value: 9}, // duplicate series
 		{Name: "zz", Type: "counter", Labels: `x="1"`, Value: 3},   // type conflict
+		{Name: "h", Type: "histogram", Labels: `node="b"`, Count: 0, Buckets: []Bucket{{LE: math.Inf(1)}}},
+		{Name: "h_count", Type: "gauge", Labels: `node="b"`, Value: 1}, // shadows h's _count line
 	}
 	merged, dropped := MergeMetrics(a, b)
-	if dropped != 2 {
-		t.Errorf("dropped = %d, want 2", dropped)
+	if dropped != 3 {
+		t.Errorf("dropped = %d, want 3", dropped)
 	}
-	if len(merged) != 3 {
+	if len(merged) != 4 {
 		t.Fatalf("merged = %v", merged)
 	}
-	if merged[0].Labels != `node="a"` || merged[0].Value != 1 {
-		t.Errorf("first source must win duplicates: %+v", merged[0])
+	if merged[1].Labels != `node="a"` || merged[1].Value != 1 {
+		t.Errorf("first source must win duplicates: %+v", merged[1])
 	}
 	// Output must be sorted by name then labels (the exposition-order
 	// contract promlint enforces).
-	if merged[0].Name != "m" || merged[1].Name != "m" || merged[2].Name != "zz" {
-		t.Errorf("merge order: %v", merged)
+	for i, want := range []string{"h", "m", "m", "zz"} {
+		if merged[i].Name != want {
+			t.Errorf("merge order: %v", merged)
+		}
 	}
 }
 
@@ -210,4 +224,54 @@ func TestFederatedExpositionLints(t *testing.T) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
+}
+
+// FuzzFederationIngest: whatever a worker's /stats metric snapshot
+// decodes to, the coordinator's merged exposition stays promlint-clean —
+// the bad series are dropped, the rest render. The seeds are series that
+// each used to break the whole exposition.
+func FuzzFederationIngest(f *testing.F) {
+	for _, m := range []Metric{
+		{Name: "m", Type: "counter", Labels: `a b="x"`, Value: 1},
+		{Name: "m", Type: "counter", Labels: `0k="v"`, Value: 1},
+		{Name: "m", Type: "counter", Labels: `k="v",k="w"`, Value: 1},
+		{Name: "m", Type: "counter", Labels: `k="a\q"`, Value: 1},
+		{Name: "bad name", Type: "gauge", Value: 1},
+		{Name: "m", Type: "weird", Value: 1},
+		{Name: "yardstick_coord_shard_seconds_count", Type: "gauge", Value: 1},
+	} {
+		seed, err := json.Marshal([]Metric{m})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	good, err := json.Marshal(workerSnapshot(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ms []Metric
+		if json.Unmarshal(data, &ms) != nil {
+			return
+		}
+		// The coordinator's own series, which a worker's may collide with.
+		native := NewRegistry()
+		native.Counter("yardstick_coord_dispatch_total", "node", "n1", "outcome", "success").Inc()
+		native.Histogram("yardstick_coord_shard_seconds", DefBuckets, "suite", "default").Observe(0.2)
+
+		fed := NewFederation(time.Minute)
+		now := time.Now()
+		fed.Ingest("n1", ms, now)
+		fed.Ingest("n2", workerSnapshot(2), now)
+		merged, _ := MergeMetrics(native.Snapshot(), fed.Snapshot(now))
+		var buf bytes.Buffer
+		if err := WritePrometheusMetrics(&buf, native.Help(), merged); err != nil {
+			t.Fatal(err)
+		}
+		if issues := promlint.Lint(bytes.NewReader(buf.Bytes())); len(issues) > 0 {
+			t.Fatalf("exposition of %s is not promlint-clean: %v\n%s", data, issues, buf.Bytes())
+		}
+	})
 }

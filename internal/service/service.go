@@ -5,35 +5,46 @@
 // coverage remotely by POSTing trace fragments (the §5.1 markPacket/
 // markRule feed, serialized as BDD cubes), or ask the server to run its
 // built-in suites; engineers read metrics, role breakdowns, and gap
-// reports. Package client provides a typed, retrying Go client for
-// every endpoint.
+// reports. Every endpoint is plain HTTP with JSON bodies (trace fragments
+// may also be YSS1 arenas); the distributed coordinator drives the ones
+// it needs through package client.
 //
-// Endpoints:
+// Endpoints (every route Handler mounts):
 //
-//	PUT    /network          load a network (JSON body; ?format=text for the text format)
-//	GET    /network          current network stats
-//	POST   /trace            merge a trace fragment (trace JSON or YSS1 arena)
-//	GET    /trace            download the accumulated trace
-//	DELETE /trace            reset the trace
-//	POST   /run?suite=a,b    run built-in tests server-side, accumulate coverage
-//	                         (&workers=n runs the suite sharded across up to
-//	                         n workers, capped by WithWorkers; 0 = the cap)
-//	POST   /jobs?suite=a,b   submit the same run asynchronously: 202 +
-//	                         Location, poll GET /jobs/{id}, cancel with
-//	                         DELETE /jobs/{id} (see jobs.go)
-//	GET    /jobs             list retained jobs and queue stats
-//	                         (?state= filter, ?offset=/?limit= paging with
-//	                         X-Total-Count and Link rel="next" headers)
-//	GET    /jobs/{id}/trace  a done job's own coverage fragment — trace JSON,
-//	                         or the YSS1 arena when Accept names
-//	                         TraceArenaMediaType — the shard-collection
-//	                         feed of the distributed coordinator
-//	                         (internal/coord)
-//	GET    /coverage         headline metrics + per-role rows
-//	GET    /gaps             untested rules by origin and role
-//	GET    /healthz          liveness: 200 once the process serves traffic
-//	GET    /readyz           readiness: 200 when ready; 503 with a reason
-//	                         body (no_network, draining, queue_saturated)
+//	PUT    /network            load a network (JSON body; ?format=text for the text format)
+//	PATCH  /network            apply a rule-level delta document (internal/delta)
+//	                           without resetting the trace (see delta.go)
+//	GET    /network            current network stats and fingerprint
+//	POST   /trace              merge a trace fragment (trace JSON or YSS1 arena)
+//	GET    /trace              download the accumulated trace
+//	DELETE /trace              reset the trace
+//	POST   /run                run built-in tests (?suite=a,b) server-side,
+//	                           accumulate coverage (&workers=n runs the suite
+//	                           sharded across up to n workers, capped by
+//	                           WithWorkers; 0 = the cap)
+//	POST   /jobs               submit the same run asynchronously: 202 +
+//	                           Location: /jobs/{id} (see jobs.go)
+//	GET    /jobs               list retained jobs and queue stats
+//	                           (?state= filter, ?offset=/?limit= paging with
+//	                           X-Total-Count and Link rel="next" headers)
+//	GET    /jobs/{id}          poll one job; its results once done
+//	DELETE /jobs/{id}          cancel a queued or running job (409 once finished)
+//	GET    /jobs/{id}/trace    a done job's own coverage fragment — trace JSON,
+//	                           or the YSS1 arena when Accept names
+//	                           TraceArenaMediaType — the shard-collection
+//	                           feed of the distributed coordinator
+//	                           (internal/coord)
+//	GET    /jobs/{id}/profile  a done job's span profile (JSON), the worker
+//	                           half of a distributed run's timeline
+//	GET    /coverage           headline metrics + per-role rows
+//	GET    /gaps               untested rules by origin and role
+//	GET    /healthz            liveness: 200 once the process serves traffic
+//	GET    /readyz             readiness: 200 when ready; 503 with a reason
+//	                           body (no_network, draining, queue_saturated)
+//	GET    /metrics            Prometheus text exposition
+//	GET    /stats              operational self-report (JSON): queue depths,
+//	                           shed totals, route latencies and the metric
+//	                           snapshot a coordinator federates
 //
 // The service is the edge of internal/engine: a handler decodes and
 // validates the request, takes the server lock (an Engine is not safe for
