@@ -76,11 +76,12 @@ loadproof:
 	curl -sf http://127.0.0.1:18080/metrics | /tmp/promlint
 	@cat loadproof-report.json
 
-# Live-scrape check: boot the daemon for real, run a suite on two
-# workers, pull /metrics, and fail if the exposition is malformed — the
-# golden test pins bytes, this pins the wire. Two reads of the coverage
-# view with nothing in between: the first re-derives every device, the
-# second must be clean. The CI metrics-smoke job runs this target.
+# Live-scrape check: boot the daemon for real on two workers, run a
+# suite (the daemon's -workers alone shards it), pull /metrics, and fail
+# if the exposition is malformed — the golden test pins bytes, this pins
+# the wire. Two reads of the coverage view with nothing in between: the
+# first re-derives every device, the second must be clean. The CI
+# metrics-smoke job runs this target.
 metricssmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/promlint ./cmd/promlint
@@ -88,14 +89,16 @@ metricssmoke:
 	/tmp/yardstickd -listen 127.0.0.1:18085 -topology regional -workers 2 & DPID=$$!; \
 	trap "kill $$DPID 2>/dev/null || true" EXIT; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18085/readyz > /dev/null && break; sleep 0.2; done; \
-	curl -sf -X POST 'http://127.0.0.1:18085/run?suite=default,internal&workers=2' > /dev/null; \
+	curl -sf -X POST 'http://127.0.0.1:18085/run?suite=default,internal' > /dev/null; \
 	curl -sf http://127.0.0.1:18085/coverage > /dev/null; \
 	curl -sf http://127.0.0.1:18085/gaps > /dev/null; \
 	curl -sf http://127.0.0.1:18085/metrics > /tmp/metrics.txt; \
 	/tmp/promlint < /tmp/metrics.txt; \
 	grep -q '^yardstick_coverage_reads_total{result="refreshed"} 1$$' /tmp/metrics.txt; \
 	grep -q '^yardstick_coverage_reads_total{result="clean"} 1$$' /tmp/metrics.txt; \
-	grep -q '^yardstick_coverage_refresh_devices_total [1-9]' /tmp/metrics.txt
+	grep -q '^yardstick_coverage_refresh_devices_total [1-9]' /tmp/metrics.txt; \
+	grep -q '^yardstick_sharded_runs_total 1$$' /tmp/metrics.txt; \
+	grep -q '^yardstick_sharded_workers 2$$' /tmp/metrics.txt
 
 # Chaos-prove the distributed path: boot three empty workers, run the
 # coordinator with enough rounds to stretch the shard list (idempotent

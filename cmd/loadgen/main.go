@@ -43,7 +43,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		rps         = fs.Float64("rps", 50, "open-loop request rate")
 		duration    = fs.Duration("duration", 10*time.Second, "generation window")
 		suites      = fs.String("suites", "default", "comma-separated suites each job submission asks for")
-		workers     = fs.Int("workers", 0, "per-job worker count (0 = server default)")
 		outstanding = fs.Int("max-outstanding", 256, "cap on concurrently open requests")
 		timeout     = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		out         = fs.String("out", "", "write the JSON report to this file (empty = stdout)")
@@ -58,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		RPS:            *rps,
 		Duration:       *duration,
 		Suites:         *suites,
-		Workers:        *workers,
 		MaxOutstanding: *outstanding,
 		RequestTimeout: *timeout,
 	})

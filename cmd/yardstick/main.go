@@ -126,7 +126,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *workers > 1 {
 		fmt.Fprintf(stdout, "parallel run: %d workers\n\n", *workers)
 	}
-	results, err := eng.Run(ctx, "suite.run", suite, *workers, nil)
+	results, err := eng.Run(ctx, "suite.run", suite, nil)
 	if err != nil {
 		fmt.Fprintln(stderr, "yardstick: run aborted:", err)
 	}

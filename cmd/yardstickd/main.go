@@ -65,8 +65,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		snapInterval = fs.Duration("snapshot-interval", time.Minute, "how often to checkpoint the trace to -snapshot")
 		drain        = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for draining in-flight requests")
 		maxBody      = fs.Int64("max-body", service.DefaultMaxBody, "request body size cap in bytes")
-		runTimeout   = fs.Duration("run-timeout", 0, "per-request deadline for /run, /coverage and /gaps evaluation work (0 = bounded only by the HTTP write timeout)")
-		workers      = fs.Int("workers", 1, "cap on per-request /run parallelism (?workers=n is clamped to this; 1 = sequential only)")
+		runTimeout   = fs.Duration("run-timeout", 0, "deadline for the evaluation work of POST /run, GET /coverage, GET /gaps, PATCH /network and every POST /jobs job (0 = none; a request stays bounded by the HTTP write timeout)")
+		workers      = fs.Int("workers", 1, "workers every run and job shards its suite across (1 = sequential)")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled). A separate listener, so profiling never shares the service port")
 		maxInflight  = fs.Int("max-inflight", 16, "cap on concurrently admitted heavy requests; excess answers 429 + Retry-After (0 = unlimited)")
 		queueDepth   = fs.Int("queue-depth", 64, "async job queue depth; a full queue sheds POST /jobs with 503 + Retry-After")
@@ -91,15 +91,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		service.WithLogger(logger),
 		service.WithMaxBody(*maxBody),
 		service.WithJobQueue(*queueDepth, *jobTTL),
+		service.WithWorkers(*workers),
 	}
 	if *maxInflight > 0 {
 		opts = append(opts, service.WithAdmission(*maxInflight))
 	}
 	if *runTimeout > 0 {
 		opts = append(opts, service.WithRunTimeout(*runTimeout))
-	}
-	if *workers > 1 {
-		opts = append(opts, service.WithWorkers(*workers))
 	}
 	if *snapshot != "" {
 		opts = append(opts, service.WithSnapshot(*snapshot, *snapInterval))

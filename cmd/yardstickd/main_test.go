@@ -201,13 +201,13 @@ func TestJobsSurviveRestart(t *testing.T) {
 
 	// One quick job to completion, then a backlog of heavy ones the
 	// single worker cannot possibly finish before the shutdown.
-	first, err := c.SubmitJob(ctx, 0, "default", "internal")
+	first, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{first.ID}
 	for range 10 {
-		j, err := c.SubmitJob(ctx, 0, "reach", "pingmesh")
+		j, err := c.SubmitJob(ctx, "reach", "pingmesh")
 		if err != nil {
 			t.Fatal(err)
 		}

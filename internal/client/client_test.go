@@ -74,7 +74,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("NetworkStats = (%+v, %v), want fingerprint %s", got, err, st.Fingerprint)
 	}
 
-	j, err := c.SubmitJob(ctx, 0, "default", "internal")
+	j, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestNoRetryOn4xx(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL, WithRetry(fastRetry(5)))
-	_, err := c.SubmitJob(context.Background(), 0, "bogus")
+	_, err := c.SubmitJob(context.Background(), "bogus")
 	var ae *APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %v", err)

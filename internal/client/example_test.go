@@ -44,7 +44,7 @@ func Example() {
 	if _, err := c.LoadNetworkJSON(ctx, netJSON.Bytes()); err != nil {
 		panic(err)
 	}
-	j, err := c.SubmitJob(ctx, 0, "default", "internal")
+	j, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		panic(err)
 	}

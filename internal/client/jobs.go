@@ -13,7 +13,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -21,18 +20,14 @@ import (
 )
 
 // SubmitJob enqueues an asynchronous run of the given built-in suites
-// (POST /jobs), returning the queued job. workers <= 0 leaves the
-// worker count to the server. A full queue answers 503 with a
+// (POST /jobs), returning the queued job. A full queue answers 503 with a
 // Retry-After hint, which the retry policy honors before resubmitting;
 // a duplicate submission caused by a lost 202 is wasteful but safe —
 // coverage merges by BDD union, so re-running a suite cannot double
 // count.
-func (c *Client) SubmitJob(ctx context.Context, workers int, suites ...string) (service.JobStatus, error) {
+func (c *Client) SubmitJob(ctx context.Context, suites ...string) (service.JobStatus, error) {
 	var j service.JobStatus
 	path := "/jobs?suite=" + url.QueryEscape(strings.Join(suites, ","))
-	if workers > 0 {
-		path += "&workers=" + strconv.Itoa(workers)
-	}
 	err := c.do(ctx, http.MethodPost, path, nil, http.StatusAccepted, &j)
 	return j, err
 }

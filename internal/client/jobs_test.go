@@ -178,7 +178,7 @@ func TestJobHelpers(t *testing.T) {
 	c := New(ts.URL, WithRetry(fastRetry(2)))
 	ctx := context.Background()
 
-	j, err := c.SubmitJob(ctx, 0, "default", "internal")
+	j, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestJobHelpers(t *testing.T) {
 	}
 
 	// A bad suite fails the submit with a non-retryable 400.
-	if _, err := c.SubmitJob(ctx, 0, "no-such-suite"); err == nil {
+	if _, err := c.SubmitJob(ctx, "no-such-suite"); err == nil {
 		t.Fatal("SubmitJob with bad suite should fail")
 	} else if ra, shed := IsShed(err); shed {
 		t.Fatalf("bad suite misclassified as shed (Retry-After %v)", ra)
@@ -216,7 +216,7 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	c := New(ts.URL, WithRetry(fastRetry(2)))
 	ctx := context.Background()
 
-	j, err := c.SubmitJob(ctx, 0, "default", "internal")
+	j, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}

@@ -87,12 +87,6 @@ type Config struct {
 	// chaos faults.
 	NewClient func(base string) *client.Client
 
-	// Workers is the per-job worker count sent to nodes as ?workers,
-	// which each node caps at its own -workers. <= 0 sends none, and a
-	// submit without ?workers runs on one worker: each node runs the
-	// shard sequentially, whatever its -workers cap.
-	Workers int
-
 	// Rounds repeats the shard list this many times (<= 0 means 1).
 	// Extra rounds add no coverage — merge is idempotent — but stretch
 	// the run, which is how the chaos tests and the CI cluster-smoke
@@ -910,7 +904,7 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 	if err := co.ensureLoaded(ctx, r, n); err != nil {
 		return out, fmt.Errorf("load network: %w", err)
 	}
-	j, err := n.c.SubmitJob(ctx, co.cfg.Workers, sh.Suite)
+	j, err := n.c.SubmitJob(ctx, sh.Suite)
 	if err != nil {
 		return out, fmt.Errorf("submit: %w", err)
 	}

@@ -43,7 +43,7 @@ func jobFragment(tb testing.TB, suites ...string) []byte {
 	defer func() { cancel(); <-done }()
 
 	c := client.New(ts.URL)
-	j, err := c.SubmitJob(ctx, 0, suites...)
+	j, err := c.SubmitJob(ctx, suites...)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func workersRow(t *testing.T, ref *Reference) {
 			if i > 0 {
 				e.ResetTrace()
 			}
-			results, err := e.Run(bg, "", suiteOf(t, ref.Suites), workers, nil)
+			results, err := e.Run(bg, "", suiteOf(t, ref.Suites), nil)
 			if err != nil {
 				t.Fatalf("%s, step %d: %v", name, i, err)
 			}
@@ -154,13 +154,14 @@ func fragmentRow(t *testing.T, ref *Reference) {
 }
 
 // daemonRow is daemon ≡ local twin under PATCH, over the wire: PUT
-// /network, the suite as a two-worker job, every delta as a PATCH, then
-// DELETE /trace and the suite again as a job (on a pool the PATCHes
-// dropped). After each, GET /trace, /coverage, /gaps and /network must
-// match the reference, and so must the PATCH body and the job's results.
-// After the first job the trace is also reset and POSTed again in two
-// halves, one as a YSS1 arena and one as cube JSON: both codecs must
-// merge, and a POST that replaced the trace instead would keep one half.
+// /network, the suite as a job on a two-worker daemon, every delta as a
+// PATCH, then DELETE /trace and the suite again as a job (on a pool the
+// PATCHes dropped). After each, GET /trace, /coverage, /gaps and
+// /network must match the reference, and so must the PATCH body and the
+// job's results. After the first job the trace is also reset and POSTed
+// again in two halves, one as a YSS1 arena and one as cube JSON: both
+// codecs must merge, and a POST that replaced the trace instead would
+// keep one half.
 func daemonRow(t *testing.T, ref *Reference) {
 	base := startServer(t, service.WithWorkers(2)).URL
 	var netJSON bytes.Buffer
@@ -190,12 +191,12 @@ func daemonRow(t *testing.T, ref *Reference) {
 	}
 }
 
-// runJob submits the suites as a two-worker job, polls it to a terminal
-// state and returns its results.
+// runJob submits the suites as a job, polls it to a terminal state and
+// returns its results.
 func runJob(t *testing.T, base string, suites []string) []service.RunResult {
 	t.Helper()
 	var j service.JobStatus
-	path := "/jobs?workers=2&suite=" + url.QueryEscape(strings.Join(suites, ","))
+	path := "/jobs?suite=" + url.QueryEscape(strings.Join(suites, ","))
 	unmarshal(t, call(t, http.MethodPost, base+path, nil, http.StatusAccepted), &j)
 	for !j.State.Terminal() {
 		time.Sleep(time.Millisecond)

@@ -298,7 +298,7 @@ func evaluate(t testing.TB, sc Scenario) *Reference {
 		ref.Steps = append(ref.Steps, st)
 	}
 	run := func() {
-		results, err := e.Run(bg, "", suiteOf(t, sc.Suites), 1, nil)
+		results, err := e.Run(bg, "", suiteOf(t, sc.Suites), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func EvaluateChange(ctx context.Context, cfg ChangeConfig) (*ChangeResult, error
 		// stage aborts.
 		defer eng.SettleStats(sp.Registry())
 		ctx := obs.ContextWithSpan(ctx, stage)
-		results, err := eng.Run(ctx, "pipeline.suite", cfg.Suite, 1, nil)
+		results, err := eng.Run(ctx, "pipeline.suite", cfg.Suite, nil)
 		if err != nil {
 			return results, nil, false, err
 		}

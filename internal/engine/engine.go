@@ -52,9 +52,8 @@ func Aborted(err error) bool {
 
 // Config sizes an Engine.
 type Config struct {
-	// Workers is the size of the replica pool a parallel Run builds; a
-	// Run asking for more gets this many, and with Workers <= 1 every run
-	// is sequential.
+	// Workers is how many replica clones every Run shards the suite
+	// across; with Workers <= 1 every run is sequential.
 	Workers int
 	// Limits is the BDD budget of each stage (zero: unlimited), armed
 	// afresh on the canonical manager when a stage starts and on every
@@ -157,22 +156,21 @@ func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Con
 
 // Run evaluates suite against the network, recording coverage into into
 // (nil: the accumulated trace; otherwise a trace in the canonical space),
-// sequentially or — when workers and Config.Workers are both above one —
-// sharded over replica clones that are built on first use and kept until
-// a Patch. Results and coverage are identical either way. An aborted run
-// keeps what it recorded and returns the results that completed.
-func (e *Engine) Run(ctx context.Context, stage string, suite testkit.Suite, workers int, into *core.Trace) ([]testkit.Result, error) {
+// sequentially or — when Config.Workers is above one — sharded over
+// replica clones that are built on first use and kept until a Patch.
+// Results and coverage are identical either way. An aborted run keeps
+// what it recorded and returns the results that completed.
+func (e *Engine) Run(ctx context.Context, stage string, suite testkit.Suite, into *core.Trace) ([]testkit.Result, error) {
 	if into == nil {
 		into = e.trace
 	}
-	workers = min(workers, e.cfg.Workers)
 	var (
 		results []testkit.Result
 		rerr    error
 	)
 	err := e.stage(ctx, stage, func(ctx context.Context, sp *obs.Span) {
-		sp.Set("workers", int64(max(workers, 1)))
-		if workers <= 1 {
+		sp.Set("workers", int64(max(e.cfg.Workers, 1)))
+		if e.cfg.Workers <= 1 {
 			results = suite.Run(ctx, e.net, into)
 			return
 		}
@@ -183,7 +181,7 @@ func (e *Engine) Run(ctx context.Context, stage string, suite testkit.Suite, wor
 			}
 		}
 		var res *sharded.Result
-		res, rerr = e.pool.RunWorkers(ctx, suite, workers)
+		res, rerr = e.pool.Run(ctx, suite)
 		results = res.Results
 		into.Merge(res.Trace)
 	})

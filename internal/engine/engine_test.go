@@ -125,22 +125,22 @@ func openSpans(p *obs.SpanProfile) int {
 }
 
 // TestRunWorkersEquivalence holds what the differential matrix cannot
-// see from outside: a replica pool is built exactly when a run asks for
-// more than one worker of an engine sized for them, and a run into a
-// private destination trace leaves the accumulated one alone. That a
+// see from outside: a replica pool is built exactly when Config.Workers
+// is above one, and a run into a private destination trace leaves the
+// accumulated one alone. That a
 // pooled run's results, trace and tables equal a sequential run's is the
 // matrix's workers row (internal/difftest).
 func TestRunWorkersEquivalence(t *testing.T) {
 	suite := suiteOf(t, "default,connected,internal,agg,reach")
 	base := regional(t)
 	seq := New(base.Clone(), Config{})
-	if _, err := seq.Run(bg, "", suite, 1, nil); err != nil {
+	if _, err := seq.Run(bg, "", suite, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 3} {
+	for _, workers := range []int{0, 1, 2, 3} {
 		e := New(base.Clone(), Config{Workers: workers})
 		root := obs.NewRoot("test", nil)
-		if _, err := e.Run(obs.ContextWithSpan(bg, root), "suite", suite, workers, nil); err != nil {
+		if _, err := e.Run(obs.ContextWithSpan(bg, root), "suite", suite, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		root.End()
@@ -162,15 +162,11 @@ func TestRunWorkersEquivalence(t *testing.T) {
 	}
 
 	// A private destination trace gets the run's coverage and the
-	// accumulated trace none of it; asking for more workers than the
-	// engine was sized for runs with what it has.
+	// accumulated trace none of it.
 	e := New(base.Clone(), Config{Workers: 1})
 	frag := core.NewTrace()
-	if _, err := e.Run(bg, "", suite, 4, frag); err != nil {
+	if _, err := e.Run(bg, "", suite, frag); err != nil {
 		t.Fatal(err)
-	}
-	if e.pool != nil {
-		t.Error("an engine sized for one worker built a replica pool")
 	}
 	if st := e.Trace().Stats(); st.Locations != 0 || st.MarkedRules != 0 {
 		t.Errorf("accumulated trace has %+v after a run into a private fragment", st)
@@ -182,7 +178,7 @@ func TestRunWorkersEquivalence(t *testing.T) {
 
 func TestNoNetwork(t *testing.T) {
 	e := New(nil, Config{})
-	if _, err := e.Run(bg, "", testkit.Suite{testkit.DefaultRouteCheck{}}, 1, nil); !errors.Is(err, ErrNoNetwork) {
+	if _, err := e.Run(bg, "", testkit.Suite{testkit.DefaultRouteCheck{}}, nil); !errors.Is(err, ErrNoNetwork) {
 		t.Errorf("Run: %v, want ErrNoNetwork", err)
 	}
 	if _, err := e.Merge(bg, []byte("{}")); !errors.Is(err, ErrNoNetwork) {
@@ -237,12 +233,12 @@ func TestDegradation(t *testing.T) {
 	more := suiteOf(t, "connected,reach")
 	base := regional(t)
 	seed := New(base, Config{})
-	if _, err := seed.Run(bg, "", suite, 1, nil); err != nil {
+	if _, err := seed.Run(bg, "", suite, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A fragment in both wire codecs: what the second suite records.
 	other := New(base.Clone(), Config{})
-	if _, err := other.Run(bg, "", more, 1, nil); err != nil {
+	if _, err := other.Run(bg, "", more, nil); err != nil {
 		t.Fatal(err)
 	}
 	arena, err := other.EncodeFragment(bg, other.Trace(), true)
@@ -298,9 +294,9 @@ func TestDegradation(t *testing.T) {
 	}
 
 	type call func(ctx context.Context, e *Engine) error
-	run := func(workers int, s testkit.Suite) call {
+	run := func(s testkit.Suite) call {
 		return func(ctx context.Context, e *Engine) error {
-			_, err := e.Run(ctx, "test.run", s, workers, nil)
+			_, err := e.Run(ctx, "test.run", s, nil)
 			return err
 		}
 	}
@@ -321,8 +317,8 @@ func TestDegradation(t *testing.T) {
 		op      call
 		after   func(*testing.T, *Engine, state)
 	}{
-		{"run/sequential", 1, run(1, more), kept},
-		{"run/sharded", 2, run(2, more), kept},
+		{"run/sequential", 1, run(more), kept},
+		{"run/sharded", 2, run(more), kept},
 		{"merge/arena", 1, merge(arena), kept},
 		{"merge/json", 1, merge(cubes), kept},
 		{"patch", 2, patch, untouched},
@@ -365,14 +361,14 @@ func TestDegradation(t *testing.T) {
 		t.Run(fmt.Sprintf("run/workers=%d/panic", workers), func(t *testing.T) {
 			e, clean := fresh(t, workers), fresh(t, workers)
 			hostile := append(testkit.Suite{faults.PanicTest{}}, more...)
-			results, err := e.Run(bg, "", hostile, workers, nil)
+			results, err := e.Run(bg, "", hostile, nil)
 			if err != nil {
 				t.Fatalf("a panicking test failed the run: %v", err)
 			}
 			if len(results) != len(hostile) || !results[0].Errored() {
 				t.Fatalf("results = %v, want the panic as one errored result of %d", results, len(hostile))
 			}
-			if _, err := clean.Run(bg, "", more, workers, nil); err != nil {
+			if _, err := clean.Run(bg, "", more, nil); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := tableOf(t, e), tableOf(t, clean); got != want {
@@ -391,7 +387,7 @@ func TestDegradation(t *testing.T) {
 	t.Run("patch/commit-boundary", func(t *testing.T) {
 		try := func(maxOps int) (e *Engine, before state, applied *delta.Applied, err error) {
 			e = fresh(t, 2)
-			if _, err := e.Run(bg, "", more, 2, nil); err != nil { // builds the pool
+			if _, err := e.Run(bg, "", more, nil); err != nil { // builds the pool
 				t.Fatal(err)
 			}
 			before = snap(e)
@@ -452,7 +448,7 @@ func TestDegradation(t *testing.T) {
 			assertRebuildEquivalent(t, e)
 			if cutShort+whole == 1 {
 				// The next parallel run clones the patched network.
-				if _, err := e.Run(bg, "", suite, 2, nil); err != nil {
+				if _, err := e.Run(bg, "", suite, nil); err != nil {
 					t.Fatal(err)
 				}
 				assertRebuildEquivalent(t, e)
@@ -505,7 +501,7 @@ func TestDegradation(t *testing.T) {
 // commit has published, the new fingerprint is always held.
 func TestPatchFingerprintFresh(t *testing.T) {
 	e := New(regional(t), Config{})
-	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,reach"), 1, nil); err != nil {
+	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,reach"), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -580,7 +576,7 @@ func assertFingerprintFresh(t *testing.T, e *Engine, applied *delta.Applied) {
 func TestSnapshotRestore(t *testing.T) {
 	base := regional(t)
 	e := New(base, Config{})
-	if _, err := e.Run(bg, "", suiteOf(t, "default,internal"), 1, nil); err != nil {
+	if _, err := e.Run(bg, "", suiteOf(t, "default,internal"), nil); err != nil {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/trace.snap"
@@ -615,7 +611,7 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 	}
 	suite := suiteOf(t, "default,internal")
 	other := New(ex.Net.Clone(), Config{})
-	if _, err := other.Run(bg, "", suite, 1, nil); err != nil {
+	if _, err := other.Run(bg, "", suite, nil); err != nil {
 		t.Fatal(err)
 	}
 	frag, err := other.EncodeFragment(bg, other.Trace(), true)
@@ -632,7 +628,7 @@ func TestCancelledContextRunsNothing(t *testing.T) {
 	fp, gen := e.Fingerprint(), e.Net().Generation()
 	folded := false
 	for name, call := range map[string]func(context.Context) error{
-		"run":   func(ctx context.Context) error { _, err := e.Run(ctx, "", suite, 1, nil); return err },
+		"run":   func(ctx context.Context) error { _, err := e.Run(ctx, "", suite, nil); return err },
 		"merge": func(ctx context.Context) error { _, err := e.Merge(ctx, frag); return err },
 		"patch": func(ctx context.Context) error { _, err := e.Patch(ctx, doc); return err },
 		"view":  func(ctx context.Context) error { return e.View(ctx, "", func(*core.Coverage) { folded = true }) },
@@ -673,7 +669,7 @@ func TestCoverageStageOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(ft.Net, Config{})
-	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,contract,reach,pingmesh"), 1, nil); err != nil {
+	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,contract,reach,pingmesh"), nil); err != nil {
 		t.Fatal(err)
 	}
 	ops := e.Net().Space.EngineStats().Ops

@@ -62,9 +62,6 @@ type Spec struct {
 	// Suites is the comma-separated built-in suite list (the same syntax
 	// POST /run accepts).
 	Suites string `json:"suites"`
-	// Workers is the requested per-run parallelism (0 = the server cap,
-	// 1 = sequential), clamped server-side like POST /run's ?workers.
-	Workers int `json:"workers,omitempty"`
 	// RunID is the distributed run this job belongs to, minted by the
 	// coordinator and delivered in the X-Run-Id submit header ("" for a
 	// standalone job). The job's span tree, logs, and pprof labels carry

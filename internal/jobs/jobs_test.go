@@ -380,3 +380,25 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatal("expected error for a missing file")
 	}
 }
+
+// TestLoadDropsOnlyStoredWorkers: a stored spec's "workers" key, which
+// records from before the server owned the worker count carry, loads and
+// is dropped; any other unknown key still fails the load.
+func TestLoadDropsOnlyStoredWorkers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.snap")
+	load := func(spec string) ([]Job, error) {
+		t.Helper()
+		rec := `{"fingerprint":"fp","jobs":[{"id":"a","spec":` + spec + `,"state":"done"}]}`
+		if err := os.WriteFile(path, []byte(rec), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		return Load(path, "fp")
+	}
+	js, err := load(`{"suites":"default","workers":2,"runId":"r1"}`)
+	if err != nil || len(js) != 1 || js[0].Spec != (Spec{Suites: "default", RunID: "r1"}) {
+		t.Fatalf("Load = %+v, %v; want the spec without its worker count", js, err)
+	}
+	if _, err := load(`{"suites":"default","threads":2}`); err == nil {
+		t.Error("Load accepted an unknown spec key")
+	}
+}

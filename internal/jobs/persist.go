@@ -32,6 +32,19 @@ type fileJSON struct {
 	Jobs        []Job  `json:"jobs"`
 }
 
+// storedJob is a Job as Load reads it. Records written while a job could
+// ask for its own worker count carry "spec":{"workers":n}; that one key
+// is accepted and dropped, and any other unknown key is still an error.
+// The tolerance retires with the legacy JSON snapshot reader on or after
+// 2027-01-01.
+type storedJob struct {
+	Job
+	Spec struct {
+		Spec
+		Workers int `json:"workers"`
+	} `json:"spec"`
+}
+
 // Save atomically writes the job records stamped with the network
 // fingerprint: temp file in the target directory, synced, then renamed,
 // so after a process crash mid-write or a power loss the path holds the
@@ -66,7 +79,10 @@ func Load(path, fingerprint string) ([]Job, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var fj fileJSON
+	var fj struct {
+		Fingerprint string      `json:"fingerprint"`
+		Jobs        []storedJob `json:"jobs"`
+	}
 	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&fj); err != nil {
@@ -75,7 +91,12 @@ func Load(path, fingerprint string) ([]Job, error) {
 	if fj.Fingerprint != fingerprint {
 		return nil, ErrMismatch
 	}
-	return fj.Jobs, nil
+	js := make([]Job, len(fj.Jobs))
+	for i, sj := range fj.Jobs {
+		js[i] = sj.Job
+		js[i].Spec = sj.Spec.Spec
+	}
+	return js, nil
 }
 
 // Records snapshots every retained job for persistence, oldest first.

@@ -21,7 +21,6 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +40,6 @@ type Config struct {
 	// Suites is the suite list each submission asks for (default
 	// "default").
 	Suites string
-	// Workers is the per-job worker count (0 leaves it to the server).
-	Workers int
 	// MaxOutstanding caps concurrently open requests (default 256).
 	MaxOutstanding int
 	// RequestTimeout bounds each probe (default 10s).
@@ -156,9 +153,6 @@ func (r Report) Violations() []string {
 func Run(ctx context.Context, cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
 	target := cfg.BaseURL + "/jobs?suite=" + url.QueryEscape(cfg.Suites)
-	if cfg.Workers > 0 {
-		target += "&workers=" + strconv.Itoa(cfg.Workers)
-	}
 	hc := &http.Client{Timeout: cfg.RequestTimeout}
 	reg := obs.NewRegistry()
 	accepted := reg.Histogram("accepted_latency_seconds", obs.DefBuckets)

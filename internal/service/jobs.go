@@ -27,7 +27,7 @@ import (
 // 503 + Retry-After instead of stacking goroutines on the evaluation
 // mutex.
 //
-//	POST   /jobs?suite=a,b[&workers=n]   submit; 202 + Location: /jobs/{id}
+//	POST   /jobs?suite=a,b               submit; 202 + Location: /jobs/{id}
 //	GET    /jobs                         list retained jobs (oldest first;
 //	                                     ?state= filters, ?offset=/?limit=
 //	                                     page — the response is hard-capped
@@ -101,7 +101,6 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	if s.eng.Net() == nil {
 		return nil, engine.ErrNoNetwork
 	}
-	workers := s.capWorkers(spec.Workers)
 	jobID := jobs.JobID(ctx)
 	sp := obs.NewRoot("service.job", s.metrics)
 	sp.SetTag("job", jobID)
@@ -125,7 +124,7 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	}()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	frag := core.NewTrace()
-	out, err := s.runSuiteLocked(ctx, suite, workers, frag)
+	out, err := s.runSuiteLocked(ctx, suite, frag)
 	// Whatever coverage the run managed to record is kept, even when the
 	// run aborted: the trace is a monotonic union, and folding the
 	// fragment into it is not something a cancelled job cancels.
@@ -330,20 +329,14 @@ func runContextValue(v string) string {
 }
 
 func (s *Server) postJob(w http.ResponseWriter, r *http.Request) {
-	// Validate up front so a bad suite or workers value fails the submit
-	// with a 400 now, not the job with a failure later.
+	// Validate up front so a bad suite fails the submit with a 400 now,
+	// not the job with a failure later.
 	if _, err := testkit.BuiltinSuite(r.URL.Query().Get("suite")); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	workers, err := parseWorkers(r.URL.Query().Get("workers"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	j, err := s.jobs.Submit(jobs.Spec{
-		Suites:  r.URL.Query().Get("suite"),
-		Workers: workers,
+		Suites: r.URL.Query().Get("suite"),
 		// Run context rides in on headers (the coordinator's
 		// client.ContextWithHeader channel, extending the X-Request-Id
 		// plumbing); the values reach span tags, log lines, and pprof

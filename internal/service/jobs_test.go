@@ -150,7 +150,6 @@ func TestJobQueueRunsOneJobAtATime(t *testing.T) {
 func TestJobValidation(t *testing.T) {
 	_, ts := newJobServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=nope", nil, http.StatusBadRequest, nil)
-	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default&workers=-1", nil, http.StatusBadRequest, nil)
 	doJSON(t, http.MethodGet, ts.URL+"/jobs/absent", nil, http.StatusNotFound, nil)
 	doJSON(t, http.MethodDelete, ts.URL+"/jobs/absent", nil, http.StatusNotFound, nil)
 }

@@ -22,11 +22,7 @@ func newWorkerServer(t *testing.T, workers int) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []Option{WithLogger(discardLogger())}
-	if workers > 1 {
-		opts = append(opts, WithWorkers(workers))
-	}
-	ts := httptest.NewServer(WithNetwork(rg.Net, opts...).Handler())
+	ts := httptest.NewServer(WithNetwork(rg.Net, WithLogger(discardLogger()), WithWorkers(workers)).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -35,7 +31,7 @@ func newWorkerServer(t *testing.T, workers int) *httptest.Server {
 // content type, required metric families, and lint-cleanliness.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := newWorkerServer(t, 2)
-	doJSON(t, "POST", ts.URL+"/run?suite=default,internal,connected&workers=2", nil, http.StatusOK, nil)
+	doJSON(t, "POST", ts.URL+"/run?suite=default,internal,connected", nil, http.StatusOK, nil)
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusOK, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -137,7 +133,7 @@ func TestEngineStatsAggregation(t *testing.T) {
 	seq := newWorkerServer(t, 1)
 	par := newWorkerServer(t, 2)
 	doJSON(t, "POST", seq.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
-	doJSON(t, "POST", par.URL+"/run?suite=default,internal&workers=2", nil, http.StatusOK, nil)
+	doJSON(t, "POST", par.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
 
 	var seqCov, parCov CoverageReport
 	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &seqCov)

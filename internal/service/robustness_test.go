@@ -18,6 +18,7 @@ import (
 
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/topogen"
 )
@@ -403,6 +404,44 @@ func TestRestartFromLegacyJSONCheckpoint(t *testing.T) {
 	}
 	if strings.Contains(logs.String(), "deprecated") {
 		t.Errorf("arena restore logged a deprecation warning:\n%s", logs.String())
+	}
+}
+
+// TestRestartFromJobRecordsWithWorkers: a job-records file written while
+// a job could ask for its own worker count carries "workers" in its spec.
+// It still restores, and the finished job's result is served again.
+func TestRestartFromJobRecordsWithWorkers(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "trace.snap")
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
+		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
+		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at, err := time.Now().UTC().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := `[{"name":"DefaultRouteCheck","kind":"reachability","checks":6,"pass":true}]`
+	records := `{"fingerprint":"` + core.Fingerprint(rg.Net) + `","jobs":[{"id":"3f2a9c1d0b7e4a65",` +
+		`"spec":{"suites":"default","workers":2},"state":"done",` +
+		`"submitted":` + string(at) + `,"started":` + string(at) + `,"finished":` + string(at) + `,` +
+		`"result":` + result + `}]}` + "\n"
+	if err := os.WriteFile(snap+".jobs", []byte(records), 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := WithNetwork(rg.Net, WithSnapshot(snap, time.Hour), WithLogger(discardLogger()))
+	if _, err := srv.Restore(); err != nil {
+		t.Fatalf("Restore with a stored \"workers\" spec key: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var got JobStatus
+	doJSON(t, http.MethodGet, ts.URL+"/jobs/3f2a9c1d0b7e4a65", nil, http.StatusOK, &got)
+	if got.State != jobs.StateDone || got.Spec.Suites != "default" || string(got.Result) != result {
+		t.Errorf("restored job = %+v, want done with its result", got)
 	}
 }
 

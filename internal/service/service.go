@@ -19,9 +19,8 @@
 //	GET    /trace              download the accumulated trace
 //	DELETE /trace              reset the trace
 //	POST   /run                run built-in tests (?suite=a,b) server-side,
-//	                           accumulate coverage (&workers=n runs the suite
-//	                           sharded across up to n workers, capped by
-//	                           WithWorkers; 0 = the cap)
+//	                           accumulate coverage (sharded across the
+//	                           WithWorkers pool when it is above one)
 //	POST   /jobs               submit the same run asynchronously: 202 +
 //	                           Location: /jobs/{id} (see jobs.go)
 //	GET    /jobs               list retained jobs and queue stats
@@ -118,7 +117,7 @@ type Server struct {
 	started      time.Time
 	maxBody      int64
 	runTimeout   time.Duration
-	maxWorkers   int
+	workers      int
 	snapPath     string
 	snapInterval time.Duration
 
@@ -164,24 +163,19 @@ func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.logger = l }
 // WithMaxBody caps request-body size at n bytes (default DefaultMaxBody).
 func WithMaxBody(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
-// WithRunTimeout bounds the compute-heavy endpoints (POST /run,
-// GET /coverage, GET /gaps): each such request runs under a deadline of
-// d on top of the client's own cancellation (r.Context()). Zero or
-// negative means no server-side deadline.
+// WithRunTimeout bounds the compute-heavy work: POST /run, GET /coverage,
+// GET /gaps and PATCH /network each run under a deadline of d on top of
+// the client's own cancellation (r.Context()), and so does every job a
+// POST /jobs submits (a job past it ends failed). Zero or negative means
+// no server-side deadline.
 func WithRunTimeout(d time.Duration) Option { return func(s *Server) { s.runTimeout = d } }
 
-// WithWorkers caps the per-request parallelism of POST /run: a request's
-// ?workers=n is clamped to this cap (default 1 — parallel runs disabled).
-// Parallelism replicates the loaded network once per worker as an arena
-// clone of its BDD space, built lazily on the first parallel run and
-// reused until the network changes.
-func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 1 {
-			s.maxWorkers = n
-		}
-	}
-}
+// WithWorkers sets how many workers every run shards its suite across,
+// POST /run and POST /jobs alike (default 1 — every run sequential).
+// Above one, the loaded network is replicated once per worker as an arena
+// clone of its BDD space, built lazily on the first run and reused until
+// the network changes.
+func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 
 // WithSnapshot enables crash-safe persistence: the accumulated trace is
 // checkpointed to path every interval (see RunCheckpointer) and on
@@ -204,7 +198,7 @@ func WithSnapshot(path string, interval time.Duration) Option {
 // 503 + Retry-After; default 64) and ttl is how long finished jobs stay
 // pollable before they are swept (default 1h). One worker drains the
 // queue: runs hold the evaluation lock, so jobs evaluate one at a time
-// whatever WithWorkers says (that cap bounds each run's parallelism).
+// whatever WithWorkers says (that sets each run's parallelism).
 func WithJobQueue(depth int, ttl time.Duration) Option {
 	return func(s *Server) {
 		s.queueDepth = depth
@@ -241,7 +235,6 @@ func New(opts ...Option) *Server {
 		metrics:      obs.NewRegistry(),
 		started:      time.Now(),
 		maxBody:      DefaultMaxBody,
-		maxWorkers:   1,
 		snapInterval: time.Minute,
 	}
 	for _, o := range opts {
@@ -272,9 +265,9 @@ func New(opts ...Option) *Server {
 }
 
 // newEngine returns the engine for net (nil: none loaded yet), its
-// replica pool sized by the WithWorkers cap.
+// replica pool sized by WithWorkers.
 func (s *Server) newEngine(net *netmodel.Network) *engine.Engine {
-	return engine.New(net, engine.Config{Workers: s.maxWorkers})
+	return engine.New(net, engine.Config{Workers: s.workers})
 }
 
 // WithNetwork returns a server pre-loaded with a network.
@@ -551,11 +544,6 @@ func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	workers, err := parseWorkers(r.URL.Query().Get("workers"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
 	// The request span carries the metrics registry into the evaluation:
@@ -564,7 +552,7 @@ func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 	sp := obs.NewRoot("service.run", s.metrics)
 	defer s.endSpan(sp)
 	ctx = obs.ContextWithSpan(ctx, sp)
-	out, rerr := s.runSuiteLocked(ctx, suite, s.capWorkers(workers), nil)
+	out, rerr := s.runSuiteLocked(ctx, suite, nil)
 	if rerr != nil {
 		// Partial coverage already merged into the trace is kept: the
 		// trace is a monotonic union and every marked set was really
@@ -583,8 +571,8 @@ func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
 // POST /run and the async job runner, which records into a per-job
 // fragment first (see runJob). Callers hold s.mu and have attached any
 // span to ctx.
-func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, workers int, into *core.Trace) ([]RunResult, error) {
-	results, err := s.eng.Run(ctx, "service.evaluate", suite, workers, into)
+func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, into *core.Trace) ([]RunResult, error) {
+	results, err := s.eng.Run(ctx, "service.evaluate", suite, into)
 	if err != nil {
 		return nil, err
 	}
@@ -608,29 +596,6 @@ func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, worker
 		out = append(out, rr)
 	}
 	return out, nil
-}
-
-// parseWorkers resolves a ?workers query value: absent means
-// sequential (1); 0 asks for the server's cap (see capWorkers);
-// negatives and non-integers are rejected.
-func parseWorkers(q string) (int, error) {
-	if q == "" {
-		return 1, nil
-	}
-	n, err := strconv.Atoi(q)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("workers: %q is not a non-negative integer", q)
-	}
-	return n, nil
-}
-
-// capWorkers resolves a requested worker count of 0 to the WithWorkers
-// cap; the engine holds anything above the cap to it.
-func (s *Server) capWorkers(n int) int {
-	if n == 0 {
-		return s.maxWorkers
-	}
-	return n
 }
 
 // CoverageReport is the GET /coverage response body.

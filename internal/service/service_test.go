@@ -12,6 +12,9 @@ import (
 
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/delta"
+	"yardstick/internal/jobs"
+	"yardstick/internal/obs"
 	"yardstick/internal/topogen"
 )
 
@@ -317,21 +320,31 @@ route a 0.0.0.0/0 via b origin=default
 }
 
 func TestRunTimeoutAborts(t *testing.T) {
-	// An already-expired -run-timeout deadline: the evaluation aborts
-	// through the engine's watched context and answers 503 — the server
-	// survives to serve the next (untimed) request.
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
-		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(WithNetwork(rg.Net, WithLogger(discardLogger()), WithRunTimeout(time.Nanosecond)).Handler())
-	t.Cleanup(ts.Close)
+	// An already-expired -run-timeout deadline: every evaluation it
+	// bounds aborts through the engine's watched context — a request with
+	// 503, a job as failed — and the server survives to serve the next
+	// (untimed) request.
+	_, ts := newJobServer(t, WithRunTimeout(time.Nanosecond))
 
 	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusServiceUnavailable, nil)
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusServiceUnavailable, nil)
+	doJSON(t, "GET", ts.URL+"/gaps", nil, http.StatusServiceUnavailable, nil)
+
+	// A PATCH aborts before its commit: the network is unchanged.
+	before := netStats(t, ts.URL).Fingerprint
+	doc := delta.Document{Base: before, Ops: []delta.Op{{Op: delta.OpRemove, Rule: 0}}}
+	doJSON(t, "PATCH", ts.URL+"/network", marshal(t, doc), http.StatusServiceUnavailable, nil)
+	if after := netStats(t, ts.URL).Fingerprint; after != before {
+		t.Errorf("an aborted PATCH moved the fingerprint from %s to %s", before, after)
+	}
+
+	// A job runs under the same deadline and ends failed.
+	var sub JobStatus
+	doJSON(t, "POST", ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateFailed || j.Error != "run aborted: context deadline exceeded" {
+		t.Errorf("job = %s %q, want failed with the deadline error", j.State, j.Error)
+	}
+
 	// Liveness is untouched by evaluation deadlines.
 	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, nil)
 }
@@ -345,23 +358,44 @@ func TestBadRequests(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/run", nil, http.StatusBadRequest, nil)
 }
 
-func TestRunWorkersParamValidation(t *testing.T) {
-	ts, _ := newTestServer(t) // cap defaults to 1
-
-	// Bad values are rejected.
-	doJSON(t, "POST", ts.URL+"/run?suite=default&workers=x", nil, http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/run?suite=default&workers=-2", nil, http.StatusBadRequest, nil)
-
-	// On a server without WithWorkers, any request is capped to 1 and
-	// runs sequentially.
-	var results []RunResult
-	doJSON(t, "POST", ts.URL+"/run?suite=default&workers=8", nil, http.StatusOK, &results)
-	if len(results) != 1 || !results[0].Pass {
-		t.Errorf("capped run results = %+v", results)
+// TestWorkersSetByServer: WithWorkers is a run's only worker count.
+// On a two-worker server a POST /run and a POST /jobs with no parameter
+// both shard, and a ?workers a request still sends is ignored like any
+// other unknown parameter; a server without WithWorkers stays sequential.
+func TestWorkersSetByServer(t *testing.T) {
+	_, par := newJobServer(t, WithWorkers(2))
+	doJSON(t, "POST", par.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
+	var cov CoverageReport
+	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &cov)
+	if cov.Engine.Workers != 3 { // canonical + 2 replicas
+		t.Errorf("two-worker server: engine.workers = %d, want 3", cov.Engine.Workers)
 	}
-	// workers=0 asks for the cap — still sequential here.
-	doJSON(t, "POST", ts.URL+"/run?suite=default&workers=0", nil, http.StatusOK, &results)
-	if len(results) != 1 {
-		t.Errorf("workers=0 results = %+v", results)
+
+	var sub JobStatus
+	doJSON(t, "POST", par.URL+"/jobs?suite=default,internal", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, par.URL, sub.ID); j.State != jobs.StateDone {
+		t.Fatalf("job = %+v, want done", j)
+	}
+	p, err := obs.DecodeSpanProfile(getBody(t, par.URL+"/jobs/"+sub.ID+"/profile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := false
+	p.Walk(func(_ int, sp *obs.SpanProfile) { sharded = sharded || sp.Name == "shard[1]" })
+	if !sharded {
+		t.Error("a job on a two-worker server has no shard[1] span")
+	}
+
+	doJSON(t, "POST", par.URL+"/run?suite=default&workers=x", nil, http.StatusOK, nil)
+	doJSON(t, "POST", par.URL+"/jobs?suite=default&workers=x", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, par.URL, sub.ID); j.State != jobs.StateDone {
+		t.Errorf("job with ?workers=x = %+v, want done", j)
+	}
+
+	_, seq := newJobServer(t)
+	doJSON(t, "POST", seq.URL+"/run?suite=default,internal&workers=2", nil, http.StatusOK, nil)
+	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &cov)
+	if cov.Engine.Workers != 1 {
+		t.Errorf("server without WithWorkers: engine.workers = %d, want 1", cov.Engine.Workers)
 	}
 }

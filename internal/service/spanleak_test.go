@@ -65,9 +65,9 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 	var tr spanTracker
 	srv, ts := newJobServer(t, WithSpanObserver(tr.observe))
 
-	// Success paths: sequential run, sharded run, coverage read.
+	// Success paths: two runs, coverage read.
 	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal&workers=2", nil, http.StatusOK, nil)
+	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 
 	// Async path: a job span finishes through the queue.
@@ -116,7 +116,7 @@ func TestSpansEndOnPanic(t *testing.T) {
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	srv.mu.Lock()
-	out, err := srv.runSuiteLocked(ctx, testkit.Suite{faults.PanicTest{Message: "chaos: boom"}}, 1, core.NewTrace())
+	out, err := srv.runSuiteLocked(ctx, testkit.Suite{faults.PanicTest{Message: "chaos: boom"}}, core.NewTrace())
 	srv.mu.Unlock()
 	if err != nil {
 		t.Fatalf("isolated panic escaped as error: %v", err)

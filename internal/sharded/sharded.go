@@ -45,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -67,7 +66,7 @@ const (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the pool size; 0 or negative means runtime.GOMAXPROCS(0).
+	// Workers is the pool size, at least 1.
 	Workers int
 	// Limits is the evaluation budget, installed per shard at the start
 	// of every Run: MaxOps is split evenly (ceiling division) across the
@@ -126,10 +125,10 @@ func New(ctx context.Context, canonical *netmodel.Network, cfg Config) (*Engine,
 	if canonical == nil {
 		return nil, errors.New("sharded: nil canonical network")
 	}
-	canonical.ComputeMatchSets()
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("sharded: %d workers", cfg.Workers)
 	}
+	canonical.ComputeMatchSets()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -177,25 +176,8 @@ func (e *Engine) ReplicaStats() []bdd.Stats {
 // returns ctx.Err() with the partial merged trace and the results that
 // completed. The Result is never nil.
 func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) {
-	return e.RunWorkers(ctx, suite, len(e.replicas))
-}
-
-// RunWorkers is Run restricted to the first n workers of the pool
-// (clamped to [1, Workers()]) — how a service with a fixed pool honors a
-// smaller per-request parallelism. The MaxOps budget splits over the
-// workers that actually run.
-func (e *Engine) RunWorkers(ctx context.Context, suite testkit.Suite, n int) (*Result, error) {
 	res := &Result{Trace: core.NewTrace()}
-	w := n
-	if w < 1 {
-		w = 1
-	}
-	if w > len(e.replicas) {
-		w = len(e.replicas)
-	}
-	if w > len(suite) {
-		w = len(suite)
-	}
+	w := min(len(e.replicas), len(suite))
 	if w == 0 {
 		return res, ctx.Err()
 	}

@@ -109,6 +109,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(ctx, nil, Config{}); err == nil {
 		t.Error("nil canonical network should be rejected")
 	}
+	for _, w := range []int{0, -1} {
+		if _, err := New(ctx, canonical, Config{Workers: w}); err == nil {
+			t.Errorf("a pool of %d workers should be rejected", w)
+		}
+	}
 	if eng, err := New(ctx, canonical, Config{Workers: 2}); err != nil || eng.Workers() != 2 {
 		t.Errorf("a two-worker pool over a valid network: %v", err)
 	}
