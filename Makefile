@@ -76,12 +76,13 @@ loadproof:
 	curl -sf http://127.0.0.1:18080/metrics | /tmp/promlint
 	@cat loadproof-report.json
 
-# Live-scrape check: boot the daemon for real on two workers, run a
-# suite (the daemon's -workers alone shards it), pull /metrics, and fail
-# if the exposition is malformed — the golden test pins bytes, this pins
-# the wire. Two reads of the coverage view with nothing in between: the
-# first re-derives every device, the second must be clean. The CI
-# metrics-smoke job runs this target.
+# Live-scrape check: boot the daemon for real on two workers, submit a
+# suite as a job and poll it until it is done (the daemon's -workers
+# alone shards it), pull /metrics, and fail if the exposition is
+# malformed — the golden test pins bytes, this pins the wire. Two reads
+# of the coverage view with nothing in between: the first re-derives
+# every device, the second must be clean. The CI metrics-smoke job runs
+# this target.
 metricssmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
 	$(GO) build -o /tmp/promlint ./cmd/promlint
@@ -89,7 +90,12 @@ metricssmoke:
 	/tmp/yardstickd -listen 127.0.0.1:18085 -topology regional -workers 2 & DPID=$$!; \
 	trap "kill $$DPID 2>/dev/null || true" EXIT; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18085/readyz > /dev/null && break; sleep 0.2; done; \
-	curl -sf -X POST 'http://127.0.0.1:18085/run?suite=default,internal' > /dev/null; \
+	ID=$$(curl -sf -X POST 'http://127.0.0.1:18085/jobs?suite=default,internal' | jq -r .id); \
+	for i in $$(seq 1 300); do \
+		STATE=$$(curl -sf http://127.0.0.1:18085/jobs/$$ID | jq -r .state); \
+		case $$STATE in done|failed|cancelled) break;; esac; sleep 0.1; \
+	done; \
+	[ "$$STATE" = done ] || { echo "job $$ID ended $$STATE, want done"; exit 1; }; \
 	curl -sf http://127.0.0.1:18085/coverage > /dev/null; \
 	curl -sf http://127.0.0.1:18085/gaps > /dev/null; \
 	curl -sf http://127.0.0.1:18085/metrics > /tmp/metrics.txt; \

@@ -3,7 +3,8 @@
 // read metrics and gap reports from it.
 //
 //	yardstickd -listen :8080 -topology regional -snapshot /var/lib/yardstick/trace.snap
-//	curl -X POST 'localhost:8080/run?suite=default,internal'
+//	curl -i -X POST 'localhost:8080/jobs?suite=default,internal'   # 202, Location: /jobs/{id}
+//	curl localhost:8080/jobs/{id}                                  # poll until "state":"done"
 //	curl localhost:8080/coverage
 //	curl localhost:8080/gaps
 //
@@ -65,8 +66,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		snapInterval = fs.Duration("snapshot-interval", time.Minute, "how often to checkpoint the trace to -snapshot")
 		drain        = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for draining in-flight requests")
 		maxBody      = fs.Int64("max-body", service.DefaultMaxBody, "request body size cap in bytes")
-		runTimeout   = fs.Duration("run-timeout", 0, "deadline for the evaluation work of POST /run, GET /coverage, GET /gaps, PATCH /network and every POST /jobs job (0 = none; a request stays bounded by the HTTP write timeout)")
-		workers      = fs.Int("workers", 1, "workers every run and job shards its suite across (1 = sequential)")
+		runTimeout   = fs.Duration("run-timeout", 0, "deadline for the evaluation work of GET /coverage, GET /gaps, PATCH /network and every POST /jobs job (0 = none; a request stays bounded by the HTTP write timeout)")
+		workers      = fs.Int("workers", 1, "workers every job shards its suite across (1 = sequential)")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled). A separate listener, so profiling never shares the service port")
 		maxInflight  = fs.Int("max-inflight", 16, "cap on concurrently admitted heavy requests; excess answers 429 + Retry-After (0 = unlimited)")
 		queueDepth   = fs.Int("queue-depth", 64, "async job queue depth; a full queue sheds POST /jobs with 503 + Retry-After")

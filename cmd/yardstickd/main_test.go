@@ -75,6 +75,20 @@ func call(t *testing.T, method, url string, body []byte, want int) []byte {
 	return data
 }
 
+// runDefault runs the default suite as a job and waits until it is done.
+func runDefault(t *testing.T, base string) {
+	t.Helper()
+	ctx := context.Background()
+	c := client.New(base)
+	j, err := c.SubmitJob(ctx, "default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = c.WaitJob(ctx, j.ID, 5*time.Millisecond); err != nil || j.State != jobs.StateDone {
+		t.Fatalf("default job = (%+v, %v), want done", j, err)
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "example"})
 
@@ -95,11 +109,13 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("/readyz with preloaded topology = %d", resp.StatusCode)
 	}
 
-	// An in-flight request started just before shutdown is drained, not
-	// severed: fire a suite run concurrently with the cancellation.
+	// An in-flight request is drained, not severed: a POST /trace whose
+	// body is still streaming when shutdown begins completes with 200.
+	frag := call(t, http.MethodGet, base+"/trace", nil, http.StatusOK)
+	pr, pw := io.Pipe()
 	inflight := make(chan error, 1)
 	go func() {
-		resp, err := http.Post(base+"/run?suite=default", "", nil)
+		resp, err := http.Post(base+"/trace", "application/json", pr)
 		if err != nil {
 			inflight <- err
 			return
@@ -107,14 +123,37 @@ func TestGracefulShutdown(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			inflight <- fmt.Errorf("in-flight run = %d, want 200", resp.StatusCode)
+			inflight <- fmt.Errorf("in-flight POST /trace = %d, want 200", resp.StatusCode)
 			return
 		}
 		inflight <- nil
 	}()
+	if _, err := pw.Write(frag[:1]); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(10 * time.Millisecond) // let the request reach the server
 
-	if err := stop(); err != nil {
+	stopped := make(chan error, 1)
+	go func() { stopped <- stop() }()
+	// The drain has begun once the listener refuses a fresh connection;
+	// only then does the rest of the body go out.
+	probe := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := probe.Get(base + "/healthz")
+		if err != nil {
+			break
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("the listener never closed")
+		}
+	}
+	if _, err := pw.Write(frag[1:]); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+
+	if err := <-stopped; err != nil {
 		t.Fatalf("shutdown after signal: %v", err)
 	}
 	if err := <-inflight; err != nil {
@@ -138,7 +177,7 @@ func TestSnapshotSurvivesRestart(t *testing.T) {
 
 	// Accumulate coverage server-side, then shut down: the final
 	// checkpoint must persist it.
-	call(t, http.MethodPost, base+"/run?suite=default", nil, http.StatusOK)
+	runDefault(t, base)
 	var cov, cov2 service.CoverageReport
 	if err := json.Unmarshal(call(t, http.MethodGet, base+"/coverage", nil, http.StatusOK), &cov); err != nil {
 		t.Fatal(err)
@@ -167,7 +206,7 @@ func TestStaleSnapshotDiscarded(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "trace.snap")
 
 	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "example", "-snapshot", snap})
-	call(t, http.MethodPost, base+"/run?suite=default", nil, http.StatusOK)
+	runDefault(t, base)
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}

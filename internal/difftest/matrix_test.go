@@ -75,16 +75,31 @@ func FuzzMatrix(f *testing.F) {
 	})
 }
 
+// refuse applies step i's rejected document to e, which must refuse it
+// with the reference's error.
+func (ref *Reference) refuse(t *testing.T, row string, i int, e *engine.Engine) {
+	t.Helper()
+	st := ref.Steps[i]
+	if _, err := e.Patch(bg, *st.Doc); err == nil || err.Error() != st.rejected {
+		t.Fatalf("%s row, step %d (%v): Patch error %v, want %q", row, i, ref.Scenario, err, st.rejected)
+	}
+}
+
 // workersRow is Workers=1 ≡ N: engine.Run sharded over a pool of two and
 // of three clones of the generated network (so also clone ≡ the JSON
 // rebuild the reference holds), the reference's deltas through Patch,
-// which drops the pool, and the suite again, over an empty trace, on a
-// pool of clones of the patched network.
+// which drops the pool (a rejected document leaves it), and the suite
+// again, over an empty trace, on a pool of clones of the patched network.
 func workersRow(t *testing.T, ref *Reference) {
 	for _, workers := range []int{2, 3} {
 		name := fmt.Sprintf("workers=%d", workers)
 		e := engine.New(ref.start.Clone(), engine.Config{Workers: workers})
 		for i, st := range ref.Steps {
+			if st.rejected != "" {
+				ref.refuse(t, name, i, e)
+				ref.check(t, name, i, observe(t, e, ref.space))
+				continue
+			}
 			if st.Doc != nil {
 				applied, err := e.Patch(bg, *st.Doc)
 				if err != nil {
@@ -113,31 +128,40 @@ func workersRow(t *testing.T, ref *Reference) {
 // rebuild of the reference's network, every match set derived from
 // configuration, with the reference's trace transferred in. The
 // reference reached that network by incremental Commits and carried its
-// coverage view across them.
+// coverage view across them. At the rejected document's step the engine
+// is handed that document too, and must refuse it.
 func rebuildRow(t *testing.T, ref *Reference) {
 	for i, st := range ref.Steps {
 		e := engine.New(decode(t, st.netJSON), engine.Config{})
 		if err := e.MergeTrace(bg, st.want.trace.TransferTo(e.Net().Space)); err != nil {
 			t.Fatal(err)
 		}
+		if st.rejected != "" {
+			ref.refuse(t, "rebuild", i, e)
+		}
 		ref.check(t, "rebuild", i, observe(t, e, ref.space))
 	}
 }
 
 // restoreRow is arena restore ≡ live: the reference's YSS1 checkpoint of
-// every step restored into a fresh engine over the decoded network.
+// every step restored into a fresh engine over the decoded network,
+// which must refuse the rejected document at its step.
 func restoreRow(t *testing.T, ref *Reference) {
 	for i, st := range ref.Steps {
 		e := engine.New(decode(t, st.netJSON), engine.Config{})
 		if legacy, err := e.Restore(bg, st.snapshot); err != nil || legacy {
 			t.Fatalf("step %d: Restore = legacy %v, %v", i, legacy, err)
 		}
+		if st.rejected != "" {
+			ref.refuse(t, "restore", i, e)
+		}
 		ref.check(t, "restore", i, observe(t, e, ref.space))
 	}
 }
 
 // fragmentRow is arena merge ≡ cube merge: the reference's trace encoded
-// as a YSS1 fragment and as cube JSON, each merged into a fresh engine.
+// as a YSS1 fragment and as cube JSON, each merged into a fresh engine,
+// which must refuse the rejected document at its step.
 func fragmentRow(t *testing.T, ref *Reference) {
 	for i, st := range ref.Steps {
 		for _, frag := range []struct {
@@ -148,6 +172,9 @@ func fragmentRow(t *testing.T, ref *Reference) {
 			if _, err := e.Merge(bg, frag.data); err != nil {
 				t.Fatalf("%s, step %d: %v", frag.name, i, err)
 			}
+			if st.rejected != "" {
+				ref.refuse(t, frag.name, i, e)
+			}
 			ref.check(t, frag.name, i, observe(t, e, ref.space))
 		}
 	}
@@ -156,7 +183,8 @@ func fragmentRow(t *testing.T, ref *Reference) {
 // daemonRow is daemon ≡ local twin under PATCH, over the wire: PUT
 // /network, the suite as a job on a two-worker daemon, every delta as a
 // PATCH, then DELETE /trace and the suite again as a job (on a pool the
-// PATCHes dropped). After each, GET /trace, /coverage, /gaps and
+// PATCHes dropped). The rejected document's PATCH must answer 400 with
+// the reference's error. After each, GET /trace, /coverage, /gaps and
 // /network must match the reference, and so must the PATCH body and the
 // job's results. After the first job the trace is also reset and POSTed
 // again in two halves, one as a YSS1 arena and one as cube JSON: both
@@ -170,6 +198,15 @@ func daemonRow(t *testing.T, ref *Reference) {
 	}
 	call(t, http.MethodPut, base+"/network", netJSON.Bytes(), http.StatusOK)
 	for i, st := range ref.Steps {
+		if st.rejected != "" {
+			var body map[string]string
+			unmarshal(t, call(t, http.MethodPatch, base+"/network", marshal(t, st.Doc), http.StatusBadRequest), &body)
+			if body["error"] != st.rejected {
+				t.Errorf("daemon row, step %d (%v): PATCH refused with %q, want %q", i, ref.Scenario, body["error"], st.rejected)
+			}
+			ref.check(t, "daemon", i, served(t, base, ref, i))
+			continue
+		}
 		if st.Doc != nil {
 			applied := call(t, http.MethodPatch, base+"/network", marshal(t, st.Doc), http.StatusOK)
 			got := served(t, base, ref, i)

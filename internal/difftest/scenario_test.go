@@ -1,7 +1,8 @@
 // Package difftest is the differential matrix. One seed generates a
 // scenario — a topogen family, a testkit suite and a delta stream — and
 // a sequential in-process engine evaluates it as the reference: the
-// suite, every delta, the suite again over an empty trace on the patched
+// suite, every delta (and, at a seeded position among them, a document
+// it must reject), the suite again over an empty trace on the patched
 // network, recording what it observes after each step. Each row of the
 // matrix (matrix_test.go) evaluates the same scenario another way and
 // must match the reference at every step: the same trace node for node
@@ -55,6 +56,10 @@ type Scenario struct {
 	// Events is the length of the delta stream: BGP flaps on the
 	// regional families, random rule operations on the others.
 	Events int
+	// Reject is where, in the delta stream, a document goes that every
+	// engine must refuse whole (see rejectedDoc): before event Reject,
+	// or after the last one when it equals Events.
+	Reject int
 }
 
 // Generate derives a scenario from a seed. The family is the seed modulo
@@ -78,12 +83,13 @@ func Generate(seed int64) Scenario {
 			}
 		}
 	}
+	sc.Reject = rng.Intn(sc.Events + 1)
 	return sc
 }
 
 func (sc Scenario) String() string {
-	return fmt.Sprintf("seed %d: %s, suites %s, %d events",
-		sc.Seed, sc.Family, strings.Join(sc.Suites, ","), sc.Events)
+	return fmt.Sprintf("seed %d: %s, suites %s, %d events, rejected document before event %d",
+		sc.Seed, sc.Family, strings.Join(sc.Suites, ","), sc.Events, sc.Reject)
 }
 
 // world is a built scenario: its network and the source of its deltas.
@@ -229,6 +235,25 @@ func ruleOps(rng *rand.Rand, net *netmodel.Network) []delta.Op {
 	return ops
 }
 
+// rejectedDoc is a delta document against net that an engine must refuse
+// whole: a valid removal of a seeded rule, then a drop route whose prefix
+// is of the other address family than net's.
+func rejectedDoc(net *netmodel.Network, base string, seed int64) delta.Document {
+	foreign := "2001:db8::/32"
+	if net.Family() == hdr.V6 {
+		foreign = "10.0.0.0/8"
+	}
+	victim := netmodel.RuleID(uint64(seed) % uint64(len(net.Rules)))
+	spec := netmodel.RuleSpec{
+		Device: int32(net.Rule(victim).Device), Table: "fib", Action: "drop",
+		Match: netmodel.MatchSpec{Dst: foreign}, Origin: "static",
+	}
+	return delta.Document{Base: base, Ops: []delta.Op{
+		{Op: delta.OpRemove, Rule: victim},
+		{Op: delta.OpAdd, Spec: &spec},
+	}}
+}
+
 // observation is what a row sees at one step. A nil field is one the
 // row cannot observe: the daemon serves no config table, results exist
 // only where the suite ran and an Applied document only where a delta
@@ -245,11 +270,15 @@ type observation struct {
 }
 
 // Step is the reference after the suite (the first step), after one
-// delta, or after the suite ran again, over an empty trace, on the
-// patched network (the last).
+// delta, after refusing the rejected document, or after the suite ran
+// again, over an empty trace, on the patched network (the last).
 type Step struct {
-	Doc  *delta.Document // the delta that led here; nil where the suite ran
-	want observation
+	Doc *delta.Document // the delta that led here; nil where the suite ran
+	// rejected is the error the reference refused Doc with; "" where Doc
+	// was applied. A row must refuse it with the same error, and observe
+	// what it did before.
+	rejected string
+	want     observation
 	// What the rows that derive their state from the reference read.
 	netJSON  []byte // the network's encoding, written without its cache
 	snapshot string // the trace checkpointed as YSS1 (engine.Snapshot)
@@ -283,9 +312,10 @@ func evaluate(t testing.TB, sc Scenario) *Reference {
 	dir := t.TempDir()
 	record := func(doc *delta.Document, results []testkit.Result, applied *delta.Applied) {
 		st := Step{Doc: doc, netJSON: encode(t, e.Net()), want: observe(t, e, ref.space)}
-		if doc == nil {
+		switch {
+		case doc == nil:
 			st.want.results = summarize(results)
-		} else {
+		case applied != nil:
 			st.want.applied = marshal(t, applied)
 		}
 		st.snapshot = filepath.Join(dir, fmt.Sprintf("step%d.snap", len(ref.Steps)))
@@ -308,7 +338,22 @@ func evaluate(t testing.TB, sc Scenario) *Reference {
 	if st := e.Trace().Stats(); st.Locations == 0 && st.MarkedRules == 0 {
 		t.Fatalf("%v: the suite recorded nothing", sc)
 	}
+	reject := func() {
+		doc := rejectedDoc(e.Net(), e.Fingerprint(), sc.Seed)
+		_, err := e.Patch(bg, doc)
+		if err == nil {
+			t.Fatalf("%v: a document with an op of the other family was applied, want it rejected", sc)
+		}
+		record(&doc, nil, nil)
+		ref.Steps[len(ref.Steps)-1].rejected = err.Error()
+		// Nothing moved: the reference's own observation after the
+		// rejection is held to the one before it.
+		ref.check(t, "reference", len(ref.Steps)-2, ref.Steps[len(ref.Steps)-1].want)
+	}
 	for i := range sc.Events {
+		if i == sc.Reject {
+			reject()
+		}
 		ops, err := w.next(e.Net())
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
@@ -319,6 +364,9 @@ func evaluate(t testing.TB, sc Scenario) *Reference {
 			t.Fatalf("event %d: %v", i, err)
 		}
 		record(&doc, nil, applied)
+	}
+	if sc.Reject == sc.Events {
+		reject()
 	}
 	// The last run starts from an empty trace, so what it records on the
 	// patched network is not hidden under the marks carried across.

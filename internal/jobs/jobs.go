@@ -59,8 +59,8 @@ func (s State) Terminal() bool {
 // Spec is what a job was asked to do — the queue carries it opaquely to
 // the Runner.
 type Spec struct {
-	// Suites is the comma-separated built-in suite list (the same syntax
-	// POST /run accepts).
+	// Suites is the comma-separated built-in suite list, as POST /jobs
+	// takes it in ?suite= (testkit.BuiltinSuite's syntax).
 	Suites string `json:"suites"`
 	// RunID is the distributed run this job belongs to, minted by the
 	// coordinator and delivered in the X-Run-Id submit header ("" for a

@@ -78,7 +78,7 @@ func TestDraining(t *testing.T) {
 	srv.SetDraining(true)
 
 	for _, ep := range []struct{ method, path string }{
-		{http.MethodPost, "/run?suite=default"},
+		{http.MethodPatch, "/network"},
 		{http.MethodPost, "/jobs?suite=default"},
 		{http.MethodGet, "/coverage"},
 		{http.MethodGet, "/gaps"},
@@ -122,16 +122,9 @@ func TestDraining(t *testing.T) {
 		}
 	}
 
-	// Un-draining restores admission.
+	// Un-draining restores admission: a job is accepted and runs.
 	srv.SetDraining(false)
-	resp2, err := http.Post(ts.URL+"/run?suite=default", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-drain /run = %d, want 200", resp2.StatusCode)
-	}
+	runSuite(t, ts.URL, "default")
 }
 
 // TestReadyzNoNetworkReason: an empty server reports why it is unready.

@@ -49,7 +49,7 @@ func TestPatchNetwork(t *testing.T) {
 	ts, rg := newTestServer(t)
 
 	// Accumulate a trace the delta must carry across.
-	doJSON(t, "POST", ts.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default,internal")
 	var covBefore CoverageReport
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusOK, &covBefore)
 	if covBefore.Total.RuleFractional <= 0 {
@@ -89,7 +89,7 @@ func TestPatchNetwork(t *testing.T) {
 	}
 
 	// And a second run still works against the patched universe.
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default")
 
 	var st StatsReport
 	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &st)
@@ -174,7 +174,7 @@ func TestBadNetworkInputIs400(t *testing.T) {
 func TestPutNetworkIdempotent(t *testing.T) {
 	ts, rg := newTestServer(t)
 
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default")
 	var covBefore CoverageReport
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusOK, &covBefore)
 	if covBefore.Total.RuleFractional <= 0 {

@@ -19,13 +19,12 @@ import (
 	"yardstick/internal/testkit"
 )
 
-// The asynchronous run API. POST /run holds the connection for the
-// whole evaluation; POST /jobs instead answers 202 immediately with a
-// job the caller polls (or cancels), which is what lets the admission
-// layer bound the daemon's concurrent work: the queue is the buffer,
-// its depth is the backpressure signal, and a full queue sheds with
-// 503 + Retry-After instead of stacking goroutines on the evaluation
-// mutex.
+// The run API: the job queue is the daemon's only way to evaluate a
+// suite. POST /jobs answers 202 immediately with a job the caller polls
+// (or cancels), which is what lets the admission layer bound the
+// daemon's concurrent work: the queue is the buffer, its depth is the
+// backpressure signal, and a full queue sheds with 503 + Retry-After
+// instead of stacking goroutines on the evaluation mutex.
 //
 //	POST   /jobs?suite=a,b               submit; 202 + Location: /jobs/{id}
 //	GET    /jobs                         list retained jobs (oldest first;
@@ -41,6 +40,9 @@ import (
 //	                                     TraceArenaMediaType (409 until
 //	                                     done, 410 once evicted or after a
 //	                                     restart)
+//	GET    /jobs/{id}/profile            a finished job's span profile
+//	                                     (JSON; 409 until finished, 410
+//	                                     once evicted or after a restart)
 //	DELETE /jobs/{id}                    cancel a queued or running job
 //
 // Completed jobs are retained for the configured TTL and — when
@@ -60,17 +62,17 @@ type JobList struct {
 }
 
 // runJob is the queue's Runner: it resolves the suite, serializes on
-// the evaluation mutex like every synchronous endpoint, and returns the
-// run results as the job's opaque result payload. The queue has already
-// bounded ctx with the run-timeout and wires DELETE /jobs/{id} into its
-// cancellation.
+// the evaluation mutex like every other endpoint that reads or writes
+// the engine, and returns the run results as the job's opaque result
+// payload. The queue has already bounded ctx with the run-timeout and
+// wires DELETE /jobs/{id} into its cancellation.
 //
-// Unlike POST /run, the job records its coverage into a private
-// fragment first and only then folds the fragment into the accumulated
-// trace — both live in the canonical space, so the fold is a cheap
-// same-space union. The fragment is what GET /jobs/{id}/trace exports:
-// a distributed coordinator needs exactly this shard's contribution,
-// not whatever else the node has accumulated.
+// The job records its coverage into a private fragment first and only
+// then folds the fragment into the accumulated trace — both live in the
+// canonical space, so the fold is a cheap same-space union. The fragment
+// is what GET /jobs/{id}/trace exports: a distributed coordinator needs
+// exactly this shard's contribution, not whatever else the node has
+// accumulated.
 func (s *Server) runJob(ctx context.Context, spec jobs.Spec) (json.RawMessage, error) {
 	// The goroutine runs under pprof labels for the job (and, when this
 	// is a shard of a distributed run, the run and shard IDs), so a
@@ -124,7 +126,10 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 	}()
 	ctx = obs.ContextWithSpan(ctx, sp)
 	frag := core.NewTrace()
-	out, err := s.runSuiteLocked(ctx, suite, frag)
+	// The suite runs as the service.evaluate stage — a worker-side span
+	// beneath the job root even for a sequential run, which is what a
+	// coordinator's cross-node timeline links to.
+	results, err := s.eng.Run(ctx, "service.evaluate", suite, frag)
 	// Whatever coverage the run managed to record is kept, even when the
 	// run aborted: the trace is a monotonic union, and folding the
 	// fragment into it is not something a cancelled job cancels.
@@ -135,6 +140,25 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 		return nil, fmt.Errorf("run aborted: %w", err)
 	}
 	s.storeJobTraceLocked(jobID, frag)
+	var out []RunResult
+	for _, res := range results {
+		rr := RunResult{
+			Name:    res.Name,
+			Kind:    string(res.Kind),
+			Checks:  res.Checks,
+			Pass:    res.Pass(),
+			Errored: res.Errored(),
+			Error:   res.Err,
+		}
+		for i, f := range res.Failures {
+			if i == 10 {
+				rr.Failures = append(rr.Failures, fmt.Sprintf("... %d more", len(res.Failures)-10))
+				break
+			}
+			rr.Failures = append(rr.Failures, fmt.Sprintf("%s: %s", s.eng.Net().Device(f.Device).Name, f.Detail))
+		}
+		out = append(out, rr)
+	}
 	raw, err := json.Marshal(out)
 	if err != nil {
 		return nil, fmt.Errorf("encode results: %w", err)
@@ -163,9 +187,6 @@ type jobFragment struct {
 // longer retains, so the artifact map is bounded by job retention.
 // Callers hold s.mu.
 func (s *Server) storeJobTraceLocked(id string, frag *core.Trace) {
-	if id == "" {
-		return // not running under the job queue (tests driving runJob directly)
-	}
 	for old := range s.jobTraces {
 		if _, ok := s.jobs.Get(old); !ok {
 			delete(s.jobTraces, old)
@@ -200,9 +221,6 @@ func (s *Server) jobTraceLocked(ctx context.Context, id string, arena bool) (dat
 // GET /jobs/{id}/profile, pruning entries whose jobs the queue no
 // longer retains. Callers hold s.mu.
 func (s *Server) storeJobProfileLocked(id string, sp *obs.Span) {
-	if id == "" || sp == nil {
-		return
-	}
 	var buf bytes.Buffer
 	if err := sp.Profile().EncodeJSON(&buf); err != nil {
 		s.logger.Error("encoding job span profile", "job", id, "err", err)

@@ -17,10 +17,9 @@ import (
 	"yardstick/internal/topogen"
 )
 
-// newJobServer builds a server with the async layer live: a small
-// network, a running queue worker, and the given extra options. The
-// worker stops at test cleanup.
-func newJobServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+// smallRegional builds the small regional network the service tests
+// run against.
+func smallRegional(t *testing.T) *topogen.Regional {
 	t.Helper()
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
 		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
@@ -29,14 +28,28 @@ func newJobServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := WithNetwork(rg.Net, append([]Option{WithLogger(discardLogger())}, opts...)...)
+	return rg
+}
+
+// serve mounts srv on a test HTTP server and runs its job-queue worker;
+// both stop at test cleanup.
+func serve(t *testing.T, srv *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { defer close(done); srv.RunJobs(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
-	return srv, ts
+	return ts
+}
+
+// newJobServer builds a server with the async layer live: a small
+// network, a running queue worker, and the given extra options.
+func newJobServer(t *testing.T, opts ...Option) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := WithNetwork(smallRegional(t).Net, append([]Option{WithLogger(discardLogger())}, opts...)...)
+	return srv, serve(t, srv)
 }
 
 // pollJob polls GET /jobs/{id} until the job is terminal.
@@ -53,6 +66,23 @@ func pollJob(t *testing.T, base, id string) JobStatus {
 	}
 	t.Fatal("job never reached a terminal state")
 	return JobStatus{}
+}
+
+// runSuite submits a job for the comma-separated suites, polls it until
+// it is terminal and requires it done; it returns the job's run results.
+func runSuite(t *testing.T, base, suites string) []RunResult {
+	t.Helper()
+	var sub JobStatus
+	doJSON(t, http.MethodPost, base+"/jobs?suite="+suites, nil, http.StatusAccepted, &sub)
+	j := pollJob(t, base, sub.ID)
+	if j.State != jobs.StateDone {
+		t.Fatalf("job %s (%s) = %s %q, want done", sub.ID, suites, j.State, j.Error)
+	}
+	var results []RunResult
+	if err := json.Unmarshal(j.Result, &results); err != nil {
+		t.Fatalf("job %s result: %v", sub.ID, err)
+	}
+	return results
 }
 
 func TestJobLifecycle(t *testing.T) {
@@ -89,7 +119,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("results = %d tests, want 2", len(results))
 	}
 
-	// The run accumulated coverage exactly like POST /run would.
+	// The run accumulated coverage into the server's trace.
 	var cov CoverageReport
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, &cov)
 	if cov.Total.RuleFractional <= 0 {
@@ -150,6 +180,7 @@ func TestJobQueueRunsOneJobAtATime(t *testing.T) {
 func TestJobValidation(t *testing.T) {
 	_, ts := newJobServer(t)
 	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=nope", nil, http.StatusBadRequest, nil)
+	doJSON(t, http.MethodPost, ts.URL+"/jobs", nil, http.StatusBadRequest, nil)
 	doJSON(t, http.MethodGet, ts.URL+"/jobs/absent", nil, http.StatusNotFound, nil)
 	doJSON(t, http.MethodDelete, ts.URL+"/jobs/absent", nil, http.StatusNotFound, nil)
 }

@@ -158,7 +158,7 @@ func Instrument(reg *obs.Registry) Middleware {
 // routeLabel maps a request path to a bounded route label set.
 func routeLabel(path string) string {
 	switch path {
-	case "/network", "/trace", "/run", "/jobs", "/coverage", "/gaps",
+	case "/network", "/trace", "/jobs", "/coverage", "/gaps",
 		"/healthz", "/readyz", "/metrics", "/stats":
 		return path
 	}

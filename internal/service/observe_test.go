@@ -3,35 +3,19 @@ package service
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"yardstick/internal/obs"
 	"yardstick/internal/promlint"
-	"yardstick/internal/topogen"
 )
-
-func newWorkerServer(t *testing.T, workers int) *httptest.Server {
-	t.Helper()
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
-		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(WithNetwork(rg.Net, WithLogger(discardLogger()), WithWorkers(workers)).Handler())
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 // TestMetricsEndpoint scrapes /metrics after real traffic and checks
 // content type, required metric families, and lint-cleanliness.
 func TestMetricsEndpoint(t *testing.T) {
-	ts := newWorkerServer(t, 2)
-	doJSON(t, "POST", ts.URL+"/run?suite=default,internal,connected", nil, http.StatusOK, nil)
+	_, ts := newJobServer(t, WithWorkers(2))
+	runSuite(t, ts.URL, "default,internal,connected")
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusOK, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -58,9 +42,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"yardstick_sharded_runs_total 1",
 		"yardstick_sharded_worker_runs_total 2",
 		"yardstick_sharded_workers 2",
-		`yardstick_stage_duration_seconds_bucket{stage="service.run",le="+Inf"}`,
+		`yardstick_stage_duration_seconds_bucket{stage="service.job",le="+Inf"}`,
 		`yardstick_stage_duration_seconds_bucket{stage="service.coverage",le="+Inf"}`,
-		`yardstick_http_requests_total{route="/run",status="200"} 1`,
+		`yardstick_http_requests_total{route="/jobs",status="202"} 1`,
 		`yardstick_http_request_duration_seconds_count{route="/coverage"} 1`,
 		"yardstick_engine_nodes",
 	} {
@@ -130,10 +114,10 @@ func TestServerTiming(t *testing.T) {
 // TestEngineStatsAggregation: with a worker pool, /coverage's engine
 // stats must cover the replicas too — more managers, more nodes.
 func TestEngineStatsAggregation(t *testing.T) {
-	seq := newWorkerServer(t, 1)
-	par := newWorkerServer(t, 2)
-	doJSON(t, "POST", seq.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
-	doJSON(t, "POST", par.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
+	_, seq := newJobServer(t)
+	_, par := newJobServer(t, WithWorkers(2))
+	runSuite(t, seq.URL, "default,internal")
+	runSuite(t, par.URL, "default,internal")
 
 	var seqCov, parCov CoverageReport
 	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &seqCov)
@@ -159,7 +143,7 @@ func TestEngineStatsAggregation(t *testing.T) {
 // TestStatsEndpoint: /stats serves the JSON debug vars.
 func TestStatsEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default")
 
 	var st StatsReport
 	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &st)

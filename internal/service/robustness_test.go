@@ -45,8 +45,12 @@ func TestConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	do := func(method, url string, body []byte) {
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		jobIDs []string // read after wg.Wait
+	)
+	do := func(method, url string, body []byte, want int) {
 		defer wg.Done()
 		req, err := http.NewRequest(method, url, bytes.NewReader(body))
 		if err != nil {
@@ -58,20 +62,36 @@ func TestConcurrentRequests(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		io.Copy(io.Discard, resp.Body)
+		data, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s %s = %d", method, url, resp.StatusCode)
+		if err != nil || resp.StatusCode != want {
+			t.Errorf("%s %s = %d (%v), want %d", method, url, resp.StatusCode, err, want)
+			return
+		}
+		if want == http.StatusAccepted {
+			var sub JobStatus
+			if err := json.Unmarshal(data, &sub); err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			jobIDs = append(jobIDs, sub.ID)
+			mu.Unlock()
 		}
 	}
 	for i := 0; i < 8; i++ {
 		wg.Add(4)
-		go do("POST", ts.URL+"/trace", frag.Bytes())
-		go do("GET", ts.URL+"/coverage", nil)
-		go do("POST", ts.URL+"/run?suite=connected", nil)
-		go do("GET", ts.URL+"/trace", nil)
+		go do("POST", ts.URL+"/trace", frag.Bytes(), http.StatusOK)
+		go do("GET", ts.URL+"/coverage", nil, http.StatusOK)
+		go do("POST", ts.URL+"/jobs?suite=connected", nil, http.StatusAccepted)
+		go do("GET", ts.URL+"/trace", nil, http.StatusOK)
 	}
 	wg.Wait()
+	for _, id := range jobIDs {
+		if j := pollJob(t, ts.URL, id); j.State != jobs.StateDone {
+			t.Errorf("job %s = %s %q, want done", id, j.State, j.Error)
+		}
+	}
 }
 
 // TestPanicRecovery drives a panicking handler through the full

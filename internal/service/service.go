@@ -18,11 +18,11 @@
 //	POST   /trace              merge a trace fragment (trace JSON or YSS1 arena)
 //	GET    /trace              download the accumulated trace
 //	DELETE /trace              reset the trace
-//	POST   /run                run built-in tests (?suite=a,b) server-side,
-//	                           accumulate coverage (sharded across the
-//	                           WithWorkers pool when it is above one)
-//	POST   /jobs               submit the same run asynchronously: 202 +
-//	                           Location: /jobs/{id} (see jobs.go)
+//	POST   /jobs               run built-in tests (?suite=a,b) server-side as
+//	                           a queued job that accumulates coverage
+//	                           (sharded across the WithWorkers pool when it
+//	                           is above one): 202 + Location: /jobs/{id}
+//	                           (see jobs.go)
 //	GET    /jobs               list retained jobs and queue stats
 //	                           (?state= filter, ?offset=/?limit= paging with
 //	                           X-Total-Count and Link rel="next" headers)
@@ -90,7 +90,6 @@ import (
 	"yardstick/internal/obs"
 	"yardstick/internal/report"
 	"yardstick/internal/sharded"
-	"yardstick/internal/testkit"
 )
 
 // DefaultMaxBody is the request-body size cap when WithMaxBody is not
@@ -163,18 +162,17 @@ func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.logger = l }
 // WithMaxBody caps request-body size at n bytes (default DefaultMaxBody).
 func WithMaxBody(n int64) Option { return func(s *Server) { s.maxBody = n } }
 
-// WithRunTimeout bounds the compute-heavy work: POST /run, GET /coverage,
-// GET /gaps and PATCH /network each run under a deadline of d on top of
-// the client's own cancellation (r.Context()), and so does every job a
+// WithRunTimeout bounds the compute-heavy work: GET /coverage, GET /gaps
+// and PATCH /network each run under a deadline of d on top of the
+// client's own cancellation (r.Context()), and so does every job a
 // POST /jobs submits (a job past it ends failed). Zero or negative means
 // no server-side deadline.
 func WithRunTimeout(d time.Duration) Option { return func(s *Server) { s.runTimeout = d } }
 
-// WithWorkers sets how many workers every run shards its suite across,
-// POST /run and POST /jobs alike (default 1 — every run sequential).
-// Above one, the loaded network is replicated once per worker as an arena
-// clone of its BDD space, built lazily on the first run and reused until
-// the network changes.
+// WithWorkers sets how many workers every job shards its suite across
+// (default 1 — every run sequential). Above one, the loaded network is
+// replicated once per worker as an arena clone of its BDD space, built
+// lazily on the first run and reused until the network changes.
 func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
 
 // WithSnapshot enables crash-safe persistence: the accumulated trace is
@@ -206,8 +204,8 @@ func WithJobQueue(depth int, ttl time.Duration) Option {
 	}
 }
 
-// WithAdmission caps concurrent compute-heavy requests (POST /run,
-// GET /coverage, GET /gaps, POST /jobs submissions): past the cap,
+// WithAdmission caps concurrent compute-heavy requests (PATCH /network,
+// POST /jobs submissions, GET /coverage, GET /gaps): past the cap,
 // requests are shed with 429 + Retry-After instead of queueing on the
 // evaluation mutex. 0 (the default) disables the cap.
 func WithAdmission(maxInflight int) Option {
@@ -287,7 +285,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /trace", s.postTrace)
 	mux.HandleFunc("GET /trace", s.getTrace)
 	mux.HandleFunc("DELETE /trace", s.deleteTrace)
-	mux.HandleFunc("POST /run", s.admit("/run", s.postRun))
 	mux.HandleFunc("POST /jobs", s.admit("/jobs", s.postJob))
 	mux.HandleFunc("GET /jobs", s.listJobs)
 	mux.HandleFunc("GET /jobs/{id}", s.getJob)
@@ -485,7 +482,7 @@ func (s *Server) deleteTrace(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// RunResult is one element of the POST /run response body.
+// RunResult is one element of a done job's result (GET /jobs/{id}).
 type RunResult struct {
 	Name     string   `json:"name"`
 	Kind     string   `json:"kind"`
@@ -530,72 +527,6 @@ func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFu
 func abortError(w http.ResponseWriter, what string, err error) {
 	w.Header().Set("Retry-After", strconv.Itoa(RetryAfterInflight))
 	httpError(w, http.StatusServiceUnavailable, "%s aborted: %v", what, err)
-}
-
-func (s *Server) postRun(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng.Net() == nil {
-		httpError(w, http.StatusConflict, "no network loaded")
-		return
-	}
-	suite, err := testkit.BuiltinSuite(r.URL.Query().Get("suite"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := s.evalContext(r)
-	defer cancel()
-	// The request span carries the metrics registry into the evaluation:
-	// sharded workers flush their per-run BDD deltas and budget trips
-	// through it, and its EndStage feeds the stage latency histogram.
-	sp := obs.NewRoot("service.run", s.metrics)
-	defer s.endSpan(sp)
-	ctx = obs.ContextWithSpan(ctx, sp)
-	out, rerr := s.runSuiteLocked(ctx, suite, nil)
-	if rerr != nil {
-		// Partial coverage already merged into the trace is kept: the
-		// trace is a monotonic union and every marked set was really
-		// exercised. The run itself reports the abort.
-		abortError(w, "run", rerr)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// runSuiteLocked evaluates suite against the loaded network as the
-// service.evaluate stage — a worker-side span beneath the request root
-// even for a sequential run, which is what a coordinator's cross-node
-// timeline links to — recording coverage into into (nil: the accumulated
-// trace), and converts the results to their wire form. The shared core of
-// POST /run and the async job runner, which records into a per-job
-// fragment first (see runJob). Callers hold s.mu and have attached any
-// span to ctx.
-func (s *Server) runSuiteLocked(ctx context.Context, suite testkit.Suite, into *core.Trace) ([]RunResult, error) {
-	results, err := s.eng.Run(ctx, "service.evaluate", suite, into)
-	if err != nil {
-		return nil, err
-	}
-	var out []RunResult
-	for _, res := range results {
-		rr := RunResult{
-			Name:    res.Name,
-			Kind:    string(res.Kind),
-			Checks:  res.Checks,
-			Pass:    res.Pass(),
-			Errored: res.Errored(),
-			Error:   res.Err,
-		}
-		for i, f := range res.Failures {
-			if i == 10 {
-				rr.Failures = append(rr.Failures, fmt.Sprintf("... %d more", len(res.Failures)-10))
-				break
-			}
-			rr.Failures = append(rr.Failures, fmt.Sprintf("%s: %s", s.eng.Net().Device(f.Device).Name, f.Detail))
-		}
-		out = append(out, rr)
-	}
-	return out, nil
 }
 
 // CoverageReport is the GET /coverage response body.

@@ -20,16 +20,8 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *topogen.Regional) {
 	t.Helper()
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
-		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(WithNetwork(rg.Net, WithLogger(discardLogger())).Handler())
-	t.Cleanup(ts.Close)
-	return ts, rg
+	rg := smallRegional(t)
+	return serve(t, WithNetwork(rg.Net, WithLogger(discardLogger()))), rg
 }
 
 func doJSON(t *testing.T, method, url string, body []byte, wantCode int, out any) {
@@ -100,8 +92,7 @@ func TestNetworkStats(t *testing.T) {
 func TestRunAndCoverage(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	var results []RunResult
-	doJSON(t, "POST", ts.URL+"/run?suite=default,internal", nil, http.StatusOK, &results)
+	results := runSuite(t, ts.URL, "default,internal")
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -275,12 +266,15 @@ func TestPutNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(WithLogger(discardLogger())).Handler())
-	defer ts.Close()
+	ts := serve(t, New(WithLogger(discardLogger())))
 
-	// No network yet: coverage and run are 409.
+	// No network yet: coverage is 409 and a job fails for want of one.
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusConflict, nil)
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusConflict, nil)
+	var sub JobStatus
+	doJSON(t, "POST", ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateFailed || j.Error != "no network loaded" {
+		t.Errorf("job without a network = %s %q, want failed with %q", j.State, j.Error, "no network loaded")
+	}
 	doJSON(t, "GET", ts.URL+"/network", nil, http.StatusNotFound, nil)
 
 	var buf bytes.Buffer
@@ -293,7 +287,7 @@ func TestPutNetwork(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Now runs work.
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default")
 
 	// Text format load.
 	textNet := `
@@ -326,7 +320,6 @@ func TestRunTimeoutAborts(t *testing.T) {
 	// (untimed) request.
 	_, ts := newJobServer(t, WithRunTimeout(time.Nanosecond))
 
-	doJSON(t, "POST", ts.URL+"/run?suite=default", nil, http.StatusServiceUnavailable, nil)
 	doJSON(t, "GET", ts.URL+"/coverage", nil, http.StatusServiceUnavailable, nil)
 	doJSON(t, "GET", ts.URL+"/gaps", nil, http.StatusServiceUnavailable, nil)
 
@@ -354,27 +347,23 @@ func TestBadRequests(t *testing.T) {
 	doJSON(t, "PUT", ts.URL+"/network", []byte("junk"), http.StatusBadRequest, nil)
 	doJSON(t, "PUT", ts.URL+"/network?format=xml", nil, http.StatusBadRequest, nil)
 	doJSON(t, "POST", ts.URL+"/trace", []byte("junk"), http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/run?suite=bogus", nil, http.StatusBadRequest, nil)
-	doJSON(t, "POST", ts.URL+"/run", nil, http.StatusBadRequest, nil)
 }
 
 // TestWorkersSetByServer: WithWorkers is a run's only worker count.
-// On a two-worker server a POST /run and a POST /jobs with no parameter
-// both shard, and a ?workers a request still sends is ignored like any
-// other unknown parameter; a server without WithWorkers stays sequential.
+// On a two-worker server a job with no parameter shards, and a ?workers
+// a request still sends is ignored like any other unknown parameter; a
+// server without WithWorkers stays sequential.
 func TestWorkersSetByServer(t *testing.T) {
 	_, par := newJobServer(t, WithWorkers(2))
-	doJSON(t, "POST", par.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
-	var cov CoverageReport
-	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &cov)
-	if cov.Engine.Workers != 3 { // canonical + 2 replicas
-		t.Errorf("two-worker server: engine.workers = %d, want 3", cov.Engine.Workers)
-	}
-
 	var sub JobStatus
 	doJSON(t, "POST", par.URL+"/jobs?suite=default,internal", nil, http.StatusAccepted, &sub)
 	if j := pollJob(t, par.URL, sub.ID); j.State != jobs.StateDone {
 		t.Fatalf("job = %+v, want done", j)
+	}
+	var cov CoverageReport
+	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &cov)
+	if cov.Engine.Workers != 3 { // canonical + 2 replicas
+		t.Errorf("two-worker server: engine.workers = %d, want 3", cov.Engine.Workers)
 	}
 	p, err := obs.DecodeSpanProfile(getBody(t, par.URL+"/jobs/"+sub.ID+"/profile"))
 	if err != nil {
@@ -386,14 +375,16 @@ func TestWorkersSetByServer(t *testing.T) {
 		t.Error("a job on a two-worker server has no shard[1] span")
 	}
 
-	doJSON(t, "POST", par.URL+"/run?suite=default&workers=x", nil, http.StatusOK, nil)
 	doJSON(t, "POST", par.URL+"/jobs?suite=default&workers=x", nil, http.StatusAccepted, &sub)
 	if j := pollJob(t, par.URL, sub.ID); j.State != jobs.StateDone {
 		t.Errorf("job with ?workers=x = %+v, want done", j)
 	}
 
 	_, seq := newJobServer(t)
-	doJSON(t, "POST", seq.URL+"/run?suite=default,internal&workers=2", nil, http.StatusOK, nil)
+	doJSON(t, "POST", seq.URL+"/jobs?suite=default,internal&workers=2", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, seq.URL, sub.ID); j.State != jobs.StateDone {
+		t.Errorf("job with ?workers=2 = %+v, want done", j)
+	}
 	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &cov)
 	if cov.Engine.Workers != 1 {
 		t.Errorf("server without WithWorkers: engine.workers = %d, want 1", cov.Engine.Workers)

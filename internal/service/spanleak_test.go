@@ -65,27 +65,21 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 	var tr spanTracker
 	srv, ts := newJobServer(t, WithSpanObserver(tr.observe))
 
-	// Success paths: two runs, coverage read.
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal", nil, http.StatusOK, nil)
+	// Success paths: three jobs, a coverage read.
+	runSuite(t, ts.URL, "default")
+	runSuite(t, ts.URL, "default,internal")
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
-
-	// Async path: a job span finishes through the queue.
-	var sub JobStatus
-	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &sub)
-	pollJob(t, ts.URL, sub.ID)
+	runSuite(t, ts.URL, "default")
 
 	// Abort path: a tripped BDD budget (whether it surfaces as errored
-	// results or as an aborted run) must still end the request span and
-	// hand it to the observer with no open descendants.
+	// results or as a failed job) must still end the job span and hand it
+	// to the observer with no open descendants.
 	srv.mu.Lock()
 	srv.eng.Net().Space.SetLimits(bdd.Limits{MaxOps: 1})
 	srv.mu.Unlock()
-	resp, err := http.Post(ts.URL+"/run?suite=connected", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	var sub JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=connected", nil, http.StatusAccepted, &sub)
+	pollJob(t, ts.URL, sub.ID)
 	srv.mu.Lock()
 	srv.eng.Net().Space.SetLimits(bdd.Limits{})
 	srv.mu.Unlock()
@@ -96,32 +90,29 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 func TestSpansEndOnCancellation(t *testing.T) {
 	var tr spanTracker
 	_, ts := newJobServer(t, WithSpanObserver(tr.observe), WithRunTimeout(time.Nanosecond))
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default", nil, http.StatusServiceUnavailable, nil)
+	var sub JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateFailed {
+		t.Fatalf("job past its deadline = %s, want failed", j.State)
+	}
 	tr.assertNoLeaks(t, 1)
 }
 
 func TestSpansEndOnPanic(t *testing.T) {
 	// A panicking test is isolated by the suite runner but must not leave
-	// the evaluation span open. Driven through runSuiteLocked directly —
-	// panic tests are not reachable through the builtin-suite names.
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
-		DCs: 1, PodsPerDC: 1, ToRsPerPod: 2, AggsPerPod: 2,
-		SpinesPerDC: 2, Hubs: 2, WANHubs: 1, WANPrefixes: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := WithNetwork(rg.Net, WithLogger(discardLogger()))
+	// the evaluation span open. Driven through the engine call a job makes
+	// — panic tests are not reachable through the builtin-suite names.
+	srv := WithNetwork(smallRegional(t).Net, WithLogger(discardLogger()))
 	root := obs.NewRoot("test.run", nil)
 	ctx := obs.ContextWithSpan(context.Background(), root)
 
 	srv.mu.Lock()
-	out, err := srv.runSuiteLocked(ctx, testkit.Suite{faults.PanicTest{Message: "chaos: boom"}}, core.NewTrace())
+	out, err := srv.eng.Run(ctx, "service.evaluate", testkit.Suite{faults.PanicTest{Message: "chaos: boom"}}, core.NewTrace())
 	srv.mu.Unlock()
 	if err != nil {
 		t.Fatalf("isolated panic escaped as error: %v", err)
 	}
-	if len(out) != 1 || !out[0].Errored {
+	if len(out) != 1 || !out[0].Errored() {
 		t.Fatalf("results = %+v, want one errored result", out)
 	}
 	root.End()
@@ -242,8 +233,8 @@ func TestJobProfilePendingAndSanitized(t *testing.T) {
 
 func TestStatsRouteLatency(t *testing.T) {
 	_, ts := newJobServer(t)
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default", nil, http.StatusOK, nil)
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=internal", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default")
+	runSuite(t, ts.URL, "internal")
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 
 	var st StatsReport
@@ -252,15 +243,15 @@ func TestStatsRouteLatency(t *testing.T) {
 	for _, r := range st.Routes {
 		byRoute[r.Route] = r
 	}
-	run, ok := byRoute["/run"]
+	run, ok := byRoute["/jobs"]
 	if !ok {
-		t.Fatalf("no /run route stat in %+v", st.Routes)
+		t.Fatalf("no /jobs route stat in %+v", st.Routes)
 	}
 	if run.Count < 2 {
-		t.Errorf("/run count = %d, want >= 2", run.Count)
+		t.Errorf("/jobs count = %d, want >= 2", run.Count)
 	}
 	if run.P50 <= 0 || run.P99 < run.P50 {
-		t.Errorf("/run quantiles p50=%v p99=%v", run.P50, run.P99)
+		t.Errorf("/jobs quantiles p50=%v p99=%v", run.P50, run.P99)
 	}
 	if _, ok := byRoute["/coverage"]; !ok {
 		t.Errorf("no /coverage route stat in %+v", st.Routes)

@@ -15,6 +15,7 @@ import (
 	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
 	"yardstick/internal/engine"
+	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
 	"yardstick/internal/report"
@@ -118,14 +119,6 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
 	devices := int64(len(srv.eng.Net().Devices))
-	runJob := func(suite string) {
-		t.Helper()
-		var sub JobStatus
-		doJSON(t, http.MethodPost, ts.URL+"/jobs?suite="+suite, nil, http.StatusAccepted, &sub)
-		if j := pollJob(t, ts.URL, sub.ID); j.State != "done" {
-			t.Fatalf("job %s: %s %s", suite, j.State, j.Error)
-		}
-	}
 	read := func(wantDevices int64) CoverageReport {
 		t.Helper()
 		var cov CoverageReport
@@ -136,7 +129,7 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 		return cov
 	}
 
-	runJob("default,internal,connected")
+	runSuite(t, ts.URL, "default,internal,connected")
 	first := read(devices) // a new view starts with every device dirty
 
 	// Nothing in between: identical rows, no device, not one BDD op.
@@ -154,7 +147,7 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 	}
 
 	// A job that only re-marks what the trace already holds.
-	runJob("default,connected")
+	runSuite(t, ts.URL, "default,connected")
 	if third := read(0); !sameRow(third.Total, first.Total) {
 		t.Fatalf("re-run changed the table: %+v", third.Total)
 	}
@@ -210,7 +203,7 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 	if empty := read(devices); empty.Total.RuleFractional != 0 || empty.Total.DeviceFractional != 0 {
 		t.Errorf("coverage after DELETE /trace = %+v, want zero", empty.Total)
 	}
-	runJob("default")
+	runSuite(t, ts.URL, "default")
 	assertServesRebuild(t, srv, ts.URL)
 	srv.mu.Lock()
 	other := srv.eng.Net().CloneTopology()
@@ -240,7 +233,7 @@ func TestCoverageReadsPayForWhatChanged(t *testing.T) {
 func TestViewAfterPatch(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal,connected,contract", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default,internal,connected,contract")
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 	for i := 0; i < 3; i++ {
 		srv.mu.Lock()
@@ -276,7 +269,7 @@ func TestViewSurvivesAbortedRefresh(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
 	devices := int64(len(srv.eng.Net().Devices))
-	doJSON(t, http.MethodPost, ts.URL+"/run?suite=default,internal,connected,contract,reach", nil, http.StatusOK, nil)
+	runSuite(t, ts.URL, "default,internal,connected,contract,reach")
 
 	// Enough budget for the first devices, not for all of them.
 	srv.mu.Lock()
@@ -352,12 +345,12 @@ func TestViewUnderConcurrentTraffic(t *testing.T) {
 		}()
 	}
 	suites := []string{"default", "internal", "connected", "contract", "agg", "host"}
-	spawn(12, func(int) { hit(http.MethodGet, "/coverage", nil, http.StatusOK) })
-	spawn(12, func(int) { hit(http.MethodGet, "/gaps", nil, http.StatusOK) })
-	spawn(6, func(i int) { hit(http.MethodPost, "/run?suite="+suites[i], nil, http.StatusOK) })
-	var jobIDs []string // written by one goroutine, read after wg.Wait
-	spawn(6, func(i int) {
-		resp, err := http.Post(ts.URL+"/jobs?suite="+suites[len(suites)-1-i], "", nil)
+	var (
+		jobsMu sync.Mutex
+		jobIDs []string // read after wg.Wait
+	)
+	submit := func(suite string) {
+		resp, err := http.Post(ts.URL+"/jobs?suite="+suite, "", nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -368,8 +361,14 @@ func TestViewUnderConcurrentTraffic(t *testing.T) {
 			t.Errorf("POST /jobs = %d, %v", resp.StatusCode, err)
 			return
 		}
+		jobsMu.Lock()
 		jobIDs = append(jobIDs, sub.ID)
-	})
+		jobsMu.Unlock()
+	}
+	spawn(12, func(int) { hit(http.MethodGet, "/coverage", nil, http.StatusOK) })
+	spawn(12, func(int) { hit(http.MethodGet, "/gaps", nil, http.StatusOK) })
+	spawn(6, func(i int) { submit(suites[i]) })
+	spawn(6, func(i int) { submit(suites[len(suites)-1-i]) })
 	spawn(3, func(int) { hit(http.MethodPost, "/trace", fragJSON.Bytes(), http.StatusOK) })
 	// One writer, so every document names the base it was built on.
 	spawn(4, func(i int) {
@@ -386,7 +385,9 @@ func TestViewUnderConcurrentTraffic(t *testing.T) {
 	})
 	wg.Wait()
 	for _, id := range jobIDs {
-		pollJob(t, ts.URL, id)
+		if j := pollJob(t, ts.URL, id); j.State != jobs.StateDone {
+			t.Errorf("job %s = %s %q, want done", id, j.State, j.Error)
+		}
 	}
 	assertServesRebuild(t, srv, ts.URL)
 }

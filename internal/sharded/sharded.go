@@ -71,11 +71,8 @@ type Config struct {
 	// Limits is the evaluation budget, installed per shard at the start
 	// of every Run: MaxOps is split evenly (ceiling division) across the
 	// workers that run, MaxNodes applies to each replica's manager as-is.
-	Limits Limits
+	Limits bdd.Limits
 }
-
-// Limits is an alias re-exported for config ergonomics.
-type Limits = bdd.Limits
 
 // ShardStats describes one worker's share of a run.
 type ShardStats struct {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/testkit"
 	"yardstick/internal/topogen"
@@ -141,17 +142,17 @@ func TestEmptySuite(t *testing.T) {
 }
 
 func TestShardLimitsSplit(t *testing.T) {
-	l := shardLimits(Limits{MaxNodes: 100, MaxOps: 10}, 4)
+	l := shardLimits(bdd.Limits{MaxNodes: 100, MaxOps: 10}, 4)
 	if l.MaxNodes != 100 {
 		t.Errorf("MaxNodes = %d, want 100 (per-manager cap, not split)", l.MaxNodes)
 	}
 	if l.MaxOps != 3 {
 		t.Errorf("MaxOps = %d, want 3 (ceiling of 10/4)", l.MaxOps)
 	}
-	if got := shardLimits(Limits{}, 4); got != (Limits{}) {
+	if got := shardLimits(bdd.Limits{}, 4); got != (bdd.Limits{}) {
 		t.Errorf("zero limits should stay zero, got %+v", got)
 	}
-	if got := shardLimits(Limits{MaxOps: 10}, 1); got.MaxOps != 10 {
+	if got := shardLimits(bdd.Limits{MaxOps: 10}, 1); got.MaxOps != 10 {
 		t.Errorf("single worker keeps the full op budget, got %d", got.MaxOps)
 	}
 }
