@@ -81,7 +81,9 @@ loadproof:
 # alone shards it), pull /metrics, and fail if the exposition is
 # malformed — the golden test pins bytes, this pins the wire. Two reads
 # of the coverage view with nothing in between: the first re-derives
-# every device, the second must be clean. The CI metrics-smoke job runs
+# every device, the second must be clean. The first read also checks
+# that /coverage copies no engine counters: the canonical manager's
+# gauges are series, each with HELP text. The CI metrics-smoke job runs
 # this target.
 metricssmoke:
 	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
@@ -96,7 +98,7 @@ metricssmoke:
 		case $$STATE in done|failed|cancelled) break;; esac; sleep 0.1; \
 	done; \
 	[ "$$STATE" = done ] || { echo "job $$ID ended $$STATE, want done"; exit 1; }; \
-	curl -sf http://127.0.0.1:18085/coverage > /dev/null; \
+	curl -sf http://127.0.0.1:18085/coverage | jq -e 'has("engine") | not' > /dev/null; \
 	curl -sf http://127.0.0.1:18085/gaps > /dev/null; \
 	curl -sf http://127.0.0.1:18085/metrics > /tmp/metrics.txt; \
 	/tmp/promlint < /tmp/metrics.txt; \
@@ -104,7 +106,11 @@ metricssmoke:
 	grep -q '^yardstick_coverage_reads_total{result="clean"} 1$$' /tmp/metrics.txt; \
 	grep -q '^yardstick_coverage_refresh_devices_total [1-9]' /tmp/metrics.txt; \
 	grep -q '^yardstick_sharded_runs_total 1$$' /tmp/metrics.txt; \
-	grep -q '^yardstick_sharded_workers 2$$' /tmp/metrics.txt
+	grep -q '^yardstick_sharded_workers 2$$' /tmp/metrics.txt; \
+	for g in nodes unique_slots unique_load cache_slots satfrac_entries; do \
+		grep -q "^yardstick_engine_$$g [0-9]" /tmp/metrics.txt; \
+		grep -q "^# HELP yardstick_engine_$$g [A-Z]" /tmp/metrics.txt; \
+	done
 
 # Chaos-prove the distributed path: boot three empty workers, run the
 # coordinator with enough rounds to stretch the shard list (idempotent

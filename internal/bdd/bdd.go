@@ -146,8 +146,7 @@ type Stats struct {
 	// table up to a fixed cap).
 	CacheSlots int
 	// PeakNodes is the high-water node count. Nodes are never removed,
-	// so for one manager it equals Nodes; an aggregate over several
-	// managers (engine.Stats) takes its maximum where Nodes sums.
+	// so it always equals Nodes.
 	PeakNodes int
 	// Ops counts charged apply-loop steps since the last SetLimits.
 	Ops uint64

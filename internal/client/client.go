@@ -302,9 +302,9 @@ func (c *Client) NetworkStats(ctx context.Context) (service.NetworkStats, error)
 	return st, err
 }
 
-// Stats fetches the server's operational self-report (GET /stats):
-// queue depths, shed totals, route latencies, and the full metric
-// snapshot — the payload a coordinator federates under a node label.
+// Stats fetches the server's operational self-report (GET /stats): the
+// facts no series carries, and the full metric snapshot — the payload a
+// coordinator federates under a node label.
 func (c *Client) Stats(ctx context.Context) (service.StatsReport, error) {
 	var out service.StatsReport
 	err := c.do(ctx, http.MethodGet, "/stats", nil, http.StatusOK, &out)

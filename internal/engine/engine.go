@@ -38,6 +38,10 @@ const (
 	MetricCoverageReads          = "yardstick_coverage_reads_total"
 	MetricCoverageRefreshDevices = "yardstick_coverage_refresh_devices_total"
 	MetricEngineNodes            = "yardstick_engine_nodes"
+	MetricEngineUniqueSlots      = "yardstick_engine_unique_slots"
+	MetricEngineUniqueLoad       = "yardstick_engine_unique_load"
+	MetricEngineCacheSlots       = "yardstick_engine_cache_slots"
+	MetricEngineSatFracEntries   = "yardstick_engine_satfrac_entries"
 )
 
 // ErrNoNetwork is returned by every method that needs a network when the
@@ -350,36 +354,10 @@ func (e *Engine) Restore(ctx context.Context, path string) (legacy bool, err err
 	return legacy, err
 }
 
-// Stats aggregates the BDD counters of the canonical manager and, once a
-// replica pool exists, of every replica — additive counters are summed,
-// PeakNodes is the maximum, table geometry stays the canonical manager's
-// — and says how many managers contributed. Replica managers are
-// quiescent between runs, the only time an Engine's owner can call this.
-func (e *Engine) Stats() (st bdd.Stats, managers int) {
-	if e.net == nil {
-		return st, 0
-	}
-	st, managers = e.net.Space.EngineStats(), 1
-	if e.pool == nil {
-		return st, managers
-	}
-	for _, r := range e.pool.ReplicaStats() {
-		managers++
-		st.Nodes += r.Nodes
-		st.Ops += r.Ops
-		st.CacheHits += r.CacheHits
-		st.CacheMisses += r.CacheMisses
-		st.UniqueResizes += r.UniqueResizes
-		st.CacheResizes += r.CacheResizes
-		st.SatFracEntries += r.SatFracEntries
-		st.PeakNodes = max(st.PeakNodes, r.PeakNodes)
-	}
-	return st, managers
-}
-
 // SettleStats moves the canonical manager's counter movement since the
-// last call into reg and sets the node gauge: the one path by which that
-// manager reaches a registry, so nothing is counted twice (replica
+// last call into reg and sets its gauges (nodes, unique-table slots and
+// load, op-cache slots, SatFraction memo entries): the one path by which
+// that manager reaches a registry, so nothing is counted twice (replica
 // managers flush themselves, per shard).
 func (e *Engine) SettleStats(reg *obs.Registry) {
 	if e.net == nil || reg == nil {
@@ -387,4 +365,8 @@ func (e *Engine) SettleStats(reg *obs.Registry) {
 	}
 	e.base = e.net.Space.FlushStats(nil, reg, e.base)
 	reg.Gauge(MetricEngineNodes).Set(float64(e.base.Nodes))
+	reg.Gauge(MetricEngineUniqueSlots).Set(float64(e.base.UniqueSlots))
+	reg.Gauge(MetricEngineUniqueLoad).Set(e.base.UniqueLoad)
+	reg.Gauge(MetricEngineCacheSlots).Set(float64(e.base.CacheSlots))
+	reg.Gauge(MetricEngineSatFracEntries).Set(float64(e.base.SatFracEntries))
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -143,13 +144,15 @@ type Queue struct {
 	run Runner
 	cfg Config
 
-	// fifo carries admission: a Submit that cannot buffer immediately is
-	// shed. A job cancelled while queued keeps its slot until a worker
-	// dequeues and discards it, so Depth briefly includes tombstones.
-	fifo chan *job
+	// wake has one slot: Submit leaves a token there so an idle worker
+	// looks at waiting again.
+	wake chan struct{}
 
-	mu      sync.Mutex
-	jobs    map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// waiting holds the queued jobs, oldest first: Submit sheds once it
+	// holds QueueDepth, and a job cancelled while queued leaves it at once.
+	waiting []*job
 	running int
 	// lifetime counters (monotonic; surfaced by Stats)
 	submitted, done, failed, cancelled, shedFull uint64
@@ -164,7 +167,7 @@ func New(run Runner, cfg Config) *Queue {
 	return &Queue{
 		run:  run,
 		cfg:  cfg,
-		fifo: make(chan *job, cfg.QueueDepth),
+		wake: make(chan struct{}, 1),
 		jobs: map[string]*job{},
 	}
 }
@@ -209,14 +212,17 @@ func (q *Queue) Submit(spec Spec) (Job, error) {
 	}}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	select {
-	case q.fifo <- j:
-	default:
+	if len(q.waiting) >= q.cfg.QueueDepth {
 		q.shedFull++
 		return Job{}, ErrQueueFull
 	}
+	q.waiting = append(q.waiting, j)
 	q.jobs[j.ID] = j
 	q.submitted++
+	select {
+	case q.wake <- struct{}{}:
+	default: // a token is already pending
+	}
 	return j.Job, nil
 }
 
@@ -262,7 +268,7 @@ func (q *Queue) Cancel(id string) (Job, error) {
 	}
 	switch j.State {
 	case StateQueued:
-		// The fifo slot is reclaimed when the worker dequeues the tombstone.
+		q.waiting = slices.DeleteFunc(q.waiting, func(w *job) bool { return w == j })
 		j.State = StateCancelled
 		j.Error = "cancelled before start"
 		j.Finished = time.Now()
@@ -283,14 +289,12 @@ func (q *Queue) worker(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case j := <-q.fifo:
-			// The select is unordered: a cancelled ctx and a ready fifo can
-			// both fire. Never start new work during shutdown — the job
-			// stays in the map as queued, for persistence to report.
-			if ctx.Err() != nil {
-				return
-			}
-			q.exec(ctx, j)
+		case <-q.wake:
+		}
+		// The select is unordered: a cancelled ctx and a pending token can
+		// both fire. Never start new work during shutdown — a job left
+		// waiting stays in the map as queued, for persistence to report.
+		for ctx.Err() == nil && q.exec(ctx) {
 		}
 	}
 }
@@ -307,13 +311,16 @@ func JobID(ctx context.Context) string {
 	return id
 }
 
-// exec runs one dequeued job to a terminal state.
-func (q *Queue) exec(ctx context.Context, j *job) {
+// exec runs the oldest waiting job to a terminal state, reporting false
+// when none is waiting.
+func (q *Queue) exec(ctx context.Context) bool {
 	q.mu.Lock()
-	if j.State != StateQueued { // cancelled while waiting; slot reclaimed
+	if len(q.waiting) == 0 {
 		q.mu.Unlock()
-		return
+		return false
 	}
+	j := q.waiting[0]
+	q.waiting = slices.Delete(q.waiting, 0, 1)
 	jctx, cancel := q.jobContext(ctx)
 	jctx = context.WithValue(jctx, jobIDKey{}, j.ID)
 	j.State = StateRunning
@@ -344,6 +351,7 @@ func (q *Queue) exec(ctx context.Context, j *job) {
 		q.done++
 	}
 	q.mu.Unlock()
+	return true
 }
 
 // jobContext derives one job's execution context: the worker context
@@ -405,11 +413,10 @@ func (q *Queue) Sweep(now time.Time) int {
 	return n
 }
 
-// Stats is a point-in-time queue health snapshot (served by GET /stats
+// Stats is a point-in-time queue health snapshot (served by GET /jobs
 // and flushed into the metrics registry at scrape time).
 type Stats struct {
-	// Depth is the number of fifo slots in use — jobs waiting plus
-	// cancelled-while-queued tombstones not yet dequeued.
+	// Depth is the number of jobs waiting to run.
 	Depth int `json:"depth"`
 	// Capacity is the configured QueueDepth.
 	Capacity int `json:"capacity"`
@@ -435,7 +442,7 @@ func (q *Queue) Stats() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return Stats{
-		Depth:     len(q.fifo),
+		Depth:     len(q.waiting),
 		Capacity:  q.cfg.QueueDepth,
 		Running:   q.running,
 		Retained:  len(q.jobs),

@@ -143,23 +143,37 @@ func TestCancelQueued(t *testing.T) {
 	if _, err := q.Cancel("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown cancel err = %v, want ErrNotFound", err)
 	}
-	// A worker started later skips the tombstone without running it.
-	ran := atomic.Bool{}
+	// A cancelled job frees its slot at once: a full queue whose waiting
+	// jobs are all cancelled has depth 0, is not saturated, and admits
+	// new jobs; a worker started later never runs a cancelled one.
+	var ran []string
 	q2 := New(func(ctx context.Context, spec Spec) (json.RawMessage, error) {
-		ran.Store(true)
+		ran = append(ran, spec.Suites) // single worker: no data race
 		return nil, nil
 	}, Config{QueueDepth: 2})
-	j2, _ := q2.Submit(Spec{})
-	if _, err := q2.Cancel(j2.ID); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		j2, err := q2.Submit(Spec{Suites: "cancelled"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q2.Cancel(j2.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := q2.Stats(); st.Depth != 0 || st.Saturated() {
+		t.Fatalf("after cancelling every queued job: stats = %+v, want depth 0", st)
+	}
+	kept, err := q2.Submit(Spec{Suites: "kept"})
+	if err != nil {
+		t.Fatalf("submit after the cancels: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q2.Start(ctx)
-	time.Sleep(20 * time.Millisecond)
+	waitTerminal(t, q2, kept.ID)
 	cancel()
 	q2.Wait()
-	if ran.Load() {
-		t.Fatal("cancelled-while-queued job was executed")
+	if len(ran) != 1 || ran[0] != "kept" {
+		t.Fatalf("runner saw %q, want only the job that was not cancelled", ran)
 	}
 }
 

@@ -304,29 +304,6 @@ func (r *Registry) Help() map[string]string {
 	return out
 }
 
-// VisitHistograms calls fn for each series of the named histogram family
-// with its rendered label signature, in signature order. No-op when the
-// family is absent or not a histogram.
-func (r *Registry) VisitHistograms(name string, fn func(labels string, h *Histogram)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	f, ok := r.families[name]
-	var ss []*series
-	if ok && f.typ == typeHistogram {
-		ss = make([]*series, 0, len(f.series))
-		for _, s := range f.series {
-			ss = append(ss, s)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(ss, func(i, j int) bool { return ss[i].sig < ss[j].sig })
-	for _, s := range ss {
-		fn(s.sig, s.hist)
-	}
-}
-
 func (r *Registry) lookup(name string, typ metricType, bounds []float64, labels []string) *series {
 	sig := labelSig(labels)
 	r.mu.Lock()

@@ -3,7 +3,6 @@ package service
 import (
 	"net/http"
 	"strconv"
-	"sync/atomic"
 )
 
 // Admission control: the server-side half of the backpressure contract.
@@ -24,8 +23,8 @@ import (
 //	            the order of queued runs (503, RetryAfterQueueFull —
 //	            checked in postJob, where the queue sheds)
 //
-// Each shed increments yardstick_http_shed_total{route,reason} and a
-// server-side aggregate surfaced by GET /stats.
+// Each shed increments yardstick_http_shed_total{route,reason}, the one
+// place shed counts are kept.
 
 // Retry-After hints, in seconds, by shedding condition.
 const (
@@ -40,32 +39,6 @@ const (
 	RetryAfterDraining = 5
 )
 
-// shedTotals aggregates load-shedding counts per reason for GET /stats
-// (the metrics registry keeps the per-route breakdown).
-type shedTotals struct {
-	Draining  atomic.Uint64
-	Inflight  atomic.Uint64
-	QueueFull atomic.Uint64
-}
-
-// ShedReport is the shed-totals section of the GET /stats body.
-type ShedReport struct {
-	Draining  uint64 `json:"draining"`
-	Inflight  uint64 `json:"inflight"`
-	QueueFull uint64 `json:"queueFull"`
-	Total     uint64 `json:"total"`
-}
-
-func (st *shedTotals) report() ShedReport {
-	r := ShedReport{
-		Draining:  st.Draining.Load(),
-		Inflight:  st.Inflight.Load(),
-		QueueFull: st.QueueFull.Load(),
-	}
-	r.Total = r.Draining + r.Inflight + r.QueueFull
-	return r
-}
-
 // SetDraining flips the server into (or out of) draining mode: heavy
 // endpoints shed with 503 + Retry-After and /readyz answers 503 with
 // reason "draining", so load balancers stop routing here while
@@ -78,7 +51,6 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			s.shedTotals.Draining.Add(1)
 			s.shed(w, route, "draining", http.StatusServiceUnavailable,
 				RetryAfterDraining, "server draining, not accepting new work")
 			return
@@ -86,7 +58,6 @@ func (s *Server) admit(route string, h http.HandlerFunc) http.HandlerFunc {
 		if s.maxInflight > 0 {
 			if n := s.inflight.Add(1); n > int64(s.maxInflight) {
 				s.inflight.Add(-1)
-				s.shedTotals.Inflight.Add(1)
 				s.shed(w, route, "inflight", http.StatusTooManyRequests,
 					RetryAfterInflight, "concurrency limit reached (%d requests in flight)", s.maxInflight)
 				return

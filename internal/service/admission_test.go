@@ -65,8 +65,8 @@ func TestInflightCapSheds(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-release request = %d, want 200", resp2.StatusCode)
 	}
-	if s.shedTotals.Inflight.Load() != 1 {
-		t.Fatalf("inflight shed total = %d, want 1", s.shedTotals.Inflight.Load())
+	if n := s.metrics.Counter("yardstick_http_shed_total", "route", "/test", "reason", "inflight").Value(); n != 1 {
+		t.Fatalf("inflight shed total = %d, want 1", n)
 	}
 }
 

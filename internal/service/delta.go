@@ -15,12 +15,11 @@ const (
 	MetricDeltaApplied  = "yardstick_delta_applied_total"
 )
 
-// DeltaReport is the churn-path section of GET /stats. The server's
-// copy is guarded by Server.mu and mirrored into the metrics registry at
-// increment time.
+// DeltaReport is the churn-path section of GET /stats: the rules and
+// marks applied deltas moved, guarded by Server.mu. How many deltas were
+// applied, and how many networks replaced, are the MetricDeltaApplied and
+// MetricNetworkResets series.
 type DeltaReport struct {
-	Applied       int64 `json:"applied"`
-	NetworkResets int64 `json:"networkResets"`
 	RulesAdded    int64 `json:"rulesAdded"`
 	RulesRemoved  int64 `json:"rulesRemoved"`
 	RulesModified int64 `json:"rulesModified"`
@@ -49,7 +48,7 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	ctx, cancel := s.evalContext(r)
 	defer cancel()
 	applied, err := s.eng.Patch(ctx, doc)
@@ -79,7 +78,6 @@ func (s *Server) patchNetwork(w http.ResponseWriter, r *http.Request) {
 	// decoding them now would mis-attribute marks. Drop them — the
 	// accumulated trace (already remapped) is the durable state.
 	s.jobTraces = map[string]*jobFragment{}
-	s.delta.Applied++
 	s.delta.RulesAdded += int64(applied.Added)
 	s.delta.RulesRemoved += int64(applied.Removed)
 	s.delta.RulesModified += int64(applied.Modified)

@@ -93,12 +93,15 @@ func TestPatchNetwork(t *testing.T) {
 
 	var st StatsReport
 	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &st)
-	if st.Delta.Applied != 1 || st.Delta.RulesRemoved != 1 ||
-		st.Delta.RulesModified != 1 || st.Delta.RulesAdded != 1 {
+	if st.Delta.RulesRemoved != 1 || st.Delta.RulesModified != 1 || st.Delta.RulesAdded != 1 {
 		t.Errorf("delta report = %+v", st.Delta)
 	}
-	if st.Delta.NetworkResets != 0 {
-		t.Errorf("networkResets = %d on a delta-only history", st.Delta.NetworkResets)
+	body := scrape(t, ts.URL)
+	if v, _ := sampleValue(t, body, MetricDeltaApplied); v != 1 {
+		t.Errorf("%s = %v, want 1", MetricDeltaApplied, v)
+	}
+	if v, _ := sampleValue(t, body, MetricNetworkResets); v != 0 {
+		t.Errorf("%s = %v on a delta-only history", MetricNetworkResets, v)
 	}
 }
 
@@ -195,10 +198,8 @@ func TestPutNetworkIdempotent(t *testing.T) {
 	if covAfter.Total.RuleFractional != covBefore.Total.RuleFractional {
 		t.Error("no-op PUT changed coverage — the trace was reset")
 	}
-	var sr StatsReport
-	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &sr)
-	if sr.Delta.NetworkResets != 0 {
-		t.Errorf("networkResets = %d after a no-op PUT", sr.Delta.NetworkResets)
+	if v, _ := sampleValue(t, scrape(t, ts.URL), MetricNetworkResets); v != 0 {
+		t.Errorf("%s = %v after a no-op PUT", MetricNetworkResets, v)
 	}
 
 	// A different network is a real replacement: trace resets, the
@@ -224,8 +225,7 @@ func TestPutNetworkIdempotent(t *testing.T) {
 	if covReset.Total.RuleFractional != 0 {
 		t.Error("network replacement did not reset the trace")
 	}
-	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &sr)
-	if sr.Delta.NetworkResets != 1 {
-		t.Errorf("networkResets = %d after a real replacement", sr.Delta.NetworkResets)
+	if v, _ := sampleValue(t, scrape(t, ts.URL), MetricNetworkResets); v != 1 {
+		t.Errorf("%s = %v after a real replacement", MetricNetworkResets, v)
 	}
 }

@@ -99,7 +99,7 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.eng.Net() == nil {
 		return nil, engine.ErrNoNetwork
 	}
@@ -255,7 +255,7 @@ func (s *Server) getJobProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	data, ok := s.jobProfiles[id]
-	s.mu.Unlock()
+	s.unlock()
 	if !ok {
 		httpError(w, http.StatusGone, "job %s profile no longer available (evicted or daemon restarted)", id)
 		return
@@ -296,7 +296,7 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 	arena := strings.Contains(r.Header.Get("Accept"), TraceArenaMediaType)
 	s.mu.Lock()
 	data, ok, err := s.jobTraceLocked(r.Context(), id, arena)
-	s.mu.Unlock()
+	s.unlock()
 	if !ok {
 		httpError(w, http.StatusGone, "job %s trace no longer available (evicted or daemon restarted); re-run the shard", id)
 		return
@@ -363,7 +363,6 @@ func (s *Server) postJob(w http.ResponseWriter, r *http.Request) {
 		Shard: runContextValue(r.Header.Get(HeaderShardID)),
 	})
 	if errors.Is(err, jobs.ErrQueueFull) {
-		s.shedTotals.QueueFull.Add(1)
 		s.shed(w, "/jobs", "queue_full", http.StatusServiceUnavailable,
 			RetryAfterQueueFull, "job queue full (depth %d)", s.jobs.Config().QueueDepth)
 		return

@@ -254,11 +254,15 @@ func TestJobQueueFullShedsWithRetryAfter(t *testing.T) {
 		t.Fatalf("readyz reason = %q, want queue_saturated", ready.Reason)
 	}
 
-	// Stats surface the admission picture.
-	var stats StatsReport
-	doJSON(t, http.MethodGet, ts.URL+"/stats", nil, http.StatusOK, &stats)
-	if stats.Jobs.Depth != 2 || stats.Jobs.ShedFull != 1 || stats.Shed.QueueFull != 1 {
-		t.Fatalf("stats = jobs %+v shed %+v", stats.Jobs, stats.Shed)
+	// The queue reports its own shape; the shed is a series.
+	var list JobList
+	doJSON(t, http.MethodGet, ts.URL+"/jobs", nil, http.StatusOK, &list)
+	if list.Stats.Depth != 2 || list.Stats.ShedFull != 1 {
+		t.Fatalf("queue stats = %+v, want depth 2 and one shed", list.Stats)
+	}
+	const shed = `yardstick_http_shed_total{reason="queue_full",route="/jobs"}`
+	if v, _ := sampleValue(t, scrape(t, ts.URL), shed); v != 1 {
+		t.Fatalf("%s = %v, want 1", shed, v)
 	}
 }
 

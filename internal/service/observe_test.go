@@ -1,11 +1,14 @@
 package service
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"yardstick/internal/obs"
 	"yardstick/internal/promlint"
@@ -58,25 +61,42 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// BDD work must have been settled into the registry: the run's ops
 	// reached /metrics through the replica flushes + the canonical flush.
-	if !metricPositive(t, body, "yardstick_bdd_ops_total") {
+	if v, _ := sampleValue(t, body, "yardstick_bdd_ops_total"); v <= 0 {
 		t.Error("yardstick_bdd_ops_total is zero after a run")
+	}
+	// Every engine gauge is described, not just named.
+	for _, name := range []string{
+		"yardstick_engine_nodes", "yardstick_engine_unique_slots", "yardstick_engine_unique_load",
+		"yardstick_engine_cache_slots", "yardstick_engine_satfrac_entries", "yardstick_sharded_workers",
+	} {
+		if strings.Contains(body, "# HELP "+name+" "+name+"\n") || !strings.Contains(body, "# HELP "+name+" ") {
+			t.Errorf("/metrics has no HELP text for %s", name)
+		}
 	}
 }
 
-// metricPositive reports whether the (unlabelled) sample is > 0.
-func metricPositive(t *testing.T, body, name string) bool {
+// scrape returns the body of GET base/metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	return string(getBody(t, base+"/metrics"))
+}
+
+// sampleValue returns the value of the sample whose name and label set
+// are exactly series (labels as exposed, sorted by name, e.g.
+// `yardstick_http_shed_total{reason="inflight",route="/jobs"}`) and
+// whether body exposes it at all.
+func sampleValue(t *testing.T, body, series string) (float64, bool) {
 	t.Helper()
 	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			v, err := strconv.ParseFloat(line[len(name)+1:], 64)
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				t.Fatalf("parse %q: %v", line, err)
 			}
-			return v > 0
+			return f, true
 		}
 	}
-	t.Fatalf("sample %s not found", name)
-	return false
+	return 0, false
 }
 
 // TestServerTiming parses the Server-Timing header on /coverage.
@@ -111,32 +131,62 @@ func TestServerTiming(t *testing.T) {
 	}
 }
 
-// TestEngineStatsAggregation: with a worker pool, /coverage's engine
-// stats must cover the replicas too — more managers, more nodes.
+// TestEngineStatsAggregation: the BDD counters in /metrics cover the
+// replicas too — each shard flushes its replica's allocations — so after
+// the same job a two-worker server has allocated more nodes than a
+// sequential one.
 func TestEngineStatsAggregation(t *testing.T) {
 	_, seq := newJobServer(t)
 	_, par := newJobServer(t, WithWorkers(2))
 	runSuite(t, seq.URL, "default,internal")
 	runSuite(t, par.URL, "default,internal")
 
-	var seqCov, parCov CoverageReport
-	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &seqCov)
-	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &parCov)
+	const nodes = "yardstick_bdd_nodes_allocated_total"
+	seqNodes, _ := sampleValue(t, scrape(t, seq.URL), nodes)
+	parNodes, _ := sampleValue(t, scrape(t, par.URL), nodes)
+	if seqNodes <= 0 || parNodes <= seqNodes {
+		t.Errorf("%s: two workers %v, sequential %v; want more with the replicas", nodes, parNodes, seqNodes)
+	}
+}
 
-	if seqCov.Engine.Workers != 1 {
-		t.Errorf("sequential Workers = %d, want 1", seqCov.Engine.Workers)
+// TestEngineGaugesMatchCanonicalSpace: after a job, each gauge of the
+// canonical manager's table geometry equals what the space reports.
+func TestEngineGaugesMatchCanonicalSpace(t *testing.T) {
+	srv, ts := newJobServer(t)
+	runSuite(t, ts.URL, "default,internal")
+	body := scrape(t, ts.URL)
+	srv.mu.Lock()
+	st := srv.eng.Net().Space.EngineStats()
+	srv.mu.Unlock()
+	for series, want := range map[string]float64{
+		"yardstick_engine_nodes":           float64(st.Nodes),
+		"yardstick_engine_unique_slots":    float64(st.UniqueSlots),
+		"yardstick_engine_unique_load":     st.UniqueLoad,
+		"yardstick_engine_cache_slots":     float64(st.CacheSlots),
+		"yardstick_engine_satfrac_entries": float64(st.SatFracEntries),
+	} {
+		if got, ok := sampleValue(t, body, series); !ok || got != want {
+			t.Errorf("%s = %v (exposed %v), want %v", series, got, ok, want)
+		}
 	}
-	if parCov.Engine.Workers != 3 { // canonical + 2 replicas
-		t.Errorf("parallel Workers = %d, want 3", parCov.Engine.Workers)
+}
+
+// TestMetricsAnswersWhileLocked: a scrape never waits for the server
+// lock, which a job holds for its whole run.
+func TestMetricsAnswersWhileLocked(t *testing.T) {
+	srv, ts := newJobServer(t)
+	runSuite(t, ts.URL, "default")
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	c := &http.Client{Timeout: time.Second}
+	resp, err := c.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics with the lock held: %v", err)
 	}
-	// The replicas each hold a full copy of the network's forwarding
-	// state, so the aggregate node count must exceed the single-manager
-	// server's.
-	if parCov.Engine.Nodes <= seqCov.Engine.Nodes {
-		t.Errorf("aggregated nodes = %d, want > sequential %d", parCov.Engine.Nodes, seqCov.Engine.Nodes)
-	}
-	if parCov.Engine.PeakNodes < seqCov.Engine.PeakNodes/2 {
-		t.Errorf("aggregated peak = %d looks wrong vs sequential %d", parCov.Engine.PeakNodes, seqCov.Engine.PeakNodes)
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics with the lock held = %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -147,14 +197,8 @@ func TestStatsEndpoint(t *testing.T) {
 
 	var st StatsReport
 	doJSON(t, "GET", ts.URL+"/stats", nil, http.StatusOK, &st)
-	if !st.NetworkLoaded {
-		t.Error("networkLoaded = false on a loaded server")
-	}
 	if st.Goroutines <= 0 || st.UptimeSeconds < 0 {
 		t.Errorf("implausible runtime vars: %+v", st)
-	}
-	if st.Engine.Nodes == 0 {
-		t.Error("engine stats empty")
 	}
 	if st.MarkedRules == 0 {
 		t.Error("trace empty after a run")
@@ -162,10 +206,39 @@ func TestStatsEndpoint(t *testing.T) {
 	if len(st.Metrics) == 0 {
 		t.Error("metrics snapshot empty after traffic")
 	}
+	seen := map[string]float64{}
 	for _, m := range st.Metrics {
-		if m.Name == "yardstick_http_requests_total" {
-			return
+		seen[m.Name] = m.Value
+	}
+	if _, ok := seen["yardstick_http_requests_total"]; !ok {
+		t.Error("http request counter missing from /stats metrics")
+	}
+	if seen["yardstick_engine_nodes"] <= 0 {
+		t.Error("/stats metrics snapshot has no engine node count after a run")
+	}
+}
+
+// TestSelfReportKeys pins what /coverage and /stats carry: the coverage
+// table, and the facts no series carries plus the federated snapshot.
+// Everything the daemon counts about itself lives in /metrics only.
+func TestSelfReportKeys(t *testing.T) {
+	ts, _ := newTestServer(t)
+	runSuite(t, ts.URL, "default")
+	for path, want := range map[string][]string{
+		"/coverage": {"byRole", "total"},
+		"/stats":    {"delta", "goroutines", "inflight", "markedRules", "metrics", "traceLocations", "uptimeSeconds"},
+	} {
+		var body map[string]json.RawMessage
+		if err := json.Unmarshal(getBody(t, ts.URL+path), &body); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k := range body {
+			got = append(got, k)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s keys = %v, want %v", path, got, want)
 		}
 	}
-	t.Error("http request counter missing from /stats metrics")
 }

@@ -80,11 +80,15 @@ func TestConcurrentRequests(t *testing.T) {
 		}
 	}
 	for i := 0; i < 8; i++ {
-		wg.Add(4)
+		wg.Add(6)
 		go do("POST", ts.URL+"/trace", frag.Bytes(), http.StatusOK)
 		go do("GET", ts.URL+"/coverage", nil, http.StatusOK)
 		go do("POST", ts.URL+"/jobs?suite=connected", nil, http.StatusAccepted)
 		go do("GET", ts.URL+"/trace", nil, http.StatusOK)
+		// Scrapes read the registry without the server lock while the
+		// lock's holders settle into it.
+		go do("GET", ts.URL+"/metrics", nil, http.StatusOK)
+		go do("GET", ts.URL+"/stats", nil, http.StatusOK)
 	}
 	wg.Wait()
 	for _, id := range jobIDs {

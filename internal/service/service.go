@@ -40,10 +40,13 @@
 //	GET    /healthz            liveness: 200 once the process serves traffic
 //	GET    /readyz             readiness: 200 when ready; 503 with a reason
 //	                           body (no_network, draining, queue_saturated)
-//	GET    /metrics            Prometheus text exposition
-//	GET    /stats              operational self-report (JSON): queue depths,
-//	                           shed totals, route latencies and the metric
-//	                           snapshot a coordinator federates
+//	GET    /metrics            Prometheus text exposition: every count the
+//	                           daemon keeps about itself (engine, shed,
+//	                           route, queue and churn figures)
+//	GET    /stats              the facts no series carries (uptime, trace
+//	                           size, in-flight requests, delta rule and mark
+//	                           counts) and the metric snapshot a coordinator
+//	                           federates
 //
 // The service is the edge of internal/engine: a handler decodes and
 // validates the request, takes the server lock (an Engine is not safe for
@@ -106,9 +109,8 @@ type Server struct {
 	// over the two, the fingerprint and the replica pool. s.mu serializes
 	// calls into it; a PUT of a different network replaces it whole.
 	eng *engine.Engine
-	// delta counts churn-path activity (PATCH /network applications and
-	// full network resets), mirrored into the metrics registry and
-	// reported raw in /stats.
+	// delta counts the rules and marks PATCH /network moved, reported
+	// in /stats.
 	delta DeltaReport
 
 	logger       *slog.Logger
@@ -148,7 +150,6 @@ type Server struct {
 	maxInflight  int
 	inflight     atomic.Int64
 	draining     atomic.Bool
-	shedTotals   shedTotals
 }
 
 // Option configures a Server.
@@ -250,15 +251,21 @@ func New(opts ...Option) *Server {
 	s.metrics.SetHelp(sharded.MetricRuns, "Sharded suite runs")
 	s.metrics.SetHelp(sharded.MetricWorkerRuns, "Per-worker shard executions")
 	s.metrics.SetHelp(sharded.MetricBudgetTrips, "Shard runs that tripped their BDD budget")
+	s.metrics.SetHelp(sharded.MetricWorkers, "Workers the last sharded run used")
 	s.metrics.SetHelp("yardstick_stage_duration_seconds", "Stage latency, by stage name")
 	s.metrics.SetHelp("yardstick_http_shed_total", "Requests shed by admission control, by route and reason")
-	s.metrics.SetHelp("yardstick_jobs_queue_depth", "Job-queue slots in use")
+	s.metrics.SetHelp("yardstick_jobs_queue_depth", "Jobs waiting in the queue")
 	s.metrics.SetHelp("yardstick_jobs_running", "Jobs currently executing")
 	s.metrics.SetHelp("yardstick_jobs_retained", "Jobs held in memory, finished ones included")
 	s.metrics.SetHelp(MetricNetworkResets, "Full network replacements that reset the trace and replica pool")
 	s.metrics.SetHelp(MetricDeltaApplied, "Rule-level delta documents applied via PATCH /network")
 	s.metrics.SetHelp(engine.MetricCoverageReads, "Reads of the coverage view, by whether any device had to be re-derived")
 	s.metrics.SetHelp(engine.MetricCoverageRefreshDevices, "Devices re-derived by coverage view refreshes")
+	s.metrics.SetHelp(engine.MetricEngineNodes, "Nodes in the canonical BDD manager")
+	s.metrics.SetHelp(engine.MetricEngineUniqueSlots, "Unique-table slots of the canonical BDD manager")
+	s.metrics.SetHelp(engine.MetricEngineUniqueLoad, "Unique-table load factor of the canonical BDD manager, kept below 0.75 by resizing")
+	s.metrics.SetHelp(engine.MetricEngineCacheSlots, "Op-cache slots of the canonical BDD manager")
+	s.metrics.SetHelp(engine.MetricEngineSatFracEntries, "SatFraction memo entries of the canonical BDD manager")
 	return s
 }
 
@@ -306,6 +313,15 @@ func (s *Server) Handler() http.Handler {
 		Instrument(s.metrics),
 		LimitBody(s.maxBody),
 	)
+}
+
+// unlock settles the canonical manager's counter movement into the
+// metrics registry and releases s.mu. Every holder of s.mu releases it
+// here, so the registry holds all completed work and a scrape never
+// waits on the lock.
+func (s *Server) unlock() {
+	s.eng.SettleStats(s.metrics)
+	s.mu.Unlock()
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -362,7 +378,7 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 	next := s.newEngine(net)
 	fp := next.Fingerprint()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	// Idempotent re-upload: loading a byte-identical network again is a
 	// no-op that keeps the accumulated trace, the replica pool, and the
 	// retained job fragments — deploy pipelines PUT unconditionally, and
@@ -374,7 +390,6 @@ func (s *Server) putNetwork(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.eng.Net() != nil {
-		s.delta.NetworkResets++
 		s.metrics.Counter(MetricNetworkResets).Inc()
 	}
 	// A new network invalidates the old trace, replica pool and counter
@@ -415,7 +430,7 @@ func statsBody(eng *engine.Engine) NetworkStats {
 
 func (s *Server) getNetwork(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.eng.Net() == nil {
 		httpError(w, http.StatusNotFound, "no network loaded")
 		return
@@ -439,7 +454,7 @@ func (s *Server) postTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	_, err = s.eng.Merge(r.Context(), data)
 	switch {
 	case errors.Is(err, engine.ErrNoNetwork):
@@ -462,7 +477,7 @@ func (s *Server) postTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	// Buffer the encoding so a failure can still produce a clean 500
 	// instead of corrupting an already-started 200 response.
 	data, err := s.eng.EncodeFragment(r.Context(), s.eng.Trace(), false)
@@ -477,7 +492,7 @@ func (s *Server) getTrace(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) deleteTrace(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.eng.ResetTrace()
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -529,58 +544,11 @@ func abortError(w http.ResponseWriter, what string, err error) {
 	httpError(w, http.StatusServiceUnavailable, "%s aborted: %v", what, err)
 }
 
-// CoverageReport is the GET /coverage response body.
+// CoverageReport is the GET /coverage response body: the coverage table
+// only. The BDD engine's health counters are series in /metrics.
 type CoverageReport struct {
 	Total  MetricsRow   `json:"total"`
 	ByRole []MetricsRow `json:"byRole"`
-	// Engine reports the symbolic engine's health counters (ops, cache
-	// hits and misses, node growth), so a slow run, or one the run
-	// timeout cut short, can be explained from responses.
-	Engine EngineStats `json:"engine"`
-}
-
-// EngineStats mirrors bdd.Stats for the wire: node counts, the
-// unique table's geometry (slots and load factor — a load pinned near
-// 0.75 right after a resize is normal; a table far larger than the node
-// count suggests a leaked manager), the SatFraction memo's size, and
-// op-cache counters. When a sharded worker pool exists, additive
-// counters (nodes, ops, cache hits/misses, resizes, memo size) aggregate
-// the canonical manager plus every replica, PeakNodes is the maximum over
-// the managers, and table geometry stays the canonical manager's;
-// Workers says how many managers contributed.
-type EngineStats struct {
-	Workers        int     `json:"workers"`
-	Nodes          int     `json:"nodes"`
-	PeakNodes      int     `json:"peakNodes"`
-	UniqueSlots    int     `json:"uniqueSlots"`
-	UniqueLoad     float64 `json:"uniqueLoad"`
-	CacheSlots     int     `json:"cacheSlots"`
-	SatFracEntries int     `json:"satFracEntries"`
-	Ops            uint64  `json:"ops"`
-	CacheHits      uint64  `json:"cacheHits"`
-	CacheMisses    uint64  `json:"cacheMisses"`
-	UniqueResizes  uint64  `json:"uniqueResizes"`
-	CacheResizes   uint64  `json:"cacheResizes"`
-}
-
-// engineStats is the wire form of the engine's aggregated counters.
-// Callers hold s.mu.
-func (s *Server) engineStats() EngineStats {
-	st, managers := s.eng.Stats()
-	return EngineStats{
-		Workers:        managers,
-		Nodes:          st.Nodes,
-		PeakNodes:      st.PeakNodes,
-		UniqueSlots:    st.UniqueSlots,
-		UniqueLoad:     st.UniqueLoad,
-		CacheSlots:     st.CacheSlots,
-		SatFracEntries: st.SatFracEntries,
-		Ops:            st.Ops,
-		CacheHits:      st.CacheHits,
-		CacheMisses:    st.CacheMisses,
-		UniqueResizes:  st.UniqueResizes,
-		CacheResizes:   st.CacheResizes,
-	}
 }
 
 // MetricsRow is one group's coverage metrics.
@@ -641,7 +609,7 @@ func serverTiming(w http.ResponseWriter, start time.Time, compute time.Duration)
 
 func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	start := time.Now()
 	var body CoverageReport
 	compute, ok := s.readView(w, r, "service.coverage", "coverage", func(cov *core.Coverage) {
@@ -653,110 +621,52 @@ func (s *Server) getCoverage(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body.Engine = s.engineStats()
 	serverTiming(w, start, compute)
 	writeJSON(w, http.StatusOK, body)
 }
 
-// getMetrics serves the Prometheus text exposition. The canonical
-// manager's counters are settled into the registry first, so a scrape
-// always reflects completed work, whichever endpoint performed it.
+// getMetrics serves the Prometheus text exposition. It takes no lock:
+// the canonical manager's counters were settled into the registry when
+// s.mu was last released (see unlock), so a scrape reflects all
+// completed work and answers while a job runs.
 func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	s.eng.SettleStats(s.metrics)
-	s.mu.Unlock()
 	s.flushJobGauges()
 	w.Header().Set("Content-Type", obs.ContentType)
 	s.metrics.WritePrometheus(w)
 }
 
-// StatsReport is the GET /stats response body: debug vars for humans
-// and dashboards that want JSON rather than the Prometheus exposition.
+// StatsReport is the GET /stats response body: the facts no series
+// carries, and the metric snapshot a coordinator federates. Every count
+// /metrics exposes is read there; the queue, network and readiness
+// routes serve their own state.
 type StatsReport struct {
-	UptimeSeconds  float64      `json:"uptimeSeconds"`
-	Goroutines     int          `json:"goroutines"`
-	NetworkLoaded  bool         `json:"networkLoaded"`
-	Network        NetworkStats `json:"network,omitempty"`
-	TraceLocations int          `json:"traceLocations"`
-	MarkedRules    int          `json:"markedRules"`
-	Engine         EngineStats  `json:"engine,omitempty"`
-	// Admission-layer health: job-queue depth and counters, currently
-	// admitted heavy requests, draining state, and shed totals by
-	// reason.
-	Jobs     jobs.Stats `json:"jobs"`
-	InFlight int64      `json:"inflight"`
-	Draining bool       `json:"draining"`
-	Shed     ShedReport `json:"shed"`
-	// Delta reports churn-path totals: applied delta documents, full
-	// network resets, and the rule/mark movement deltas caused.
-	Delta DeltaReport `json:"delta"`
-	// Routes summarizes per-route request latency — count plus p50/p99
-	// quantile estimates from the same histogram /metrics exposes.
-	Routes  []RouteStat  `json:"routes,omitempty"`
+	UptimeSeconds  float64 `json:"uptimeSeconds"`
+	Goroutines     int     `json:"goroutines"`
+	TraceLocations int     `json:"traceLocations"`
+	MarkedRules    int     `json:"markedRules"`
+	// InFlight is how many heavy requests admission control has admitted
+	// and not yet finished.
+	InFlight int64 `json:"inflight"`
+	// Delta reports the rules and marks applied deltas moved.
+	Delta   DeltaReport  `json:"delta"`
 	Metrics []obs.Metric `json:"metrics"`
-}
-
-// RouteStat is one route's latency summary in GET /stats: request count
-// and interpolated quantiles (seconds) from the Instrument middleware's
-// per-route histogram.
-type RouteStat struct {
-	Route string  `json:"route"`
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50Seconds"`
-	P99   float64 `json:"p99Seconds"`
-}
-
-// routeStats summarizes the per-route latency histograms. Routes with
-// no observations yet are omitted.
-func (s *Server) routeStats() []RouteStat {
-	var out []RouteStat
-	s.metrics.VisitHistograms("yardstick_http_request_duration_seconds", func(labels string, h *obs.Histogram) {
-		if h.Count() == 0 {
-			return
-		}
-		route := ""
-		if pairs, err := obs.ParseLabelSig(labels); err == nil {
-			for _, p := range pairs {
-				if p[0] == "route" {
-					route = p[1]
-				}
-			}
-		}
-		out = append(out, RouteStat{
-			Route: route,
-			Count: h.Count(),
-			P50:   h.Quantile(0.50),
-			P99:   h.Quantile(0.99),
-		})
-	})
-	return out
 }
 
 func (s *Server) getStats(w http.ResponseWriter, r *http.Request) {
 	s.flushJobGauges()
 	s.mu.Lock()
-	body := StatsReport{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		NetworkLoaded: s.eng.Net() != nil,
-		Jobs:          s.jobs.Stats(),
-		InFlight:      s.inflight.Load(),
-		Draining:      s.draining.Load(),
-		Shed:          s.shedTotals.report(),
-		Delta:         s.delta,
-		Routes:        s.routeStats(),
-	}
 	ts := s.eng.Trace().Stats()
-	body.TraceLocations = ts.Locations
-	body.MarkedRules = ts.MarkedRules
-	if s.eng.Net() != nil {
-		body.Network = statsBody(s.eng)
-		body.Engine = s.engineStats()
-		s.eng.SettleStats(s.metrics)
-	}
-	body.Metrics = s.metrics.Snapshot()
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, body)
+	delta := s.delta
+	s.unlock()
+	writeJSON(w, http.StatusOK, StatsReport{
+		UptimeSeconds:  time.Since(s.started).Seconds(),
+		Goroutines:     runtime.NumGoroutine(),
+		TraceLocations: ts.Locations,
+		MarkedRules:    ts.MarkedRules,
+		InFlight:       s.inflight.Load(),
+		Delta:          delta,
+		Metrics:        s.metrics.Snapshot(),
+	})
 }
 
 // Gap is one element of the GET /gaps response body.
@@ -768,7 +678,7 @@ type Gap struct {
 
 func (s *Server) getGaps(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	start := time.Now()
 	out := []Gap{}
 	compute, ok := s.readView(w, r, "service.gaps", "gap report", func(cov *core.Coverage) {
@@ -804,7 +714,7 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		reason = "draining"
-	case func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.eng.Net() == nil }():
+	case func() bool { s.mu.Lock(); defer s.unlock(); return s.eng.Net() == nil }():
 		reason = "no_network"
 	case s.jobs.Stats().Saturated():
 		reason = "queue_saturated"
@@ -829,7 +739,7 @@ func (s *Server) getReadyz(w http.ResponseWriter, r *http.Request) {
 // before a network is loaded.
 func (s *Server) Checkpoint() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.snapPath == "" || s.eng.Net() == nil {
 		return nil
 	}
@@ -849,7 +759,7 @@ func (s *Server) Checkpoint() error {
 // a network is loaded.
 func (s *Server) Restore() (bool, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.snapPath == "" || s.eng.Net() == nil {
 		return false, nil
 	}
@@ -882,7 +792,7 @@ func (s *Server) Restore() (bool, error) {
 func (s *Server) RunCheckpointer(ctx context.Context) {
 	s.mu.Lock()
 	path, interval := s.snapPath, s.snapInterval
-	s.mu.Unlock()
+	s.unlock()
 	if path == "" {
 		return
 	}

@@ -110,13 +110,16 @@ func TestRunAndCoverage(t *testing.T) {
 	if len(cov.ByRole) == 0 {
 		t.Error("no per-role rows")
 	}
-	// Engine diagnostics ride along: a run plus a coverage computation
+	// Engine diagnostics are series: a run plus a coverage computation
 	// has interned nodes and consulted the op cache.
-	if cov.Engine.Nodes == 0 || cov.Engine.PeakNodes < cov.Engine.Nodes {
-		t.Errorf("engine stats = %+v", cov.Engine)
+	body := scrape(t, ts.URL)
+	if nodes, _ := sampleValue(t, body, "yardstick_engine_nodes"); nodes <= 0 {
+		t.Errorf("yardstick_engine_nodes = %v after a run", nodes)
 	}
-	if cov.Engine.CacheHits+cov.Engine.CacheMisses == 0 {
-		t.Errorf("engine cache counters missing: %+v", cov.Engine)
+	hits, _ := sampleValue(t, body, "yardstick_bdd_cache_hits_total")
+	misses, _ := sampleValue(t, body, "yardstick_bdd_cache_misses_total")
+	if hits+misses == 0 {
+		t.Error("no op-cache consultations in /metrics after a run")
 	}
 
 	var gaps []Gap
@@ -360,10 +363,8 @@ func TestWorkersSetByServer(t *testing.T) {
 	if j := pollJob(t, par.URL, sub.ID); j.State != jobs.StateDone {
 		t.Fatalf("job = %+v, want done", j)
 	}
-	var cov CoverageReport
-	doJSON(t, "GET", par.URL+"/coverage", nil, http.StatusOK, &cov)
-	if cov.Engine.Workers != 3 { // canonical + 2 replicas
-		t.Errorf("two-worker server: engine.workers = %d, want 3", cov.Engine.Workers)
+	if w, _ := sampleValue(t, scrape(t, par.URL), "yardstick_sharded_workers"); w != 2 {
+		t.Errorf("two-worker server: yardstick_sharded_workers = %v, want 2", w)
 	}
 	p, err := obs.DecodeSpanProfile(getBody(t, par.URL+"/jobs/"+sub.ID+"/profile"))
 	if err != nil {
@@ -385,8 +386,7 @@ func TestWorkersSetByServer(t *testing.T) {
 	if j := pollJob(t, seq.URL, sub.ID); j.State != jobs.StateDone {
 		t.Errorf("job with ?workers=2 = %+v, want done", j)
 	}
-	doJSON(t, "GET", seq.URL+"/coverage", nil, http.StatusOK, &cov)
-	if cov.Engine.Workers != 1 {
-		t.Errorf("server without WithWorkers: engine.workers = %d, want 1", cov.Engine.Workers)
+	if runs, ok := sampleValue(t, scrape(t, seq.URL), "yardstick_sharded_runs_total"); ok {
+		t.Errorf("server without WithWorkers: yardstick_sharded_runs_total = %v, want no sharded run", runs)
 	}
 }

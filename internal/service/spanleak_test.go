@@ -231,29 +231,19 @@ func TestJobProfilePendingAndSanitized(t *testing.T) {
 	}
 }
 
+// TestStatsRouteLatency: every route's request latency is a histogram
+// in /metrics, counted per route.
 func TestStatsRouteLatency(t *testing.T) {
 	_, ts := newJobServer(t)
 	runSuite(t, ts.URL, "default")
 	runSuite(t, ts.URL, "internal")
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 
-	var st StatsReport
-	doJSON(t, http.MethodGet, ts.URL+"/stats", nil, http.StatusOK, &st)
-	byRoute := map[string]RouteStat{}
-	for _, r := range st.Routes {
-		byRoute[r.Route] = r
-	}
-	run, ok := byRoute["/jobs"]
-	if !ok {
-		t.Fatalf("no /jobs route stat in %+v", st.Routes)
-	}
-	if run.Count < 2 {
-		t.Errorf("/jobs count = %d, want >= 2", run.Count)
-	}
-	if run.P50 <= 0 || run.P99 < run.P50 {
-		t.Errorf("/jobs quantiles p50=%v p99=%v", run.P50, run.P99)
-	}
-	if _, ok := byRoute["/coverage"]; !ok {
-		t.Errorf("no /coverage route stat in %+v", st.Routes)
+	body := scrape(t, ts.URL)
+	for route, want := range map[string]float64{"/jobs": 2, "/coverage": 1} {
+		series := `yardstick_http_request_duration_seconds_count{route="` + route + `"}`
+		if n, _ := sampleValue(t, body, series); n < want {
+			t.Errorf("%s = %v, want >= %v", series, n, want)
+		}
 	}
 }

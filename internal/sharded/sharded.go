@@ -62,6 +62,7 @@ const (
 	MetricRuns        = "yardstick_sharded_runs_total"
 	MetricWorkerRuns  = "yardstick_sharded_worker_runs_total"
 	MetricBudgetTrips = "yardstick_sharded_budget_trips_total"
+	MetricWorkers     = "yardstick_sharded_workers"
 )
 
 // Config parameterizes an Engine.
@@ -151,19 +152,6 @@ func New(ctx context.Context, canonical *netmodel.Network, cfg Config) (*Engine,
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return len(e.replicas) }
 
-// ReplicaStats returns the current BDD counters of every replica
-// manager, ordered by worker index. Replica managers are quiescent
-// between runs, so callers aggregating engine health (a /coverage
-// response, a /metrics scrape) may read them whenever no Run is in
-// flight.
-func (e *Engine) ReplicaStats() []bdd.Stats {
-	out := make([]bdd.Stats, len(e.replicas))
-	for i, r := range e.replicas {
-		out[i] = r.Space.EngineStats()
-	}
-	return out
-}
-
 // Run evaluates suite across the pool and merges the results.
 //
 // Error semantics mirror the sequential degradation model: a budget trip
@@ -188,7 +176,7 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 	sp.Set("workers", int64(w))
 	sp.Set("tests", int64(len(suite)))
 	reg.Counter(MetricRuns).Inc()
-	reg.Gauge("yardstick_sharded_workers").Set(float64(w))
+	reg.Gauge(MetricWorkers).Set(float64(w))
 
 	// Round-robin partition in suite order: worker i runs tests i, i+w, …
 	// The assignment depends only on suite order and pool size, never on
