@@ -1,32 +1,28 @@
-// Package client is the retrying Go client for the Yardstick coverage
-// service (package service) that the distributed coordinator
-// (internal/coord) uses to drive its workers: push a network, submit a
-// suite as a job, wait for it, and fetch the job's coverage fragment,
-// span profile and metric snapshot. It wraps only those calls; every
-// other endpoint is plain HTTP + JSON, which any tool can speak (a
-// testing tool reports coverage by POSTing a trace file to /trace).
+// Package client is the Go client for the Yardstick coverage service
+// (package service) that the distributed coordinator (internal/coord)
+// uses to drive its workers: push a network, submit a suite as a job,
+// wait for it, and fetch the job's coverage fragment, span profile and
+// metric snapshot. It wraps only those calls; every other endpoint is
+// plain HTTP + JSON, which any tool can speak (a testing tool reports
+// coverage by POSTing a trace file to /trace).
 //
-// The client is built for flaky production networks: every call takes a
-// context, each HTTP attempt gets a per-request timeout, and transient
-// failures (connection errors, 5xx responses, and 429 shed responses)
-// are retried with exponential backoff plus jitter. When the server
-// sheds load it attaches a Retry-After hint (seconds or HTTP-date); the
-// client honors the hint in place of its own backoff, capped at the
-// policy's MaxDelay. Other 4xx responses are never retried — they are
-// the caller's bug, not the network's. Retrying is safe for every call
-// here: a repeated network push leaves the same network and an empty
-// trace, and a duplicate job submission re-runs suites whose coverage
-// merges to the same union.
+// Every call takes a context and makes exactly one HTTP round trip. It
+// returns the decoded answer, an *APIError for any other status — with
+// the server's Retry-After hint decoded from either header form — or the
+// transport error. The client retries nothing and sets no deadline of its
+// own: the caller's context bounds the call. The coordinator decides what
+// to retry, because only it knows the fleet: it backs off (honoring the
+// hint), then re-dispatches the failed attempt, preferring another node.
+// The one loop here is WaitJob's polling, which treats a shed poll as
+// "poll again".
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -35,9 +31,9 @@ import (
 	"yardstick/internal/service"
 )
 
-// APIError is a non-2xx response from the service, carrying the status
-// code and the server's error message. Errors with a 4xx code other
-// than 429 are returned without retries.
+// APIError is a response from the service with a status other than the
+// one the call expects, carrying the status code and the server's error
+// message.
 type APIError struct {
 	StatusCode int
 	Message    string
@@ -49,58 +45,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("client: server returned %d: %s", e.StatusCode, e.Message)
-}
-
-// RetryPolicy bounds the retry loop. Attempt n waits roughly
-// BaseDelay·2ⁿ (capped at MaxDelay) with equal jitter — half the delay
-// is deterministic, half uniformly random — so a fleet of reporters
-// that failed together does not retry in lockstep.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts, including the first
-	// (default 4; values < 1 mean one attempt, i.e. no retries).
-	MaxAttempts int
-	// BaseDelay seeds the exponential backoff (default 100ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the per-attempt backoff (default 3s).
-	MaxDelay time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 3 * time.Second
-	}
-	return p
-}
-
-// Backoff returns the jittered delay before attempt n (n >= 1):
-// BaseDelay·2ⁿ⁻¹, capped at MaxDelay, half of it deterministic and half
-// uniformly random. Attempts late enough to shift past the int64 range
-// wait the cap.
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	d := p.BaseDelay << (n - 1)
-	if d <= 0 || d > p.MaxDelay { // <= 0 guards shift overflow
-		d = p.MaxDelay
-	}
-	return d/2 + rand.N(d/2+1)
-}
-
-// retryDelay returns the wait before attempt n (n >= 1). A server
-// Retry-After hint on the previous attempt's error takes precedence
-// over the policy's own backoff — the server knows when its queue will
-// drain better than an exponential guess does — but is still capped at
-// MaxDelay so a confused server cannot park the client for an hour.
-func (p RetryPolicy) retryDelay(n int, lastErr error) time.Duration {
-	var ae *APIError
-	if errors.As(lastErr, &ae) && ae.RetryAfter > 0 {
-		return min(ae.RetryAfter, p.MaxDelay)
-	}
-	return p.Backoff(n)
 }
 
 // parseRetryAfter decodes a Retry-After header value, which RFC 9110
@@ -125,9 +69,6 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return 0
 }
 
-// defaultRetry is the retry policy used when WithRetry is not given.
-var defaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 100 * time.Millisecond, MaxDelay: 3 * time.Second}
-
 // headerCtxKey carries extra request headers on a context.
 type headerCtxKey struct{}
 
@@ -150,10 +91,8 @@ func ContextWithHeader(ctx context.Context, key, value string) context.Context {
 // Client talks to one coverage service. The zero value is not usable;
 // create with New. A Client is safe for concurrent use.
 type Client struct {
-	base    string
-	hc      *http.Client
-	retry   RetryPolicy
-	timeout time.Duration
+	base string
+	hc   *http.Client
 }
 
 // Option configures a Client.
@@ -163,39 +102,29 @@ type Option func(*Client)
 // http.DefaultClient).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithRetry substitutes the retry policy. RetryPolicy{MaxAttempts: 1}
-// disables retries.
-func WithRetry(p RetryPolicy) Option { return func(c *Client) { c.retry = p.withDefaults() } }
-
-// WithRequestTimeout caps each individual HTTP attempt (default 30s).
-// The caller's context still bounds the call as a whole, backoff sleeps
-// included.
-func WithRequestTimeout(d time.Duration) Option { return func(c *Client) { c.timeout = d } }
-
 // New returns a client for the service at baseURL (e.g.
 // "http://cov.internal:8080").
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{
-		base:    strings.TrimRight(baseURL, "/"),
-		hc:      http.DefaultClient,
-		retry:   defaultRetry,
-		timeout: 30 * time.Second,
-	}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
 
-// attempt runs one HTTP round trip. It returns the response body when
-// the status matches wantCode, an *APIError for other statuses, and the
-// transport error otherwise.
-func (c *Client) attempt(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
-	if c.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.timeout)
-		defer cancel()
+// do runs one round trip and decodes the body into out.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, wantCode int, out any) error {
+	data, err := c.doRaw(ctx, method, path, body, wantCode)
+	if err != nil {
+		return err
 	}
+	return json.Unmarshal(data, out)
+}
+
+// doRaw runs one HTTP round trip. It returns the response body undecoded
+// when the status matches wantCode, an *APIError for other statuses, and
+// the transport error otherwise.
+func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -236,53 +165,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	return data, nil
-}
-
-// retryable reports whether an attempt error is transient: connection
-// errors, 5xx responses, and 429 sheds are; other 4xx responses are
-// not.
-func retryable(err error) bool {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.StatusCode >= 500 || ae.StatusCode == http.StatusTooManyRequests
-	}
-	return true
-}
-
-// do runs attempts under the retry policy and decodes the final body
-// into out.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, wantCode int, out any) error {
-	data, err := c.doRaw(ctx, method, path, body, wantCode)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
-}
-
-// doRaw runs attempts under the retry policy and returns the final body
-// undecoded — for endpoints whose body is not JSON (a trace arena).
-func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
-	var lastErr error
-	for n := 0; n < c.retry.MaxAttempts; n++ {
-		if n > 0 {
-			t := time.NewTimer(c.retry.retryDelay(n, lastErr))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, fmt.Errorf("client: %s %s: %w (last error: %v)", method, path, ctx.Err(), lastErr)
-			}
-		}
-		data, err := c.attempt(ctx, method, path, body, wantCode)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-		if !retryable(err) || ctx.Err() != nil {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("client: %s %s: giving up after %d attempts: %w", method, path, c.retry.MaxAttempts, lastErr)
 }
 
 // LoadNetworkJSON uploads a network in its JSON encoding

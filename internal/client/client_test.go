@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,10 +18,6 @@ import (
 	"yardstick/internal/service"
 	"yardstick/internal/topogen"
 )
-
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{MaxAttempts: attempts, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-}
 
 func buildNet(t *testing.T) *topogen.Regional {
 	t.Helper()
@@ -57,7 +52,7 @@ func TestEndToEnd(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); srv.RunJobs(ctx) }()
 	defer func() { cancel(); <-done }()
-	c := New(ts.URL, WithRetry(fastRetry(2)))
+	c := New(ts.URL)
 
 	var ae *APIError
 	if _, err := c.NetworkStats(ctx); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
@@ -98,89 +93,108 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRetriesTransientFailures serves two 503s before succeeding: the
-// client must retry through them with backoff and succeed.
-func TestRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int32
+// countingTransport counts the round trips a client makes.
+type countingTransport struct{ n atomic.Int32 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestOneRoundTripPerCall: the client retries nothing. Whatever the
+// server answers — a client error, a shed, a server error — and when
+// nothing listens at all, every call makes exactly one request and
+// surfaces the failure; a status comes back as an *APIError carrying the
+// server's message.
+func TestOneRoundTripPerCall(t *testing.T) {
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func(*Client) error
+	}{
+		{"LoadNetworkJSON", func(c *Client) error { _, err := c.LoadNetworkJSON(ctx, []byte(`{}`)); return err }},
+		{"NetworkStats", func(c *Client) error { _, err := c.NetworkStats(ctx); return err }},
+		{"Stats", func(c *Client) error { _, err := c.Stats(ctx); return err }},
+		{"SubmitJob", func(c *Client) error { _, err := c.SubmitJob(ctx, "default"); return err }},
+		{"JobTraceRaw", func(c *Client) error { _, err := c.JobTraceRaw(ctx, "j1"); return err }},
+		{"JobProfileRaw", func(c *Client) error { _, err := c.JobProfileRaw(ctx, "j1"); return err }},
+	}
+	for _, tc := range []struct {
+		name   string
+		status int // 0: nothing listens
+	}{
+		{"400", http.StatusBadRequest},
+		{"429", http.StatusTooManyRequests},
+		{"500", http.StatusInternalServerError},
+		{"503", http.StatusServiceUnavailable},
+		{"closed-port", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var served atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				served.Add(1)
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(tc.status)
+				w.Write([]byte(`{"error":"no good"}`))
+			}))
+			defer ts.Close()
+			if tc.status == 0 {
+				ts.Close() // now nothing listens there
+			}
+			for _, cl := range calls {
+				rt := &countingTransport{}
+				served.Store(0)
+				err := cl.call(New(ts.URL, WithHTTPClient(&http.Client{Transport: rt})))
+				if err == nil {
+					t.Fatalf("%s succeeded against a failing server", cl.name)
+				}
+				if n := rt.n.Load(); n != 1 {
+					t.Errorf("%s made %d requests, want 1", cl.name, n)
+				}
+				var ae *APIError
+				if tc.status == 0 {
+					if errors.As(err, &ae) {
+						t.Errorf("%s against a closed port = %v, want a transport error", cl.name, err)
+					}
+					continue
+				}
+				if n := served.Load(); n != 1 {
+					t.Errorf("%s: server saw %d requests, want 1", cl.name, n)
+				}
+				if !errors.As(err, &ae) || ae.StatusCode != tc.status || ae.Message != "no good" {
+					t.Errorf("%s = %v, want an *APIError with status %d and the server's message", cl.name, err, tc.status)
+				}
+			}
+		})
+	}
+}
+
+// hungServer accepts every request and never answers it.
+func hungServer(t *testing.T) *httptest.Server {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "flaky", http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"devices":1}`))
+		<-r.Context().Done() // hang until the client gives up
 	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(fastRetry(5)))
-	if st, err := c.NetworkStats(context.Background()); err != nil || st.Devices != 1 {
-		t.Fatalf("NetworkStats through flaky server = (%+v, %v)", st, err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("server calls = %d, want 3 (two failures + success)", got)
-	}
+	t.Cleanup(ts.Close)
+	return ts
 }
 
-func TestRetriesConnectionErrors(t *testing.T) {
-	// A server that is down for the first attempts: simulate by
-	// starting the listener only after the first connection failures —
-	// simpler and deterministic: point at a closed port, expect the
-	// retry loop to exhaust and report the attempts.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	addr := ts.URL
-	ts.Close() // now nothing listens there
-
-	c := New(addr, WithRetry(fastRetry(3)))
-	_, err := c.NetworkStats(context.Background())
-	if err == nil {
-		t.Fatal("expected error against closed port")
-	}
-	if !strings.Contains(err.Error(), "giving up after 3 attempts") {
-		t.Errorf("error should report exhausted attempts, got: %v", err)
-	}
-}
-
-// TestNoRetryOn4xx: client errors are the caller's bug; exactly one
-// attempt is made and the APIError is surfaced.
-func TestNoRetryOn4xx(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"bad suite"}`))
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(fastRetry(5)))
-	_, err := c.SubmitJob(context.Background(), "bogus")
-	var ae *APIError
-	if !errors.As(err, &ae) {
-		t.Fatalf("want *APIError, got %v", err)
-	}
-	if ae.StatusCode != http.StatusBadRequest || ae.Message != "bad suite" {
-		t.Errorf("APIError = %+v", ae)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("server calls = %d, want 1 (no retries on 4xx)", got)
-	}
-}
-
-// TestContextCancellation: a canceled context stops the retry loop
-// promptly, even mid-backoff.
+// TestContextCancellation: the client sets no deadline of its own, so a
+// call to a hung server lasts until the caller cancels — and then returns
+// promptly with context.Canceled.
 func TestContextCancellation(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "always down", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour, MaxDelay: time.Hour}))
+	c := New(hungServer(t).URL)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.NetworkStats(ctx)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the first attempt fail and enter backoff
+	select {
+	case err := <-done:
+		t.Fatalf("call to a hung server returned %v before the caller cancelled", err)
+	case <-time.After(50 * time.Millisecond):
+	}
 	cancel()
 	select {
 	case err := <-done:
@@ -188,23 +202,20 @@ func TestContextCancellation(t *testing.T) {
 			t.Errorf("want context.Canceled, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("client did not honor context cancellation during backoff")
+		t.Fatal("client did not honor context cancellation")
 	}
 }
 
-// TestPerRequestTimeout: a hung server trips the per-attempt timeout
-// rather than blocking forever.
+// TestPerRequestTimeout: a deadline on the caller's context bounds a
+// call to a hung server.
 func TestPerRequestTimeout(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // hang until the client gives up
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(fastRetry(2)), WithRequestTimeout(50*time.Millisecond))
+	c := New(hungServer(t).URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := c.NetworkStats(context.Background())
-	if err == nil {
-		t.Fatal("expected timeout error")
+	_, err := c.NetworkStats(ctx)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("timed out too slowly: %v", elapsed)

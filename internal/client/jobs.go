@@ -21,10 +21,10 @@ import (
 
 // SubmitJob enqueues an asynchronous run of the given built-in suites
 // (POST /jobs), returning the queued job. A full queue answers 503 with a
-// Retry-After hint, which the retry policy honors before resubmitting;
-// a duplicate submission caused by a lost 202 is wasteful but safe —
-// coverage merges by BDD union, so re-running a suite cannot double
-// count.
+// Retry-After hint, returned in the *APIError for the caller to honor. A
+// caller that resubmits after a lost 202 runs the suite twice, which is
+// wasteful but safe: coverage merges by BDD union, so re-running a suite
+// cannot double count.
 func (c *Client) SubmitJob(ctx context.Context, suites ...string) (service.JobStatus, error) {
 	var j service.JobStatus
 	path := "/jobs?suite=" + url.QueryEscape(strings.Join(suites, ","))
@@ -47,9 +47,11 @@ func (c *Client) job(ctx context.Context, id string) (service.JobStatus, error) 
 // sniffing entry point (core.DecodeFragment, core.DecodeTraceJSON), never
 // by what was asked for. A coordinator collects fragments concurrently
 // and hands them to the one goroutine that owns the canonical BDD
-// space. A 409 means the job is not done yet; a 410 means the fragment
-// is gone (artifact evicted or the node restarted) and the shard should
-// be re-run.
+// space. Any failure fails the call, not retried here: a 409 means the
+// job is not done yet; a 410 means the fragment is gone (artifact evicted
+// or the node restarted) and the shard should be re-run; a 5xx or a
+// dropped connection leaves the re-run to the caller, which may choose
+// another node.
 func (c *Client) JobTraceRaw(ctx context.Context, id string) ([]byte, error) {
 	ctx = ContextWithHeader(ctx, "Accept", service.TraceArenaMediaType)
 	return c.doRaw(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/trace", nil, http.StatusOK)

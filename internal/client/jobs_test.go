@@ -38,123 +38,52 @@ func TestParseRetryAfter(t *testing.T) {
 	}
 }
 
-func TestRetryDelayHonorsHint(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}.withDefaults()
-
-	// A hint below the cap is used verbatim — no jitter, the server said
-	// exactly when to come back.
-	hint := &APIError{StatusCode: 503, RetryAfter: 20 * time.Millisecond}
-	if got := p.retryDelay(1, hint); got != 20*time.Millisecond {
-		t.Errorf("retryDelay with hint = %v, want 20ms", got)
-	}
-
-	// A hint above MaxDelay is capped: the policy bounds worst-case
-	// client latency even against a confused server.
-	huge := &APIError{StatusCode: 429, RetryAfter: time.Hour}
-	if got := p.retryDelay(1, huge); got != p.MaxDelay {
-		t.Errorf("retryDelay with oversized hint = %v, want cap %v", got, p.MaxDelay)
-	}
-
-	// No hint falls back to the jittered exponential backoff: attempt n
-	// waits within [d/2, d] for d = BaseDelay·2ⁿ⁻¹ capped at MaxDelay.
-	// From attempt 38 the shift passes the int64 range (and from 64 it
-	// wraps to zero) at the coordinator's 100ms base; the cap must hold.
-	plain := &APIError{StatusCode: 500}
-	for _, c := range []struct {
-		policy  RetryPolicy
-		attempt int
-		max     time.Duration
-	}{
-		{p, 1, time.Millisecond},
-		{p, 3, 4 * time.Millisecond},
-		{p, 7, p.MaxDelay},
-		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 38, 2 * time.Second},
-		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 64, 2 * time.Second},
-		{RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: 2 * time.Second}, 65, 2 * time.Second},
-	} {
-		for range 20 {
-			if got := c.policy.retryDelay(c.attempt, plain); got < c.max/2 || got > c.max {
-				t.Fatalf("attempt %d: retryDelay = %v, want in [%v, %v]", c.attempt, got, c.max/2, c.max)
-			}
-		}
-	}
+// shedding answers every request with a shed carrying the given
+// Retry-After header and counts the requests it sees.
+func shedding(t *testing.T, status int, retryAfter string) (*httptest.Server, *atomic.Int32) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Retry-After", retryAfter)
+		w.WriteHeader(status)
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &calls
 }
 
 // TestRetryAfterSecondsForm: a shed with the delay-seconds header form
-// delays the retry by the hint, then succeeds.
+// comes back in one request as a shed *APIError carrying the hint.
 func TestRetryAfterSecondsForm(t *testing.T) {
-	var calls atomic.Int32
-	var gap atomic.Int64
-	var last atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		now := time.Now().UnixNano()
-		if prev := last.Swap(now); prev != 0 {
-			gap.Store(now - prev)
-		}
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
-
-	// MaxDelay 2s > hint 1s, so the hint is used as-is.
-	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Second}))
-	if _, err := c.NetworkStats(context.Background()); err != nil {
-		t.Fatalf("NetworkStats after shed: %v", err)
+	ts, calls := shedding(t, http.StatusTooManyRequests, "1")
+	_, err := New(ts.URL).NetworkStats(context.Background())
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.RetryAfter != time.Second {
+		t.Fatalf("NetworkStats against a shed = %v, want an *APIError with RetryAfter 1s", err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("calls = %d, want 2", n)
+	if hint, shed := IsShed(err); !shed || hint != time.Second {
+		t.Fatalf("IsShed = (%v, %v), want (1s, true)", hint, shed)
 	}
-	if g := time.Duration(gap.Load()); g < 900*time.Millisecond {
-		t.Fatalf("retry gap = %v, want >= ~1s from the Retry-After hint", g)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("calls = %d, want 1", n)
 	}
 }
 
-// TestRetryAfterDateFormCapped: the HTTP-date header form is decoded,
-// and a far-future date is capped at the policy's MaxDelay.
-func TestRetryAfterDateFormCapped(t *testing.T) {
-	var calls atomic.Int32
-	start := time.Now()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", time.Now().Add(time.Hour).UTC().Format(http.TimeFormat))
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond}))
-	if _, err := c.NetworkStats(context.Background()); err != nil {
-		t.Fatalf("NetworkStats after dated shed: %v", err)
+// TestRetryAfterDateForm: the HTTP-date header form is decoded as the
+// time left until that date, in one request and uncapped — capping the
+// hint is the coordinator's backoff's job.
+func TestRetryAfterDateForm(t *testing.T) {
+	ts, calls := shedding(t, http.StatusServiceUnavailable, time.Now().Add(time.Hour).UTC().Format(http.TimeFormat))
+	_, err := New(ts.URL).NetworkStats(context.Background())
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("NetworkStats against a dated shed = %v, want a 503 *APIError", err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("calls = %d, want 2", n)
+	// HTTP-dates have whole-second resolution.
+	if ae.RetryAfter <= time.Hour-2*time.Second || ae.RetryAfter > time.Hour {
+		t.Fatalf("RetryAfter = %v, want about an hour", ae.RetryAfter)
 	}
-	// The hour-away hint must not park the client: total wall time stays
-	// near MaxDelay, nowhere near the hint.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("retry took %v; the MaxDelay cap did not bound the hint", elapsed)
-	}
-}
-
-// TestRetryable429: 429 joined the transient set; other 4xx stay fatal.
-func TestRetryable429(t *testing.T) {
-	if !retryable(&APIError{StatusCode: http.StatusTooManyRequests}) {
-		t.Error("429 should be retryable")
-	}
-	if retryable(&APIError{StatusCode: http.StatusBadRequest}) {
-		t.Error("400 should not be retryable")
-	}
-	if retryable(&APIError{StatusCode: http.StatusConflict}) {
-		t.Error("409 should not be retryable")
-	}
-	if !retryable(&APIError{StatusCode: http.StatusServiceUnavailable}) {
-		t.Error("503 should be retryable")
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("calls = %d, want 1", n)
 	}
 }
 
@@ -175,7 +104,7 @@ func newAsyncServer(t *testing.T, opts ...service.Option) *httptest.Server {
 // TestJobHelpers drives submit and wait against a real service.
 func TestJobHelpers(t *testing.T) {
 	ts := newAsyncServer(t)
-	c := New(ts.URL, WithRetry(fastRetry(2)))
+	c := New(ts.URL)
 	ctx := context.Background()
 
 	j, err := c.SubmitJob(ctx, "default", "internal")
@@ -199,7 +128,7 @@ func TestJobHelpers(t *testing.T) {
 		t.Fatalf("job result = (%d tests, %v), want 2", len(results), err)
 	}
 
-	// A bad suite fails the submit with a non-retryable 400.
+	// A bad suite fails the submit with a 400, not a shed.
 	if _, err := c.SubmitJob(ctx, "no-such-suite"); err == nil {
 		t.Fatal("SubmitJob with bad suite should fail")
 	} else if ra, shed := IsShed(err); shed {
@@ -213,7 +142,7 @@ func TestJobHelpers(t *testing.T) {
 // net.
 func TestJobTraceRoundTrip(t *testing.T) {
 	ts := newAsyncServer(t)
-	c := New(ts.URL, WithRetry(fastRetry(2)))
+	c := New(ts.URL)
 	ctx := context.Background()
 
 	j, err := c.SubmitJob(ctx, "default", "internal")
@@ -263,7 +192,7 @@ func TestJobTraceRoundTrip(t *testing.T) {
 		io.Copy(w, resp.Body)
 	}))
 	defer old.Close()
-	oc := New(old.URL, WithRetry(fastRetry(2)))
+	oc := New(old.URL)
 	if raw, err = oc.JobTraceRaw(ctx, j.ID); err != nil || core.IsSnapshotArena(raw) {
 		t.Fatalf("JobTraceRaw via an Accept-blind worker = (arena %v, %v), want JSON", core.IsSnapshotArena(raw), err)
 	}
@@ -296,9 +225,7 @@ func TestWaitJobShedTolerant(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	// MaxAttempts 1: the per-request retry layer is off, so shed handling
-	// is exercised in WaitJob itself.
-	c := New(ts.URL, WithRetry(fastRetry(1)))
+	c := New(ts.URL)
 	j, err := c.WaitJob(context.Background(), "j1", 2*time.Millisecond)
 	if err != nil {
 		t.Fatalf("WaitJob through sheds: %v", err)

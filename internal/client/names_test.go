@@ -12,18 +12,10 @@ import (
 	"testing"
 )
 
-// testSeams are the exported names kept without a non-test caller:
-// options that let tests drive the retry loop in milliseconds.
-var testSeams = map[string]bool{
-	"WithRetry":          true,
-	"WithRequestTimeout": true,
-}
-
 // TestClientNamesHaveCallers keeps the package to the calls its callers
 // make. An exported name of a non-test file stays only if (1) a non-test
-// file under internal/coord, cmd/ or bench/ uses it, (2) it is one of the
-// testSeams, or (3) the signature of a function or method kept by
-// (1)–(3) mentions it. It parses (no type information): a package-level
+// file under internal/coord, cmd/ or bench/ uses it, or (2) the signature
+// of a function or method kept by (1) or (2) mentions it. It parses (no type information): a package-level
 // name is used by the selector client.Name on the package's import, and
 // a method by any selector .Name in a package that imports this one.
 func TestClientNamesHaveCallers(t *testing.T) {
@@ -136,7 +128,7 @@ func TestClientNamesHaveCallers(t *testing.T) {
 		}
 	}
 
-	// Rule (3): a kept function's signature keeps the names it mentions.
+	// Rule (2): a kept function's signature keeps the names it mentions.
 	kept := map[string]bool{}
 	var keep func(name string)
 	keep = func(name string) {
@@ -151,13 +143,8 @@ func TestClientNamesHaveCallers(t *testing.T) {
 	}
 	for name := range exported {
 		method := name[strings.IndexByte(name, '.')+1:]
-		if pkgUses[name] || method != name && selectors[method] || testSeams[name] {
+		if pkgUses[name] || method != name && selectors[method] {
 			keep(name)
-		}
-	}
-	for name := range testSeams {
-		if _, ok := exported[name]; !ok {
-			t.Errorf("test seam %s is no longer exported: drop it from testSeams", name)
 		}
 	}
 

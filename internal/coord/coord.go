@@ -33,13 +33,17 @@
 //
 //   - A shed poll (429/503) is not a failure: the client backs off by
 //     the server's Retry-After hint and keeps polling.
-//   - A failed attempt (connection error, HTTP failure, failed job,
-//     lost fragment) is retried with jittered exponential backoff, on a
-//     different node when one is available.
-//   - A node that fails repeatedly trips a circuit breaker: it stops
-//     receiving shards for a cooldown, then a single half-open probe
-//     decides whether it rejoins the rotation. Its queued work is
-//     re-dispatched to healthy nodes.
+//   - Any other failed call (connection error, HTTP failure), a failed
+//     job, or a lost or damaged fragment fails its attempt at once: the
+//     client makes one round trip per call and retries nothing. This
+//     attempt loop is the fleet's one retry layer. It backs off with
+//     jittered exponential delay, stretched to a shed's Retry-After hint
+//     (capped at 5s), and re-dispatches the shard on a different node
+//     when one is available.
+//   - A node whose attempts fail repeatedly (every failure counts) trips
+//     a circuit breaker: it stops receiving shards for a cooldown, then a
+//     single half-open probe decides whether it rejoins the rotation. Its
+//     queued work is re-dispatched to healthy nodes.
 //   - A shard whose primary dispatch lingers past HedgeAfter is hedged
 //     on a second node; first success wins, the loser is cancelled and
 //     the duplicate coverage (if any) merges to the same union.
@@ -56,6 +60,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -97,8 +102,9 @@ type Config struct {
 	Concurrency int
 
 	// ShardTimeout bounds one dispatch attempt end to end: submit, poll
-	// to terminal, download the fragment (<= 0 means 60s). It is the
-	// backstop that turns a hung worker into a retryable failure.
+	// to terminal, download the fragment (<= 0 means 60s). The client
+	// sets no deadline of its own, so this is what turns a hung worker
+	// into a retryable failure.
 	ShardTimeout time.Duration
 
 	// MaxAttempts bounds dispatch attempts per shard, first try
@@ -908,8 +914,11 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 	if err != nil {
 		return out, fmt.Errorf("submit: %w", err)
 	}
-	if j, err = n.c.WaitJob(ctx, j.ID, co.cfg.Poll); err != nil {
-		return out, fmt.Errorf("wait job %s: %w", j.ID, err)
+	// WaitJob returns a zero status on error; the submitted ID names the
+	// job in that error.
+	id := j.ID
+	if j, err = n.c.WaitJob(ctx, id, co.cfg.Poll); err != nil {
+		return out, fmt.Errorf("wait job %s: %w", id, err)
 	}
 	if j.State != jobs.StateDone {
 		return out, fmt.Errorf("job %s %s: %s", j.ID, j.State, j.Error)
@@ -1000,13 +1009,27 @@ func (co *Coordinator) backoff(ctx context.Context, attempt int, err error) {
 	}
 }
 
-// backoffDelay is the wait after a shard's attempt: the client's
-// equal-jitter backoff from Config.Backoff, capped at 2s, and stretched
-// to any server Retry-After hint carried by the error (up to 5s).
+// backoffDelay is the wait after a shard's attempt: jitteredBackoff from
+// Config.Backoff, capped at 2s, and stretched to any server Retry-After
+// hint carried by a shed (up to 5s). This is where the fleet honors the
+// hint; the client only decodes it.
 func (co *Coordinator) backoffDelay(attempt int, err error) time.Duration {
-	d := client.RetryPolicy{BaseDelay: co.cfg.Backoff, MaxDelay: 2 * time.Second}.Backoff(attempt)
+	d := jitteredBackoff(co.cfg.Backoff, 2*time.Second, attempt)
 	if hint, shed := client.IsShed(err); shed && hint > d {
 		d = min(hint, 5*time.Second)
 	}
 	return d
+}
+
+// jitteredBackoff is the wait after attempt n (n >= 1): base·2ⁿ⁻¹,
+// capped at limit, with equal jitter — half of it fixed and half
+// uniformly random, so shards that failed together do not retry in
+// lockstep. An attempt late enough to shift past the int64 range waits
+// the cap.
+func jitteredBackoff(base, limit time.Duration, n int) time.Duration {
+	d := base << (n - 1)
+	if d <= 0 || d > limit { // <= 0 guards shift overflow
+		d = limit
+	}
+	return d/2 + rand.N(d/2+1)
 }

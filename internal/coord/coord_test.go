@@ -1,13 +1,16 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,10 +86,7 @@ func fastCfg(nodes []string, chaos map[string]*faults.ChaosTransport, rep *netmo
 		Nodes: nodes,
 		Net:   rep,
 		NewClient: func(base string) *client.Client {
-			return client.New(base,
-				client.WithHTTPClient(&http.Client{Transport: chaos[base]}),
-				client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
-			)
+			return client.New(base, client.WithHTTPClient(&http.Client{Transport: chaos[base]}))
 		},
 		Poll:             2 * time.Millisecond,
 		ShardTimeout:     10 * time.Second,
@@ -222,10 +222,7 @@ func TestKillWorkerMidRun(t *testing.T) {
 		if base == doomed {
 			rt = killer
 		}
-		return client.New(base,
-			client.WithHTTPClient(&http.Client{Transport: rt}),
-			client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
-		)
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: rt}))
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -412,7 +409,9 @@ func TestBreakerRecovery(t *testing.T) {
 // TestBackoffDelayLateAttempts: at the default 100 ms base, attempt 38
 // shifts past the int64 range and attempt 64 shifts to zero. Every
 // late attempt must wait the capped delay (with equal jitter), not
-// panic or skip the wait.
+// panic or skip the wait. A shed's Retry-After hint stretches the wait:
+// used as given below the 5 s cap, capped above it, and ignored on an
+// error that is not a shed.
 func TestBackoffDelayLateAttempts(t *testing.T) {
 	co := &Coordinator{cfg: Config{}.withDefaults()}
 	const max = 2 * time.Second
@@ -422,5 +421,106 @@ func TestBackoffDelayLateAttempts(t *testing.T) {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, max/2, max)
 			}
 		}
+	}
+	for _, c := range []struct {
+		err      *client.APIError
+		min, max time.Duration
+	}{
+		{&client.APIError{StatusCode: http.StatusServiceUnavailable, RetryAfter: 3 * time.Second}, 3 * time.Second, 3 * time.Second},
+		{&client.APIError{StatusCode: http.StatusTooManyRequests, RetryAfter: time.Hour}, 5 * time.Second, 5 * time.Second},
+		{&client.APIError{StatusCode: http.StatusInternalServerError, RetryAfter: 3 * time.Second}, 50 * time.Millisecond, 100 * time.Millisecond},
+	} {
+		if d := co.backoffDelay(1, c.err); d < c.min || d > c.max {
+			t.Errorf("after %d with Retry-After %v: delay %v outside [%v, %v]", c.err.StatusCode, c.err.RetryAfter, d, c.min, c.max)
+		}
+	}
+}
+
+// TestJitteredBackoff: attempt n waits within [d/2, d] for d =
+// base·2ⁿ⁻¹ capped at the limit. From attempt 38 the shift passes the
+// int64 range (and from 64 it wraps to zero) at a 100 ms base; the cap
+// must hold.
+func TestJitteredBackoff(t *testing.T) {
+	for _, c := range []struct {
+		base, limit time.Duration
+		attempt     int
+		max         time.Duration
+	}{
+		{time.Millisecond, 50 * time.Millisecond, 1, time.Millisecond},
+		{time.Millisecond, 50 * time.Millisecond, 3, 4 * time.Millisecond},
+		{time.Millisecond, 50 * time.Millisecond, 7, 50 * time.Millisecond},
+		{100 * time.Millisecond, 2 * time.Second, 38, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 64, 2 * time.Second},
+		{100 * time.Millisecond, 2 * time.Second, 65, 2 * time.Second},
+	} {
+		for range 20 {
+			if got := jitteredBackoff(c.base, c.limit, c.attempt); got < c.max/2 || got > c.max {
+				t.Fatalf("attempt %d: jitteredBackoff = %v, want in [%v, %v]", c.attempt, got, c.max/2, c.max)
+			}
+		}
+	}
+}
+
+// failPolls answers every job poll (GET /jobs/{id}) with a 500 and
+// records the ID of every job the worker accepted.
+type failPolls struct {
+	mu        sync.Mutex
+	submitted []string
+}
+
+func (f *failPolls) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/jobs/") && strings.Count(r.URL.Path, "/") == 2 {
+		return &http.Response{
+			Status: "500 Internal Server Error", StatusCode: http.StatusInternalServerError,
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header:  http.Header{"Content-Type": {"application/json"}},
+			Body:    io.NopCloser(strings.NewReader(`{"error":"poll failed"}`)),
+			Request: r,
+		}, nil
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.Method != http.MethodPost || r.URL.Path != "/jobs" {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var j service.JobStatus
+	if json.Unmarshal(body, &j) == nil {
+		f.mu.Lock()
+		f.submitted = append(f.submitted, j.ID)
+		f.mu.Unlock()
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestWaitFailureNamesJob: when polling a submitted job fails, the
+// shard's error names that job — the ID the worker handed back on
+// submit, not the empty ID of the zero status a failed poll returns.
+func TestWaitFailureNamesJob(t *testing.T) {
+	rep := replica(t)
+	ts := startWorker(t)
+	polls := &failPolls{}
+	cfg := fastCfg([]string{ts.URL}, nil, rep)
+	cfg.MaxAttempts = 1
+	cfg.NewClient = func(base string) *client.Client {
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: polls}))
+	}
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), "default")
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Complete || len(polls.submitted) != 1 || polls.submitted[0] == "" {
+		t.Fatalf("complete %v after submitting %q, want one submitted job and an incomplete run", res.Complete, polls.submitted)
+	}
+	if want := "wait job " + polls.submitted[0] + ":"; !strings.Contains(res.Shards[0].Error, want) {
+		t.Fatalf("shard error = %q, want it to contain %q", res.Shards[0].Error, want)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/client"
@@ -30,8 +29,6 @@ import (
 	"yardstick/internal/service"
 	"yardstick/internal/topogen"
 )
-
-var fastRetry = client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 
 // aclReplica builds a two-pod regional Clos whose spines carry seeded
 // 5-tuple deny entries (source /24, protocol, destination-port range)
@@ -119,7 +116,7 @@ func loggedCfg(nodes []string, rep *netmodel.Network, wrap func(base string, rt 
 		if wrap != nil {
 			rt = wrap(base, rt)
 		}
-		return client.New(base, client.WithHTTPClient(&http.Client{Transport: rt}), fastRetry)
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: rt}))
 	}
 	return cfg, logs, &out
 }
@@ -425,18 +422,39 @@ func TestForeignNetworkFragmentRejected(t *testing.T) {
 	requireIdentical(t, res.Trace, baseline(t, rep, []string{"default", "internal"}))
 }
 
+// fragmentFault is what damageFirstFetch does to a shard's first
+// fragment fetch: it takes the worker's answer and returns what the
+// client sees instead.
+type fragmentFault func(*http.Response) (*http.Response, error)
+
+// corruptBody delivers the fragment with its body damaged by f.
+func corruptBody(f func([]byte) []byte) fragmentFault {
+	return func(resp *http.Response) (*http.Response, error) {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		body = f(body)
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+		resp.ContentLength = int64(len(body))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+		return resp, nil
+	}
+}
+
 // fragmentDamage is the state the nodes' damageFirstFetch transports
-// share: which shards have had a fragment fetched, and how many bodies
-// were damaged.
+// share: which shards have had a fragment fetched, and how many fetches
+// were faulted.
 type fragmentDamage struct {
-	damage func([]byte) []byte
+	fault fragmentFault
 
 	mu      sync.Mutex
 	seen    map[string]bool
 	damaged int
 }
 
-// damageFirstFetch damages the first fragment body fetched for every
+// damageFirstFetch faults the first fragment fetch of every
 // even-numbered shard; retries and odd shards pass through.
 type damageFirstFetch struct {
 	rt http.RoundTripper
@@ -460,33 +478,45 @@ func (d damageFirstFetch) RoundTrip(r *http.Request) (*http.Response, error) {
 	if !hit {
 		return resp, nil
 	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if rerr != nil {
-		return nil, rerr
-	}
-	body = d.st.damage(body)
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	resp.ContentLength = int64(len(body))
-	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
-	return resp, nil
+	return d.st.fault(resp)
 }
 
-// TestDamagedFragmentsRedispatch: a fragment that arrives complete at
-// the HTTP layer but truncated or bit-flipped is rejected by the arena
-// checksum before it touches the coordinator's BDD manager; the attempt
-// fails, the shard is dispatched again, and the run still completes
-// bit-identical to the single-node baseline.
+// TestDamagedFragmentsRedispatch: a fragment fetch that fails — a body
+// that arrives complete at the HTTP layer but truncated or bit-flipped, a
+// 500, a dropped connection — fails its attempt at once; the client does
+// not retry it. A damaged body is rejected by the arena checksum before it
+// touches the coordinator's BDD manager. The coordinator dispatches the
+// shard again, and the run still completes bit-identical to the
+// single-node baseline.
 func TestDamagedFragmentsRedispatch(t *testing.T) {
-	for name, damage := range map[string]func([]byte) []byte{
-		"truncated":   func(b []byte) []byte { return b[:len(b)/2] },
-		"bit-flipped": func(b []byte) []byte { c := bytes.Clone(b); c[len(c)/2] ^= 0x10; return c },
+	for _, tc := range []struct {
+		name  string
+		fault fragmentFault
+		// corrupt: the body arrives, and the arena's checks must refuse it.
+		corrupt bool
+	}{
+		{"truncated", corruptBody(func(b []byte) []byte { return b[:len(b)/2] }), true},
+		{"bit-flipped", corruptBody(func(b []byte) []byte { c := bytes.Clone(b); c[len(c)/2] ^= 0x10; return c }), true},
+		{"server-error", func(resp *http.Response) (*http.Response, error) {
+			resp.Body.Close()
+			return &http.Response{
+				Status: "500 Internal Server Error", StatusCode: http.StatusInternalServerError,
+				Proto: resp.Proto, ProtoMajor: resp.ProtoMajor, ProtoMinor: resp.ProtoMinor,
+				Header:  http.Header{"Content-Type": {"application/json"}},
+				Body:    io.NopCloser(strings.NewReader(`{"error":"fragment store failed"}`)),
+				Request: resp.Request,
+			}, nil
+		}, false},
+		{"connection-reset", func(resp *http.Response) (*http.Response, error) {
+			resp.Body.Close()
+			return nil, errors.New("connection reset by peer")
+		}, false},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rep := replica(t)
 			nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
 			suites := []string{"default", "internal", "contract"}
-			st := &fragmentDamage{damage: damage, seen: map[string]bool{}}
+			st := &fragmentDamage{fault: tc.fault, seen: map[string]bool{}}
 			cfg, _, out := loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper {
 				return damageFirstFetch{rt: rt, st: st}
 			})
@@ -495,7 +525,7 @@ func TestDamagedFragmentsRedispatch(t *testing.T) {
 			co, res := mustRun(t, cfg, suites...)
 
 			if st.damaged != 3 {
-				t.Fatalf("damaged %d fragments, want 3 (the even shards of 6)", st.damaged)
+				t.Fatalf("faulted %d fragment fetches, want 3 (the even shards of 6)", st.damaged)
 			}
 			for _, sh := range res.Shards {
 				if want := 1 + (sh.ID+1)%2; sh.Attempts != want {
@@ -505,7 +535,7 @@ func TestDamagedFragmentsRedispatch(t *testing.T) {
 			if got := counterSum(co, MetricRedispatch); got != 3 {
 				t.Errorf("%s = %v, want 3", MetricRedispatch, got)
 			}
-			if !strings.Contains(out.String(), core.ErrSnapshotFormat.Error()) {
+			if tc.corrupt && !strings.Contains(out.String(), core.ErrSnapshotFormat.Error()) {
 				t.Errorf("damage was not reported as an arena format error; coordinator log:\n%s", out.String())
 			}
 			if err := rep.Space.Manager().BudgetErr(); err != nil {

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"yardstick/internal/obs"
@@ -121,53 +122,61 @@ func (co *Coordinator) flushBreakerGauges() {
 	}
 }
 
-// ScrapeNode pulls one worker's /stats and ingests its metric snapshot
-// into the federation under the node's base URL. A worker that does not
-// answer leaves its previous snapshot in place to age out — failure
-// here is recorded, never fatal.
-func (co *Coordinator) scrapeNode(ctx context.Context, n *node, now time.Time) error {
+// scrapeNode pulls one worker's /stats and ingests its metric snapshot
+// into the federation under the node's base URL, stamped when the answer
+// arrived. A worker that does not answer leaves its previous snapshot in
+// place to age out — failure here is recorded, never fatal.
+func (co *Coordinator) scrapeNode(ctx context.Context, n *node) error {
 	st, err := n.c.Stats(ctx)
 	if err != nil {
 		co.metrics.Counter(MetricScrapes, "node", n.base, "outcome", "failure").Inc()
 		return err
 	}
-	co.fed.Ingest(n.base, st.Metrics, now)
+	co.fed.Ingest(n.base, st.Metrics, time.Now())
 	co.metrics.Counter(MetricScrapes, "node", n.base, "outcome", "success").Inc()
 	return nil
 }
 
-// ScrapeFleet runs one federation sweep over every node. Nodes are
-// scraped sequentially — fleet sizes here are small and the scrape
-// client already bounds each request — and failures are per-node:
-// a dead worker costs one error log, not the sweep.
+// ScrapeFleet runs one federation sweep over every node. The client sets
+// no deadline of its own, so give ctx one: it bounds each node's scrape.
+// Nodes are scraped concurrently, so a black-holed worker costs the sweep
+// at most that deadline and cannot hold back a healthy node's snapshot.
+// Failures are per-node: a dead worker costs one log line, not the sweep.
 func (co *Coordinator) ScrapeFleet(ctx context.Context) {
-	now := time.Now()
-	for _, n := range co.nodes {
-		if ctx.Err() != nil {
-			return
-		}
-		if err := co.scrapeNode(ctx, n, now); err != nil {
-			co.cfg.Logger.Info("coord: scrape failed", "node", n.base, "err", err)
-		}
+	if ctx.Err() != nil {
+		return
 	}
+	var wg sync.WaitGroup
+	for _, n := range co.nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := co.scrapeNode(ctx, n); err != nil {
+				co.cfg.Logger.Info("coord: scrape failed", "node", n.base, "err", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Federate runs the scrape loop every interval until ctx is done — the
-// coordinator's pull-based metric federation. Pair it with a metrics
-// listener serving WriteFleetMetrics. interval <= 0 means 2s.
+// coordinator's pull-based metric federation. Each sweep is bounded by
+// the interval. Pair it with a metrics listener serving
+// WriteFleetMetrics. interval <= 0 means 2s.
 func (co *Coordinator) Federate(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	co.ScrapeFleet(ctx)
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
+		sctx, cancel := context.WithTimeout(ctx, interval)
+		co.ScrapeFleet(sctx)
+		cancel()
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			co.ScrapeFleet(ctx)
 		}
 	}
 }

@@ -50,10 +50,7 @@ func TestTimelineUnderWorkerKill(t *testing.T) {
 		if base == doomed {
 			rt = killer
 		}
-		return client.New(base,
-			client.WithHTTPClient(&http.Client{Transport: rt}),
-			client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
-		)
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: rt}))
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -165,10 +162,7 @@ func TestMalformedProfilesNeverPoisonMerge(t *testing.T) {
 
 	cfg := fastCfg(nodes, chaos, rep)
 	cfg.NewClient = func(base string) *client.Client {
-		return client.New(base,
-			client.WithHTTPClient(&http.Client{Transport: corruptProfiles{chaos[base]}}),
-			client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
-		)
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: corruptProfiles{chaos[base]}}))
 	}
 	co, err := New(cfg)
 	if err != nil {
@@ -204,6 +198,13 @@ func TestMalformedProfilesNeverPoisonMerge(t *testing.T) {
 	}
 }
 
+// sweep runs one federation sweep under a deadline, as Federate does.
+func sweep(co *Coordinator) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	co.ScrapeFleet(ctx)
+}
+
 // TestFleetMetricsFederation: after a run, the coordinator's merged
 // exposition carries every worker's series under its node label plus
 // the native yardstick_coord_* families; a node that stops answering
@@ -223,7 +224,7 @@ func TestFleetMetricsFederation(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	co.ScrapeFleet(context.Background())
+	sweep(co)
 	if got := co.FederatedNodes(); len(got) != 3 {
 		t.Fatalf("federated nodes = %v, want all 3", got)
 	}
@@ -259,7 +260,7 @@ func TestFleetMetricsFederation(t *testing.T) {
 	chaos[dead].Crash()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		co.ScrapeFleet(context.Background())
+		sweep(co)
 		if got := co.FederatedNodes(); len(got) == 2 {
 			break
 		}
@@ -275,11 +276,68 @@ func TestFleetMetricsFederation(t *testing.T) {
 
 	// Revival: one successful scrape and the node is back, series intact.
 	chaos[dead].Revive()
-	co.ScrapeFleet(context.Background())
+	sweep(co)
 	if got := co.FederatedNodes(); len(got) != 3 {
 		t.Fatalf("revived node not re-federated: %v", got)
 	}
 	lintFleet()
+}
+
+// TestScrapeFleetBoundedByDeadline: a black-holed worker costs a
+// federation sweep no more than the sweep's deadline, and the healthy
+// worker scraped beside it is federated — from a direct sweep, and from
+// the Federate loop, which bounds each sweep by the scrape interval.
+func TestScrapeFleetBoundedByDeadline(t *testing.T) {
+	rep := replica(t)
+	nodes, chaos := fleet(t, 2)
+	hung, healthy := nodes[0], nodes[1]
+	chaos[hung].PHang = 1
+	chaos[hung].Rand = newSeededRand()
+	const interval = 100 * time.Millisecond
+	newCoord := func() *Coordinator {
+		co, err := New(fastCfg(nodes, chaos, rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return co
+	}
+
+	co := newCoord()
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(context.Background(), interval)
+		defer cancel()
+		co.ScrapeFleet(ctx)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a sweep over a black-holed worker outlived its deadline by seconds")
+	}
+	if took := time.Since(start); took > 10*interval {
+		t.Errorf("sweep took %v, want about its %v deadline", took, interval)
+	}
+	if got := co.FederatedNodes(); len(got) != 1 || got[0] != healthy {
+		t.Fatalf("federated nodes after a sweep = %v, want only %s", got, healthy)
+	}
+
+	co = newCoord()
+	ctx, cancel := context.WithCancel(context.Background())
+	fed := make(chan struct{})
+	go func() { defer close(fed); co.Federate(ctx, interval) }()
+	defer func() { cancel(); <-fed }()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got := co.FederatedNodes(); len(got) == 1 && got[0] == healthy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Federate never federated the healthy node: %v", co.FederatedNodes())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestCoordinatorHandler exercises the -metrics-addr surface end to
@@ -296,7 +354,7 @@ func TestCoordinatorHandler(t *testing.T) {
 	if _, err := co.Run(context.Background(), "default"); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	co.ScrapeFleet(context.Background())
+	sweep(co)
 
 	ts := httptest.NewServer(co.Handler())
 	defer ts.Close()

@@ -8,9 +8,10 @@ import (
 // Admission control: the server-side half of the backpressure contract.
 // Every rejection is explicit — a 429 or 503 carrying a Retry-After
 // hint — never a dropped connection or an unbounded pile-up on the
-// evaluation mutex. The client package's retry loop honors the hint, so
-// a saturated fleet backs off at the pace the server asks for instead
-// of in blind exponential lockstep.
+// evaluation mutex. The client package decodes the hint, and the
+// coordinator backs off by it before re-dispatching a shed shard, so a
+// saturated fleet backs off at the pace the server asks for instead of
+// in blind exponential lockstep.
 //
 // Three shedding conditions, in the order they are checked:
 //
