@@ -156,7 +156,7 @@ clustersmoke:
 	/tmp/yardstick-coord \
 		-nodes http://127.0.0.1:18081,http://127.0.0.1:18082,http://127.0.0.1:18083 \
 		-suite default,internal,contract -rounds 120 -concurrency 3 -poll 25ms \
-		-fail-threshold 2 -cooldown 1s -hedge-after 2s \
+		-fail-threshold 2 -cooldown 1s \
 		-metrics-addr 127.0.0.1:19090 -scrape-interval 250ms -profile \
 		-report cluster-report.json -v > cluster.out 2> coord.log & CPID=$$!; \
 	for i in $$(seq 1 100); do \

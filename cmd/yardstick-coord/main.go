@@ -15,14 +15,15 @@
 // BDD union — so the cluster result is bit-identical to a single-node
 // sequential run, no matter how shards were scheduled, retried, or
 // duplicated. Failed nodes trip a circuit breaker and their work is
-// re-dispatched; straggling shards can be hedged on a second node
-// (-hedge-after); when no healthy node remains the run degrades into
-// an explicit partial result instead of hanging.
+// re-dispatched; a straggling shard's attempt ends at -shard-timeout
+// and is re-dispatched too; when no healthy node remains the run
+// degrades into an explicit partial result instead of hanging.
 //
 // Exit codes mirror the yardstick CLI: 0 all tests passed and the run
 // is complete, 2 at least one test failed, 4 the run is incomplete
-// (shards failed or tests errored — the cluster could not vouch for
-// the whole suite), 1 usage or setup errors.
+// (shards failed, tests errored, or -timeout or a signal cut the run
+// short — the cluster could not vouch for the whole suite; what did
+// merge is still printed and reported), 1 usage or setup errors.
 package main
 
 import (
@@ -92,7 +93,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		shardTimeout  = fs.Duration("shard-timeout", 60*time.Second, "per-attempt deadline: submit, poll, fetch fragment")
 		attempts      = fs.Int("attempts", 3, "dispatch attempts per shard")
 		backoff       = fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubled per attempt, jittered, Retry-After honored)")
-		hedgeAfter    = fs.Duration("hedge-after", 0, "hedge a straggling shard on a second node after this long (0 = off)")
 		poll          = fs.Duration("poll", 0, "job poll interval (0 = client default)")
 		failThreshold = fs.Int("fail-threshold", 3, "consecutive failures that trip a node's circuit breaker")
 		cooldown      = fs.Duration("cooldown", 2*time.Second, "breaker open time before a half-open probe")
@@ -141,7 +141,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		ShardTimeout:     *shardTimeout,
 		MaxAttempts:      *attempts,
 		Backoff:          *backoff,
-		HedgeAfter:       *hedgeAfter,
 		Poll:             *poll,
 		FailureThreshold: *failThreshold,
 		Cooldown:         *cooldown,
@@ -173,9 +172,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
 		defer cancel()
 	}
-	res, err := co.Run(ctx, suites...)
-	if err != nil {
-		return 1, err
+	// A run cut short by -timeout or a signal still returns what it
+	// merged: report it, and hand the cancellation back with the verdict.
+	res, runErr := co.Run(ctx, suites...)
+	if res == nil {
+		return 1, runErr
 	}
 
 	fmt.Fprintf(stdout, "run %s\n", res.RunID)
@@ -217,11 +218,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		}
 	}
 
+	// The run's context may have ended; the partial table is still owed.
+	tctx := context.WithoutCancel(ctx)
 	eng := engine.New(nw, engine.Config{})
-	if err := eng.MergeTrace(ctx, res.Trace); err != nil {
+	if err := eng.MergeTrace(tctx, res.Trace); err != nil {
 		return 1, err
 	}
-	rows, err := eng.Table(ctx, "", built.Roles, "TOTAL")
+	rows, err := eng.Table(tctx, "", built.Roles, "TOTAL")
 	if err != nil {
 		return 1, err
 	}
@@ -249,11 +252,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 
 	switch {
 	case failed:
-		return 2, nil
+		return 2, runErr
 	case !res.Complete || errored:
 		// Incomplete runs and errored tests share a verdict: the cluster
 		// did not vouch for the whole suite.
-		return 4, nil
+		return 4, runErr
 	}
 	return 0, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http/httptest"
@@ -106,6 +107,47 @@ func TestCoordCLI(t *testing.T) {
 	for _, key := range []string{`"fragmentFormat": "arena"`, `"fragmentBytes"`, `"fetchMs"`, `"decodeMs"`, `"mergeMs"`, `"networkPushes"`, `"networkPushSkipped"`} {
 		if !bytes.Contains(raw, []byte(key)) {
 			t.Errorf("report JSON lacks %s", key)
+		}
+	}
+}
+
+// TestCoordCLICancelledRun: a run whose context has ended still reports
+// what it has — the shard accounting, the table and a -report listing
+// every shard, none of them done — and exits 4 (incomplete) with the
+// cancellation as its error.
+func TestCoordCLICancelledRun(t *testing.T) {
+	report := filepath.Join(t.TempDir(), "report.json")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var out, errOut bytes.Buffer
+	code, err := run(ctx, []string{
+		"-nodes", startWorker(t),
+		"-suite", "default,internal",
+		"-rounds", "2",
+		"-report", report,
+	}, &out, &errOut)
+	if code != 4 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("run = (%d, %v), want (4, context canceled)\n%s", code, err, out.String())
+	}
+	for _, want := range []string{"shards: 0/4 complete over 1 nodes", "\ncoverage:\n", "wrote run report"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+	var rep reportFile
+	raw, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatalf("report does not parse: %v", err)
+	}
+	if rep.Complete || len(rep.Shards) != 4 {
+		t.Fatalf("report complete=%v with %d shards, want incomplete with 4", rep.Complete, len(rep.Shards))
+	}
+	for _, sh := range rep.Shards {
+		if sh.Done {
+			t.Errorf("shard %+v done in a run cancelled before it started", sh)
 		}
 	}
 }

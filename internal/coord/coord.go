@@ -25,8 +25,8 @@
 //
 // Every robustness decision leans on one invariant: merging is an
 // idempotent, commutative union, so it is always safe to run a shard
-// again, anywhere. That turns retries, re-dispatch after a node dies,
-// duplicate execution after a lost response, and hedged dispatch from
+// again, anywhere. That turns retries, re-dispatch after a node dies or
+// straggles, and duplicate execution after a lost response from
 // correctness hazards into pure scheduling choices.
 //
 // Failure handling, from mildest to worst:
@@ -35,18 +35,17 @@
 //     the server's Retry-After hint and keeps polling.
 //   - Any other failed call (connection error, HTTP failure), a failed
 //     job, or a lost or damaged fragment fails its attempt at once: the
-//     client makes one round trip per call and retries nothing. This
-//     attempt loop is the fleet's one retry layer. It backs off with
-//     jittered exponential delay, stretched to a shed's Retry-After hint
-//     (capped at 5s), and re-dispatches the shard on a different node
-//     when one is available.
+//     client makes one round trip per call and retries nothing. Every
+//     attempt is one job on one node, so a straggler fails its attempt
+//     too, when ShardTimeout expires. This attempt loop is the fleet's
+//     one retry layer. It backs off with jittered exponential delay,
+//     stretched to a shed's Retry-After hint (capped at 5s), and
+//     re-dispatches the shard on a different node when one can be
+//     claimed.
 //   - A node whose attempts fail repeatedly (every failure counts) trips
 //     a circuit breaker: it stops receiving shards for a cooldown, then a
 //     single half-open probe decides whether it rejoins the rotation. Its
 //     queued work is re-dispatched to healthy nodes.
-//   - A shard whose primary dispatch lingers past HedgeAfter is hedged
-//     on a second node; first success wins, the loser is cancelled and
-//     the duplicate coverage (if any) merges to the same union.
 //   - When no healthy node remains, the run degrades gracefully: Run
 //     returns an explicit partial Result (per-shard status, Complete
 //     false) instead of an error or a hang.
@@ -103,8 +102,8 @@ type Config struct {
 
 	// ShardTimeout bounds one dispatch attempt end to end: submit, poll
 	// to terminal, download the fragment (<= 0 means 60s). The client
-	// sets no deadline of its own, so this is what turns a hung worker
-	// into a retryable failure.
+	// sets no deadline of its own, so this is what turns a hung or
+	// straggling worker into a retryable failure.
 	ShardTimeout time.Duration
 
 	// MaxAttempts bounds dispatch attempts per shard, first try
@@ -115,10 +114,6 @@ type Config struct {
 	// attempt with equal jitter; a server Retry-After hint is honored
 	// when larger (<= 0 means 100ms).
 	Backoff time.Duration
-
-	// HedgeAfter launches a second dispatch of a still-running shard on
-	// another node after this long; first success wins (0 disables).
-	HedgeAfter time.Duration
 
 	// Poll is the job poll interval (<= 0 means the client's 250ms).
 	Poll time.Duration
@@ -222,14 +217,7 @@ type node struct {
 	dispatched, succeeded, failed, sheds, trips int
 }
 
-// availableClosed claims the node if its breaker is closed.
-func (n *node) availableClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.state == stClosed
-}
-
-// stateNow returns the breaker state for the gauge flush.
+// stateNow returns the breaker state.
 func (n *node) stateNow() breakerState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -311,10 +299,10 @@ func (n *node) onShed() {
 	}
 }
 
-// onNeutral releases a claim without judging the node — the attempt was
-// cancelled by the coordinator (a hedge lost the race, or the whole run
-// was cancelled), which says nothing about node health. A half-open
-// probe rolls back to open so another probe can run.
+// onNeutral ends an attempt without judging the node — the run's
+// context ended under it, which says nothing about node health. A
+// half-open probe cut short that way rolls back to open so another probe
+// can run.
 func (n *node) onNeutral() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -340,7 +328,6 @@ type ShardStatus struct {
 	Round    int    `json:"round"`
 	Node     string `json:"node,omitempty"` // node that completed it
 	Attempts int    `json:"attempts"`
-	Hedged   bool   `json:"hedged,omitempty"`
 	Done     bool   `json:"done"`
 	Error    string `json:"error,omitempty"`
 	Fragment        // of the winning attempt
@@ -396,8 +383,8 @@ type Result struct {
 	Complete bool
 	// Trace is the merged coverage in Config.Net's space.
 	Trace *core.Trace
-	// Tests holds one result set per suite (from the first shard of
-	// that suite to finish — repeated rounds re-run identical tests).
+	// Tests holds one result set per suite, from that suite's done shard
+	// with the lowest ID (repeated rounds re-run identical tests).
 	Tests map[string][]service.RunResult
 	// Timeline is the cross-node span tree: the coordinator's own
 	// dispatch span with each shard's span — its attempts, their
@@ -533,8 +520,8 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 
 	// The merger owns the engine — and with it the coordinator's BDD
 	// space — for the whole run; dispatch workers only move bytes. It
-	// stops after the last dispatch worker has: every attempt is joined
-	// before its shard returns, so nothing sends after the close.
+	// stops after the last dispatch worker has: every attempt runs on its
+	// shard's goroutine, so nothing sends after the close.
 	// Fragments are merged one at a time — decode and union are both
 	// work for the single-threaded manager — in arrival order, which does
 	// not affect the union (it is commutative), only node numbering.
@@ -684,13 +671,9 @@ func (co *Coordinator) runShard(ctx context.Context, sh *shardRun) {
 		if attempt > 1 {
 			co.metrics.Counter(MetricRedispatch).Inc()
 		}
-		// Prefer a node other than the one that just failed this shard;
-		// fall back to any healthy node (a one-node fleet retries in
-		// place).
+		// Prefer a node other than the one that just failed this shard
+		// (a one-node fleet retries in place).
 		n := co.waitForNode(ctx, lastNode)
-		if n == nil {
-			n = co.waitForNode(ctx, nil)
-		}
 		if n == nil {
 			lastErr = errors.New("no healthy node")
 			co.cfg.Logger.Warn("coord: no healthy node for shard",
@@ -714,38 +697,20 @@ func (co *Coordinator) runShard(ctx context.Context, sh *shardRun) {
 	}
 }
 
-// waitForNode picks a node for a shard, excluding one. A tripped node
-// whose cooldown has elapsed takes priority as a half-open probe — the
-// probe IS a real shard dispatch, and it must outrank the healthy
-// nodes, or a fleet with any capacity left would never re-admit a
-// recovered node. Otherwise the closed node with the least in-flight
-// work wins. When nothing is available it waits — bounded by the
-// cooldown plus slack, so a dead fleet degrades instead of hanging.
-func (co *Coordinator) waitForNode(ctx context.Context, exclude *node) *node {
+// waitForNode claims a node for a shard, preferring any node but avoid
+// (the one that just failed it): another node if one can be claimed now,
+// else avoid itself if it can. Only when no node can be claimed does it
+// wait — bounded by the cooldown plus slack, so a dead fleet degrades
+// instead of hanging.
+func (co *Coordinator) waitForNode(ctx context.Context, avoid *node) *node {
 	deadline := time.Now().Add(co.cfg.Cooldown + co.cfg.Backoff + 50*time.Millisecond)
 	for {
-		var best *node
-		now := time.Now()
-		for _, n := range co.nodes {
-			if n != exclude && n.claimProbe(now, co.cfg.Cooldown) {
-				co.cfg.Logger.Info("coord: probing node", "node", n.base)
-				best = n
-				break
-			}
+		n := co.claim(avoid)
+		if n == nil && avoid != nil {
+			n = co.claim(nil)
 		}
-		if best == nil {
-			for _, n := range co.nodes {
-				if n == exclude || !n.availableClosed() {
-					continue
-				}
-				if best == nil || n.inflightNow() < best.inflightNow() {
-					best = n
-				}
-			}
-		}
-		if best != nil {
-			best.acquire()
-			return best
+		if n != nil {
+			return n
 		}
 		if ctx.Err() != nil || time.Now().After(deadline) {
 			return nil
@@ -759,17 +724,30 @@ func (co *Coordinator) waitForNode(ctx context.Context, exclude *node) *node {
 	}
 }
 
-// pickHedge is the non-blocking variant for hedged dispatch: a healthy
-// node other than the primary, or nothing. Hedging never waits and
-// never spends a half-open probe — probes are for recovery, not racing.
-func (co *Coordinator) pickHedge(primary *node) *node {
+// claim claims a node other than exclude without waiting, or returns
+// nil. A tripped node whose cooldown has elapsed takes priority as a
+// half-open probe — the probe IS a real shard dispatch, and it must
+// outrank the healthy nodes, or a fleet with any capacity left would
+// never re-admit a recovered node. Otherwise the closed node with the
+// least in-flight work wins.
+func (co *Coordinator) claim(exclude *node) *node {
 	var best *node
+	now := time.Now()
 	for _, n := range co.nodes {
-		if n == primary || !n.availableClosed() {
-			continue
-		}
-		if best == nil || n.inflightNow() < best.inflightNow() {
+		if n != exclude && n.claimProbe(now, co.cfg.Cooldown) {
+			co.cfg.Logger.Info("coord: probing node", "node", n.base)
 			best = n
+			break
+		}
+	}
+	if best == nil {
+		for _, n := range co.nodes {
+			if n == exclude || n.stateNow() != stClosed {
+				continue
+			}
+			if best == nil || n.inflightNow() < best.inflightNow() {
+				best = n
+			}
 		}
 	}
 	if best != nil {
@@ -778,100 +756,47 @@ func (co *Coordinator) pickHedge(primary *node) *node {
 	return best
 }
 
-// dispatch runs one attempt of a shard on a claimed primary node,
-// hedging on a second node if the primary lingers past HedgeAfter.
-// The claim on every launched node is released here, and every launched
-// attempt has returned by the time dispatch does — a hedge that lost is
-// cancelled and waited for, so no attempt outlives its shard (or the
-// run's merger).
-func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, primary *node) error {
+// dispatch runs one attempt of a shard on a claimed node, bounded by
+// ShardTimeout, then judges the node by the outcome and releases the
+// claim. A straggler's attempt times out, counts as the node's failure,
+// and runShard re-dispatches the shard, preferring another node.
+func (co *Coordinator) dispatch(ctx context.Context, sh *shardRun, n *node) error {
 	actx, cancel := context.WithTimeout(ctx, co.cfg.ShardTimeout)
 	defer cancel()
-
-	type outcome struct {
-		out shardOut
-		err error
-		n   *node
-	}
-	ch := make(chan outcome, 2)
-	var won atomic.Bool
-	launch := func(n *node) {
-		go func() {
-			asp := sh.span.Child("coord.attempt")
-			asp.SetTag("node", n.base)
-			out, err := co.attemptOn(actx, sh, n, asp)
-			verdict := ""
-			switch {
-			case err == nil:
-				verdict = "success"
-				n.onSuccess()
-			case won.Load() || ctx.Err() != nil:
-				// Cancelled by the winner or by the caller — says
-				// nothing about the node.
-				verdict = "neutral"
-				n.onNeutral()
-			default:
-				if _, shed := client.IsShed(err); shed {
-					verdict = "shed"
-					n.onShed()
-				} else {
-					verdict = "failure"
-					if n.onFailure(time.Now(), co.cfg.FailureThreshold) {
-						co.cfg.Logger.Warn("coord: breaker tripped", "node", n.base)
-					}
-				}
-			}
-			co.metrics.Counter(MetricDispatch, "node", n.base, "outcome", verdict).Inc()
-			asp.SetTag("outcome", verdict)
-			asp.End()
-			n.release()
-			ch <- outcome{out, err, n}
-		}()
-	}
-
-	launch(primary)
-	outstanding := 1
-	var hedgeC <-chan time.Time
-	if co.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(co.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var firstErr error
-	for {
-		select {
-		case o := <-ch:
-			outstanding--
-			if o.err == nil {
-				won.Store(true)
-				cancel()
-				for ; outstanding > 0; outstanding-- {
-					<-ch
-				}
-				sh.Node = o.n.base
-				sh.results = o.out.results
-				sh.workerProfile = o.out.profile
-				sh.Fragment = o.out.Fragment
-				return nil
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("node %s: %w", o.n.base, o.err)
-			}
-			if outstanding == 0 {
-				return firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if sec := co.pickHedge(primary); sec != nil {
-				sh.Hedged = true
-				co.metrics.Counter(MetricHedges).Inc()
-				co.cfg.Logger.Info("coord: hedging shard",
-					"shard", sh.ID, "suite", sh.Suite, "primary", primary.base, "hedge", sec.base)
-				outstanding++
-				launch(sec)
+	asp := sh.span.Child("coord.attempt")
+	asp.SetTag("node", n.base)
+	out, err := co.attemptOn(actx, sh, n, asp)
+	verdict := "success"
+	switch {
+	case err == nil:
+		n.onSuccess()
+	case ctx.Err() != nil:
+		// The run's context ended, which says nothing about the node.
+		verdict = "neutral"
+		n.onNeutral()
+	default:
+		if _, shed := client.IsShed(err); shed {
+			verdict = "shed"
+			n.onShed()
+		} else {
+			verdict = "failure"
+			if n.onFailure(time.Now(), co.cfg.FailureThreshold) {
+				co.cfg.Logger.Warn("coord: breaker tripped", "node", n.base)
 			}
 		}
 	}
+	co.metrics.Counter(MetricDispatch, "node", n.base, "outcome", verdict).Inc()
+	asp.SetTag("outcome", verdict)
+	asp.End()
+	n.release()
+	if err != nil {
+		return fmt.Errorf("node %s: %w", n.base, err)
+	}
+	sh.Node = n.base
+	sh.results = out.results
+	sh.workerProfile = out.profile
+	sh.Fragment = out.Fragment
+	return nil
 }
 
 // shardOut is one successful attempt's collected payload.

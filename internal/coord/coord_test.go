@@ -255,22 +255,23 @@ func TestKillWorkerMidRun(t *testing.T) {
 	requireIdentical(t, res.Trace, baseline(t, rep, suites))
 }
 
-// TestHedgedDispatch: a node that black-holes every request (accepts
-// connections, never answers) cannot stall the run for ShardTimeout —
-// the hedge launches on a healthy node after HedgeAfter and wins.
-func TestHedgedDispatch(t *testing.T) {
+// TestHungNodeRedispatch: a node that black-holes every request
+// (accepts connections, never answers) costs each shard sent to it one
+// ShardTimeout. The attempt times out, counts as that node's failure —
+// not a neutral verdict: the run is still going — and the shard is
+// re-dispatched to the healthy node.
+func TestHungNodeRedispatch(t *testing.T) {
 	rep := replica(t)
 	nodes, chaos := fleet(t, 2)
 	suites := []string{"default", "internal"}
 
 	// Node 0 hangs everything; chaos hangs resolve when the request
-	// context is cancelled, which the hedge's win triggers.
+	// context ends, which ShardTimeout forces.
 	chaos[nodes[0]].PHang = 1
 	chaos[nodes[0]].Rand = newSeededRand()
 
 	cfg := fastCfg(nodes, chaos, rep)
-	cfg.HedgeAfter = 25 * time.Millisecond
-	cfg.ShardTimeout = 30 * time.Second // only hedging can finish this fast
+	cfg.ShardTimeout = 200 * time.Millisecond
 	co, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -280,23 +281,80 @@ func TestHedgedDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	elapsed := time.Since(start)
 	if !res.Complete {
 		t.Fatalf("run incomplete: %+v", res.Shards)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("run took %v; hedging should have rescued the hung shards long before ShardTimeout", elapsed)
-	}
-	hedged := false
 	for _, sh := range res.Shards {
-		hedged = hedged || sh.Hedged
 		if sh.Node == nodes[0] {
 			t.Fatalf("shard credited to the black-holed node: %+v", sh)
 		}
 	}
-	if !hedged {
-		t.Fatalf("no shard was hedged: %+v", res.Shards)
+	if got := co.metrics.Counter(MetricDispatch, "node", nodes[0], "outcome", "neutral").Value(); got != 0 {
+		t.Errorf("hung node has %d neutral dispatches, want none", got)
+	}
+	if got := co.metrics.Counter(MetricDispatch, "node", nodes[0], "outcome", "failure").Value(); got == 0 {
+		t.Error("hung node's timed-out dispatches were not counted as failures")
 	}
 	requireIdentical(t, res.Trace, baseline(t, rep, suites))
+	if elapsed > 10*cfg.ShardTimeout {
+		t.Fatalf("run took %v, want a small multiple of ShardTimeout %v", elapsed, cfg.ShardTimeout)
+	}
+}
+
+// serverError is a worker's 500 answer to r, carrying msg.
+func serverError(r *http.Request, msg string) *http.Response {
+	return &http.Response{
+		Status: "500 Internal Server Error", StatusCode: http.StatusInternalServerError,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header:  http.Header{"Content-Type": {"application/json"}},
+		Body:    io.NopCloser(strings.NewReader(`{"error":"` + msg + `"}`)),
+		Request: r,
+	}
+}
+
+// failFirstSubmit answers the first job submission with a 500 and
+// passes every other request through.
+type failFirstSubmit struct{ seen atomic.Int32 }
+
+func (f *failFirstSubmit) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost && r.URL.Path == "/jobs" && f.seen.Add(1) == 1 {
+		return serverError(r, "submit failed"), nil
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestOneNodeRetryDoesNotWait: in a one-node fleet the node that failed
+// a shard is the only one that can take its retry. Preferring another
+// node must not mean waiting for one that cannot appear: with the
+// default cooldown and backoff the retry starts after its backoff, not
+// after the ~2 s a blocking preference would idle first.
+func TestOneNodeRetryDoesNotWait(t *testing.T) {
+	rep := replica(t)
+	ts := startWorker(t)
+	co, err := New(Config{
+		Nodes: []string{ts.URL},
+		Net:   rep,
+		NewClient: func(base string) *client.Client {
+			return client.New(base, client.WithHTTPClient(&http.Client{Transport: &failFirstSubmit{}}))
+		},
+		Poll: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := co.Run(context.Background(), "default")
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	elapsed := time.Since(start)
+	if !res.Complete || res.Shards[0].Attempts != 2 {
+		t.Fatalf("shards = %+v, want one complete shard after 2 attempts", res.Shards)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("run took %v, want under 1s: the retry waited for a node other than the only one", elapsed)
+	}
 }
 
 // TestAllNodesDownDegrades: with every node dead the run neither errors
@@ -470,13 +528,7 @@ type failPolls struct {
 
 func (f *failPolls) RoundTrip(r *http.Request) (*http.Response, error) {
 	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/jobs/") && strings.Count(r.URL.Path, "/") == 2 {
-		return &http.Response{
-			Status: "500 Internal Server Error", StatusCode: http.StatusInternalServerError,
-			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-			Header:  http.Header{"Content-Type": {"application/json"}},
-			Body:    io.NopCloser(strings.NewReader(`{"error":"poll failed"}`)),
-			Request: r,
-		}, nil
+		return serverError(r, "poll failed"), nil
 	}
 	resp, err := http.DefaultTransport.RoundTrip(r)
 	if err != nil || r.Method != http.MethodPost || r.URL.Path != "/jobs" {

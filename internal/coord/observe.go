@@ -5,7 +5,7 @@
 // whole, so it exposes two views at once from a single /metrics:
 //
 //   - Native series (yardstick_coord_*): dispatch outcomes per node,
-//     re-dispatches, hedges, breaker states, per-suite shard latency,
+//     re-dispatches, breaker states, per-suite shard latency,
 //     fragment bytes by encoding, network pushes made and skipped,
 //     federation health. These live in a normal obs.Registry.
 //
@@ -42,13 +42,11 @@ import (
 // Coordinator-native metric names.
 const (
 	// MetricDispatch counts dispatch attempts by node and outcome
-	// (success, failure, shed, neutral — neutral is a cancelled attempt
-	// that says nothing about the node).
+	// (success, failure, shed, neutral — neutral is an attempt the run's
+	// cancellation cut short, which says nothing about the node).
 	MetricDispatch = "yardstick_coord_dispatch_total"
 	// MetricRedispatch counts shard attempts beyond each shard's first.
 	MetricRedispatch = "yardstick_coord_redispatch_total"
-	// MetricHedges counts hedged (duplicate, racing) dispatches.
-	MetricHedges = "yardstick_coord_hedge_total"
 	// MetricBreakerState gauges each node's breaker: 0 closed, 1
 	// half-open, 2 open.
 	MetricBreakerState = "yardstick_coord_breaker_state"
@@ -82,7 +80,6 @@ const (
 func registerCoordHelp(r *obs.Registry) {
 	r.SetHelp(MetricDispatch, "Shard dispatch attempts, by node and outcome")
 	r.SetHelp(MetricRedispatch, "Shard attempts beyond the first")
-	r.SetHelp(MetricHedges, "Hedged (racing duplicate) dispatches")
 	r.SetHelp(MetricBreakerState, "Per-node breaker state: 0 closed, 1 half-open, 2 open")
 	r.SetHelp(MetricShardDuration, "Completed shard latency, by suite")
 	r.SetHelp(MetricFragmentBytes, "Shard fragment bytes fetched from workers, by encoding")
@@ -211,13 +208,13 @@ func (co *Coordinator) FederatedNodes() []string {
 }
 
 // CoordStats is the coordinator's GET /stats body: per-node breaker
-// accounting plus federation membership.
+// accounting plus federation membership. Metric series are served by
+// /metrics alone.
 type CoordStats struct {
 	Nodes []NodeReport `json:"nodes"`
 	// Federated lists the worker nodes whose metrics are currently
 	// (non-stale) part of the fleet view.
-	Federated []string     `json:"federated"`
-	Metrics   []obs.Metric `json:"metrics"`
+	Federated []string `json:"federated"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -230,7 +227,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // cmd/yardstick-coord mounts on -metrics-addr:
 //
 //	GET /metrics  merged native + federated exposition
-//	GET /stats    JSON: node reports, federation membership, metrics
+//	GET /stats    JSON: node reports, federation membership
 //	GET /healthz  liveness
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -242,7 +239,6 @@ func (co *Coordinator) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, CoordStats{
 			Nodes:     co.NodeReports(),
 			Federated: co.FederatedNodes(),
-			Metrics:   co.FleetMetrics(),
 		})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -58,8 +58,8 @@ func TestTraceTransferTo(t *testing.T) {
 
 // TestMergeIdempotent: merge(T, T) == T, and folding the same fragment
 // in any number of times changes nothing — the invariant that makes the
-// distributed coordinator's retries, re-dispatch, duplicate execution,
-// and hedged dispatch all safe.
+// distributed coordinator's retries, re-dispatch and duplicate
+// execution all safe.
 func TestMergeIdempotent(t *testing.T) {
 	cn := buildChain(t)
 	sp := cn.n.Space

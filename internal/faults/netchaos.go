@@ -30,7 +30,8 @@ const (
 	// cancelled — a black-holed connection that never answers.
 	FaultHang
 	// FaultSlow delays the response by the transport's Delay — a
-	// straggler node, the case hedged dispatch exists for.
+	// straggler node, whose attempt a coordinator ends at its shard
+	// timeout and re-dispatches.
 	FaultSlow
 	// FaultError500 synthesizes a 500 response without reaching the
 	// server — a crashing frontend or a broken proxy.
