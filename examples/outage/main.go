@@ -8,10 +8,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
 	"net/netip"
+	"slices"
 
 	"yardstick"
 )
@@ -80,8 +82,9 @@ func main() {
 	fmt.Printf("  rule coverage on B2: %.0f%%  <-- lower than its symmetric twin!\n", 100*b2Rule)
 
 	fmt.Println("\nuncovered rules on B2:")
-	for origin, count := range yardstick.UncoveredByOrigin(cov, yardstick.RulesOfDevices(net, []yardstick.DeviceID{b2.ID})) {
-		fmt.Printf("  %-10s %d\n", origin, count)
+	uncovered := yardstick.UncoveredByOrigin(cov, yardstick.RulesOfDevices(net, []yardstick.DeviceID{b2.ID}))
+	for _, origin := range sortedKeys(uncovered) {
+		fmt.Printf("  %-10s %d\n", origin, uncovered[origin])
 	}
 	fmt.Println("no test packet ever uses B2's default route — exactly the rule that is null-routed.")
 
@@ -108,4 +111,15 @@ func main() {
 	for _, f := range res.Failures {
 		fmt.Printf("  %s: %s\n", net.Device(f.Device).Name, f.Detail)
 	}
+}
+
+// sortedKeys returns m's keys in ascending order, so a breakdown prints
+// the same on every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -121,8 +121,9 @@ func (co *Coordinator) flushBreakerGauges() {
 
 // scrapeNode pulls one worker's /stats and ingests its metric snapshot
 // into the federation under the node's base URL, stamped when the answer
-// arrived. A worker that does not answer leaves its previous snapshot in
-// place to age out — failure here is recorded, never fatal.
+// arrived. A worker that does not answer, or whose snapshot does not
+// decode (an older worker's string-encoded labels), leaves its previous
+// snapshot in place to age out — failure here is recorded, never fatal.
 func (co *Coordinator) scrapeNode(ctx context.Context, n *node) error {
 	st, err := n.c.Stats(ctx)
 	if err != nil {

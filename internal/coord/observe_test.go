@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"yardstick/internal/client"
+	"yardstick/internal/faults"
 	"yardstick/internal/obs"
 	"yardstick/internal/promlint"
 )
@@ -281,6 +282,32 @@ func TestFleetMetricsFederation(t *testing.T) {
 		t.Fatalf("revived node not re-federated: %v", got)
 	}
 	lintFleet()
+}
+
+// TestScrapeRejectsOldSnapshot: a worker whose /stats still sends each
+// series' labels as one escaped string fails its scrape — counted under
+// outcome="failure" — and joins no fleet view; the current worker beside
+// it is federated.
+func TestScrapeRejectsOldSnapshot(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"metrics":[{"name":"yardstick_jobs_running","type":"gauge","labels":"k=\"v\"","value":1}]}`)
+	}))
+	defer old.Close()
+	nodes, chaos := fleet(t, 1)
+	nodes = append(nodes, old.URL)
+	chaos[old.URL] = &faults.ChaosTransport{}
+	co, err := New(fastCfg(nodes, chaos, replica(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep(co)
+	if got := co.FederatedNodes(); len(got) != 1 || got[0] != nodes[0] {
+		t.Fatalf("federated nodes = %v, want only %s", got, nodes[0])
+	}
+	if got := co.Metrics().Counter(MetricScrapes, "node", old.URL, "outcome", "failure").Value(); got != 1 {
+		t.Errorf("old worker's failed scrapes = %d, want 1", got)
+	}
 }
 
 // TestScrapeFleetBoundedByDeadline: a black-holed worker costs a

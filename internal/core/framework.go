@@ -105,7 +105,6 @@ func PathMeasure(c *Coverage, g GuardedString) float64 {
 	if len(g.Rules) == 0 {
 		return 0
 	}
-	sp := c.Net.Space
 	first := c.Net.Rule(g.Rules[0])
 	ref := first.MatchSet()
 	if g.Guard.Space() != nil {
@@ -138,28 +137,15 @@ func PathMeasure(c *Coverage, g GuardedString) float64 {
 			minRatio = ratio
 		}
 		// Apply the rule's action to both sequences.
-		cur = applyAction(sp, rule, cur)
-		ref = applyAction(sp, rule, ref)
+		if rule.Action.Kind == netmodel.ActForward {
+			cur = rule.Action.Transform.Apply(cur)
+			ref = rule.Action.Transform.Apply(ref)
+		}
 	}
 	if transforms {
 		return minRatio
 	}
 	return ratio
-}
-
-func applyAction(sp *hdr.Space, rule *netmodel.Rule, s hdr.Set) hdr.Set {
-	if rule.Action.Kind != netmodel.ActForward {
-		return s
-	}
-	if tr := rule.Action.Transform; tr != nil {
-		if tr.RewriteDst {
-			s = s.RewriteDstIP(tr.Addr)
-		}
-		if tr.RewriteSrc {
-			s = s.RewriteSrcIP(tr.Addr)
-		}
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------

@@ -100,10 +100,7 @@ func ApplyDevice(net *netmodel.Network, dev netmodel.DeviceID, p hdr.Set) Device
 		claimed = claimed.Union(hit)
 		rh := RuleHit{Rule: r, Pkts: hit}
 		if r.Action.Kind == netmodel.ActForward {
-			out := hit
-			if tr := r.Action.Transform; tr != nil {
-				out = applyTransform(out, tr)
-			}
+			out := r.Action.Transform.Apply(hit)
 			for _, ifid := range r.Action.OutIfaces {
 				ifc := net.Iface(ifid)
 				em := Emission{OutIface: ifid, Pkts: out}
@@ -120,16 +117,6 @@ func ApplyDevice(net *netmodel.Network, dev netmodel.DeviceID, p hdr.Set) Device
 	}
 	res.NoRoute = permitted.Diff(claimed)
 	return res
-}
-
-func applyTransform(s hdr.Set, tr *netmodel.Transform) hdr.Set {
-	if tr.RewriteDst {
-		s = s.RewriteDstIP(tr.Addr)
-	}
-	if tr.RewriteSrc {
-		s = s.RewriteSrcIP(tr.Addr)
-	}
-	return s
 }
 
 // Reachability is the result of a symbolic network traversal.
@@ -212,9 +199,7 @@ func (f *flood) act(dev netmodel.DeviceID, a netmodel.Action, hit hdr.Set) {
 	case netmodel.ActDeliver:
 		f.res.Delivered[dev] = unionInto(f.net, f.res.Delivered[dev], hit)
 	case netmodel.ActForward:
-		if tr := a.Transform; tr != nil {
-			hit = applyTransform(hit, tr)
-		}
+		hit = a.Transform.Apply(hit)
 		for _, ifid := range a.OutIfaces {
 			ifc := f.net.Iface(ifid)
 			if ifc.Peer == netmodel.NoIface {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -323,40 +324,52 @@ func profiled(t *testing.T, ctx context.Context, reg *obs.Registry, cfg ChangeCo
 // TestProfileSpanTree: a run under a span yields a closed pipeline.run
 // subtree whose stage spans cover its wall time, with BDD counters
 // settled into the registry.
+//
+// Only setup runs outside the before and after stages. A loaded host
+// can deschedule the process between spans, which only ever adds
+// unaccounted time, so the claim is checked on the least unaccounted
+// share of three runs.
 func TestProfileSpanTree(t *testing.T) {
-	reg := obs.NewRegistry()
-	start := time.Now()
-	root, _, err := profiled(t, bg, reg, ChangeConfig{
-		Before: regionalBuilder(smallOpts),
-		After:  regionalBuilder(smallOpts),
-		Suite:  changeSuite(),
-	})
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if open := openSpans(root.Profile()); open != 0 {
-		t.Errorf("open spans = %d, want 0", open)
-	}
-	run := root.Children()[0]
-	if d := run.Duration(); d > wall {
-		t.Errorf("pipeline.run span %v exceeds wall time %v", d, wall)
-	}
-	// The before+after stage spans must account for (nearly) the whole
-	// run: only setup runs outside them.
-	var stages time.Duration
-	names := map[string]int{}
-	run.Profile().Walk(func(_ int, sp *obs.SpanProfile) {
-		names[sp.Name]++
-		if sp.Name == "before" || sp.Name == "after" {
-			stages += sp.Duration()
+	var (
+		reg   *obs.Registry
+		names = map[string]int{}
+		gaps  []string
+		fits  bool
+	)
+	for range 3 {
+		reg = obs.NewRegistry()
+		start := time.Now()
+		root, _, err := profiled(t, bg, reg, ChangeConfig{
+			Before: regionalBuilder(smallOpts),
+			After:  regionalBuilder(smallOpts),
+			Suite:  changeSuite(),
+		})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if stages > run.Duration() {
-		t.Errorf("stage spans %v exceed pipeline.run %v", stages, run.Duration())
+		if open := openSpans(root.Profile()); open != 0 {
+			t.Errorf("open spans = %d, want 0", open)
+		}
+		run := root.Children()[0]
+		if d := run.Duration(); d > wall {
+			t.Errorf("pipeline.run span %v exceeds wall time %v", d, wall)
+		}
+		var stages time.Duration
+		run.Profile().Walk(func(_ int, sp *obs.SpanProfile) {
+			names[sp.Name]++
+			if sp.Name == "before" || sp.Name == "after" {
+				stages += sp.Duration()
+			}
+		})
+		if stages > run.Duration() {
+			t.Errorf("stage spans %v exceed pipeline.run %v", stages, run.Duration())
+		}
+		fits = fits || run.Duration()-stages <= run.Duration()/10+time.Millisecond
+		gaps = append(gaps, fmt.Sprintf("%v of %v", run.Duration()-stages, run.Duration()))
 	}
-	if run.Duration()-stages > run.Duration()/10+time.Millisecond {
-		t.Errorf("stages %v leave too much of pipeline.run %v unaccounted", stages, run.Duration())
+	if !fits {
+		t.Errorf("stages leave too much of pipeline.run unaccounted in every run: %s", strings.Join(gaps, ", "))
 	}
 	for _, want := range []string{"pipeline.run", "before", "after", "pipeline.build", "pipeline.suite", "pipeline.coverage", "pipeline.paths"} {
 		if names[want] == 0 {

@@ -81,6 +81,21 @@ type Transform struct {
 	Addr       netip.Addr
 }
 
+// Apply returns s with the transform's rewrites applied; a nil transform
+// returns s unchanged.
+func (t *Transform) Apply(s hdr.Set) hdr.Set {
+	if t == nil {
+		return s
+	}
+	if t.RewriteDst {
+		s = s.RewriteDstIP(t.Addr)
+	}
+	if t.RewriteSrc {
+		s = s.RewriteSrcIP(t.Addr)
+	}
+	return s
+}
+
 // Action is what a rule does to matched packets.
 type Action struct {
 	Kind      ActionKind

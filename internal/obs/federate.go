@@ -22,7 +22,7 @@
 package obs
 
 import (
-	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -44,7 +44,7 @@ type Federation struct {
 }
 
 type nodeSnapshot struct {
-	metrics []Metric // node label already injected, sorted
+	metrics []Metric // node label set on each series
 	at      time.Time
 }
 
@@ -62,41 +62,43 @@ func NewFederation(maxAge time.Duration) *Federation {
 // and recording now as the scrape time. A series that would not render
 // as valid exposition (see renderable) is dropped: Prometheus rejects a
 // whole scrape for one bad line, so one worker's corrupt series must not
-// take the fleet view down. The input slice is not retained.
+// take the fleet view down. Neither ms nor its label maps are retained
+// or modified.
 func (f *Federation) Ingest(node string, ms []Metric, now time.Time) {
 	if f == nil {
 		return
 	}
 	tagged := make([]Metric, 0, len(ms))
 	for _, m := range ms {
-		sig, err := InjectLabel(m.Labels, "node", node)
-		if err != nil || !renderable(m) {
+		if !renderable(m) {
 			continue
 		}
-		m.Labels = sig
+		labels := make(map[string]string, len(m.Labels)+1)
+		maps.Copy(labels, m.Labels)
+		labels["node"] = node
+		m.Labels = labels
 		// Buckets alias the caller's slice but snapshots are value-built per
 		// scrape and never mutated after ingest.
 		tagged = append(tagged, m)
 	}
-	sort.Slice(tagged, func(i, j int) bool {
-		if tagged[i].Name != tagged[j].Name {
-			return tagged[i].Name < tagged[j].Name
-		}
-		return tagged[i].Labels < tagged[j].Labels
-	})
 	f.mu.Lock()
 	f.nodes[node] = &nodeSnapshot{metrics: tagged, at: now}
 	f.mu.Unlock()
 }
 
-// renderable reports whether a series with parseable labels writes as
-// valid exposition: a metric name Prometheus accepts, one of the types a
-// Registry exports, and for a histogram ascending bucket edges ending at
-// +Inf, cumulative counts, a _count equal to the +Inf bucket and no `le`
+// renderable reports whether a series writes as valid exposition: a
+// metric name and label names Prometheus accepts, one of the types a
+// Registry exports, and for a histogram finite ascending bucket edges,
+// cumulative counts no greater than Count (the +Inf bucket) and no `le`
 // label of its own (the bucket lines add it).
 func renderable(m Metric) bool {
 	if !validName(m.Name, true) {
 		return false
+	}
+	for k := range m.Labels {
+		if !validName(k, false) {
+			return false
+		}
 	}
 	switch m.Type {
 	case "counter", "gauge":
@@ -105,22 +107,17 @@ func renderable(m Metric) bool {
 	default:
 		return false
 	}
-	bs := m.Buckets
-	if len(bs) == 0 || !math.IsInf(bs[len(bs)-1].LE, 1) || bs[len(bs)-1].Count != m.Count {
+	if _, ok := m.Labels["le"]; ok {
 		return false
 	}
-	for i := 1; i < len(bs); i++ {
-		if !(bs[i-1].LE < bs[i].LE) || bs[i].Count < bs[i-1].Count {
+	prev := Bucket{LE: math.Inf(-1)}
+	for _, b := range m.Buckets {
+		if !(prev.LE < b.LE && b.LE < math.Inf(1)) || b.Count < prev.Count {
 			return false
 		}
+		prev = b
 	}
-	pairs, _ := ParseLabelSig(m.Labels)
-	for _, p := range pairs {
-		if p[0] == "le" {
-			return false
-		}
-	}
-	return true
+	return prev.Count <= m.Count
 }
 
 // validName reports whether s is a Prometheus metric name
@@ -158,7 +155,7 @@ func (f *Federation) Nodes(now time.Time) []string {
 }
 
 // Snapshot returns every fresh node's series merged into one list,
-// sorted by metric name then label signature. Stale nodes contribute
+// sorted by metric name then rendered labels. Stale nodes contribute
 // nothing; they are also pruned from the store so a long-dead fleet
 // doesn't pin memory.
 func (f *Federation) Snapshot(now time.Time) []Metric {
@@ -179,111 +176,8 @@ func (f *Federation) Snapshot(now time.Time) []Metric {
 	return merged
 }
 
-// Label signature surgery ----------------------------------------------
-//
-// Rendered signatures are the registry's canonical `k="v",k2="v2"` form
-// with Prometheus escaping applied. The federation needs to add one
-// label to an already-rendered signature without a lossy
-// unescape/re-escape round trip, so these helpers parse the raw escaped
-// pairs and splice in place.
-
-// ParseLabelSig splits a rendered signature into its raw (still
-// escaped) key/value pairs. Returns an error on any input that would not
-// render as a valid label block — a malformed pair, an invalid or
-// repeated label name, an escape other than \\, \" and \n, or a raw
-// newline — so a corrupt scrape can be rejected rather than silently
-// mangled.
-func ParseLabelSig(sig string) ([][2]string, error) {
-	if sig == "" {
-		return nil, nil
-	}
-	var pairs [][2]string
-	i := 0
-	for i < len(sig) {
-		eq := strings.Index(sig[i:], `="`)
-		if eq < 0 {
-			return nil, fmt.Errorf("obs: malformed label signature %q", sig)
-		}
-		key := sig[i : i+eq]
-		if !validName(key, false) {
-			return nil, fmt.Errorf("obs: invalid label name %q in %q", key, sig)
-		}
-		for _, p := range pairs {
-			if p[0] == key {
-				return nil, fmt.Errorf("obs: duplicate label %q in %q", key, sig)
-			}
-		}
-		j := i + eq + 2 // first byte of the value
-		v := j
-		for {
-			if v >= len(sig) || sig[v] == '\n' {
-				return nil, fmt.Errorf("obs: unterminated label value in %q", sig)
-			}
-			if sig[v] == '\\' {
-				if v+1 >= len(sig) || !strings.ContainsRune(`\"n`, rune(sig[v+1])) {
-					return nil, fmt.Errorf("obs: invalid escape in label value of %q", sig)
-				}
-				v += 2
-				continue
-			}
-			if sig[v] == '"' {
-				break
-			}
-			v++
-		}
-		pairs = append(pairs, [2]string{key, sig[j:v]})
-		i = v + 1
-		if i < len(sig) {
-			if sig[i] != ',' {
-				return nil, fmt.Errorf("obs: malformed label signature %q", sig)
-			}
-			i++
-		}
-	}
-	return pairs, nil
-}
-
-// renderRawSig renders raw (already escaped) pairs back into the
-// canonical sorted signature.
-func renderRawSig(pairs [][2]string) string {
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	var b strings.Builder
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p[0])
-		b.WriteString(`="`)
-		b.WriteString(p[1])
-		b.WriteByte('"')
-	}
-	return b.String()
-}
-
-// InjectLabel returns sig with key set to value (escaped), replacing an
-// existing key of the same name and keeping the signature canonically
-// sorted. A signature ParseLabelSig rejects is an error.
-func InjectLabel(sig, key, value string) (string, error) {
-	pairs, err := ParseLabelSig(sig)
-	if err != nil {
-		return "", err
-	}
-	esc := escapeLabel(value)
-	replaced := false
-	for i := range pairs {
-		if pairs[i][0] == key {
-			pairs[i][1] = esc
-			replaced = true
-		}
-	}
-	if !replaced {
-		pairs = append(pairs, [2]string{key, esc})
-	}
-	return renderRawSig(pairs), nil
-}
-
 // MergeMetrics merges several sorted-or-not metric snapshots into one
-// list sorted by name then label signature. Conflicts are dropped, not
+// list sorted by name then rendered labels. Conflicts are dropped, not
 // guessed at: if two sources disagree on a family's type, the later
 // source's series for that family are dropped; if two sources export
 // the identical (name, labels) series, the later duplicate is dropped;
@@ -292,41 +186,49 @@ func InjectLabel(sig, key, value string) (string, error) {
 // counts dropped series so the caller can surface the conflict as a
 // metric instead of double-reporting.
 func MergeMetrics(snaps ...[]Metric) ([]Metric, int) {
+	type series struct {
+		m   Metric
+		sig string // renderLabels(m.Labels)
+	}
 	types := map[string]string{}
 	seen := map[string]bool{}
 	dropped := 0
-	var out []Metric
+	var all []series
 	for _, snap := range snaps {
 		for _, m := range snap {
 			if t, ok := types[m.Name]; ok && t != m.Type {
 				dropped++
 				continue
 			}
-			key := m.Name + "\x00" + m.Labels
+			sig := renderLabels(m.Labels)
+			key := m.Name + "\x00" + sig
 			if seen[key] {
 				dropped++
 				continue
 			}
 			types[m.Name] = m.Type
 			seen[key] = true
-			out = append(out, m)
+			all = append(all, series{m, sig})
 		}
 	}
-	kept := out[:0]
-	for _, m := range out {
-		if shadowsHistogram(m.Name, types) {
+	kept := all[:0]
+	for _, s := range all {
+		if shadowsHistogram(s.m.Name, types) {
 			dropped++
 			continue
 		}
-		kept = append(kept, m)
+		kept = append(kept, s)
 	}
-	out = kept
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+	sort.Slice(kept, func(i, j int) bool {
+		if kept[i].m.Name != kept[j].m.Name {
+			return kept[i].m.Name < kept[j].m.Name
 		}
-		return out[i].Labels < out[j].Labels
+		return kept[i].sig < kept[j].sig
 	})
+	out := make([]Metric, len(kept))
+	for i, s := range kept {
+		out[i] = s.m
+	}
 	return out, dropped
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -33,18 +32,9 @@ func TestFederationNodeLabel(t *testing.T) {
 	// different nodes must not collide.
 	counters := map[string]float64{}
 	for _, m := range snap {
-		pairs, err := ParseLabelSig(m.Labels)
-		if err != nil {
-			t.Fatalf("series %s has unparseable labels %q: %v", m.Name, m.Labels, err)
-		}
-		node := ""
-		for _, p := range pairs {
-			if p[0] == "node" {
-				node = p[1]
-			}
-		}
+		node := m.Labels["node"]
 		if node == "" {
-			t.Errorf("series %s{%s} missing node label", m.Name, m.Labels)
+			t.Errorf("series %s%v missing node label", m.Name, m.Labels)
 		}
 		if m.Name == "yardstick_http_requests_total" {
 			counters[node] = m.Value
@@ -88,8 +78,8 @@ func TestFederationStaleness(t *testing.T) {
 		t.Fatalf("nodes after aging = %v, want [alive]", got)
 	}
 	for _, m := range fed.Snapshot(t1) {
-		if strings.Contains(m.Labels, `node="dead"`) {
-			t.Fatalf("stale node's series still exposed: %s{%s}", m.Name, m.Labels)
+		if m.Labels["node"] == "dead" {
+			t.Fatalf("stale node's series still exposed: %s%v", m.Name, m.Labels)
 		}
 	}
 
@@ -103,67 +93,126 @@ func TestFederationStaleness(t *testing.T) {
 	}
 }
 
-func TestParseLabelSig(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c", "path", `with"quote`, "esc", "back\\slash", "nl", "a\nb").Inc()
-	sig := reg.Snapshot()[0].Labels
-
-	pairs, err := ParseLabelSig(sig)
+// wire round-trips a snapshot through JSON, as GET /stats carries it.
+func wire(t testing.TB, ms []Metric) []Metric {
+	t.Helper()
+	data, err := json.Marshal(ms)
 	if err != nil {
-		t.Fatalf("canonical sig %q failed to parse: %v", sig, err)
+		t.Fatal(err)
 	}
-	if len(pairs) != 3 {
-		t.Fatalf("pairs = %v", pairs)
+	var out []Metric
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
 	}
-	// Parsing must be the inverse of rendering: re-rendering reproduces
-	// the signature byte for byte.
-	if got := renderRawSig(pairs); got != sig {
-		t.Errorf("re-rendered %q != original %q", got, sig)
-	}
+	return out
+}
 
-	for _, bad := range []string{
-		`x`, `="v"`, `k="unterminated`, `k="v"x="y"`,
-		`a b="x"`, `0k="v"`, `k:x="v"`, `k="v",k="w"`, `k="a\q"`, `k="a\`, "k=\"a\nb\"",
-	} {
-		if _, err := ParseLabelSig(bad); err == nil {
-			t.Errorf("ParseLabelSig(%q) accepted malformed input", bad)
-		}
+// exposition writes ms and fails the test unless promlint accepts it.
+func exposition(t testing.TB, help map[string]string, ms []Metric) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WritePrometheusMetrics(&buf, help, ms); err != nil {
+		t.Fatal(err)
+	}
+	if issues := promlint.Lint(bytes.NewReader(buf.Bytes())); len(issues) > 0 {
+		t.Fatalf("exposition is not promlint-clean: %v\n%s", issues, buf.Bytes())
+	}
+	return buf.String()
+}
+
+// TestSnapshotWireRoundTrip: a snapshot that crosses the wire as JSON
+// writes the same exposition bytes as the registry it came from — raw
+// label values (quote, backslash, newline) and histograms (finite
+// buckets, +Inf from Count) survive the trip.
+func TestSnapshotWireRoundTrip(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c", "path", `with"quote`, "esc", `back\slash`, "nl", "a\nb").Inc()
+	reg.Histogram("h", []float64{0.5, 1}, "stage", "eval").Observe(3)
+	var want strings.Builder
+	if err := reg.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	got := exposition(t, reg.Help(), wire(t, reg.Snapshot()))
+	if got != want.String() {
+		t.Errorf("wire round trip changed the exposition:\n--- got ---\n%s--- want ---\n%s", got, want.String())
 	}
 }
 
-func TestInjectLabel(t *testing.T) {
-	cases := []struct{ sig, want string }{
-		{"", `node="n1"`},
-		{`route="/run"`, `node="n1",route="/run"`},
-		{`node="old",route="/run"`, `node="n1",route="/run"`}, // override wins
-		{`zzz="1"`, `node="n1",zzz="1"`},                      // sorted splice
+// TestIngestNodeLabel: Ingest sets node on every series it keeps —
+// overriding a worker's own node label, leaving the caller's maps alone
+// — and drops a series the exposition cannot carry: a bad label name, a
+// histogram's own le, a bucket above the +Inf count.
+func TestIngestNodeLabel(t *testing.T) {
+	own := map[string]string{"node": "old", "zzz": "1"}
+	fed := NewFederation(time.Minute)
+	now := time.Now()
+	fed.Ingest(`n"1`, []Metric{
+		{Name: "a", Type: "counter", Value: 1},
+		{Name: "b", Type: "counter", Labels: own, Value: 2},
+		{Name: "c", Type: "counter", Labels: map[string]string{"a b": "x"}, Value: 3},
+		{Name: "d", Type: "counter", Labels: map[string]string{"0k": "v"}, Value: 4},
+		{Name: "e", Type: "histogram", Labels: map[string]string{"le": "1"}, Count: 1},
+		{Name: "f", Type: "histogram", Count: 1, Buckets: []Bucket{{LE: 1, Count: 2}}},
+	}, now)
+	if own["node"] != "old" || len(own) != 2 {
+		t.Errorf("Ingest modified the caller's labels: %v", own)
 	}
-	for _, c := range cases {
-		if got, err := InjectLabel(c.sig, "node", "n1"); err != nil || got != c.want {
-			t.Errorf("InjectLabel(%q) = (%q, %v), want %q", c.sig, got, err, c.want)
+	want := `# HELP a a
+# TYPE a counter
+a{node="n\"1"} 1
+# HELP b b
+# TYPE b counter
+b{node="n\"1",zzz="1"} 2
+`
+	if got := exposition(t, nil, fed.Snapshot(now)); got != want {
+		t.Errorf("federated exposition:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestFederatedLabelEscapedOnce: a worker label value holding a
+// backslash, a quote and a newline crosses the wire raw and is escaped
+// exactly once, in the fleet exposition.
+func TestFederatedLabelEscapedOnce(t *testing.T) {
+	worker := NewRegistry()
+	worker.Counter("yardstick_http_requests_total", "route", "a\\b\"c\nd").Add(2)
+	fed := NewFederation(time.Minute)
+	now := time.Now()
+	fed.Ingest("n1", wire(t, worker.Snapshot()), now)
+	out := exposition(t, nil, fed.Snapshot(now))
+	if want := `yardstick_http_requests_total{node="n1",route="a\\b\"c\nd"} 2` + "\n"; !strings.Contains(out, want) {
+		t.Errorf("exposition lacks %q:\n%s", want, out)
+	}
+}
+
+// TestOldSnapshotRejected: a snapshot from a worker that still sends
+// labels as one escaped string, or a "+Inf" bucket edge, does not
+// decode — the coordinator counts a failed scrape instead of federating
+// a guess.
+func TestOldSnapshotRejected(t *testing.T) {
+	for _, body := range []string{
+		`[{"name":"m","type":"counter","labels":"k=\"v\"","value":1}]`,
+		`[{"name":"h","type":"histogram","count":1,"buckets":[{"le":"+Inf","count":1}]}]`,
+	} {
+		var ms []Metric
+		if err := json.Unmarshal([]byte(body), &ms); err == nil {
+			t.Errorf("old snapshot %s decoded to %+v", body, ms)
 		}
-	}
-	// A corrupt signature is an error: the caller drops the series.
-	if got, err := InjectLabel("corrupt", "node", "n1"); err == nil {
-		t.Errorf("InjectLabel(corrupt) = %q, want an error", got)
-	}
-	// Values needing escapes must come out in canonical escaped form.
-	if got, _ := InjectLabel("", "node", `a"b`); got != `node="a\"b"` {
-		t.Errorf("escaped inject = %q", got)
 	}
 }
 
 func TestMergeMetrics(t *testing.T) {
+	na := map[string]string{"node": "a"}
+	nb := map[string]string{"node": "b"}
 	a := []Metric{
-		{Name: "m", Type: "counter", Labels: `node="a"`, Value: 1},
-		{Name: "zz", Type: "gauge", Labels: "", Value: 5},
+		{Name: "m", Type: "counter", Labels: na, Value: 1},
+		{Name: "zz", Type: "gauge", Value: 5},
 	}
 	b := []Metric{
-		{Name: "m", Type: "counter", Labels: `node="b"`, Value: 2},
-		{Name: "m", Type: "counter", Labels: `node="a"`, Value: 9}, // duplicate series
-		{Name: "zz", Type: "counter", Labels: `x="1"`, Value: 3},   // type conflict
-		{Name: "h", Type: "histogram", Labels: `node="b"`, Count: 0, Buckets: []Bucket{{LE: math.Inf(1)}}},
-		{Name: "h_count", Type: "gauge", Labels: `node="b"`, Value: 1}, // shadows h's _count line
+		{Name: "m", Type: "counter", Labels: nb, Value: 2},
+		{Name: "m", Type: "counter", Labels: map[string]string{"node": "a"}, Value: 9}, // duplicate series
+		{Name: "zz", Type: "counter", Labels: map[string]string{"x": "1"}, Value: 3},   // type conflict
+		{Name: "h", Type: "histogram", Labels: nb},
+		{Name: "h_count", Type: "gauge", Labels: nb, Value: 1}, // shadows h's _count line
 	}
 	merged, dropped := MergeMetrics(a, b)
 	if dropped != 3 {
@@ -172,7 +221,7 @@ func TestMergeMetrics(t *testing.T) {
 	if len(merged) != 4 {
 		t.Fatalf("merged = %v", merged)
 	}
-	if merged[1].Labels != `node="a"` || merged[1].Value != 1 {
+	if merged[1].Labels["node"] != "a" || merged[1].Value != 1 {
 		t.Errorf("first source must win duplicates: %+v", merged[1])
 	}
 	// Output must be sorted by name then labels (the exposition-order
@@ -229,13 +278,15 @@ func TestFederatedExpositionLints(t *testing.T) {
 // FuzzFederationIngest: whatever a worker's /stats metric snapshot
 // decodes to, the coordinator's merged exposition stays promlint-clean —
 // the bad series are dropped, the rest render. The seeds are series that
-// each used to break the whole exposition.
+// each would break the whole exposition if rendered, and a label value
+// that needs every escape.
 func FuzzFederationIngest(f *testing.F) {
 	for _, m := range []Metric{
-		{Name: "m", Type: "counter", Labels: `a b="x"`, Value: 1},
-		{Name: "m", Type: "counter", Labels: `0k="v"`, Value: 1},
-		{Name: "m", Type: "counter", Labels: `k="v",k="w"`, Value: 1},
-		{Name: "m", Type: "counter", Labels: `k="a\q"`, Value: 1},
+		{Name: "m", Type: "counter", Labels: map[string]string{"a b": "x"}, Value: 1},
+		{Name: "m", Type: "counter", Labels: map[string]string{"0k": "v"}, Value: 1},
+		{Name: "h", Type: "histogram", Labels: map[string]string{"le": "1"}, Count: 1, Buckets: []Bucket{{LE: 1, Count: 1}}},
+		{Name: "h", Type: "histogram", Count: 2, Buckets: []Bucket{{LE: 2, Count: 1}, {LE: 1, Count: 2}}},
+		{Name: "m", Type: "counter", Labels: map[string]string{"k": "a\\b\"c\nd"}, Value: 1},
 		{Name: "bad name", Type: "gauge", Value: 1},
 		{Name: "m", Type: "weird", Value: 1},
 		{Name: "yardstick_coord_shard_seconds_count", Type: "gauge", Value: 1},
@@ -266,12 +317,6 @@ func FuzzFederationIngest(f *testing.F) {
 		fed.Ingest("n1", ms, now)
 		fed.Ingest("n2", workerSnapshot(2), now)
 		merged, _ := MergeMetrics(native.Snapshot(), fed.Snapshot(now))
-		var buf bytes.Buffer
-		if err := WritePrometheusMetrics(&buf, native.Help(), merged); err != nil {
-			t.Fatal(err)
-		}
-		if issues := promlint.Lint(bytes.NewReader(buf.Bytes())); len(issues) > 0 {
-			t.Fatalf("exposition of %s is not promlint-clean: %v\n%s", data, issues, buf.Bytes())
-		}
+		exposition(t, native.Help(), merged)
 	})
 }

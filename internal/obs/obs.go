@@ -20,12 +20,10 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,10 +214,11 @@ func (t metricType) String() string {
 
 // series is one (name, labels) instantiation of a family.
 type series struct {
-	sig  string // rendered, escaped label signature `k="v",k2="v2"`
-	ctr  *Counter
-	gge  *Gauge
-	hist *Histogram
+	key    string            // interning key: renderLabels(labels)
+	labels map[string]string // raw label pairs; nil when there are none
+	ctr    *Counter
+	gge    *Gauge
+	hist   *Histogram
 }
 
 // family groups the series of one metric name.
@@ -305,7 +304,8 @@ func (r *Registry) Help() map[string]string {
 }
 
 func (r *Registry) lookup(name string, typ metricType, bounds []float64, labels []string) *series {
-	sig := labelSig(labels)
+	pairs := labelMap(labels)
+	key := renderLabels(pairs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -319,9 +319,9 @@ func (r *Registry) lookup(name string, typ metricType, bounds []float64, labels 
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
-	s, ok := f.series[sig]
+	s, ok := f.series[key]
 	if !ok {
-		s = &series{sig: sig}
+		s = &series{key: key, labels: pairs}
 		switch typ {
 		case typeCounter:
 			s.ctr = &Counter{}
@@ -330,113 +330,45 @@ func (r *Registry) lookup(name string, typ metricType, bounds []float64, labels 
 		case typeHistogram:
 			s.hist = newHistogram(f.bounds)
 		}
-		f.series[sig] = s
+		f.series[key] = s
 	}
 	return s
 }
 
-// labelSig renders alternating key/value pairs as the canonical,
-// escaped `k="v"` signature, sorted by key. Panics on an odd-length
-// label list (a programming error at an instrumentation site).
-func labelSig(labels []string) string {
+// labelMap turns alternating key/value pairs into a label set (nil for
+// none). Panics on an odd-length list or a repeated key (programming
+// errors at an instrumentation site).
+func labelMap(labels []string) map[string]string {
 	if len(labels) == 0 {
-		return ""
+		return nil
 	}
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("obs: odd label list %q", labels))
 	}
-	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
+	m := make(map[string]string, len(labels)/2)
 	for i := 0; i < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
-	var b strings.Builder
-	for i, p := range pairs {
-		if i > 0 {
-			b.WriteByte(',')
+		if _, dup := m[labels[i]]; dup {
+			panic(fmt.Sprintf("obs: repeated label %q in %q", labels[i], labels))
 		}
-		b.WriteString(p.k)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(p.v))
-		b.WriteByte('"')
+		m[labels[i]] = labels[i+1]
 	}
-	return b.String()
-}
-
-// escapeLabel escapes a label value per the Prometheus text format:
-// backslash, double quote, and newline.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, c := range v {
-		switch c {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(c)
-		}
-	}
-	return b.String()
-}
-
-// escapeHelp escapes HELP text: backslash and newline (quotes are legal
-// in help).
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
+	return m
 }
 
 // Snapshot types -------------------------------------------------------
 
-// Bucket is one cumulative histogram bucket of a snapshot.
+// Bucket is one cumulative histogram bucket of a snapshot. A snapshot
+// carries the finite edges only: the +Inf bucket is the series' Count.
 type Bucket struct {
-	LE    float64 // inclusive upper edge; +Inf for the last bucket
-	Count uint64  // cumulative count of observations <= LE
-}
-
-// MarshalJSON renders LE as a string so the +Inf edge survives JSON
-// (which has no infinity literal).
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"le":%q,"count":%d}`, formatLE(b.LE), b.Count)), nil
-}
-
-// UnmarshalJSON accepts the string-encoded form MarshalJSON produces.
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		LE    string `json:"le"`
-		Count uint64 `json:"count"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	le, err := parseLE(raw.LE)
-	if err != nil {
-		return err
-	}
-	b.LE, b.Count = le, raw.Count
-	return nil
-}
-
-// parseLE is the inverse of formatLE.
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
+	LE    float64 `json:"le"`    // inclusive upper edge
+	Count uint64  `json:"count"` // cumulative count of observations <= LE
 }
 
 // Metric is one series of a Snapshot.
 type Metric struct {
-	Name   string `json:"name"`
-	Type   string `json:"type"`
-	Labels string `json:"labels,omitempty"` // rendered `k="v",…` signature
+	Name   string            `json:"name"`
+	Type   string            `json:"type"`
+	Labels map[string]string `json:"labels,omitempty"` // raw, unescaped
 	// Value carries counter and gauge readings.
 	Value float64 `json:"value"`
 	// Histogram readings.
@@ -446,7 +378,7 @@ type Metric struct {
 }
 
 // Snapshot returns a point-in-time copy of every series, sorted by
-// metric name then label signature. Concurrent updates during the
+// metric name then rendered labels. Concurrent updates during the
 // snapshot may be torn *across* series but each primitive value is read
 // atomically; once writers are quiescent the snapshot is exact.
 func (r *Registry) Snapshot() []Metric {
@@ -476,24 +408,23 @@ func (r *Registry) Snapshot() []Metric {
 	sort.Slice(all, func(i, j int) bool { return all[i].f.name < all[j].f.name })
 	var out []Metric
 	for _, fs := range all {
-		sort.Slice(fs.ss, func(i, j int) bool { return fs.ss[i].sig < fs.ss[j].sig })
+		sort.Slice(fs.ss, func(i, j int) bool { return fs.ss[i].key < fs.ss[j].key })
 		for _, s := range fs.ss {
-			m := Metric{Name: fs.f.name, Type: fs.f.typ.String(), Labels: s.sig}
+			m := Metric{Name: fs.f.name, Type: fs.f.typ.String(), Labels: maps.Clone(s.labels)}
 			switch fs.f.typ {
 			case typeCounter:
 				m.Value = float64(s.ctr.Value())
 			case typeGauge:
 				m.Value = s.gge.Value()
 			case typeHistogram:
-				m.Count = s.hist.Count()
 				m.Sum = s.hist.Sum()
 				var cum uint64
 				for i, le := range s.hist.bounds {
 					cum += s.hist.buckets[i].Load()
 					m.Buckets = append(m.Buckets, Bucket{LE: le, Count: cum})
 				}
-				cum += s.hist.buckets[len(s.hist.bounds)].Load()
-				m.Buckets = append(m.Buckets, Bucket{LE: math.Inf(1), Count: cum})
+				// Count from the same loads, so it never trails a bucket.
+				m.Count = cum + s.hist.buckets[len(s.hist.bounds)].Load()
 			}
 			out = append(out, m)
 		}

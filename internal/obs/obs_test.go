@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -47,12 +48,14 @@ func TestConcurrentCounters(t *testing.T) {
 	if len(m.Buckets) == 0 {
 		t.Fatal("histogram missing from snapshot")
 	}
+	// Every observation is under the last finite edge, which therefore
+	// holds them all; the +Inf bucket is Count itself.
 	last := m.Buckets[len(m.Buckets)-1]
-	if !math.IsInf(last.LE, 1) {
-		t.Errorf("last bucket le = %v, want +Inf", last.LE)
+	if math.IsInf(last.LE, 1) {
+		t.Errorf("snapshot carries a +Inf bucket: %v", m.Buckets)
 	}
-	if last.Count != m.Count {
-		t.Errorf("+Inf bucket = %d, want count %d", last.Count, m.Count)
+	if last.Count != m.Count || m.Count != workers*per {
+		t.Errorf("last bucket = %d, count = %d, want %d each", last.Count, m.Count, workers*per)
 	}
 	for i := 1; i < len(m.Buckets); i++ {
 		if m.Buckets[i].Count < m.Buckets[i-1].Count {
@@ -106,11 +109,9 @@ func TestHistogramEdges(t *testing.T) {
 			m = s
 		}
 	}
-	want := []uint64{1, 3, 4} // cumulative
-	for i, b := range m.Buckets {
-		if b.Count != want[i] {
-			t.Errorf("bucket le=%v cumulative = %d, want %d", b.LE, b.Count, want[i])
-		}
+	want := []Bucket{{1, 1}, {2, 3}} // cumulative; the +Inf bucket is Count
+	if !reflect.DeepEqual(m.Buckets, want) || m.Count != 4 {
+		t.Errorf("buckets = %v, count = %d, want %v and 4", m.Buckets, m.Count, want)
 	}
 	if m.Sum != 7.5 {
 		t.Errorf("sum = %v, want 7.5", m.Sum)
@@ -179,11 +180,17 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
+// TestOddLabelsPanic: a label list that is not a set of key/value pairs
+// (odd length, or a key given twice) is a programming error.
 func TestOddLabelsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("odd label list did not panic")
-		}
-	}()
-	NewRegistry().Counter("x", "only-key")
+	for _, labels := range [][]string{{"only-key"}, {"k", "a", "k", "b"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("label list %q did not panic", labels)
+				}
+			}()
+			NewRegistry().Counter("x", labels...)
+		}()
+	}
 }

@@ -636,7 +636,8 @@ func (s *Server) getMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsReport is the GET /stats response body: the facts no series
-// carries, and the metric snapshot a coordinator federates. Every count
+// carries, and the metric snapshot a coordinator federates (labels as
+// raw JSON objects, histogram buckets with finite edges). Every count
 // /metrics exposes is read there; the queue, network and readiness
 // routes serve their own state.
 type StatsReport struct {
