@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -29,28 +31,46 @@ import (
 )
 
 func main() {
-	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 6, 6a..6d, 7, 8, 9, mutation, churn, all")
-		kArg        = flag.String("k", "4,6,8,10", "fat-tree arities for figures 8 and 9")
-		pathBudget  = flag.Int("pathbudget", 500000, "path budget for figure 9 (0 = unlimited)")
-		skipPaths   = flag.Bool("nopaths", false, "skip the path metric in figure 9")
-		mutations   = flag.Int("mutations", 60, "faults to inject in the mutation study")
-		churnEvents = flag.Int("churnevents", 12, "BGP flap events to replay in the churn study")
-		subnets     = flag.Int("subnets", 1, "host subnets per ToR in the regional network (raise toward the paper's Figure 6d ToR interface numbers)")
-		profile     = flag.Bool("profile", false, "print a span-tree profile of the figure runs to stderr")
-	)
-	flag.Parse()
-
-	ks, err := parseKs(*kArg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-
 	// Ctrl-C / SIGTERM stop mid-figure; completed sweep points for the
 	// current figure still render before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command body, factored out of main so a test can drive it
+// and pin its output: it returns the exit code (0 on success, 1 when a
+// figure fails, 2 for a malformed flag, as the flag package's default
+// has it) instead of exiting.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig         = fs.String("fig", "all", "figure to regenerate: 6, 6a..6d, 7, 8, 9, mutation, churn, all")
+		kArg        = fs.String("k", "4,6,8,10", "fat-tree arities for figures 8 and 9")
+		pathBudget  = fs.Int("pathbudget", 500000, "path budget for figure 9 (0 = unlimited)")
+		skipPaths   = fs.Bool("nopaths", false, "skip the path metric in figure 9")
+		mutations   = fs.Int("mutations", 60, "faults to inject in the mutation study")
+		churnEvents = fs.Int("churnevents", 12, "BGP flap events to replay in the churn study")
+		subnets     = fs.Int("subnets", 1, "host subnets per ToR in the regional network (raise toward the paper's Figure 6d ToR interface numbers)")
+		profile     = fs.Bool("profile", false, "print a span-tree profile of the figure runs to stderr")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+
+	ks, err := parseKs(*kArg)
+	if err != nil {
+		return fail(err)
+	}
 
 	// -profile wraps each regenerated figure in a span; the evaluation
 	// pipelines underneath pick the span up from the context and add
@@ -67,108 +87,111 @@ func main() {
 		return obs.ContextWithSpan(ctx, sp), sp.End
 	}
 
+	regional := func() (*topogen.Regional, error) {
+		return topogen.BuildRegional(topogen.RegionalOpts{SubnetsPerToR: *subnets})
+	}
 	want := func(name string) bool {
 		return *fig == "all" || *fig == name || (len(name) == 2 && *fig == name[:1])
 	}
 
 	if want("6a") || want("6b") || want("6c") || want("6d") || *fig == "6" {
 		fctx, end := figCtx("figure6")
-		rg := mustRegional(*subnets)
+		rg, err := regional()
+		if err != nil {
+			return fail(err)
+		}
 		for _, panel := range experiments.Figure6All(fctx, rg) {
 			if !(want(panel.Panel) || *fig == "6" || *fig == "all") {
 				continue
 			}
-			fmt.Printf("=== Figure %s: suite %v ===\n", panel.Panel, panel.Suite)
-			report.RenderTable(os.Stdout, panel.Rows)
-			fmt.Println()
+			fmt.Fprintf(stdout, "=== Figure %s: suite %v ===\n", panel.Panel, panel.Suite)
+			report.RenderTable(stdout, panel.Rows)
+			fmt.Fprintln(stdout)
 		}
 		end()
 	}
 
 	if want("7") {
 		fctx, end := figCtx("figure7")
-		rg := mustRegional(*subnets)
+		rg, err := regional()
+		if err != nil {
+			return fail(err)
+		}
 		res := experiments.Figure7(fctx, rg)
-		fmt.Println("=== Figure 7: coverage improvement with test suite iterations ===")
+		fmt.Fprintln(stdout, "=== Figure 7: coverage improvement with test suite iterations ===")
 		rows := make([]report.Metrics, 0, len(res.Rows))
 		for _, r := range res.Rows {
 			rows = append(rows, r.Metrics)
 		}
-		report.RenderTable(os.Stdout, rows)
-		fmt.Printf("\nheadline: +%.0f%% rule coverage, +%.0f%% interface coverage (paper: +89%% rules, +17%% interfaces)\n\n",
+		report.RenderTable(stdout, rows)
+		fmt.Fprintf(stdout, "\nheadline: +%.0f%% rule coverage, +%.0f%% interface coverage (paper: +89%% rules, +17%% interfaces)\n\n",
 			res.Improvement.RulePct, res.Improvement.IfacePct)
 		end()
 	}
 
 	if want("8") {
 		fctx, end := figCtx("figure8")
-		fmt.Println("=== Figure 8: overhead of coverage tracking ===")
+		fmt.Fprintln(stdout, "=== Figure 8: overhead of coverage tracking ===")
 		rows, err := experiments.Figure8(fctx, ks)
 		end()
-		fmt.Print(experiments.RenderFigure8(rows))
-		fmt.Println()
+		fmt.Fprint(stdout, experiments.RenderFigure8(rows))
+		fmt.Fprintln(stdout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
 	if want("mutation") {
 		fctx, end := figCtx("mutation")
-		rg := mustRegional(*subnets)
+		rg, err := regional()
+		if err != nil {
+			return fail(err)
+		}
 		res, err := experiments.MutationStudy(fctx, rg, *mutations, 1)
 		end()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Println("=== Mutation study: coverage vs bug-finding ===")
-		fmt.Print(experiments.RenderMutation(res))
-		fmt.Println()
+		fmt.Fprintln(stdout, "=== Mutation study: coverage vs bug-finding ===")
+		fmt.Fprint(stdout, experiments.RenderMutation(res))
+		fmt.Fprintln(stdout)
 	}
 
 	if want("churn") {
 		fctx, end := figCtx("churn")
-		rg := mustRegional(*subnets)
+		rg, err := regional()
+		if err != nil {
+			return fail(err)
+		}
 		res, err := experiments.ChurnStudy(fctx, rg, *churnEvents, 1)
 		end()
-		fmt.Println("=== Churn study: incremental coverage under BGP flaps ===")
-		fmt.Print(experiments.RenderChurn(res))
-		fmt.Println()
+		fmt.Fprintln(stdout, "=== Churn study: incremental coverage under BGP flaps ===")
+		fmt.Fprint(stdout, experiments.RenderChurn(res))
+		fmt.Fprintln(stdout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
 	if want("9") {
 		fctx, end := figCtx("figure9")
-		fmt.Println("=== Figure 9: time to compute coverage metrics ===")
+		fmt.Fprintln(stdout, "=== Figure 9: time to compute coverage metrics ===")
 		rows, err := experiments.Figure9(fctx, ks, experiments.Figure9Opts{
 			PathBudget: *pathBudget, SkipPaths: *skipPaths,
 		})
 		end()
-		fmt.Print(experiments.RenderFigure9(rows))
+		fmt.Fprint(stdout, experiments.RenderFigure9(rows))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
 	if prof != nil {
 		prof.End()
-		fmt.Fprintln(os.Stderr)
-		obs.WriteFlame(os.Stderr, prof)
+		fmt.Fprintln(stderr)
+		obs.WriteFlame(stderr, prof)
 	}
-}
-
-func mustRegional(subnetsPerToR int) *topogen.Regional {
-	rg, err := topogen.BuildRegional(topogen.RegionalOpts{SubnetsPerToR: subnetsPerToR})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	return rg
+	return 0
 }
 
 func parseKs(arg string) ([]int, error) {

@@ -43,13 +43,27 @@ var rows = []row{
 // rule-ID compactions, each held to a rebuild.
 const flapStream = 50
 
-// TestMatrix runs every row on one seed per family.
+// pinned are scenarios TestMatrix runs beside the generated ones.
+var pinned = []Scenario{
+	// Reachability and pingmesh fail from every source, more than ten
+	// times each, so the workers rows hold a split test's folded
+	// failures to the sequential order, and the daemon row the ten a
+	// job serves.
+	{Seed: 5, Family: "fattree-blackholes", Suites: []string{"default", "contract", "reach", "pingmesh"}, Events: 3, Reject: 1},
+}
+
+// TestMatrix runs every row on one seed per family, and on the pinned
+// scenarios.
 func TestMatrix(t *testing.T) {
+	var scenarios []Scenario
 	for seed := range int64(len(families)) {
 		sc := Generate(seed)
 		if strings.HasPrefix(sc.Family, "regional-") {
 			sc.Events = flapStream
 		}
+		scenarios = append(scenarios, sc)
+	}
+	for _, sc := range append(scenarios, pinned...) {
 		t.Run(sc.Family, func(t *testing.T) {
 			ref := evaluate(t, sc)
 			for _, r := range rows {
@@ -118,7 +132,7 @@ func workersRow(t *testing.T, ref *Reference) {
 				t.Fatalf("%s, step %d: %v", name, i, err)
 			}
 			got := observe(t, e, ref.space)
-			got.results = summarize(results)
+			got.results = summarize(e.Net(), results, -1)
 			ref.check(t, name, i, got)
 		}
 	}
@@ -219,7 +233,7 @@ func daemonRow(t *testing.T, ref *Reference) {
 		}
 		results := runJob(t, base, ref.Suites)
 		got := served(t, base, ref, i)
-		got.results = summarizeWire(results)
+		got.served = summarizeWire(results)
 		ref.check(t, "daemon", i, got)
 		if i == 0 {
 			postHalves(t, base, ref)

@@ -314,6 +314,58 @@ func TestToRPingmeshCancelled(t *testing.T) {
 	}
 }
 
+// TestSplitPartsShareSources: part k of ToRPingmesh pings only from
+// sources whose floods part k of ToRReachability marked, so run after it
+// on one trace it charges no BDD op, exactly as the whole pingmesh does
+// after the whole reachability. Run after another reachability part, or
+// alone, it pays a singleton and an Or per hop. The parts together
+// check what the whole test checks.
+func TestSplitPartsShareSources(t *testing.T) {
+	ft, err := topogen.BuildFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft.Net.ComputeMatchSets()
+	// pingOps runs reach part r (none when r < 0) and then ping part p of
+	// n on a fresh clone and trace, and returns the BDD ops the ping part
+	// charged.
+	pingOps := func(n, r, p int) (int64, Result, Result) {
+		net := ft.Net.Clone()
+		tr := core.NewTrace()
+		reach := Result{}
+		if r >= 0 {
+			reach = ToRReachability{}.Split(n)[r].Run(net, tr)
+		}
+		before := net.Space.EngineStats().Ops
+		ping := ToRPingmesh{}.Split(n)[p].Run(net, tr)
+		return int64(net.Space.EngineStats().Ops - before), reach, ping
+	}
+	nt := len(ft.ToRs)
+	for _, n := range []int{2, 3} {
+		var reachChecks, pingChecks int
+		for k := range n {
+			ops, reach, ping := pingOps(n, k, k)
+			if ops != 0 {
+				t.Errorf("n=%d: pingmesh part %d after reachability part %d charged %d BDD ops, want 0", n, k, k, ops)
+			}
+			if !reach.Pass() || !ping.Pass() || reach.Checks == 0 || ping.Checks == 0 {
+				t.Errorf("n=%d, part %d: reach %+v, ping %+v; want both passing with checks", n, k, reach, ping)
+			}
+			reachChecks += reach.Checks
+			pingChecks += ping.Checks
+			if ops, _, _ := pingOps(n, (k+1)%n, k); ops == 0 {
+				t.Errorf("n=%d: pingmesh part %d after reachability part %d charged no op; the check cannot see a mismatched split", n, k, (k+1)%n)
+			}
+			if ops, _, _ := pingOps(n, -1, k); ops == 0 {
+				t.Errorf("n=%d: pingmesh part %d alone charged no op; the check cannot see a lost reachability part", n, k)
+			}
+		}
+		if want := nt * (nt - 1); reachChecks != want || pingChecks != want {
+			t.Errorf("n=%d: parts check %d and %d, want %d each", n, reachChecks, pingChecks, want)
+		}
+	}
+}
+
 // TestSymbolicSubsumesConcrete verifies the compositional property at the
 // test level: the pingmesh trace is contained in the reachability trace.
 func TestSymbolicSubsumesConcrete(t *testing.T) {
