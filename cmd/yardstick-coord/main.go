@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	fs.SetOutput(stderr)
 	var (
 		nodesArg      = fs.String("nodes", "", "comma-separated worker base URLs (required)")
-		suiteArg      = fs.String("suite", "default,internal", "comma-separated built-in suites; each becomes one shard")
+		suiteArg      = fs.String("suite", "default,internal", "comma-separated built-in suites; each becomes one shard, but reach and pingmesh share one")
 		topology      = fs.String("topology", "regional", "generated network: example, fattree, or regional")
 		netFile       = fs.String("net", "", "network from a JSON or text file instead of -topology")
 		k             = fs.Int("k", 8, "fat-tree arity")

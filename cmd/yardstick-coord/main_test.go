@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +34,9 @@ func startWorker(t *testing.T) string {
 
 // TestCoordCLI drives the full binary body against three in-process
 // workers and checks the cluster's coverage table is byte-identical to
-// a single-node sequential run of the same suites.
+// a single-node sequential run of the same suites. Reach and pingmesh
+// share a shard, so three suites make two shards a round, and the tests
+// section still lists one result per suite, in suite order.
 func TestCoordCLI(t *testing.T) {
 	nodes := []string{startWorker(t), startWorker(t), startWorker(t)}
 	report := filepath.Join(t.TempDir(), "report.json")
@@ -40,7 +44,7 @@ func TestCoordCLI(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code, err := run(context.Background(), []string{
 		"-nodes", strings.Join(nodes, ","),
-		"-suite", "default,internal",
+		"-suite", "default,reach,pingmesh",
 		"-rounds", "2",
 		"-poll", "2ms",
 		"-report", report,
@@ -61,9 +65,17 @@ func TestCoordCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, roles := built.Net, built.Roles
-	suite, err := yardstick.BuiltinSuite("default,internal")
+	suite, err := yardstick.BuiltinSuite("default,reach,pingmesh")
 	if err != nil {
 		t.Fatal(err)
+	}
+	tests := regexp.MustCompile(`(?m)^  (\S+) +\S+ +\d+ checks `).FindAllStringSubmatch(out.String(), -1)
+	var names []string
+	for _, m := range tests {
+		names = append(names, m[1])
+	}
+	if want := []string{"DefaultRouteCheck", "ToRReachability", "ToRPingmesh"}; !slices.Equal(names, want) {
+		t.Fatalf("tests section lists %q, want %q:\n%s", names, want, out.String())
 	}
 	trace := yardstick.NewTrace()
 	suite.Run(context.Background(), nw, trace)
@@ -86,6 +98,11 @@ func TestCoordCLI(t *testing.T) {
 	}
 	if !rep.Complete || len(rep.Shards) != 4 || len(rep.Nodes) != 3 {
 		t.Fatalf("report = %+v, want complete with 4 shards over 3 nodes", rep)
+	}
+	for i, want := range []string{"reach,pingmesh", "default", "reach,pingmesh", "default"} {
+		if rep.Shards[i].Suite != want {
+			t.Errorf("shard %d suite = %q, want %q", i, rep.Shards[i].Suite, want)
+		}
 	}
 	// The wire ledger: every shard names its fragment, the totals add up,
 	// and the field names CI's jq assertions read are the ones written.

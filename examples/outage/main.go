@@ -5,26 +5,38 @@
 // flags the gap before the B1 failure turns it into an outage.
 //
 //	go run ./examples/outage
+//
+// Its output is pinned by testdata/outage.golden; after an intended
+// change, rewrite it with go test ./examples/outage -update.
 package main
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/netip"
+	"os"
 	"slices"
 
 	"yardstick"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run tells the story to w.
+func run(w io.Writer) error {
 	ctx := context.Background()
 	// The Figure 1 network, with the bug: B2's default route is a
 	// null-routed static, so B2 never propagates the default to spines.
 	ex, err := yardstick.BuildExample(yardstick.ExampleOpts{BugNullRoute: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	net := ex.Net
 
@@ -66,51 +78,52 @@ func main() {
 			pass = false
 		}
 	}
-	fmt.Printf("connectivity suite: %d tests, all pass = %v\n", len(suite), pass)
-	fmt.Println("the engineers believe they have all their bases covered...")
+	fmt.Fprintf(w, "connectivity suite: %d tests, all pass = %v\n", len(suite), pass)
+	fmt.Fprintln(w, "the engineers believe they have all their bases covered...")
 
 	// Coverage tells a different story.
 	cov := yardstick.NewCoverage(net, trace)
 	b1, _ := net.DeviceByName("b1")
 	b2, _ := net.DeviceByName("b2")
-	fmt.Println("\ncoverage report:")
-	fmt.Printf("  device coverage (fractional): %.0f%% — every device is traversed by some test\n",
+	fmt.Fprintln(w, "\ncoverage report:")
+	fmt.Fprintf(w, "  device coverage (fractional): %.0f%% — every device is traversed by some test\n",
 		100*yardstick.DeviceCoverage(cov, nil, yardstick.Fractional))
 	b1Rule := yardstick.RuleCoverage(cov, yardstick.RulesOfDevices(net, []yardstick.DeviceID{b1.ID}), yardstick.Fractional)
 	b2Rule := yardstick.RuleCoverage(cov, yardstick.RulesOfDevices(net, []yardstick.DeviceID{b2.ID}), yardstick.Fractional)
-	fmt.Printf("  rule coverage on B1: %.0f%%\n", 100*b1Rule)
-	fmt.Printf("  rule coverage on B2: %.0f%%  <-- lower than its symmetric twin!\n", 100*b2Rule)
+	fmt.Fprintf(w, "  rule coverage on B1: %.0f%%\n", 100*b1Rule)
+	fmt.Fprintf(w, "  rule coverage on B2: %.0f%%  <-- lower than its symmetric twin!\n", 100*b2Rule)
 
-	fmt.Println("\nuncovered rules on B2:")
+	fmt.Fprintln(w, "\nuncovered rules on B2:")
 	uncovered := yardstick.UncoveredByOrigin(cov, yardstick.RulesOfDevices(net, []yardstick.DeviceID{b2.ID}))
 	for _, origin := range sortedKeys(uncovered) {
-		fmt.Printf("  %-10s %d\n", origin, uncovered[origin])
+		fmt.Fprintf(w, "  %-10s %d\n", origin, uncovered[origin])
 	}
-	fmt.Println("no test packet ever uses B2's default route — exactly the rule that is null-routed.")
+	fmt.Fprintln(w, "no test packet ever uses B2's default route — exactly the rule that is null-routed.")
 
 	// What would have happened without the warning: B1 fails.
 	broken, err := yardstick.BuildExample(yardstick.ExampleOpts{BugNullRoute: true, OmitB1: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r, err := yardstick.Reach(broken.Net, yardstick.Injected(broken.Leaves[0]),
 		broken.Net.Space.DstPrefix(netip.MustParsePrefix("93.0.0.0/8")), yardstick.ReachOpts{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	egressed := 0
 	for range r.Egressed {
 		egressed++
 	}
-	fmt.Printf("\nafter B1 fails: WAN-bound traffic egresses via %d interfaces (the outage: whole DC cut off)\n", egressed)
+	fmt.Fprintf(w, "\nafter B1 fails: WAN-bound traffic egresses via %d interfaces (the outage: whole DC cut off)\n", egressed)
 
 	// The fix suggested by coverage: also check the forwarding state
 	// directly. DefaultRouteCheck catches the null route immediately.
 	res := yardstick.DefaultRouteCheck{}.Run(net, yardstick.NewTrace())
-	fmt.Printf("\nadding DefaultRouteCheck: pass = %v\n", res.Pass())
+	fmt.Fprintf(w, "\nadding DefaultRouteCheck: pass = %v\n", res.Pass())
 	for _, f := range res.Failures {
-		fmt.Printf("  %s: %s\n", net.Device(f.Device).Name, f.Detail)
+		fmt.Fprintf(w, "  %s: %s\n", net.Device(f.Device).Name, f.Detail)
 	}
+	return nil
 }
 
 // sortedKeys returns m's keys in ascending order, so a breakdown prints

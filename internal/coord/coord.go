@@ -5,9 +5,15 @@
 //
 // The shape is partition → dispatch → collect → merge:
 //
-//   - Partition: each built-in suite name becomes one shard (optionally
-//     repeated for -rounds; re-running a shard is free because coverage
-//     merges by BDD union).
+//   - Partition: the suite names that split by source (reach and
+//     pingmesh; testkit.Suite.SplitTogether) form one shard, first in
+//     each round, and every other name becomes a shard of its own. The
+//     group shares one job and so one fragment: each ping records where
+//     the flood from its source has already marked its hops, and costs
+//     nothing there, where in a fragment of its own every hop would pay
+//     a singleton and an Or. The list is a pure function of the names,
+//     optionally repeated for -rounds (re-running a shard is free because
+//     coverage merges by BDD union).
 //   - Dispatch: a node is pushed the network only when GET /network says
 //     it holds a different one (or none). Shards are submitted through
 //     the async /jobs API of each worker and polled to completion; the
@@ -61,6 +67,7 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,6 +79,7 @@ import (
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
 	"yardstick/internal/service"
+	"yardstick/internal/testkit"
 )
 
 // Config describes the fleet and the run.
@@ -323,7 +331,9 @@ func (n *node) report() NodeReport {
 
 // ShardStatus is one shard's outcome in the Result.
 type ShardStatus struct {
-	ID       int    `json:"id"`
+	ID int `json:"id"`
+	// Suite is the job's suite: one built-in name, or the split group's
+	// names joined by commas ("reach,pingmesh"), which run on one trace.
 	Suite    string `json:"suite"`
 	Round    int    `json:"round"`
 	Node     string `json:"node,omitempty"` // node that completed it
@@ -383,8 +393,9 @@ type Result struct {
 	Complete bool
 	// Trace is the merged coverage in Config.Net's space.
 	Trace *core.Trace
-	// Tests holds one result set per suite, from that suite's done shard
-	// with the lowest ID (repeated rounds re-run identical tests).
+	// Tests holds one result set per suite name, from the done shard with
+	// the lowest ID that ran it (repeated rounds re-run identical tests).
+	// A split group's shard is scattered back, one result per name.
 	Tests map[string][]service.RunResult
 	// Timeline is the cross-node span tree: the coordinator's own
 	// dispatch span with each shard's span — its attempts, their
@@ -458,6 +469,8 @@ type run struct {
 // winning node.
 type shardRun struct {
 	ShardStatus
+	// names are the suite names the shard runs, Suite joined.
+	names   []string
 	run     *run
 	results []service.RunResult
 	span    *obs.Span
@@ -503,11 +516,13 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 	defer root.End()
 	co.cfg.Logger.Info("coord: run starting", "run", r.id, "suites", suites, "rounds", co.cfg.Rounds)
 
-	shards := make([]*shardRun, 0, len(suites)*co.cfg.Rounds)
+	perRound := partition(suites)
+	shards := make([]*shardRun, 0, len(perRound)*co.cfg.Rounds)
 	for round := 0; round < co.cfg.Rounds; round++ {
-		for _, s := range suites {
+		for _, names := range perRound {
 			shards = append(shards, &shardRun{
-				ShardStatus: ShardStatus{ID: len(shards), Suite: s, Round: round},
+				ShardStatus: ShardStatus{ID: len(shards), Suite: strings.Join(names, ","), Round: round},
+				names:       names,
 				run:         r,
 			})
 		}
@@ -565,6 +580,34 @@ func (co *Coordinator) Run(ctx context.Context, suites ...string) (*Result, erro
 	return res, nil
 }
 
+// partition is one round's shard list, a pure function of the suite
+// names. The names that resolve to one test in the split group
+// (testkit.Suite.SplitTogether, the rule the in-process sharded engine
+// splits by) form one shard, first because it is the longest; every
+// other name, an unknown one included, is a shard of its own, so its
+// error surfaces as the worker reports it.
+func partition(suites []string) [][]string {
+	tests := make(testkit.Suite, len(suites))
+	for i, name := range suites {
+		if s, err := testkit.BuiltinSuite(name); err == nil && len(s) == 1 {
+			tests[i] = s[0]
+		}
+	}
+	var group []string
+	var rest [][]string
+	for i, split := range tests.SplitTogether() {
+		if split {
+			group = append(group, suites[i])
+		} else {
+			rest = append(rest, suites[i:i+1])
+		}
+	}
+	if group == nil {
+		return rest
+	}
+	return append([][]string{group}, rest...)
+}
+
 // assembleTimeline stitches the run's cross-node span tree: the run
 // root's own profile, with each shard's span — carrying the worker-side
 // job profile beneath it — grafted under the dispatch stage. Assembly
@@ -612,8 +655,18 @@ func (co *Coordinator) collect(r *run, shards []*shardRun, merged *core.Trace) *
 	res := &Result{RunID: r.id, Complete: true, Trace: merged, Tests: map[string][]service.RunResult{}}
 	for _, sh := range shards {
 		if sh.Done {
-			if _, ok := res.Tests[sh.Suite]; !ok && sh.results != nil {
-				res.Tests[sh.Suite] = sh.results
+			for i, name := range sh.names {
+				// A group's names are one test each, in its job's order.
+				rr := sh.results
+				if len(sh.names) > 1 {
+					rr = nil
+					if i < len(sh.results) {
+						rr = sh.results[i : i+1]
+					}
+				}
+				if _, ok := res.Tests[name]; !ok && rr != nil {
+					res.Tests[name] = rr
+				}
 			}
 			res.Totals.FragmentBytes += int64(sh.FragmentBytes)
 			res.Totals.FetchMs += sh.FetchMs
@@ -715,6 +768,7 @@ func (co *Coordinator) waitForNode(ctx context.Context, avoid *node) *node {
 		if ctx.Err() != nil || time.Now().After(deadline) {
 			return nil
 		}
+		co.metrics.Counter(MetricNodeWaits).Inc()
 		t := time.NewTimer(10 * time.Millisecond)
 		select {
 		case <-t.C:
@@ -835,7 +889,7 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 	if err := co.ensureLoaded(ctx, r, n); err != nil {
 		return out, fmt.Errorf("load network: %w", err)
 	}
-	j, err := n.c.SubmitJob(ctx, sh.Suite)
+	j, err := n.c.SubmitJob(ctx, sh.names...)
 	if err != nil {
 		return out, fmt.Errorf("submit: %w", err)
 	}

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,7 +261,9 @@ func TestKillWorkerMidRun(t *testing.T) {
 // (accepts connections, never answers) costs each shard sent to it one
 // ShardTimeout. The attempt times out, counts as that node's failure —
 // not a neutral verdict: the run is still going — and the shard is
-// re-dispatched to the healthy node.
+// re-dispatched to the healthy node. The run's length is counted, not
+// timed: no shard went to the hung node twice or waited for a node, so
+// the run took at most one ShardTimeout per shard beyond its work.
 func TestHungNodeRedispatch(t *testing.T) {
 	rep := replica(t)
 	nodes, chaos := fleet(t, 2)
@@ -276,12 +280,10 @@ func TestHungNodeRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	res, err := co.Run(context.Background(), suites...)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	elapsed := time.Since(start)
 	if !res.Complete {
 		t.Fatalf("run incomplete: %+v", res.Shards)
 	}
@@ -289,6 +291,15 @@ func TestHungNodeRedispatch(t *testing.T) {
 		if sh.Node == nodes[0] {
 			t.Fatalf("shard credited to the black-holed node: %+v", sh)
 		}
+		if sh.Attempts > 2 {
+			t.Errorf("shard %+v took %d attempts, want at most one timeout and one success", sh, sh.Attempts)
+		}
+	}
+	if hung := res.Nodes[0]; hung.Dispatched > len(res.Shards) {
+		t.Errorf("hung node was dispatched %d attempts for %d shards, want one timeout per shard at most", hung.Dispatched, len(res.Shards))
+	}
+	if got := co.metrics.Counter(MetricNodeWaits).Value(); got != 0 {
+		t.Errorf("shards waited %d times for a node, want none: the healthy node was always free", got)
 	}
 	if got := co.metrics.Counter(MetricDispatch, "node", nodes[0], "outcome", "neutral").Value(); got != 0 {
 		t.Errorf("hung node has %d neutral dispatches, want none", got)
@@ -297,9 +308,6 @@ func TestHungNodeRedispatch(t *testing.T) {
 		t.Error("hung node's timed-out dispatches were not counted as failures")
 	}
 	requireIdentical(t, res.Trace, baseline(t, rep, suites))
-	if elapsed > 10*cfg.ShardTimeout {
-		t.Fatalf("run took %v, want a small multiple of ShardTimeout %v", elapsed, cfg.ShardTimeout)
-	}
 }
 
 // serverError is a worker's 500 answer to r, carrying msg.
@@ -328,7 +336,8 @@ func (f *failFirstSubmit) RoundTrip(r *http.Request) (*http.Response, error) {
 // a shard is the only one that can take its retry. Preferring another
 // node must not mean waiting for one that cannot appear: with the
 // default cooldown and backoff the retry starts after its backoff, not
-// after the ~2 s a blocking preference would idle first.
+// after the ~2 s a blocking preference would idle first. The waits are
+// counted, not timed: the retry claims the node without one.
 func TestOneNodeRetryDoesNotWait(t *testing.T) {
 	rep := replica(t)
 	ts := startWorker(t)
@@ -343,17 +352,15 @@ func TestOneNodeRetryDoesNotWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	res, err := co.Run(context.Background(), "default")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	elapsed := time.Since(start)
 	if !res.Complete || res.Shards[0].Attempts != 2 {
 		t.Fatalf("shards = %+v, want one complete shard after 2 attempts", res.Shards)
 	}
-	if elapsed >= time.Second {
-		t.Fatalf("run took %v, want under 1s: the retry waited for a node other than the only one", elapsed)
+	if got := co.metrics.Counter(MetricNodeWaits).Value(); got != 0 {
+		t.Fatalf("the retry waited %d × 10 ms for a node other than the only one", got)
 	}
 }
 
@@ -574,5 +581,139 @@ func TestWaitFailureNamesJob(t *testing.T) {
 	}
 	if want := "wait job " + polls.submitted[0] + ":"; !strings.Contains(res.Shards[0].Error, want) {
 		t.Fatalf("shard error = %q, want it to contain %q", res.Shards[0].Error, want)
+	}
+}
+
+// blackholedFatTree is the differential matrix's fattree-blackholes
+// shape: a k=4 fat-tree whose first and last ToR's hosted prefixes are
+// null-routed on their pods' aggregation switches, so reach and pingmesh
+// fail from every other source.
+func blackholedFatTree(t *testing.T) *netmodel.Network {
+	t.Helper()
+	ft, err := topogen.BuildFatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tor := range []netmodel.DeviceID{ft.ToRs[0], ft.ToRs[len(ft.ToRs)-1]} {
+		for _, agg := range ft.Aggs {
+			if ft.PodOf[agg] == ft.PodOf[tor] {
+				r, _ := ft.Net.FIBRuleFor(agg, ft.HostPrefix[tor])
+				ft.Net.SetAction(r.ID, netmodel.Action{Kind: netmodel.ActDrop})
+			}
+		}
+	}
+	return ft.Net
+}
+
+// jobPerName runs each suite name as a job of its own on one fresh
+// worker: the results a fleet that gave every name its own shard
+// collected.
+func jobPerName(t *testing.T, rep *netmodel.Network, names []string) map[string][]service.RunResult {
+	t.Helper()
+	ctx := context.Background()
+	c := client.New(startWorker(t).URL)
+	var buf bytes.Buffer
+	if err := rep.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoadNetworkJSON(ctx, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]service.RunResult{}
+	for _, name := range names {
+		j, err := c.SubmitJob(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = c.WaitJob(ctx, j.ID, 2*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		var rr []service.RunResult
+		if err := json.Unmarshal(j.Result, &rr); err != nil {
+			t.Fatalf("job %s (%s) result: %v", j.ID, name, err)
+		}
+		out[name] = rr
+	}
+	return out
+}
+
+func shardSuites(res *Result) []string {
+	var out []string
+	for _, sh := range res.Shards {
+		out = append(out, sh.Suite)
+	}
+	return out
+}
+
+// TestSplittableSuitesShareAShard: reach and pingmesh run as one shard,
+// first in each round, so the pings record into the fragment the floods
+// from their sources have marked. Each name still gets its own results,
+// equal to a job of its own, failures included, and the merged trace is
+// the single-node one. A lone pingmesh is a shard of its own.
+func TestSplittableSuitesShareAShard(t *testing.T) {
+	rep := blackholedFatTree(t)
+	nodes, chaos := fleet(t, 2)
+	suites := []string{"default", "reach", "pingmesh"}
+	cfg := fastCfg(nodes, chaos, rep)
+	cfg.Rounds = 2
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), suites...)
+	if err != nil || !res.Complete {
+		t.Fatalf("Run: %v, shards %+v", err, res.Shards)
+	}
+	want := []string{"reach,pingmesh", "default", "reach,pingmesh", "default"}
+	if got := shardSuites(res); !slices.Equal(got, want) {
+		t.Fatalf("shard suites = %q, want %q", got, want)
+	}
+	single := jobPerName(t, rep, suites)
+	for _, s := range suites {
+		if !reflect.DeepEqual(res.Tests[s], single[s]) {
+			t.Errorf("Tests[%s] = %+v, a job of its own gives %+v", s, res.Tests[s], single[s])
+		}
+	}
+	for _, s := range []string{"reach", "pingmesh"} {
+		if rr := single[s]; len(rr) != 1 || rr[0].Pass || len(rr[0].Failures) == 0 {
+			t.Fatalf("%s on the blackholed fat-tree = %+v, want one failing result", s, rr)
+		}
+	}
+	requireIdentical(t, res.Trace, baseline(t, rep, suites))
+
+	lone := []string{"pingmesh", "default"}
+	res, err = co.Run(context.Background(), lone...)
+	if err != nil || !res.Complete {
+		t.Fatalf("Run: %v, shards %+v", err, res.Shards)
+	}
+	want = []string{"pingmesh", "default", "pingmesh", "default"}
+	if got := shardSuites(res); !slices.Equal(got, want) {
+		t.Fatalf("shard suites = %q, want %q", got, want)
+	}
+	requireIdentical(t, res.Trace, baseline(t, rep, lone))
+}
+
+// TestPartition: the shard list is a pure function of the names. Names
+// that resolve to one splittable test group only when there are two of
+// them; an unknown name, an empty one and a name that resolves to two
+// tests stay shards of their own.
+func TestPartition(t *testing.T) {
+	for _, c := range []struct {
+		in   []string
+		want [][]string
+	}{
+		{[]string{"default", "internal"}, [][]string{{"default"}, {"internal"}}},
+		{[]string{"default", "reach", "pingmesh"}, [][]string{{"reach", "pingmesh"}, {"default"}}},
+		{[]string{"pingmesh", "default"}, [][]string{{"pingmesh"}, {"default"}}},
+		{[]string{"reach", "bogus", "", "pingmesh"}, [][]string{{"reach", "pingmesh"}, {"bogus"}, {""}}},
+		{[]string{"reach,pingmesh", "pingmesh"}, [][]string{{"reach,pingmesh"}, {"pingmesh"}}},
+		{
+			[]string{"default", "connected", "internal", "agg", "contract", "reach", "pingmesh", "host"},
+			[][]string{{"reach", "pingmesh"}, {"default"}, {"connected"}, {"internal"}, {"agg"}, {"contract"}, {"host"}},
+		},
+	} {
+		if got := partition(c.in); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("partition(%q) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

@@ -5,9 +5,9 @@
 // whole, so it exposes two views at once from a single /metrics:
 //
 //   - Native series (yardstick_coord_*): dispatch outcomes per node,
-//     re-dispatches, breaker states, per-suite shard latency,
-//     fragment bytes by encoding, network pushes made and skipped,
-//     federation health. These live in a normal obs.Registry.
+//     re-dispatches, waits for a node, breaker states, shard latency by
+//     shard suite, fragment bytes by encoding, network pushes made and
+//     skipped, federation health. These live in a normal obs.Registry.
 //
 //   - Federated series: each worker's full metric snapshot, scraped
 //     from its /stats (whose Metrics field carries exactly what the
@@ -47,11 +47,16 @@ const (
 	MetricDispatch = "yardstick_coord_dispatch_total"
 	// MetricRedispatch counts shard attempts beyond each shard's first.
 	MetricRedispatch = "yardstick_coord_redispatch_total"
+	// MetricNodeWaits counts the 10 ms waits shards made for want of a
+	// claimable node: times 10 ms, how long work idled for capacity.
+	MetricNodeWaits = "yardstick_coord_node_waits_total"
 	// MetricBreakerState gauges each node's breaker: 0 closed, 1
 	// half-open, 2 open.
 	MetricBreakerState = "yardstick_coord_breaker_state"
 	// MetricShardDuration is the completed-shard latency histogram, by
-	// suite: dispatch to collected fragment, queue and retries included.
+	// the shard's suite (one name, or the split group's names joined by
+	// commas): dispatch to collected fragment, queue and retries
+	// included.
 	MetricShardDuration = "yardstick_coord_shard_duration_seconds"
 	// MetricFragmentBytes counts shard-fragment bytes fetched off the
 	// wire, by encoding ("arena" or "json").
@@ -80,8 +85,9 @@ const (
 func registerCoordHelp(r *obs.Registry) {
 	r.SetHelp(MetricDispatch, "Shard dispatch attempts, by node and outcome")
 	r.SetHelp(MetricRedispatch, "Shard attempts beyond the first")
+	r.SetHelp(MetricNodeWaits, "Shard waits of 10 ms for a claimable node")
 	r.SetHelp(MetricBreakerState, "Per-node breaker state: 0 closed, 1 half-open, 2 open")
-	r.SetHelp(MetricShardDuration, "Completed shard latency, by suite")
+	r.SetHelp(MetricShardDuration, "Completed shard latency, by shard suite (one name, or the split group joined by commas)")
 	r.SetHelp(MetricFragmentBytes, "Shard fragment bytes fetched from workers, by encoding")
 	r.SetHelp(MetricNetworkPush, "Per-node network checks before dispatch, by outcome (pushed or skipped)")
 	r.SetHelp(MetricProfileFetchFailures, "Worker span profiles that could not be fetched")

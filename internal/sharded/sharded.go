@@ -61,6 +61,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -323,22 +324,18 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 	}
 }
 
-// partition deals suite over a pool of workers in suite order. When two
-// or more tests split, part k of each goes to shard k of the whole pool;
-// otherwise no test splits and the run uses one shard per test up to
-// the pool size. Whole tests are dealt round-robin. index holds, for
-// each shard's tests, the suite entry they fold into. The partition
-// depends only on the suite and the pool size, never on scheduling, so
-// reruns partition identically.
+// partition deals suite over a pool of workers in suite order. When the
+// suite has a split group (testkit.Suite.SplitTogether, the rule the
+// coordinator groups its shards by too), part k of each of its tests
+// goes to shard k of the whole pool; otherwise no test splits and the
+// run uses one shard per test up to the pool size. Whole tests are
+// dealt round-robin. index holds, for each shard's tests, the suite
+// entry they fold into. The partition depends only on the suite and the
+// pool size, never on scheduling, so reruns partition identically.
 func partition(suite testkit.Suite, workers int) (parts [][]testkit.Test, index [][]int) {
-	var splitters int
-	for _, t := range suite {
-		if _, ok := t.(testkit.Splitter); ok {
-			splitters++
-		}
-	}
+	split := suite.SplitTogether()
 	w := min(workers, len(suite))
-	if splitters > 1 {
+	if slices.Contains(split, true) {
 		w = workers
 	}
 	if w == 0 {
@@ -348,8 +345,8 @@ func partition(suite testkit.Suite, workers int) (parts [][]testkit.Test, index 
 	index = make([][]int, w)
 	whole := 0
 	for i, t := range suite {
-		if s, ok := t.(testkit.Splitter); ok && splitters > 1 {
-			for k, p := range s.Split(w) {
+		if split[i] {
+			for k, p := range t.(testkit.Splitter).Split(w) {
 				parts[k] = append(parts[k], p)
 				index[k] = append(index[k], i)
 			}

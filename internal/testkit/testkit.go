@@ -116,6 +116,28 @@ type Splitter interface {
 	Split(n int) []Test
 }
 
+// SplitTogether reports, per test of the suite, whether it belongs to
+// the suite's split group: every Splitter does when the suite holds two
+// or more of them, and none does otherwise. A group runs on one trace
+// (part k of each test side by side, or the whole tests in one job), so
+// each ping finds its hops covered by the flood from its source. A lone
+// Splitter shares no hops with anything, and split it would only pay its
+// class builds once per part. A nil entry is no Splitter.
+func (s Suite) SplitTogether() []bool {
+	in := make([]bool, len(s))
+	n := 0
+	for i, t := range s {
+		if _, ok := t.(Splitter); ok {
+			in[i] = true
+			n++
+		}
+	}
+	if n < 2 {
+		clear(in)
+	}
+	return in
+}
+
 // sourcePart selects the sources a splittable test runs: part k of n;
 // the zero value runs them all.
 type sourcePart struct{ k, n int }
