@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		shardTimeout  = fs.Duration("shard-timeout", 60*time.Second, "per-attempt deadline: submit, poll, fetch fragment")
 		attempts      = fs.Int("attempts", 3, "dispatch attempts per shard")
 		backoff       = fs.Duration("backoff", 100*time.Millisecond, "base retry backoff (doubled per attempt, jittered, Retry-After honored)")
-		poll          = fs.Duration("poll", 0, "job poll interval (0 = client default)")
+		poll          = fs.Duration("poll", 0, "poll interval for a job not finished when its submit answers (0 = client default)")
 		failThreshold = fs.Int("fail-threshold", 3, "consecutive failures that trip a node's circuit breaker")
 		cooldown      = fs.Duration("cooldown", 2*time.Second, "breaker open time before a half-open probe")
 		runTimeout    = fs.Duration("timeout", 0, "whole-run deadline (0 = none)")

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,19 +241,31 @@ func TestJobsSurviveRestart(t *testing.T) {
 	ctx := context.Background()
 
 	// One quick job to completion, then a backlog of heavy ones the
-	// single worker cannot possibly finish before the shutdown.
+	// single worker cannot possibly finish before the shutdown. The
+	// backlog is submitted at once: each POST holds its answer while its
+	// job may finish, so one submit after another would never let the
+	// queue fill.
 	first, err := c.SubmitJob(ctx, "default", "internal")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{first.ID}
-	for range 10 {
-		j, err := c.SubmitJob(ctx, "reach", "pingmesh")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID)
+	backlog := make([]string, 10)
+	errs := make([]error, len(backlog))
+	var wg sync.WaitGroup
+	for i := range backlog {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := c.SubmitJob(ctx, "reach", "pingmesh")
+			backlog[i], errs[i] = j.ID, err
+		}()
 	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, backlog...)
 	done, err := c.WaitJob(ctx, first.ID, 5*time.Millisecond)
 	if err != nil || done.State != jobs.StateDone {
 		t.Fatalf("first job = (%+v, %v), want done", done, err)

@@ -1,9 +1,11 @@
 package client
 
-// Job helpers. POST /jobs answers 202 immediately and lets the caller
-// poll, which is what the server's admission layer needs to bound
-// concurrent work. SubmitJob and the artifact fetches map one-to-one
-// onto the wire API; WaitJob adds the polling loop.
+// Job helpers. POST /jobs answers 202 with the job once it is finished
+// or after a short server-side hold, whichever comes first, and a job
+// still queued or running is polled; the queue is what lets the
+// server's admission layer bound concurrent work. SubmitJob and the
+// artifact fetches map one-to-one onto the wire API; WaitJob adds the
+// polling loop.
 
 import (
 	"context"
@@ -20,7 +22,10 @@ import (
 )
 
 // SubmitJob enqueues an asynchronous run of the given built-in suites
-// (POST /jobs), returning the queued job. A full queue answers 503 with a
+// (POST /jobs), returning the job as it stood when the server answered:
+// a job that finished within the server's hold is done (or failed) with
+// its result, and only one still queued or running needs WaitJob. A
+// full queue answers 503 with a
 // Retry-After hint, returned in the *APIError for the caller to honor. A
 // caller that resubmits after a lost 202 runs the suite twice, which is
 // wasteful but safe: coverage merges by BDD union, so re-running a suite
@@ -72,7 +77,9 @@ func (c *Client) JobProfileRaw(ctx context.Context, id string) ([]byte, error) {
 const defaultJobPoll = 250 * time.Millisecond
 
 // WaitJob polls a job until it reaches a terminal state (done, failed,
-// or cancelled), pausing between probes (poll <= 0 means 250ms). Each
+// or cancelled), pausing between probes (poll <= 0 means 250ms). A
+// caller whose SubmitJob already answered a terminal job has nothing to
+// wait for. Each
 // pause is equal-jittered — half deterministic, half uniformly random —
 // so a fleet of pollers that submitted together does not probe in
 // lockstep. A shed poll response (429/503 from admission control) does

@@ -123,7 +123,8 @@ type Config struct {
 	// when larger (<= 0 means 100ms).
 	Backoff time.Duration
 
-	// Poll is the job poll interval (<= 0 means the client's 250ms).
+	// Poll is the job poll interval (<= 0 means the client's 250ms),
+	// for a job that was not finished when its submit answered.
 	Poll time.Duration
 
 	// FailureThreshold is the consecutive-failure count that trips a
@@ -874,7 +875,8 @@ func fragmentFormat(raw []byte) string {
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // attemptOn runs a shard once on one node: ensure the network is
-// loaded, submit, poll to terminal, download the fragment, and see it
+// loaded, submit, poll to terminal unless the submit answered a finished
+// job, download the fragment, and see it
 // through the merger. A lost response after the job actually ran leaves
 // a duplicate execution behind on retry — safe, merge is idempotent — so
 // no cleanup pass is needed. A worker that restarted fails its jobs for
@@ -893,11 +895,13 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 	if err != nil {
 		return out, fmt.Errorf("submit: %w", err)
 	}
-	// WaitJob returns a zero status on error; the submitted ID names the
-	// job in that error.
-	id := j.ID
-	if j, err = n.c.WaitJob(ctx, id, co.cfg.Poll); err != nil {
-		return out, fmt.Errorf("wait job %s: %w", id, err)
+	// The submit answers with a job that finished within the server's
+	// hold; only a longer one is polled. WaitJob returns a zero status
+	// on error; the submitted ID names the job in that error.
+	if id := j.ID; !j.State.Terminal() {
+		if j, err = n.c.WaitJob(ctx, id, co.cfg.Poll); err != nil {
+			return out, fmt.Errorf("wait job %s: %w", id, err)
+		}
 	}
 	if j.State != jobs.StateDone {
 		return out, fmt.Errorf("job %s %s: %s", j.ID, j.State, j.Error)

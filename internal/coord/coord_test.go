@@ -20,6 +20,7 @@ import (
 	"yardstick/internal/client"
 	"yardstick/internal/core"
 	"yardstick/internal/faults"
+	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/service"
 	"yardstick/internal/testkit"
@@ -559,9 +560,12 @@ func (f *failPolls) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestWaitFailureNamesJob: when polling a submitted job fails, the
 // shard's error names that job — the ID the worker handed back on
 // submit, not the empty ID of the zero status a failed poll returns.
+// The worker runs no jobs, so its submit answers a queued job once the
+// hold has passed, and the coordinator polls.
 func TestWaitFailureNamesJob(t *testing.T) {
 	rep := replica(t)
-	ts := startWorker(t)
+	ts := httptest.NewServer(service.New(quiet()).Handler())
+	t.Cleanup(ts.Close)
 	polls := &failPolls{}
 	cfg := fastCfg([]string{ts.URL}, nil, rep)
 	cfg.MaxAttempts = 1
@@ -715,5 +719,75 @@ func TestPartition(t *testing.T) {
 		if got := partition(c.in); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("partition(%q) = %q, want %q", c.in, got, c.want)
 		}
+	}
+}
+
+// pollCounter records each job submission's answered state and counts
+// the polls (GET /jobs/{id}) each job receives.
+type pollCounter struct {
+	mu       sync.Mutex
+	answered map[string]jobs.State
+	polls    map[string]int
+}
+
+func (p *pollCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/jobs/") && strings.Count(r.URL.Path, "/") == 2 {
+		p.mu.Lock()
+		p.polls[strings.TrimPrefix(r.URL.Path, "/jobs/")]++
+		p.mu.Unlock()
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.Method != http.MethodPost || r.URL.Path != "/jobs" {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var j service.JobStatus
+	if json.Unmarshal(body, &j) == nil {
+		p.mu.Lock()
+		p.answered[j.ID] = j.State
+		p.mu.Unlock()
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestFinishedSubmitIsNotPolled: a shard whose submit answered a done
+// job goes straight to its fragment; the coordinator polls only jobs
+// that were still queued or running when the submit answered.
+func TestFinishedSubmitIsNotPolled(t *testing.T) {
+	rep := replica(t)
+	ts := startWorker(t)
+	pc := &pollCounter{answered: map[string]jobs.State{}, polls: map[string]int{}}
+	cfg := fastCfg([]string{ts.URL}, nil, rep)
+	cfg.Rounds = 3
+	cfg.NewClient = func(base string) *client.Client {
+		return client.New(base, client.WithHTTPClient(&http.Client{Transport: pc}))
+	}
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), "default", "internal", "contract")
+	if err != nil || !res.Complete {
+		t.Fatalf("Run = (complete %v, %v), want a complete run", res.Complete, err)
+	}
+	done := 0
+	for id, st := range pc.answered {
+		switch {
+		case st == jobs.StateDone:
+			done++
+			if n := pc.polls[id]; n != 0 {
+				t.Errorf("job %s answered done on submit, then was polled %d times", id, n)
+			}
+		case pc.polls[id] == 0:
+			t.Errorf("job %s answered %s on submit and was never polled", id, st)
+		}
+	}
+	if done == 0 {
+		t.Fatalf("no submit of %d answered a done job", len(pc.answered))
 	}
 }

@@ -12,7 +12,9 @@
 //	   └──────────┴───────▶ cancelled  (DELETE /jobs/{id})
 //
 // done, failed, and cancelled are terminal. Terminal jobs are retained
-// for Config.TTL so pollers can fetch results, then swept. The queue
+// for Config.TTL so pollers can fetch results, then swept. Finished
+// hands out a channel that closes once a job is terminal and settled,
+// so a caller can wait for the end instead of polling. The queue
 // itself never inspects what a job computes: the Runner callback returns
 // an opaque json.RawMessage, which keeps this package free of service
 // and evaluation dependencies (and therefore trivially testable).
@@ -132,7 +134,18 @@ var (
 type job struct {
 	Job
 	cancel context.CancelFunc // non-nil only while running
+	// finished is closed once the job is terminal and its record settled:
+	// at the end of its run, or when it is cancelled while queued.
+	finished chan struct{}
 }
+
+// closedChan is the finished channel of every restored record: a job
+// loaded from disk is terminal, so nobody waits on it.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // Queue is a bounded FIFO job queue drained by one worker: the service
 // evaluates one run at a time under its own lock, so a second worker
@@ -209,7 +222,7 @@ func (q *Queue) Submit(spec Spec) (Job, error) {
 		Spec:      spec,
 		State:     StateQueued,
 		Submitted: time.Now(),
-	}}
+	}, finished: make(chan struct{})}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.waiting) >= q.cfg.QueueDepth {
@@ -235,6 +248,20 @@ func (q *Queue) Get(id string) (Job, bool) {
 		return Job{}, false
 	}
 	return j.Job, true
+}
+
+// Finished returns a channel that is closed once the job is terminal
+// and its record settled, so that a Get after it returns the final
+// state (a running job that a Cancel marked cancelled closes it only
+// when its run has returned). ok is false for an unknown ID.
+func (q *Queue) Finished(id string) (ch <-chan struct{}, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, ok := q.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return j.finished, true
 }
 
 // Jobs returns a snapshot of every retained job, oldest submission
@@ -273,6 +300,7 @@ func (q *Queue) Cancel(id string) (Job, error) {
 		j.Error = "cancelled before start"
 		j.Finished = time.Now()
 		q.cancelled++
+		close(j.finished)
 	case StateRunning:
 		j.State = StateCancelled
 		j.Error = "cancelled while running"
@@ -350,6 +378,7 @@ func (q *Queue) exec(ctx context.Context) bool {
 		j.Result = res
 		q.done++
 	}
+	close(j.finished)
 	q.mu.Unlock()
 	return true
 }

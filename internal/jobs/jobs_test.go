@@ -416,3 +416,79 @@ func TestLoadDropsOnlyStoredWorkers(t *testing.T) {
 		t.Error("Load accepted an unknown spec key")
 	}
 }
+
+// TestFinishedClosesWhenTerminal: a job's finished channel stays open
+// while it waits or runs, closes once its run has returned (a Cancel of
+// the running job included) or when it is cancelled while queued, and
+// is closed from the start for a restored record.
+func TestFinishedClosesWhenTerminal(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	run := func(ctx context.Context, spec Spec) (json.RawMessage, error) {
+		if spec.Suites == "block" {
+			close(entered)
+			<-release
+		}
+		return nil, ctx.Err()
+	}
+	q := New(run, Config{QueueDepth: 4})
+	finished := func(id string) <-chan struct{} {
+		t.Helper()
+		ch, ok := q.Finished(id)
+		if !ok {
+			t.Fatalf("Finished(%s) reports no such job", id)
+		}
+		return ch
+	}
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+
+	queued, _ := q.Submit(Spec{Suites: "queued"})
+	if closed(finished(queued.ID)) {
+		t.Fatal("a queued job's channel is closed")
+	}
+	if _, err := q.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(finished(queued.ID)) {
+		t.Fatal("cancelling a queued job left its channel open")
+	}
+
+	blocked, _ := q.Submit(Spec{Suites: "block"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() { cancel(); q.Wait() }()
+	q.Start(ctx)
+	<-entered
+	if _, err := q.Cancel(blocked.ID); err != nil {
+		t.Fatal(err)
+	}
+	if closed(finished(blocked.ID)) {
+		t.Fatal("the channel closed before the cancelled run returned")
+	}
+	close(release)
+	<-finished(blocked.ID)
+	if j, _ := q.Get(blocked.ID); j.State != StateCancelled || j.Finished.IsZero() {
+		t.Fatalf("after the channel closed the job is %+v, want cancelled and settled", j)
+	}
+
+	done, _ := q.Submit(Spec{Suites: "done"})
+	<-finished(done.ID)
+	if j, _ := q.Get(done.ID); j.State != StateDone {
+		t.Fatalf("after the channel closed the job is %s, want done", j.State)
+	}
+
+	q.Restore([]Job{{ID: "restored", State: StateRunning}, {ID: "old", State: StateDone}})
+	for _, id := range []string{"restored", "old"} {
+		if !closed(finished(id)) {
+			t.Fatalf("restored job %s blocks its waiters", id)
+		}
+	}
+	if _, ok := q.Finished("absent"); ok {
+		t.Fatal("Finished reports an unknown job")
+	}
+}

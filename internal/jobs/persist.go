@@ -131,7 +131,7 @@ func (q *Queue) Restore(js []Job) (recovered, interrupted int) {
 		if rec.Finished.IsZero() {
 			rec.Finished = now // start the TTL clock for swept-in records
 		}
-		q.jobs[rec.ID] = &job{Job: rec}
+		q.jobs[rec.ID] = &job{Job: rec, finished: closedChan}
 		recovered++
 	}
 	return recovered, interrupted

@@ -320,11 +320,11 @@ func TestJobTraceNegotiation(t *testing.T) {
 	encoded := func() (arena, cubes bool) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
-		f := srv.jobTraces[sub.ID]
-		if f == nil || f.trace == nil {
+		a := srv.artifacts[sub.ID]
+		if a == nil || a.frag == nil || a.frag.trace == nil {
 			t.Fatal("finished job retained no fragment")
 		}
-		return f.arena != nil, f.json != nil
+		return a.frag.arena != nil, a.frag.json != nil
 	}
 	if a, j := encoded(); a || j {
 		t.Fatalf("fragment encoded before any fetch (arena %v, json %v)", a, j)

@@ -182,7 +182,7 @@ func TestJobProfileEndpoint(t *testing.T) {
 
 	// Evicted artifact → 410.
 	srv.mu.Lock()
-	delete(srv.jobProfiles, sub.ID)
+	srv.artifacts[sub.ID].profile = nil
 	srv.mu.Unlock()
 	doJSON(t, http.MethodGet, ts.URL+"/jobs/"+sub.ID+"/profile", nil, http.StatusGone, nil)
 }
