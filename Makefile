@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race layering examples profile loadproof metricssmoke clustersmoke fuzz-smoke loc ci
+.PHONY: all vet build test race layering examples profile metricssmoke clustersmoke fuzz-smoke loc ci
 
 all: ci
 
@@ -47,34 +47,6 @@ examples:
 profile:
 	$(GO) run ./cmd/yardstick -topology regional -suite default,internal,reach,pingmesh -workers 4 -profile 2> profile.txt > /dev/null
 	@cat profile.txt
-
-# The admission-layer load proof: boot the daemon with a
-# deliberately tiny envelope (queue depth 8, 4 in-flight), drive it at
-# 250 RPS of heavy 8-suite jobs for 10s — far past the drain rate — and
-# record the accepted/shed accounting plus latency quantiles in
-# loadproof-report.json (git-ignored; the committed BENCH_service.json is
-# a recorded run this smoke never rewrites). -check
-# fails the target if anything other than 2xx or Retry-After-carrying
-# sheds came back; the jq line fails it when nothing was shed or nothing
-# was accepted (a faster host or engine that drains the load proves
-# nothing about admission); the shed counters and queue gauges must then
-# render as clean Prometheus exposition after the storm of label
-# updates. The CI load-smoke job runs this target.
-loadproof:
-	$(GO) build -o /tmp/yardstickd ./cmd/yardstickd
-	$(GO) build -o /tmp/loadgen ./cmd/loadgen
-	$(GO) build -o /tmp/promlint ./cmd/promlint
-	set -e; \
-	/tmp/yardstickd -listen 127.0.0.1:18080 -topology regional -queue-depth 8 -max-inflight 4 & DPID=$$!; \
-	trap "kill $$DPID 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18080/readyz > /dev/null && break; sleep 0.2; done; \
-	/tmp/loadgen -addr http://127.0.0.1:18080 -rps 250 -duration 10s \
-		-suites default,connected,internal,agg,contract,reach,pingmesh,host \
-		-check -out loadproof-report.json; \
-	jq -e '.totals.shed > 0 and .totals.accepted > 0' loadproof-report.json > /dev/null \
-		|| { echo "load proof is vacuous: want both sheds and accepted jobs"; exit 1; }; \
-	curl -sf http://127.0.0.1:18080/metrics | /tmp/promlint
-	@cat loadproof-report.json
 
 # Live-scrape check: boot the daemon for real on two workers, submit a
 # suite as a job and poll it until it is done (the daemon's -workers
@@ -241,5 +213,9 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-# Every step of CI's test job (vet, build, the race run, the walkthroughs).
+# Every step of CI's test job (vet, build, the race run, the
+# walkthroughs), then the test half of its bench-harness job (vet runs
+# the other half), so an internal change that breaks a harness test
+# fails here too.
 ci: vet build layering race examples
+	$(GO) test -C bench .

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 		workers      = fs.Int("workers", 1, "workers every job shards its suite across (1 = sequential)")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = disabled). A separate listener, so profiling never shares the service port")
 		maxInflight  = fs.Int("max-inflight", 16, "cap on concurrently admitted heavy requests; excess answers 429 + Retry-After (0 = unlimited)")
-		queueDepth   = fs.Int("queue-depth", 64, "async job queue depth (a full queue sheds POST /jobs with 503 + Retry-After), and how many finished jobs keep their trace and profile (a coordinator shard's trace stays until fetched)")
+		queueDepth   = fs.Int("queue-depth", 64, "async job queue depth (a full queue sheds POST /jobs with 503 + Retry-After), and how many finished jobs keep their trace and profile, besides as many coordinator shards whose trace is not fetched yet")
 		jobTTL       = fs.Duration("job-ttl", time.Hour, "how long finished job results stay fetchable via GET /jobs/{id}")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 
 	"yardstick/internal/client"
 	"yardstick/internal/jobs"
+	"yardstick/internal/promlint"
 	"yardstick/internal/service"
 )
 
@@ -381,5 +383,138 @@ func TestPprofListener(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit")
+	}
+}
+
+// TestShedStorm holds the admission contract under overload: a daemon
+// with a deliberately tiny envelope (4 admitted requests, 8 queued
+// jobs), stormed with heavy eight-suite jobs, answers every submit with
+// 202 or with a 429/503 shed carrying a positive integer Retry-After —
+// never another status, never a dropped connection. The storm opens
+// with a burst of more submits than the daemon can hold at once
+// (max-inflight + queue-depth + a running job), released together, so
+// sheds happen however fast the host drains jobs; it then runs open
+// loop at 250 RPS for 2 s, a tick that finds every slot busy skipped.
+// Afterwards the shed counter agrees with the sheds seen, /metrics is
+// clean exposition, and every accepted job finishes.
+func TestShedStorm(t *testing.T) {
+	const (
+		suites = "default,connected,internal,agg,contract,reach,pingmesh,host"
+		burst  = 32 // > max-inflight + queue-depth + 1
+		rate   = 250
+		storm  = 2 * time.Second
+		slots  = 64 // outstanding requests, and so goroutines
+	)
+	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "regional",
+		"-queue-depth", "8", "-max-inflight", "4"})
+	tr := &http.Transport{MaxIdleConnsPerHost: slots}
+	hc := &http.Client{Transport: tr, Timeout: time.Minute}
+	defer func() {
+		// A connection the transport dialed but never used would hold
+		// the drain for its first 5 s (net/http counts it active).
+		tr.CloseIdleConnections()
+		if err := stop(); err != nil {
+			t.Errorf("shutdown after the storm: %v", err)
+		}
+	}()
+
+	var (
+		mu                   sync.Mutex
+		accepted, violations []string
+		sheds                int
+	)
+	submit := func() {
+		resp, err := hc.Post(base+"/jobs?suite="+suites, "", nil)
+		if err != nil {
+			mu.Lock()
+			violations = append(violations, err.Error())
+			mu.Unlock()
+			return
+		}
+		defer resp.Body.Close()
+		var j service.JobStatus
+		err = json.NewDecoder(resp.Body).Decode(&j)
+		ra := resp.Header.Get("Retry-After")
+		mu.Lock()
+		defer mu.Unlock()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			if err != nil || j.ID == "" {
+				violations = append(violations, fmt.Sprintf("202 without a job (%v)", err))
+				return
+			}
+			accepted = append(accepted, j.ID)
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			if n, err := strconv.Atoi(ra); err != nil || n <= 0 {
+				violations = append(violations, fmt.Sprintf("%d with Retry-After %q", resp.StatusCode, ra))
+				return
+			}
+			sheds++
+		default:
+			violations = append(violations, fmt.Sprintf("status %d", resp.StatusCode))
+		}
+	}
+
+	sem := make(chan struct{}, slots)
+	var wg sync.WaitGroup
+	launch := func(start <-chan struct{}) {
+		select {
+		case sem <- struct{}{}:
+		default:
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			<-start
+			submit()
+		}()
+	}
+	// The burst waits on release; every later launch finds it closed.
+	release := make(chan struct{})
+	for range burst {
+		launch(release)
+	}
+	close(release)
+	tick := time.NewTicker(time.Second / rate)
+	for end := time.Now().Add(storm); time.Now().Before(end); {
+		<-tick.C
+		launch(release)
+	}
+	tick.Stop()
+	wg.Wait()
+
+	if len(violations) > 0 {
+		t.Errorf("%d answers broke the admission contract, first: %s", len(violations), violations[0])
+	}
+	t.Logf("accepted %d, shed %d", len(accepted), sheds)
+	if len(accepted) == 0 || sheds == 0 {
+		t.Fatalf("accepted %d, shed %d: the storm must see both", len(accepted), sheds)
+	}
+
+	metrics := call(t, http.MethodGet, base+"/metrics", nil, http.StatusOK)
+	if issues := promlint.Lint(bytes.NewReader(metrics)); len(issues) > 0 {
+		t.Errorf("/metrics after the storm: %v", issues)
+	}
+	counted := 0.0
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "yardstick_http_shed_total{") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("shed sample %q: %v", line, err)
+			}
+			counted += v
+		}
+	}
+	if counted != float64(sheds) {
+		t.Errorf("yardstick_http_shed_total sums to %v, the storm saw %d sheds", counted, sheds)
+	}
+
+	c := client.New(base)
+	for _, id := range accepted {
+		if j, err := c.WaitJob(context.Background(), id, 10*time.Millisecond); err != nil || j.State != jobs.StateDone {
+			t.Errorf("accepted job %s = (%s %s, %v), want done", id, j.State, j.Error, err)
+		}
 	}
 }

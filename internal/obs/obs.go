@@ -140,56 +140,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts, the same linear-interpolation estimate Prometheus's
-// histogram_quantile() computes: find the bucket holding the q·count-th
-// observation and interpolate within it assuming a uniform spread. An
-// estimate in the +Inf bucket clamps to the highest finite bound — the
-// histogram cannot say more than "beyond the last edge". Returns 0 when
-// empty. The walk reads each bucket once without a lock, so a quantile
-// taken under concurrent observation is a near-instant, not exact,
-// snapshot — the same contract as a Prometheus scrape.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := uint64(0)
-	counts := make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i, c := range counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket: clamp to the last finite edge
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if c == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(cum))/float64(c)
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // metric families ------------------------------------------------------
 
 type metricType uint8

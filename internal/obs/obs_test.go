@@ -118,53 +118,6 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantile: linear interpolation inside the bucket holding
-// the rank, Prometheus histogram_quantile() style.
-func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram([]float64{10, 20, 30})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
-	}
-	// 100 observations uniformly in (0, 10]: the median interpolates to
-	// the middle of the first bucket.
-	for range 100 {
-		h.Observe(5)
-	}
-	if got := h.Quantile(0.5); got != 5 {
-		t.Errorf("p50 = %v, want 5 (midpoint of [0,10])", got)
-	}
-	// Add 100 in (10, 20]: p50 lands exactly on the first edge, p75 in
-	// the middle of the second bucket.
-	for range 100 {
-		h.Observe(15)
-	}
-	if got := h.Quantile(0.5); got != 10 {
-		t.Errorf("p50 = %v, want 10", got)
-	}
-	if got := h.Quantile(0.75); got != 15 {
-		t.Errorf("p75 = %v, want 15 (midpoint of (10,20])", got)
-	}
-	// Observations past the last edge clamp to it.
-	for range 1000 {
-		h.Observe(99)
-	}
-	if got := h.Quantile(0.99); got != 30 {
-		t.Errorf("p99 with +Inf mass = %v, want clamp to 30", got)
-	}
-	// Out-of-range q clamps instead of panicking.
-	if got := h.Quantile(2); got != 30 {
-		t.Errorf("q=2 = %v, want 30", got)
-	}
-	if got := h.Quantile(-1); got != 0 {
-		t.Errorf("q=-1 = %v, want clamp to q=0 (lower edge)", got)
-	}
-	// Nil receiver is safe like the other accessors.
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Errorf("nil quantile = %v, want 0", got)
-	}
-}
-
 // TestNilRegistry: a nil registry hands out working no-op metrics.
 func TestNilRegistry(t *testing.T) {
 	var reg *Registry

@@ -224,8 +224,8 @@ func TestArtifactsBoundedByQueueDepth(t *testing.T) {
 
 // TestShardFragmentKeptUntilFetched: a distributed shard's fragment
 // outlives the QueueDepth bound until a coordinator fetches it, however
-// many jobs finish before its next poll; once fetched it falls under
-// the bound, and a never-fetched one goes with its swept job record.
+// many unsharded jobs finish before its next poll; once fetched it falls
+// under the bound, and unfetched shards are bounded by count too.
 func TestShardFragmentKeptUntilFetched(t *testing.T) {
 	srv, ts := newJobServer(t, WithJobQueue(2, time.Hour))
 	submit := func(runID string) string {
@@ -261,14 +261,13 @@ func TestShardFragmentKeptUntilFetched(t *testing.T) {
 	submit("")
 	doJSON(t, http.MethodGet, ts.URL+"/jobs/"+shard+"/trace", nil, http.StatusGone, nil)
 
-	unfetched := submit("run-2")
-	if n := srv.jobs.Sweep(time.Now().Add(2 * time.Hour)); n == 0 {
-		t.Fatal("sweep removed no job record")
-	}
-	submit("")
+	// Unfetched shards have a QueueDepth bound of their own: a third
+	// evicts the oldest, whatever the TTL.
+	unfetched := []string{submit("run-2"), submit("run-2"), submit("run-2")}
+	doJSON(t, http.MethodGet, ts.URL+"/jobs/"+unfetched[0]+"/trace", nil, http.StatusGone, nil)
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if _, ok := srv.artifacts[unfetched]; ok || len(srv.pinnedOrder) != 0 {
-		t.Fatalf("swept shard %s still retained (pinned %v)", unfetched, srv.pinnedOrder)
+	if len(srv.pinnedOrder) != 2 || srv.pinnedOrder[0] != unfetched[1] {
+		t.Fatalf("pinned %v, want the 2 newest of %v", srv.pinnedOrder, unfetched)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"net/http"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -46,7 +47,8 @@ import (
 //	                                     TraceArenaMediaType (409 until
 //	                                     done, 410 once evicted — only the
 //	                                     QueueDepth newest finished jobs
-//	                                     keep artifacts, besides shard
+//	                                     keep artifacts, besides the
+//	                                     QueueDepth newest shard
 //	                                     fragments not yet fetched — or
 //	                                     after a restart)
 //	GET    /jobs/{id}/profile            a finished job's span profile
@@ -196,68 +198,52 @@ type jobArtifacts struct {
 	frag    *jobFragment // nil unless the job is done
 	profile []byte       // the span profile as JSON
 	// pinned marks a distributed shard's fragment that no coordinator
-	// has fetched yet: the count bound skips it (see artifactsLocked).
+	// has fetched yet: it is bounded in pinnedOrder, not artifactOrder
+	// (see artifactsLocked).
 	pinned bool
 }
 
 // artifactsLocked returns job id's artifact entry, making one when the
 // job has none yet. An entry is kept while it is among the QueueDepth
-// newest in artifactOrder, so a store costs O(1) amortized and the
-// artifact memory is bounded whatever the TTL. A pinned entry (pin: a
-// distributed shard's done fragment) waits outside that bound, in
-// pinnedOrder, until the coordinator fetches it and it joins
-// artifactOrder, or until the TTL sweeps its job record: a coordinator
+// newest of its FIFO, so a store costs O(1) amortized and the artifact
+// memory is bounded whatever the TTL. A pinned entry (pin: a distributed
+// shard's done fragment) has a FIFO of its own, pinnedOrder, until the
+// coordinator fetches it and it joins artifactOrder: a coordinator
 // learns that a shard is done only at its next poll, and however many
-// other jobs finish in between, the fragment is still there for it.
-// Job records and their results stay for the TTL. Callers hold s.mu.
+// unsharded jobs finish in between, the fragment is still there for it;
+// only QueueDepth newer unfetched shards evict it. Job records and their
+// results stay for the TTL. Callers hold s.mu.
 func (s *Server) artifactsLocked(id string, pin bool) *jobArtifacts {
 	if a, ok := s.artifacts[id]; ok {
 		return a
 	}
-	s.dropSweptPinsLocked()
 	a := &jobArtifacts{pinned: pin}
 	s.artifacts[id] = a
 	if pin {
-		s.pinnedOrder = append(s.pinnedOrder, id)
+		s.retainLocked(&s.pinnedOrder, id)
 	} else {
-		s.retainLocked(id)
+		s.retainLocked(&s.artifactOrder, id)
 	}
 	return a
 }
 
-// retainLocked puts id's entry under the count bound, evicting the
-// oldest entry past QueueDepth. Callers hold s.mu.
-func (s *Server) retainLocked(id string) {
-	s.artifactOrder = append(s.artifactOrder, id)
-	if len(s.artifactOrder) > s.jobs.Config().QueueDepth {
-		delete(s.artifacts, s.artifactOrder[0])
-		s.artifactOrder = s.artifactOrder[1:]
+// retainLocked appends id to the FIFO order, evicting the FIFO's oldest
+// entry past QueueDepth. Callers hold s.mu.
+func (s *Server) retainLocked(order *[]string, id string) {
+	*order = append(*order, id)
+	if len(*order) > s.jobs.Config().QueueDepth {
+		delete(s.artifacts, (*order)[0])
+		*order = (*order)[1:]
 	}
 }
 
-// dropSweptPinsLocked pops the front of pinnedOrder while it names an
-// entry that is no longer pinned (fetched since, so artifactOrder holds
-// it) or whose job record the TTL sweep removed (deleted here). It stops
-// at the oldest pin whose job is still retained. Callers hold s.mu.
-func (s *Server) dropSweptPinsLocked() {
-	for len(s.pinnedOrder) > 0 {
-		id := s.pinnedOrder[0]
-		if a, ok := s.artifacts[id]; ok && a.pinned {
-			if _, live := s.jobs.Get(id); live {
-				return
-			}
-			delete(s.artifacts, id)
-		}
-		s.pinnedOrder = s.pinnedOrder[1:]
-	}
-}
-
-// unpinLocked moves a pinned entry under the count bound. Callers hold
-// s.mu.
+// unpinLocked moves a pinned entry from pinnedOrder to artifactOrder.
+// Callers hold s.mu.
 func (s *Server) unpinLocked(id string, a *jobArtifacts) {
 	if a.pinned {
 		a.pinned = false
-		s.retainLocked(id)
+		s.pinnedOrder = slices.DeleteFunc(s.pinnedOrder, func(p string) bool { return p == id })
+		s.retainLocked(&s.artifactOrder, id)
 	}
 }
 

@@ -134,15 +134,14 @@ type Server struct {
 	// and its span profile, the GET /jobs/{id}/profile export the
 	// coordinator stitches into a cross-node run timeline. At most
 	// QueueDepth jobs keep artifacts, the oldest evicted first, besides
-	// the shard fragments no coordinator has fetched yet (see
-	// artifactsLocked), and they are memory-only: after an eviction or a
-	// restart the endpoints answer 410 Gone and the coordinator
+	// at most QueueDepth shard fragments no coordinator has fetched yet
+	// (see artifactsLocked), and they are memory-only: after an eviction
+	// or a restart the endpoints answer 410 Gone and the coordinator
 	// re-dispatches the shard (merge is idempotent).
 	artifacts map[string]*jobArtifacts
 	// artifactOrder lists the unpinned IDs in artifacts, oldest first.
 	artifactOrder []string
-	// pinnedOrder lists the IDs pinned in artifacts, oldest first; an
-	// entry fetched since may linger here (see dropSweptPinsLocked).
+	// pinnedOrder lists the IDs pinned in artifacts, oldest first.
 	pinnedOrder []string
 	// spanObserver, when set (WithSpanObserver), receives every request
 	// root span after it ends — the test hook the span-leak suite uses
@@ -202,7 +201,8 @@ func WithSnapshot(path string, interval time.Duration) Option {
 // WithJobQueue sizes the async-run admission layer: depth bounds how
 // many submitted jobs may wait (a full queue sheds POST /jobs with
 // 503 + Retry-After; default 64) and how many finished jobs keep their
-// fragment and profile, and ttl is how long finished jobs stay
+// fragment and profile (and, apart, how many shard fragments wait for
+// their coordinator's fetch), and ttl is how long finished jobs stay
 // pollable before they are swept (default 1h). One worker drains the
 // queue: runs hold the evaluation lock, so jobs evaluate one at a time
 // whatever WithWorkers says (that sets each run's parallelism).
