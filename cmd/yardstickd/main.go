@@ -34,6 +34,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -41,6 +42,10 @@ import (
 	"yardstick/internal/service"
 	"yardstick/internal/topogen"
 )
+
+// silentGrace is how long, once draining starts, a connection that has
+// not sent a request yet may still send one.
+const silentGrace = 100 * time.Millisecond
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -121,8 +126,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	if err != nil {
 		return err
 	}
+	// silent holds the connections that have not sent a request yet
+	// (http.StateNew), so the drain can bound how long they hold it.
+	var silent sync.Map
 	hs := &http.Server{
-		Handler:           srv.Handler(),
+		Handler: srv.Handler(),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				silent.Store(c, nil)
+			} else {
+				silent.Delete(c)
+			}
+		},
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       2 * time.Minute,
 		WriteTimeout:      5 * time.Minute, // server-side suite runs on large networks are slow
@@ -192,6 +207,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	// interrupted jobs come back failed-with-reason rather than lost.
 	logger.Info("shutting down", "drain", *drain)
 	srv.SetDraining(true)
+	// net/http's Shutdown counts a connection that never sent a request
+	// active for its first 5 s, so a client that dials ahead (a pooling
+	// transport, a load balancer) would hold every drain that long. Give
+	// each such connection silentGrace to send one: a request that
+	// arrives is read and answered (503 while draining; the server resets
+	// the deadline once the header is read), and a silent one is closed.
+	deadline := time.Now().Add(silentGrace)
+	silent.Range(func(c, _ any) bool {
+		c.(net.Conn).SetReadDeadline(deadline)
+		return true
+	})
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	err = hs.Shutdown(drainCtx)

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -167,6 +169,52 @@ func TestGracefulShutdown(t *testing.T) {
 	// The listener is really gone.
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Error("server still answering after shutdown")
+	}
+}
+
+// TestSilentConnectionDoesNotHoldDrain: a connection dialed but never
+// used (a pooling client's spare, a load balancer's pre-dial) no longer
+// holds shutdown for net/http's 5 s; one that sends its request after
+// the signal is still answered.
+func TestSilentConnectionDoesNotHoldDrain(t *testing.T) {
+	base, stop := startDaemon(t, []string{"-listen", "127.0.0.1:0", "-topology", "example"})
+	addr := strings.TrimPrefix(base, "http://")
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	late, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	// The server accepts in dial order: once a later connection is
+	// answered, both have been accepted.
+	probe := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	if resp, err := probe.Get(base + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+	}
+
+	start := time.Now()
+	stopped := make(chan error, 1)
+	go func() { stopped <- stop() }()
+	if _, err := io.WriteString(late, "GET /jobs HTTP/1.1\r\nHost: yardstickd\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	late.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if resp, err := http.ReadResponse(bufio.NewReader(late), nil); err != nil {
+		t.Errorf("a request sent after the signal got no answer: %v", err)
+	} else {
+		resp.Body.Close()
+	}
+	if err := <-stopped; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("shutdown took %v with a silent connection open, want under 1s", took)
 	}
 }
 
@@ -410,9 +458,6 @@ func TestShedStorm(t *testing.T) {
 	tr := &http.Transport{MaxIdleConnsPerHost: slots}
 	hc := &http.Client{Transport: tr, Timeout: time.Minute}
 	defer func() {
-		// A connection the transport dialed but never used would hold
-		// the drain for its first 5 s (net/http counts it active).
-		tr.CloseIdleConnections()
 		if err := stop(); err != nil {
 			t.Errorf("shutdown after the storm: %v", err)
 		}

@@ -12,7 +12,7 @@
 //
 // What is deliberately NOT snapshotted: resource budgets, the poisoned
 // state, and the watched context. A clone is a fresh evaluation space —
-// workers install their own Limits and WatchContext per run — and
+// its owner arms its own budget, if any, and watches its own context — and
 // cloning a poisoned manager yields a clean replica (the budget that
 // tripped belonged to the original's run, not the copy). Observability
 // counters restart at zero for the same reason.

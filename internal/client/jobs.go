@@ -47,12 +47,11 @@ func (c *Client) job(ctx context.Context, id string) (service.JobStatus, error) 
 
 // JobTraceRaw downloads a done job's own coverage fragment
 // (GET /jobs/{id}/trace) undecoded. It asks for the checksummed YSS1
-// arena, the compact machine-to-machine encoding; a server that predates
-// the negotiation answers trace JSON instead, so decode the bytes with a
-// sniffing entry point (core.DecodeFragment, core.DecodeTraceJSON), never
-// by what was asked for. A coordinator collects fragments concurrently
-// and hands them to the one goroutine that owns the canonical BDD
-// space. Any failure fails the call, not retried here: a 409 means the
+// arena, the compact machine-to-machine encoding that carries the
+// network's fingerprint; a server may answer JSON all the same, so check
+// the bytes (core.IsSnapshotArena). A coordinator collects fragments
+// concurrently and hands them to the one goroutine that owns the
+// canonical BDD space. Any failure fails the call, not retried here: a 409 means the
 // job is not done yet; a 410 means the fragment is gone (artifact evicted
 // or the node restarted) and the shard should be re-run; a 5xx or a
 // dropped connection leaves the re-run to the caller, which may choose
@@ -82,31 +81,21 @@ const defaultJobPoll = 250 * time.Millisecond
 // wait for. Each
 // pause is equal-jittered — half deterministic, half uniformly random —
 // so a fleet of pollers that submitted together does not probe in
-// lockstep. A shed poll response (429/503 from admission control) does
-// not fail the wait: the job is still running, the server was just busy
-// — WaitJob backs off by the server's Retry-After hint (at least one
-// poll interval) and keeps polling. Other errors return; reaching a
-// terminal state is not an error here even when the state is failed —
-// callers decide what a failed job means to them.
+// lockstep. Any error ends the wait, a shed included (the daemon never
+// sheds a poll; a proxy in front of it might), and is returned for the
+// caller's own retry layer; reaching a terminal state is not an error
+// here even when the state is failed — callers decide what a failed job
+// means to them.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (service.JobStatus, error) {
 	if poll <= 0 {
 		poll = defaultJobPoll
 	}
 	for {
 		j, err := c.job(ctx, id)
-		pause := poll/2 + rand.N(poll/2+1)
-		if err != nil {
-			hint, shed := IsShed(err)
-			if !shed || ctx.Err() != nil {
-				return j, err
-			}
-			if hint > pause {
-				pause = hint
-			}
-		} else if j.State.Terminal() {
-			return j, nil
+		if err != nil || j.State.Terminal() {
+			return j, err
 		}
-		t := time.NewTimer(pause)
+		t := time.NewTimer(poll/2 + rand.N(poll/2+1))
 		select {
 		case <-t.C:
 		case <-ctx.Done():

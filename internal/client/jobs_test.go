@@ -172,8 +172,8 @@ func TestJobTraceRoundTrip(t *testing.T) {
 		t.Fatalf("JobTraceRaw(absent) = %v, want 404", err)
 	}
 
-	// Mixed-version fleet: a worker that predates the negotiation ignores
-	// Accept and answers JSON. The bytes are decoded by what they are.
+	// A server that ignores Accept answers JSON: JobTraceRaw hands the
+	// bytes back as they came, and the caller checks what they are.
 	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Header.Del("Accept")
 		proxy, err := http.NewRequestWithContext(r.Context(), r.Method, ts.URL+r.URL.Path, nil)
@@ -202,40 +202,29 @@ func TestJobTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWaitJobShedTolerant: poll responses shed by admission control
-// (503/429) do not abort the wait — WaitJob backs off and keeps polling
-// until the job is terminal. Non-shed errors still return immediately.
-func TestWaitJobShedTolerant(t *testing.T) {
-	var polls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/jobs/j1":
-			// Shed the first three polls, then report done.
-			if polls.Add(1) <= 3 {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write([]byte(`{"id":"j1","state":"done"}`))
-		case r.URL.Path == "/jobs/gone":
-			http.Error(w, `{"error":"no such job"}`, http.StatusNotFound)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer ts.Close()
-
-	c := New(ts.URL)
-	j, err := c.WaitJob(context.Background(), "j1", 2*time.Millisecond)
-	if err != nil {
-		t.Fatalf("WaitJob through sheds: %v", err)
-	}
-	if j.State != jobs.StateDone || polls.Load() != 4 {
-		t.Fatalf("WaitJob = %+v after %d polls, want done after 4", j, polls.Load())
-	}
-
+// TestWaitJobReturnsShed: a shed poll ends the wait with the shed
+// *APIError, its Retry-After hint kept, after one request — backing off
+// is the caller's retry layer's job. Other errors return the same way.
+func TestWaitJobReturnsShed(t *testing.T) {
+	ts, calls := shedding(t, http.StatusServiceUnavailable, "3")
+	// The deadline only bounds a WaitJob that keeps polling through it.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	_, err := New(ts.URL).WaitJob(ctx, "j1", time.Millisecond)
 	var ae *APIError
-	if _, err := c.WaitJob(context.Background(), "gone", time.Millisecond); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("WaitJob through a shed = %v, want the 503 as an *APIError", err)
+	}
+	if hint, shed := IsShed(err); !shed || hint != 3*time.Second {
+		t.Errorf("IsShed = (%v, %v), want a shed with its 3s hint", hint, shed)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("WaitJob polled %d times, want 1", n)
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	defer gone.Close()
+	if _, err := New(gone.URL).WaitJob(context.Background(), "gone", time.Millisecond); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
 		t.Fatalf("WaitJob on missing job = %v, want immediate 404", err)
 	}
 }

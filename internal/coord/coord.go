@@ -19,7 +19,7 @@
 //     the async /jobs API of each worker and polled to completion; the
 //     per-shard fragment comes back via GET /jobs/{id}/trace as a
 //     checksummed YSS1 arena (core.EncodeFragmentArena), negotiated on
-//     Accept.
+//     Accept; any other body fails the attempt.
 //   - Merge: one merger goroutine owns the coordinator's BDD space for
 //     the length of the run. It decodes each fragment as it lands —
 //     rule and location IDs are indices, identical across deterministic
@@ -37,9 +37,7 @@
 //
 // Failure handling, from mildest to worst:
 //
-//   - A shed poll (429/503) is not a failure: the client backs off by
-//     the server's Retry-After hint and keeps polling.
-//   - Any other failed call (connection error, HTTP failure), a failed
+//   - Any failed call (connection error, HTTP failure, a shed), a failed
 //     job, or a lost or damaged fragment fails its attempt at once: the
 //     client makes one round trip per call and retries nothing. Every
 //     attempt is one job on one node, so a straggler fails its attempt
@@ -48,7 +46,7 @@
 //     stretched to a shed's Retry-After hint (capped at 5s), and
 //     re-dispatches the shard on a different node when one can be
 //     claimed.
-//   - A node whose attempts fail repeatedly (every failure counts) trips
+//   - A node whose attempts fail repeatedly (a shed does not count) trips
 //     a circuit breaker: it stops receiving shards for a cooldown, then a
 //     single half-open probe decides whether it rejoins the rotation. Its
 //     queued work is re-dispatched to healthy nodes.
@@ -344,16 +342,14 @@ type ShardStatus struct {
 	Fragment        // of the winning attempt
 }
 
-// Fragment is one fetched fragment's accounting: its size and encoding
-// on the wire ("arena", or "json" from a worker that predates the
-// negotiation), and the time spent fetching it, decoding it into the
-// coordinator's space, and folding it into the merged trace.
+// Fragment is one fetched fragment's accounting: its size on the wire,
+// and the time spent fetching it, decoding it into the coordinator's
+// space, and folding it into the merged trace.
 type Fragment struct {
-	FragmentBytes  int     `json:"fragmentBytes,omitempty"`
-	FragmentFormat string  `json:"fragmentFormat,omitempty"`
-	FetchMs        float64 `json:"fetchMs,omitempty"`
-	DecodeMs       float64 `json:"decodeMs,omitempty"`
-	MergeMs        float64 `json:"mergeMs,omitempty"`
+	FragmentBytes int     `json:"fragmentBytes,omitempty"`
+	FetchMs       float64 `json:"fetchMs,omitempty"`
+	DecodeMs      float64 `json:"decodeMs,omitempty"`
+	MergeMs       float64 `json:"mergeMs,omitempty"`
 }
 
 // Totals is a run's wire and merge accounting: the per-shard fragment
@@ -863,15 +859,6 @@ type shardOut struct {
 	profile *obs.SpanProfile
 }
 
-// fragmentFormat names a fetched fragment's encoding by what it is, not
-// by what was asked for.
-func fragmentFormat(raw []byte) string {
-	if core.IsSnapshotArena(raw) {
-		return "arena"
-	}
-	return "json"
-}
-
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // attemptOn runs a shard once on one node: ensure the network is
@@ -914,8 +901,13 @@ func (co *Coordinator) attemptOn(ctx context.Context, sh *shardRun, n *node, asp
 		return out, fmt.Errorf("fetch trace %s: %w", j.ID, err)
 	}
 	out.FetchMs = ms(time.Since(t0))
-	out.FragmentBytes, out.FragmentFormat = len(raw), fragmentFormat(raw)
-	co.metrics.Counter(MetricFragmentBytes, "format", out.FragmentFormat).Add(uint64(len(raw)))
+	out.FragmentBytes = len(raw)
+	co.metrics.Counter(MetricFragmentBytes).Add(uint64(len(raw)))
+	// Only an arena carries the fingerprint the merge checks against the
+	// run's network; cube JSON would merge into whatever network it meets.
+	if !core.IsSnapshotArena(raw) {
+		return out, fmt.Errorf("fragment of job %s: body is not a YSS1 arena", j.ID)
+	}
 	// A fragment that does not decode and merge is a failed attempt: its
 	// coverage is unknown, so the shard cannot claim it.
 	took, err := r.merge(raw, asp)

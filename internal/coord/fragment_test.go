@@ -180,7 +180,7 @@ func counterSum(co *Coordinator, name string) float64 {
 	return sum
 }
 
-// stripAccept makes every worker look like one that predates the
+// stripAccept makes every worker answer as one that ignores the
 // fragment negotiation: it never sees an Accept header, so it answers
 // the JSON export.
 type stripAccept struct{ rt http.RoundTripper }
@@ -192,9 +192,7 @@ func (s stripAccept) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestFragmentCodecsAgree is the differential: on a Clos whose spines
-// carry 5-tuple ACLs, a fleet run merged from arena fragments, the same
-// fleet run merged from cube-JSON fragments (workers that ignore Accept —
-// the mixed-version path through the sniffing decoder), and a
+// carry 5-tuple ACLs, a fleet run merged from arena fragments and a
 // single-node sequential run are one trace and print one coverage table.
 func TestFragmentCodecsAgree(t *testing.T) {
 	rep := aclReplica(t)
@@ -203,36 +201,49 @@ func TestFragmentCodecsAgree(t *testing.T) {
 
 	cfg, _, _ := loggedCfg(nodes, rep, nil)
 	_, arena := mustRun(t, cfg, suites...)
-	cfg, _, _ = loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper { return stripAccept{rt} })
-	_, cubes := mustRun(t, cfg, suites...)
-
 	for _, sh := range arena.Shards {
-		if sh.FragmentFormat != "arena" || sh.FragmentBytes == 0 {
-			t.Fatalf("arena run shard = %+v, want an arena fragment", sh)
+		if sh.FragmentBytes == 0 {
+			t.Fatalf("shard = %+v, want a fragment with its size", sh)
 		}
 	}
-	for _, sh := range cubes.Shards {
-		if sh.FragmentFormat != "json" {
-			t.Fatalf("Accept-blind run shard = %+v, want a JSON fragment", sh)
-		}
-	}
-	if arena.Totals.FragmentBytes >= cubes.Totals.FragmentBytes {
-		t.Errorf("arena fragments total %d bytes, cube JSON %d: the wire format should be the smaller",
-			arena.Totals.FragmentBytes, cubes.Totals.FragmentBytes)
-	}
-
 	single := baseline(t, rep, suites)
 	requireIdentical(t, arena.Trace, single)
-	requireIdentical(t, cubes.Trace, single)
-	if !arena.Trace.Equal(cubes.Trace) {
-		t.Fatal("arena-merged and JSON-merged traces differ")
-	}
-	want := coverageTable(rep, single)
-	if got := coverageTable(rep, arena.Trace); got != want {
+	if got, want := coverageTable(rep, arena.Trace), coverageTable(rep, single); got != want {
 		t.Fatalf("arena-merged coverage table differs from single-node:\n%s\nwant:\n%s", got, want)
 	}
-	if got := coverageTable(rep, cubes.Trace); got != want {
-		t.Fatalf("JSON-merged coverage table differs from single-node:\n%s\nwant:\n%s", got, want)
+}
+
+// TestNonArenaFragmentFailsAttempt: a fragment body that is not a YSS1
+// arena carries no network fingerprint, so the coordinator refuses it
+// rather than merge it into whatever network it holds. Against workers
+// that ignore Accept, every attempt fails naming its job, and the run
+// ends incomplete.
+func TestNonArenaFragmentFailsAttempt(t *testing.T) {
+	rep := replica(t)
+	nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
+	cfg, _, logs := loggedCfg(nodes, rep, func(_ string, rt http.RoundTripper) http.RoundTripper { return stripAccept{rt} })
+	cfg.MaxAttempts, cfg.FailureThreshold = 2, 100 // no breaker: every attempt reaches a worker
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := co.Run(context.Background(), "default", "internal")
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Complete {
+		t.Fatal("a run merged from fragments that are not arenas claims to be complete")
+	}
+	attempts := 0
+	for _, sh := range res.Shards {
+		attempts += sh.Attempts
+		if sh.Done || !strings.Contains(sh.Error, "fragment of job ") || !strings.Contains(sh.Error, "not a YSS1 arena") {
+			t.Errorf("shard %d: done %v, error %q; want failed on a body that is not an arena", sh.ID, sh.Done, sh.Error)
+		}
+	}
+	failed := strings.Count(logs.String(), "coord: shard attempt failed")
+	if refused := strings.Count(logs.String(), "not a YSS1 arena"); failed != attempts || refused != attempts {
+		t.Errorf("%d attempts, %d logged failed, %d refused as not an arena; want all equal", attempts, failed, refused)
 	}
 }
 
@@ -267,8 +278,8 @@ func TestWarmFleetWire(t *testing.T) {
 	}
 	var bytesSum int64
 	for _, sh := range res.Shards {
-		if sh.FragmentFormat != "arena" || sh.FragmentBytes == 0 {
-			t.Errorf("shard %+v: want an arena fragment with its size", sh)
+		if sh.FragmentBytes == 0 {
+			t.Errorf("shard %+v: want a fragment with its size", sh)
 		}
 		bytesSum += int64(sh.FragmentBytes)
 	}

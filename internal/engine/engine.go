@@ -59,10 +59,6 @@ type Config struct {
 	// Workers is how many replica clones every Run shards the suite
 	// across; with Workers <= 1 every run is sequential.
 	Workers int
-	// Limits is the BDD budget of each stage (zero: unlimited), armed
-	// afresh on the canonical manager when a stage starts and on every
-	// shard of a parallel run (MaxOps split across the workers).
-	Limits bdd.Limits
 }
 
 // Engine is one network, its accumulated trace and everything derived
@@ -117,15 +113,17 @@ func (e *Engine) Fingerprint() string {
 }
 
 // stage runs fn as one guarded stage: under a child span called name
-// (the context's own span when name is ""), with the configured budget
-// armed, the context watched by the canonical space, the work under
-// bdd.Guard and the space's counter movement settled onto the span. It
-// returns an error when the budget tripped — also inside a test the suite
-// runner isolated, where the poisoned manager is the evidence — or the
-// context ended. The space polls the context only every 1024 operations,
-// so a context that has already ended is refused before anything runs (a
-// short stage would finish under it unseen) and one that ends meanwhile
-// is checked again afterwards.
+// (the context's own span when name is ""), with the context watched by
+// the canonical space, the work under bdd.Guard and the space's counter
+// movement settled onto the span. The engine arms no budget: whoever
+// owns the space does (Space.SetLimits), and a stage only detects one. It
+// returns an error when a budget tripped — also inside a test the suite
+// runner isolated, where the poisoned manager is the evidence; it stays
+// poisoned until its owner arms the space again — or the context ended.
+// The space polls the context only every 1024 operations, so a context
+// that has already ended is refused before anything runs (a short stage
+// would finish under it unseen) and one that ends meanwhile is checked
+// again afterwards.
 func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Context, sp *obs.Span)) error {
 	if e.net == nil {
 		return ErrNoNetwork
@@ -140,11 +138,6 @@ func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Con
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
 	space := e.net.Space
-	if e.cfg.Limits != (bdd.Limits{}) {
-		// SetLimits restarts the op counter and clears the poison a
-		// previous stage's trip left.
-		space.SetLimits(e.cfg.Limits)
-	}
 	base := space.EngineStats()
 	defer func() { space.FlushStats(sp, nil, base) }()
 	defer space.WatchContext(ctx)()
@@ -179,7 +172,7 @@ func (e *Engine) Run(ctx context.Context, stage string, suite testkit.Suite, int
 			return
 		}
 		if e.pool == nil {
-			if e.pool, rerr = sharded.New(ctx, e.net, sharded.Config{Workers: e.cfg.Workers, Limits: e.cfg.Limits}); rerr != nil {
+			if e.pool, rerr = sharded.New(ctx, e.net, sharded.Config{Workers: e.cfg.Workers}); rerr != nil {
 				rerr = fmt.Errorf("building worker pool: %w", rerr)
 				return
 			}

@@ -21,11 +21,6 @@ import (
 
 var bg = context.Background()
 
-// roomy is a budget no stage of these tests reaches. Arming it is what a
-// stage does before it starts, so it also clears the poison a tripped
-// budget left on the manager.
-var roomy = bdd.Limits{MaxOps: 1 << 40}
-
 func cancelled() context.Context {
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
@@ -311,31 +306,38 @@ func TestDegradation(t *testing.T) {
 		return err
 	}
 
+	// maxOps is the op budget the space's owner arms on the canonical
+	// space. A sharded run charges that space only for its merge, about
+	// ten ops here (the replicas are the pool's and unbudgeted), so its
+	// budget is smaller.
 	cases := []struct {
 		name    string
 		workers int
+		maxOps  int
 		op      call
 		after   func(*testing.T, *Engine, state)
 	}{
-		{"run/sequential", 1, run(more), kept},
-		{"run/sharded", 2, run(more), kept},
-		{"merge/arena", 1, merge(arena), kept},
-		{"merge/json", 1, merge(cubes), kept},
-		{"patch", 2, patch, untouched},
-		{"view", 1, view, untouched},
+		{"run/sequential", 1, 50, run(more), kept},
+		{"run/sharded", 2, 2, run(more), kept},
+		{"merge/arena", 1, 50, merge(arena), kept},
+		{"merge/json", 1, 50, merge(cubes), kept},
+		{"patch", 2, 50, patch, untouched},
+		{"view", 1, 50, view, untouched},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/budget", func(t *testing.T) {
 			e := fresh(t, tc.workers)
 			before := snap(e)
-			e.cfg.Limits = bdd.Limits{MaxOps: 50}
+			e.Net().Space.SetLimits(bdd.Limits{MaxOps: tc.maxOps})
 			if err := tc.op(bg, e); !errors.Is(err, bdd.ErrBudgetExceeded) || !Aborted(err) {
 				t.Fatalf("err = %v, want a budget trip", err)
 			}
 			tc.after(t, e, before)
-			// Limits are fixed for an engine's life and its pool is built
-			// with them; a test that swaps them swaps the pool too.
-			e.cfg.Limits, e.pool = roomy, nil
+			// The trip poisons the space until its owner arms it again.
+			if err := tc.op(bg, e); !errors.Is(err, bdd.ErrBudgetExceeded) {
+				t.Fatalf("the same call on the poisoned space: %v, want the budget trip again", err)
+			}
+			e.Net().Space.SetLimits(bdd.Limits{})
 			if err := tc.op(bg, e); err != nil {
 				t.Fatalf("the same call after the trip: %v", err)
 			}
@@ -391,9 +393,9 @@ func TestDegradation(t *testing.T) {
 				t.Fatal(err)
 			}
 			before = snap(e)
-			e.cfg.Limits = bdd.Limits{MaxOps: maxOps}
+			e.Net().Space.SetLimits(bdd.Limits{MaxOps: maxOps})
 			applied, err = e.Patch(bg, patchDoc(e.Net()))
-			e.cfg.Limits = roomy
+			e.Net().Space.SetLimits(bdd.Limits{})
 			return e, before, applied, err
 		}
 		lo, hi := 1, 1<<22
@@ -530,8 +532,9 @@ func TestPatchFingerprintFresh(t *testing.T) {
 		if err := p.MergeTrace(bg, e.Trace().TransferTo(p.Net().Space)); err != nil {
 			t.Fatal(err)
 		}
-		p.cfg.Limits = bdd.Limits{MaxOps: maxOps}
+		p.Net().Space.SetLimits(bdd.Limits{MaxOps: maxOps})
 		applied, err := p.Patch(bg, wide(p.Net()))
+		p.Net().Space.SetLimits(bdd.Limits{})
 		return p, applied, err
 	}
 	lo, hi := 1, 1<<22

@@ -167,8 +167,5 @@ func routeLabel(path string) string {
 	if strings.HasPrefix(path, "/jobs/") {
 		return "/jobs"
 	}
-	if strings.HasPrefix(path, "/debug/pprof") {
-		return "/debug/pprof"
-	}
 	return "other"
 }

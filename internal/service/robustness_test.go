@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -538,8 +540,10 @@ func TestCheckpointReusesFingerprint(t *testing.T) {
 	}
 }
 
-// TestCheckpointerFinalSave verifies RunCheckpointer writes a final
-// snapshot when its context is canceled — the shutdown path.
+// TestCheckpointerFinalSave: the shutdown path writes the final
+// checkpoint once. Cancelling RunCheckpointer writes nothing — its
+// owner takes the final checkpoint after the work it records settles —
+// and that Checkpoint holds the marks.
 func TestCheckpointerFinalSave(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "trace.snap")
 	rg, err := topogen.BuildRegional(topogen.RegionalOpts{
@@ -557,10 +561,16 @@ func TestCheckpointerFinalSave(t *testing.T) {
 	go func() { defer close(done); srv.RunCheckpointer(ctx) }()
 	cancel()
 	<-done
+	if _, err := os.Stat(snap); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the cancelled checkpointer wrote a snapshot (stat: %v); the final one is its owner's", err)
+	}
 
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	got, _, err := core.LoadSnapshot(snap, rg.Net, srv.eng.Fingerprint())
 	if err != nil {
-		t.Fatalf("no snapshot after checkpointer shutdown: %v", err)
+		t.Fatalf("no snapshot after the final checkpoint: %v", err)
 	}
 	if !got.RuleMarked(rg.Net.Device(rg.ToRs[0]).FIB[0]) {
 		t.Error("final checkpoint lost the marked rule")

@@ -259,7 +259,6 @@ func New(opts ...Option) *Server {
 	hdr.RegisterHelp(s.metrics)
 	s.metrics.SetHelp(sharded.MetricRuns, "Sharded suite runs")
 	s.metrics.SetHelp(sharded.MetricWorkerRuns, "Per-worker shard executions")
-	s.metrics.SetHelp(sharded.MetricBudgetTrips, "Shard runs that tripped their BDD budget")
 	s.metrics.SetHelp(sharded.MetricWorkers, "Workers the last sharded run used")
 	s.metrics.SetHelp("yardstick_stage_duration_seconds", "Stage latency, by stage name")
 	s.metrics.SetHelp("yardstick_http_shed_total", "Requests shed by admission control, by route and reason")
@@ -797,8 +796,10 @@ func (s *Server) Restore() (bool, error) {
 }
 
 // RunCheckpointer checkpoints every WithSnapshot interval until ctx is
-// done, then takes a final checkpoint so shutdown never loses trace
-// state. It returns immediately when persistence is not configured.
+// done, then returns without writing: the final checkpoint is its
+// owner's, taken once the work it would record has settled (the daemon
+// takes it after the drain and the job worker's exit). It returns
+// immediately when persistence is not configured.
 func (s *Server) RunCheckpointer(ctx context.Context) {
 	s.mu.Lock()
 	path, interval := s.snapPath, s.snapInterval
@@ -815,9 +816,6 @@ func (s *Server) RunCheckpointer(ctx context.Context) {
 				s.logger.Error("checkpoint failed", "err", err)
 			}
 		case <-ctx.Done():
-			if err := s.Checkpoint(); err != nil {
-				s.logger.Error("final checkpoint failed", "err", err)
-			}
 			return
 		}
 	}

@@ -48,13 +48,10 @@
 // by construction. Workers=1 and Workers=N therefore produce identical
 // results and metrics.
 //
-// Budgets and cancellation compose with the PR 2 degradation model:
-// Config.Limits is installed per shard with MaxOps split evenly across
-// workers (MaxNodes is a per-manager memory cap and applies to each
-// replica as-is), every worker observes the run context via WatchContext,
-// and a budget tripped on any shard — detected via the poisoned manager
-// after the shard drains — fails the whole run with an error wrapping
-// bdd.ErrBudgetExceeded.
+// Cancellation composes with the degradation model: every worker
+// observes the run context via WatchContext. The replicas are the pool's
+// own and carry no budget (a clone drops its source's); a budget armed
+// on the canonical space by its owner is charged by the merge.
 package sharded
 
 import (
@@ -76,20 +73,15 @@ import (
 // attached registry must be in the run context; without one the engine
 // records nothing).
 const (
-	MetricRuns        = "yardstick_sharded_runs_total"
-	MetricWorkerRuns  = "yardstick_sharded_worker_runs_total"
-	MetricBudgetTrips = "yardstick_sharded_budget_trips_total"
-	MetricWorkers     = "yardstick_sharded_workers"
+	MetricRuns       = "yardstick_sharded_runs_total"
+	MetricWorkerRuns = "yardstick_sharded_worker_runs_total"
+	MetricWorkers    = "yardstick_sharded_workers"
 )
 
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers is the pool size, at least 1.
 	Workers int
-	// Limits is the evaluation budget, installed per shard at the start
-	// of every Run: MaxOps is split evenly (ceiling division) across the
-	// workers that run, MaxNodes applies to each replica's manager as-is.
-	Limits bdd.Limits
 }
 
 // ShardStats describes one worker's share of a run.
@@ -102,7 +94,8 @@ type ShardStats struct {
 	// Completed is how many of them produced a Result (equals Tests
 	// unless the run was cancelled mid-shard).
 	Completed int
-	// Engine reports the replica manager's counters after the run.
+	// Engine reports the replica manager's counters after the run, with
+	// Ops the run's own movement.
 	Engine bdd.Stats
 }
 
@@ -123,13 +116,12 @@ type Result struct {
 }
 
 // Engine is a reusable worker pool bound to one canonical network. The
-// replicas are built once at New and reused across Run calls (each Run
-// reinstalls fresh shard budgets). An Engine is not safe for concurrent
-// use: Run touches the canonical space during the merge phase, and the
-// caller must not use the canonical space concurrently with Run.
+// replicas are built once at New and reused across Run calls. An Engine
+// is not safe for concurrent use: Run touches the canonical space during
+// the merge phase, and the caller must not use the canonical space
+// concurrently with Run.
 type Engine struct {
 	canonical *netmodel.Network
-	cfg       Config
 	replicas  []*netmodel.Network
 }
 
@@ -166,7 +158,7 @@ func New(ctx context.Context, canonical *netmodel.Network, cfg Config) (*Engine,
 		}(i)
 	}
 	wg.Wait()
-	return &Engine{canonical: canonical, cfg: cfg, replicas: replicas}, nil
+	return &Engine{canonical: canonical, replicas: replicas}, nil
 }
 
 // Workers returns the pool size.
@@ -174,12 +166,11 @@ func (e *Engine) Workers() int { return len(e.replicas) }
 
 // Run evaluates suite across the pool and merges the results.
 //
-// Error semantics mirror the sequential degradation model: a budget trip
-// on any shard fails the run with an error wrapping bdd.ErrBudgetExceeded
-// (the partial Result is still returned — the tripped shard's remaining
-// tests are Errored, sibling shards are unaffected); a cancelled context
-// returns ctx.Err() with the partial merged trace and the results that
-// completed. The Result is never nil.
+// Error semantics mirror the sequential degradation model: a cancelled
+// context returns ctx.Err() with the partial merged trace and the results
+// that completed, and a budget the canonical space's owner armed, tripped
+// by the merge, returns an error wrapping bdd.ErrBudgetExceeded with what
+// merged before it. The Result is never nil.
 func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) {
 	res := &Result{Trace: core.NewTrace()}
 	parts, index := partition(suite, len(e.replicas))
@@ -187,7 +178,6 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 	if w == 0 {
 		return res, ctx.Err()
 	}
-	limits := shardLimits(e.cfg.Limits, w)
 
 	// Instrumentation is carried by the context: a span there (with or
 	// without a registry) turns on per-shard timing; absent one, every
@@ -204,7 +194,6 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 		results []testkit.Result
 		trace   *core.Trace
 		stats   bdd.Stats
-		err     error
 	}
 	// runShard touches the replica's manager; its deferred WatchContext
 	// restore must complete before the result is sent, or a subsequent
@@ -219,35 +208,16 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 		}
 		defer ws.End()
 		ws.Set("tests", int64(len(parts[i])))
-		// Fresh budget per run: SetLimits resets the op counter and
-		// clears any poison left by a previous run's trip. The stats
-		// baseline comes after — SetLimits zeroes the op counter, and the
-		// flush below must see only this run's movement.
-		rep.Space.SetLimits(limits)
 		base := rep.Space.EngineStats()
 		restore := rep.Space.WatchContext(ctx)
 		defer restore()
 		trace := core.NewTrace()
 		results := testkit.Suite(parts[i]).Run(ctx, rep, trace)
 		ws.Set("completed", int64(len(results)))
-		// A budget panic inside a test is recovered generically by
-		// the per-test isolation boundary into an Errored result;
-		// the poisoned manager is the durable evidence that the
-		// shard — and therefore the run — blew its budget.
-		err := rep.Space.Manager().BudgetErr()
-		if err != nil {
-			ws.Add("budget_trips", 1)
-			reg.Counter(MetricBudgetTrips).Inc()
-		}
 		reg.Counter(MetricWorkerRuns).Inc()
-		rep.Space.FlushStats(ws, reg, base)
-		return shardOut{
-			worker:  i,
-			results: results,
-			trace:   trace,
-			stats:   rep.Space.EngineStats(),
-			err:     err,
-		}
+		stats := rep.Space.FlushStats(ws, reg, base)
+		stats.Ops -= base.Ops
+		return shardOut{worker: i, results: results, trace: trace, stats: stats}
 	}
 	ch := make(chan shardOut, w)
 	for i := 0; i < w; i++ {
@@ -271,7 +241,6 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 			dealt[i]++
 		}
 	}
-	var shardErr error
 	for _, o := range outs {
 		for j, r := range o.results {
 			got[index[o.worker][j]] = append(got[index[o.worker][j]], r)
@@ -282,9 +251,6 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 			Completed: len(o.results),
 			Engine:    o.stats,
 		})
-		if o.err != nil && shardErr == nil {
-			shardErr = fmt.Errorf("sharded: worker %d: %w", o.worker, o.err)
-		}
 	}
 	for i, g := range got {
 		if len(g) == dealt[i] { // else a part, or the whole test, did not run
@@ -314,14 +280,10 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 	e.canonical.Space.FlushStats(msp, nil, mergeBase)
 	msp.End()
 
-	switch {
-	case shardErr != nil:
-		return res, shardErr
-	case mergeErr != nil:
+	if mergeErr != nil {
 		return res, fmt.Errorf("sharded: merging traces: %w", mergeErr)
-	default:
-		return res, ctx.Err()
 	}
+	return res, ctx.Err()
 }
 
 // partition deals suite over a pool of workers in suite order. When the
@@ -373,16 +335,4 @@ func fold(parts []testkit.Result) testkit.Result {
 		}
 	}
 	return r
-}
-
-// shardLimits derives the per-shard budget: MaxOps splits evenly across
-// the workers that run (ceiling division, so the aggregate bound is at
-// least the configured one); MaxNodes is a per-manager memory cap and
-// applies to each replica unchanged — dividing it would charge each
-// worker for the replica's base forwarding state w times over.
-func shardLimits(l bdd.Limits, w int) bdd.Limits {
-	if l.MaxOps > 0 && w > 1 {
-		l.MaxOps = (l.MaxOps + w - 1) / w
-	}
-	return l
 }

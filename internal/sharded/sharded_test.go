@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/testkit"
@@ -66,6 +65,15 @@ func TestEngineReuseAcrossRuns(t *testing.T) {
 		if first.Results[i].Status() != second.Results[i].Status() {
 			t.Errorf("result %d status changed across runs: %s -> %s",
 				i, first.Results[i].Status(), second.Results[i].Status())
+		}
+	}
+	// Each run reports its own ops, not the replica's running total: the
+	// two add up to it. (The second run charges fewer; the op cache is
+	// warm.)
+	for i, rep := range eng.replicas {
+		a, b := first.Shards[i].Engine.Ops, second.Shards[i].Engine.Ops
+		if total := rep.Space.EngineStats().Ops; a == 0 || b == 0 || a+b != total {
+			t.Errorf("worker %d reported %d ops, then %d; its replica charged %d in all", i, a, b, total)
 		}
 	}
 }
@@ -265,21 +273,5 @@ func TestEmptySuite(t *testing.T) {
 	}
 	if len(res.Results) != 0 || res.Trace == nil {
 		t.Error("empty suite should yield an empty result with a usable trace")
-	}
-}
-
-func TestShardLimitsSplit(t *testing.T) {
-	l := shardLimits(bdd.Limits{MaxNodes: 100, MaxOps: 10}, 4)
-	if l.MaxNodes != 100 {
-		t.Errorf("MaxNodes = %d, want 100 (per-manager cap, not split)", l.MaxNodes)
-	}
-	if l.MaxOps != 3 {
-		t.Errorf("MaxOps = %d, want 3 (ceiling of 10/4)", l.MaxOps)
-	}
-	if got := shardLimits(bdd.Limits{}, 4); got != (bdd.Limits{}) {
-		t.Errorf("zero limits should stay zero, got %+v", got)
-	}
-	if got := shardLimits(bdd.Limits{MaxOps: 10}, 1); got.MaxOps != 10 {
-		t.Errorf("single worker keeps the full op budget, got %d", got.MaxOps)
 	}
 }
