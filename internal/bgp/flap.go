@@ -9,11 +9,11 @@ import (
 
 // Flap replay: deterministic withdraw/re-announce schedules over a
 // configuration's originations, replayed into fresh forwarding state per
-// step. This is the churn workload of the incremental-coverage scenario
-// (ROADMAP "Incremental coverage under churn"): each event toggles one
-// origination, the control plane re-converges over a clone of the
-// topology, and internal/delta.Diff turns consecutive states into
-// rule-level delta documents — a realistic, reproducible delta stream.
+// step — the churn workload of the incremental-coverage scenario. Each
+// event toggles one origination, the control plane re-converges only its
+// prefix (no other prefix's routes can move) into a clone of the
+// topology, and internal/delta.Diff turns consecutive states into delta
+// documents.
 
 // FlapEvent toggles one origination. Up reports the origination's state
 // *after* the event (false = withdrawn).
@@ -59,36 +59,32 @@ func GenFlaps(seed int64, n, origins int) []FlapEvent {
 }
 
 // Replay maintains origination up/down state for a configuration and
-// rebuilds converged forwarding state on demand. The configuration's
-// network is used only as the topology source (it may be frozen); every
-// Build converges into a fresh CloneTopology.
+// rebuilds forwarding state on demand, re-converging only the prefixes
+// toggled since the last Build. The configuration's network is only the
+// topology source (it may be frozen): Build installs into a CloneTopology.
 type Replay struct {
-	cfg Config
-	up  []bool
+	s *sim
 }
 
 // NewReplay starts a replay with every origination announced.
 func NewReplay(cfg Config) *Replay {
-	up := make([]bool, len(cfg.Origins))
-	for i := range up {
-		up[i] = true
-	}
-	return &Replay{cfg: cfg, up: up}
+	return &Replay{s: newSim(cfg)}
 }
 
 // Toggle applies one event to the origination state.
 func (r *Replay) Toggle(ev FlapEvent) error {
-	if ev.Origin < 0 || ev.Origin >= len(r.up) {
+	if ev.Origin < 0 || ev.Origin >= len(r.s.up) {
 		return fmt.Errorf("bgp: flap event origin %d out of range", ev.Origin)
 	}
-	r.up[ev.Origin] = ev.Up
+	r.s.up[ev.Origin] = ev.Up
+	r.s.dirty[r.s.pidOf[ev.Origin]] = true
 	return nil
 }
 
 // Up reports how many originations are currently announced.
 func (r *Replay) Up() int {
 	n := 0
-	for _, u := range r.up {
+	for _, u := range r.s.up {
 		if u {
 			n++
 		}
@@ -102,20 +98,8 @@ func (r *Replay) Up() int {
 // diffing against a live network needs only the rule definitions, and
 // the caller decides whether the clone's symbolic state is ever needed.
 func (r *Replay) Build() (*netmodel.Network, error) {
-	clone := r.cfg.Net.CloneTopology()
-	active := make([]Origination, 0, len(r.cfg.Origins))
-	for i, o := range r.cfg.Origins {
-		if r.up[i] {
-			active = append(active, o)
-		}
-	}
-	_, err := Run(Config{
-		Net:     clone,
-		Statics: r.cfg.Statics,
-		Origins: active,
-		Export:  r.cfg.Export,
-	})
-	if err != nil {
+	clone := r.s.cfg.Net.CloneTopology()
+	if err := r.s.build(clone, nil); err != nil {
 		return nil, fmt.Errorf("bgp: flap replay convergence: %w", err)
 	}
 	return clone, nil

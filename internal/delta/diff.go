@@ -2,6 +2,8 @@ package delta
 
 import (
 	"fmt"
+	"net/netip"
+	"slices"
 
 	"yardstick/internal/netmodel"
 )
@@ -47,29 +49,40 @@ func Diff(old, next *netmodel.Network) ([]Op, error) {
 	return ops, nil
 }
 
-// specEqual compares the definition-relevant fields of two rules via
-// their wire specs (match, action, origin, deny — everything a delta
-// can change).
-func specEqual(a, b netmodel.RuleSpec) bool {
-	if a.Device != b.Device || a.Table != b.Table || a.Action != b.Action ||
-		a.Origin != b.Origin || a.Deny != b.Deny || a.Match != b.Match {
+// sameRule reports whether two rules have the same definition — what
+// comparing their wire specs (RuleSpecOf) answers, without rendering
+// them: device, table, match, action kind, out-interfaces (rendered only
+// for a forward), transform, origin and deny. A spec renders a match's
+// protocol and a narrowed port range behind fresh pointers, so the specs
+// of two rules that restrict either never compare equal; sameRule keeps
+// that answer.
+func sameRule(a, b *netmodel.Rule) bool {
+	if a.Device != b.Device || (a.Table == netmodel.TableACL) != (b.Table == netmodel.TableACL) ||
+		a.Origin != b.Origin || a.Deny != b.Deny ||
+		!samePrefix(a.Match.DstPrefix, b.Match.DstPrefix) || !samePrefix(a.Match.SrcPrefix, b.Match.SrcPrefix) ||
+		!anyPacket(a.Match) || !anyPacket(b.Match) {
 		return false
 	}
-	if len(a.Out) != len(b.Out) {
+	ak, bk := a.Action.Kind, b.Action.Kind
+	if ak != bk && (ak <= netmodel.ActDeliver || bk <= netmodel.ActDeliver) {
+		return false // a spec names only these kinds
+	}
+	if ak == netmodel.ActForward && !slices.Equal(a.Action.OutIfaces, b.Action.OutIfaces) {
 		return false
 	}
-	for i := range a.Out {
-		if a.Out[i] != b.Out[i] {
-			return false
-		}
-	}
-	if (a.Transform == nil) != (b.Transform == nil) {
-		return false
-	}
-	if a.Transform != nil && *a.Transform != *b.Transform {
-		return false
-	}
-	return true
+	at, bt := a.Action.Transform, b.Action.Transform
+	return at == bt || (at != nil && bt != nil && *at == *bt)
+}
+
+// samePrefix compares prefixes as a spec renders them: every invalid
+// prefix is the empty string.
+func samePrefix(a, b netip.Prefix) bool {
+	return a == b || (!a.IsValid() && !b.IsValid())
+}
+
+// anyPacket reports whether a match leaves protocol and ports open.
+func anyPacket(m netmodel.Match) bool {
+	return m.Proto < 0 && m.DstPortLo == 0 && m.DstPortHi == 65535 && m.SrcPortLo == 0 && m.SrcPortHi == 65535
 }
 
 // diffACL replaces a device's ACL wholesale when the sequences differ.
@@ -79,7 +92,7 @@ func diffACL(old, next *netmodel.Network, dev netmodel.DeviceID) []Op {
 	same := len(oldACL) == len(nextACL)
 	if same {
 		for i := range oldACL {
-			if !specEqual(old.RuleSpecOf(oldACL[i]), next.RuleSpecOf(nextACL[i])) {
+			if !sameRule(old.Rule(oldACL[i]), next.Rule(nextACL[i])) {
 				same = false
 				break
 			}
@@ -140,7 +153,7 @@ func diffFIB(old, next *netmodel.Network, dev netmodel.DeviceID) ([]Op, error) {
 			ops = append(ops, Op{Op: OpRemove, Rule: id})
 			continue
 		}
-		if !specEqual(old.RuleSpecOf(id), next.RuleSpecOf(nid)) {
+		if !sameRule(old.Rule(id), next.Rule(nid)) {
 			spec := next.RuleSpecOf(nid)
 			ops = append(ops, Op{Op: OpModify, Rule: id, Spec: &spec})
 		}
