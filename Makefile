@@ -173,7 +173,7 @@ clustersmoke:
 # conjunction with a literal chain, hash consing's canonicity across
 # unique-table resizes (a construction script replayed in two managers
 # lands on the same node indices), the longest-match prefix walk
-# against the Or/Diff fold (and a budget trip in its middle), the trace
+# against the Or/Diff fold (and a cancellation in its middle), the trace
 # JSON round trip, a worker's metric snapshot against the coordinator's
 # promlint-clean fleet exposition, and the decoders that read bytes from disk or a peer
 # (BDD arena, trace snapshot arena, trace JSON, network JSON, network

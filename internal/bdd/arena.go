@@ -13,7 +13,7 @@
 //
 // Caches and memos are deliberately not serialized — they are pure
 // memoization, cold-start cheap, and their contents never affect
-// results. Budgets and contexts are not serialized either (see
+// results. Watched contexts are not serialized either (see
 // clone.go for the same rule on clones).
 //
 // Layout (all integers little-endian):

@@ -76,13 +76,9 @@ type Manager struct {
 	satFrac  []float64 // -1 = unset
 	satFracN int
 
-	// Resource budgets and cancellation (see budget.go). limits bounds
-	// node-table growth and apply-loop work; budgetErr, once set, marks
-	// the manager poisoned until SetLimits resets it; ctx, when watched,
-	// is polled from chargeOp.
-	limits    Limits
-	budgetErr error
-	ctx       context.Context
+	// Cancellation (see cancel.go): ctx, when watched, is polled from
+	// chargeOp.
+	ctx context.Context
 
 	// Observability counters (see Stats): charged apply-loop steps,
 	// op-cache hits/misses and table-doubling events.
@@ -132,8 +128,8 @@ func (m *Manager) Size() int { return len(m.nodes) }
 // Stats reports manager health for observability: allocated nodes,
 // unique-table geometry, the SatFraction memo's size. Analyses that watch
 // Nodes grow without bound should start a fresh Manager (nodes are never
-// garbage collected). The cache and op counters explain a slow or
-// degraded run: a low hit rate, or an Ops count near Limits.MaxOps.
+// garbage collected). The cache and op counters explain a slow run: a
+// low hit rate, or more Ops than the same work charged before.
 type Stats struct {
 	Nodes          int
 	UniqueEntries  int
@@ -148,7 +144,7 @@ type Stats struct {
 	// PeakNodes is the high-water node count. Nodes are never removed,
 	// so it always equals Nodes.
 	PeakNodes int
-	// Ops counts charged apply-loop steps since the last SetLimits.
+	// Ops counts charged apply-loop steps since construction.
 	Ops uint64
 	// CacheHits and CacheMisses count op-cache consultations.
 	CacheHits   uint64
@@ -179,23 +175,16 @@ func (m *Manager) Stats() Stats {
 }
 
 // Delta returns the counter movement from prev to s — the per-stage
-// numbers a span records. Monotonic fields subtract; if a counter went
-// backwards (SetLimits resets Ops between stages), the current value is
-// taken as the whole delta rather than wrapping. Gauge-like fields
-// (Nodes, PeakNodes, table geometry) carry the current value.
+// numbers a span records. The counters only grow, so they subtract;
+// gauge-like fields (Nodes, PeakNodes, table geometry) carry the current
+// value.
 func (s Stats) Delta(prev Stats) Stats {
-	sub := func(cur, old uint64) uint64 {
-		if cur < old {
-			return cur
-		}
-		return cur - old
-	}
 	d := s
-	d.Ops = sub(s.Ops, prev.Ops)
-	d.CacheHits = sub(s.CacheHits, prev.CacheHits)
-	d.CacheMisses = sub(s.CacheMisses, prev.CacheMisses)
-	d.UniqueResizes = sub(s.UniqueResizes, prev.UniqueResizes)
-	d.CacheResizes = sub(s.CacheResizes, prev.CacheResizes)
+	d.Ops -= prev.Ops
+	d.CacheHits -= prev.CacheHits
+	d.CacheMisses -= prev.CacheMisses
+	d.UniqueResizes -= prev.UniqueResizes
+	d.CacheResizes -= prev.CacheResizes
 	return d
 }
 
@@ -222,8 +211,8 @@ func (m *Manager) NVar(v int) Node {
 // vals[i] for every i: a prefix, an exact field value, a whole packet.
 // The chain is built bottom-up straight into the unique table, one node
 // per level — no intermediate conjunction exists, so nothing goes
-// through the op cache. Each level is charged as one op, so MaxOps and a
-// watched context still see the work.
+// through the op cache. Each level is charged as one op, so the op count
+// and a watched context still see the work.
 func (m *Manager) Literals(first int, vals []bool) Node {
 	if first < 0 || first+len(vals) > m.numVars {
 		panic(fmt.Sprintf("bdd: variables [%d,%d) out of range [0,%d)", first, first+len(vals), m.numVars))
@@ -244,8 +233,8 @@ func (m *Manager) Literals(first int, vals []bool) Node {
 // is 0 and high when it is 1. Both branches must test only variables
 // below v, so a walk that builds a diagram bottom-up calls it once per
 // node, straight into the unique table: no apply step runs and the op
-// cache is not consulted. Each call is charged as one op, so MaxOps and
-// a watched context still see the work. A branch testing v or a
+// cache is not consulted. Each call is charged as one op, so the op
+// count and a watched context still see the work. A branch testing v or a
 // variable above it panics.
 func (m *Manager) MakeNode(v int, low, high Node) Node {
 	if v < 0 || v >= m.numVars || m.level(low) <= uint32(v) || m.level(high) <= uint32(v) {
@@ -261,8 +250,8 @@ func (m *Manager) MakeNode(v int, low, high Node) Node {
 // assignment instead of a conjunction. When a tests no variable above
 // first, that cofactor is a node a already reaches, so it is found by
 // following low/high edges: no node is created and the op cache is not
-// consulted. The call is charged as one op, so MaxOps and a watched
-// context still see it. A node of a testing a variable above first
+// consulted. The call is charged as one op, so the op count and a
+// watched context still see it. A node of a testing a variable above first
 // panics.
 func (m *Manager) Restrict(a Node, first, width int, bits []byte) Node {
 	if first < 0 || width < 0 || first+width > m.numVars || width > 8*len(bits) {

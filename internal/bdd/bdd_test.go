@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/big"
@@ -323,7 +324,7 @@ func TestCube(t *testing.T) {
 
 // TestLiterals: the bottom-up chain is the node the And-chain of single
 // literals builds, over any range and polarity, and charges one op per
-// level so an op budget still bounds it.
+// level so a cancellation at an exact op still stops it.
 func TestLiterals(t *testing.T) {
 	m := New(12)
 	rng := rand.New(rand.NewSource(3))
@@ -352,10 +353,11 @@ func TestLiterals(t *testing.T) {
 	if got := m.Stats().Ops - before; got != 9 {
 		t.Errorf("a 9-level chain charged %d ops, want 9", got)
 	}
-	m.SetLimits(Limits{MaxOps: 5})
-	if err := Guard(func() { m.Literals(0, make([]bool, 12)) }); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("12-level chain under MaxOps 5: err = %v, want ErrBudgetExceeded", err)
+	restore := m.WatchContext(cancelAtOp(m, 5))
+	if err := Guard(func() { m.Literals(0, make([]bool, 12)) }); !errors.Is(err, context.Canceled) {
+		t.Errorf("12-level chain cancelled at op 5: err = %v, want context.Canceled", err)
 	}
+	restore()
 
 	defer func() {
 		if recover() == nil {
@@ -439,12 +441,13 @@ func TestRestrict(t *testing.T) {
 		t.Error("restricting no variable changed the function")
 	}
 
-	m.SetLimits(Limits{MaxOps: 1})
+	x0 := m.Var(0)
+	restore := m.WatchContext(cancelAtOp(m, 1))
 	m.Restrict(True, 0, 8, []byte{0})
-	if err := Guard(func() { m.Restrict(m.Var(0), 0, 8, []byte{0}) }); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("second walk under MaxOps 1: err = %v, want ErrBudgetExceeded", err)
+	if err := Guard(func() { m.Restrict(x0, 0, 8, []byte{0}) }); !errors.Is(err, context.Canceled) {
+		t.Errorf("second walk cancelled at op 1: err = %v, want context.Canceled", err)
 	}
-	m.SetLimits(Limits{})
+	restore()
 
 	for name, call := range map[string]func(){
 		"above first":    func() { m.Restrict(m.Var(0), 1, 2, []byte{0}) },

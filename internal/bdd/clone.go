@@ -10,11 +10,9 @@
 // deterministic resize points (a function of the node count) are
 // preserved exactly — a clone grows the same way the original would.
 //
-// What is deliberately NOT snapshotted: resource budgets, the poisoned
-// state, and the watched context. A clone is a fresh evaluation space —
-// its owner arms its own budget, if any, and watches its own context — and
-// cloning a poisoned manager yields a clean replica (the budget that
-// tripped belonged to the original's run, not the copy). Observability
+// What is deliberately NOT snapshotted: the watched context. A clone is
+// a fresh evaluation space whose owner watches its own context (the
+// original's belongs to the original's run, not the copy). Observability
 // counters restart at zero for the same reason.
 package bdd
 

@@ -2,7 +2,6 @@ package bdd
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -86,33 +85,26 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneDropsBudgetState: budgets, poison, and watched contexts are
+// TestCloneDropsBudgetState: the watched context and the op counter are
 // deliberately not snapshotted — a clone is a fresh evaluation space.
 func TestCloneDropsBudgetState(t *testing.T) {
 	m := New(8)
-	m.SetLimits(Limits{MaxNodes: 3})
-	err := Guard(func() { m.And(m.Var(0), m.Var(1)) })
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("fixture: want tripped budget, got %v", err)
-	}
+	m.And(m.Var(0), m.Var(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.WatchContext(ctx)
 
 	c := m.Clone()
-	if c.BudgetErr() != nil {
-		t.Errorf("clone inherited poison: %v", c.BudgetErr())
-	}
 	if c.Stats().Ops != 0 {
 		t.Errorf("clone inherited op counter %d", c.Stats().Ops)
 	}
-	// The clone must evaluate freely despite the original being poisoned
-	// and watching a dead context, and grow past the original's node cap.
-	if err := Guard(func() { c.And(c.Var(0), c.Var(1)) }); err != nil {
+	// The clone must evaluate freely, across polls, although the
+	// original watches a dead context.
+	if err := Guard(func() { buildPressure(c, 1024) }); err != nil {
 		t.Errorf("clone op failed: %v", err)
 	}
-	if c.Size() <= 3 {
-		t.Errorf("clone holds %d nodes, want it past the original's MaxNodes 3", c.Size())
+	if c.Stats().Ops < 1024 {
+		t.Errorf("clone charged %d ops, want past the first poll", c.Stats().Ops)
 	}
 }
 

@@ -13,11 +13,11 @@
 // empty slot. The table doubles when it passes 3/4 load, so probes stay
 // short (expected O(1)) and growth cost is amortized over inserts.
 //
-// Resize work is covered by the node budget: a resize can only be
-// triggered by an insert, inserts pass through chargeNode first, and
-// the resize points are a deterministic function of the node count —
-// so MaxNodes bounds the total table work and a budget trip can never
-// leave a half-rehashed table (chargeNode panics before any mutation).
+// A resize can only be triggered by an insert, and the resize points
+// are a deterministic function of the node count. Inserts never panic
+// (cancellation is raised by chargeOp, before an apply step touches
+// anything), so a cancelled operation cannot leave a half-rehashed
+// table.
 //
 // The op cache is direct-mapped and sized by one fixed rule: it starts
 // at minCacheSlots and doubles (re-placing live entries) whenever the
@@ -83,10 +83,8 @@ func (m *Manager) mk(level uint32, low, high Node) Node {
 
 // insert appends a new node and files it in the unique table at the
 // empty slot found by mk's probe (re-probed if the insert triggers a
-// resize). chargeNode runs before any mutation, so a budget trip
-// leaves the table untouched.
+// resize).
 func (m *Manager) insert(slot, hash uint64, level uint32, low, high Node) Node {
-	m.chargeNode()
 	if (m.uniqUsed+1)*4 > len(m.uniq)*3 {
 		m.growUnique()
 		mask := uint64(len(m.uniq) - 1)
@@ -152,7 +150,7 @@ func cacheHash(op uint32, a, b, c Node) uint64 {
 }
 
 // cacheLookup consults the operation cache. Every apply-loop step
-// passes through here, so it doubles as the budget charge point. The
+// passes through here, so it doubles as the op charge point. The
 // slot index is the hash masked by the *current* cache size — h stays
 // valid across a cache resize during recursion.
 func (m *Manager) cacheLookup(h uint64, op uint32, a, b, c Node) (Node, bool) {

@@ -36,8 +36,8 @@ import "fmt"
 // managers single-threaded for its whole lifetime, and src must not
 // grow while the session is live (the usual discipline: workers have
 // finished before their results are merged). Charged work — one op per
-// distinct newly copied source node, plus node creation — is accounted
-// against dst's budget and watched context, not src's.
+// distinct newly copied source node — is counted by dst and polls dst's
+// watched context, not src's.
 type Transfer struct {
 	src, dst *Manager
 	// shared is the index below which src and dst nodes are identical:
@@ -103,8 +103,8 @@ func (t *Transfer) copyRec(n Node) Node {
 	if r := t.memo[n-t.shared]; r != 0 {
 		return r
 	}
-	// One charged op per distinct source node keeps MaxOps and the watched
-	// context authoritative over merge work too.
+	// One charged op per distinct source node keeps the op count and the
+	// watched context authoritative over merge work too.
 	t.dst.chargeOp()
 	nd := t.src.nodes[n]
 	low := t.copyRec(nd.low)

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -91,28 +92,27 @@ func TestCopyFromChargesDestinationBudget(t *testing.T) {
 	src := New(16)
 	rng := rand.New(rand.NewSource(7))
 	a := randomNode(src, rng, 40)
-	// The copy must need more than the one node MaxNodes 3 leaves room for.
+	// The copy must charge more than the one op it is allowed.
 	if nd := src.nodes[a]; a <= True || nd.low <= True && nd.high <= True {
 		t.Fatalf("fixture too small: node %d reaches fewer than two decision nodes", a)
 	}
 	dst := New(16)
-	dst.SetLimits(Limits{MaxNodes: 3})
+	srcOps := src.Stats().Ops
+	restore := dst.WatchContext(cancelAtOp(dst, 1))
 	err := Guard(func() { copyFrom(dst, src, a) })
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	restore()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if dst.BudgetErr() == nil {
-		t.Error("destination should be poisoned after tripped transfer")
+	if src.Stats().Ops != srcOps {
+		t.Error("the transfer charged the source's ops, want the destination's")
 	}
-	if src.BudgetErr() != nil {
-		t.Error("source must not be poisoned by a destination trip")
+	// Under a live context the transfer completes.
+	var b Node
+	if err := Guard(func() { b = copyFrom(dst, src, a) }); err != nil {
+		t.Fatalf("transfer after the cancellation: %v", err)
 	}
-	// A fresh budget clears the poison and the transfer completes.
-	dst.SetLimits(Limits{})
-	if err := Guard(func() { copyFrom(dst, src, a) }); err != nil {
-		t.Fatalf("transfer after reset: %v", err)
-	}
-	if dst.BudgetErr() != nil {
-		t.Error("BudgetErr should be nil after SetLimits reset")
+	if got := copyFrom(src, dst, b); got != a {
+		t.Errorf("round trip after the cancellation landed on node %d, want %d", got, a)
 	}
 }

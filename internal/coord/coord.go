@@ -631,11 +631,11 @@ func assembleTimeline(root *obs.Span, shards []*shardRun) *obs.SpanProfile {
 
 // merge has the merger goroutine decode raw and fold it into the run's
 // trace, and waits for the verdict. The fragment is one guarded stage of
-// the engine, its codec.decode and transfer spans under span: a budget
-// trip on the coordinator's manager fails the fragment, not the process,
-// and a damaged body is rejected before it touches the manager. No
-// context is watched: the merger outlives every attempt and each merge is
-// milliseconds of work, so neither side can be left waiting.
+// the engine, its codec.decode and transfer spans under span: a damaged
+// body fails the fragment, not the process, and is rejected before it
+// touches the manager. No context is watched, so nothing aborts a merge:
+// the merger outlives every attempt and each merge is milliseconds of
+// work, so neither side can be left waiting.
 func (r *run) merge(raw []byte, span *obs.Span) (t engine.MergeTiming, err error) {
 	done := make(chan struct{})
 	r.merges <- func(eng *engine.Engine) {

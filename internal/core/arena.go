@@ -74,7 +74,7 @@ type snapLoc struct {
 // the binary arena format. The set extraction (BDD-manager work, held
 // under the trace lock like EncodeJSON's cube extraction) reads net's
 // space; the charged transfer work lands on the private extraction
-// manager, so a budget installed on net never trips here.
+// manager, so a context net's space watches never aborts it.
 func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
 	return EncodeFragmentArena(w, net, Fingerprint(net), t)
 }
@@ -141,7 +141,7 @@ func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace
 // returns ErrSnapshotMismatch when the fingerprint belongs to another
 // network and errors wrapping ErrSnapshotFormat (or the bdd arena
 // errors) for damaged input; no input panics. The decoded sets are
-// transferred into net's space, charging its budget and observing its
+// transferred into net's space, charging its ops and observing its
 // watched context like any other symbolic work.
 func DecodeSnapshotArena(data []byte, net *netmodel.Network) (*Trace, error) {
 	return decodeArena(data, net, func() string { return Fingerprint(net) })
@@ -243,8 +243,8 @@ func decodeArena(data []byte, net *netmodel.Network, want func() string) (*Trace
 	}
 
 	// Transfer the roots into the live space through one session. Guard:
-	// the live manager may carry a budget, and restore work must degrade
-	// into an error like any other budgeted evaluation.
+	// the live manager may watch a context, and restore work must degrade
+	// into an error like any other cancelled evaluation.
 	t := NewTrace()
 	gerr := bdd.Guard(func() {
 		tr := net.Space.Manager().BeginTransfer(am)

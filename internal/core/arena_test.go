@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io/fs"
 	"os"
@@ -155,13 +156,21 @@ func TestSaveSnapshotArenaAndSniffingLoad(t *testing.T) {
 		t.Errorf("missing file err = %v, want fs.ErrNotExist", err)
 	}
 
-	// Restore must charge the live manager's budget: a poisoned-tight
-	// budget degrades into an error, not a panic.
-	cn.n.Space.SetLimits(bdd.Limits{MaxOps: 1})
-	if _, _, err := LoadSnapshot(ap, cn.n, fp); !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Errorf("budgeted restore err = %v, want ErrBudgetExceeded", err)
+	// Restore must charge the live manager and observe its watched
+	// context: cancelled at its second op, it degrades into an error, not
+	// a panic. A cancelled context is seen at the next poll, every 1024
+	// ops, so the count is brought two ops short of one.
+	for cn.n.Space.EngineStats().Ops%1024 != 1022 {
+		cn.n.Space.Manager().Restrict(bdd.True, 0, 0, nil)
 	}
-	cn.n.Space.SetLimits(bdd.Limits{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	restore := cn.n.Space.WatchContext(ctx)
+	_, _, err = LoadSnapshot(ap, cn.n, fp)
+	restore()
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("restore cancelled at its second op: err = %v, want context.Canceled", err)
+	}
 }
 
 // TestTraceDecodeSniffsCodec: the decode entry points take bytes of

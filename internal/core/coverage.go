@@ -33,10 +33,9 @@ import (
 // is still accumulated in the order the Spec framework (framework.go)
 // would, so each float equals the from-scratch value bit for bit.
 //
-// A symbolic-engine panic (budget trip, watched-context cancellation)
-// during a refresh leaves the device dirty: the next read recomputes it
-// whole. Coverage is not safe for concurrent use (it shares the network's
-// BDD manager).
+// A watched-context cancellation during a refresh leaves the device
+// dirty: the next read recomputes it whole. Coverage is not safe for
+// concurrent use (it shares the network's BDD manager).
 type Coverage struct {
 	Net   *netmodel.Network
 	Trace *Trace

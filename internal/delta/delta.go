@@ -24,9 +24,9 @@
 // Correctness bar: applying a delta must leave coverage bit-identical to
 // tearing the network down and rebuilding it from scratch (same JSON,
 // fresh BDD space, full re-derivation) with the trace transferred over —
-// property-tested and fuzzed in this package, including mid-delta budget
-// trips, which unwind leaving the network untouched (netmodel.Mutation
-// stages all symbolic work before publishing).
+// property-tested and fuzzed in this package, including mid-delta
+// cancellations, which unwind leaving the network untouched
+// (netmodel.Mutation stages all symbolic work before publishing).
 package delta
 
 import (
@@ -82,8 +82,8 @@ func (e *BaseMismatchError) Error() string {
 }
 
 // ErrDriftIncomplete marks an Apply whose mutation committed but whose
-// post-apply drift report was cut short (budget trip or cancellation
-// during the coverage computation). The returned Applied is valid and
+// post-apply drift report was cut short (a cancellation during the
+// coverage computation). The returned Applied is valid and
 // the network *has* changed — only the drift/decay accounting is
 // degraded. Callers treat it like the rest of the degradation model:
 // keep the state, surface the incompleteness.
@@ -220,8 +220,8 @@ func ApplyOps(net *netmodel.Network, ops []Op) error {
 // trace, and report drift.
 //
 // Atomicity: any error other than ErrDriftIncomplete means nothing
-// changed. A symbolic-engine panic (budget trip, watched-context
-// cancellation) during the pre-drift computation or the commit also
+// changed. A symbolic-engine panic (a watched-context cancellation)
+// during the pre-drift computation or the commit also
 // propagates with nothing changed — netmodel.Mutation publishes only
 // after all BDD work succeeds. Once the commit has published, the
 // remaining work is the after-side drift report; if *that* is cut
@@ -240,7 +240,7 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	// Pre-commit snapshot: which rules will lose their marks, what each
 	// mark was worth, and the touched devices' coverage before. All of
 	// this reads the old universe, so it must happen now — and it may
-	// panic on a budget trip, which is fine: nothing has changed yet.
+	// panic on a cancellation, which is fine: nothing has changed yet.
 	lost := make(map[netmodel.RuleID]LostRule)
 	for _, op := range doc.Ops {
 		if op.Op != OpRemove && op.Op != OpModify {
@@ -327,7 +327,7 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	// After-side drift: coverage of the touched devices in the new
 	// universe, which re-derives exactly those devices in the view.
 	// This is the only part that may fail with the delta
-	// already applied, so it runs under its own Guard — a budget trip
+	// already applied, so it runs under its own Guard — a cancellation
 	// here must not masquerade as a failed delta.
 	derr := bdd.Guard(func() {
 		for _, dev := range res.Touched {

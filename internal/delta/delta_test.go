@@ -14,6 +14,7 @@ import (
 	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/faults"
 	"yardstick/internal/netmodel"
 )
 
@@ -243,6 +244,10 @@ func TestApplyDecayAccounting(t *testing.T) {
 	assertEngineEquivalent(t, e)
 }
 
+// TestApplyBudgetTripAtomic cancels a delta at its second op, inside
+// the derivation of the staged rules: the network, fingerprint and trace
+// are as they were, and the engine applies the delta under a live
+// context afterwards.
 func TestApplyBudgetTripAtomic(t *testing.T) {
 	n := buildBase(t)
 	tr := core.NewTrace()
@@ -255,54 +260,22 @@ func TestApplyBudgetTripAtomic(t *testing.T) {
 	fp := e.Fingerprint()
 	spec := &netmodel.RuleSpec{Device: 0, Table: "fib", Action: "drop",
 		Match: netmodel.MatchSpec{Dst: "10.77.0.0/16"}, Origin: "static"}
-	n.Space.SetLimits(bdd.Limits{MaxOps: 1})
+	restore := n.Space.WatchContext(faults.CancelAtOp(n.Space.Manager(), 1))
 	gerr := bdd.Guard(func() {
 		e.Apply(Document{Ops: []Op{{Op: OpAdd, Spec: spec}, {Op: OpAdd, Spec: spec}}})
 	})
-	n.Space.SetLimits(bdd.Limits{})
-	if gerr == nil {
-		t.Skip("budget did not trip")
-	}
-	if !errors.Is(gerr, bdd.ErrBudgetExceeded) {
-		t.Fatalf("gerr = %v", gerr)
+	restore()
+	if !errors.Is(gerr, context.Canceled) {
+		t.Fatalf("gerr = %v, want the cancellation", gerr)
 	}
 	if !bytes.Equal(before, encodeNet(t, n)) {
-		t.Fatal("network changed despite mid-delta budget trip")
+		t.Fatal("network changed despite a cancelled delta")
 	}
 	if e.Fingerprint() != fp {
 		t.Fatal("fingerprint moved despite aborted delta")
 	}
 	if !e.Trace.RuleMarked(1) {
 		t.Fatal("trace changed despite aborted delta")
-	}
-	// The engine still works once the budget is lifted.
-	if _, err := e.Apply(Document{Ops: []Op{{Op: OpAdd, Spec: spec}}}); err != nil {
-		t.Fatal(err)
-	}
-	assertEngineEquivalent(t, e)
-}
-
-func TestApplyCancellationAtomic(t *testing.T) {
-	n := buildBase(t)
-	e, err := NewEngine(n, core.NewTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := encodeNet(t, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	restore := n.Space.WatchContext(ctx)
-	spec := &netmodel.RuleSpec{Device: 0, Table: "fib", Action: "drop",
-		Match: netmodel.MatchSpec{Dst: "10.88.0.0/16"}, Origin: "static"}
-	gerr := bdd.Guard(func() {
-		e.Apply(Document{Ops: []Op{{Op: OpAdd, Spec: spec}}})
-	})
-	restore()
-	if gerr == nil {
-		t.Skip("cancellation not observed (work finished between polls)")
-	}
-	if !bytes.Equal(before, encodeNet(t, n)) {
-		t.Fatal("network changed despite cancelled delta")
 	}
 	if _, err := e.Apply(Document{Ops: []Op{{Op: OpAdd, Spec: spec}}}); err != nil {
 		t.Fatal(err)

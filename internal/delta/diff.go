@@ -49,18 +49,20 @@ func Diff(old, next *netmodel.Network) ([]Op, error) {
 	return ops, nil
 }
 
-// sameRule reports whether two rules have the same definition — what
-// comparing their wire specs (RuleSpecOf) answers, without rendering
+// sameRule reports whether two rules have the same definition — whether
+// their wire specs (RuleSpecOf) render the same values, without rendering
 // them: device, table, match, action kind, out-interfaces (rendered only
-// for a forward), transform, origin and deny. A spec renders a match's
-// protocol and a narrowed port range behind fresh pointers, so the specs
-// of two rules that restrict either never compare equal; sameRule keeps
-// that answer.
+// for a forward), transform, origin and deny. A spec renders every
+// negative protocol as none (any protocol), and a port range as its two
+// bounds unless it is the full range.
 func sameRule(a, b *netmodel.Rule) bool {
+	am, bm := a.Match, b.Match
 	if a.Device != b.Device || (a.Table == netmodel.TableACL) != (b.Table == netmodel.TableACL) ||
 		a.Origin != b.Origin || a.Deny != b.Deny ||
-		!samePrefix(a.Match.DstPrefix, b.Match.DstPrefix) || !samePrefix(a.Match.SrcPrefix, b.Match.SrcPrefix) ||
-		!anyPacket(a.Match) || !anyPacket(b.Match) {
+		!samePrefix(am.DstPrefix, bm.DstPrefix) || !samePrefix(am.SrcPrefix, bm.SrcPrefix) ||
+		am.Proto != bm.Proto && (am.Proto >= 0 || bm.Proto >= 0) ||
+		am.DstPortLo != bm.DstPortLo || am.DstPortHi != bm.DstPortHi ||
+		am.SrcPortLo != bm.SrcPortLo || am.SrcPortHi != bm.SrcPortHi {
 		return false
 	}
 	ak, bk := a.Action.Kind, b.Action.Kind
@@ -78,11 +80,6 @@ func sameRule(a, b *netmodel.Rule) bool {
 // prefix is the empty string.
 func samePrefix(a, b netip.Prefix) bool {
 	return a == b || (!a.IsValid() && !b.IsValid())
-}
-
-// anyPacket reports whether a match leaves protocol and ports open.
-func anyPacket(m netmodel.Match) bool {
-	return m.Proto < 0 && m.DstPortLo == 0 && m.DstPortHi == 65535 && m.SrcPortLo == 0 && m.SrcPortHi == 65535
 }
 
 // diffACL replaces a device's ACL wholesale when the sequences differ.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"yardstick/internal/bgp"
@@ -13,35 +14,28 @@ import (
 	"yardstick/internal/topogen"
 )
 
-// specEqual compares the definition-relevant fields of two rules via
-// their wire specs (match, action, origin, deny — everything a delta
-// can change). It is what Diff compared until sameRule, and the oracle
+// specEqual compares the definition-relevant fields of two rules by the
+// values their wire specs render (match, action, origin, deny —
+// everything a delta can change), behind pointers too. It is the oracle
 // sameRule is held to.
 func specEqual(a, b netmodel.RuleSpec) bool {
-	if a.Device != b.Device || a.Table != b.Table || a.Action != b.Action ||
-		a.Origin != b.Origin || a.Deny != b.Deny || a.Match != b.Match {
-		return false
-	}
-	if len(a.Out) != len(b.Out) {
-		return false
-	}
-	for i := range a.Out {
-		if a.Out[i] != b.Out[i] {
-			return false
-		}
-	}
-	if (a.Transform == nil) != (b.Transform == nil) {
-		return false
-	}
-	if a.Transform != nil && *a.Transform != *b.Transform {
-		return false
-	}
-	return true
+	return a.Device == b.Device && a.Table == b.Table && a.Action == b.Action &&
+		a.Origin == b.Origin && a.Deny == b.Deny &&
+		a.Match.Dst == b.Match.Dst && a.Match.Src == b.Match.Src && sameValue(a.Match.Proto, b.Match.Proto) &&
+		sameValue(a.Match.DstPort, b.Match.DstPort) && sameValue(a.Match.SrcPort, b.Match.SrcPort) &&
+		slices.Equal(a.Out, b.Out) && sameValue(a.Transform, b.Transform)
+}
+
+// sameValue reports whether two pointers are both nil or point at equal
+// values.
+func sameValue[T comparable](a, b *T) bool {
+	return a == b || a != nil && b != nil && *a == *b
 }
 
 // flapDiffDigest is the sha256 of the JSON of Diff's ops along
-// flapStream, recorded while Diff compared rules with specEqual.
-const flapDiffDigest = "0fa8e1dd3c296c2745a3f6304960bcc5aba0bcaed1f4f38cafbe893372ffa380"
+// flapStream: each flap's route changes, and no spine's 5-tuple ACL,
+// which no flap touches.
+const flapDiffDigest = "e601712ee4e558854643110a1e4753b942fe1b580dfc8c2c7e9b447c29302e00"
 
 // flapStream replays a GenFlaps stream on regional-m (the benchmark's
 // regional network) with a 5-tuple ACL and a permit-all entry on every
@@ -123,6 +117,32 @@ func TestDiffMatchesSpecOracle(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != flapDiffDigest {
 		t.Errorf("Diff ops digest = %s, want %s", got, flapDiffDigest)
+	}
+}
+
+// TestDiffOfCloneIsEmpty: a network diffs empty against its own clone,
+// 5-tuple ACL entries included — a protocol or a narrowed port range
+// does not make an unchanged rule look changed.
+func TestDiffOfCloneIsEmpty(t *testing.T) {
+	n := netmodel.New()
+	a := n.AddDevice("a", netmodel.RoleToR, 65001)
+	b := n.AddDevice("b", netmodel.RoleSpine, 65002)
+	n.Connect(a, b, netip.MustParsePrefix("10.128.0.0/31"))
+	n.AddFIBRule(a, netmodel.MatchDst(netip.MustParsePrefix("10.0.0.0/8")), netmodel.Action{Kind: netmodel.ActForward, OutIfaces: []netmodel.IfaceID{0}}, netmodel.OriginInternal)
+	for i, proto := range []int32{6, 17, -1} {
+		m := netmodel.MatchAll()
+		m.SrcPrefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 18, byte(i), 0}), 24)
+		m.Proto, m.DstPortLo, m.DstPortHi, m.SrcPortLo = proto, 443, 443+uint16(i), 1024
+		n.AddACLRule(b, m, i%2 == 0)
+	}
+	n.AddACLRule(b, netmodel.MatchAll(), false)
+	n.ComputeMatchSets()
+	ops, err := Diff(n, n.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ops) != 0 {
+		t.Errorf("Diff against a clone = %d ops, want none: %+v", len(ops), ops)
 	}
 }
 

@@ -3,9 +3,11 @@ package difftest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -14,7 +16,9 @@ import (
 	"time"
 
 	"yardstick/internal/core"
+	"yardstick/internal/delta"
 	"yardstick/internal/engine"
+	"yardstick/internal/faults"
 	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/service"
@@ -34,6 +38,7 @@ var rows = []row{
 	{"rebuild", false, rebuildRow},
 	{"restore", false, restoreRow},
 	{"fragment", false, fragmentRow},
+	{"cancel", false, cancelRow},
 	{"daemon", true, daemonRow},
 }
 
@@ -191,6 +196,62 @@ func fragmentRow(t *testing.T, ref *Reference) {
 			}
 			ref.check(t, frag.name, i, observe(t, e, ref.space))
 		}
+	}
+}
+
+// cancelRow is cancellation ≡ no delta: a sequential engine over the
+// reference's starting point replays the stream with each delta's Patch
+// cancelled at an op drawn from the seed, inside the first seven eighths
+// of what the reference's Patch charged, so that it is always cut short
+// (a delta that charges no op is applied whole).
+// Cut before its commit, the engine must observe what the reference did
+// before the delta, and applying the delta again under a live context
+// must reach the reference's next step, delta report and all. Cut in the
+// drift report, after the commit, the delta is applied and the engine
+// must observe the reference's next step without the report's drift
+// section.
+func cancelRow(t *testing.T, ref *Reference) {
+	rng := rand.New(rand.NewSource(ref.Seed ^ 0xca9ce1))
+	e := engine.New(decode(t, encode(t, ref.start)), engine.Config{})
+	for i, st := range ref.Steps {
+		switch {
+		case st.rejected != "":
+			ref.refuse(t, "cancel", i, e)
+		case st.Doc == nil:
+			if i > 0 {
+				e.ResetTrace()
+			}
+			if _, err := e.Run(bg, "", suiteOf(t, ref.Suites), nil); err != nil {
+				t.Fatalf("cancel row, step %d: %v", i, err)
+			}
+		default:
+			// A delta that charges no op (a flap that changes no rule) has
+			// no inside to cancel.
+			ctx, row := bg, "cancel"
+			if st.ops > 0 {
+				k := rng.Int63n(max(int64(st.ops)*7/8, 1))
+				ctx = faults.CancelAtOp(e.Net().Space.Manager(), int(k))
+				row = fmt.Sprintf("cancel (after %d of %d ops)", k, st.ops)
+			}
+			applied, err := e.Patch(ctx, *st.Doc)
+			switch {
+			case applied == nil && errors.Is(err, context.Canceled):
+				ref.check(t, row, i-1, observe(t, e, ref.space))
+				if applied, err = e.Patch(bg, *st.Doc); err != nil {
+					t.Fatalf("%s row, step %d, applied again: %v", row, i, err)
+				}
+			case errors.Is(err, delta.ErrDriftIncomplete):
+				ref.check(t, row, i, observe(t, e, ref.space))
+				continue
+			case err != nil || st.ops > 0:
+				t.Fatalf("%s row, step %d: Patch = %v, want it cancelled", row, i, err)
+			}
+			got := observe(t, e, ref.space)
+			got.applied = marshal(t, applied)
+			ref.check(t, row, i, got)
+			continue
+		}
+		ref.check(t, "cancel", i, observe(t, e, ref.space))
 	}
 }
 

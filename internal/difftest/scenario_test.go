@@ -297,7 +297,10 @@ type Step struct {
 	// was applied. A row must refuse it with the same error, and observe
 	// what it did before.
 	rejected string
-	want     observation
+	// ops is what the reference's Patch of an applied Doc charged; the
+	// cancel row cancels its own Patch at an op below it.
+	ops  uint64
+	want observation
 	// What the rows that derive their state from the reference read.
 	netJSON  []byte // the network's encoding, written without its cache
 	snapshot string // the trace checkpointed as YSS1 (engine.Snapshot)
@@ -379,11 +382,14 @@ func evaluate(t testing.TB, sc Scenario) *Reference {
 			t.Fatalf("event %d: %v", i, err)
 		}
 		doc := delta.Document{Base: e.Fingerprint(), Ops: ops}
+		before := e.Net().Space.EngineStats().Ops
 		applied, err := e.Patch(bg, doc)
 		if err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
+		charged := e.Net().Space.EngineStats().Ops - before
 		record(&doc, nil, applied)
+		ref.Steps[len(ref.Steps)-1].ops = charged
 	}
 	if sc.Reject == sc.Events {
 		reject()

@@ -48,10 +48,10 @@ const (
 // engine was created without one.
 var ErrNoNetwork = errors.New("no network loaded")
 
-// Aborted reports whether err is a stage cut short — a tripped budget or
-// a context that ended — rather than a fault in what was asked.
+// Aborted reports whether err is a stage cut short by a context that
+// ended rather than a fault in what was asked.
 func Aborted(err error) bool {
-	return errors.Is(err, bdd.ErrBudgetExceeded) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Config sizes an Engine.
@@ -115,15 +115,13 @@ func (e *Engine) Fingerprint() string {
 // stage runs fn as one guarded stage: under a child span called name
 // (the context's own span when name is ""), with the context watched by
 // the canonical space, the work under bdd.Guard and the space's counter
-// movement settled onto the span. The engine arms no budget: whoever
-// owns the space does (Space.SetLimits), and a stage only detects one. It
-// returns an error when a budget tripped — also inside a test the suite
-// runner isolated, where the poisoned manager is the evidence; it stays
-// poisoned until its owner arms the space again — or the context ended.
-// The space polls the context only every 1024 operations, so a context
-// that has already ended is refused before anything runs (a short stage
-// would finish under it unseen) and one that ends meanwhile is checked
-// again afterwards.
+// movement settled onto the span. It returns an error when the context
+// ended — also when the cancellation unwound inside a test the suite
+// runner isolated, which records it as that test's error. The space
+// polls the context only every 1024 operations, so a context that has
+// already ended is refused before anything runs (a short stage would
+// finish under it unseen) and one that ends meanwhile is checked again
+// afterwards.
 func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Context, sp *obs.Span)) error {
 	if e.net == nil {
 		return ErrNoNetwork
@@ -142,9 +140,6 @@ func (e *Engine) stage(ctx context.Context, name string, fn func(ctx context.Con
 	defer func() { space.FlushStats(sp, nil, base) }()
 	defer space.WatchContext(ctx)()
 	err := bdd.Guard(func() { fn(ctx, sp) })
-	if err == nil {
-		err = space.Manager().BudgetErr()
-	}
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -320,8 +315,8 @@ func (e *Engine) EncodeFragment(ctx context.Context, t *core.Trace, arena bool) 
 
 // Snapshot writes the accumulated trace to path as a YSS1 arena under
 // the cached fingerprint (atomic rename; core.SaveSnapshotArena). The
-// sets are extracted into a private manager, so no budget of the
-// canonical one is charged and there is nothing to guard.
+// sets are extracted into a private manager, so the canonical one is
+// not charged and there is nothing to guard.
 func (e *Engine) Snapshot(path string) error {
 	if e.net == nil {
 		return ErrNoNetwork

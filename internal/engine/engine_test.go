@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
@@ -306,9 +305,10 @@ func TestDegradation(t *testing.T) {
 		return err
 	}
 
-	// maxOps is the op budget the space's owner arms on the canonical
-	// space. A sharded run charges that space only for its merge, about
-	// ten ops here (the replicas are the pool's and unbudgeted), so its
+	// maxOps is the op budget of the /budget cases: the call's context
+	// is cancelled once the canonical space has charged that many ops
+	// (faults.CancelAtOp). A sharded run charges that space only for its
+	// merge, about ten ops here (the replicas are the pool's own), so its
 	// budget is smaller.
 	cases := []struct {
 		name    string
@@ -328,18 +328,13 @@ func TestDegradation(t *testing.T) {
 		t.Run(tc.name+"/budget", func(t *testing.T) {
 			e := fresh(t, tc.workers)
 			before := snap(e)
-			e.Net().Space.SetLimits(bdd.Limits{MaxOps: tc.maxOps})
-			if err := tc.op(bg, e); !errors.Is(err, bdd.ErrBudgetExceeded) || !Aborted(err) {
-				t.Fatalf("err = %v, want a budget trip", err)
+			ctx := faults.CancelAtOp(e.Net().Space.Manager(), tc.maxOps)
+			if err := tc.op(ctx, e); !errors.Is(err, context.Canceled) || !Aborted(err) {
+				t.Fatalf("err = %v, want the cancellation at op %d", err, tc.maxOps+1)
 			}
 			tc.after(t, e, before)
-			// The trip poisons the space until its owner arms it again.
-			if err := tc.op(bg, e); !errors.Is(err, bdd.ErrBudgetExceeded) {
-				t.Fatalf("the same call on the poisoned space: %v, want the budget trip again", err)
-			}
-			e.Net().Space.SetLimits(bdd.Limits{})
 			if err := tc.op(bg, e); err != nil {
-				t.Fatalf("the same call after the trip: %v", err)
+				t.Fatalf("the same call under a live context: %v", err)
 			}
 			assertRebuildEquivalent(t, e)
 		})
@@ -380,12 +375,13 @@ func TestDegradation(t *testing.T) {
 		})
 	}
 
-	// Patch, budget by budget: every budget around the one that first
-	// lets the commit through (op counts shift by a few between engines —
-	// the op cache is warmed in map order — so the boundary is scanned,
-	// not pinned). Short of the commit the call aborts with nothing
-	// changed; past it the delta is applied even when the drift report
-	// is cut short, which must not read as a failed delta.
+	// Patch, cancelled op by op: at every op around the first one whose
+	// cancellation lets the commit through (op counts shift by a few
+	// between engines — the op cache is warmed in map order — so the
+	// boundary is scanned, not pinned). Short of the commit the call
+	// aborts with nothing changed; past it the delta is applied even when
+	// the drift report is cut short, which must not read as a failed
+	// delta.
 	t.Run("patch/commit-boundary", func(t *testing.T) {
 		try := func(maxOps int) (e *Engine, before state, applied *delta.Applied, err error) {
 			e = fresh(t, 2)
@@ -393,9 +389,7 @@ func TestDegradation(t *testing.T) {
 				t.Fatal(err)
 			}
 			before = snap(e)
-			e.Net().Space.SetLimits(bdd.Limits{MaxOps: maxOps})
-			applied, err = e.Patch(bg, patchDoc(e.Net()))
-			e.Net().Space.SetLimits(bdd.Limits{})
+			applied, err = e.Patch(faults.CancelAtOp(e.Net().Space.Manager(), maxOps), patchDoc(e.Net()))
 			return e, before, applied, err
 		}
 		lo, hi := 1, 1<<22
@@ -409,19 +403,19 @@ func TestDegradation(t *testing.T) {
 		}
 		var aborted, cutShort, whole int
 		var patched string
-		for budget := max(lo-48, 1); budget < lo+48 || whole == 0; budget++ {
-			if budget == lo+48 {
-				budget = 1 << 30
+		for k := max(lo-48, 1); k < lo+48 || whole == 0; k++ {
+			if k == lo+48 {
+				k = 1 << 30 // never cancelled: the whole report
 			}
-			e, before, applied, err := try(budget)
+			e, before, applied, err := try(k)
 			if applied == nil {
 				aborted++
-				if !errors.Is(err, bdd.ErrBudgetExceeded) {
-					t.Fatalf("budget %d: err = %v, want a budget trip", budget, err)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("op %d: err = %v, want the cancellation", k, err)
 				}
 				untouched(t, e, before)
 				if e.pool == nil {
-					t.Errorf("budget %d: a pre-commit abort dropped the replica pool", budget)
+					t.Errorf("op %d: a pre-commit abort dropped the replica pool", k)
 				}
 				continue
 			}
@@ -431,21 +425,21 @@ func TestDegradation(t *testing.T) {
 			case errors.Is(err, delta.ErrDriftIncomplete) && applied.Drift == nil:
 				cutShort++
 			default:
-				t.Fatalf("budget %d: applied=%+v err=%v", budget, applied, err)
+				t.Fatalf("op %d: applied=%+v err=%v", k, applied, err)
 			}
 			if e.Fingerprint() != applied.Fingerprint || e.Fingerprint() == before.fp || e.Net().Generation() == before.gen {
-				t.Errorf("budget %d: a committed delta did not advance the fingerprint and generation", budget)
+				t.Errorf("op %d: a committed delta did not advance the fingerprint and generation", k)
 			}
 			if patched == "" {
 				patched = e.Fingerprint()
 			} else if e.Fingerprint() != patched {
-				t.Errorf("budget %d: the same delta produced another network", budget)
+				t.Errorf("op %d: the same delta produced another network", k)
 			}
 			if e.pool != nil {
-				t.Errorf("budget %d: a committed delta kept replicas of the network as it was", budget)
+				t.Errorf("op %d: a committed delta kept replicas of the network as it was", k)
 			}
 			if applied.Decay.DroppedMarks == 0 {
-				t.Errorf("budget %d: the removed rule was marked; its mark must be reported as decay", budget)
+				t.Errorf("op %d: the removed rule was marked; its mark must be reported as decay", k)
 			}
 			assertRebuildEquivalent(t, e)
 			if cutShort+whole == 1 {
@@ -499,8 +493,8 @@ func TestDegradation(t *testing.T) {
 
 // TestPatchFingerprintFresh holds the engine's fingerprint to a fresh
 // core.Fingerprint of a cache-free copy after every Patch of a sequence,
-// and after patches whose drift report the budget cut short: once the
-// commit has published, the new fingerprint is always held.
+// and after patches whose drift report a cancellation cut short: once
+// the commit has published, the new fingerprint is always held.
 func TestPatchFingerprintFresh(t *testing.T) {
 	e := New(regional(t), Config{})
 	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,reach"), nil); err != nil {
@@ -516,8 +510,8 @@ func TestPatchFingerprintFresh(t *testing.T) {
 		assertFingerprintFresh(t, e, applied)
 	}
 
-	// A patch that touches every ToR, on copies of e under a budget: the
-	// budgets just past the commit leave too little for the drift, which
+	// A patch that touches every ToR, on copies of e cancelled at an op:
+	// the ops just past the commit leave too little for the drift, which
 	// derives each touched device's marked union again.
 	wide := func(n *netmodel.Network) delta.Document {
 		var doc delta.Document
@@ -532,9 +526,7 @@ func TestPatchFingerprintFresh(t *testing.T) {
 		if err := p.MergeTrace(bg, e.Trace().TransferTo(p.Net().Space)); err != nil {
 			t.Fatal(err)
 		}
-		p.Net().Space.SetLimits(bdd.Limits{MaxOps: maxOps})
-		applied, err := p.Patch(bg, wide(p.Net()))
-		p.Net().Space.SetLimits(bdd.Limits{})
+		applied, err := p.Patch(faults.CancelAtOp(p.Net().Space.Manager(), maxOps), wide(p.Net()))
 		return p, applied, err
 	}
 	lo, hi := 1, 1<<22
@@ -547,8 +539,8 @@ func TestPatchFingerprintFresh(t *testing.T) {
 		}
 	}
 	cutShort := 0
-	for budget := max(hi-32, 1); budget < hi+64; budget++ {
-		p, applied, err := try(budget)
+	for k := max(hi-32, 1); k < hi+64; k++ {
+		p, applied, err := try(k)
 		if applied == nil {
 			continue
 		}
@@ -557,9 +549,9 @@ func TestPatchFingerprintFresh(t *testing.T) {
 		}
 		assertFingerprintFresh(t, p, applied)
 	}
-	t.Logf("%d budgets cut the drift report short", cutShort)
+	t.Logf("%d cancellations cut the drift report short", cutShort)
 	if cutShort == 0 {
-		t.Error("no budget cut a drift report short")
+		t.Error("no cancellation cut a drift report short")
 	}
 }
 

@@ -27,7 +27,7 @@ func TestFrontEndsDriveTheEngine(t *testing.T) {
 		"yardstick/internal/bdd":     {"Guard"},
 		"yardstick":                  {"NewCoverage"},
 	}
-	bannedMethods := []string{"WatchContext", "FlushStats", "SetLimits"}
+	bannedMethods := []string{"WatchContext", "FlushStats"}
 
 	root := filepath.Join("..", "..")
 	dirs := []string{"internal/service", "internal/coord"}

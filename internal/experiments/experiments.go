@@ -228,9 +228,9 @@ func Figure9(ctx context.Context, ks []int, opts Figure9Opts) ([]Figure9Row, err
 		}
 		routers := topogen.FatTreeSize(k)
 		// Trace construction and the non-path metrics are symbolic work
-		// with no internal budget hooks; the watched context makes them
-		// cancellable mid-computation (the path metric additionally
-		// observes ctx through EnumeratePaths).
+		// with no cancellation hooks of their own; the watched context
+		// makes them cancellable mid-computation (the path metric
+		// additionally observes ctx through EnumeratePaths).
 		restore := ft.Net.Space.WatchContext(ctx)
 		gerr := bdd.Guard(func() {
 			trace := core.NewTrace()

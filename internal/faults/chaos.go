@@ -3,8 +3,8 @@ package faults
 import (
 	"context"
 	"fmt"
-	"net/netip"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/testkit"
@@ -14,7 +14,7 @@ import (
 // degradation model end to end. Where the fault operators above mutate
 // the *network* to validate that coverage finds forwarding bugs, these
 // mutate the *test suite* to validate that the evaluation core survives
-// hostile tests — panics, hangs, and resource exhaustion — the way
+// hostile tests — panics and hangs — the way
 // testkit.Suite.Run and engine.EvaluateChange promise: one errored
 // Result, the rest of the suite unharmed.
 
@@ -80,44 +80,39 @@ func (t HangTest) RunContext(ctx context.Context, _ *netmodel.Network, _ core.Tr
 	return res
 }
 
-// BudgetTest burns BDD engine resources by building many distinct
-// symbolic sets — the unbounded-symbolic-work failure mode that
-// bdd.Limits exists for. Under a tight bdd.Limits the allocation trips
-// ErrBudgetExceeded: the suite's per-test isolation converts the trip
-// into an errored Result, and — because a tripped budget poisons the
-// manager — the next charged engine operation in the same evaluation
-// phase re-raises it to the enclosing bdd.Guard, so the phase as a
-// whole still reports the exhaustion.
-type BudgetTest struct {
-	// Iterations bounds the allocation (default 4096) so an *unlimited*
-	// manager terminates too; each iteration interns a distinct
-	// destination-IP singleton and unions it into a growing set.
-	Iterations int
+// CancelAtOp returns a context under which guarded work on m, once m
+// watches it, completes k more charged ops and is cancelled at the next:
+// how a test aborts a stage at a chosen point inside it. m polls a
+// watched context only every 1024 ops, so the counter is first advanced
+// with one-op walks until that op lands on a poll.
+//
+// Err reads m's op counter and nothing else, so the context may be
+// polled wherever m may be read: by the goroutine driving m, or by
+// replica workers while m waits for them. Its Done channel is nil, so a
+// context derived from it with a cancel function never sees the
+// cancellation; pass it to the call that watches it.
+func CancelAtOp(m *bdd.Manager, k int) context.Context {
+	for (m.Stats().Ops+uint64(k)+1)%1024 != 0 {
+		m.Restrict(bdd.True, 0, 0, nil)
+	}
+	return opContext{context.Background(), m, m.Stats().Ops + uint64(k) + 1}
 }
 
-// Name implements testkit.Test.
-func (BudgetTest) Name() string { return "ChaosBudget" }
+// opContext is CancelAtOp's context: done once m has counted target ops.
+type opContext struct {
+	context.Context
+	m      *bdd.Manager
+	target uint64
+}
 
-// Kind implements testkit.Test.
-func (BudgetTest) Kind() testkit.Kind { return testkit.StateInspection }
-
-// Run implements testkit.Test.
-func (t BudgetTest) Run(net *netmodel.Network, _ core.Tracker) testkit.Result {
-	iters := t.Iterations
-	if iters == 0 {
-		iters = 4096
+func (c opContext) Err() error {
+	if c.m.Stats().Ops >= c.target {
+		return context.Canceled
 	}
-	sp := net.Space
-	acc := sp.Empty()
-	for i := 0; i < iters; i++ {
-		a := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		acc = acc.Union(sp.DstIP(a))
-	}
-	return testkit.Result{Name: t.Name(), Kind: t.Kind(), Checks: iters}
+	return nil
 }
 
 var (
 	_ testkit.Test        = PanicTest{}
 	_ testkit.ContextTest = HangTest{}
-	_ testkit.Test        = BudgetTest{}
 )

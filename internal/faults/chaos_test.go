@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"errors"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -80,39 +79,28 @@ func TestHangTestReleasePasses(t *testing.T) {
 	}
 }
 
-func TestBudgetTestTripsNodeLimit(t *testing.T) {
-	net := smallNet(t)
-	sp := net.Space
-	sp.SetLimits(bdd.Limits{MaxNodes: sp.Manager().Size() + 64})
-	var results []testkit.Result
-	err := bdd.Guard(func() {
-		results = testkit.Suite{BudgetTest{}}.Run(context.Background(), net, core.Nop{})
-		// Post-suite symbolic work, as engine.EvaluateChange's coverage
-		// phase does: the poisoned manager re-raises the trip here, where
-		// the Guard converts it to an error.
-		sp.DstPrefix(netip.MustParsePrefix("203.0.113.0/24"))
-	})
-	if !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+// TestCancelAtOpAbortsAtOp: guarded work on the manager completes k ops
+// and aborts at the next, whether or not an earlier poll lies between.
+func TestCancelAtOpAbortsAtOp(t *testing.T) {
+	work := func(m *bdd.Manager) {
+		vals := make([]bool, 16)
+		for i := 0; i < 256; i++ { // 16 ops a chain
+			for b := range vals {
+				vals[b] = i>>b&1 == 1
+			}
+			m.Literals(0, vals)
+		}
 	}
-	// The trip inside the test surfaced as an errored result first.
-	if len(results) != 1 || !results[0].Errored() || !strings.Contains(results[0].Err, "budget") {
-		t.Fatalf("results = %+v, want one budget-errored result", results)
-	}
-	// SetLimits un-poisons: the same work succeeds afterwards.
-	sp.SetLimits(bdd.Limits{})
-	if err := bdd.Guard(func() { sp.DstPrefix(netip.MustParsePrefix("203.0.113.0/24")) }); err != nil {
-		t.Fatalf("after reset: %v", err)
-	}
-}
-
-// TestBudgetTestCompletesUnlimited pins the other side: without limits
-// the chaos test terminates on its iteration bound and passes.
-func TestBudgetTestCompletesUnlimited(t *testing.T) {
-	net := smallNet(t)
-	results := testkit.Suite{BudgetTest{Iterations: 256}}.Run(context.Background(), net, core.Nop{})
-	if len(results) != 1 || !results[0].Pass() {
-		t.Fatalf("results = %+v, want one pass", results)
+	for _, k := range []int{0, 1, 1023, 1024, 4000} {
+		m := bdd.New(16)
+		ctx := CancelAtOp(m, k)
+		base := m.Stats().Ops
+		restore := m.WatchContext(ctx)
+		err := bdd.Guard(func() { work(m) })
+		restore()
+		if got := m.Stats().Ops - base; !errors.Is(err, context.Canceled) || got != uint64(k+1) {
+			t.Errorf("k = %d: err = %v after %d ops, want context.Canceled at op %d", k, err, got, k+1)
+		}
 	}
 }
 

@@ -8,9 +8,8 @@ package hdr
 // by index instead of being re-derived from configuration.
 //
 // The clone is independent after the copy: growth on either side is
-// invisible to the other. Budgets, poison, and watched contexts are
-// deliberately not snapshotted — a clone starts with a fresh,
-// unconstrained evaluation budget (install limits with SetLimits).
+// invisible to the other. The watched context is deliberately not
+// snapshotted — a clone's owner watches its own.
 //
 // Cloning a quiescent space is a pure read of it, so several clones may
 // be taken concurrently as long as nothing mutates the original.

@@ -128,12 +128,6 @@ func (s *Space) IPBits() int { return s.ipBits }
 // packages that need raw node operations).
 func (s *Space) Manager() *bdd.Manager { return s.m }
 
-// SetLimits installs resource budgets on the space's BDD manager and
-// clears any previously tripped budget. Set operations that exhaust a
-// budget raise a typed panic recovered by bdd.Guard — wrap evaluation
-// phases in Guard to turn exhaustion into an ErrBudgetExceeded error.
-func (s *Space) SetLimits(l bdd.Limits) { s.m.SetLimits(l) }
-
 // WatchContext makes the space's set operations observe ctx, aborting
 // in-flight symbolic work shortly after cancellation (recovered by
 // bdd.Guard as an error wrapping ctx.Err()). It returns a restore
@@ -145,8 +139,8 @@ func (s *Space) WatchContext(ctx context.Context) (restore func()) {
 }
 
 // EngineStats reports the underlying BDD manager's counters (node
-// counts, unique-table load, op-cache hit/miss, charged ops) for budget
-// tuning and degradation diagnosis.
+// counts, unique-table load, op-cache hit/miss, charged ops) for stage
+// spans and degradation diagnosis.
 func (s *Space) EngineStats() bdd.Stats { return s.m.Stats() }
 
 // Set is a set of packet headers within a Space.

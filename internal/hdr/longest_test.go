@@ -1,6 +1,7 @@
 package hdr
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/netip"
@@ -98,11 +99,10 @@ func foldLPM(s *Space, c lpmCase) Set {
 }
 
 // checkLPM holds one case to the fold, and the walk's charged ops to at
-// least the nodes it made; then it trips MaxOps at a node of the same
-// walk, chosen by trip, on a fresh space: the walk must unwind
-// with the budget error, leave the manager poisoned, and — once the
-// budget is lifted — build the very node the fold does, with no node
-// more than an undisturbed space holds.
+// least the nodes it made; then it cancels the same walk at an op chosen
+// by trip, on a fresh space: the walk must unwind with the cancellation
+// and — under a live context — build the very node the fold does, with
+// no node more than an undisturbed space holds.
 func checkLPM(t *testing.T, c lpmCase, trip int) {
 	t.Helper()
 	s := c.space()
@@ -124,27 +124,29 @@ func checkLPM(t *testing.T, c lpmCase, trip int) {
 
 	s2 := c.space()
 	want2 := foldLPM(s2, c)
-	limit := 1 + trip%(walkOps-1) // 0 would mean no limit
-	s2.SetLimits(bdd.Limits{MaxOps: limit})
+	// The walk completes k ops, some but not all, and its next op is
+	// cancelled: a cancelled context is seen at the next poll, every 1024
+	// ops, so the count is first brought k+1 ops short of one.
+	k := 1 + trip%min(walkOps-1, 1022)
+	for s2.EngineStats().Ops%1024 != uint64(1023-k) {
+		s2.Manager().Restrict(bdd.True, 0, 0, nil)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	restore := s2.WatchContext(ctx)
 	err := bdd.Guard(func() { s2.LongestMatch(c.keys(), c.flag) })
-	if !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Fatalf("walk of %d nodes under MaxOps %d: err = %v", walkOps, limit, err)
+	restore()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("walk of %d ops cancelled after %d: err = %v", walkOps, k, err)
 	}
-	if s2.Manager().BudgetErr() == nil {
-		t.Fatal("the trip did not poison the manager")
-	}
-	if err := bdd.Guard(func() { s2.Manager().MakeNode(0, bdd.False, bdd.True) }); !errors.Is(err, bdd.ErrBudgetExceeded) {
-		t.Fatalf("an operation on the poisoned manager: err = %v", err)
-	}
-	s2.SetLimits(bdd.Limits{})
 	if again := s2.LongestMatch(c.keys(), c.flag); again.Node() != want2.Node() {
-		t.Fatal("after the trip the walk builds a different node")
+		t.Fatal("after the cancellation the walk builds a different node")
 	}
 	s3 := c.space()
 	foldLPM(s3, c)
 	s3.LongestMatch(c.keys(), c.flag)
 	if s2.Manager().Size() != s3.Manager().Size() {
-		t.Fatalf("after the trip the space holds %d nodes, an undisturbed one %d", s2.Manager().Size(), s3.Manager().Size())
+		t.Fatalf("after the cancellation the space holds %d nodes, an undisturbed one %d", s2.Manager().Size(), s3.Manager().Size())
 	}
 }
 
@@ -201,7 +203,7 @@ func TestLongestMatchCorners(t *testing.T) {
 	}
 }
 
-// FuzzLongestMatch: the walk against the fold, and a MaxOps trip in the
+// FuzzLongestMatch: the walk against the fold, and a cancellation in the
 // middle of it, on lists the fuzzer shapes.
 func FuzzLongestMatch(f *testing.F) {
 	f.Add(false, []byte{0x80, 0, 1, 0, 0, 8, 0, 1, 1, 24, 1, 2, 2, 8, 0, 3, 0x7f, 32, 1, 4}, uint16(5))

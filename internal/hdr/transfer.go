@@ -16,7 +16,7 @@ import (
 //
 // The session reads src's manager and writes dst's; hold both spaces
 // single-threaded for its lifetime, and do not grow src while it is
-// live. Charged work counts against dst's limits and watched context.
+// live. Charged work is counted by dst and polls dst's watched context.
 type Transfer struct {
 	src, dst *Space
 	tr       *bdd.Transfer

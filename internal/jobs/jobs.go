@@ -8,7 +8,7 @@
 // A job moves through a small state machine:
 //
 //	queued ──▶ running ──▶ done
-//	   │          │    └──▶ failed     (runner error, panic, budget, ctx)
+//	   │          │    └──▶ failed     (runner error, panic, ctx)
 //	   └──────────┴───────▶ cancelled  (DELETE /jobs/{id})
 //
 // done, failed, and cancelled are terminal. Terminal jobs are retained

@@ -18,9 +18,8 @@ import (
 // clone whose fields are edited must not inherit stale bytes.
 //
 // The copy is independent afterwards: mutating either network's rules or
-// growing either space is invisible to the other. Budgets and watched
-// contexts on the space are not carried (see hdr.Space.Clone); install
-// limits on the clone's space if the replica should be bounded.
+// growing either space is invisible to the other. A context the space
+// watches is not carried (see hdr.Space.Clone).
 //
 // Cloning a quiescent network only reads it, so several replicas may be
 // cloned concurrently as long as nothing mutates the original.

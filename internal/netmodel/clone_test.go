@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"context"
 	"testing"
 
 	"yardstick/internal/bdd"
@@ -78,11 +79,18 @@ func TestCloneIndependentState(t *testing.T) {
 		t.Fatalf("clone ops grew canonical space %d -> %d nodes", sizeBefore, got)
 	}
 
-	// Budget state is not carried: a poisoned original clones clean.
-	n.Space.SetLimits(bdd.Limits{MaxNodes: 1})
+	// A watched context is not carried: the clone of a network whose
+	// space watches a cancelled context works on past a poll.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	defer n.Space.WatchContext(ctx)()
 	c2 := n.Clone()
-	if err := bdd.Guard(func() { c2.Rules[rules[2]].MatchSet().Negate() }); err != nil {
-		t.Fatalf("clone of limited network inherited budget: %v", err)
+	if err := bdd.Guard(func() {
+		for i := 0; i < 1024; i++ {
+			c2.Space.DstPort(uint16(i))
+		}
+	}); err != nil {
+		t.Fatalf("clone of a cancelled network inherited its context: %v", err)
 	}
 }
 

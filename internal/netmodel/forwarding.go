@@ -124,8 +124,7 @@ func (n *Network) FIBLookup(dev DeviceID, dst netip.Addr) (r *Rule, indexed bool
 }
 
 // Forwarding returns dev's action classes, building them on first use.
-// The build is BDD work and may unwind with a budget or cancellation
-// panic; nothing is kept of an unfinished build, so the next call starts
+// The build is BDD work and may unwind with a cancellation panic; nothing is kept of an unfinished build, so the next call starts
 // over.
 func (n *Network) Forwarding(dev DeviceID) *Forwarding {
 	if !n.matchSetsDone {

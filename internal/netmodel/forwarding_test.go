@@ -15,6 +15,7 @@ import (
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/dataplane"
+	"yardstick/internal/faults"
 	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/topogen"
@@ -343,28 +344,27 @@ func TestRuleActionIsWrittenThroughSetAction(t *testing.T) {
 	}
 }
 
-// TestForwardingBuildLeavesNothingBehind trips the op budget in the
-// middle of the first class build of a flood, and then a watched
-// context in the middle of a class build: no device may keep a half-built
+// TestForwardingBuildLeavesNothingBehind cancels a flood at an op in the
+// middle of its first class build, and then at the first poll that finds
+// a class build on the stack: no device may keep a half-built
 // index — a device keeps nothing or all its classes — and the next flood
 // must equal the flood of a twin that was never disturbed.
 func TestForwardingBuildLeavesNothingBehind(t *testing.T) {
 	const start = netmodel.DeviceID(0)
 	for _, tc := range []struct {
-		name   string
-		arm    func(n *netmodel.Network, startOps uint64) (disarm func())
-		wantIs error
+		name string
+		arm  func(n *netmodel.Network, startOps uint64) (disarm func())
 	}{
-		// The start device's build is the flood's first BDD work.
+		// The start device's build is the flood's first BDD work; the
+		// flood may run half of it.
 		{"MaxOps", func(n *netmodel.Network, startOps uint64) func() {
-			n.Space.SetLimits(bdd.Limits{MaxOps: int(startOps / 2)})
-			return func() { n.Space.SetLimits(bdd.Limits{}) }
-		}, bdd.ErrBudgetExceeded},
+			return n.Space.WatchContext(faults.CancelAtOp(n.Space.Manager(), int(startOps/2)))
+		}},
 		// The context is polled every 1024 ops; it reports cancellation
 		// at the first poll that finds a class build on the stack.
 		{"cancelled context", func(n *netmodel.Network, _ uint64) func() {
 			return n.Space.WatchContext(&cancelInBuild{Context: context.Background()})
-		}, context.Canceled},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := fatTree(t, 10)
@@ -375,7 +375,6 @@ func TestForwardingBuildLeavesNothingBehind(t *testing.T) {
 			probe := n.Clone()
 			floodAll(t, probe, len(n.Devices))
 			buildOps, startOps := uint64(0), uint64(0)
-			twin.Space.SetLimits(bdd.Limits{})
 			for _, d := range twin.Devices {
 				if probe.BuiltForwarding(d.ID) != nil {
 					before := twin.Space.EngineStats().Ops
@@ -392,14 +391,13 @@ func TestForwardingBuildLeavesNothingBehind(t *testing.T) {
 			}
 			want := floodAll(t, twin, 16)
 
-			n.Space.SetLimits(bdd.Limits{})
 			disarm := tc.arm(n, startOps)
 			err := bdd.Guard(func() {
 				_, _ = dataplane.Reach(n, dataplane.Injected(start), n.Space.Full(), dataplane.ReachOpts{})
 			})
 			disarm()
-			if !errors.Is(err, tc.wantIs) {
-				t.Fatalf("flood error = %v, want %v", err, tc.wantIs)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("flood error = %v, want the cancellation", err)
 			}
 			tr := hdr.NewTransfer(twin.Space, n.Space)
 			unbuilt := 0

@@ -37,9 +37,9 @@ import (
 //   - Commit is copy-on-write: it stages a complete new rule universe
 //     (fresh Rule structs; untouched ones share their hdr.Set values)
 //     and performs all BDD recomputation against the staged copy before
-//     publishing anything. A budget trip or watched-context cancellation
-//     panic mid-derivation unwinds leaving the network exactly as it
-//     was (the match memo may have grown — it is a pure value cache, so
+//     publishing anything. A watched-context cancellation panic
+//     mid-derivation unwinds leaving the network exactly as it was
+//     (the match memo may have grown — it is a pure value cache, so
 //     extra entries are harmless). The publish step itself is pure
 //     pointer and slice assignment and cannot panic.
 type Mutation struct {
@@ -182,7 +182,7 @@ func (m *Mutation) Pending() (removed, modified, added int) {
 
 // Commit applies the batch atomically. On return the network is frozen
 // again with every rule's disjoint match set valid. If the symbolic
-// derivation panics (budget trip, watched-context cancellation), the
+// derivation panics (a watched-context cancellation), the
 // panic propagates and the network is untouched; the mutation may not be
 // reused either way.
 func (m *Mutation) Commit() (MutationResult, error) {

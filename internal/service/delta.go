@@ -37,7 +37,7 @@ type DeltaReport struct {
 // no network is 409, a stale base fingerprint is 409 with the current
 // fingerprint in the body (re-read, re-diff, retry), a malformed or
 // invalid document is 400 with nothing changed, and an aborted
-// evaluation (budget, cancellation) before the commit is 503 with
+// evaluation (a cancellation) before the commit is 503 with
 // nothing changed. A post-commit abort during the drift report returns
 // 200 with the delta applied and the drift section absent — state
 // changes are never rolled back to beautify a report.

@@ -257,7 +257,7 @@ func (s *Server) storeJobTraceLocked(id string, frag *core.Trace, shard bool) {
 // jobTraceLocked returns a retained fragment in the requested encoding,
 // building and caching it on first use; ok is false when the job has no
 // retained fragment. Set extraction is BDD-manager work: callers hold
-// s.mu, and it runs guarded so a poisoned manager fails the fetch, not
+// s.mu, and it runs guarded so a cancelled fetch fails the request, not
 // the daemon.
 func (s *Server) jobTraceLocked(ctx context.Context, id string, arena bool) (data []byte, ok bool, err error) {
 	a, ok := s.artifacts[id]

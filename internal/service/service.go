@@ -512,7 +512,7 @@ type RunResult struct {
 	Checks   int      `json:"checks"`
 	Pass     bool     `json:"pass"`
 	Failures []string `json:"failures,omitempty"`
-	// Errored marks a test that terminated abnormally (panic, budget,
+	// Errored marks a test that terminated abnormally (panic,
 	// cancellation) — a third state distinct from pass/fail; Error
 	// carries the reason.
 	Errored bool   `json:"errored,omitempty"`
@@ -540,10 +540,9 @@ func (s *Server) evalContext(r *http.Request) (context.Context, context.CancelFu
 	return context.WithCancel(r.Context())
 }
 
-// abortError maps an aborted evaluation to a response. The daemon
-// installs no BDD budget (bdd.Limits): an evaluation is bounded only by
-// the client's cancellation and the WithRunTimeout deadline, and either
-// maps to 503 (the work was valid, the server declined to finish it),
+// abortError maps an aborted evaluation to a response. An evaluation is
+// bounded only by the client's cancellation and the WithRunTimeout
+// deadline, and either maps to 503 (the work was valid, the server declined to finish it),
 // with the context error in the body. The Retry-After hint keeps the 503
 // within the backpressure contract: every refusal tells the client when
 // to come back.

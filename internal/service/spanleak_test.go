@@ -3,13 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/faults"
 	"yardstick/internal/jobs"
@@ -71,20 +71,24 @@ func TestSpansEndOnEveryPath(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)
 	runSuite(t, ts.URL, "default")
 
-	// Abort path: a tripped BDD budget (whether it surfaces as errored
-	// results or as a failed job) must still end the job span and hand it
-	// to the observer with no open descendants.
-	srv.mu.Lock()
-	srv.eng.Net().Space.SetLimits(bdd.Limits{MaxOps: 1})
-	srv.mu.Unlock()
-	var sub JobStatus
-	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=connected", nil, http.StatusAccepted, &sub)
-	pollJob(t, ts.URL, sub.ID)
-	srv.mu.Lock()
-	srv.eng.Net().Space.SetLimits(bdd.Limits{})
-	srv.mu.Unlock()
+	tr.assertNoLeaks(t, 4)
 
-	tr.assertNoLeaks(t, 5)
+	// Abort path: a run cancelled at its second op, inside a test, must
+	// still end every span it opened. A job's context is derived from the
+	// queue's, so the run is driven through the engine call a job makes.
+	root := obs.NewRoot("test.run", nil)
+	srv.mu.Lock()
+	ctx := obs.ContextWithSpan(faults.CancelAtOp(srv.eng.Net().Space.Manager(), 1), root)
+	suite, _ := testkit.BuiltinSuite("internal")
+	_, err := srv.eng.Run(ctx, "service.evaluate", suite, core.NewTrace())
+	srv.mu.Unlock()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled at its second op: err = %v", err)
+	}
+	root.End()
+	if n := openSpans(root.Profile()); n != 0 {
+		t.Errorf("cancelled run leaked %d open spans", n)
+	}
 }
 
 func TestSpansEndOnCancellation(t *testing.T) {

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
-	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
 	"yardstick/internal/engine"
+	"yardstick/internal/faults"
 	"yardstick/internal/jobs"
 	"yardstick/internal/netmodel"
 	"yardstick/internal/obs"
@@ -264,38 +265,40 @@ func TestViewAfterPatch(t *testing.T) {
 	}
 }
 
-// TestViewSurvivesAbortedRefresh: a budget trip or a cancellation in the
-// middle of a refresh answers 503, leaves the unfinished devices dirty,
-// and does not poison later reads.
+// TestViewSurvivesAbortedRefresh: a cancellation in the middle of a
+// refresh leaves the unfinished devices dirty, and a read cancelled
+// before it starts answers 503; neither harms later reads.
 func TestViewSurvivesAbortedRefresh(t *testing.T) {
 	var log refreshLog
 	srv, ts := newJobServer(t, WithSpanObserver(log.observe))
 	devices := int64(len(srv.eng.Net().Devices))
 	runSuite(t, ts.URL, "default,internal,connected,contract,reach")
 
-	// Enough budget for the first devices, not for all of them.
+	// Cancelled after 40 ops: enough for the first devices, not for all
+	// of them. A read's context is derived from its request, so the
+	// cancellation is driven through the engine call the read makes.
 	srv.mu.Lock()
-	srv.eng.Net().Space.SetLimits(bdd.Limits{MaxOps: 40})
+	err := srv.eng.View(faults.CancelAtOp(srv.eng.Net().Space.Manager(), 40), "coverage.refresh", func(*core.Coverage) {})
 	srv.mu.Unlock()
-	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusServiceUnavailable, nil)
-	doJSON(t, http.MethodGet, ts.URL+"/gaps", nil, http.StatusServiceUnavailable, nil)
-	srv.mu.Lock()
-	srv.eng.Net().Space.SetLimits(bdd.Limits{})
-	srv.mu.Unlock()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("refresh cancelled after 40 ops: err = %v", err)
+	}
 
-	// A request whose client is already gone.
+	// Requests whose client is already gone.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/coverage", nil).WithContext(ctx))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("cancelled GET /coverage = %d, want 503", rec.Code)
+	for _, path := range []string{"/coverage", "/gaps"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("cancelled GET %s = %d, want 503", path, rec.Code)
+		}
 	}
 
 	assertServesRebuild(t, srv, ts.URL)
-	// That read finished what the aborted ones left: something, and no
-	// more than everything. The next one is clean.
-	if n, _ := log.last(t); n < 1 || n > devices {
+	// That read finished what the cancelled refresh left: something, and
+	// not the devices it had finished. The next one is clean.
+	if n, _ := log.last(t); n < 1 || n >= devices {
 		t.Errorf("recovery read refreshed %d of %d devices", n, devices)
 	}
 	doJSON(t, http.MethodGet, ts.URL+"/coverage", nil, http.StatusOK, nil)

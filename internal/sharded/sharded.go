@@ -49,9 +49,8 @@
 // results and metrics.
 //
 // Cancellation composes with the degradation model: every worker
-// observes the run context via WatchContext. The replicas are the pool's
-// own and carry no budget (a clone drops its source's); a budget armed
-// on the canonical space by its owner is charged by the merge.
+// observes the run context via WatchContext, and the canonical space
+// observes it through the merge.
 package sharded
 
 import (
@@ -168,9 +167,8 @@ func (e *Engine) Workers() int { return len(e.replicas) }
 //
 // Error semantics mirror the sequential degradation model: a cancelled
 // context returns ctx.Err() with the partial merged trace and the results
-// that completed, and a budget the canonical space's owner armed, tripped
-// by the merge, returns an error wrapping bdd.ErrBudgetExceeded with what
-// merged before it. The Result is never nil.
+// that completed — when the cancellation lands in the merge, an error
+// wrapping it with what merged before it. The Result is never nil.
 func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) {
 	res := &Result{Trace: core.NewTrace()}
 	parts, index := partition(suite, len(e.replicas))
@@ -263,9 +261,9 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 	// their managers are quiescent sources). Union order cannot matter —
 	// Trace.Merge is order-independent — but worker order keeps the
 	// canonical unique table filling deterministically too. The transfer
-	// charges the canonical manager's budget; Guard converts a trip (or a
-	// watched-context cancellation installed by the caller) into an error
-	// instead of unwinding through us.
+	// charges the canonical manager; Guard converts a cancellation of the
+	// context the caller has it watch into an error instead of unwinding
+	// through us.
 	// The merge span records the canonical manager's movement on the span
 	// only: registry totals for the canonical engine are settled by its
 	// owner (the service scrape path), not here, or the same ops would

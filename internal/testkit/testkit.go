@@ -53,8 +53,8 @@ type Result struct {
 	Kind     Kind
 	Checks   int // assertions evaluated
 	Failures []Failure
-	// Err is set when the test did not run to completion — it panicked,
-	// blew a resource budget, or was cancelled. An errored result is a
+	// Err is set when the test did not run to completion — it panicked
+	// or was cancelled. An errored result is a
 	// third state distinct from pass and fail: its assertions (and its
 	// coverage contribution) are incomplete, so it neither vouches for
 	// the network nor indicts it.
@@ -65,8 +65,8 @@ type Result struct {
 // holding. An errored test does not pass.
 func (r Result) Pass() bool { return r.Err == "" && len(r.Failures) == 0 }
 
-// Errored reports whether the test terminated abnormally (panic, budget
-// exhaustion, cancellation) rather than completing with a verdict.
+// Errored reports whether the test terminated abnormally (panic,
+// cancellation) rather than completing with a verdict.
 func (r Result) Errored() bool { return r.Err != "" }
 
 // Status returns "pass", "fail", or "error".
@@ -191,8 +191,8 @@ func (s Suite) Run(ctx context.Context, net *netmodel.Network, tracker core.Trac
 }
 
 // runIsolated executes one test, converting a panic (a test bug, or a
-// budget trip escaping the BDD engine) into an errored Result so one
-// bad test cannot take down the whole evaluation.
+// cancellation unwinding out of the BDD engine) into an errored Result
+// so one bad test cannot take down the whole evaluation.
 func runIsolated(ctx context.Context, t Test, net *netmodel.Network, tracker core.Tracker) (res Result) {
 	name, kind := t.Name(), t.Kind()
 	defer func() {
