@@ -161,10 +161,11 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), seventeen in all: the differential matrix's in-process engine
+# run), eighteen in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
-# the coverage view against its from-scratch oracle, a concrete
-# packet's marking against the union of its singleton at every hop, the
+# the coverage view against its from-scratch oracle, a batch of concrete
+# pings' marking against the union of each one's singleton at every hop,
+# the bulk packet-set build against the Or of the singletons, the
 # append network encoder against the struct-based reference, an
 # accepted delta document against a rebuild (and a rejected one against
 # an untouched network), the forwarding index against the rule-by-rule
@@ -190,6 +191,7 @@ FUZZ_TARGETS = \
 	./internal/bdd:FuzzRestrict \
 	./internal/bdd:FuzzUniqueResizeCanonicity \
 	./internal/hdr:FuzzLongestMatch \
+	./internal/hdr:FuzzPackets \
 	./internal/core:FuzzMarkConcrete \
 	./internal/bdd:FuzzArenaDecode \
 	./internal/core:FuzzSnapshotArenaDecode \

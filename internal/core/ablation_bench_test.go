@@ -46,12 +46,14 @@ func (t *logTrace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 	t.marks = append(t.marks, logMark{loc, pkts})
 }
 
-// MarkConcrete logs the packet's singleton at every hop: until the log
-// is merged there is no set to test the packet against.
-func (t *logTrace) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
-	single := sp.Singleton(pkt)
-	for _, h := range hops {
-		t.MarkPacket(h.Loc, single)
+// MarkConcrete logs each ping's singleton at every hop: until the log
+// is merged there is no set to test a packet against.
+func (t *logTrace) MarkConcrete(sp *hdr.Space, pings []Ping) {
+	for _, p := range pings {
+		single := sp.Singleton(p.Packet)
+		for _, h := range p.Hops {
+			t.MarkPacket(h.Loc, single)
+		}
 	}
 }
 

@@ -5,10 +5,10 @@
 // rule exercised on one packet. Tests never report ATUs directly — during
 // the online phase they call the two tracking APIs of §5.1, MarkPacket for
 // behavioral tests (the located packets at each hop; MarkConcrete is its
-// form for one concrete packet along a traceroute) and MarkRule for
-// state-inspection tests. The tracker folds everything into the coverage
-// trace (P_T, R_T) on the fly, so equivalent test suites produce equal
-// traces and nothing is double counted.
+// form for a concrete test's packets along their traceroutes) and
+// MarkRule for state-inspection tests. The tracker folds everything into
+// the coverage trace (P_T, R_T) on the fly, so equivalent test suites
+// produce equal traces and nothing is double counted.
 //
 // The post-processing phase (§5.2) derives each rule's covered set T[r]
 // with Algorithm 1 and evaluates coverage specifications — guarded strings
@@ -31,13 +31,22 @@ type Tracker interface {
 	// MarkPacket reports that a behavioral test exercised the located
 	// packet set pkts (one call per hop for end-to-end tests).
 	MarkPacket(loc dataplane.Loc, pkts hdr.Set)
-	// MarkConcrete reports that a concrete test sent the packet pkt of
-	// space sp along a traceroute's hops. It marks exactly what
-	// MarkPacket(hop.Loc, sp.Singleton(pkt)) at every hop marks; a
-	// tracker may skip the BDD work for a hop that already holds pkt.
-	MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop)
+	// MarkConcrete reports that a concrete test sent the pings' packets
+	// of space sp along their traceroutes' hops: one call for a test
+	// run's pings. It marks exactly what MarkPacket(hop.Loc,
+	// sp.Singleton(ping.Packet)) at every hop of every ping marks; a
+	// tracker may skip the BDD work for a hop that already holds the
+	// packet, and build each location's set once.
+	MarkConcrete(sp *hdr.Space, pings []Ping)
 	// MarkRule reports that a state-inspection test inspected rule r.
 	MarkRule(r netmodel.RuleID)
+}
+
+// Ping is one packet a concrete test sent and the hops its traceroute
+// took.
+type Ping struct {
+	Packet hdr.Packet
+	Hops   []dataplane.TraceHop
 }
 
 // Nop is a Tracker that discards everything; it measures the baseline
@@ -47,8 +56,8 @@ type Nop struct{}
 // MarkPacket implements Tracker.
 func (Nop) MarkPacket(dataplane.Loc, hdr.Set) {}
 
-// MarkConcrete implements Tracker; it builds no singleton.
-func (Nop) MarkConcrete(*hdr.Space, hdr.Packet, []dataplane.TraceHop) {}
+// MarkConcrete implements Tracker; it builds no set.
+func (Nop) MarkConcrete(*hdr.Space, []Ping) {}
 
 // MarkRule implements Tracker.
 func (Nop) MarkRule(netmodel.RuleID) {}
@@ -106,31 +115,58 @@ func (t *Trace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 	t.mark(loc, pkts)
 }
 
-// MarkConcrete implements Tracker. A hop whose set already holds pkt is
-// settled by a walk of that set's diagram: no apply runs, the op cache
-// is not probed and no node is made. At the first hop that misses, the
-// singleton is built once and unioned into that hop and every later one
-// without walking again — the common miss is a fresh trace, where the
-// first hop misses and so would the rest. Either way each location ends
-// on the node MarkPacket with the singleton leaves there, and a hop that
-// held pkt already records no change. A set of another space counts as a
-// miss, so the union reports the mismatch as MarkPacket would.
-func (t *Trace) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
-	if len(hops) == 0 {
-		return
-	}
+// MarkConcrete implements Tracker. Each ping's packet assignment is
+// derived once, and a hop whose set already holds the packet is settled
+// by a walk of that set's diagram: no apply runs, the op cache is not
+// probed and no node is made, so a batch whose every hop is held
+// charges nothing. The packets the other hops miss are grouped by
+// location in the order the pings first touch it, and each location
+// takes one hdr.Space.Packets build of its packets and one union: no
+// singleton is made and no union per hop. Each location ends on the
+// node per-hop MarkPacket with the singletons leaves there, and a
+// location that held every packet already records no change. A
+// cancellation inside the batch leaves each location either as it was
+// or at its full set. A set of another space counts as a miss, so the
+// union reports the mismatch as MarkPacket would.
+func (t *Trace) MarkConcrete(sp *hdr.Space, pings []Ping) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.assign = sp.PacketAssign(pkt, t.assign)
-	for i, hop := range hops {
-		if cur, ok := t.packets[hop.Loc]; ok && cur.Space() == sp && cur.ContainsAssign(t.assign) {
+	// missed lists, per location, the pings (by index) whose packet the
+	// location does not hold.
+	type missed struct {
+		loc   dataplane.Loc
+		pings []int32
+	}
+	var groups []missed
+	var at map[dataplane.Loc]int
+	for pi, p := range pings {
+		if len(p.Hops) == 0 {
 			continue
 		}
-		single := sp.AssignSingleton(t.assign)
-		for _, h := range hops[i:] {
-			t.mark(h.Loc, single)
+		t.assign = sp.PacketAssign(p.Packet, t.assign)
+		for _, hop := range p.Hops {
+			if cur, ok := t.packets[hop.Loc]; ok && cur.Space() == sp && cur.ContainsAssign(t.assign) {
+				continue
+			}
+			if at == nil {
+				at = make(map[dataplane.Loc]int)
+			}
+			i, ok := at[hop.Loc]
+			if !ok {
+				i = len(groups)
+				at[hop.Loc] = i
+				groups = append(groups, missed{loc: hop.Loc})
+			}
+			groups[i].pings = append(groups[i].pings, int32(pi))
 		}
-		return
+	}
+	var pkts []hdr.Packet
+	for _, g := range groups {
+		pkts = pkts[:0]
+		for _, pi := range g.pings {
+			pkts = append(pkts, pings[pi].Packet)
+		}
+		t.mark(g.loc, sp.Packets(pkts))
 	}
 }
 

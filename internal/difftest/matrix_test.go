@@ -55,6 +55,10 @@ var pinned = []Scenario{
 	// failures to the sequential order, and the daemon row the ten a
 	// job serves.
 	{Seed: 5, Family: "fattree-blackholes", Suites: []string{"default", "contract", "reach", "pingmesh"}, Events: 3, Reject: 1},
+	// Pingmesh without reachability, so its pings miss their hops and
+	// every row marks them through the bulk build, not only the
+	// contained walk (the subtest is "fattree#01").
+	{Seed: 6, Family: "fattree", Suites: []string{"default", "agg", "pingmesh"}, Events: 3, Reject: 1},
 }
 
 // TestMatrix runs every row on one seed per family, and on the pinned

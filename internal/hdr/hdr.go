@@ -422,14 +422,7 @@ func (p Packet) String() string {
 // Singleton returns the set containing exactly p.
 func (s *Space) Singleton(p Packet) Set {
 	var buf [maxBits]bool
-	return s.AssignSingleton(s.PacketAssign(p, buf[:0]))
-}
-
-// AssignSingleton returns the set containing exactly the packet with
-// the given variable assignment (from PacketAssign), for a caller that
-// has derived the assignment already.
-func (s *Space) AssignSingleton(assign []bool) Set {
-	return Set{s, s.m.Literals(0, assign)}
+	return Set{s, s.m.Literals(0, s.PacketAssign(p, buf[:0]))}
 }
 
 // ContainsPacket reports whether the concrete packet p is in the set.

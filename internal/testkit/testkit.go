@@ -690,10 +690,14 @@ func (t ToRPingmesh) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	return t.RunContext(context.Background(), net, tracker)
 }
 
-// RunContext implements ContextTest. A ping whose hops the trace already
-// covers charges no BDD work, so the space's watched context may never
-// be polled: the test checks ctx itself before each source's pings and
-// returns an errored Result once it is done.
+// RunContext implements ContextTest. The run's pings are marked in one
+// MarkConcrete call at its end, so each location's set is built once
+// from all the packets that reach it (per source, the sets would be
+// built and unioned again for every source that crosses a location).
+// Tracing charges no BDD work, nor does a ping whose hops the trace
+// already covers, so the space's watched context may never be polled:
+// the test checks ctx itself before each source's pings and, once it is
+// done, marks the pings it sent and returns an errored Result.
 func (t ToRPingmesh) RunContext(ctx context.Context, net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
 	type hosted struct {
@@ -707,13 +711,20 @@ func (t ToRPingmesh) RunContext(ctx context.Context, net *netmodel.Network, trac
 		}
 	}
 	runs := t.sources(net)
+	sent := 0 // an upper bound on the pings: a source pings every other subnet
+	for _, src := range all {
+		if runs[src.dev] {
+			sent += len(all)
+		}
+	}
+	pings := make([]core.Ping, 0, sent)
 	for _, src := range all {
 		if !runs[src.dev] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			res.Err = fmt.Sprintf("pingmesh aborted: %v", err)
-			return res
+			break
 		}
 		srcAddr := src.prefix.Addr().Next() // .1 of the hosted subnet
 		for _, dst := range all {
@@ -729,13 +740,14 @@ func (t ToRPingmesh) RunContext(ctx context.Context, net *netmodel.Network, trac
 				SrcPort: 0,
 			}
 			tr := dataplane.Traceroute(net, dataplane.Injected(src.dev), pkt)
-			tracker.MarkConcrete(net.Space, pkt, tr.Hops)
+			pings = append(pings, core.Ping{Packet: pkt, Hops: tr.Hops})
 			if tr.End != dataplane.TraceEgressed || len(tr.Hops) == 0 ||
 				tr.Hops[len(tr.Hops)-1].Loc.Device != dst.dev {
 				res.failf(src.dev, "ping to %s ended %v", net.Device(dst.dev).Name, tr.End)
 			}
 		}
 	}
+	tracker.MarkConcrete(net.Space, pings)
 	return res
 }
 
@@ -768,7 +780,7 @@ func (PingTest) Kind() Kind { return E2EConcrete }
 func (t PingTest) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind(), Checks: 1}
 	tr := dataplane.Traceroute(net, dataplane.Injected(t.From), t.Packet)
-	tracker.MarkConcrete(net.Space, t.Packet, tr.Hops)
+	tracker.MarkConcrete(net.Space, []core.Ping{{Packet: t.Packet, Hops: tr.Hops}})
 	if tr.End != t.WantEnd {
 		res.failf(t.From, "trace ended %v, want %v", tr.End, t.WantEnd)
 		return res

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,35 +242,50 @@ func TestToRPingmeshFatTree(t *testing.T) {
 	}
 }
 
-// cancelAfter records into a trace and cancels the run's context once
-// it has seen n concrete packets.
-type cancelAfter struct {
-	*core.Trace
-	n, calls int
-	cancel   context.CancelFunc
+// checksLeft is a context whose Err is nil for its first n calls and
+// context.Canceled after: a cancellation that lands between two of a
+// test's own checks. No space watches it, so no BDD op reads it.
+type checksLeft struct {
+	context.Context
+	n int
 }
 
-func (c *cancelAfter) MarkConcrete(sp *hdr.Space, pkt hdr.Packet, hops []dataplane.TraceHop) {
-	c.Trace.MarkConcrete(sp, pkt, hops)
-	c.calls++
-	if c.calls == c.n {
-		c.cancel()
+func (c *checksLeft) Err() error {
+	if c.n == 0 {
+		return context.Canceled
 	}
+	c.n--
+	return nil
 }
 
-// TestToRPingmeshCancelled: a pingmesh cancelled mid-run returns an
-// errored Result and leaves a trace inside the uncancelled one. Over a
-// trace that reachability already covers, its pings charge no BDD op, so
-// the space's watched context never sees the cancel: the test's own
-// check must. Over a fresh trace the pings build singletons, and either
-// check may end the run.
+// pingLog marks into a trace and keeps the pings and the number of
+// MarkConcrete calls.
+type pingLog struct {
+	*core.Trace
+	pings []core.Ping
+	calls int
+}
+
+func (l *pingLog) MarkConcrete(sp *hdr.Space, pings []core.Ping) {
+	l.calls++
+	l.pings = append(l.pings, pings...)
+	l.Trace.MarkConcrete(sp, pings)
+}
+
+// TestToRPingmeshCancelled: a pingmesh cancelled after n sources returns
+// an errored Result and marks, in its one MarkConcrete call, exactly the
+// pings of those n sources. Tracing charges no BDD op, and over a trace
+// that reachability already covers neither does marking, so the space's
+// watched context would never see the cancel: the test's own check
+// between sources must.
 func TestToRPingmeshCancelled(t *testing.T) {
 	ft, err := topogen.BuildFatTree(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net := ft.Net
-	pings := len(ft.ToRs) * (len(ft.ToRs) - 1)
+	nt := len(ft.ToRs)
+	samePing := func(a, b core.Ping) bool { return a.Packet == b.Packet && slices.Equal(a.Hops, b.Hops) }
 	for _, covered := range []bool{true, false} {
 		t.Run(fmt.Sprintf("covered=%v", covered), func(t *testing.T) {
 			seed := func() *core.Trace {
@@ -279,35 +295,40 @@ func TestToRPingmeshCancelled(t *testing.T) {
 				}
 				return tr
 			}
-			full := seed()
-			if res := (ToRPingmesh{}).Run(net, full); !res.Pass() {
-				t.Fatalf("uncancelled: %+v", res)
+			full := &pingLog{Trace: seed()}
+			if res := (ToRPingmesh{}).Run(net, full); !res.Pass() || full.calls != 1 || len(full.pings) != nt*(nt-1) {
+				t.Fatalf("uncancelled: %+v in %d calls with %d pings, want a pass in one call with %d", res, full.calls, len(full.pings), nt*(nt-1))
 			}
-
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			c := &cancelAfter{Trace: seed(), n: pings / 3, cancel: cancel}
-			ops := net.Space.EngineStats().Ops
-			restore := net.Space.WatchContext(ctx)
-			res := Suite{ToRPingmesh{}}.Run(ctx, net, c)
-			restore()
-			if len(res) != 1 || !res[0].Errored() {
-				t.Fatalf("cancelled pingmesh = %+v, want one errored result", res)
-			}
-			if c.calls >= pings {
-				t.Errorf("%d of %d pings ran after the cancel at %d", c.calls, pings, c.n)
-			}
-			if covered {
-				if got := net.Space.EngineStats().Ops - ops; got != 0 {
-					t.Errorf("covered pingmesh charged %d BDD ops, want 0", got)
+			for _, n := range []int{0, 1, nt / 3, nt - 1} {
+				// Suite.Run checks the context once before the test, the
+				// test once before each source.
+				ctx := &checksLeft{context.Background(), 1 + n}
+				cut := &pingLog{Trace: seed()}
+				ops := net.Space.EngineStats().Ops
+				res := Suite{ToRPingmesh{}}.Run(ctx, net, cut)
+				if len(res) != 1 || !strings.HasPrefix(res[0].Err, "pingmesh aborted") {
+					t.Fatalf("n=%d: cancelled pingmesh = %+v, want one result with the test's own abort", n, res)
 				}
-				if !strings.HasPrefix(res[0].Err, "pingmesh aborted") {
-					t.Errorf("Err = %q, want the test's own abort", res[0].Err)
+				if covered {
+					if got := net.Space.EngineStats().Ops - ops; got != 0 {
+						t.Errorf("n=%d: covered pingmesh charged %d BDD ops, want 0", n, got)
+					}
 				}
-			}
-			for _, loc := range c.Locations() {
-				if !full.PacketsAt(net.Space, loc).Contains(c.PacketsAt(net.Space, loc)) {
-					t.Fatalf("%+v: cancelled run marked packets the full run did not", loc)
+				// Each ToR hosts one subnet, so a source sends nt-1 pings.
+				want := full.pings[:n*(nt-1)]
+				if cut.calls != 1 || !slices.EqualFunc(cut.pings, want, samePing) {
+					t.Fatalf("n=%d: marked %d pings in %d calls, want the first %d sources' %d in one",
+						n, len(cut.pings), cut.calls, n, len(want))
+				}
+				ref := seed()
+				for _, p := range want {
+					single := net.Space.Singleton(p.Packet)
+					for _, h := range p.Hops {
+						ref.MarkPacket(h.Loc, single)
+					}
+				}
+				if !cut.Trace.Equal(ref) {
+					t.Fatalf("n=%d: the cancelled run's trace is not its pings' per-hop marks", n)
 				}
 			}
 		})
@@ -318,7 +339,7 @@ func TestToRPingmeshCancelled(t *testing.T) {
 // sources whose floods part k of ToRReachability marked, so run after it
 // on one trace it charges no BDD op, exactly as the whole pingmesh does
 // after the whole reachability. Run after another reachability part, or
-// alone, it pays a singleton and an Or per hop. The parts together
+// alone, it builds the sets of the hops it misses. The parts together
 // check what the whole test checks.
 func TestSplitPartsShareSources(t *testing.T) {
 	ft, err := topogen.BuildFatTree(4)
@@ -688,5 +709,26 @@ func TestNextHopFailureText(t *testing.T) {
 	want = []Failure{{tor, "default route does not forward (null-routed?)"}}
 	if got := (DefaultRouteCheck{}).Run(net, core.Nop{}).Failures; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("DefaultRouteCheck failures:\n%v\nwant:\n%v", got, want)
+	}
+}
+
+// TestPingmeshGrowsSpaceNoMoreThanReach: nodes are never freed, so what a
+// run makes stays in the space for good. On a fresh default regional
+// network a lone pingmesh, which marks one packet per ToR pair, must
+// make no more nodes than a lone reachability run, which marks every
+// packet between the same pairs.
+func TestPingmeshGrowsSpaceNoMoreThanReach(t *testing.T) {
+	made := func(test Test) int {
+		net := buildRegional(t).Net
+		before := net.Space.EngineStats().Nodes
+		if res := test.Run(net, core.NewTrace()); !res.Pass() {
+			t.Fatalf("%s: %+v", test.Name(), res.Failures[:min(5, len(res.Failures))])
+		}
+		return net.Space.EngineStats().Nodes - before
+	}
+	ping, reach := made(ToRPingmesh{}), made(ToRReachability{})
+	t.Logf("pingmesh made %d nodes, reachability %d", ping, reach)
+	if ping > reach {
+		t.Errorf("pingmesh made %d nodes, more than reachability's %d", ping, reach)
 	}
 }

@@ -27,9 +27,11 @@
 // Testing tools integrate by calling the two tracking APIs of the paper's
 // §5.1 — Tracker.MarkPacket for behavioral tests (the located packets at
 // each hop) and Tracker.MarkRule for state-inspection tests — and coverage
-// computation happens off the testing path. A concrete test reports a
-// whole traceroute with Tracker.MarkConcrete, which marks the packet at
-// every hop and skips the symbolic work for a hop that already holds it.
+// computation happens off the testing path. A concrete test reports its
+// run's pings, each a packet and its traceroute's hops, in one
+// Tracker.MarkConcrete call, which marks every packet at every hop,
+// skips the symbolic work for a hop that already holds its packet, and
+// builds each location's set once from the packets that miss there.
 //
 // This package is the library API for that workflow and nothing else:
 // building or loading a network (NewNetwork, RunBGP, BuildExample,
