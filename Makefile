@@ -161,7 +161,7 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), eighteen in all: the differential matrix's in-process engine
+# run), nineteen in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
 # the coverage view against its from-scratch oracle, a batch of concrete
 # pings' marking against the union of each one's singleton at every hop,
@@ -176,9 +176,11 @@ clustersmoke:
 # lands on the same node indices), the longest-match prefix walk
 # against the Or/Diff fold (and a cancellation in its middle), the trace
 # JSON round trip, a worker's metric snapshot against the coordinator's
-# promlint-clean fleet exposition, and the decoders that read bytes from disk or a peer
-# (BDD arena, trace snapshot arena, trace JSON, network JSON, network
-# text, span profile). The CI fuzz-smoke job runs this target.
+# promlint-clean fleet exposition, a BDD arena's import into a manager
+# that already holds nodes against its decode into a fresh one, and the
+# decoders that read bytes from disk or a peer (BDD arena, trace
+# snapshot arena, trace JSON, network JSON, network text, span
+# profile). The CI fuzz-smoke job runs this target.
 FUZZTIME ?= 20s
 FUZZ_TARGETS = \
 	./internal/difftest:FuzzMatrix \
@@ -194,6 +196,7 @@ FUZZ_TARGETS = \
 	./internal/hdr:FuzzPackets \
 	./internal/core:FuzzMarkConcrete \
 	./internal/bdd:FuzzArenaDecode \
+	./internal/bdd:FuzzArenaImport \
 	./internal/core:FuzzSnapshotArenaDecode \
 	./internal/core:FuzzTraceRoundTrip \
 	./internal/core:FuzzDecodeTraceJSON \

@@ -1,15 +1,19 @@
-// Disk-backed arenas: the flat node array as a versioned, checksummed
+// Disk-backed arenas: BDD nodes as a versioned, checksummed
 // little-endian dump.
 //
 // The node slice IS the manager — the unique table, op cache, and
 // SatFraction memo are all derivable from it — so persistence is a bulk
 // write of 12-byte records behind a fixed-width header, mmap-able or
-// plain-readable. Loading validates structure exhaustively (a corrupt
-// or adversarial file must produce a typed error, never a panic or a
-// silently wrong table) and rebuilds the unique table by replaying the
-// deterministic growth schedule, so a loaded manager is bit-identical
-// to the one that was dumped: same nodes at the same indices, same
-// table geometry, same future resize points.
+// plain-readable. An arena is written either of a whole manager
+// (AppendArena) or of the sub-DAG some roots reach, straight from a live
+// manager (AppendArenaOf: what a trace snapshot or fragment ships).
+// Loading validates structure exhaustively (ParseArena: a corrupt or
+// adversarial file must produce a typed error, never a panic or a
+// silently wrong table) and then imports the records into a live
+// manager through its unique table (ImportArena), so a node the manager
+// already holds is found rather than copied. DecodeArena is the import
+// into a fresh manager: same nodes at the same indices, same table
+// geometry, same future resize points as the manager that was dumped.
 //
 // Caches and memos are deliberately not serialized — they are pure
 // memoization, cold-start cheap, and their contents never affect
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Arena format constants.
@@ -98,116 +103,220 @@ func IsArena(data []byte) bool {
 	return len(data) >= 4 && string(data[:4]) == arenaMagic
 }
 
-// DecodeArena reconstructs a Manager from an arena encoding. The input
-// is validated exhaustively: header sanity, checksum, and per-node BDD
-// invariants (children precede parents, levels strictly increase
-// downward, no redundant or duplicate nodes). Failures return an error
-// wrapping ErrArenaFormat, ErrArenaVersion, or ErrArenaChecksum; no
-// input panics, and no corrupt table is ever accepted.
-//
-// The op cache starts cold, sized for the node count by the rule a
-// growing manager follows. The unique table is rebuilt through the same
-// growth schedule construction uses, so the loaded manager's geometry —
-// and every future resize point — matches the dumped one's exactly.
-func DecodeArena(data []byte) (*Manager, error) {
+// AppendArenaOf appends the arena of the nodes reachable from roots —
+// the roots' sub-DAG, not the whole manager — and returns the extended
+// slice and each root's index in the arena. The walk visits low before
+// high and writes children before parents, numbering the nodes densely
+// after the two terminals, so the bytes depend only on the roots'
+// functions and their order, never on where the nodes sit in m. It is
+// read-only on m: no node is made, no op is charged, and nothing it
+// allocates is sized by m — only by the nodes the roots reach.
+func (m *Manager) AppendArenaOf(buf []byte, roots []Node) ([]byte, []Node) {
+	start := len(buf)
+	buf = append(buf, arenaMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, arenaVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.numVars))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // node count, set once the walk is done
+	w := subDAGWriter{m: m, buf: buf, index: map[Node]Node{}}
+	for range 2 {
+		w.record(uint32(m.numVars), False, False)
+	}
+	at := make([]Node, len(roots))
+	for i, r := range roots {
+		if r < 0 || int(r) >= len(m.nodes) {
+			panic(fmt.Sprintf("bdd: arena of invalid node %d", r))
+		}
+		at[i] = w.visit(r)
+	}
+	buf = w.buf
+	binary.LittleEndian.PutUint64(buf[start+12:], uint64(w.next))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:])), at
+}
+
+// subDAGWriter is one AppendArenaOf walk: index maps each node written
+// so far to its arena index, and next is the next index to hand out.
+type subDAGWriter struct {
+	m     *Manager
+	buf   []byte
+	index map[Node]Node
+	next  Node
+}
+
+// visit writes n's sub-DAG, children first, and returns n's arena index.
+func (w *subDAGWriter) visit(n Node) Node {
+	if n <= True {
+		return n
+	}
+	if i, ok := w.index[n]; ok {
+		return i
+	}
+	nd := w.m.nodes[n]
+	low := w.visit(nd.low)
+	high := w.visit(nd.high)
+	i := w.record(nd.level, low, high)
+	w.index[n] = i
+	return i
+}
+
+// record appends one node record and returns its index.
+func (w *subDAGWriter) record(level uint32, low, high Node) Node {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, level)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(low))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(high))
+	w.next++
+	return w.next - 1
+}
+
+// Arena is an arena encoding whose header, checksum and node records
+// ParseArena has checked. Canonicity — no triple twice — needs a unique
+// table, so ImportArena checks it as it builds.
+type Arena struct {
+	numVars int
+	count   int
+	recs    []byte // count node records
+}
+
+// NumVars returns the arena's variable count.
+func (a Arena) NumVars() int { return a.numVars }
+
+// Size returns the arena's node count, including the two terminals.
+func (a Arena) Size() int { return a.count }
+
+// node returns record i.
+func (a Arena) node(i int) (level uint32, low, high Node) {
+	r := a.recs[i*arenaNodeSize:]
+	return binary.LittleEndian.Uint32(r),
+		Node(int32(binary.LittleEndian.Uint32(r[4:]))),
+		Node(int32(binary.LittleEndian.Uint32(r[8:])))
+}
+
+// ParseArena validates an arena encoding without building anything:
+// header sanity, checksum, and per-node BDD invariants (the first two
+// records are terminals; every other record's children precede it, its
+// level is in range and strictly above both children's, and it is
+// reduced, low != high). Failures return an error wrapping
+// ErrArenaFormat, ErrArenaVersion, or ErrArenaChecksum; no input panics.
+// It allocates nothing.
+func ParseArena(data []byte) (Arena, error) {
 	if len(data) < arenaHeaderSize+2*arenaNodeSize+arenaCRCSize {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the minimal arena", ErrArenaFormat, len(data))
+		return Arena{}, fmt.Errorf("%w: %d bytes is shorter than the minimal arena", ErrArenaFormat, len(data))
 	}
 	if !IsArena(data) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrArenaFormat, data[:4])
+		return Arena{}, fmt.Errorf("%w: bad magic %q", ErrArenaFormat, data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != arenaVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrArenaVersion, v, arenaVersion)
+		return Arena{}, fmt.Errorf("%w: version %d (want %d)", ErrArenaVersion, v, arenaVersion)
 	}
 	numVars := binary.LittleEndian.Uint32(data[8:])
 	if numVars > 1<<20 {
-		return nil, fmt.Errorf("%w: variable count %d out of range", ErrArenaFormat, numVars)
+		return Arena{}, fmt.Errorf("%w: variable count %d out of range", ErrArenaFormat, numVars)
 	}
 	count := binary.LittleEndian.Uint64(data[12:])
 	if count < 2 || count > uint64(1)<<31 {
-		return nil, fmt.Errorf("%w: node count %d out of range", ErrArenaFormat, count)
+		return Arena{}, fmt.Errorf("%w: node count %d out of range", ErrArenaFormat, count)
 	}
 	want := arenaHeaderSize + arenaNodeSize*int(count) + arenaCRCSize
 	if len(data) != want {
-		return nil, fmt.Errorf("%w: %d bytes for %d nodes (want %d)", ErrArenaFormat, len(data), count, want)
+		return Arena{}, fmt.Errorf("%w: %d bytes for %d nodes (want %d)", ErrArenaFormat, len(data), count, want)
 	}
 	body := data[:want-arenaCRCSize]
 	if got, sum := binary.LittleEndian.Uint32(data[want-arenaCRCSize:]), crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("%w: crc %08x, computed %08x", ErrArenaChecksum, got, sum)
+		return Arena{}, fmt.Errorf("%w: crc %08x, computed %08x", ErrArenaChecksum, got, sum)
 	}
-
-	m := New(int(numVars))
-	m.nodes = make([]node, 0, count)
-	rec := data[arenaHeaderSize:]
-	for i := uint64(0); i < count; i++ {
-		level := binary.LittleEndian.Uint32(rec[0:])
-		low := Node(int32(binary.LittleEndian.Uint32(rec[4:])))
-		high := Node(int32(binary.LittleEndian.Uint32(rec[8:])))
-		rec = rec[arenaNodeSize:]
+	a := Arena{numVars: int(numVars), count: int(count), recs: body[arenaHeaderSize:]}
+	for i := range a.count {
+		level, low, high := a.node(i)
 		if i < 2 {
 			// Terminals: level one past the last variable, no children.
 			if level != numVars || low != 0 || high != 0 {
-				return nil, fmt.Errorf("%w: node %d is not a terminal (level %d low %d high %d)", ErrArenaFormat, i, level, low, high)
+				return Arena{}, fmt.Errorf("%w: node %d is not a terminal (level %d low %d high %d)", ErrArenaFormat, i, level, low, high)
 			}
-			m.nodes = append(m.nodes, node{level: level})
 			continue
 		}
 		// Decision nodes: ordered (level strictly above both children's),
 		// reduced (low != high), and append-ordered (children precede
 		// parents, so indices only point downward).
 		if level >= numVars {
-			return nil, fmt.Errorf("%w: node %d level %d out of range [0,%d)", ErrArenaFormat, i, level, numVars)
+			return Arena{}, fmt.Errorf("%w: node %d level %d out of range [0,%d)", ErrArenaFormat, i, level, numVars)
 		}
-		if low < 0 || uint64(low) >= i || high < 0 || uint64(high) >= i {
-			return nil, fmt.Errorf("%w: node %d children (%d,%d) not below it", ErrArenaFormat, i, low, high)
+		if low < 0 || int(low) >= i || high < 0 || int(high) >= i {
+			return Arena{}, fmt.Errorf("%w: node %d children (%d,%d) not below it", ErrArenaFormat, i, low, high)
 		}
 		if low == high {
-			return nil, fmt.Errorf("%w: node %d is redundant (low == high == %d)", ErrArenaFormat, i, low)
+			return Arena{}, fmt.Errorf("%w: node %d is redundant (low == high == %d)", ErrArenaFormat, i, low)
 		}
-		if m.nodes[low].level <= level || m.nodes[high].level <= level {
-			return nil, fmt.Errorf("%w: node %d level %d not above children's (%d,%d)", ErrArenaFormat, i, level,
-				m.nodes[low].level, m.nodes[high].level)
-		}
-		m.nodes = append(m.nodes, node{level: level, low: low, high: high})
-	}
-
-	// Rebuild the unique table by replaying the growth schedule: same
-	// insertion order, same resize points, same deterministic placement
-	// as original construction. A duplicate triple is corruption — the
-	// dump came from a hash-consed table, so every triple is unique.
-	for i := 2; i < len(m.nodes); i++ {
-		nd := &m.nodes[i]
-		if !m.fileNode(Node(i), nd.level, nd.low, nd.high) {
-			return nil, fmt.Errorf("%w: node %d duplicates node (%d,%d,%d)", ErrArenaFormat, i, nd.level, nd.low, nd.high)
+		lowLevel, _, _ := a.node(int(low))
+		highLevel, _, _ := a.node(int(high))
+		if lowLevel <= level || highLevel <= level {
+			return Arena{}, fmt.Errorf("%w: node %d level %d not above children's (%d,%d)", ErrArenaFormat, i, level, lowLevel, highLevel)
 		}
 	}
-	m.maybeGrowCache()
-	return m, nil
+	return a, nil
 }
 
-// fileNode inserts an already-appended node into the unique table,
-// growing it on the same 3/4-load schedule as insert. It reports false
-// when an identical triple is already filed (corrupt arena).
-func (m *Manager) fileNode(n Node, level uint32, low, high Node) bool {
-	if (m.uniqUsed+1)*4 > len(m.uniq)*3 {
-		m.growUnique()
+// ImportArena builds a's nodes in m, in arena order, each through the
+// unique table, and returns every arena node's image in m (terminals
+// map to themselves). A node m already holds is found, not made, so an
+// import adds only the nodes m lacks. Each record is charged as one op
+// and polls m's watched context, as a Transfer copy does; a
+// cancellation leaves the nodes made so far, all canonical.
+//
+// The arena must be canonical: two records with the same triple would
+// import as one node, so a repeated image is ErrArenaFormat. (The
+// images of distinct triples are distinct by induction, children
+// first.) An arena of another variable count is ErrArenaFormat too.
+func (m *Manager) ImportArena(a Arena) ([]Node, error) {
+	if a.numVars != m.numVars {
+		return nil, fmt.Errorf("%w: arena has %d variables, manager %d", ErrArenaFormat, a.numVars, m.numVars)
 	}
-	h := mix(uint64(level), uint64(uint32(low)), uint64(uint32(high)))
-	mask := uint64(len(m.uniq) - 1)
-	i := h & mask
-	for {
-		s := &m.uniq[i]
-		if s.node == 0 {
-			*s = uniqSlot{hash: h, node: n}
-			m.uniqUsed++
-			return true
+	img := make([]Node, a.count)
+	img[True] = True
+	start := Node(len(m.nodes))
+	// held lists the images m held before the import; a repeat among
+	// them shows only once they are sorted.
+	var held []Node
+	for i := 2; i < a.count; i++ {
+		level, low, high := a.node(i)
+		m.chargeOp()
+		size := len(m.nodes)
+		n := m.mk(level, img[low], img[high])
+		switch {
+		case len(m.nodes) > size:
+		case n >= start:
+			return nil, fmt.Errorf("%w: node %d duplicates an earlier node (%d,%d,%d)", ErrArenaFormat, i, level, low, high)
+		default:
+			held = append(held, n)
 		}
-		if s.hash == h {
-			nd := &m.nodes[s.node]
-			if nd.level == level && nd.low == low && nd.high == high {
-				return false
-			}
-		}
-		i = (i + 1) & mask
+		img[i] = n
 	}
+	slices.Sort(held)
+	for i := 1; i < len(held); i++ {
+		if held[i] == held[i-1] {
+			return nil, fmt.Errorf("%w: two nodes import as node %d (a duplicate triple)", ErrArenaFormat, held[i])
+		}
+	}
+	return img, nil
+}
+
+// DecodeArena reconstructs a Manager from an arena encoding: ParseArena,
+// then ImportArena into a fresh manager. Failures return an error
+// wrapping ErrArenaFormat, ErrArenaVersion, or ErrArenaChecksum; no
+// input panics, and no corrupt table is ever accepted.
+//
+// Every record of a valid arena is new to the fresh manager, so each
+// node lands at its arena index, and the unique table and op cache grow
+// through the schedule construction follows: the loaded manager's
+// geometry — and every future resize point — matches the dumped one's
+// exactly. Its op count is the number of decision nodes imported.
+func DecodeArena(data []byte) (*Manager, error) {
+	a, err := ParseArena(data)
+	if err != nil {
+		return nil, err
+	}
+	m := New(a.numVars)
+	m.nodes = append(make([]node, 0, a.count), m.nodes...)
+	if _, err := m.ImportArena(a); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -36,7 +36,7 @@ type uniqSlot struct {
 const (
 	// initialUniqueSlots is the unique-table capacity at New. Power of two.
 	initialUniqueSlots = 1 << 10
-	// minCacheSlots is the op cache's size at New and at DecodeArena.
+	// minCacheSlots is the op cache's size at New.
 	minCacheSlots = 1 << 16
 	// maxCacheSlots caps growth (24 B/slot: 1<<20 ≈ 24 MiB), reached
 	// only once the node table itself is past a million nodes.

@@ -123,7 +123,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, wantC
 
 // doRaw runs one HTTP round trip. It returns the response body undecoded
 // when the status matches wantCode, an *APIError for other statuses, and
-// the transport error otherwise.
+// the transport error otherwise. Every body is read through
+// maxBodyBytes (readBody).
 func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wantCode int) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -146,7 +147,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wa
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp, maxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +164,27 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte, wa
 			Message:    e.Error,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), time.Now()),
 		}
+	}
+	return data, nil
+}
+
+// readBody reads a response body of at most limit decoded bytes. A body
+// that declares a longer Content-Length is refused unread, and one that
+// runs past limit as it is read — a gzip body, which the transport
+// inflates as it goes, carries no decoded length — fails once limit is
+// passed, so a small compressed body can never make the client buffer
+// more than limit bytes. A truncated or corrupt gzip stream fails with
+// the transport's read error.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("client: %d-byte response body exceeds the %d-byte bound", resp.ContentLength, limit)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("client: response body exceeds the %d-byte bound", limit)
 	}
 	return data, nil
 }

@@ -2,13 +2,17 @@ package client
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,5 +223,76 @@ func TestPerRequestTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("timed out too slowly: %v", elapsed)
+	}
+}
+
+// TestReadBodyBound: a body is read through a bound on its decoded size.
+// A declared length past it is refused unread; a gzip body the transport
+// inflates past it fails once the bound is passed, however few bytes
+// crossed the wire; a truncated or corrupt gzip stream fails; a body at
+// the bound reads whole.
+func TestReadBodyBound(t *testing.T) {
+	const limit = 1 << 16
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	zw.Write(make([]byte, 64*limit))
+	zw.Close()
+	bomb := bytes.Clone(zipped.Bytes())
+	zipped.Reset()
+	zw.Reset(&zipped)
+	for i := range limit / 16 {
+		fmt.Fprintf(zw, "%015d\n", i)
+	}
+	zw.Close()
+	small := zipped.Bytes()
+	corrupt := bytes.Clone(small)
+	corrupt[len(corrupt)/2] ^= 0xff
+	exact := make([]byte, limit)
+	for _, tc := range []struct {
+		name string
+		enc  string
+		body []byte
+		// declare is the Content-Length sent (0: the body's own).
+		declare int
+		wantErr bool
+	}{
+		{"at the bound", "", exact, 0, false},
+		{"declared past the bound", "", exact[:10], limit + 1, true},
+		{"inflates past the bound", "gzip", bomb, 0, true},
+		{"truncated gzip", "gzip", small[:len(small)/2], 0, true},
+		{"corrupt gzip", "gzip", corrupt, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if tc.enc != "" {
+					w.Header().Set("Content-Encoding", tc.enc)
+				}
+				n := len(tc.body)
+				if tc.declare != 0 {
+					n = tc.declare
+				}
+				w.Header().Set("Content-Length", strconv.Itoa(n))
+				w.Write(tc.body)
+			}))
+			defer ts.Close()
+			resp, err := http.Get(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if tc.enc != "" && resp.ContentLength >= 0 {
+				t.Fatalf("the transport did not inflate the gzip body (Content-Length %d)", resp.ContentLength)
+			}
+			data, err := readBody(resp, limit)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("readBody = (%d bytes, %v), want error %v", len(data), err, tc.wantErr)
+			}
+			if overBound := strings.Contains(tc.name, "past the bound"); err != nil && strings.Contains(err.Error(), "bound") != overBound {
+				t.Fatalf("readBody error %q; want the bound named %v", err, overBound)
+			}
+			if !tc.wantErr && !bytes.Equal(data, tc.body) {
+				t.Fatal("body read differs from the body sent")
+			}
+		})
 	}
 }

@@ -45,17 +45,29 @@ func (c *Client) job(ctx context.Context, id string) (service.JobStatus, error) 
 	return j, err
 }
 
+// maxBodyBytes bounds the decoded size of any response body the client
+// reads. A trace fragment is the largest (JobTraceRaw), and it travels
+// gzipped, so one wire byte may inflate about a thousandfold: the bound
+// keeps a damaged or hostile worker from making the coordinator buffer
+// without limit. A fragment is 12 bytes per BDD node it reaches, so
+// 1 GiB is far beyond any shard's.
+const maxBodyBytes = 1 << 30
+
 // JobTraceRaw downloads a done job's own coverage fragment
 // (GET /jobs/{id}/trace) undecoded. It asks for the checksummed YSS1
 // arena, the compact machine-to-machine encoding that carries the
 // network's fingerprint; a server may answer JSON all the same, so check
-// the bytes (core.IsSnapshotArena). A coordinator collects fragments
+// the bytes (core.IsSnapshotArena). The HTTP transport asks for gzip and
+// inflates the body (unless the *http.Client's transport disables
+// compression), so the bytes returned are the arena itself, at most
+// maxBodyBytes of it. A coordinator collects fragments
 // concurrently and hands them to the one goroutine that owns the
 // canonical BDD space. Any failure fails the call, not retried here: a 409 means the
 // job is not done yet; a 410 means the fragment is gone (artifact evicted
-// or the node restarted) and the shard should be re-run; a 5xx or a
-// dropped connection leaves the re-run to the caller, which may choose
-// another node.
+// or the node restarted) and the shard should be re-run; a 5xx, a
+// dropped connection, a body past the bound or a truncated or corrupt
+// gzip stream leaves the re-run to the caller, which may choose another
+// node.
 func (c *Client) JobTraceRaw(ctx context.Context, id string) ([]byte, error) {
 	ctx = ContextWithHeader(ctx, "Accept", service.TraceArenaMediaType)
 	return c.doRaw(ctx, http.MethodGet, "/jobs/"+url.PathEscape(id)+"/trace", nil, http.StatusOK)

@@ -19,12 +19,15 @@
 //     the async /jobs API of each worker and polled to completion; the
 //     per-shard fragment comes back via GET /jobs/{id}/trace as a
 //     checksummed YSS1 arena (core.EncodeFragmentArena), negotiated on
-//     Accept; any other body fails the attempt.
+//     Accept and gzipped on the wire (the HTTP transport asks for gzip
+//     and inflates the body); any other body, one past the client's
+//     bound on a decoded body, or a broken gzip stream fails the attempt.
 //   - Merge: one merger goroutine owns the coordinator's BDD space for
-//     the length of the run. It decodes each fragment as it lands —
-//     rule and location IDs are indices, identical across deterministic
-//     replicas, so only the symbolic sets are transferred — and folds it
-//     into one trace by same-space union while other shards still run.
+//     the length of the run. It decodes each fragment as it lands,
+//     importing the arena straight into that space — rule and location
+//     IDs are indices, identical across deterministic replicas, so only
+//     the symbolic sets need building there — and folds it into one
+//     trace by same-space union while other shards still run.
 //     A fragment that fails its checksum, its format checks or the
 //     network fingerprint fails the attempt that fetched it, and the
 //     shard is dispatched again.
@@ -342,9 +345,10 @@ type ShardStatus struct {
 	Fragment        // of the winning attempt
 }
 
-// Fragment is one fetched fragment's accounting: its size on the wire,
-// and the time spent fetching it, decoding it into the coordinator's
-// space, and folding it into the merged trace.
+// Fragment is one fetched fragment's accounting: its decoded size (the
+// arena's bytes, not the gzipped bytes that crossed the wire), and the
+// time spent fetching it, decoding it into the coordinator's space, and
+// folding it into the merged trace.
 type Fragment struct {
 	FragmentBytes int     `json:"fragmentBytes,omitempty"`
 	FetchMs       float64 `json:"fetchMs,omitempty"`

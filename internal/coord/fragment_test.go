@@ -6,6 +6,7 @@ package coord
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"io"
@@ -13,7 +14,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/netip"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -190,26 +193,61 @@ func (s stripAccept) RoundTrip(r *http.Request) (*http.Response, error) {
 	return s.rt.RoundTrip(r)
 }
 
+// traceCoding counts how fragment bodies crossed the wire: gzipped
+// (inflated by the transport) or as they are.
+type traceCoding struct {
+	rt             http.RoundTripper
+	gzip, identity atomic.Int32
+}
+
+func (c *traceCoding) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := c.rt.RoundTrip(r)
+	if err == nil && resp.StatusCode == http.StatusOK && strings.HasSuffix(r.URL.Path, "/trace") {
+		if resp.Uncompressed {
+			c.gzip.Add(1)
+		} else {
+			c.identity.Add(1)
+		}
+	}
+	return resp, err
+}
+
 // TestFragmentCodecsAgree is the differential: on a Clos whose spines
 // carry 5-tuple ACLs, a fleet run merged from arena fragments and a
-// single-node sequential run are one trace and print one coverage table.
+// single-node sequential run are one trace and print one coverage table
+// — with the fragments gzipped on the wire, as Go's transport asks by
+// default, and with a transport that disables compression.
 func TestFragmentCodecsAgree(t *testing.T) {
 	rep := aclReplica(t)
 	nodes := []string{startWorkerWith(t, nil).URL, startWorkerWith(t, nil).URL}
 	suites := []string{"default", "connected", "internal", "agg", "contract", "reach", "pingmesh", "host"}
-
-	cfg, _, _ := loggedCfg(nodes, rep, nil)
-	_, arena := mustRun(t, cfg, suites...)
-	for _, sh := range arena.Shards {
-		if sh.FragmentBytes == 0 {
-			t.Fatalf("shard = %+v, want a fragment with its size", sh)
-		}
-	}
 	single := baseline(t, rep, suites)
-	requireIdentical(t, arena.Trace, single)
-	if got, want := coverageTable(rep, arena.Trace), coverageTable(rep, single); got != want {
-		t.Fatalf("arena-merged coverage table differs from single-node:\n%s\nwant:\n%s", got, want)
+
+	var merged []*core.Trace
+	for _, disable := range []bool{false, true} {
+		tr := &http.Transport{DisableCompression: disable}
+		t.Cleanup(tr.CloseIdleConnections)
+		coding := &traceCoding{rt: tr}
+		cfg := fastCfg(nodes, nil, rep)
+		cfg.NewClient = func(base string) *client.Client {
+			return client.New(base, client.WithHTTPClient(&http.Client{Transport: coding}))
+		}
+		_, arena := mustRun(t, cfg, suites...)
+		for _, sh := range arena.Shards {
+			if sh.FragmentBytes == 0 {
+				t.Fatalf("shard = %+v, want a fragment with its size", sh)
+			}
+		}
+		if gz, id := coding.gzip.Load(), coding.identity.Load(); disable && (gz != 0 || id == 0) || !disable && (gz == 0 || id != 0) {
+			t.Fatalf("compression disabled %v: %d fragments gzipped, %d not", disable, gz, id)
+		}
+		requireIdentical(t, arena.Trace, single)
+		if got, want := coverageTable(rep, arena.Trace), coverageTable(rep, single); got != want {
+			t.Fatalf("arena-merged coverage table (compression disabled %v) differs from single-node:\n%s\nwant:\n%s", disable, got, want)
+		}
+		merged = append(merged, arena.Trace)
 	}
+	requireIdentical(t, merged[1], merged[0])
 }
 
 // TestNonArenaFragmentFailsAttempt: a fragment body that is not a YSS1
@@ -476,19 +514,25 @@ func (d damageFirstFetch) RoundTrip(r *http.Request) (*http.Response, error) {
 	if err != nil || resp.StatusCode != http.StatusOK || !strings.HasSuffix(r.URL.Path, "/trace") {
 		return resp, err
 	}
-	shard := r.Header.Get(service.HeaderShardID)
-	id, _ := strconv.Atoi(strings.TrimPrefix(shard, "s"))
-	d.st.mu.Lock()
-	hit := !d.st.seen[shard] && id%2 == 0
-	d.st.seen[shard] = true
-	if hit {
-		d.st.damaged++
-	}
-	d.st.mu.Unlock()
-	if !hit {
+	if !d.st.hit(r) {
 		return resp, nil
 	}
 	return d.st.fault(resp)
+}
+
+// hit reports whether the fragment fetch r is to be damaged: the first
+// fetch of an even-numbered shard. It counts the hits.
+func (st *fragmentDamage) hit(r *http.Request) bool {
+	shard := r.Header.Get(service.HeaderShardID)
+	id, _ := strconv.Atoi(strings.TrimPrefix(shard, "s"))
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	hit := !st.seen[shard] && id%2 == 0
+	st.seen[shard] = true
+	if hit {
+		st.damaged++
+	}
+	return hit
 }
 
 // TestDamagedFragmentsRedispatch: a fragment fetch that fails — a body
@@ -547,6 +591,116 @@ func TestDamagedFragmentsRedispatch(t *testing.T) {
 			}
 			if tc.corrupt && !strings.Contains(out.String(), core.ErrSnapshotFormat.Error()) {
 				t.Errorf("damage was not reported as an arena format error; coordinator log:\n%s", out.String())
+			}
+			requireIdentical(t, res.Trace, baseline(t, rep, suites))
+		})
+	}
+}
+
+// brokenBody is what a brokenFetchWorker sends instead of a fragment:
+// the body, whether it is labelled gzip, and the Content-Length it
+// declares.
+type brokenBody func(arena []byte) (body []byte, gzipped bool, length int)
+
+// gzipped returns data gzipped at the level a worker uses.
+func gzipped(data []byte) []byte {
+	var buf bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	zw.Write(data)
+	zw.Close()
+	return buf.Bytes()
+}
+
+// brokenFetchWorker is a fake worker: a real one behind a reverse proxy
+// that answers the fetches st.hit picks with the body broken makes of
+// the real fragment, written on the wire as it is, and passes every
+// other request through (gzip negotiation included).
+func brokenFetchWorker(t *testing.T, st *fragmentDamage, broken brokenBody) string {
+	t.Helper()
+	real := startWorkerWith(t, nil)
+	target, err := url.Parse(real.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	identity := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/trace") || !st.hit(r) {
+			proxy.ServeHTTP(w, r)
+			return
+		}
+		req, _ := http.NewRequestWithContext(r.Context(), http.MethodGet, real.URL+r.URL.Path, nil)
+		req.Header.Set("Accept", service.TraceArenaMediaType)
+		resp, err := identity.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		arena, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !core.IsSnapshotArena(arena) {
+			http.Error(w, "the real worker had no fragment", http.StatusBadGateway)
+			return
+		}
+		body, gz, length := broken(arena)
+		w.Header().Set("Content-Type", service.TraceArenaMediaType)
+		if gz {
+			w.Header().Set("Content-Encoding", "gzip")
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(length))
+		w.WriteHeader(http.StatusOK)
+		w.Write(body)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestBrokenGzipFragmentsRedispatch: a fake worker answers the first
+// fragment fetch of every even shard with a body the client must refuse
+// before any decode — one declaring more bytes than the client's bound
+// on a decoded body, a gzip stream cut in half, a gzip stream with a
+// flipped byte. Each fails its attempt at the fetch, the shard is
+// dispatched again like any refused fragment, and the run completes
+// bit-identical to the single-node baseline.
+func TestBrokenGzipFragmentsRedispatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		broken brokenBody
+	}{
+		{"over-bound", func(arena []byte) ([]byte, bool, int) { return arena, false, 1<<30 + 1 }},
+		{"truncated-gzip", func(arena []byte) ([]byte, bool, int) {
+			z := gzipped(arena)
+			return z[:len(z)/2], true, len(z) / 2
+		}},
+		{"corrupt-gzip", func(arena []byte) ([]byte, bool, int) {
+			z := gzipped(arena)
+			z[len(z)/2] ^= 0xff
+			return z, true, len(z)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := replica(t)
+			suites := []string{"default", "internal", "contract"}
+			st := &fragmentDamage{seen: map[string]bool{}}
+			nodes := []string{brokenFetchWorker(t, st, tc.broken), brokenFetchWorker(t, st, tc.broken)}
+			cfg, _, out := loggedCfg(nodes, rep, nil)
+			cfg.Rounds = 2
+			cfg.FailureThreshold = 100 // every other first attempt fails by design; keep breakers out of it
+			co, res := mustRun(t, cfg, suites...)
+
+			if st.damaged != 3 {
+				t.Fatalf("broke %d fragment fetches, want 3 (the even shards of 6)", st.damaged)
+			}
+			for _, sh := range res.Shards {
+				if want := 1 + (sh.ID+1)%2; sh.Attempts != want {
+					t.Errorf("shard %d took %d attempts, want %d", sh.ID, sh.Attempts, want)
+				}
+			}
+			if got := counterSum(co, MetricRedispatch); got != 3 {
+				t.Errorf("%s = %v, want 3", MetricRedispatch, got)
+			}
+			if n := strings.Count(out.String(), "fetch trace "); n != 3 {
+				t.Errorf("%d attempts failed at the fetch, want 3; coordinator log:\n%s", n, out.String())
 			}
 			requireIdentical(t, res.Trace, baseline(t, rep, suites))
 		})

@@ -58,8 +58,8 @@ const (
 	// commas): dispatch to collected fragment, queue and retries
 	// included.
 	MetricShardDuration = "yardstick_coord_shard_duration_seconds"
-	// MetricFragmentBytes counts shard-fragment bytes fetched off the
-	// wire.
+	// MetricFragmentBytes counts the decoded bytes of the shard
+	// fragments fetched: the arenas, not the gzipped bytes on the wire.
 	MetricFragmentBytes = "yardstick_coord_fragment_bytes_total"
 	// MetricNetworkPush counts per-node network checks by outcome:
 	// "pushed" (PUT /network was needed) or "skipped" (the node already
@@ -88,7 +88,7 @@ func registerCoordHelp(r *obs.Registry) {
 	r.SetHelp(MetricNodeWaits, "Shard waits of 10 ms for a claimable node")
 	r.SetHelp(MetricBreakerState, "Per-node breaker state: 0 closed, 1 half-open, 2 open")
 	r.SetHelp(MetricShardDuration, "Completed shard latency, by shard suite (one name, or the split group joined by commas)")
-	r.SetHelp(MetricFragmentBytes, "Shard fragment bytes fetched from workers")
+	r.SetHelp(MetricFragmentBytes, "Decoded bytes of the shard fragments fetched from workers")
 	r.SetHelp(MetricNetworkPush, "Per-node network checks before dispatch, by outcome (pushed or skipped)")
 	r.SetHelp(MetricProfileFetchFailures, "Worker span profiles that could not be fetched")
 	r.SetHelp(MetricProfileDecodeFailures, "Worker span profiles rejected as malformed")

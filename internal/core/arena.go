@@ -4,13 +4,13 @@
 // exact, but cube extraction can blow up for sets with many disjoint
 // cubes, and decoding re-derives every set through full BDD apply
 // chains. The arena snapshot instead persists the sets *as a BDD*: the
-// per-location sets are extracted into a compact private manager (one
-// hdr.Transfer session, so shared structure is stored once), that
-// manager's flat node array is dumped via the bdd arena codec, and the
-// per-location roots are recorded as plain node indices. Restore decodes
-// the arena and transfers the roots back into the live network's space —
-// linear in the stored representation, no cube round-trip in either
-// direction.
+// sub-DAG the per-location sets reach is written straight from the live
+// space as a bdd arena (shared structure stored once, nothing else), and
+// the per-location roots are recorded as arena indices. Restore imports
+// the arena straight into the live network's space, where a node that
+// already exists is found rather than made — linear in the stored
+// representation, no cube round-trip and no intermediate manager in
+// either direction.
 //
 // Layout (all integers little-endian):
 //
@@ -40,7 +40,6 @@ import (
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/dataplane"
-	"yardstick/internal/hdr"
 	"yardstick/internal/netmodel"
 )
 
@@ -71,10 +70,11 @@ type snapLoc struct {
 }
 
 // EncodeSnapshotArena writes the trace plus the network's fingerprint in
-// the binary arena format. The set extraction (BDD-manager work, held
-// under the trace lock like EncodeJSON's cube extraction) reads net's
-// space; the charged transfer work lands on the private extraction
-// manager, so a context net's space watches never aborts it.
+// the binary arena format. The arena is written straight from net's
+// space (bdd.Manager.AppendArenaOf), under the trace lock like
+// EncodeJSON's cube extraction: a read of the manager that makes no
+// node and charges no op, so a context net's space watches never aborts
+// it.
 func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
 	return EncodeFragmentArena(w, net, Fingerprint(net), t)
 }
@@ -96,35 +96,38 @@ func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace
 		}
 		return locs[i].Iface < locs[j].Iface
 	})
-	// Extract the sets into a compact private space: the arena then holds
-	// only the nodes the trace actually reaches, not the whole evaluation
-	// universe, and shared structure across locations is stored once.
-	ex := hdr.NewFamilySpace(net.Family())
-	tr := hdr.NewTransfer(net.Space, ex)
-	recs := make([]snapLoc, 0, len(locs))
-	for _, loc := range locs {
-		recs = append(recs, snapLoc{dev: loc.Device, iface: loc.Iface, root: tr.Move(t.packets[loc]).Node()})
+	roots := make([]bdd.Node, len(locs))
+	for i, loc := range locs {
+		s := t.packets[loc]
+		if s.Space() != net.Space {
+			t.mu.Unlock()
+			return fmt.Errorf("core: arena snapshot: the set at %v is not in the network's space", loc)
+		}
+		roots[i] = s.Node()
 	}
 	rules := make([]netmodel.RuleID, 0, len(t.rules))
 	for r := range t.rules {
 		rules = append(rules, r)
 	}
-	t.mu.Unlock()
-	sort.Slice(rules, func(i, j int) bool { return rules[i] < rules[j] })
-
-	am := ex.Manager()
-	buf := make([]byte, 0, 4+4+4+len(fp)+8+am.ArenaSize()+4+12*len(recs)+4+4*len(rules)+4)
+	// The arena holds only the nodes the trace reaches, shared structure
+	// across locations stored once; its length is set once it is written.
+	buf := make([]byte, 0, 4+4+4+len(fp)+8+12*len(locs)+4+4*len(rules)+4)
 	buf = append(buf, snapMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
 	buf = append(buf, fp...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(am.ArenaSize()))
-	buf = am.AppendArena(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, rec := range recs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.dev))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.iface))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.root))
+	lenAt := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	buf, roots = net.Space.Manager().AppendArenaOf(buf, roots)
+	t.mu.Unlock()
+	binary.LittleEndian.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
+	sort.Slice(rules, func(i, j int) bool { return rules[i] < rules[j] })
+
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(locs)))
+	for i, loc := range locs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(loc.Device))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(loc.Iface))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(roots[i]))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rules)))
 	for _, r := range rules {
@@ -197,12 +200,12 @@ func decodeArena(data []byte, net *netmodel.Network, want func() string) (*Trace
 	if rd.short || arenaLen > uint64(rd.remaining()) {
 		return nil, fmt.Errorf("%w: arena length %d exceeds snapshot", ErrSnapshotFormat, arenaLen)
 	}
-	am, err := bdd.DecodeArena(rd.bytes(int(arenaLen)))
+	arena, err := bdd.ParseArena(rd.bytes(int(arenaLen)))
 	if err != nil {
 		return nil, fmt.Errorf("core: arena snapshot: %w", err)
 	}
-	if am.NumVars() != net.Space.NumBits() {
-		return nil, fmt.Errorf("%w: arena is %d bits wide, network space is %d", ErrSnapshotFormat, am.NumVars(), net.Space.NumBits())
+	if arena.NumVars() != net.Space.NumBits() {
+		return nil, fmt.Errorf("%w: arena is %d bits wide, network space is %d", ErrSnapshotFormat, arena.NumVars(), net.Space.NumBits())
 	}
 
 	nLocs := rd.u32()
@@ -223,7 +226,7 @@ func decodeArena(data []byte, net *netmodel.Network, want func() string) (*Trace
 		if rec.iface != netmodel.NoIface && (int(rec.iface) < 0 || int(rec.iface) >= len(net.Ifaces)) {
 			return nil, fmt.Errorf("%w: location %d: iface %d out of range", ErrSnapshotFormat, i, rec.iface)
 		}
-		if rec.root < 0 || int(rec.root) >= am.Size() {
+		if rec.root < 0 || int(rec.root) >= arena.Size() {
 			return nil, fmt.Errorf("%w: location %d: root %d outside arena", ErrSnapshotFormat, i, rec.root)
 		}
 	}
@@ -242,21 +245,20 @@ func decodeArena(data []byte, net *netmodel.Network, want func() string) (*Trace
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotFormat, rd.remaining())
 	}
 
-	// Transfer the roots into the live space through one session. Guard:
-	// the live manager may watch a context, and restore work must degrade
-	// into an error like any other cancelled evaluation.
-	t := NewTrace()
-	gerr := bdd.Guard(func() {
-		tr := net.Space.Manager().BeginTransfer(am)
-		for _, rec := range recs {
-			t.MarkPacket(
-				dataplane.Loc{Device: rec.dev, Iface: rec.iface},
-				net.Space.FromNode(tr.Copy(rec.root)),
-			)
-		}
-	})
-	if gerr != nil {
+	// Import the arena into the live space: every node it already holds
+	// is found, not made. Guard: the live manager may watch a context,
+	// and restore work must degrade into an error like any other
+	// cancelled evaluation.
+	var img []bdd.Node
+	if gerr := bdd.Guard(func() { img, err = net.Space.Manager().ImportArena(arena) }); gerr != nil {
 		return nil, fmt.Errorf("core: arena snapshot restore: %w", gerr)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: arena snapshot: %w", err)
+	}
+	t := NewTrace()
+	for _, rec := range recs {
+		t.MarkPacket(dataplane.Loc{Device: rec.dev, Iface: rec.iface}, net.Space.FromNode(img[rec.root]))
 	}
 	for _, r := range ruleIDs {
 		t.MarkRule(r)

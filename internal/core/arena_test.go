@@ -226,3 +226,33 @@ func TestTraceDecodeSniffsCodec(t *testing.T) {
 		t.Errorf("DecodeFragment(truncated) = %v, want ErrSnapshotFormat", err)
 	}
 }
+
+// TestArenaFromExtractionEncoderImports: testdata/chain-extracted.yss1
+// is snapFixture's trace as written through a private extraction space,
+// the form checkpoints on disk were saved in before arenas were written
+// straight from the live space. Its arena also holds the extraction
+// space's quantification-cube nodes, which no location reaches. It
+// still imports Equal, and writing the trace again ships only the
+// reachable nodes.
+func TestArenaFromExtractionEncoderImports(t *testing.T) {
+	cn, tr := snapFixture(t)
+	old, err := os.ReadFile(filepath.Join("testdata", "chain-extracted.yss1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshotArena(old, cn.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(tr) {
+		t.Fatal("the extracted arena imports as another trace")
+	}
+	var now bytes.Buffer
+	if err := EncodeSnapshotArena(&now, cn.n, tr); err != nil {
+		t.Fatal(err)
+	}
+	if now.Len() >= len(old) {
+		t.Fatalf("the live-space arena is %d bytes, the extracted one %d", now.Len(), len(old))
+	}
+	t.Logf("extracted %d bytes, live %d", len(old), now.Len())
+}

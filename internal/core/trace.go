@@ -121,8 +121,10 @@ func (t *Trace) MarkPacket(loc dataplane.Loc, pkts hdr.Set) {
 // probed and no node is made, so a batch whose every hop is held
 // charges nothing. The packets the other hops miss are grouped by
 // location in the order the pings first touch it, and each location
-// takes one hdr.Space.Packets build of its packets and one union: no
-// singleton is made and no union per hop. Each location ends on the
+// takes one packet-set build of its packets (one hdr.PacketBuilder for
+// the batch, so a source's chain is made once, not at every location
+// its packets miss) and one union: no singleton is made and no union
+// per hop. Each location ends on the
 // node per-hop MarkPacket with the singletons leaves there, and a
 // location that held every packet already records no change. A
 // cancellation inside the batch leaves each location either as it was
@@ -160,13 +162,17 @@ func (t *Trace) MarkConcrete(sp *hdr.Space, pings []Ping) {
 			groups[i].pings = append(groups[i].pings, int32(pi))
 		}
 	}
+	if len(groups) == 0 {
+		return
+	}
+	b := sp.PacketBuilder()
 	var pkts []hdr.Packet
 	for _, g := range groups {
 		pkts = pkts[:0]
 		for _, pi := range g.pings {
 			pkts = append(pkts, pings[pi].Packet)
 		}
-		t.mark(g.loc, sp.Packets(pkts))
+		t.mark(g.loc, b.Packets(pkts))
 	}
 }
 

@@ -191,22 +191,20 @@ type MergeTiming struct{ Decode, Merge time.Duration }
 // and folds it into the accumulated trace, under codec.decode and
 // transfer child spans. An arena's checksum, format and fingerprint are
 // checked before any BDD work; one recorded against another network is
-// core.ErrSnapshotMismatch.
+// core.ErrSnapshotMismatch. An arena is imported straight into the
+// canonical space (core.DecodeFragment), so codec.decode holds the whole
+// import and transfer only the fold.
 func (e *Engine) Merge(ctx context.Context, data []byte) (MergeTiming, error) {
 	var (
 		t    MergeTiming
 		derr error
 	)
 	err := e.stage(ctx, "", func(_ context.Context, sp *obs.Span) {
-		fp := ""
-		if core.IsSnapshotArena(data) {
-			fp = e.Fingerprint() // cube JSON carries none to check
-		}
 		var frag *core.Trace
 		start := time.Now()
 		func() {
 			defer sp.Child("codec.decode").End()
-			frag, derr = core.DecodeFragment(data, e.net, fp)
+			frag, derr = e.decode(data)
 		}()
 		t.Decode = time.Since(start)
 		if derr != nil {
@@ -221,6 +219,29 @@ func (e *Engine) Merge(ctx context.Context, data []byte) (MergeTiming, error) {
 		err = derr
 	}
 	return t, err
+}
+
+// DecodeFragment decodes one trace fragment, as Merge does, into a trace
+// of its own in the canonical space, without folding it into the
+// accumulated trace.
+func (e *Engine) DecodeFragment(ctx context.Context, data []byte) (*core.Trace, error) {
+	var (
+		frag *core.Trace
+		derr error
+	)
+	err := e.stage(ctx, "", func(context.Context, *obs.Span) { frag, derr = e.decode(data) })
+	return frag, errors.Join(err, derr)
+}
+
+// decode is core.DecodeFragment against the engine's network, checking
+// an arena against the cached fingerprint (cube JSON carries none to
+// check).
+func (e *Engine) decode(data []byte) (*core.Trace, error) {
+	fp := ""
+	if core.IsSnapshotArena(data) {
+		fp = e.Fingerprint()
+	}
+	return core.DecodeFragment(data, e.net, fp)
 }
 
 // MergeTrace folds a trace that already lives in the canonical space (a
@@ -288,7 +309,7 @@ func (e *Engine) Table(ctx context.Context, stage string, roles []netmodel.Role,
 
 // EncodeFragment encodes t, a trace in the canonical space, for the wire:
 // the checksummed YSS1 arena stamped with the network's fingerprint, or
-// exact-cube JSON. Set extraction is BDD-manager work, so it is a stage.
+// exact-cube JSON. Both read the canonical manager, so it is a stage.
 func (e *Engine) EncodeFragment(ctx context.Context, t *core.Trace, arena bool) ([]byte, error) {
 	var (
 		buf  bytes.Buffer
@@ -315,8 +336,8 @@ func (e *Engine) EncodeFragment(ctx context.Context, t *core.Trace, arena bool) 
 
 // Snapshot writes the accumulated trace to path as a YSS1 arena under
 // the cached fingerprint (atomic rename; core.SaveSnapshotArena). The
-// sets are extracted into a private manager, so the canonical one is
-// not charged and there is nothing to guard.
+// arena is written straight from the canonical manager, a read that
+// makes no node and charges no op, so there is nothing to guard.
 func (e *Engine) Snapshot(path string) error {
 	if e.net == nil {
 		return ErrNoNetwork

@@ -81,8 +81,36 @@ func (s *Space) putAddr(k *packetKey, off int, a [16]byte) {
 // a literal chain; the chains from the source field down and from the
 // protocol field down are memoized per call, so packets that share a
 // source (or, like a pingmesh's echoes, their protocol and ports) share
-// that part of the build. An empty list is the empty set.
-func (s *Space) Packets(pkts []Packet) Set {
+// that part of the build. An empty list is the empty set. A caller that
+// builds several sets of related packets keeps the memos across them
+// with a PacketBuilder.
+func (s *Space) Packets(pkts []Packet) Set { return s.PacketBuilder().Packets(pkts) }
+
+// PacketBuilder builds packet sets as Space.Packets does, keeping the
+// chain memos across its builds: a batch that builds one set per
+// location (core's Trace.MarkConcrete) makes each source's chain once,
+// not once at every location that source's packets reach. The memos
+// hold nodes of the space, which are never freed, and an entry is
+// stored only once its chain is whole, so a build cut short by a
+// cancellation leaves the builder sound. Like the space, a builder is
+// not safe for concurrent use.
+type PacketBuilder struct {
+	s *Space
+	// srcTails and protoTails memoize the one-key chains that start at
+	// the source and at the protocol field, by the key bits they
+	// constrain.
+	srcTails, protoTails map[packetKey]bdd.Node
+}
+
+// PacketBuilder returns a builder of the space's packet sets with empty
+// memos.
+func (s *Space) PacketBuilder() *PacketBuilder {
+	return &PacketBuilder{s: s, srcTails: map[packetKey]bdd.Node{}, protoTails: map[packetKey]bdd.Node{}}
+}
+
+// Packets is Space.Packets over the builder's memos.
+func (b *PacketBuilder) Packets(pkts []Packet) Set {
+	s := b.s
 	if len(pkts) == 0 {
 		return s.Empty()
 	}
@@ -92,17 +120,14 @@ func (s *Space) Packets(pkts []Packet) Set {
 	}
 	slices.SortFunc(keys, func(a, b packetKey) int { return slices.Compare(a[:], b[:]) })
 	keys = slices.Compact(keys)
-	w := packetWalk{s: s, keys: keys, srcTails: map[packetKey]bdd.Node{}, protoTails: map[packetKey]bdd.Node{}}
+	w := packetWalk{PacketBuilder: b, keys: keys}
 	return Set{s, w.node(0, len(keys), 0)}
 }
 
-// packetWalk is one Packets build. srcTails and protoTails memoize the
-// one-key chains that start at the source and at the protocol field, by
-// the key bits they constrain.
+// packetWalk is one build.
 type packetWalk struct {
-	s                    *Space
-	keys                 []packetKey
-	srcTails, protoTails map[packetKey]bdd.Node
+	*PacketBuilder
+	keys []packetKey
 }
 
 // node builds the set of keys[lo:hi] (at least one), every one of which

@@ -141,3 +141,40 @@ func FuzzPackets(f *testing.F) {
 		checkPackets(t, v6, genPackets(v6, data), int(pre))
 	})
 }
+
+// TestPacketBuilderSharesChains: one builder's builds land on the nodes
+// Space.Packets gives, and a build whose packets share their source
+// chains with an earlier build's charges only the nodes above those
+// chains — a pingmesh batch's second location no longer rebuilds each
+// source's chain.
+func TestPacketBuilderSharesChains(t *testing.T) {
+	for _, v6 := range []bool{false, true} {
+		s, width := NewSpace(), 32
+		if v6 {
+			s, width = NewSpaceV6(), 128
+		}
+		pkts := genPackets(v6, []byte{0, 0, 1, 2, 0, 0, 3, 4, 0, 0, 5, 6, 0, 0, 7, 8})
+		// The same sources toward other destinations: a second location.
+		other := make([]Packet, len(pkts))
+		for i, p := range pkts {
+			other[i] = flipHeaderBit(p, 0, width)
+		}
+		b := s.PacketBuilder()
+		if got, want := b.Packets(pkts), s.Packets(pkts); got.Node() != want.Node() {
+			t.Fatalf("v6=%v: builder gives node %d, Packets %d", v6, got.Node(), want.Node())
+		}
+		ops := s.Manager().Stats().Ops
+		shared := b.Packets(other)
+		sharedOps := s.Manager().Stats().Ops - ops
+		ops = s.Manager().Stats().Ops
+		if alone := s.Packets(other); alone.Node() != shared.Node() {
+			t.Fatalf("v6=%v: builder gives node %d, Packets %d", v6, shared.Node(), alone.Node())
+		}
+		aloneOps := s.Manager().Stats().Ops - ops
+		// Alone, each packet's source chain is rebuilt: at least the
+		// source, protocol and port bits once per packet.
+		if min := uint64(len(pkts) * (width + ProtoBits + DstPortBits + SrcPortBits)); aloneOps < min || sharedOps > aloneOps-min {
+			t.Fatalf("v6=%v: second build charged %d ops through the builder, %d alone; want the builder to skip the %d source-chain ops", v6, sharedOps, aloneOps, min)
+		}
+	}
+}

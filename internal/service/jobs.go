@@ -2,16 +2,19 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"runtime/pprof"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"yardstick/internal/core"
@@ -44,7 +47,9 @@ import (
 //	GET    /jobs/{id}/trace              a done job's own coverage fragment:
 //	                                     trace JSON by default, the YSS1
 //	                                     arena when Accept names
-//	                                     TraceArenaMediaType (409 until
+//	                                     TraceArenaMediaType, gzipped
+//	                                     when Accept-Encoding names gzip
+//	                                     (409 until
 //	                                     done, 410 once evicted — only the
 //	                                     QueueDepth newest finished jobs
 //	                                     keep artifacts, besides the
@@ -184,10 +189,13 @@ func (s *Server) runJobLabeled(ctx context.Context, spec jobs.Spec) (json.RawMes
 const TraceArenaMediaType = "application/vnd.yardstick.trace-arena"
 
 // jobFragment is a done job's coverage fragment: the canonical-space
-// trace the job recorded, plus each wire encoding, built on first fetch.
-// Encoding is deferred because most jobs' fragments are never read (only
-// a coordinator fetches them) and extraction is BDD-manager work under
-// s.mu; a fetch pays it once, for the one format it asked for.
+// trace the job recorded until its arena exists, and each wire encoding,
+// built on first fetch. Encoding is deferred because most jobs'
+// fragments are never read (only a coordinator fetches them) and it is
+// BDD-manager work under s.mu; a fetch pays it once, for the one format
+// it asked for. Once the arena exists it is the fragment: the trace is
+// dropped, and a later JSON fetch imports the arena into the canonical
+// space — where every node of it already exists — to encode the JSON.
 type jobFragment struct {
 	trace       *core.Trace
 	arena, json []byte
@@ -256,26 +264,37 @@ func (s *Server) storeJobTraceLocked(id string, frag *core.Trace, shard bool) {
 
 // jobTraceLocked returns a retained fragment in the requested encoding,
 // building and caching it on first use; ok is false when the job has no
-// retained fragment. Set extraction is BDD-manager work: callers hold
-// s.mu, and it runs guarded so a cancelled fetch fails the request, not
-// the daemon.
+// retained fragment. Encoding is BDD-manager work: callers hold s.mu,
+// and it runs guarded so a cancelled fetch fails the request, not the
+// daemon.
 func (s *Server) jobTraceLocked(ctx context.Context, id string, arena bool) (data []byte, ok bool, err error) {
 	a, ok := s.artifacts[id]
 	if !ok || a.frag == nil {
 		return nil, false, nil
 	}
 	f := a.frag
-	slot := &f.json
-	if arena {
-		slot = &f.arena
-	}
-	if *slot == nil {
-		if *slot, err = s.eng.EncodeFragment(ctx, f.trace, arena); err != nil {
+	switch {
+	case arena && f.arena == nil:
+		if f.arena, err = s.eng.EncodeFragment(ctx, f.trace, true); err != nil {
+			return nil, true, err
+		}
+		f.trace = nil
+	case !arena && f.json == nil:
+		t := f.trace
+		if t == nil {
+			if t, err = s.eng.DecodeFragment(ctx, f.arena); err != nil {
+				return nil, true, err
+			}
+		}
+		if f.json, err = s.eng.EncodeFragment(ctx, t, false); err != nil {
 			return nil, true, err
 		}
 	}
 	s.unpinLocked(id, a)
-	return *slot, true, nil
+	if arena {
+		return f.arena, true, nil
+	}
+	return f.json, true, nil
 }
 
 // storeJobProfileLocked serializes a finished job's span profile for
@@ -325,7 +344,9 @@ func (s *Server) getJobProfile(w http.ResponseWriter, r *http.Request) {
 
 // getJobTrace serves a done job's own coverage fragment, negotiating the
 // encoding on Accept: the YSS1 arena for a peer that asks for
-// TraceArenaMediaType, trace JSON for everyone else (browsers, curl).
+// TraceArenaMediaType, trace JSON for everyone else (browsers, curl);
+// and the content coding on Accept-Encoding: gzip when it is named,
+// the identity body otherwise.
 // The status codes draw the coordinator's re-dispatch map: 404 means
 // the job never existed here (or was swept — resubmit), 409 means poll
 // again (the job is not done), and 410 means the result is done but
@@ -368,12 +389,67 @@ func (s *Server) getJobTrace(w http.ResponseWriter, r *http.Request) {
 		ct = TraceArenaMediaType
 	}
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("Vary", "Accept")
+	w.Header().Set("Vary", "Accept, Accept-Encoding")
+	// Compression runs after s.mu is released, so it never holds up
+	// evaluation.
+	if acceptsGzip(r.Header) {
+		data = s.gzip.compress(data)
+		w.Header().Set("Content-Encoding", "gzip")
+	}
 	// An explicit length lets the receiver tell a dropped connection from
 	// a complete body before it spends a checksum on it.
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
+}
+
+// acceptsGzip reports whether the request's Accept-Encoding names gzip
+// with a q-value above zero. Go's HTTP transport sends "gzip" on its
+// own and decompresses the answer, so a Go peer gets a compressed
+// fragment without asking; curl gets one only with --compressed.
+func acceptsGzip(h http.Header) bool {
+	for _, v := range h.Values("Accept-Encoding") {
+		for _, coding := range strings.Split(v, ",") {
+			name, params, _ := strings.Cut(coding, ";")
+			if !strings.EqualFold(strings.TrimSpace(name), "gzip") {
+				continue
+			}
+			q, ok := strings.CutPrefix(strings.TrimSpace(params), "q=")
+			if !ok {
+				return true
+			}
+			f, err := strconv.ParseFloat(q, 64)
+			return err == nil && f > 0
+		}
+	}
+	return false
+}
+
+// gzipper compresses response bodies at gzip.BestSpeed through one
+// reused writer: a flate writer is about 1 MB, so the server keeps one
+// (made on first use) instead of a sync.Pool, which every collection
+// empties. The trace fragments it compresses are BDD node records that
+// shrink about 3× at that level, in about a millisecond per 100 KB.
+type gzipper struct {
+	mu sync.Mutex
+	w  *gzip.Writer
+}
+
+// compress returns data gzipped.
+func (g *gzipper) compress(data []byte) []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(data)/2 + 64)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.w == nil {
+		g.w, _ = gzip.NewWriterLevel(&buf, gzip.BestSpeed) // a valid level cannot fail
+	} else {
+		g.w.Reset(&buf)
+	}
+	g.w.Write(data) // a bytes.Buffer cannot fail
+	g.w.Close()
+	g.w.Reset(io.Discard) // hold no reference to buf
+	return buf.Bytes()
 }
 
 // Run-context propagation headers. The coordinator mints a run ID per

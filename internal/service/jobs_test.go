@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
@@ -308,7 +309,8 @@ func TestJobTraceExport(t *testing.T) {
 // TestJobTraceNegotiation: the same path serves trace JSON by default
 // and the YSS1 arena to a request whose Accept names it; both decode to
 // the same trace; and neither is built until someone asks — a finished
-// job holds only the trace it recorded.
+// job holds only the trace it recorded, and once its arena is built,
+// only the arena.
 func TestJobTraceNegotiation(t *testing.T) {
 	srv, ts := newJobServer(t)
 
@@ -317,17 +319,17 @@ func TestJobTraceNegotiation(t *testing.T) {
 	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateDone {
 		t.Fatalf("job = %+v, want done", j)
 	}
-	encoded := func() (arena, cubes bool) {
+	encoded := func() (trace, arena, cubes bool) {
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		a := srv.artifacts[sub.ID]
-		if a == nil || a.frag == nil || a.frag.trace == nil {
+		if a == nil || a.frag == nil || a.frag.trace == nil && a.frag.arena == nil {
 			t.Fatal("finished job retained no fragment")
 		}
-		return a.frag.arena != nil, a.frag.json != nil
+		return a.frag.trace != nil, a.frag.arena != nil, a.frag.json != nil
 	}
-	if a, j := encoded(); a || j {
-		t.Fatalf("fragment encoded before any fetch (arena %v, json %v)", a, j)
+	if tr, a, j := encoded(); !tr || a || j {
+		t.Fatalf("before any fetch: trace %v, arena %v, json %v; want the trace only", tr, a, j)
 	}
 
 	fetch := func(accept string) (string, []byte) {
@@ -352,8 +354,8 @@ func TestJobTraceNegotiation(t *testing.T) {
 	if ct != TraceArenaMediaType || !core.IsSnapshotArena(arena) {
 		t.Fatalf("arena request answered %q, %d bytes starting %q", ct, len(arena), arena[:min(len(arena), 4)])
 	}
-	if a, j := encoded(); !a || j {
-		t.Fatalf("after one arena fetch: arena cached %v, json built %v; want true, false", a, j)
+	if tr, a, j := encoded(); tr || !a || j {
+		t.Fatalf("after one arena fetch: trace kept %v, arena cached %v, json built %v; want false, true, false", tr, a, j)
 	}
 	if _, again := fetch(TraceArenaMediaType); !bytes.Equal(again, arena) {
 		t.Fatal("second arena fetch differs from the first")
@@ -377,6 +379,129 @@ func TestJobTraceNegotiation(t *testing.T) {
 	}
 	if !fromArena.Equal(fromJSON) || !fromArena.Equal(srv.eng.Trace()) {
 		t.Fatal("arena fragment, JSON fragment and the server's accumulated trace are not one trace")
+	}
+}
+
+// fetchTraceRaw fetches a job's fragment with the given Accept and
+// Accept-Encoding through a transport that decompresses nothing, and
+// returns the response and its body as sent.
+func fetchTraceRaw(t *testing.T, base, id, accept, encoding string) (*http.Response, []byte) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, base+"/jobs/"+id+"/trace", nil)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	if encoding != "" {
+		req.Header.Set("Accept-Encoding", encoding)
+	}
+	hc := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+	resp, err := hc.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET trace (Accept %q, Accept-Encoding %q) = %d, %v", accept, encoding, resp.StatusCode, err)
+	}
+	return resp, body
+}
+
+// TestJobTraceGzip: GET /jobs/{id}/trace answers gzip to a request whose
+// Accept-Encoding names it, for both encodings, and the identity body to
+// one that does not (or refuses gzip with q=0); the gzip body inflates
+// to exactly the identity body, and Vary names both negotiated headers
+// either way.
+func TestJobTraceGzip(t *testing.T) {
+	_, ts := newJobServer(t)
+	var sub JobStatus
+	doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default,internal,reach", nil, http.StatusAccepted, &sub)
+	if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateDone {
+		t.Fatalf("job = %+v, want done", j)
+	}
+	for _, accept := range []string{"", TraceArenaMediaType} {
+		resp, identity := fetchTraceRaw(t, ts.URL, sub.ID, accept, "")
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("Accept %q without Accept-Encoding: Content-Encoding %q", accept, ce)
+		}
+		if resp.ContentLength != int64(len(identity)) {
+			t.Fatalf("Accept %q identity: Content-Length %d for %d bytes", accept, resp.ContentLength, len(identity))
+		}
+		for _, enc := range []string{"gzip", "deflate, gzip;q=0.5", "br, GZIP", "gzip;q=0", "identity"} {
+			resp, body := fetchTraceRaw(t, ts.URL, sub.ID, accept, enc)
+			if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") || !strings.Contains(strings.ReplaceAll(vary, "Accept-Encoding", ""), "Accept") {
+				t.Fatalf("Accept %q, Accept-Encoding %q: Vary %q, want both headers", accept, enc, vary)
+			}
+			if resp.ContentLength != int64(len(body)) {
+				t.Fatalf("Accept %q, Accept-Encoding %q: Content-Length %d for %d bytes", accept, enc, resp.ContentLength, len(body))
+			}
+			wantGzip := enc != "gzip;q=0" && enc != "identity"
+			if got := resp.Header.Get("Content-Encoding") == "gzip"; got != wantGzip {
+				t.Fatalf("Accept %q, Accept-Encoding %q: Content-Encoding %q, want gzip %v", accept, enc, resp.Header.Get("Content-Encoding"), wantGzip)
+			}
+			if !wantGzip {
+				if !bytes.Equal(body, identity) {
+					t.Fatalf("Accept %q, Accept-Encoding %q: body differs from the identity body", accept, enc)
+				}
+				continue
+			}
+			zr, err := gzip.NewReader(bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inflated, err := io.ReadAll(zr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(inflated, identity) {
+				t.Fatalf("Accept %q, Accept-Encoding %q: %d bytes inflate to %d, not the %d-byte identity body", accept, enc, len(body), len(inflated), len(identity))
+			}
+			if len(body) >= len(identity) {
+				t.Fatalf("Accept %q: gzip body %d bytes, identity %d", accept, len(body), len(identity))
+			}
+		}
+	}
+}
+
+// TestJobTraceJSONAfterArena: once a fragment's arena exists the daemon
+// keeps only the arena, and a JSON fetch after it imports the arena back
+// into the daemon's space: the JSON is byte-identical to what a daemon
+// that never built the arena serves for the same job, and the import
+// makes no node (every node of the fragment is already there).
+func TestJobTraceJSONAfterArena(t *testing.T) {
+	jsonOf := func(arenaFirst bool) []byte {
+		srv, ts := newJobServer(t)
+		var sub JobStatus
+		doJSON(t, http.MethodPost, ts.URL+"/jobs?suite=default,internal,reach,pingmesh", nil, http.StatusAccepted, &sub)
+		if j := pollJob(t, ts.URL, sub.ID); j.State != jobs.StateDone {
+			t.Fatalf("job = %+v, want done", j)
+		}
+		if !arenaFirst {
+			_, body := fetchTraceRaw(t, ts.URL, sub.ID, "", "")
+			return body
+		}
+		fetchTraceRaw(t, ts.URL, sub.ID, TraceArenaMediaType, "")
+		srv.mu.Lock()
+		kept, nodes := srv.artifacts[sub.ID].frag.trace != nil, srv.eng.Net().Space.Manager().Size()
+		srv.mu.Unlock()
+		if kept {
+			t.Fatal("the trace is kept beside the arena")
+		}
+		_, body := fetchTraceRaw(t, ts.URL, sub.ID, "", "")
+		srv.mu.Lock()
+		after := srv.eng.Net().Space.Manager().Size()
+		srv.mu.Unlock()
+		if after != nodes {
+			t.Fatalf("importing the arena for the JSON fetch made %d nodes, want 0", after-nodes)
+		}
+		if _, again := fetchTraceRaw(t, ts.URL, sub.ID, "", ""); !bytes.Equal(again, body) {
+			t.Fatal("second JSON fetch differs from the first")
+		}
+		return body
+	}
+	direct, viaArena := jsonOf(false), jsonOf(true)
+	if !json.Valid(direct) || !bytes.Equal(direct, viaArena) {
+		t.Fatalf("JSON after the arena (%d bytes) differs from the JSON of the recorded trace (%d bytes)", len(viaArena), len(direct))
 	}
 }
 

@@ -31,7 +31,8 @@
 //	DELETE /jobs/{id}          cancel a queued or running job (409 once finished)
 //	GET    /jobs/{id}/trace    a done job's own coverage fragment — trace JSON,
 //	                           or the YSS1 arena when Accept names
-//	                           TraceArenaMediaType — the shard-collection
+//	                           TraceArenaMediaType, gzipped when
+//	                           Accept-Encoding names gzip — the shard-collection
 //	                           feed of the distributed coordinator
 //	                           (internal/coord)
 //	GET    /jobs/{id}/profile  a done job's span profile (JSON), the worker
@@ -156,6 +157,9 @@ type Server struct {
 	// drainMu guards its replacement.
 	drainMu sync.Mutex
 	drained chan struct{}
+	// gzip compresses GET /jobs/{id}/trace bodies for a client that
+	// accepts gzip.
+	gzip gzipper
 }
 
 // Option configures a Server.
