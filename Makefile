@@ -161,12 +161,14 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), nineteen in all: the differential matrix's in-process engine
+# run), twenty in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
 # the coverage view against its from-scratch oracle, a batch of concrete
 # pings' marking against the union of each one's singleton at every hop,
 # the bulk packet-set build against the Or of the singletons, the
-# append network encoder against the struct-based reference, an
+# append network encoder against the struct-based reference, the
+# fingerprint resumed from sha256 marks across random removes, modifies,
+# adds, rewires and clones against the hash of the reference encoding, an
 # accepted delta document against a rebuild (and a rejected one against
 # an untouched network), the forwarding index against the rule-by-rule
 # flood, the first-match traceroute and the ordered match-set walk on
@@ -187,6 +189,7 @@ FUZZ_TARGETS = \
 	./internal/delta:FuzzViewEquivalence \
 	./internal/delta:FuzzDeltaEquivalence \
 	./internal/netmodel:FuzzEncodeJSONNames \
+	./internal/netmodel:FuzzFingerprintMarks \
 	./internal/netmodel:FuzzDecodeJSON \
 	./internal/netmodel:FuzzParseText \
 	./internal/dataplane:FuzzForwardingIndex \

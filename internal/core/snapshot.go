@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -30,12 +29,13 @@ var ErrSnapshotMismatch = errors.New("core: snapshot network fingerprint mismatc
 // Fingerprint returns a stable hex digest identifying a network's
 // topology and rules. It hashes the canonical JSON encoding, which is
 // deterministic (devices, interfaces, and rules serialize in ID order);
-// a frozen network keeps that encoding, so a fingerprint after a
-// mutation hashes cached bytes.
+// a frozen network keeps that encoding and the hash's state every few
+// hundred rules, so a fingerprint after a mutation resumes from the last
+// state before the first rule it changed and hashes cached bytes
+// (netmodel's Digest).
 func Fingerprint(net *netmodel.Network) string {
-	h := sha256.New()
-	_ = net.EncodeJSON(h) // fails only when its writer does; a hash never does
-	return hex.EncodeToString(h.Sum(nil))
+	sum := net.Digest()
+	return hex.EncodeToString(sum[:])
 }
 
 type snapshotJSON struct {

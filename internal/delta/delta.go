@@ -285,8 +285,8 @@ func (e *Engine) Apply(doc Document) (*Applied, error) {
 	// The network has changed; everything from here on must not lose
 	// that fact, and nothing before the drift report can fail: trace
 	// remap and fingerprinting involve no symbolic work, and the
-	// fingerprint hashes the network's kept encoding plus the rules the
-	// commit changed. Modified rules survive in the remap but their
+	// fingerprint hashes the network's kept encoding from the last mark
+	// before the first rule the commit changed. Modified rules survive in the remap but their
 	// marks must not: drop them through a mark-only copy.
 	markRemap := slices.Clone(res.Remap)
 	for _, op := range doc.Ops {

@@ -81,8 +81,9 @@ func freshEncoding(t testing.TB, n *netmodel.Network) []byte {
 // assertEngineEquivalent checks the correctness bar: the incremental
 // network and trace yield coverage bit-identical to a from-scratch
 // rebuild (same JSON, fresh space, full re-derivation) with the trace
-// transferred over. The rebuild, and the fingerprints, are held to an
-// encoding that reads no cached bytes, so a stale cache cannot pass.
+// transferred over. The rebuild, and the fingerprints, which resume from
+// the network's marks, are held to an encoding that reads no cached
+// bytes, so neither a stale cache nor a stale mark can pass.
 func assertEngineEquivalent(t testing.TB, e *Engine) {
 	t.Helper()
 	fresh := freshEncoding(t, e.Net)

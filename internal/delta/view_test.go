@@ -418,7 +418,8 @@ func (w *world) step() string {
 			w.t.Fatalf("apply: %v", err)
 		}
 		// The fingerprint is held to an encoding that reads no cached
-		// bytes: a clone carries none.
+		// bytes and a hash that resumes from no mark: a clone carries
+		// neither.
 		fresh := encode(w.t, e.Net.Clone())
 		if sum := sha256.Sum256(fresh); ap.Fingerprint != hex.EncodeToString(sum[:]) || !bytes.Equal(encode(w.t, e.Net), fresh) {
 			w.t.Fatalf("fingerprint %.12s or cached encoding stale against a fresh encoding", ap.Fingerprint)

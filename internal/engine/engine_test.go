@@ -492,7 +492,8 @@ func TestDegradation(t *testing.T) {
 }
 
 // TestPatchFingerprintFresh holds the engine's fingerprint to a fresh
-// core.Fingerprint of a cache-free copy after every Patch of a sequence,
+// core.Fingerprint of a copy that carries neither the encoding cache nor
+// the fingerprint marks after every Patch of a sequence,
 // and after patches whose drift report a cancellation cut short: once
 // the commit has published, the new fingerprint is always held.
 func TestPatchFingerprintFresh(t *testing.T) {

@@ -14,8 +14,10 @@ import (
 // re-derived from configuration. A frozen
 // network (ComputeMatchSets done) clones into a frozen network whose
 // match sets are bit-identical to the original's. The encoding cache
-// (json.go) is not carried: replicas evaluate, they do not encode, and a
-// clone whose fields are edited must not inherit stale bytes.
+// and the fingerprint marks (json.go) are not carried: replicas
+// evaluate, they do not encode, a clone whose fields are edited must
+// not inherit stale bytes, and one that shared the marks' backing array
+// could append into the original's.
 //
 // The copy is independent afterwards: mutating either network's rules or
 // growing either space is invisible to the other. A context the space

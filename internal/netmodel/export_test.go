@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/netip"
 	"reflect"
 	"strings"
 
@@ -157,4 +158,35 @@ func (n *Network) ScratchMatchSets() []hdr.Set {
 		out[i] = r.match
 	}
 	return out
+}
+
+// MarkEvery is the spacing of a frozen network's fingerprint marks.
+const MarkEvery = markEvery
+
+// Marks counts the fingerprint marks the network holds.
+func (n *Network) Marks() int {
+	n.encMu.Lock()
+	defer n.encMu.Unlock()
+	return len(n.marks)
+}
+
+// MarkedFIB builds three devices with destination-only FIBs and rules
+// rules in all, interleaved by device, frozen: a network that holds
+// fingerprint marks past the first once rules exceeds MarkEvery.
+func MarkedFIB(rules int) *Network {
+	n := New()
+	var acts []Action
+	for d := 0; d < 3; d++ {
+		dev := n.AddDevice(string(rune('a'+d)), RoleToR, uint32(d+1))
+		acts = append(acts, Action{Kind: ActForward, OutIfaces: []IfaceID{n.AddIface(dev, "up")}})
+	}
+	for i := 0; i < rules; i++ {
+		pf := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i / 3 >> 8), byte(i / 3), 0}), 24)
+		if i < 3 {
+			pf = netip.PrefixFrom(netip.IPv4Unspecified(), 0)
+		}
+		n.AddFIBRule(DeviceID(i%3), MatchDst(pf), acts[i%3], OriginInternal)
+	}
+	n.ComputeMatchSets()
+	return n
 }

@@ -268,7 +268,8 @@ func (a Action) Clone() Action {
 // SetAction replaces the action of a rule on a frozen network. Match
 // fields are untouched, so every match set stays valid; the device's
 // action classes are dropped and rebuilt by the next flood, and the
-// rule's encoding by the next EncodeJSON. It is how fault injection
+// rule's encoding by the next EncodeJSON, and the fingerprint marks past
+// the rule by the next Digest. It is how fault injection
 // (internal/faults) rewires a rule and puts it back; writing Rule.Action
 // directly would leave both stale.
 func (n *Network) SetAction(id RuleID, a Action) {
@@ -278,5 +279,6 @@ func (n *Network) SetAction(id RuleID, a Action) {
 		n.index[r.Device].fwd = nil
 		r.enc = ""
 		n.encFull.Store(false)
+		n.dropMarks(int(id))
 	}
 }

@@ -1,6 +1,8 @@
 package netmodel
 
 import (
+	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -290,34 +292,115 @@ func (n *Network) RuleSpecOf(id RuleID) RuleSpec {
 // the rule's own fields only, never on its ID or position. A mutation
 // then costs the encoding of the rules it added or modified, and an
 // encode of an unchanged network copies bytes. An unfrozen network, whose
-// rules may still change in place, is encoded afresh every time.
+// rules may still change in place, is encoded afresh every time. The
+// same writer streams the document into the network's fingerprint
+// (Digest).
 //
 // The encoder hands w its output in jsonFlush-sized pieces instead of
 // building the document whole: a fingerprint (w is a hash) then costs one
 // small buffer, not two network-sized allocations per call.
 func (n *Network) EncodeJSON(w io.Writer) error {
-	frozen := n.matchSetsDone
-	if frozen {
+	if n.matchSetsDone {
 		n.fillEncoding()
 	}
 	e := &jsonEnc{w: w, buf: make([]byte, 0, 2*jsonFlush)}
-	if frozen {
-		_, e.err = w.Write(n.encHead.buf)
-		e.members = append(e.members, n.encHead.members...)
-	} else {
-		n.encodeHead(e)
+	n.writeHead(e)
+	n.writeRules(e, 0, nil)
+	return e.err
+}
+
+// markEvery is the spacing, in rules, of a frozen network's fingerprint
+// marks.
+const markEvery = 512
+
+// Digest returns the sha256 of the network's EncodeJSON bytes.
+//
+// A frozen network keeps marks: marks[i] is the hash's state after the
+// document head, "rules": [ and the first i*markEvery rules. Rule IDs
+// compact on removal and additions append, so Commit and SetAction drop
+// only the marks past the first rule they change (dropMarks). Digest
+// resumes from the last mark, hashes the kept bytes of the remaining
+// rules and records the marks it passes. After a change at rule 0 it
+// hashes every rule's kept bytes, as it would without marks.
+func (n *Network) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	if !n.matchSetsDone || len(n.Rules) == 0 { // no rules: no array for a mark to stand in
+		_ = n.EncodeJSON(h) // a hash never fails a write
+		return [sha256.Size]byte(h.Sum(nil))
 	}
-	e.array("rules", len(n.Rules), func(i int) {
-		if frozen {
-			e.buf = append(e.buf, n.Rules[i].enc...)
-		} else {
-			e.rule(n.Rules[i])
-		}
+	n.fillEncoding()
+	n.encMu.Lock()
+	defer n.encMu.Unlock()
+	e := &jsonEnc{w: h, buf: make([]byte, 0, 2*jsonFlush)}
+	from := 0
+	if k := len(n.marks) - 1; k >= 0 {
+		_ = h.(encoding.BinaryUnmarshaler).UnmarshalBinary(n.marks[k]) // a state this hash marshaled
+		from = k * markEvery
+		e.members = append(e.members, 1, from) // inside the document and its rules array
+	} else {
+		n.writeHead(e)
+	}
+	n.writeRules(e, from, func() {
+		e.flush()
+		state, _ := h.(encoding.BinaryMarshaler).MarshalBinary() // a sha256 state always marshals
+		n.marks = append(n.marks, state)
 	})
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// dropMarks drops the fingerprint marks taken past rule first, the first
+// rule a change touches.
+func (n *Network) dropMarks(first int) {
+	n.encMu.Lock()
+	keep := min(len(n.marks), first/markEvery+1)
+	clear(n.marks[keep:])
+	n.marks = n.marks[:keep]
+	n.encMu.Unlock()
+}
+
+// writeHead writes the document up to the rules array: a frozen
+// network's kept bytes, which fillEncoding has filled, or a fresh
+// encoding.
+func (n *Network) writeHead(e *jsonEnc) {
+	if !n.matchSetsDone {
+		n.encodeHead(e)
+		return
+	}
+	_, e.err = e.w.Write(n.encHead.buf)
+	e.members = append(e.members, n.encHead.members...)
+}
+
+// writeRules writes the rules array from rule from on (opening it unless
+// e already stands inside it), closes the document and flushes. A
+// network without rules writes null, as encoding/json does for a nil
+// slice. mark, when set, is called at the rule boundary the next mark
+// belongs at.
+func (n *Network) writeRules(e *jsonEnc, from int, mark func()) {
+	if len(n.Rules) == 0 {
+		e.key("rules").raw("null")
+	} else {
+		if len(e.members) == 1 {
+			e.key("rules").open('[')
+		}
+		for i := from; ; i++ {
+			if mark != nil && i == len(n.marks)*markEvery {
+				mark()
+			}
+			if i == len(n.Rules) {
+				break
+			}
+			e.elem()
+			if n.matchSetsDone {
+				e.buf = append(e.buf, n.Rules[i].enc...)
+			} else {
+				e.rule(n.Rules[i])
+			}
+		}
+		e.close(']')
+	}
 	e.close('}')
 	e.buf = append(e.buf, '\n')
 	e.flush()
-	return e.err
 }
 
 // encodeHead opens the document and writes every member before the

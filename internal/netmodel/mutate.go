@@ -32,7 +32,9 @@ import (
 //
 //   - Survivors carry their encoding (json.go): an encode after a commit
 //     writes the bytes of the rules it added or modified, and copies the
-//     rest.
+//     rest. The rules before the first one a commit changes keep their
+//     IDs, so the fingerprint marks up to it stay: a fingerprint after a
+//     commit hashes the kept bytes from that rule on.
 //
 //   - Commit is copy-on-write: it stages a complete new rule universe
 //     (fresh Rule structs; untouched ones share their hdr.Set values)
@@ -192,7 +194,8 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	m.done = true
 	n := m.n
 
-	// The tables that change, per device.
+	// The tables that change, per device, and the first rule that does:
+	// additions start at the old rule count.
 	const aclChanged, fibChanged = 1, 2
 	touched := make([]uint8, len(n.Devices))
 	mark := func(dev DeviceID, t TableKind) {
@@ -202,11 +205,14 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			touched[dev] |= fibChanged
 		}
 	}
+	first := len(n.Rules)
 	for id := range m.removed {
 		mark(n.Rules[id].Device, n.Rules[id].Table)
+		first = min(first, int(id))
 	}
 	for id := range m.modified {
 		mark(n.Rules[id].Device, n.Rules[id].Table)
+		first = min(first, int(id))
 	}
 	for _, def := range m.added {
 		mark(def.Device, def.Table)
@@ -328,7 +334,8 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	// Publish: assignments only, no panic sources. A touched device gets
 	// its new index and loses its action classes (the next flood
 	// rebuilds them). The encoding cache stays full unless a rule came
-	// without bytes.
+	// without bytes; the fingerprint marks past the first changed rule
+	// go.
 	for di, d := range n.Devices {
 		d.ACL = newACL[di]
 		d.FIB = newFIB[di]
@@ -338,6 +345,7 @@ func (m *Mutation) Commit() (MutationResult, error) {
 	if len(m.modified)+len(m.added) > 0 {
 		n.encFull.Store(false)
 	}
+	n.dropMarks(first)
 	n.generation++
 
 	return MutationResult{Remap: remap, Added: addedIDs, Touched: touchedList}, nil

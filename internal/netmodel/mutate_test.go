@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
-	"io"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -47,7 +46,7 @@ func encodeNet(t *testing.T, n *Network) []byte {
 }
 
 // encodeReference encodes the network with the struct-based reference
-// encoder, which reads no cached bytes.
+// encoder.
 func encodeReference(t *testing.T, n *Network) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -72,7 +71,7 @@ func rebuildJSON(t *testing.T, n *Network) *Network {
 
 // assertRebuildEquivalent checks the incremental network against its
 // from-scratch rebuild: identical JSON (IDs are a fixed point of the
-// encoding), cached encoding equal to the reference encoder's,
+// encoding), encoding and fingerprint equal to the reference encoder's,
 // bit-identical per-rule match sets across spaces and the same
 // per-device index.
 func assertRebuildEquivalent(t *testing.T, live *Network) {
@@ -104,11 +103,16 @@ func assertRebuildEquivalent(t *testing.T, live *Network) {
 	}
 }
 
-// assertEncodingFresh holds the cached encoding to the reference encoder.
+// assertEncodingFresh holds the encoding and the fingerprint, which
+// resumes from the network's marks, to the reference encoder.
 func assertEncodingFresh(t *testing.T, n *Network) {
 	t.Helper()
-	if got, want := encodeNet(t, n), encodeReference(t, n); !bytes.Equal(got, want) {
+	got, want := encodeNet(t, n), encodeReference(t, n)
+	if !bytes.Equal(got, want) {
 		t.Fatalf("EncodeJSON differs from the reference encoder (%d vs %d bytes)", len(got), len(want))
+	}
+	if n.Digest() != sha256.Sum256(want) {
+		t.Fatal("Digest differs from the sha256 of the reference encoding")
 	}
 }
 
@@ -599,45 +603,56 @@ func TestCommitRederivesChangedRules(t *testing.T) {
 	}
 }
 
-// TestConcurrentEncode encodes and fingerprints one freshly frozen
-// network from several goroutines at once — the first encode fills the
-// cache while the others wait or read it (run under -race) — and after a
-// commit that leaves rules to encode again.
+// TestConcurrentEncode fingerprints and encodes one freshly frozen
+// network from several goroutines at once — the first fills the cache
+// and a fingerprint records the marks while the others wait or read
+// them (run under -race) — and again after a commit that leaves a rule
+// to encode and drops the marks past it.
 func TestConcurrentEncode(t *testing.T) {
-	n, _ := wideFIB(t)
-	want := encodeReference(t, n)
+	n := MarkedFIB(2*markEvery + 40)
 	for round := 0; round < 2; round++ {
+		want := encodeReference(t, n)
+		wantSum := sha256.Sum256(want)
 		var wg sync.WaitGroup
-		got := make([][]byte, 8)
-		for i := range got {
+		docs := make([][]byte, 8)
+		sums := make([][sha256.Size]byte, 8)
+		for i := range docs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var buf bytes.Buffer
 				if i%2 == 0 {
+					var buf bytes.Buffer
 					n.EncodeJSON(&buf)
+					docs[i] = buf.Bytes()
 				} else {
-					h := sha256.New()
-					n.EncodeJSON(io.MultiWriter(h, &buf))
+					sums[i] = n.Digest()
 				}
-				got[i] = buf.Bytes()
 			}()
 		}
 		wg.Wait()
-		for i, b := range got {
-			if !bytes.Equal(b, want) {
+		for i := range docs {
+			if i%2 == 0 && !bytes.Equal(docs[i], want) {
 				t.Fatalf("round %d, encoder %d: bytes differ from the reference", round, i)
 			}
+			if i%2 == 1 && sums[i] != wantSum {
+				t.Fatalf("round %d, fingerprint %d differs from the reference's", round, i)
+			}
+		}
+		if got := len(n.marks); got != 3 {
+			t.Fatalf("round %d: %d marks, want 3", round, got)
 		}
 		mut := n.BeginMutation()
-		r := n.Rule(30)
-		if err := mut.Modify(30, RuleDef{Device: r.Device, Table: TableFIB, Match: r.Match, Action: Action{Kind: ActDrop}, Origin: r.Origin}); err != nil {
+		id := RuleID(markEvery + 30)
+		r := n.Rule(id)
+		if err := mut.Modify(id, RuleDef{Device: r.Device, Table: TableFIB, Match: r.Match, Action: Action{Kind: ActDrop}, Origin: r.Origin}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := mut.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		want = encodeReference(t, n)
+		if got := len(n.marks); got != 2 {
+			t.Fatalf("a commit at rule %d left %d marks, want 2", id, got)
+		}
 	}
 }
 

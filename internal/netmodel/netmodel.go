@@ -162,7 +162,8 @@ const (
 // Rule is one match-action rule (§4.1). MatchSet is valid only after
 // Network.ComputeMatchSets; from then on the rule changes through a
 // Mutation, or Network.SetAction for its action alone — the network keeps
-// state derived from both (forwarding.go, and the encoding of json.go).
+// state derived from both (forwarding.go, and the encoding and
+// fingerprint marks of json.go).
 type Rule struct {
 	ID      RuleID
 	Device  DeviceID
@@ -240,13 +241,15 @@ type Network struct {
 
 	// The encoding cache of a frozen network (json.go): encHead holds
 	// the document up to the rules array and the state of its open
-	// object, and each rule carries its own element. encMu serializes
-	// the lazy fill; encFull says nothing is missing, so a reader that
-	// sees it set reads without the lock.
+	// object, and each rule carries its own element. marks are the
+	// fingerprint's saved sha256 states (Digest). encMu serializes the
+	// lazy fill and guards the marks; encFull says nothing is missing,
+	// so a reader that sees it set reads without the lock.
 	encMu    sync.Mutex
 	encFull  atomic.Bool
 	encHead  jsonEnc // w nil: the bytes stay in buf
 	encSlabs int     // bytes of rule-encoding slabs allocated since the last repack
+	marks    [][]byte
 }
 
 // New returns an empty IPv4 network over a fresh header space.
