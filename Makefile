@@ -161,7 +161,7 @@ clustersmoke:
 
 # Fuzz every target that guards an invariant or a decoder for a fixed
 # FUZZTIME each (go test -fuzz takes one target and one package per
-# run), twenty in all: the differential matrix's in-process engine
+# run), twenty-one in all: the differential matrix's in-process engine
 # configurations against the sequential reference (internal/difftest),
 # the coverage view against its from-scratch oracle, a batch of concrete
 # pings' marking against the union of each one's singleton at every hop,
@@ -171,8 +171,10 @@ clustersmoke:
 # adds, rewires and clones against the hash of the reference encoding, an
 # accepted delta document against a rebuild (and a rejected one against
 # an untouched network), the forwarding index against the rule-by-rule
-# flood, the first-match traceroute and the ordered match-set walk on
-# seeded random tables, the BDD restriction walk against the
+# flood, the first-match traceroute, the ordered match-set walk and the
+# rule's own next hops on seeded random tables, the contract tests'
+# next-hop lookup against the same checks read rule by rule on a
+# fat-tree with seeded broken routes, the BDD restriction walk against the
 # conjunction with a literal chain, hash consing's canonicity across
 # unique-table resizes (a construction script replayed in two managers
 # lands on the same node indices), the longest-match prefix walk
@@ -193,6 +195,7 @@ FUZZ_TARGETS = \
 	./internal/netmodel:FuzzDecodeJSON \
 	./internal/netmodel:FuzzParseText \
 	./internal/dataplane:FuzzForwardingIndex \
+	./internal/testkit:FuzzContractCheck \
 	./internal/bdd:FuzzRestrict \
 	./internal/bdd:FuzzUniqueResizeCanonicity \
 	./internal/hdr:FuzzLongestMatch \

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"yardstick/internal/bdd"
 	"yardstick/internal/dataplane"
@@ -86,16 +85,7 @@ func EncodeSnapshotArena(w io.Writer, net *netmodel.Network, t *Trace) error {
 // fragments of one network computes it once and passes it in.
 func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace) error {
 	t.mu.Lock()
-	locs := make([]dataplane.Loc, 0, len(t.packets))
-	for loc := range t.packets {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Device != locs[j].Device {
-			return locs[i].Device < locs[j].Device
-		}
-		return locs[i].Iface < locs[j].Iface
-	})
+	locs := t.sortedLocs()
 	roots := make([]bdd.Node, len(locs))
 	for i, loc := range locs {
 		s := t.packets[loc]
@@ -105,10 +95,7 @@ func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace
 		}
 		roots[i] = s.Node()
 	}
-	rules := make([]netmodel.RuleID, 0, len(t.rules))
-	for r := range t.rules {
-		rules = append(rules, r)
-	}
+	rules := t.sortedRules()
 	// The arena holds only the nodes the trace reaches, shared structure
 	// across locations stored once; its length is set once it is written.
 	buf := make([]byte, 0, 4+4+4+len(fp)+8+12*len(locs)+4+4*len(rules)+4)
@@ -121,7 +108,6 @@ func EncodeFragmentArena(w io.Writer, net *netmodel.Network, fp string, t *Trace
 	buf, roots = net.Space.Manager().AppendArenaOf(buf, roots)
 	t.mu.Unlock()
 	binary.LittleEndian.PutUint64(buf[lenAt:], uint64(len(buf)-lenAt-8))
-	sort.Slice(rules, func(i, j int) bool { return rules[i] < rules[j] })
 
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(locs)))
 	for i, loc := range locs {

@@ -17,6 +17,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -205,24 +207,52 @@ func (t *Trace) MarkRule(r netmodel.RuleID) {
 }
 
 // Merge folds another trace into t (used to combine traces of independent
-// test suite runs).
+// test suite runs). It visits the other trace's locations and rules in
+// their sorted order (sortedLocs), so merging equal traces makes the
+// same nodes and charges the same ops on every run.
 func (t *Trace) Merge(other *Trace) {
 	other.mu.Lock()
-	locs := make(map[dataplane.Loc]hdr.Set, len(other.packets))
-	for l, s := range other.packets {
-		locs[l] = s
+	locs := other.sortedLocs()
+	sets := make([]hdr.Set, len(locs))
+	for i, l := range locs {
+		sets[i] = other.packets[l]
 	}
-	rules := make([]netmodel.RuleID, 0, len(other.rules))
-	for r := range other.rules {
-		rules = append(rules, r)
-	}
+	rules := other.sortedRules()
 	other.mu.Unlock()
-	for l, s := range locs {
-		t.MarkPacket(l, s)
+	for i, l := range locs {
+		t.MarkPacket(l, sets[i])
 	}
 	for _, r := range rules {
 		t.MarkRule(r)
 	}
+}
+
+// sortedLocs returns the marked locations by device, then by
+// interface. Every walk of a trace whose order reaches a BDD space or
+// an encoding takes this order, not the map's. The caller holds t.mu.
+func (t *Trace) sortedLocs() []dataplane.Loc {
+	locs := make([]dataplane.Loc, 0, len(t.packets))
+	for l := range t.packets {
+		locs = append(locs, l)
+	}
+	slices.SortFunc(locs, func(a, b dataplane.Loc) int {
+		if c := cmp.Compare(a.Device, b.Device); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Iface, b.Iface)
+	})
+	return locs
+}
+
+// sortedRules returns the marked rules, ascending. The caller holds
+// t.mu.
+func (t *Trace) sortedRules() []netmodel.RuleID {
+	rules := make([]netmodel.RuleID, 0, len(t.rules))
+	for r := range t.rules {
+		rules = append(rules, r)
+	}
+	slices.Sort(rules)
+	return rules
 }
 
 // TransferTo returns a copy of the trace whose packet sets live in dst's
@@ -247,7 +277,8 @@ func (t *Trace) TransferTo(dst *hdr.Space) *Trace {
 	defer t.mu.Unlock()
 	out := NewTrace()
 	var tr *hdr.Transfer
-	for loc, s := range t.packets {
+	for _, loc := range t.sortedLocs() {
+		s := t.packets[loc]
 		if s.Space() != dst {
 			if tr == nil || tr.Src() != s.Space() {
 				tr = hdr.NewTransfer(s.Space(), dst)
@@ -256,7 +287,7 @@ func (t *Trace) TransferTo(dst *hdr.Space) *Trace {
 		}
 		out.MarkPacket(loc, s)
 	}
-	for r := range t.rules {
+	for _, r := range t.sortedRules() {
 		out.MarkRule(r)
 	}
 	return out

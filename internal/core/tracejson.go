@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"yardstick/internal/dataplane"
 	"yardstick/internal/netmodel"
@@ -43,27 +42,16 @@ func (t *Trace) EncodeJSON(w io.Writer) error {
 	t.mu.Lock()
 
 	var tj traceJSON
-	locs := make([]dataplane.Loc, 0, len(t.packets))
-	for loc := range t.packets {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].Device != locs[j].Device {
-			return locs[i].Device < locs[j].Device
-		}
-		return locs[i].Iface < locs[j].Iface
-	})
-	for _, loc := range locs {
+	for _, loc := range t.sortedLocs() {
 		tj.Packets = append(tj.Packets, tracePackets{
 			Device: int32(loc.Device),
 			Iface:  int32(loc.Iface),
 			Cubes:  t.packets[loc].Cubes(),
 		})
 	}
-	for r := range t.rules {
+	for _, r := range t.sortedRules() {
 		tj.Rules = append(tj.Rules, int32(r))
 	}
-	sort.Slice(tj.Rules, func(i, j int) bool { return tj.Rules[i] < tj.Rules[j] })
 	t.mu.Unlock()
 
 	enc := json.NewEncoder(w)

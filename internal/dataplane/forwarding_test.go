@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"yardstick/internal/hdr"
@@ -71,6 +72,57 @@ func checkClasses(t testing.TB, name string, net *netmodel.Network) {
 		}
 		if !fw.Routed.Equal(routed) {
 			t.Fatalf("%s: %s Routed differs from the fold of the FIB", name, d.Name)
+		}
+	}
+}
+
+// checkNextHops asks every device's class numbering (FIBKey, then
+// FIBNextHops) for every FIB prefix of every device, an absent prefix
+// and a prefix of the other family, and holds each answer to the rule
+// FIBRuleFor returns: found, action kind, and the devices its
+// out-interfaces lead to, sorted, -1 for an external interface.
+func checkNextHops(t testing.TB, name string, net *netmodel.Network) {
+	t.Helper()
+	var prefixes []netip.Prefix
+	for _, r := range net.Rules {
+		if r.Table == netmodel.TableFIB && r.Match.DstPrefix.IsValid() {
+			prefixes = append(prefixes, r.Match.DstPrefix)
+		}
+	}
+	absent, other := netip.MustParsePrefix("198.51.100.7/32"), netip.MustParsePrefix("2001:db8:ffff::/48")
+	if net.Family() == hdr.V6 {
+		absent, other = netip.MustParsePrefix("3fff:1:2::/64"), netip.MustParsePrefix("10.0.0.0/8")
+	}
+	prefixes = append(prefixes, absent, other)
+	for _, d := range net.Devices {
+		for _, p := range prefixes {
+			var kind netmodel.ActionKind
+			var hops []netmodel.DeviceID
+			key, found := net.FIBKey(p)
+			if found {
+				kind, hops, found = net.FIBNextHops(d.ID, key)
+			}
+			r, want := net.FIBRuleFor(d.ID, p)
+			if found != want {
+				t.Fatalf("%s: %s %v: lookup found %v, FIBRuleFor %v", name, d.Name, p, found, want)
+			}
+			if !found {
+				continue
+			}
+			var wantHops []netmodel.DeviceID
+			for _, out := range r.Action.OutIfaces {
+				h := netmodel.DeviceID(-1)
+				if peer := net.Iface(out).Peer; peer != netmodel.NoIface {
+					h = net.Iface(peer).Device
+				}
+				if !slices.Contains(wantHops, h) {
+					wantHops = append(wantHops, h)
+				}
+			}
+			slices.Sort(wantHops)
+			if kind != r.Action.Kind || fmt.Sprint(hops) != fmt.Sprint(wantHops) {
+				t.Fatalf("%s: %s %v: lookup %v %v, rule %d %v %v", name, d.Name, p, kind, hops, r.ID, r.Action.Kind, wantHops)
+			}
 		}
 	}
 }
@@ -158,6 +210,7 @@ func checkAll(t testing.TB, name string, net *netmodel.Network, seed int64, step
 	t.Helper()
 	checkMatchSets(t, name, net)
 	checkClasses(t, name, net)
+	checkNextHops(t, name, net)
 	var starts []netmodel.DeviceID
 	for i := 0; i < len(net.Devices); i += step {
 		starts = append(starts, netmodel.DeviceID(i))
@@ -209,14 +262,37 @@ func mutate(t testing.TB, net *netmodel.Network, rng *rand.Rand) netmodel.Mutati
 }
 
 // checkLifecycle is the whole sequence on one network: fresh, after a
-// commit (floods have already built classes the commit must drop for
-// the devices it touched), and on a clone carrying built classes.
+// commit (floods and lookups have already built classes and their
+// numbering, which the commit must drop for the devices it touched),
+// after a SetAction (which must drop its device's), and on a clone
+// carrying what was built.
 func checkLifecycle(t testing.TB, name string, net *netmodel.Network, seed int64, step int) {
 	t.Helper()
 	checkAll(t, name, net, seed, step)
-	mutate(t, net, rand.New(rand.NewSource(seed)))
+	rng := rand.New(rand.NewSource(seed))
+	mutate(t, net, rng)
 	checkAll(t, name+" after commit", net, seed+1, step)
-	checkAll(t, name+" clone", net.Clone(), seed+2, step)
+	setAction(net, rng)
+	checkAll(t, name+" after SetAction", net, seed+2, step)
+	checkAll(t, name+" clone", net.Clone(), seed+3, step)
+}
+
+// setAction rewrites one FIB rule's action through SetAction: a drop
+// becomes a forward out the device's first interface, anything else a
+// drop.
+func setAction(net *netmodel.Network, rng *rand.Rand) {
+	var fib []*netmodel.Rule
+	for _, r := range net.Rules {
+		if r.Table == netmodel.TableFIB && r.Match.DstPrefix.IsValid() {
+			fib = append(fib, r)
+		}
+	}
+	r := fib[rng.Intn(len(fib))]
+	act := netmodel.Action{Kind: netmodel.ActDrop}
+	if ifaces := net.Device(r.Device).Ifaces; r.Action.Kind == netmodel.ActDrop && len(ifaces) > 0 {
+		act = netmodel.Action{Kind: netmodel.ActForward, OutIfaces: []netmodel.IfaceID{ifaces[0]}}
+	}
+	net.SetAction(r.ID, act)
 }
 
 func TestForwardingIndexFamilies(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"yardstick/internal/bdd"
 	"yardstick/internal/core"
 	"yardstick/internal/dataplane"
 	"yardstick/internal/delta"
@@ -675,5 +676,57 @@ func TestCoverageStageOps(t *testing.T) {
 	const want = 4194
 	if got := e.Net().Space.EngineStats().Ops - ops; got != want {
 		t.Errorf("coverage stage charged %d ops, want %d", got, want)
+	}
+}
+
+// TestPooledMergeRepeats: a pooled run merges its workers' traces into
+// the canonical space in a fixed order (worker order, and within a
+// trace its locations by device and interface), so fresh engines over
+// one network make the same nodes and charge the same ops there, run
+// after run; a merge that walks the traces' maps fails this in most
+// runs on regional-m.
+func TestPooledMergeRepeats(t *testing.T) {
+	rg, err := topogen.BuildRegional(topogen.RegionalOpts{DCs: 2, PodsPerDC: 4, ToRsPerPod: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite := suiteOf(t, "default,connected,internal,agg,contract,reach,pingmesh,host")
+	var first bdd.Stats
+	for i := 0; i < 6; i++ {
+		e := New(rg.Net.Clone(), Config{Workers: 2})
+		if _, err := e.Run(bg, "", suite, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := e.Net().Space.EngineStats()
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d: the merge left the canonical space at %+v, the first run at %+v", i, got, first)
+		}
+	}
+}
+
+// TestSuiteStageOps pins the BDD work of a cold seven-suite run on the
+// k=6 fat-tree: ops, op-cache misses, nodes made and unique-table
+// resizes. A change to how a test reads the network (an index, a
+// lookup, a cache of Go values) must leave all four where they are; a
+// change that moves one moves the op stream, and the figure is
+// re-recorded in the same commit with the reason.
+func TestSuiteStageOps(t *testing.T) {
+	ft, err := topogen.BuildFatTree(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(ft.Net, Config{})
+	before := e.Net().Space.EngineStats()
+	if _, err := e.Run(bg, "", suiteOf(t, "default,connected,internal,agg,contract,reach,pingmesh"), nil); err != nil {
+		t.Fatal(err)
+	}
+	after := e.Net().Space.EngineStats()
+	got := [4]uint64{after.Ops - before.Ops, after.CacheMisses - before.CacheMisses,
+		uint64(after.Nodes - before.Nodes), after.UniqueResizes - before.UniqueResizes}
+	want := [4]uint64{64306, 20372, 16942, 2}
+	if got != want {
+		t.Errorf("suite stage (ops, misses, nodes, resizes) = %v, want %v", got, want)
 	}
 }

@@ -69,9 +69,10 @@ func (n *Network) Clone() *Network {
 		out.Rules[i] = &nr
 	}
 	if n.index != nil {
-		// The table shapes and prefix orders are immutable values
-		// (Commit replaces, never edits them) and are shared; built
-		// action classes are carried by node index like the match sets.
+		// The table shapes, prefix orders and class numberings are
+		// immutable values (Commit and SetAction replace, never edit
+		// them) and are shared; built action classes are carried by node
+		// index like the match sets.
 		out.index = make([]devIndex, len(n.index))
 		for i, ix := range n.index {
 			if f := ix.fwd; f != nil {

@@ -123,9 +123,12 @@ func (n *Network) OrderedFIBMatchSets(dev DeviceID) []hdr.Set {
 // walk. Nothing is published.
 func (n *Network) FoldedForwarding(dev DeviceID) *Forwarding {
 	d := n.Devices[dev]
-	f := &Forwarding{}
-	class, _ := n.groupByAction(f, d)
-	n.foldClasses(f, d, class)
+	cls := n.buildClasses(d, &n.index[dev])
+	f := &Forwarding{Classes: make([]ActionClass, len(cls.action))}
+	for c, a := range cls.action {
+		f.Classes[c].Action = a
+	}
+	n.foldClasses(f, d, cls.fib)
 	return f
 }
 
@@ -135,6 +138,16 @@ func (n *Network) DstOnly(dev DeviceID) bool { return n.index[dev].dstOnly }
 // BuiltForwarding returns dev's action classes if a flood has built
 // them, nil otherwise; unlike Forwarding it never builds.
 func (n *Network) BuiltForwarding(dev DeviceID) *Forwarding { return n.index[dev].fwd }
+
+// BuiltClasses reports whether dev's class numbering is built and
+// returns its identity (nil when it is not); unlike FIBNextHops it
+// never builds.
+func (n *Network) BuiltClasses(dev DeviceID) any {
+	if c := n.index[dev].cls; c != nil {
+		return c
+	}
+	return nil
+}
 
 // Derived counts the disjoint match sets computed so far, by
 // ComputeMatchSets and every Commit.

@@ -26,6 +26,15 @@ import (
 // devices it touched and by SetAction for the rule's device, and carried
 // across Clone by node index.
 //
+// A flood's classes and the next-hop contract checks (FIBNextHops) both
+// read a device's FIB rules grouped by what they do to a packet: the
+// action-class numbering (classIndex). It is Go values only — no BDD
+// work, no rule pointers — built on the first question that needs it,
+// dropped with the classes and shared by Clone as is. It is lazy, not
+// built at freeze time, because a flap's Commit touches nearly every
+// device, and a device nobody asks about afterwards would pay for a
+// numbering it never reads.
+//
 // A traceroute asks which FIB rule handles one destination. On a device
 // whose FIB rules each match a distinct destination prefix and nothing
 // else, that is a longest-prefix probe — a binary search of the device's
@@ -75,8 +84,25 @@ type devIndex struct {
 	// its class walks read.
 	byPrefix []RuleID
 	pfx      []hdr.PrefixKey
-	// fwd is nil until the first flood through the device.
+	// cls is nil until a class build or a next-hop lookup asks for it,
+	// fwd until the first flood through the device; Commit and
+	// SetAction drop the two together.
+	cls *classIndex
 	fwd *Forwarding
+}
+
+// classIndex numbers a device's action classes, in order of their first
+// member in FIB order: at[k] is the class of byPrefix[k], fib[i] that of
+// the device's FIB[i], and a class c's members all do action[c], which
+// takes a packet to the devices hops[c] — sorted, without repeats, -1
+// for an external interface. It holds no rule pointer and no set, and it
+// is an immutable value: Commit and SetAction drop it, never edit it, so
+// clones share it.
+type classIndex struct {
+	at     []int32
+	fib    []int32
+	action []Action
+	hops   [][]DeviceID
 }
 
 // find returns the position of prefix p in the index. It is the binary
@@ -92,6 +118,19 @@ func (ix *devIndex) find(p hdr.PrefixKey) (int, bool) {
 		}
 	}
 	return lo, lo < len(ix.pfx) && ix.pfx[lo] == p
+}
+
+// last returns the position of prefix p in the index; of a repeated
+// prefix's run, which is in ID order, the last.
+func (ix *devIndex) last(p hdr.PrefixKey) (int, bool) {
+	i, ok := ix.find(p)
+	if !ok {
+		return 0, false
+	}
+	for i+1 < len(ix.pfx) && ix.pfx[i+1] == p {
+		i++
+	}
+	return i, true
 }
 
 // sameFamily reports whether an address belongs to the network's family.
@@ -137,8 +176,91 @@ func (n *Network) Forwarding(dev DeviceID) *Forwarding {
 	return ix.fwd
 }
 
-// buildForwarding builds a device's classes. The space is fresh here —
-// nothing has asked for these unions before — so a destination-only FIB
+// FIBKey returns the key FIBNextHops looks prefix p up by, once per
+// prefix however many devices are asked. ok is false for an invalid
+// prefix or one of the other address family: no FIB rule matches it.
+func (n *Network) FIBKey(p netip.Prefix) (key hdr.PrefixKey, ok bool) {
+	if !n.sameFamily(p.Addr()) || !p.IsValid() {
+		return hdr.PrefixKey{}, false
+	}
+	return hdr.KeyOf(p.Masked()), true
+}
+
+// FIBNextHops answers a next-hop contract's question about dev's FIB
+// rule for the destination prefix with the given key (FIBKey) — the
+// rule FIBRuleFor returns — from the device's class numbering: the
+// kind of the rule's action and the devices its out-interfaces lead to,
+// sorted, without repeats, -1 for an external interface. ok is false
+// when the FIB has no rule for the prefix. hops is shared by every rule
+// of the class: read it, never write it.
+func (n *Network) FIBNextHops(dev DeviceID, key hdr.PrefixKey) (kind ActionKind, hops []DeviceID, ok bool) {
+	if !n.matchSetsDone {
+		panic("netmodel: FIBNextHops before ComputeMatchSets")
+	}
+	ix := &n.index[dev]
+	i, ok := ix.last(key)
+	if !ok {
+		return 0, nil, false
+	}
+	cls := n.classes(n.Devices[dev], ix)
+	c := cls.at[i]
+	return cls.action[c].Kind, cls.hops[c], true
+}
+
+// classes returns d's class numbering, building it on first use.
+func (n *Network) classes(d *Device, ix *devIndex) *classIndex {
+	if ix.cls == nil {
+		ix.cls = n.buildClasses(d, ix)
+	}
+	return ix.cls
+}
+
+// buildClasses numbers d's action classes: one pass over the FIB in
+// its order, which fixes the numbering, then one over the prefix
+// order, where every action is already known.
+func (n *Network) buildClasses(d *Device, ix *devIndex) *classIndex {
+	c := &classIndex{fib: make([]int32, len(d.FIB)), at: make([]int32, len(ix.byPrefix))}
+	byAction := make(map[string]int32)
+	var key []byte
+	classOf := func(id RuleID) int32 {
+		a := n.Rules[id].Action
+		key = a.appendKey(key[:0])
+		k, ok := byAction[string(key)]
+		if !ok {
+			k = int32(len(c.action))
+			byAction[string(key)] = k
+			c.action = append(c.action, a)
+			c.hops = append(c.hops, n.hopDevices(a))
+		}
+		return k
+	}
+	for i, id := range d.FIB {
+		c.fib[i] = classOf(id)
+	}
+	for k, id := range ix.byPrefix {
+		c.at[k] = classOf(id)
+	}
+	return c
+}
+
+// hopDevices returns the devices an action's out-interfaces lead to,
+// sorted, without repeats, -1 for an external interface.
+func (n *Network) hopDevices(a Action) []DeviceID {
+	hops := make([]DeviceID, 0, len(a.OutIfaces))
+	for _, out := range a.OutIfaces {
+		d := DeviceID(-1)
+		if peer := n.Ifaces[out].Peer; peer != NoIface {
+			d = n.Ifaces[peer].Device
+		}
+		hops = append(hops, d)
+	}
+	slices.Sort(hops)
+	return slices.Compact(hops)
+}
+
+// buildForwarding builds a device's classes over its class numbering.
+// The space is fresh here — nothing has asked for these unions
+// before — so a destination-only FIB
 // builds each class, and Routed, by one LongestMatch walk of the
 // device's sorted prefixes with the class's members flagged: a class is
 // exactly the destinations whose longest matching prefix is a member,
@@ -155,22 +277,20 @@ func (n *Network) buildForwarding(d *Device, ix *devIndex) *Forwarding {
 		}
 		f.Permit = n.Space.UnionAll(permit)
 	}
-	class, byAction := n.groupByAction(f, d)
+	cls := n.classes(d, ix)
+	f.Classes = make([]ActionClass, len(cls.action))
+	for c, a := range cls.action {
+		f.Classes[c].Action = a
+	}
 	if !ix.dstOnly {
-		n.foldClasses(f, d, class)
+		n.foldClasses(f, d, cls.fib)
 		return f
 	}
 
-	at := make([]int, len(ix.byPrefix)) // the class of each prefix
-	var key []byte
-	for k, id := range ix.byPrefix {
-		key = n.Rules[id].Action.appendKey(key[:0])
-		at[k] = byAction[string(key)]
-	}
-	flag := make([]bool, len(at))
+	flag := make([]bool, len(cls.at))
 	for c := range f.Classes {
 		for k := range flag {
-			flag[k] = at[k] == c
+			flag[k] = cls.at[k] == int32(c)
 		}
 		f.Classes[c].Match = n.Space.LongestMatch(ix.pfx, flag)
 	}
@@ -181,34 +301,12 @@ func (n *Network) buildForwarding(d *Device, ix *devIndex) *Forwarding {
 	return f
 }
 
-// groupByAction appends d's action classes to f in order of first
-// appearance in the FIB, with their Match unset; class[i] is the class
-// of d.FIB[i], and byAction maps an action's key (appendKey) to its
-// class.
-func (n *Network) groupByAction(f *Forwarding, d *Device) (class []int, byAction map[string]int) {
-	class = make([]int, len(d.FIB))
-	byAction = make(map[string]int)
-	var key []byte
-	for i, id := range d.FIB {
-		r := n.Rules[id]
-		key = r.Action.appendKey(key[:0])
-		c, ok := byAction[string(key)]
-		if !ok {
-			c = len(f.Classes)
-			byAction[string(key)] = c
-			f.Classes = append(f.Classes, ActionClass{Action: r.Action})
-		}
-		class[i] = c
-	}
-	return class, byAction
-}
-
 // foldClasses sets each class's Match, and Routed, by folding the
 // members' match sets pairwise (UnionAll), members in destination-prefix
 // order: neighbouring prefixes make small unions, and the same runs of
 // prefixes recur from device to device, so the op cache answers many of
 // the folds. It is right for any FIB.
-func (n *Network) foldClasses(f *Forwarding, d *Device, class []int) {
+func (n *Network) foldClasses(f *Forwarding, d *Device, class []int32) {
 	order := make([]int, len(d.FIB))
 	for i := range order {
 		order[i] = i
@@ -267,7 +365,8 @@ func (a Action) Clone() Action {
 
 // SetAction replaces the action of a rule on a frozen network. Match
 // fields are untouched, so every match set stays valid; the device's
-// action classes are dropped and rebuilt by the next flood, and the
+// action classes and their numbering are dropped and rebuilt by the
+// next flood or lookup, and the
 // rule's encoding by the next EncodeJSON, and the fingerprint marks past
 // the rule by the next Digest. It is how fault injection
 // (internal/faults) rewires a rule and puts it back; writing Rule.Action
@@ -276,6 +375,7 @@ func (n *Network) SetAction(id RuleID, a Action) {
 	r := n.Rules[id]
 	r.Action = a
 	if n.matchSetsDone {
+		n.index[r.Device].cls = nil
 		n.index[r.Device].fwd = nil
 		r.enc = ""
 		n.encFull.Store(false)

@@ -8,8 +8,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/netip"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,23 +183,81 @@ func sameFloods(t testing.TB, what string, got, want []*dataplane.Reachability, 
 	}
 }
 
-// TestForwardingInvalidation: classes appear on the first flood, a
-// commit drops exactly the touched devices', SetAction drops its
-// device's, and a clone carries what was built without sharing it.
+// sameNextHops holds every device's next-hop lookup (FIBKey, then
+// FIBNextHops), for every FIB prefix of the network and one of the
+// other family, to the rule FIBRuleFor returns: found, action kind and
+// the devices its out-interfaces lead to.
+func sameNextHops(t *testing.T, what string, n *netmodel.Network) {
+	t.Helper()
+	prefixes := []netip.Prefix{netip.MustParsePrefix("2001:db8::/32")}
+	for _, r := range n.Rules {
+		if r.Table == netmodel.TableFIB {
+			prefixes = append(prefixes, r.Match.DstPrefix)
+		}
+	}
+	for _, d := range n.Devices {
+		for _, p := range prefixes {
+			var kind netmodel.ActionKind
+			var hops []netmodel.DeviceID
+			key, found := n.FIBKey(p)
+			if found {
+				kind, hops, found = n.FIBNextHops(d.ID, key)
+			}
+			r, want := n.FIBRuleFor(d.ID, p)
+			if found != want {
+				t.Fatalf("%s: %s %v: lookup found %v, FIBRuleFor %v", what, d.Name, p, found, want)
+			}
+			if !found {
+				continue
+			}
+			var wantHops []netmodel.DeviceID
+			for _, out := range r.Action.OutIfaces {
+				h := netmodel.DeviceID(-1)
+				if peer := n.Iface(out).Peer; peer != netmodel.NoIface {
+					h = n.Iface(peer).Device
+				}
+				wantHops = append(wantHops, h)
+			}
+			slices.Sort(wantHops)
+			wantHops = slices.Compact(wantHops)
+			if kind != r.Action.Kind || !slices.Equal(hops, wantHops) {
+				t.Fatalf("%s: %s %v: lookup %v %v, rule %d %v %v", what, d.Name, p, kind, hops, r.ID, r.Action.Kind, wantHops)
+			}
+		}
+	}
+}
+
+// TestForwardingInvalidation: classes and their numbering appear on the
+// first flood (the numbering on the first lookup, too), a commit drops
+// exactly the touched devices', SetAction drops its device's, and a
+// clone carries the classes by node index without sharing them and
+// shares the numbering, which holds no set. After every step the
+// lookup answers as the rules do.
 func TestForwardingInvalidation(t *testing.T) {
 	n := aclRegional(t)
 	for _, d := range n.Devices {
-		if n.BuiltForwarding(d.ID) != nil {
+		if n.BuiltForwarding(d.ID) != nil || n.BuiltClasses(d.ID) != nil {
 			t.Fatalf("%s has classes before any flood: the index must be lazy", d.Name)
 		}
 	}
+	if _, _, ok := n.FIBNextHops(2, mustKey(t, n, n.Rule(n.Device(2).FIB[0]).Match.DstPrefix)); !ok {
+		t.Fatal("no route for the device's own first FIB prefix")
+	}
+	if n.BuiltClasses(2) == nil || n.BuiltForwarding(2) != nil {
+		t.Fatal("a lookup must build the numbering, and only the numbering")
+	}
 	floodAll(t, n, 9)
 	built := make([]*netmodel.Forwarding, len(n.Devices))
+	numbered := make([]any, len(n.Devices))
 	for _, d := range n.Devices {
 		if built[d.ID] = n.BuiltForwarding(d.ID); built[d.ID] == nil {
 			t.Fatalf("%s has no classes after full floods", d.Name)
 		}
+		if numbered[d.ID] = n.BuiltClasses(d.ID); numbered[d.ID] == nil {
+			t.Fatalf("%s has classes but no numbering", d.Name)
+		}
 	}
+	sameNextHops(t, "fresh", n)
 
 	// Commit: remove one FIB rule of device 3.
 	mut := n.BeginMutation()
@@ -212,23 +272,25 @@ func TestForwardingInvalidation(t *testing.T) {
 		t.Fatalf("touched %v, want [3]", res.Touched)
 	}
 	for _, d := range n.Devices {
-		switch got := n.BuiltForwarding(d.ID); {
-		case d.ID == 3 && got != nil:
-			t.Fatal("the touched device kept its classes")
-		case d.ID != 3 && got != built[d.ID]:
-			t.Fatalf("untouched %s lost its classes", d.Name)
+		switch got, num := n.BuiltForwarding(d.ID), n.BuiltClasses(d.ID); {
+		case d.ID == 3 && (got != nil || num != nil):
+			t.Fatal("the touched device kept its classes or their numbering")
+		case d.ID != 3 && (got != built[d.ID] || num != numbered[d.ID]):
+			t.Fatalf("untouched %s lost its classes or their numbering", d.Name)
 		}
 	}
+	sameNextHops(t, "after the commit", n)
 
 	// SetAction: null-route one rule of device 5.
 	victim := n.Rule(n.Device(5).FIB[0])
 	n.SetAction(victim.ID, netmodel.Action{Kind: netmodel.ActDrop})
-	if n.BuiltForwarding(5) != nil {
-		t.Fatal("SetAction kept the device's classes")
+	if n.BuiltForwarding(5) != nil || n.BuiltClasses(5) != nil {
+		t.Fatal("SetAction kept the device's classes or their numbering")
 	}
-	if n.BuiltForwarding(6) != built[6] {
-		t.Fatal("SetAction dropped another device's classes")
+	if n.BuiltForwarding(6) != built[6] || n.BuiltClasses(6) != numbered[6] {
+		t.Fatal("SetAction dropped another device's classes or their numbering")
 	}
+	sameNextHops(t, "after SetAction", n)
 
 	// Clone: built classes are carried by node index; dropped ones stay
 	// dropped; the copy is independent.
@@ -237,6 +299,9 @@ func TestForwardingInvalidation(t *testing.T) {
 		orig, cp := n.BuiltForwarding(d.ID), c.BuiltForwarding(d.ID)
 		if (orig == nil) != (cp == nil) {
 			t.Fatalf("%s: clone built=%v, original built=%v", d.Name, cp != nil, orig != nil)
+		}
+		if c.BuiltClasses(d.ID) != n.BuiltClasses(d.ID) {
+			t.Fatalf("%s: the clone does not share the numbering", d.Name)
 		}
 		if orig == nil {
 			continue
@@ -250,10 +315,13 @@ func TestForwardingInvalidation(t *testing.T) {
 			}
 		}
 	}
+	sameNextHops(t, "clone", c)
 	c.SetAction(c.Device(6).FIB[0], netmodel.Action{Kind: netmodel.ActDrop})
-	if n.BuiltForwarding(6) != built[6] {
+	if n.BuiltForwarding(6) != built[6] || n.BuiltClasses(6) != numbered[6] {
 		t.Fatal("a write to the clone reached the original")
 	}
+	sameNextHops(t, "clone after SetAction", c)
+	sameNextHops(t, "original after the clone's SetAction", n)
 
 	// Carried, dropped and rebuilt classes together flood like a network
 	// decoded from the clone's JSON, which never had any.
@@ -266,6 +334,15 @@ func TestForwardingInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameFloods(t, "clone of the edited network", floodAll(t, c, 9), floodAll(t, fresh, 9), fresh, c)
+}
+
+func mustKey(t *testing.T, n *netmodel.Network, p netip.Prefix) hdr.PrefixKey {
+	t.Helper()
+	k, ok := n.FIBKey(p)
+	if !ok {
+		t.Fatalf("%v has no key", p)
+	}
+	return k
 }
 
 // TestRuleActionIsWrittenThroughSetAction guards the one contract the

@@ -324,16 +324,17 @@ func (m *Mutation) Commit() (MutationResult, error) {
 			newIndex[di] = devIndex{dstOnly: old.dstOnly, lens: old.lens, pfx: old.pfx, byPrefix: remapIDs(old.byPrefix, remap)}
 		}
 		if touched[di] == 0 {
-			// Classes hold sets and actions, never rule IDs.
-			newIndex[di].fwd = old.fwd
+			// Classes hold sets and actions, and their numbering
+			// positions, never rule IDs.
+			newIndex[di].cls, newIndex[di].fwd = old.cls, old.fwd
 		} else {
 			touchedList = append(touchedList, DeviceID(di))
 		}
 	}
 
 	// Publish: assignments only, no panic sources. A touched device gets
-	// its new index and loses its action classes (the next flood
-	// rebuilds them). The encoding cache stays full unless a rule came
+	// its new index and loses its action classes and their numbering
+	// (the next flood or lookup rebuilds them). The encoding cache stays full unless a rule came
 	// without bytes; the fingerprint marks past the first changed rule
 	// go.
 	for di, d := range n.Devices {

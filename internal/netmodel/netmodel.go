@@ -453,17 +453,14 @@ func (n *Network) FIBRuleFor(dev DeviceID, prefix netip.Prefix) (*Rule, bool) {
 	if !n.matchSetsDone {
 		panic("netmodel: FIBRuleFor before ComputeMatchSets")
 	}
-	if !n.sameFamily(prefix.Addr()) || !prefix.IsValid() {
-		return nil, false
-	}
-	ix := &n.index[dev]
-	p := hdr.KeyOf(prefix.Masked())
-	i, ok := ix.find(p)
+	p, ok := n.FIBKey(prefix)
 	if !ok {
 		return nil, false
 	}
-	for i+1 < len(ix.pfx) && ix.pfx[i+1] == p {
-		i++ // the run of a repeated prefix is in ID order
+	ix := &n.index[dev]
+	i, ok := ix.last(p)
+	if !ok {
+		return nil, false
 	}
 	return n.Rules[ix.byPrefix[i]], true
 }

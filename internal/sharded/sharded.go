@@ -258,9 +258,11 @@ func (e *Engine) Run(ctx context.Context, suite testkit.Suite) (*Result, error) 
 
 	// Merge worker traces into the canonical space, one at a time (the
 	// canonical manager is single-threaded; the workers are done, so
-	// their managers are quiescent sources). Union order cannot matter —
-	// Trace.Merge is order-independent — but worker order keeps the
-	// canonical unique table filling deterministically too. The transfer
+	// their managers are quiescent sources). Union order cannot change the
+	// merged sets — Trace.Merge is order-independent — but worker order,
+	// and the sorted location order TransferTo and Merge walk in, keep
+	// the canonical unique table filling, and the merge's op count,
+	// the same from run to run. The transfer
 	// charges the canonical manager; Guard converts a cancellation of the
 	// context the caller has it watch into an error instead of unwinding
 	// through us.

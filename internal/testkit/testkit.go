@@ -448,64 +448,90 @@ func (t ConnectedRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Re
 // ToRContract, AggCanReachTorLoopback
 // ---------------------------------------------------------------------------
 
+// contract is a shortest-path contract: the origins whose prefixes it
+// checks, each origin's prefixes, and the devices that must forward
+// them (nil: every device).
+type contract struct {
+	origins  []netmodel.DeviceID
+	prefixes func(d *netmodel.Device) []netip.Prefix
+	eligible func(d *netmodel.Device) bool
+}
+
 // contractCheck validates, for each (origin, prefix) pair, that every
 // other eligible device forwards the prefix through exactly the full set
 // of topological shortest paths toward the origin — the RCDC idea of
 // decomposing an end-to-end invariant into local forwarding contracts
 // (§7.3). It reports coverage with one markPacket per exercised device.
-func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result,
-	origins []netmodel.DeviceID, prefixes func(d *netmodel.Device) []netip.Prefix,
-	eligible func(d *netmodel.Device) bool) {
-
-	// Batch coverage marking: the prefix sets checked at each device,
-	// folded into one markPacket per device at the end. An origin's
-	// prefix sets are derived once, not once per device that checks them.
-	marked := make([][]hdr.Set, len(net.Devices))
+//
+// A check reads the device's class numbering (netmodel.FIBNextHops):
+// a binary search of its prefixes and two small slices, no rule and no
+// sort. An origin's prefix sets and lookup keys are derived once, not
+// once per device that checks them; a device keeps the origins it
+// checked, and its prefix sets are folded into one markPacket at the
+// end, in check order.
+func contractCheck(net *netmodel.Network, tracker core.Tracker, res *Result, c contract) {
+	var sets [][]hdr.Set // by checked origin
+	checked := make([][]int32, len(net.Devices))
 	paths := newShortestPaths(net)
-	var hops []netmodel.DeviceID
+	var keys []hdr.PrefixKey
+	var inFamily []bool
 
-	for _, origin := range origins {
-		prefs := prefixes(net.Device(origin))
+	for _, origin := range c.origins {
+		prefs := c.prefixes(net.Device(origin))
 		if len(prefs) == 0 {
 			continue
 		}
-		sets := make([]hdr.Set, len(prefs))
+		o := int32(len(sets))
+		s := make([]hdr.Set, len(prefs))
+		keys, inFamily = keys[:0], inFamily[:0]
 		for i, p := range prefs {
-			sets[i] = net.Space.DstPrefix(p)
+			s[i] = net.Space.DstPrefix(p)
+			k, ok := net.FIBKey(p)
+			keys, inFamily = append(keys, k), append(inFamily, ok)
 		}
+		sets = append(sets, s)
 		dist := paths.from(origin)
 		for _, d := range net.Devices {
 			if d.ID == origin || dist[d.ID] <= 0 {
 				continue
 			}
-			if eligible != nil && !eligible(d) {
+			if c.eligible != nil && !c.eligible(d) {
 				continue
 			}
 			// Expected: ECMP across all neighbors one hop closer.
 			want := paths.closer(d.ID)
-			marked[d.ID] = append(marked[d.ID], sets...)
-			for _, p := range prefs {
+			checked[d.ID] = append(checked[d.ID], o)
+			for i, p := range prefs {
 				res.Checks++
-				rule := findFIBRule(net, d.ID, p)
-				if rule == nil {
+				if !inFamily[i] {
 					res.failf(d.ID, "no route for %v", p)
 					continue
 				}
-				if rule.Action.Kind != netmodel.ActForward {
+				kind, hops, ok := net.FIBNextHops(d.ID, keys[i])
+				if !ok {
+					res.failf(d.ID, "no route for %v", p)
+					continue
+				}
+				if kind != netmodel.ActForward {
 					res.failf(d.ID, "route for %v does not forward", p)
 					continue
 				}
-				hops = nextHops(net, rule.Action, hops)
 				if !sameDevices(hops, want) {
 					res.failf(d.ID, "route for %v uses next hops %v, want full shortest-path set", p, hops)
 				}
 			}
 		}
 	}
-	for dev, sets := range marked {
-		if len(sets) > 0 {
-			tracker.MarkPacket(dataplane.Injected(netmodel.DeviceID(dev)), net.Space.UnionAll(sets))
+	var in []hdr.Set
+	for dev, origins := range checked {
+		if len(origins) == 0 {
+			continue
 		}
+		in = in[:0]
+		for _, o := range origins {
+			in = append(in, sets[o]...)
+		}
+		tracker.MarkPacket(dataplane.Injected(netmodel.DeviceID(dev)), net.Space.UnionAll(in))
 	}
 }
 
@@ -524,14 +550,18 @@ func (InternalRouteCheck) Kind() Kind { return LocalSymbolic }
 // Run implements Test.
 func (t InternalRouteCheck) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
+	contractCheck(net, tracker, &res, t.contract(net))
+	return res
+}
+
+func (InternalRouteCheck) contract(net *netmodel.Network) contract {
 	origins := make([]netmodel.DeviceID, len(net.Devices))
 	for i := range origins {
 		origins[i] = netmodel.DeviceID(i)
 	}
-	contractCheck(net, tracker, &res, origins, func(d *netmodel.Device) []netip.Prefix {
+	return contract{origins: origins, prefixes: func(d *netmodel.Device) []netip.Prefix {
 		return append(append([]netip.Prefix(nil), d.Subnets...), d.Loopbacks...)
-	}, nil)
-	return res
+	}}
 }
 
 // ToRContract is the §8 local-symbolic benchmark test: the ToRReachability
@@ -548,16 +578,20 @@ func (ToRContract) Kind() Kind { return LocalSymbolic }
 // Run implements Test.
 func (t ToRContract) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
+	contractCheck(net, tracker, &res, t.contract(net))
+	return res
+}
+
+func (ToRContract) contract(net *netmodel.Network) contract {
 	var origins []netmodel.DeviceID
 	for _, d := range net.Devices {
 		if len(d.Subnets) > 0 {
 			origins = append(origins, d.ID)
 		}
 	}
-	contractCheck(net, tracker, &res, origins, func(d *netmodel.Device) []netip.Prefix {
+	return contract{origins: origins, prefixes: func(d *netmodel.Device) []netip.Prefix {
 		return d.Subnets
-	}, nil)
-	return res
+	}}
 }
 
 // AggCanReachTorLoopback checks that aggregation routers correctly
@@ -574,18 +608,22 @@ func (AggCanReachTorLoopback) Kind() Kind { return LocalSymbolic }
 // Run implements Test.
 func (t AggCanReachTorLoopback) Run(net *netmodel.Network, tracker core.Tracker) Result {
 	res := Result{Name: t.Name(), Kind: t.Kind()}
+	contractCheck(net, tracker, &res, t.contract(net))
+	return res
+}
+
+func (AggCanReachTorLoopback) contract(net *netmodel.Network) contract {
 	var tors []netmodel.DeviceID
 	for _, d := range net.Devices {
 		if d.Role == netmodel.RoleToR && len(d.Loopbacks) > 0 {
 			tors = append(tors, d.ID)
 		}
 	}
-	contractCheck(net, tracker, &res, tors, func(d *netmodel.Device) []netip.Prefix {
+	return contract{origins: tors, prefixes: func(d *netmodel.Device) []netip.Prefix {
 		return d.Loopbacks
-	}, func(d *netmodel.Device) bool {
+	}, eligible: func(d *netmodel.Device) bool {
 		return d.Role == netmodel.RoleAgg
-	})
-	return res
+	}}
 }
 
 // ---------------------------------------------------------------------------
